@@ -26,14 +26,7 @@ from .formulation import (
     ObjectiveWeights,
     PartitionSpec,
     VarIndex,
-    build_assignment_constraints,
-    build_buffer_constraints,
-    build_comp_objective,
     build_model,
-    build_partition_vars,
-    build_spatial_constraints,
-    build_traffic_objective,
-    build_util_objective,
     compose_objective,
 )
 from .schedule import (

@@ -343,6 +343,16 @@ def _threads_from_env(opts: SolverOptions) -> SolverOptions:
     return opts
 
 
+def _write_schedule(path: str, schedule) -> int:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(serialize(schedule))
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
+
+
 def cmd_solve(cfg: RunConfig) -> int:
     arch, layers = _load_inputs(cfg)
     dims = layers[0]
@@ -366,12 +376,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     print(f"objective {sol.objective_value:.9f}")
     print(result.report.to_text(result.schedule.level_names), end="")
     if cfg.out_path:
-        try:
-            with open(cfg.out_path, "wb") as fh:
-                fh.write(serialize(result.schedule))
-        except OSError as exc:
-            print(f"error: cannot write {cfg.out_path}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        return _write_schedule(cfg.out_path, result.schedule)
     return EXIT_OK
 
 
@@ -467,8 +472,7 @@ def cmd_partition(cfg: RunConfig) -> int:
         print(f"baseline_objective {fixed.solution.objective_value:.9f}")
     print(render(part.schedule), end="")
     if cfg.out_path:
-        with open(cfg.out_path, "wb") as fh:
-            fh.write(serialize(part.schedule))
+        return _write_schedule(cfg.out_path, part.schedule)
     return EXIT_OK
 
 

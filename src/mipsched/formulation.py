@@ -855,43 +855,3 @@ def compose_objective(
             objective[vid] = objective.get(vid, 0.0) + w_t * c
     return objective
 
-
-# Convenience views matching the individual construction steps; each
-# builds a fresh model and returns the relevant slice of it.
-
-def build_assignment_constraints(pf, arch) -> list[RawConstraint]:
-    raw = build_model(pf, arch).raw()
-    return [c for c in raw.constraints if c.kind in ("assign", "slot")]
-
-
-def build_buffer_constraints(pf, arch) -> list[RawConstraint]:
-    raw = build_model(pf, arch).raw()
-    return [c for c in raw.constraints if c.kind == "buffer"]
-
-
-def build_spatial_constraints(pf, arch) -> list[RawConstraint]:
-    raw = build_model(pf, arch).raw()
-    return [c for c in raw.constraints if c.kind == "spatial"]
-
-
-def build_util_objective(pf, arch) -> dict[int, float]:
-    return build_model(pf, arch).raw().term_exprs["util"]
-
-
-def build_comp_objective(pf, arch) -> dict[int, float]:
-    return build_model(pf, arch).raw().term_exprs["comp"]
-
-
-def build_traffic_objective(pf, arch) -> dict[int, float]:
-    return build_model(pf, arch).raw().term_exprs["traffic"]
-
-
-def build_partition_vars(pf, arch, spec: PartitionSpec):
-    """Partition menus plus the constraints they introduce: one size per
-    buffer, capacity bounds linked to the chosen size, and the total-byte
-    budget."""
-    model = build_model(pf, arch, partition=spec)
-    cons = [
-        c for c in model.raw().constraints if c.kind in ("menu", "budget", "buffer")
-    ]
-    return model.menus, cons

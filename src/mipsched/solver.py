@@ -10,8 +10,8 @@ best-case bound, a root Lagrangian relaxation of the capacity
 constraints, and per-constraint fractional knapsack relaxations; the
 partial traffic term is monotone under extension and included exactly.
 Reported assignments are canonicalized to the lexicographically smallest
-member of their class, so results are bit-stable across runs and worker
-counts.
+member of their class, so results are bit-stable across runs.  The search
+is single-threaded.
 
 `exhaustive_solve` enumerates the raw assignment space and serves as the
 independent optimality oracle for desk-scale instances.
@@ -20,9 +20,7 @@ independent optimality oracle for desk-scale instances.
 from __future__ import annotations
 
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .formulation import TEMPORAL, MipModel
@@ -41,13 +39,13 @@ class SolverOptions:
     """Knobs for both solvers.
 
     The tie-break rule is fixed: among equal-objective optima, the
-    lexicographically smallest assignment vector wins.  Worker count
-    never changes the returned solution, only (possibly) node counts.
+    lexicographically smallest assignment vector wins.  The search is
+    single-threaded: `threads` is validated and accepted for
+    compatibility but has no effect.
     """
 
     time_limit_s: float = 300.0
     tolerance: float = 1e-6
-    tie_break: str = "lexmin"
     threads: int = 1
 
     def __post_init__(self):
@@ -255,7 +253,6 @@ def canonical_assignment(
 
 class _Incumbent:
     def __init__(self):
-        self.lock = threading.Lock()
         self.obj = INF
         self.key = None
         self.x = None
@@ -264,31 +261,25 @@ class _Incumbent:
     def beats(self, obj, key) -> bool:
         return self.x is None or (obj, key) < (self.obj, self.key)
 
-    def offer(self, obj, key, x, menu) -> bool:
-        with self.lock:
-            if self.beats(obj, key):
-                self.obj, self.key, self.x, self.menu = obj, key, x, menu
-                return True
-            return False
+    def offer(self, obj, key, x, menu):
+        self.obj, self.key, self.x, self.menu = obj, key, x, menu
 
 
 class _Search:
-    """One worker's depth-first search state over the collapsed space."""
+    """Depth-first search state over the collapsed space; one instance runs
+    every phase of a solve (dive, LDS, DFS)."""
 
-    def __init__(self, model: MipModel, opts: SolverOptions, incumbent: _Incumbent,
-                 deadline: float, stop: threading.Event,
-                 shared: "_Shared | None" = None):
+    def __init__(self, model: MipModel, tol: float, incumbent: _Incumbent,
+                 deadline: float, shared: "_Shared"):
         m = self.m = model
-        self.opts = opts
-        self.tol = opts.tolerance
+        self.tol = tol
         self.inc = incumbent
         self.deadline = deadline
-        self.stop = stop
+        self.stopped = False
         self.nodes = 0
         self.leaves = 0
 
-        self.shared = shared if shared is not None else _Shared(model, opts)
-        sh = self.shared
+        sh = self.shared = shared
         self.order = sh.order
         self.prev_same = sh.prev_same
         self.wu, self.wc, self.wt = m.weights.effective()
@@ -298,10 +289,15 @@ class _Search:
         self.con_rhs = sh.con_rhs
         self.fi_cons = sh.fi_cons
         self.con_of_menu = sh.con_of_menu
+        self.reset()
 
-        # mutable state
-        F = m.F
-        self.choice_val: list[tuple[tuple[int, int], ...] | None] = [None] * F
+    def reset(self):
+        """Return the mutable state to the root.  Every `_apply` is paired
+        with an `_undo`, but the float sums can come back off by rounding;
+        zeroing them gives each phase the bounds, and so the node counts,
+        of a fresh search."""
+        m = self.m
+        self.choice_val: list[tuple[tuple[int, int], ...] | None] = [None] * m.F
         self.chains: dict[int, list[int]] = {I: [] for I in range(m.noc, m.H)}
         self.con_lhs = [0.0] * self.ncons
         self.static_sum = 0.0
@@ -312,12 +308,9 @@ class _Search:
     # -- helpers -------------------------------------------------------
 
     def timed_out(self) -> bool:
-        if self.stop.is_set():
-            return True
-        if self.nodes % 512 == 0 and time.perf_counter() > self.deadline:
-            self.stop.set()
-            return True
-        return False
+        if not self.stopped and self.nodes % 512 == 0:
+            self.stopped = time.perf_counter() > self.deadline
+        return self.stopped
 
     def _chain_profile(self):
         """O(1)-per-insertion traffic deltas for the current chains.
@@ -635,7 +628,7 @@ class _Search:
             self._apply(pos, child)
             self.dfs(pos + 1)
             self._undo(pos, child)
-            if self.stop.is_set():
+            if self.stopped:
                 return
 
     def dive(self, pos: int) -> bool:
@@ -673,9 +666,10 @@ class _Search:
 
 
 class _Shared:
-    """Model-derived tables shared by every worker (read-only after init)."""
+    """Model-derived tables of one solve; only `_build_lagrangian` updates
+    them, between search phases."""
 
-    def __init__(self, model: MipModel, opts: SolverOptions):
+    def __init__(self, model: MipModel):
         m = model
         F = m.F
         self.ncons = len(m.check_cons)
@@ -941,8 +935,8 @@ def _build_lagrangian(sh: _Shared, m: MipModel, upper: float | None = None,
         sh.lagr_suffix[idx] = sh.lagr_suffix[idx + 1] + sh.lagr_min[sh.order[idx]]
 
 
-def _make_shared(model: MipModel, opts: SolverOptions) -> _Shared:
-    sh = _Shared(model, opts)
+def _make_shared(model: MipModel) -> _Shared:
+    sh = _Shared(model)
     if not sh.balance:
         _build_knapsack(sh, model)
         _build_lagrangian(sh, model)
@@ -978,72 +972,39 @@ def _root_witness(model: MipModel, opts: SolverOptions) -> tuple[str, ...] | Non
 def solve(model: MipModel, opts: SolverOptions = SolverOptions()) -> Solution:
     """Proven-optimal solve with the deterministic branch-and-bound."""
     t0 = time.perf_counter()
-    deadline = t0 + opts.time_limit_s
-    stop = threading.Event()
     inc = _Incumbent()
-    stats = SolveStats()
-    shared = _make_shared(model, opts)
+    shared = _make_shared(model)
+    search = _Search(model, opts.tolerance, inc, t0 + opts.time_limit_s, shared)
 
     if model.F == 0:
-        seed = _Search(model, opts, inc, deadline, stop, shared)
-        seed._leaf()
-        stats.leaves = 1
-        stats.wall_time_s = time.perf_counter() - t0
-        if inc.x is None:
-            return Solution("infeasible", None, None, None, stats,
-                            witness=_root_witness(model, opts))
-        return Solution("optimal", inc.obj, inc.x, inc.menu, stats)
-
-    dive_search = _Search(model, opts, inc, deadline, stop, shared)
-    dive_search.dive(0)
-    stats.nodes += dive_search.nodes
-    stats.leaves += dive_search.leaves
-    if inc.x is not None and not shared.balance:
-        # re-optimize the dual with Polyak steps against the incumbent,
-        # sharpen the incumbent with a limited-discrepancy sweep, repeat
-        _build_lagrangian(shared, model, upper=inc.obj)
-        lds_search = _Search(model, opts, inc, deadline, stop, shared)
-        lds_search.lds(0, 1)
-        stats.nodes += lds_search.nodes
-        stats.leaves += lds_search.leaves
-        _build_lagrangian(shared, model, upper=inc.obj)
-
-    root = _Search(model, opts, inc, deadline, stop, shared)
-    top = root._children(0)
-    workers = max(1, min(opts.threads, len(top))) if top else 1
-
-    def run_shard(shard) -> tuple[int, int]:
-        s = _Search(model, opts, inc, deadline, stop, shared)
-        for child in shard:
+        search._leaf()
+    else:
+        search.dive(0)
+        if inc.x is not None and not shared.balance:
+            # re-optimize the dual with Polyak steps against the incumbent,
+            # sharpen the incumbent with a limited-discrepancy sweep, repeat
+            _build_lagrangian(shared, model, upper=inc.obj)
+            search.reset()
+            search.lds(0, 1)
+            _build_lagrangian(shared, model, upper=inc.obj)
+        search.reset()
+        for child in search._children(0):
             if child[0] > inc.obj + EPS_PRUNE:
                 continue
-            s._apply(0, child)
-            s.dfs(1)
-            s._undo(0, child)
-            if stop.is_set():
+            search._apply(0, child)
+            search.dfs(1)
+            search._undo(0, child)
+            if search.stopped:
                 break
-        return s.nodes, s.leaves
 
-    if workers <= 1:
-        n, l = run_shard(top)
-        stats.nodes += n
-        stats.leaves += l
-    else:
-        shards = [top[w::workers] for w in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for n, l in pool.map(run_shard, shards):
-                stats.nodes += n
-                stats.leaves += l
-
-    stats.wall_time_s = time.perf_counter() - t0
-    timed_out = stop.is_set()
+    stats = SolveStats(search.nodes, search.leaves, time.perf_counter() - t0)
     if inc.x is None:
-        if timed_out:
+        if search.stopped:
             return Solution("timeout", None, None, None, stats)
         return Solution(
             "infeasible", None, None, None, stats, witness=_root_witness(model, opts)
         )
-    status = "timeout" if timed_out else "optimal"
+    status = "timeout" if search.stopped else "optimal"
     return Solution(status, inc.obj, inc.x, inc.menu, stats)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from mipsched.cli import (
     EXIT_INFEASIBLE,
+    EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
     ConfigError,
@@ -144,6 +145,16 @@ class TestSolveCommand:
     def test_tiny_budget_partition_infeasible(self, tiny_layer, capsys):
         code = main(["partition", "--layer", tiny_layer, "--budget", "1"])
         assert code == EXIT_INFEASIBLE
+
+    @pytest.mark.parametrize("command", ["solve", "partition"])
+    def test_out_directory_exits_io(self, command, tiny_layer, tmp_path, capsys):
+        argv = [command, "--layer", tiny_layer, "--out", str(tmp_path)]
+        if command == "partition":
+            from mipsched.arch import default_simba_arch
+
+            argv += ["--budget", str(baseline_total_bytes(default_simba_arch()))]
+        assert main(argv) == EXIT_IO
+        assert f"error: cannot write {tmp_path}" in capsys.readouterr().err
 
 
 class TestEvaluateCommand:

@@ -12,10 +12,7 @@ from mipsched.formulation import (
     FormulationError,
     ObjectiveWeights,
     PartitionSpec,
-    build_assignment_constraints,
-    build_buffer_constraints,
     build_model,
-    build_spatial_constraints,
 )
 from mipsched.schedule import encode
 from mipsched.solver import exhaustive_solve, solve
@@ -24,6 +21,10 @@ from mipsched.workload import LayerDims, factorize
 
 def tiny_pf():
     return factorize(LayerDims(3, 1, 1, 1, 1, 4, 3))
+
+
+def raw_constraints(model, *kinds):
+    return [c for c in model.raw().constraints if c.kind in kinds]
 
 
 def three_level_arch(w_cap_elems=16, extra_all=1 << 20):
@@ -41,23 +42,21 @@ def three_level_arch(w_cap_elems=16, extra_all=1 << 20):
 
 class TestAssignmentConstraints:
     def test_exactly_one_per_factor(self, simba):
-        cons = build_assignment_constraints(tiny_pf(), simba)
-        assigns = [c for c in cons if c.kind == "assign"]
+        assigns = raw_constraints(build_model(tiny_pf(), simba), "assign")
         assert len(assigns) == 4  # one per prime factor
         for c in assigns:
             assert c.sense == "==" and c.rhs == 1.0
             assert all(coef == 1.0 for _vid, coef in c.terms)
 
     def test_at_most_one_per_slot(self, simba):
-        cons = build_assignment_constraints(tiny_pf(), simba)
-        slots = [c for c in cons if c.kind == "slot"]
+        slots = raw_constraints(build_model(tiny_pf(), simba), "slot")
         assert len(slots) == 6 * 4  # every level reserves a slot per factor
         assert all(c.sense == "<=" and c.rhs == 1.0 for c in slots)
 
     def test_all_unit_layer_trivially_feasible(self, simba):
         pf = factorize(LayerDims(1, 1, 1, 1, 1, 1, 1))
         model = build_model(pf, simba)
-        assert build_assignment_constraints(pf, simba) == []
+        assert raw_constraints(model, "assign", "slot") == []
         sol = solve(model)
         assert sol.status == "optimal" and sol.objective_value == 0.0
 
@@ -101,9 +100,9 @@ class TestBufferConstraints:
         assert model.constraint_violations(x) == []
 
     def test_both_mappings_count(self):
-        cons = build_buffer_constraints(tiny_pf(), toy_two_level(cap=4.0))
         # spatial and temporal variables of inner-level factors both appear
         model = build_model(tiny_pf(), toy_two_level(cap=4.0))
+        cons = raw_constraints(model, "buffer")
         ci = next(
             i for i, c in enumerate(model.check_cons) if c.kind == "buffer"
         )
@@ -142,7 +141,7 @@ class TestSpatialConstraints:
         assert not any(
             "spatial" in b for b in model.constraint_violations(x)
         )
-        assert build_spatial_constraints(pf, simba)  # constraints still exist
+        assert raw_constraints(model, "spatial")  # constraints still exist
 
 
 class TestObjectives:
@@ -275,14 +274,13 @@ class TestComposeObjective:
             compose_objective(ObjectiveWeights(mode="balance"), {})
 
     def test_partition_vars_view(self):
-        from mipsched.formulation import build_partition_vars
-
         arch = TestPartition().two_buffer_arch()
         pf = factorize(LayerDims(1, 1, 1, 1, 4, 4, 1))
-        menus, cons = build_partition_vars(
-            pf, arch, PartitionSpec(budget_bytes=24, e_min=3, e_max=4, include_baseline=False)
+        model = build_model(
+            pf, arch, partition=PartitionSpec(budget_bytes=24, e_min=3, e_max=4, include_baseline=False)
         )
-        assert len(menus) == 2
+        cons = raw_constraints(model, "menu", "budget", "buffer")
+        assert len(model.menus) == 2
         kinds = {c.kind for c in cons}
         assert kinds == {"menu", "budget", "buffer"}
 

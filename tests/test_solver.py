@@ -67,10 +67,12 @@ def test_feasibility_rechecked(simba):
 def test_timeout_returns_incumbent(simba):
     pf = factorize(LayerDims(3, 3, 14, 14, 256, 256, 1))
     model = build_model(pf, simba)
-    sol = solve(model, SolverOptions(time_limit_s=0.5))
-    assert sol.status == "timeout"
-    if sol.x_assignment is not None:
-        assert model.constraint_violations(sol.x_assignment, sol.menu_selection) == []
+    # 1e-6 s has expired before the search starts
+    for limit in (0.5, 1e-6):
+        sol = solve(model, SolverOptions(time_limit_s=limit))
+        assert sol.status == "timeout"
+        if sol.x_assignment is not None:
+            assert model.constraint_violations(sol.x_assignment, sol.menu_selection) == []
 
 
 def test_space_guard():
