@@ -9,6 +9,14 @@ distinct schedule class is searched once.  Pruning combines a per-factor
 best-case bound, a root Lagrangian relaxation of the capacity
 constraints, and per-constraint fractional knapsack relaxations; the
 partial traffic term is monotone under extension and included exactly.
+These bounds also order the children.  The final depth-first proof adds
+a Lagrangian-penalized knapsack bound (Fisher 1981; Sinha & Zoltners
+1979): one capacity constraint stays explicit as a knapsack LP while the
+others are priced at their root multipliers.  It is checked against the
+current incumbent right before a child is entered and only skips it: it
+never reorders children and is not used by the dive or the
+limited-discrepancy sweep, so the proof visits a subset of the nodes
+in the same order and reaches the same answer.
 Reported assignments are canonicalized to the lexicographically smallest
 member of their class, so results are bit-stable across runs.  The search
 is single-threaded.
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .formulation import TEMPORAL, MipModel
@@ -282,12 +291,11 @@ class _Search:
         sh = self.shared = shared
         self.order = sh.order
         self.prev_same = sh.prev_same
-        self.wu, self.wc, self.wt = m.weights.effective()
+        self.wt = m.weights.effective()[2]
         self.balance = m.weights.mode == "balance"
 
         self.ncons = len(m.check_cons)
         self.con_rhs = sh.con_rhs
-        self.fi_cons = sh.fi_cons
         self.con_of_menu = sh.con_of_menu
         self.reset()
 
@@ -416,6 +424,53 @@ class _Search:
             b -= lam * (self.con_rhs[ci] - self.con_lhs[ci] - deltas.get(ci, 0.0))
         return b
 
+    def _pen_bound(self, base: float, pos: int, deltas: dict,
+                   threshold: float) -> float:
+        """max(threshold, max over constraints i of the Lagrangian-
+        penalized knapsack bound): i stays explicit with the child's slack,
+        every other constraint j is priced at its root multiplier lambda_j
+        (the tables' costs) and refunded lambda_j times its slack.  Slacks
+        include the tolerance, so every completion the capacity check
+        admits is covered.  By LP duality each term is at least the
+        Lagrangian bound at the same multipliers."""
+        sh = self.shared
+        con_lhs = self.con_lhs
+        con_rhs = self.con_rhs
+        tol = self.tol
+        refund = 0.0
+        for ci, lam in sh.lam_active:
+            refund += lam * (con_rhs[ci] - con_lhs[ci] - deltas.get(ci, 0.0) + tol)
+        best = threshold
+        for ci, lam_i, cost0, cw, cg, dens in sh.pen_at[pos + 1]:
+            slack = con_rhs[ci] - con_lhs[ci] - deltas.get(ci, 0.0) + tol
+            upper = base + cost0 - (refund - lam_i * slack)
+            if upper <= best:
+                continue  # the knapsack gain is >= 0: cannot raise the max
+            if slack >= cw[-1]:
+                gain = cg[-1]
+            elif slack > 0.0:
+                j = bisect_left(cw, slack, 1) - 1
+                gain = cg[j] + dens[j] * (slack - cw[j])
+            else:
+                gain = 0.0
+            b = upper - gain
+            if b > best:
+                best = b
+        return best
+
+    def _prunes(self, pos: int, child) -> bool:
+        """DFS-only test of a child against the incumbent as it stands
+        when the child's turn comes; never reorders the children."""
+        thresh = self.inc.obj + EPS_PRUNE
+        if child[0] > thresh:
+            return True
+        if not self.shared.pen_at[pos + 1]:
+            return False
+        b, okey, cc, I, k, q, deltas, t_after = child
+        fi = self.order[pos]
+        base = self.static_sum + self.m.static_obj[fi][(I, k)] + self.wt * t_after
+        return self._pen_bound(base, pos, deltas, thresh) > thresh
+
     def _children(self, pos: int, dive: bool = False):
         m = self.m
         sh = self.shared
@@ -424,7 +479,6 @@ class _Search:
         limit = None
         if prev is not None and self.choice_val[prev] is not None:
             limit = sh.class_rep[fi][self.choice_val[prev]]
-        inc_obj = self.inc.obj
         t_cur = self.t_stack[-1]
         profile = None
         out = []
@@ -623,7 +677,7 @@ class _Search:
             self._leaf()
             return
         for child in self._children(pos):
-            if child[0] > self.inc.obj + EPS_PRUNE:
+            if self._prunes(pos, child):
                 continue
             self._apply(pos, child)
             self.dfs(pos + 1)
@@ -674,6 +728,9 @@ class _Shared:
         F = m.F
         self.ncons = len(m.check_cons)
         self.con_rhs = [c.rhs for c in m.check_cons]
+        # per depth, rows of the penalized knapsack bound; filled by
+        # _build_penalized_knapsack
+        self.pen_at: list[list[tuple]] = [[] for _ in range(m.F + 1)]
 
         # largest log-factor first; bigger identical classes ahead on ties
         # (filling capacity early tightens the relaxation bounds sooner)
@@ -727,7 +784,7 @@ class _Shared:
             if m.check_cons[ci].menu is not None
         }
 
-        wu, wc, wt = m.weights.effective()
+        wt = m.weights.effective()[2]
         self.balance = m.weights.mode == "balance"
         if self.balance:
             self.min_comp = [
@@ -770,13 +827,19 @@ class _Shared:
             self.suffix_min[idx] = self.suffix_min[idx + 1] + self.min_static[self.order[idx]]
 
 
-def _build_knapsack(sh: _Shared, m: MipModel):
+def _build_knapsack(sh: _Shared, m: MipModel, cost_of):
+    """LP relaxation of each capacity constraint as a multiple-choice
+    knapsack (Sinha & Zoltners 1979) over the unassigned tail, with choice
+    costs `cost_of(ci)` (per factor: choice -> cost).
+
+    Returns, each indexed by constraint: the tail's cheapest zero-weight
+    cost, its total hull weight and its density-sorted hull segments, all
+    per depth; and the constraints that carry weight, tightest first."""
     F = m.F
-    sh.kn_cost0_suffix = []
-    sh.kn_w_suffix = []
-    sh.kn_segs_at = []
+    cost0_suffixes, w_suffixes, segs_ats = [], [], []
     total_w = []
     for ci in range(sh.ncons):
+        costs = cost_of(ci)
         cost0_row = []
         seg_w_row = [0.0] * F
         per_factor_segs: list[list[tuple[float, float]]] = []
@@ -785,7 +848,7 @@ def _build_knapsack(sh: _Shared, m: MipModel):
             pts = []
             zero_costs = []
             for c in m.collapsed[fi]:
-                cost = sh.choice_cost[fi][c]
+                cost = costs[fi][c]
                 w = contrib.get(c, 0.0)
                 if w > 0.0:
                     pts.append((w, cost))
@@ -835,9 +898,9 @@ def _build_knapsack(sh: _Shared, m: MipModel):
                 key=lambda s: (-s[0], s[1], s[2]),
             )
             segs_at[idx] = [(d, w) for d, _i, w in pool]
-        sh.kn_cost0_suffix.append(cost0_suffix)
-        sh.kn_w_suffix.append(w_suffix)
-        sh.kn_segs_at.append(segs_at)
+        cost0_suffixes.append(cost0_suffix)
+        w_suffixes.append(w_suffix)
+        segs_ats.append(segs_at)
         total_w.append(w_suffix[0])
 
     # evaluate tightest constraints first so pruning exits early
@@ -848,9 +911,55 @@ def _build_knapsack(sh: _Shared, m: MipModel):
             return INF
         return rhs / w
 
-    sh.kn_order = sorted(
+    order = sorted(
         (ci for ci in range(sh.ncons) if total_w[ci] > 0.0), key=tightness
     )
+    return cost0_suffixes, w_suffixes, segs_ats, order
+
+
+def _build_penalized_knapsack(sh: _Shared, m: MipModel):
+    """Knapsack tables of `_pen_bound`: constraint i stays explicit and
+    every other constraint j is priced into the choice costs at the root
+    multiplier lambda_j.  Built once, from the final multipliers."""
+    lam = [0.0] * sh.ncons
+    for ci, value in sh.lam_active:
+        lam[ci] = value
+
+    priced = [
+        {
+            c: cost + sum(lam[ci] * d.get(c, 0.0) for ci, d in sh.fi_cons[fi])
+            for c, cost in sh.choice_cost[fi].items()
+        }
+        for fi in range(m.F)
+    ]
+
+    def cost_of(ci):
+        if not lam[ci]:
+            return priced
+        return [
+            {c: cost - lam[ci] * m.con_contrib[ci][fi].get(c, 0.0)
+             for c, cost in priced[fi].items()}
+            for fi in range(m.F)
+        ]
+
+    cost0_suffix, _w, segs_at, order = _build_knapsack(sh, m, cost_of)
+    # per depth, one row per finite constraint (0 * inf is NaN): its
+    # multiplier, tail cost0, and the hull segments as cumulative weights
+    # and gains with their densities, for a bisect instead of a walk.  A
+    # child at depth pos reads the rows of its tail, pos + 1.  At depth F
+    # the tail is empty and the bound is at most the child's own bound, so
+    # that depth keeps no rows.
+    finite = [ci for ci in order if not math.isinf(sh.con_rhs[ci])]
+    for nxt in range(1, m.F):
+        row = []
+        for ci in finite:
+            cw, cg, dens = [0.0], [0.0], []
+            for density, dw in segs_at[ci][nxt]:
+                cw.append(cw[-1] + dw)
+                cg.append(cg[-1] + density * dw)
+                dens.append(density)
+            row.append((ci, lam[ci], cost0_suffix[ci][nxt], cw, cg, dens))
+        sh.pen_at[nxt] = row
 
 
 def _build_lagrangian(sh: _Shared, m: MipModel, upper: float | None = None,
@@ -938,7 +1047,8 @@ def _build_lagrangian(sh: _Shared, m: MipModel, upper: float | None = None,
 def _make_shared(model: MipModel) -> _Shared:
     sh = _Shared(model)
     if not sh.balance:
-        _build_knapsack(sh, model)
+        (sh.kn_cost0_suffix, sh.kn_w_suffix, sh.kn_segs_at,
+         sh.kn_order) = _build_knapsack(sh, model, lambda ci: sh.choice_cost)
         _build_lagrangian(sh, model)
     return sh
 
@@ -987,9 +1097,11 @@ def solve(model: MipModel, opts: SolverOptions = SolverOptions()) -> Solution:
             search.reset()
             search.lds(0, 1)
             _build_lagrangian(shared, model, upper=inc.obj)
+        if not shared.balance:
+            _build_penalized_knapsack(shared, model)
         search.reset()
         for child in search._children(0):
-            if child[0] > inc.obj + EPS_PRUNE:
+            if search._prunes(0, child):
                 continue
             search._apply(0, child)
             search.dfs(1)

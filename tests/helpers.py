@@ -132,3 +132,40 @@ def input_fanout_arch() -> ArchSpec:
     levels = list(base.levels)
     levels[3] = MemLevel("InputBuf", (0, 8 * 1024, 0), spatial_fanout=8)
     return ArchSpec(levels=tuple(levels), name="simba-ibfan")
+
+
+def highs_objective(model, time_limit_s: float = 300.0) -> float | None:
+    """Optimum of `model.raw()` from scipy's HiGHS MILP at zero relative
+    gap, recomputed from the rounded solution; None if HiGHS does not
+    finish.  Callers skip when scipy is missing."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_matrix
+
+    raw = model.raw()
+    n = len(raw.var_names)
+    c = np.zeros(n)
+    for vid, coef in raw.objective.items():
+        c[vid] = coef
+    rows, cols, vals, lo, hi = [], [], [], [], []
+    for i, con in enumerate(raw.constraints):
+        for vid, coef in con.terms:
+            rows.append(i)
+            cols.append(vid)
+            vals.append(coef)
+        lo.append(-np.inf if con.sense == "<=" else con.rhs)
+        hi.append(np.inf if con.sense == ">=" else con.rhs)
+    A = coo_matrix((vals, (rows, cols)), shape=(len(raw.constraints), n)).tocsr()
+    binary = np.array([kind in ("x", "part", "y", "prod") for kind in raw.var_kinds])
+    res = milp(
+        c,
+        constraints=LinearConstraint(A, lo, hi),
+        integrality=binary.astype(int),
+        # the balance-mode auxiliary variable is continuous in [0, inf)
+        bounds=Bounds(np.zeros(n), np.where(binary, 1.0, np.inf)),
+        options={"time_limit": time_limit_s, "mip_rel_gap": 0.0},
+    )
+    if res.status != 0 or res.x is None:
+        return None
+    x = np.where(binary, np.round(res.x), res.x)
+    return float(sum(coef * x[vid] for vid, coef in raw.objective.items()))

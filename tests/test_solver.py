@@ -1,12 +1,19 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_instance, toy_two_level
-from mipsched.formulation import ObjectiveWeights, build_model
+from helpers import SUITE_LAYERS, highs_objective, random_instance, toy_two_level
+from mipsched.arch import ArchSpec, MemLevel, MemTensorMatrix
+from mipsched.formulation import ObjectiveWeights, PartitionSpec, build_model
 from mipsched.solver import (
     SolverOptions,
     SpaceTooLarge,
+    _build_penalized_knapsack,
+    _Incumbent,
+    _make_shared,
+    _Search,
     assignment_space_size,
     dump_lp,
     exhaustive_solve,
@@ -150,3 +157,87 @@ def test_oracle_equivalence_property(seed):
         assert sol.objective_value == oracle.objective_value
         assert sol.x_assignment == oracle.x_assignment
         assert sol.menu_selection == oracle.menu_selection
+
+
+# random instances with partition menus (19-326) and without (345-394),
+# none in balance mode, where the penalized bound is not built
+PEN_SEEDS = [19, 22, 42, 59, 101, 167, 283, 303, 326, 345, 369, 377, 384, 393]
+
+
+def uncapped_weight_model():
+    """Partition model whose weight buffer has no capacity: its constraint
+    keeps an infinite rhs."""
+    arch = ArchSpec(
+        levels=(
+            MemLevel("Buf", (math.inf, 64.0, 64.0), spatial_fanout=4, is_noc_boundary=True),
+            MemLevel("Mem", (math.inf,) * 3),
+        ),
+        B=MemTensorMatrix(rows=((1, 1, 1), (1, 1, 1))),
+        name="toy-uncapped-w",
+    )
+    pf = factorize(LayerDims(1, 1, 2, 1, 3, 2, 1))
+    return build_model(pf, arch, partition=PartitionSpec(budget_bytes=192, e_min=2))
+
+
+def pen_models(simba):
+    yield "conv28", build_model(factorize(SUITE_LAYERS["conv28"]), simba)
+    yield "uncapped-w", uncapped_weight_model()
+    for seed in PEN_SEEDS:
+        yield f"seed{seed}", random_instance(seed, max_space=60_000)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-6])
+def test_penalized_bound_dominates_lagrangian(simba, tol):
+    """At every root child, the Lagrangian-penalized knapsack bound is a
+    number and, by LP duality, at least the Lagrangian bound at the same
+    multipliers, less the tolerance the capacity check grants each slack."""
+    checked = 0
+    for name, model in pen_models(simba):
+        assert model is not None and model.weights.mode != "balance", name
+        sh = _make_shared(model)
+        _build_penalized_knapsack(sh, model)
+        if not sh.pen_at[1]:
+            continue  # no finite constraint carries weight, or F = 1
+        search = _Search(model, tol, _Incumbent(), math.inf, sh)
+        lam_tol = tol * sum(lam for _ci, lam in sh.lam_active)
+        fi = search.order[0]
+        for child in search._children(0):
+            _b, _key, _cc, I, k, _q, deltas, t_after = child
+            slacks = [sh.con_rhs[ci] - deltas.get(ci, 0.0) + tol for ci in range(sh.ncons)]
+            if min(slacks, default=0.0) < 0.0:
+                continue
+            base = model.static_obj[fi][(I, k)] + search.wt * t_after
+            pen = search._pen_bound(base, 0, deltas, -math.inf)
+            lagr = search._lagr_bound(base, 0, deltas)
+            assert not math.isnan(pen), name
+            assert pen >= lagr - lam_tol - 1e-9, (name, child[2], pen, lagr)
+            checked += 1
+    assert checked > 0
+
+
+def test_penalized_bound_keeps_oracle_identity(simba):
+    for name, model in pen_models(simba):
+        if name == "conv28":
+            continue  # beyond the exhaustive oracle
+        sol = solve(model)
+        oracle = exhaustive_solve(model)
+        assert sol.status == oracle.status, name
+        assert sol.objective_value == oracle.objective_value, name
+        assert sol.x_assignment == oracle.x_assignment, name
+        assert sol.menu_selection == oracle.menu_selection, name
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "partition", [None, PartitionSpec(budget_bytes=306367)], ids=["fixed", "partition"]
+)
+def test_conv28_matches_highs(simba, partition):
+    """conv28 has 14 factors, past the exhaustive oracle: HiGHS on the raw
+    MIP checks the branch-and-bound's optimum independently."""
+    pytest.importorskip("scipy.optimize")
+    model = build_model(factorize(SUITE_LAYERS["conv28"]), simba, partition=partition)
+    sol = solve(model)
+    assert sol.status == "optimal"
+    reference = highs_objective(model)
+    assert reference is not None
+    assert abs(sol.objective_value - reference) <= 1e-9
