@@ -5,7 +5,9 @@ Config files are line-oriented `key=value` under `[section]` headers.
 Report tables go to stdout with stable column order; timings and search
 statistics go to stderr so stdout is byte-deterministic for fixed inputs
 and seed.  Exit codes: 0 optimal, 2 parse/validation error, 3
-infeasible, 4 timeout, 5 I/O error.
+infeasible (also when a solved schedule still fails exact validation:
+a non-capacity violation, or capacity ones left after the last halo
+re-solve round), 4 timeout, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ EXIT_IO = 5
 
 class ConfigError(ValueError):
     pass
+
+
+class InvalidScheduleError(RuntimeError):
+    """The solver's schedule fails exact validation and re-solving with
+    tightened capacities cannot mend it."""
 
 
 @dataclass
@@ -256,7 +263,7 @@ def solve_layer(
             report = evaluate(sched, check_arch)
             return PipelineResult(solution, sched, report, model, pads, rounds)
         if violations != capacity or rounds >= max_rounds:
-            raise RuntimeError(
+            raise InvalidScheduleError(
                 "solver produced an invalid schedule: "
                 + "; ".join(str(v) for v in violations)
             )
@@ -635,6 +642,9 @@ def main(argv: list[str] | None = None) -> int:
         return handler(cfg)
     except FormulationError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except InvalidScheduleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -396,22 +396,21 @@ class MipModel:
         """Traffic iteration sums, scanning tensors then positions.
 
         Returns (per-tensor T log-sums, combined sum in canonical order).
+        Only occupied positions add to the sums, so the scan walks them in
+        `g_index` order (level, then rank) and skips the empty ones.
         """
         occ: dict[tuple[int, int], int] = {}
         for fi, (I, z, k) in x_assign.items():
             if k == TEMPORAL and I >= self.noc:
                 occ[(I, z)] = fi
+        walk = [(I, self.factors[occ[(I, z)]]) for I, z in sorted(occ)]
         arch = self.arch
         per_v = [0.0, 0.0, 0.0]
         total = 0.0
         for v in range(NUM_TENSORS):
             y = False
-            for I, z in self.g_positions:
-                fi = occ.get((I, z))
-                if fi is None:
-                    continue
-                f = self.factors[fi]
-                if arch.A.related(f.j, v) and arch.B.stores(I, v):
+            for I, f in walk:
+                if not y and arch.A.related(f.j, v) and arch.B.stores(I, v):
                     y = True
                 if y:
                     per_v[v] += f.lg

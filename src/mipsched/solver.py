@@ -153,6 +153,7 @@ def canonical_assignment(
     model: MipModel,
     choice_cls: list[tuple[tuple[int, int], ...]],
     chains: dict[int, list[int]],
+    sh: "_Shared",
 ) -> dict[int, tuple[int, int, int]]:
     """Lexicographically smallest raw assignment realizing a leaf class.
 
@@ -163,82 +164,108 @@ def canonical_assignment(
     declared order, the placement with the highest (level, rank, mapping)
     that keeps the remainder completable (a later one-hot position is a
     lexicographically smaller vector).
+
+    On a level without a chain (every level below the NoC, and chain
+    levels whose chain is empty) no placement is pinned to a position, so
+    `_level_feasible` reduces to `Z - len(used) >= fixed_unpinned`, which
+    does not depend on the rank taken, and `_zmax` returns the highest
+    unused rank or None.  Every rank there is taken by that rule and
+    released last-in first-out, so the used ranks are always the top block
+    `Z-n .. Z-1`: the highest rank is `Z-1-n`, feasible exactly when
+    `Z-1-n >= fixed_unpinned - fixed`.  Only levels with a chain run
+    `_zmax`.  `sh` supplies the per-model tables (`canon_options`,
+    `cls_of`).
     """
     Z = model.Z
+    F = model.F
+    canon_options = sh.canon_options
+    cls_of = sh.cls_of
     chain_pos: dict[int, int] = {}
-    for I, lst in chains.items():
+    for lst in chains.values():
         for pos, fi in enumerate(lst):
             chain_pos[fi] = pos
 
-    # placement: (options tuple, chain position or None)
-    remaining: dict[int, list[tuple[tuple[tuple[int, int], ...], int | None]]] = {}
-    fixed_count: dict[int, int] = {}
+    # per identical class, one entry per distinct placement (options
+    # tuple, chain position or None): [factors of the class still holding
+    # it, options by (level, mapping) descending, fixed to one level, pos]
+    remaining: dict[int, dict[tuple, list]] = {}
+    fixed_count = [0] * model.H
     for fi, options in enumerate(choice_cls):
-        p = (options, chain_pos.get(fi))
-        remaining.setdefault(model.factors[fi].cls, []).append(p)
-        option_levels = {I for I, _k in options}
-        if len(option_levels) == 1:
-            I = next(iter(option_levels))
-            fixed_count[I] = fixed_count.get(I, 0) + 1
+        single, by_level = canon_options[options]
+        if single is not None:
+            fixed_count[single] += 1
+        pos = chain_pos.get(fi)
+        rem = remaining.setdefault(cls_of[fi], {})
+        ent = rem.get((options, pos))
+        if ent is None:
+            rem[(options, pos)] = [1, by_level, single is not None, pos]
+        else:
+            ent[0] += 1
+    states = [
+        _LevelState(len(chains.get(I, ())), fixed_count[I]) for I in range(model.H)
+    ]
+    out: list[tuple[int, int, int] | None] = [None] * F
 
-    all_levels = {I for options in choice_cls for I, _k in options}
-    all_levels.update(chains.keys())
-    states = {
-        I: _LevelState(len(chains.get(I, [])), fixed_count.get(I, 0))
-        for I in all_levels
-    }
-
-    def pin(I, z, pos, fixed):
-        st = states[I]
-        st.used.add(z)
-        if fixed:
-            st.fixed_unpinned -= 1
-        if pos is not None:
-            st.chain_pins[pos] = z
-
-    def unpin(I, z, pos, fixed):
-        st = states[I]
-        st.used.discard(z)
-        if fixed:
-            st.fixed_unpinned += 1
-        if pos is not None:
-            del st.chain_pins[pos]
-
-    F = model.F
-
-    def rec(fi: int) -> list[tuple[int, int, int]] | None:
+    def rec(fi: int) -> bool:
+        """Fill out[fi:]; False when no completion exists."""
         if fi == F:
-            return []
-        cls = model.factors[fi].cls
-        cands = []
-        seen = set()
-        for p in remaining[cls]:
-            if p in seen:
+            return True
+        best = None
+        best_I = -1
+        tied = []
+        for ent in remaining[cls_of[fi]].values():
+            count, by_level, fixed, pos = ent
+            if not count:
                 continue
-            seen.add(p)
-            options, pos = p
-            fixed = len({I for I, _k in options}) == 1
-            for I, k in options:
-                z = _zmax(states[I], pos, Z, fixed)
-                if z is not None:
-                    cands.append(((I, z, k), p, fixed))
-        if not cands:
-            return None
-        best = max(c[0] for c in cands)
-        tied = [c for c in cands if c[0] == best]
+            # the first option that fits is this placement's highest
+            # (level, rank, mapping)
+            for I, k in by_level:
+                if I < best_I:
+                    break
+                st = states[I]
+                if st.chain_len:
+                    z = _zmax(st, pos, Z, fixed)
+                    if z is None:
+                        continue
+                else:
+                    z = Z - 1 - len(st.used)
+                    if z < st.fixed_unpinned - fixed:
+                        continue
+                c = (I, z, k)
+                if best is None or c > best:
+                    best = c
+                    best_I = I
+                    tied = [ent]
+                elif c == best:
+                    tied.append(ent)
+                break
+        if best is None:
+            return False
+        I, z, _k = best
+        st = states[I]
         results = []
-        for (I, z, k), p, fixed in tied:
-            remaining[cls].remove(p)
-            pin(I, z, p[1], fixed)
-            suffix = rec(fi + 1)
-            unpin(I, z, p[1], fixed)
-            remaining[cls].append(p)
-            if suffix is not None:
-                results.append([(I, z, k)] + suffix)
+        for ent in tied:
+            _count, _by_level, fixed, pos = ent
+            ent[0] -= 1
+            st.used.add(z)
+            if fixed:
+                st.fixed_unpinned -= 1
+            if pos is not None:
+                st.chain_pins[pos] = z
+            out[fi] = best
+            ok = rec(fi + 1)
+            st.used.discard(z)
+            if fixed:
+                st.fixed_unpinned += 1
+            if pos is not None:
+                del st.chain_pins[pos]
+            ent[0] += 1
+            if ok:
+                if len(tied) == 1:
+                    return True
+                results.append(out[fi:])
         if not results:
-            return None
-        if len(results) == 1:
-            return results[0]
+            return False
 
         # rare exact tie: keep the lexicographically smallest suffix
         def key_of(assign_suffix):
@@ -247,12 +274,12 @@ def canonical_assignment(
                 for off, c in enumerate(assign_suffix)
             )
 
-        return min(results, key=key_of)
+        out[fi:] = min(results, key=key_of)
+        return True
 
-    suffix = rec(0)
-    if suffix is None:
+    if not rec(0):
         raise RuntimeError("canonicalization failed on a feasible leaf")
-    return {fi: suffix[fi] for fi in range(F)}
+    return dict(enumerate(out))
 
 
 # ----------------------------------------------------------------------
@@ -647,9 +674,6 @@ class _Search:
     def _leaf(self) -> bool:
         self.leaves += 1
         m = self.m
-        menu_sel = self._derive_menus()
-        if m.menus and menu_sel is None:
-            return False
         if not self.balance:
             est = self.static_sum + self.wt * self.t_stack[-1]
         else:
@@ -659,7 +683,10 @@ class _Search:
             )
         if est > self.inc.obj + EPS_PRUNE:
             return False
-        x = canonical_assignment(m, self.choice_val, self.chains)
+        menu_sel = self._derive_menus()
+        if m.menus and menu_sel is None:
+            return False
+        x = canonical_assignment(m, self.choice_val, self.chains, self.shared)
         obj = m.objective_of(x, menu_sel)
         key = m.lex_key(x, menu_sel)
         if not self.inc.beats(obj, key):
@@ -750,6 +777,17 @@ class _Shared:
             cls = m.factors[fi].cls
             self.prev_same[fi] = last.get(cls)
             last[cls] = fi
+
+        # canonical_assignment's tables: factor -> identical class, and
+        # choice class -> (its single level or None, its options by
+        # (level, mapping) descending)
+        self.cls_of = [f.cls for f in m.factors]
+        self.canon_options = {
+            cc: (cc[0][0] if len({I for I, _k in cc}) == 1 else None,
+                 tuple(sorted(cc, reverse=True)))
+            for fi in range(F)
+            for cc in m.choice_classes[fi]
+        }
 
         # total order on a factor's choice classes for the multiset dedup
         self.class_rep: list[dict[tuple, tuple[int, int]]] = [
@@ -1025,9 +1063,8 @@ def _build_lagrangian(sh: _Shared, m: MipModel, upper: float | None = None,
                 step = 0.4 * scale / ((1.0 + 0.15 * it) * math.sqrt(norm2))
             for gi, ci in enumerate(finite):
                 lam[ci] = max(0.0, lam[ci] + step * g[gi])
-    sh.lam = best_lam
     sh.lam_active = [(ci, l) for ci, l in enumerate(best_lam) if l > 1e-12]
-    sh.lagr_min = []
+    lagr_min = []
     for fi in range(F):
         best = INF
         for c in m.collapsed[fi]:
@@ -1038,10 +1075,10 @@ def _build_lagrangian(sh: _Shared, m: MipModel, upper: float | None = None,
                     t += best_lam[ci] * w
             if t < best:
                 best = t
-        sh.lagr_min.append(best)
+        lagr_min.append(best)
     sh.lagr_suffix = [0.0] * (F + 1)
     for idx in range(F - 1, -1, -1):
-        sh.lagr_suffix[idx] = sh.lagr_suffix[idx + 1] + sh.lagr_min[sh.order[idx]]
+        sh.lagr_suffix[idx] = sh.lagr_suffix[idx + 1] + lagr_min[sh.order[idx]]
 
 
 def _make_shared(model: MipModel) -> _Shared:

@@ -3,8 +3,14 @@
 import math
 import random
 
-from mipsched.arch import ArchSpec, MemLevel, MemTensorMatrix, default_simba_arch
-from mipsched.formulation import ObjectiveWeights, PartitionSpec, build_model
+from mipsched.arch import (
+    NUM_TENSORS,
+    ArchSpec,
+    MemLevel,
+    MemTensorMatrix,
+    default_simba_arch,
+)
+from mipsched.formulation import TEMPORAL, ObjectiveWeights, PartitionSpec, build_model
 from mipsched.schedule import Loop, Schedule
 from mipsched.solver import assignment_space_size
 from mipsched.workload import DIM_INDEX, LayerDims, PaddingPolicy, factorize
@@ -169,3 +175,184 @@ def highs_objective(model, time_limit_s: float = 300.0) -> float | None:
         return None
     x = np.where(binary, np.round(res.x), res.x)
     return float(sum(coef * x[vid] for vid, coef in raw.objective.items()))
+
+
+# ----------------------------------------------------------------------
+# reference copies of the leaf canonicalization and the traffic sums as
+# they were before the chainless-level rank rule; the solver must match
+# them exactly
+# ----------------------------------------------------------------------
+
+
+class _RefLevelState:
+    __slots__ = ("used", "chain_pins", "chain_len", "fixed_unpinned")
+
+    def __init__(self, chain_len: int, fixed_here: int):
+        self.used: set[int] = set()
+        self.chain_pins: dict[int, int] = {}
+        self.chain_len = chain_len
+        self.fixed_unpinned = fixed_here
+
+
+def reference_level_feasible(st: _RefLevelState, Z: int) -> bool:
+    if Z - len(st.used) < st.fixed_unpinned:
+        return False
+    pins = sorted(st.chain_pins.items())
+    prev_pos, prev_z = -1, -1
+    for pos, z in pins:
+        if z <= prev_z:
+            return False
+        run = pos - prev_pos - 1
+        if run > 0:
+            avail = sum(1 for zz in range(prev_z + 1, z) if zz not in st.used)
+            if avail < run:
+                return False
+        prev_pos, prev_z = pos, z
+    run = st.chain_len - prev_pos - 1
+    if run > 0:
+        avail = sum(1 for zz in range(prev_z + 1, Z) if zz not in st.used)
+        if avail < run:
+            return False
+    return True
+
+
+def reference_zmax(st: _RefLevelState, pos, Z: int, fixed: bool):
+    if pos is None:
+        lo, hi = -1, Z
+    else:
+        lo = max((z for p, z in st.chain_pins.items() if p < pos), default=-1)
+        hi = min((z for p, z in st.chain_pins.items() if p > pos), default=Z)
+    for z in range(hi - 1, lo, -1):
+        if z in st.used:
+            continue
+        st.used.add(z)
+        if fixed:
+            st.fixed_unpinned -= 1
+        if pos is not None:
+            st.chain_pins[pos] = z
+        ok = reference_level_feasible(st, Z)
+        st.used.discard(z)
+        if fixed:
+            st.fixed_unpinned += 1
+        if pos is not None:
+            del st.chain_pins[pos]
+        if ok:
+            return z
+    return None
+
+
+def reference_canonical_assignment(model, choice_cls, chains):
+    """Lexicographically smallest raw assignment of a leaf class, found by
+    trying every rank of every level with `reference_zmax`."""
+    Z = model.Z
+    chain_pos = {}
+    for I, lst in chains.items():
+        for pos, fi in enumerate(lst):
+            chain_pos[fi] = pos
+
+    remaining = {}
+    fixed_count = {}
+    for fi, options in enumerate(choice_cls):
+        p = (options, chain_pos.get(fi))
+        remaining.setdefault(model.factors[fi].cls, []).append(p)
+        option_levels = {I for I, _k in options}
+        if len(option_levels) == 1:
+            I = next(iter(option_levels))
+            fixed_count[I] = fixed_count.get(I, 0) + 1
+
+    all_levels = {I for options in choice_cls for I, _k in options}
+    all_levels.update(chains.keys())
+    states = {
+        I: _RefLevelState(len(chains.get(I, [])), fixed_count.get(I, 0))
+        for I in all_levels
+    }
+
+    def pin(I, z, pos, fixed):
+        st = states[I]
+        st.used.add(z)
+        if fixed:
+            st.fixed_unpinned -= 1
+        if pos is not None:
+            st.chain_pins[pos] = z
+
+    def unpin(I, z, pos, fixed):
+        st = states[I]
+        st.used.discard(z)
+        if fixed:
+            st.fixed_unpinned += 1
+        if pos is not None:
+            del st.chain_pins[pos]
+
+    F = model.F
+
+    def rec(fi):
+        if fi == F:
+            return []
+        cls = model.factors[fi].cls
+        cands = []
+        seen = set()
+        for p in remaining[cls]:
+            if p in seen:
+                continue
+            seen.add(p)
+            options, pos = p
+            fixed = len({I for I, _k in options}) == 1
+            for I, k in options:
+                z = reference_zmax(states[I], pos, Z, fixed)
+                if z is not None:
+                    cands.append(((I, z, k), p, fixed))
+        if not cands:
+            return None
+        best = max(c[0] for c in cands)
+        tied = [c for c in cands if c[0] == best]
+        results = []
+        for (I, z, k), p, fixed in tied:
+            remaining[cls].remove(p)
+            pin(I, z, p[1], fixed)
+            suffix = rec(fi + 1)
+            unpin(I, z, p[1], fixed)
+            remaining[cls].append(p)
+            if suffix is not None:
+                results.append([(I, z, k)] + suffix)
+        if not results:
+            return None
+        if len(results) == 1:
+            return results[0]
+
+        def key_of(assign_suffix):
+            return tuple(
+                -model.choice_index[fi + off][c]
+                for off, c in enumerate(assign_suffix)
+            )
+
+        return min(results, key=key_of)
+
+    suffix = rec(0)
+    if suffix is None:
+        raise RuntimeError("canonicalization failed on a feasible leaf")
+    return {fi: suffix[fi] for fi in range(F)}
+
+
+def reference_t_sums(model, x_assign):
+    """Traffic iteration sums scanning every position of every level at or
+    above the NoC, tensor by tensor."""
+    occ = {}
+    for fi, (I, z, k) in x_assign.items():
+        if k == TEMPORAL and I >= model.noc:
+            occ[(I, z)] = fi
+    arch = model.arch
+    per_v = [0.0, 0.0, 0.0]
+    total = 0.0
+    for v in range(NUM_TENSORS):
+        y = False
+        for I, z in model.g_positions:
+            fi = occ.get((I, z))
+            if fi is None:
+                continue
+            f = model.factors[fi]
+            if arch.A.related(f.j, v) and arch.B.stores(I, v):
+                y = True
+            if y:
+                per_v[v] += f.lg
+                total += f.lg
+    return per_v, total

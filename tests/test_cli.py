@@ -156,6 +156,16 @@ class TestSolveCommand:
         assert main(argv) == EXIT_IO
         assert f"error: cannot write {tmp_path}" in capsys.readouterr().err
 
+    def test_invalid_schedule_exits_infeasible(self, tiny_layer, monkeypatch, capsys):
+        import mipsched.cli
+        from mipsched.schedule import ScheduleViolation
+
+        bad = ScheduleViolation("spatial", "GlobalBuf", "fanout exceeded")
+        monkeypatch.setattr(mipsched.cli, "validate", lambda *a, **kw: [bad])
+        assert main(["solve", "--layer", tiny_layer]) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "error: solver produced an invalid schedule: spatial at GlobalBuf" in err
+
 
 class TestEvaluateCommand:
     def test_round_trip_evaluate(self, tiny_layer, tmp_path, capsys):

@@ -1,11 +1,21 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SUITE_LAYERS, highs_objective, random_instance, toy_two_level
+import mipsched.solver
+from helpers import (
+    SUITE_LAYERS,
+    highs_objective,
+    random_instance,
+    reference_canonical_assignment,
+    reference_t_sums,
+    toy_two_level,
+)
 from mipsched.arch import ArchSpec, MemLevel, MemTensorMatrix
+from mipsched.cli import solve_layer
 from mipsched.formulation import ObjectiveWeights, PartitionSpec, build_model
 from mipsched.solver import (
     SolverOptions,
@@ -19,7 +29,7 @@ from mipsched.solver import (
     exhaustive_solve,
     solve,
 )
-from mipsched.workload import LayerDims, factorize
+from mipsched.workload import LayerDims, PaddingPolicy, factorize
 
 
 def small_model(mode="combined"):
@@ -241,3 +251,53 @@ def test_conv28_matches_highs(simba, partition):
     reference = highs_objective(model)
     assert reference is not None
     assert abs(sol.objective_value - reference) <= 1e-9
+
+
+def test_canonical_assignment_matches_reference(simba, monkeypatch):
+    """Every leaf canonicalized during a solve gets exactly the assignment
+    of the reference that tries every rank of every level."""
+    real = mipsched.solver.canonical_assignment
+    leaves = []
+
+    def checked(model, choice_cls, chains, sh):
+        x = real(model, choice_cls, chains, sh)
+        assert x == reference_canonical_assignment(model, choice_cls, chains)
+        leaves.append(bool(model.menus))
+        return x
+
+    monkeypatch.setattr(mipsched.solver, "canonical_assignment", checked)
+    counts = {}
+    for name in ("tiny", "conv28"):
+        solve(build_model(factorize(SUITE_LAYERS[name]), simba))
+        counts[name] = len(leaves)
+    solve(build_model(factorize(SUITE_LAYERS["conv28"]), simba,
+                      partition=PartitionSpec(budget_bytes=306367)))
+    counts["conv28-partition"] = len(leaves)
+    # stride 2: the second round solves the model with capacity pads
+    stride2 = LayerDims(3, 3, 14, 14, 32, 64, 1, stride=2)
+    result = solve_layer(factorize(stride2, PaddingPolicy(max_prime=7)), simba)
+    assert result.rounds == 2 and result.pads
+    counts["stride2-3x3-14"] = len(leaves)
+    for seed in range(400):
+        model = random_instance(seed, max_space=60_000)
+        if model is not None:
+            solve(model)
+    counts["random"] = len(leaves)
+    steps = list(counts.values())
+    assert all(b > a for a, b in zip([0] + steps, steps)), counts
+    assert any(leaves) and not all(leaves)  # with and without menus
+
+
+def test_t_sums_matches_reference(simba):
+    """The traffic sums over occupied positions only are the reference's,
+    float for float, on random (not necessarily feasible) assignments."""
+    rng = random.Random(5)
+    models = [build_model(factorize(SUITE_LAYERS["conv28"]), simba)]
+    models += [m for m in map(random_instance, range(200)) if m is not None]
+    checked = 0
+    for model in models:
+        for _ in range(20):
+            x = {fi: rng.choice(model.choices[fi]) for fi in range(model.F)}
+            assert model._t_sums(x) == reference_t_sums(model, x)
+            checked += 1
+    assert checked > 1000
