@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .workload import NUM_DIMS
 
@@ -42,7 +43,13 @@ class TensorDimMatrix:
         return self.rows[j][v] == 1
 
     def dims_of(self, v: int) -> tuple[int, ...]:
-        return tuple(j for j in range(NUM_DIMS) if self.rows[j][v])
+        return self._dims[v]
+
+    @cached_property
+    def _dims(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(j for j in range(NUM_DIMS) if self.rows[j][v]) for v in range(NUM_TENSORS)
+        )
 
 
 @dataclass(frozen=True)
@@ -151,8 +158,10 @@ class ArchSpec:
     def num_levels(self) -> int:
         return len(self.levels)
 
-    @property
+    @cached_property
     def noc_level(self) -> int:
+        """Index of the NoC boundary level; computed on first use, so an
+        arch without one still constructs and `validate_arch` reports it."""
         for i, lvl in enumerate(self.levels):
             if lvl.is_noc_boundary:
                 return i

@@ -4,6 +4,18 @@ Everything here works on exact integer products of loop bounds, the
 counterpart of the formulation's log-domain linear terms.  Element
 counts are the native unit; bytes appear only where latency or budgets
 are involved.
+
+Every tile is read from one prefix-product table per schedule
+(`tile_table`, cached as `Schedule.tiles`): row I holds, for every
+dimension, the product of that dimension's loop bounds at levels
+strictly inside I, and row H (one past the outermost level) holds the
+full products.  One pass over the loops builds it, and a tile of tensor
+v inside level I is then the product of row I's entries over the
+dimensions related to v (`row_tile`), or the halo window built from the
+same row.  Loop order within a level does not enter the table, so every
+loop order of one (level, mapping) assignment shares it; only the NoC
+iteration counts of `traffic_terms` depend on order.  All arithmetic is
+on Python integers, so every value is exact.
 """
 
 from __future__ import annotations
@@ -13,46 +25,50 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .arch import ArchSpec, IA, NUM_TENSORS, OA
-from .workload import DIM_INDEX
+from .workload import DIM_INDEX, NUM_DIMS
 
 if TYPE_CHECKING:
-    from .schedule import Schedule
+    from .schedule import Loop, Schedule
+
+_R, _S, _P, _Q, _C, _N = (DIM_INDEX[d] for d in "RSPQCN")
 
 
-def dim_tile(schedule: "Schedule", j: int, below_level: int) -> int:
-    """Product of dimension j's bounds at levels strictly inside below_level."""
-    t = 1
-    for I in range(below_level):
-        for loop in schedule.levels[I]:
-            if loop.dim == j:
-                t *= loop.bound
-    return t
+def tile_table(levels: "tuple[tuple[Loop, ...], ...]") -> tuple[tuple[int, ...], ...]:
+    """Prefix products of loop bounds: row I is, per dimension, the product
+    of the bounds at levels strictly inside I; the last row is the full
+    product."""
+    row = [1] * NUM_DIMS
+    rows = [tuple(row)]
+    for loops in levels:
+        for loop in loops:
+            row[loop.dim] *= loop.bound
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
-def tile_elements(
-    schedule: "Schedule", arch: ArchSpec, level: int, v: int, halo: bool = False
-) -> int:
-    """Elements of tensor v resident inside `level` for one tile.
+def row_tile(row: tuple[int, ...], arch: ArchSpec, v: int, stride: int, halo: bool) -> int:
+    """Elements of tensor v for the per-dimension tiles in `row`.
 
     Plain mode multiplies the related dimension tiles (what the linear
     model sees).  Halo mode sizes the input-activation window physically:
     width (P_t - 1) * stride + R_t, height likewise from Q and S.
     """
     if halo and v == IA:
-        p_t = dim_tile(schedule, DIM_INDEX["P"], level)
-        q_t = dim_tile(schedule, DIM_INDEX["Q"], level)
-        r_t = dim_tile(schedule, DIM_INDEX["R"], level)
-        s_t = dim_tile(schedule, DIM_INDEX["S"], level)
-        c_t = dim_tile(schedule, DIM_INDEX["C"], level)
-        n_t = dim_tile(schedule, DIM_INDEX["N"], level)
-        stride = schedule.layer.stride
-        width = (p_t - 1) * stride + r_t
-        height = (q_t - 1) * stride + s_t
-        return width * height * c_t * n_t
+        width = (row[_P] - 1) * stride + row[_R]
+        height = (row[_Q] - 1) * stride + row[_S]
+        return width * height * row[_C] * row[_N]
     t = 1
     for j in arch.A.dims_of(v):
-        t *= dim_tile(schedule, j, level)
+        t *= row[j]
     return t
+
+
+def tile_elements(
+    schedule: "Schedule", arch: ArchSpec, level: int, v: int, halo: bool = False
+) -> int:
+    """Elements of tensor v resident inside `level` for one tile (see
+    `row_tile` for plain and halo mode)."""
+    return row_tile(schedule.tiles[level], arch, v, schedule.layer.stride, halo)
 
 
 def compute_cycles(schedule: "Schedule") -> int:
@@ -113,28 +129,17 @@ class TensorTraffic:
     total_elems: int
 
 
-def _iterations(schedule: "Schedule", arch: ArchSpec, v: int) -> int:
-    """Temporal transfer count at the NoC: once a loop relevant to the
-    tensor (and storable at its level) is seen, every outer temporal loop
-    multiplies the count."""
-    noc = arch.noc_level
-    seen = False
-    t = 1
-    for I in range(noc, arch.num_levels):
-        for loop in schedule.levels[I]:
-            if loop.spatial:
-                continue
-            if arch.A.related(loop.dim, v) and arch.B.stores(I, v):
-                seen = True
-            if seen:
-                t *= loop.bound
-    return t
-
-
 def traffic_terms(
     schedule: "Schedule", arch: ArchSpec, include_reduction: bool = False
 ) -> tuple[TensorTraffic, TensorTraffic, TensorTraffic]:
     """Per-tensor NoC traffic: transfer size x link multiplier x iterations.
+
+    The transfer size is the tensor's tile inside the NoC level.  Spatial
+    NoC-level loops related to the tensor multiply its links; unrelated
+    ones multiply the output's partial-sum reduction.  The temporal
+    transfer count starts once a loop relevant to the tensor (and
+    storable at its level) is seen at or above the NoC level; from there
+    every outer temporal loop multiplies it.
 
     ``include_reduction`` additionally charges output partial-sum
     reduction across unrelated spatial dimensions; the linear model never
@@ -142,23 +147,38 @@ def traffic_terms(
     checked.
     """
     noc = arch.noc_level
+    A, B = arch.A.rows, arch.B.rows
+    link = [1] * NUM_TENSORS
+    iters = [1] * NUM_TENSORS
+    seen = [False] * NUM_TENSORS
+    red = 1
+    for loop in schedule.levels[noc]:
+        if loop.spatial:
+            rel = A[loop.dim]
+            for v in range(NUM_TENSORS):
+                if rel[v]:
+                    link[v] *= loop.bound
+            if not rel[OA]:
+                red *= loop.bound
+    for I in range(noc, arch.num_levels):
+        stores = B[I]
+        for loop in schedule.levels[I]:
+            if loop.spatial:
+                continue
+            rel = A[loop.dim]
+            for v in range(NUM_TENSORS):
+                if seen[v] or (rel[v] and stores[v]):
+                    seen[v] = True
+                    iters[v] *= loop.bound
+    row = schedule.tiles[noc]
+    stride = schedule.layer.stride
     out = []
     for v in range(NUM_TENSORS):
-        d = tile_elements(schedule, arch, noc, v, halo=False)
-        link = 1
-        red = 1
-        for loop in schedule.levels[noc]:
-            if not loop.spatial:
-                continue
-            if arch.A.related(loop.dim, v):
-                link *= loop.bound
-            elif v == OA:
-                red *= loop.bound
-        iters = _iterations(schedule, arch, v)
-        total = d * link * iters
+        d = row_tile(row, arch, v, stride, False)
+        total = d * link[v] * iters[v]
         if include_reduction and v == OA:
             total *= red
-        out.append(TensorTraffic(d, link, iters, red if v == OA else 1, total))
+        out.append(TensorTraffic(d, link[v], iters[v], red if v == OA else 1, total))
     return tuple(out)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import costmodel
 from .arch import ArchSpec, NUM_TENSORS, TENSOR_NAMES
@@ -53,8 +54,14 @@ class Schedule:
         if len(self.levels) != len(self.level_names):
             raise ValueError("one name per level required")
 
+    @cached_property
+    def tiles(self) -> tuple[tuple[int, ...], ...]:
+        """Prefix-product table of the loop bounds (`costmodel.tile_table`),
+        built on first use."""
+        return costmodel.tile_table(self.levels)
+
     def dim_product(self, j: int) -> int:
-        return costmodel.dim_tile(self, j, len(self.levels))
+        return self.tiles[-1][j]
 
     def all_loops(self) -> list[tuple[int, Loop]]:
         return [(I, loop) for I, loops in enumerate(self.levels) for loop in loops]
@@ -172,9 +179,11 @@ def validate(schedule: Schedule, arch: ArchSpec, halo: bool = True) -> list[Sche
         )
         return out
 
-    dims = schedule.layer.as_tuple()
-    for j, bound in enumerate(dims):
-        prod = schedule.dim_product(j)
+    rows = schedule.tiles
+    stride = schedule.layer.stride
+    full = rows[-1]
+    for j, bound in enumerate(schedule.layer.as_tuple()):
+        prod = full[j]
         if prod < bound:
             out.append(
                 ScheduleViolation(
@@ -206,7 +215,7 @@ def validate(schedule: Schedule, arch: ArchSpec, halo: bool = True) -> list[Sche
         cap = arch.capacity_elements(I, v)
         if math.isinf(cap):
             continue
-        tile = costmodel.tile_elements(schedule, arch, I, v, halo=halo)
+        tile = costmodel.row_tile(rows[I], arch, v, stride, halo)
         if tile > cap:
             out.append(
                 ScheduleViolation(
@@ -220,8 +229,7 @@ def validate(schedule: Schedule, arch: ArchSpec, halo: bool = True) -> list[Sche
         if shared is None:
             continue
         used = sum(
-            costmodel.tile_elements(schedule, arch, I, v, halo=halo)
-            * arch.precision_bytes[v]
+            costmodel.row_tile(rows[I], arch, v, stride, halo) * arch.precision_bytes[v]
             for v in range(NUM_TENSORS)
             if arch.B.stores(I, v)
         )
@@ -243,12 +251,14 @@ def evaluate(schedule: Schedule, arch: ArchSpec, include_reduction: bool = False
     buffering): the maximum of compute cycles and total NoC transfer
     cycles at the configured bandwidth.
     """
+    rows = schedule.tiles
+    stride = schedule.layer.stride
     util = []
     for I in range(arch.num_levels):
         row = []
         for v in range(NUM_TENSORS):
             if arch.B.stores(I, v):
-                row.append(costmodel.tile_elements(schedule, arch, I, v, halo=False))
+                row.append(costmodel.row_tile(rows[I], arch, v, stride, False))
             else:
                 row.append(None)
         util.append(tuple(row))

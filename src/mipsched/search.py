@@ -9,6 +9,7 @@ of any sharding of the draw range.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -147,6 +148,14 @@ def enumerate_all(
     Distinct schedules differ in some loop's level, binding, or in the
     loop order within a level; permutations of identical factors are not
     duplicated.  Guarded by the raw assignment-space size.
+
+    Validity is decided once per (level, mapping) assignment, on its
+    first loop order: every check of `validate` (dimension products, the
+    spatial fanout, the spatial dimensions allowed per level, per-tensor
+    and shared capacities) reads only which loops sit at which level and
+    how they are bound, never their order within a level.  So either all
+    orders of an assignment are valid or none is, and the orders of an
+    invalid assignment are skipped without building them.
     """
     flat = pf.flat()
     F = len(flat)
@@ -183,26 +192,26 @@ def enumerate_all(
                 current.pop()
 
     for assignment in maps(0, []):
-        per_level: list[list[tuple[int, int, bool]]] = [[] for _ in range(H)]
+        per_level: list[list[Loop]] = [[] for _ in range(H)]
         for fi, (I, k) in enumerate(assignment):
             j, n, prime, _lg = flat[fi]
-            per_level[I].append((j, prime, k == SPATIAL))
-
-        def levels_product(I: int, acc: list[tuple[Loop, ...]]) -> Iterator[tuple]:
-            if I == H:
-                yield tuple(acc)
-                return
-            for order in _distinct_orders(per_level[I]):
-                acc.append(tuple(Loop(j, p, sp) for j, p, sp in order))
-                yield from levels_product(I + 1, acc)
-                acc.pop()
-
-        for levels in levels_product(0, []):
-            sched = Schedule(
+            per_level[I].append(Loop(j, prime, k == SPATIAL))
+        # the first distinct order of every level is the assignment's own
+        first = Schedule(
+            levels=tuple(tuple(loops) for loops in per_level),
+            level_names=level_names,
+            layer=pf.dims,
+            arch_name=arch.name,
+        )
+        if validate(first, arch):
+            continue
+        yield first
+        orders = itertools.product(*(_distinct_orders(loops) for loops in per_level))
+        next(orders)
+        for levels in orders:
+            yield Schedule(
                 levels=levels,
                 level_names=level_names,
                 layer=pf.dims,
                 arch_name=arch.name,
             )
-            if not validate(sched, arch):
-                yield sched

@@ -175,6 +175,16 @@ def canonical_assignment(
     `Z-1-n >= fixed_unpinned - fixed`.  Only levels with a chain run
     `_zmax`.  `sh` supplies the per-model tables (`canon_options`,
     `cls_of`).
+
+    Each factor has exactly one best placement, so the scan keeps one
+    entry and never has to compare completions.  Two entries of one
+    identical class differ in their options tuple or in their chain
+    position.  Distinct options tuples of a class are disjoint sets of
+    (level, mapping) pairs, so their best triples differ in (level,
+    mapping).  Two chain positions p < p' on one level cannot get the
+    same highest rank z: if p fits at z, the embedding that proves it
+    puts p' at some free rank above z, where p' also fits with p still
+    free to take z, so the highest rank of p' is above z.
     """
     Z = model.Z
     F = model.F
@@ -212,7 +222,7 @@ def canonical_assignment(
             return True
         best = None
         best_I = -1
-        tied = []
+        best_ent = None
         for ent in remaining[cls_of[fi]].values():
             count, by_level, fixed, pos = ent
             if not count:
@@ -235,47 +245,28 @@ def canonical_assignment(
                 if best is None or c > best:
                     best = c
                     best_I = I
-                    tied = [ent]
-                elif c == best:
-                    tied.append(ent)
+                    best_ent = ent
                 break
         if best is None:
             return False
         I, z, _k = best
         st = states[I]
-        results = []
-        for ent in tied:
-            _count, _by_level, fixed, pos = ent
-            ent[0] -= 1
-            st.used.add(z)
-            if fixed:
-                st.fixed_unpinned -= 1
-            if pos is not None:
-                st.chain_pins[pos] = z
-            out[fi] = best
-            ok = rec(fi + 1)
-            st.used.discard(z)
-            if fixed:
-                st.fixed_unpinned += 1
-            if pos is not None:
-                del st.chain_pins[pos]
-            ent[0] += 1
-            if ok:
-                if len(tied) == 1:
-                    return True
-                results.append(out[fi:])
-        if not results:
-            return False
-
-        # rare exact tie: keep the lexicographically smallest suffix
-        def key_of(assign_suffix):
-            return tuple(
-                -model.choice_index[fi + off][c]
-                for off, c in enumerate(assign_suffix)
-            )
-
-        out[fi:] = min(results, key=key_of)
-        return True
+        _count, _by_level, fixed, pos = best_ent
+        best_ent[0] -= 1
+        st.used.add(z)
+        if fixed:
+            st.fixed_unpinned -= 1
+        if pos is not None:
+            st.chain_pins[pos] = z
+        out[fi] = best
+        ok = rec(fi + 1)
+        st.used.discard(z)
+        if fixed:
+            st.fixed_unpinned += 1
+        if pos is not None:
+            del st.chain_pins[pos]
+        best_ent[0] += 1
+        return ok
 
     if not rec(0):
         raise RuntimeError("canonicalization failed on a feasible leaf")

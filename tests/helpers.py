@@ -3,17 +3,27 @@
 import math
 import random
 
+from mipsched import costmodel
 from mipsched.arch import (
+    IA,
     NUM_TENSORS,
+    OA,
+    TENSOR_NAMES,
     ArchSpec,
     MemLevel,
     MemTensorMatrix,
     default_simba_arch,
 )
-from mipsched.formulation import TEMPORAL, ObjectiveWeights, PartitionSpec, build_model
-from mipsched.schedule import Loop, Schedule
-from mipsched.solver import assignment_space_size
-from mipsched.workload import DIM_INDEX, LayerDims, PaddingPolicy, factorize
+from mipsched.formulation import (
+    SPATIAL,
+    TEMPORAL,
+    ObjectiveWeights,
+    PartitionSpec,
+    build_model,
+)
+from mipsched.schedule import CostReport, Loop, Schedule, ScheduleViolation
+from mipsched.solver import SpaceTooLarge, assignment_space_size
+from mipsched.workload import DIM_INDEX, DIM_NAMES, LayerDims, PaddingPolicy, factorize
 
 J = DIM_INDEX
 
@@ -356,3 +366,247 @@ def reference_t_sums(model, x_assign):
                 per_v[v] += f.lg
                 total += f.lg
     return per_v, total
+
+
+# ----------------------------------------------------------------------
+# frozen copies of the exact validator and cost model that rescanned the
+# loops for every dimension tile (`dim_tile`) and validated every loop
+# order; the one-pass versions must agree with them exactly
+# ----------------------------------------------------------------------
+
+
+def reference_dim_tile(schedule, j, below_level):
+    t = 1
+    for I in range(below_level):
+        for loop in schedule.levels[I]:
+            if loop.dim == j:
+                t *= loop.bound
+    return t
+
+
+def reference_tile_elements(schedule, arch, level, v, halo=False):
+    if halo and v == IA:
+        p_t = reference_dim_tile(schedule, J["P"], level)
+        q_t = reference_dim_tile(schedule, J["Q"], level)
+        r_t = reference_dim_tile(schedule, J["R"], level)
+        s_t = reference_dim_tile(schedule, J["S"], level)
+        c_t = reference_dim_tile(schedule, J["C"], level)
+        n_t = reference_dim_tile(schedule, J["N"], level)
+        stride = schedule.layer.stride
+        width = (p_t - 1) * stride + r_t
+        height = (q_t - 1) * stride + s_t
+        return width * height * c_t * n_t
+    t = 1
+    for j in arch.A.dims_of(v):
+        t *= reference_dim_tile(schedule, j, level)
+    return t
+
+
+def _reference_iterations(schedule, arch, v):
+    noc = arch.noc_level
+    seen = False
+    t = 1
+    for I in range(noc, arch.num_levels):
+        for loop in schedule.levels[I]:
+            if loop.spatial:
+                continue
+            if arch.A.related(loop.dim, v) and arch.B.stores(I, v):
+                seen = True
+            if seen:
+                t *= loop.bound
+    return t
+
+
+def reference_traffic_terms(schedule, arch, include_reduction=False):
+    noc = arch.noc_level
+    out = []
+    for v in range(NUM_TENSORS):
+        d = reference_tile_elements(schedule, arch, noc, v, halo=False)
+        link = 1
+        red = 1
+        for loop in schedule.levels[noc]:
+            if not loop.spatial:
+                continue
+            if arch.A.related(loop.dim, v):
+                link *= loop.bound
+            elif v == OA:
+                red *= loop.bound
+        iters = _reference_iterations(schedule, arch, v)
+        total = d * link * iters
+        if include_reduction and v == OA:
+            total *= red
+        out.append(costmodel.TensorTraffic(d, link, iters, red if v == OA else 1, total))
+    return tuple(out)
+
+
+def reference_validate(schedule, arch, halo=True):
+    out = []
+    if len(schedule.levels) != arch.num_levels:
+        out.append(
+            ScheduleViolation(
+                "level-count",
+                schedule.arch_name,
+                f"schedule has {len(schedule.levels)} levels, arch {arch.num_levels}",
+            )
+        )
+        return out
+    for j, bound in enumerate(schedule.layer.as_tuple()):
+        prod = reference_dim_tile(schedule, j, len(schedule.levels))
+        if prod < bound:
+            out.append(
+                ScheduleViolation(
+                    "dimension-underflow", DIM_NAMES[j], f"loop product {prod} < bound {bound}"
+                )
+            )
+    for I, lvl in enumerate(arch.levels):
+        sp = 1
+        for loop in schedule.levels[I]:
+            if loop.spatial:
+                sp *= loop.bound
+        if sp > lvl.spatial_fanout:
+            out.append(
+                ScheduleViolation(
+                    "spatial-overflow",
+                    lvl.name,
+                    f"spatial product {sp} > fanout {lvl.spatial_fanout}",
+                )
+            )
+        for loop in schedule.levels[I]:
+            if loop.spatial and not lvl.spatial_allowed(loop.dim):
+                out.append(
+                    ScheduleViolation(
+                        "spatial-dim",
+                        lvl.name,
+                        f"dimension {DIM_NAMES[loop.dim]} may not map spatially here",
+                    )
+                )
+    for I, v in arch.on_chip_pairs():
+        cap = arch.capacity_elements(I, v)
+        if math.isinf(cap):
+            continue
+        tile = reference_tile_elements(schedule, arch, I, v, halo=halo)
+        if tile > cap:
+            out.append(
+                ScheduleViolation(
+                    "capacity",
+                    f"{arch.levels[I].name}/{TENSOR_NAMES[v]}",
+                    f"tile {tile} elements > capacity {int(cap)}",
+                )
+            )
+    for I, shared in enumerate(arch.shared_capacity_bytes):
+        if shared is None:
+            continue
+        used = sum(
+            reference_tile_elements(schedule, arch, I, v, halo=halo) * arch.precision_bytes[v]
+            for v in range(NUM_TENSORS)
+            if arch.B.stores(I, v)
+        )
+        if used > shared:
+            out.append(
+                ScheduleViolation(
+                    "shared-capacity",
+                    arch.levels[I].name,
+                    f"tiles use {used} B > shared {int(shared)} B",
+                )
+            )
+    return out
+
+
+def reference_evaluate(schedule, arch, include_reduction=False):
+    util = []
+    for I in range(arch.num_levels):
+        row = []
+        for v in range(NUM_TENSORS):
+            if arch.B.stores(I, v):
+                row.append(reference_tile_elements(schedule, arch, I, v, halo=False))
+            else:
+                row.append(None)
+        util.append(tuple(row))
+    cycles = 1
+    for loops in schedule.levels:
+        for loop in loops:
+            if not loop.spatial:
+                cycles *= loop.bound
+    traffic = reference_traffic_terms(schedule, arch, include_reduction=include_reduction)
+    nbytes = sum(t.total_elems * arch.precision_bytes[v] for v, t in enumerate(traffic))
+    latency = max(cycles, math.ceil(nbytes / arch.noc_bandwidth))
+    return CostReport(
+        utilization=tuple(util),
+        compute_cycles=cycles,
+        traffic=traffic,
+        traffic_bytes=nbytes,
+        latency_cycles=latency,
+    )
+
+
+def _reference_distinct_orders(items):
+    if not items:
+        yield ()
+        return
+    seen = set()
+    for idx in range(len(items)):
+        head = items[idx]
+        if head in seen:
+            continue
+        seen.add(head)
+        rest = items[:idx] + items[idx + 1 :]
+        for tail in _reference_distinct_orders(rest):
+            yield (head,) + tail
+
+
+def reference_enumerate_all(pf, arch, limit=1_000_000):
+    """Every valid schedule, validating each loop order separately."""
+    flat = pf.flat()
+    F = len(flat)
+    H = arch.num_levels
+    Z = max(1, F)
+    space = 1
+    for j, n, prime, _lg in flat:
+        per = 0
+        for I in range(H):
+            per += Z * (2 if arch.levels[I].spatial_allowed(j) else 1)
+        space *= max(per, 1)
+    if space > limit:
+        raise SpaceTooLarge(f"assignment space {space} exceeds limit {limit}")
+    level_names = tuple(lvl.name for lvl in arch.levels)
+
+    def maps(fi, current):
+        if fi == F:
+            yield list(current)
+            return
+        j = flat[fi][0]
+        prev_cap = None
+        if fi > 0 and flat[fi - 1][0] == j and flat[fi - 1][2] == flat[fi][2]:
+            prev_cap = current[fi - 1]
+        for I in range(H):
+            options = [(I, TEMPORAL)]
+            if arch.levels[I].spatial_allowed(j):
+                options.append((I, SPATIAL))
+            for opt in options:
+                if prev_cap is not None and opt < prev_cap:
+                    continue
+                current.append(opt)
+                yield from maps(fi + 1, current)
+                current.pop()
+
+    for assignment in maps(0, []):
+        per_level = [[] for _ in range(H)]
+        for fi, (I, k) in enumerate(assignment):
+            j, n, prime, _lg = flat[fi]
+            per_level[I].append((j, prime, k == SPATIAL))
+
+        def levels_product(I, acc):
+            if I == H:
+                yield tuple(acc)
+                return
+            for order in _reference_distinct_orders(per_level[I]):
+                acc.append(tuple(Loop(j, p, sp) for j, p, sp in order))
+                yield from levels_product(I + 1, acc)
+                acc.pop()
+
+        for levels in levels_product(0, []):
+            sched = Schedule(
+                levels=levels, level_names=level_names, layer=pf.dims, arch_name=arch.name
+            )
+            if not reference_validate(sched, arch):
+                yield sched

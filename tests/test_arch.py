@@ -108,6 +108,27 @@ def test_two_noc_boundaries_flagged():
     assert "noc-boundary" in kinds
 
 
+def test_missing_noc_boundary_flagged_not_raised():
+    # noc_level is derived on first use: the arch still constructs, the
+    # checker reports it, and every lookup raises
+    levels = (
+        MemLevel("A", (64.0,) * 3, spatial_fanout=2),
+        MemLevel("M", (math.inf,) * 3),
+    )
+    arch = ArchSpec(levels=levels, B=MemTensorMatrix(rows=((1, 1, 1),) * 2))
+    assert "noc-boundary" in {v.kind for v in validate_arch(arch)}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no NoC boundary"):
+            arch.noc_level
+
+
+def test_derived_constants_match_matrices(simba):
+    # cached per arch; the same values a fresh scan gives
+    assert simba.noc_level == simba.noc_level == 4
+    for v in range(3):
+        assert DEFAULT_A.dims_of(v) == tuple(j for j in range(7) if DEFAULT_A[j][v])
+
+
 def test_storable_without_capacity_flagged():
     levels = (
         MemLevel("A", (64.0, 64.0, 0.0), spatial_fanout=2, is_noc_boundary=True),

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -262,6 +263,17 @@ class TestSweepCommand:
 
 
 class TestEnumerateCommand:
+    def test_enumerate_stdout_unchanged(self, tmp_path, capsys):
+        """Count, best latency and first-best render of a small layer on
+        the baseline target, byte for byte as recorded in the golden file
+        (10,608 valid schedules out of 10,632 candidate loop orders)."""
+        p = tmp_path / "small.layer"
+        p.write_text("[layer]\nR=3\nS=1\nP=2\nQ=1\nC=2\nK=2\nN=1\nStride=1\n")
+        code = main(["enumerate", "--limit", "2000000", "--layer", str(p)])
+        assert code == EXIT_OK
+        golden = (Path(__file__).parent / "golden" / "enumerate_small.txt").read_text()
+        assert capsys.readouterr().out == golden
+
     def test_enumerate_small(self, tmp_path, toy_arch, capsys):
         p = tmp_path / "small.layer"
         p.write_text("[layer]\nR=1\nS=1\nP=2\nQ=1\nC=3\nK=1\nN=1\n")

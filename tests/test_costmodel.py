@@ -3,11 +3,19 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import J, reference_conv28_schedule
-from mipsched.arch import IA, OA, W
+from helpers import (
+    J,
+    reference_conv28_schedule,
+    reference_dim_tile,
+    reference_evaluate,
+    reference_tile_elements,
+    reference_validate,
+    toy_two_level,
+)
+from mipsched.arch import IA, NUM_TENSORS, OA, W, ArchSpec, MemLevel, MemTensorMatrix
 from mipsched.costmodel import classify_traffic, compute_cycles, tile_elements, traffic_terms
 from mipsched.formulation import build_model
-from mipsched.schedule import Loop, Schedule, encode, validate
+from mipsched.schedule import Loop, Schedule, encode, evaluate, validate
 from mipsched.search import _draw_rng, _draw_schedule
 from mipsched.workload import LayerDims, factorize
 
@@ -131,3 +139,96 @@ def test_log_product_duality(simba, seed):
     for I, v in simba.on_chip_pairs():
         util += math.log2(tile_elements(sched, simba, I, v, halo=False))
     assert math.isclose(terms["util"], util, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def _toy_three_level(shared: float | None = None) -> ArchSpec:
+    """Register, NoC-boundary buffer and backing store, with small buffers
+    and a fanout of 2, so that most random draws are invalid."""
+    return ArchSpec(
+        levels=(
+            MemLevel("Reg", (4.0, 4.0, 4.0), spatial_fanout=2),
+            MemLevel("Buf", (16.0, 16.0, 16.0), spatial_fanout=2, is_noc_boundary=True),
+            MemLevel("Mem", (math.inf,) * 3),
+        ),
+        B=MemTensorMatrix(rows=((1, 1, 1), (1, 1, 1), (1, 1, 1))),
+        precision_bytes=(1, 1, 1),
+        shared_capacity_bytes=(None, shared, None),
+        name="toy3",
+    )
+
+
+def _check_against_reference(arch, layer, draws):
+    """Compare every tile, dimension product, verdict and cost report of
+    `draws` random schedules, and of each with its outermost level emptied
+    (a dimension underflow when that level held loops), with the frozen
+    per-dimension-rescan copies.  Returns the number of valid draws, the
+    number whose halo input tile exceeds the plain one at some on-chip
+    level, and the violation kinds seen."""
+    pf = factorize(layer)
+    valid = halo_wider = 0
+    kinds = set()
+    for i in range(draws):
+        sched = _draw_schedule(pf, arch, _draw_rng(11, i))
+        short = Schedule(
+            levels=sched.levels[:-1] + ((),),
+            level_names=sched.level_names,
+            layer=sched.layer,
+            arch_name=sched.arch_name,
+        )
+        for I in range(arch.num_levels + 1):
+            for v in range(NUM_TENSORS):
+                for halo in (False, True):
+                    assert tile_elements(sched, arch, I, v, halo=halo) == reference_tile_elements(
+                        sched, arch, I, v, halo=halo
+                    )
+        for j in range(len(J)):
+            assert sched.dim_product(j) == reference_dim_tile(sched, j, arch.num_levels)
+        halo_wider += any(
+            tile_elements(sched, arch, I, IA, halo=True) > tile_elements(sched, arch, I, IA)
+            for I, v in arch.on_chip_pairs()
+            if v == IA
+        )
+        for s in (sched, short):
+            for halo in (True, False):
+                got = validate(s, arch, halo=halo)
+                assert got == reference_validate(s, arch, halo=halo)
+                kinds.update(x.kind for x in got)
+            for red in (False, True):
+                assert evaluate(s, arch, include_reduction=red) == reference_evaluate(
+                    s, arch, include_reduction=red
+                )
+        valid += not validate(sched, arch)
+    return valid, halo_wider, kinds
+
+
+def test_one_pass_matches_reference(simba):
+    """Tiles from the prefix-product table, `validate` and `evaluate` equal
+    the frozen per-dimension-rescan code on random draws over three
+    architectures and stride-2 layers, where the halo window and the
+    plain input tile differ."""
+    cases = [
+        (simba, LayerDims(3, 3, 28, 28, 8, 4, 3, stride=2), 500),
+        (simba, LayerDims(3, 3, 14, 14, 256, 256, 1, stride=2), 500),
+        (toy_two_level(fanout=2, cap=16.0), LayerDims(3, 3, 4, 4, 2, 2, 1, stride=2), 500),
+        (_toy_three_level(), LayerDims(3, 3, 4, 4, 2, 2, 1, stride=2), 1500),
+    ]
+    valid = halo_wider = 0
+    kinds = set()
+    for arch, layer, draws in cases:
+        got = _check_against_reference(arch, layer, draws)
+        valid += got[0]
+        halo_wider += got[1]
+        kinds |= got[2]
+    total = sum(draws for _a, _l, draws in cases)
+    assert 0 < valid < total / 2
+    assert halo_wider > total / 2
+    assert {"capacity", "spatial-overflow", "dimension-underflow"} <= kinds
+
+
+def test_shared_capacity_matches_reference():
+    """A level's joint byte budget is summed from the same table."""
+    valid, _halo_wider, kinds = _check_against_reference(
+        _toy_three_level(shared=48.0), LayerDims(3, 3, 4, 4, 2, 2, 1, stride=2), 600
+    )
+    assert valid > 0
+    assert "shared-capacity" in kinds

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from helpers import toy_two_level
+from helpers import reference_enumerate_all, toy_two_level
+from mipsched import search
 from mipsched.formulation import ObjectiveWeights, build_model
 from mipsched.schedule import encode, validate
 from mipsched.search import (
@@ -114,3 +115,43 @@ class TestEnumerate:
         pf = factorize(LayerDims(3, 3, 28, 28, 8, 4, 3))
         with pytest.raises(SpaceTooLarge):
             next(iter(enumerate_all(pf, simba, limit=1000)))
+
+
+def _assignment(sched):
+    """The (level, mapping) assignment of a schedule: its loops per level
+    without their order."""
+    return tuple(
+        tuple(sorted((l.dim, l.bound, l.spatial) for l in loops)) for loops in sched.levels
+    )
+
+
+@pytest.mark.parametrize(
+    "arch_name,dims,stride",
+    [
+        pytest.param("toy2", (1, 1, 2, 1, 1, 4, 1), 1, id="toy2-p2k4"),
+        pytest.param("toy2", (3, 1, 2, 1, 2, 2, 1), 2, id="toy2-r3p2c2k2-s2"),
+        pytest.param("toy2", (3, 3, 2, 2, 1, 2, 1), 2, id="toy2-r3s3p2q2k2-s2"),
+        pytest.param("simba", (3, 1, 2, 1, 2, 2, 1), 1, id="simba-r3p2c2k2"),
+    ],
+)
+def test_enumerate_matches_reference(simba, monkeypatch, arch_name, dims, stride):
+    """Validating once per assignment yields the same schedules, in the
+    same order, as validating every loop order; invalid assignments are
+    skipped whole."""
+    arch = simba if arch_name == "simba" else toy_two_level(fanout=4, cap=16.0)
+    pf = factorize(LayerDims(*dims, stride=stride))
+    expected = list(reference_enumerate_all(pf, arch, limit=10**7))
+    verdicts = []
+
+    def counting_validate(sched, arch, halo=True):
+        got = validate(sched, arch, halo=halo)
+        verdicts.append(not got)
+        return got
+
+    monkeypatch.setattr(search, "validate", counting_validate)
+    got = list(enumerate_all(pf, arch, limit=10**7))
+    assert got == expected
+    # one call per assignment, some of them invalid (the skip path ran)
+    assert verdicts.count(True) == len({_assignment(s) for s in got})
+    assert verdicts.count(False) > 0
+    assert len(verdicts) < len(got)
