@@ -174,14 +174,19 @@ class ArchSpec:
             return UNBOUNDED
         return cap // self.precision_bytes[v]
 
-    def on_chip_pairs(self) -> list[tuple[int, int]]:
-        """(level, tensor) pairs below the outermost level with B = 1."""
-        return [
+    @cached_property
+    def _on_chip_pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(
             (i, v)
             for i in range(self.num_levels - 1)
             for v in range(NUM_TENSORS)
             if self.B.stores(i, v)
-        ]
+        )
+
+    def on_chip_pairs(self) -> tuple[tuple[int, int], ...]:
+        """(level, tensor) pairs below the outermost level with B = 1;
+        computed once per arch."""
+        return self._on_chip_pairs
 
 
 def log2_capacity(arch: ArchSpec, level: int, v: int) -> float:

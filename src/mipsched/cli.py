@@ -343,13 +343,6 @@ def _load_inputs(cfg: RunConfig):
     return arch, layers
 
 
-def _threads_from_env(opts: SolverOptions) -> SolverOptions:
-    env = os.environ.get("COSA_THREADS")
-    if env:
-        opts.threads = max(1, int(env))
-    return opts
-
-
 def _write_schedule(path: str, schedule) -> int:
     try:
         with open(path, "wb") as fh:
@@ -585,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     weights = _parse_weights(args.weights, args.obj)
     solver_opts = SolverOptions(time_limit_s=args.time_limit)
-    _threads_from_env(solver_opts)
     search = SearchConfig(
         samples=args.samples,
         valid_target=args.valid_target,

@@ -19,7 +19,10 @@ limited-discrepancy sweep, so the proof visits a subset of the nodes
 in the same order and reaches the same answer.
 Reported assignments are canonicalized to the lexicographically smallest
 member of their class, so results are bit-stable across runs.  The search
-is single-threaded.
+is single-threaded.  A child reads one flat record per (factor, choice
+class), `_Choice`; a constraint the class leaves alone reads 0.0 in its
+dense row, so every bound is evaluated with the same operands in the same
+order as a sparse lookup would give, and node counts stay pinned.
 
 `exhaustive_solve` enumerates the raw assignment space and serves as the
 independent optimality oracle for desk-scale instances.
@@ -49,19 +52,17 @@ class SolverOptions:
 
     The tie-break rule is fixed: among equal-objective optima, the
     lexicographically smallest assignment vector wins.  The search is
-    single-threaded: `threads` is validated and accepted for
-    compatibility but has no effect.
+    single-threaded; `threads` is a read-only constant, not a field, kept
+    because perfbench/worker.py records it with every op.
     """
 
     time_limit_s: float = 300.0
     tolerance: float = 1e-6
-    threads: int = 1
+    threads = 1
 
     def __post_init__(self):
         if self.time_limit_s <= 0:
             raise ValueError("time_limit_s must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass
@@ -314,6 +315,7 @@ class _Search:
 
         self.ncons = len(m.check_cons)
         self.con_rhs = sh.con_rhs
+        self.cap = [rhs + tol for rhs in sh.con_rhs]
         self.con_of_menu = sh.con_of_menu
         self.reset()
 
@@ -323,7 +325,7 @@ class _Search:
         zeroing them gives each phase the bounds, and so the node counts,
         of a fresh search."""
         m = self.m
-        self.choice_val: list[tuple[tuple[int, int], ...] | None] = [None] * m.F
+        self.choice_rec: list[_Choice | None] = [None] * m.F
         self.chains: dict[int, list[int]] = {I: [] for I in range(m.noc, m.H)}
         self.con_lhs = [0.0] * self.ncons
         self.static_sum = 0.0
@@ -385,15 +387,13 @@ class _Search:
                 d += f.lg + (cum[upto] - cum[p])
         return d
 
-    def _min_menu_bytes(self, deltas: dict | None) -> int:
+    def _min_menu_bytes(self, row: list[float]) -> int:
         """Cheapest admissible partition total given current buffer sums."""
         m = self.m
         total = 0
         for mi, menu in enumerate(m.menus):
             ci = self.con_of_menu[mi]
-            lo = self.con_lhs[ci] + m.check_cons[ci].pad
-            if deltas is not None and ci in deltas:
-                lo += deltas[ci]
+            lo = self.con_lhs[ci] + m.check_cons[ci].pad + row[ci]
             pick = None
             for ent in menu.entries:
                 if ent.e + self.tol >= lo:
@@ -404,45 +404,43 @@ class _Search:
             total += pick.nbytes
         return total
 
-    def _knap_bound(self, base: float, pos: int, deltas: dict,
+    def _knap_bound(self, base: float, pos: int, row: list[float],
                     threshold: float) -> float:
         """Max over single-constraint relaxations of the node lower bound;
         returns early once the threshold is exceeded (caller prunes).
         Assignment always follows branch order, so the unassigned tail at
         depth `pos` is a precomputed suffix."""
-        sh = self.shared
         best = -INF
-        nxt = pos + 1
         con_lhs = self.con_lhs
         con_rhs = self.con_rhs
-        for ci in sh.kn_order:
-            slack = con_rhs[ci] - con_lhs[ci] - deltas.get(ci, 0.0)
-            if slack >= sh.kn_w_suffix[ci][nxt]:
+        for ci, w_suffix, cost0, segs in self.shared.kn_at[pos + 1]:
+            slack = con_rhs[ci] - con_lhs[ci] - row[ci]
+            if slack >= w_suffix:
                 continue  # constraint cannot bind: no better than the plain bound
             gain = 0.0
             if slack > 0.0:
-                for density, dw in sh.kn_segs_at[ci][nxt]:
+                for density, dw in segs:
                     if dw >= slack:
                         gain += density * slack
                         break
                     gain += density * dw
                     slack -= dw
-            b = base + sh.kn_cost0_suffix[ci][nxt] - gain
+            b = base + cost0 - gain
             if b > best:
                 best = b
                 if b > threshold:
                     return b
         return best
 
-    def _lagr_bound(self, base: float, pos: int, deltas: dict) -> float:
+    def _lagr_bound(self, base: float, pos: int, row: list[float]) -> float:
         """Root Lagrangian relaxation evaluated with the current slacks."""
         sh = self.shared
         b = base + sh.lagr_suffix[pos + 1]
         for ci, lam in sh.lam_active:
-            b -= lam * (self.con_rhs[ci] - self.con_lhs[ci] - deltas.get(ci, 0.0))
+            b -= lam * (self.con_rhs[ci] - self.con_lhs[ci] - row[ci])
         return b
 
-    def _pen_bound(self, base: float, pos: int, deltas: dict,
+    def _pen_bound(self, base: float, pos: int, row: list[float],
                    threshold: float) -> float:
         """max(threshold, max over constraints i of the Lagrangian-
         penalized knapsack bound): i stays explicit with the child's slack,
@@ -457,10 +455,10 @@ class _Search:
         tol = self.tol
         refund = 0.0
         for ci, lam in sh.lam_active:
-            refund += lam * (con_rhs[ci] - con_lhs[ci] - deltas.get(ci, 0.0) + tol)
+            refund += lam * (con_rhs[ci] - con_lhs[ci] - row[ci] + tol)
         best = threshold
         for ci, lam_i, cost0, cw, cg, dens in sh.pen_at[pos + 1]:
-            slack = con_rhs[ci] - con_lhs[ci] - deltas.get(ci, 0.0) + tol
+            slack = con_rhs[ci] - con_lhs[ci] - row[ci] + tol
             upper = base + cost0 - (refund - lam_i * slack)
             if upper <= best:
                 continue  # the knapsack gain is >= 0: cannot raise the max
@@ -480,46 +478,47 @@ class _Search:
         """DFS-only test of a child against the incumbent as it stands
         when the child's turn comes; never reorders the children."""
         thresh = self.inc.obj + EPS_PRUNE
-        if child[0] > thresh:
+        if child[4] > thresh:
             return True
         if not self.shared.pen_at[pos + 1]:
             return False
-        b, okey, cc, I, k, q, deltas, t_after = child
-        fi = self.order[pos]
-        base = self.static_sum + self.m.static_obj[fi][(I, k)] + self.wt * t_after
-        return self._pen_bound(base, pos, deltas, thresh) > thresh
+        rec, t_after = child[5], child[6]
+        base = self.static_sum + rec.static + self.wt * t_after
+        return self._pen_bound(base, pos, rec.row, thresh) > thresh
 
     def _children(self, pos: int, dive: bool = False):
+        """Children at depth `pos` in search order, each (order key, level,
+        mapping, chain position or -1, bound, `_Choice`, traffic after); no
+        two share (level, mapping, position), so the sort stops there."""
         m = self.m
-        sh = self.shared
         fi = self.order[pos]
         prev = self.prev_same[fi]
-        limit = None
-        if prev is not None and self.choice_val[prev] is not None:
-            limit = sh.class_rep[fi][self.choice_val[prev]]
+        prev_rec = None if prev is None else self.choice_rec[prev]
+        limit = None if prev_rec is None else prev_rec.rep
         t_cur = self.t_stack[-1]
+        con_lhs = self.con_lhs
+        cap = self.cap
         profile = None
         out = []
-        for cc in m.choice_classes[fi]:
-            if limit is not None and sh.class_rep[fi][cc] > limit:
+        for rec in self.shared.choices[fi]:
+            if limit is not None and rec.rep > limit:
                 continue
-            I, k = cc[0]
-            deltas, delta_items = sh.class_deltas[fi][cc]
             ok = True
-            for ci, add in delta_items:
-                if self.con_lhs[ci] + add > self.con_rhs[ci] + self.tol:
+            for ci, add in rec.items:
+                if con_lhs[ci] + add > cap[ci]:
                     ok = False
                     break
             if not ok:
                 continue
-            if m.menus and self._min_menu_bytes(deltas) > m.budget_bytes:
+            if m.menus and self._min_menu_bytes(rec.row) > m.budget_bytes:
                 continue
-            if k == TEMPORAL and I >= m.noc:
+            if rec.chained:
                 if profile is None:
                     profile = self._chain_profile()
+                I = rec.I
                 chain = self.chains[I]
                 lo_q = 0
-                if prev is not None and self.choice_val[prev] == cc:
+                if prev_rec is not None and prev_rec.cc == rec.cc:
                     # identical member already in this chain: insert outward
                     for qpos in range(len(chain) - 1, -1, -1):
                         if m.factors[chain[qpos]].cls == m.factors[fi].cls:
@@ -527,47 +526,46 @@ class _Search:
                             break
                 for q in range(lo_q, len(chain) + 1):
                     t_after = t_cur + self._t_delta(profile, I, q, fi)
-                    b = self._node_bound(pos, fi, (I, k), t_after, deltas)
+                    b = self._node_bound(pos, rec, t_after)
                     if b is None:
                         continue
-                    order_key = self._order_key(dive, b, fi, (I, k), t_after, deltas)
-                    out.append((b, order_key, cc, I, k, q, deltas, t_after))
+                    okey = self._order_key(rec, t_after) if dive else b
+                    out.append((okey, I, rec.k, q, b, rec, t_after))
             else:
-                b = self._node_bound(pos, fi, (I, k), t_cur, deltas)
+                b = self._node_bound(pos, rec, t_cur)
                 if b is None:
                     continue
-                order_key = self._order_key(dive, b, fi, (I, k), t_cur, deltas)
-                out.append((b, order_key, cc, I, k, None, deltas, t_cur))
-        out.sort(key=lambda ch: (ch[1], ch[3], ch[4], -1 if ch[5] is None else ch[5]))
+                okey = self._order_key(rec, t_cur) if dive else b
+                out.append((okey, rec.I, rec.k, -1, b, rec, t_cur))
+        if len(out) > 1:
+            out.sort()
         return out
 
-    def _node_bound(self, pos, fi, ck, t_after, deltas) -> float | None:
+    def _node_bound(self, pos, rec, t_after) -> float | None:
         """Admissible lower bound for the child, or None when prunable."""
         inc_obj = self.inc.obj
-        m = self.m
         sh = self.shared
         if not self.balance:
-            base = self.static_sum + m.static_obj[fi][ck] + self.wt * t_after
+            base = self.static_sum + rec.static + self.wt * t_after
             thresh = inc_obj + EPS_PRUNE
             b = base + sh.suffix_min[pos + 1]
             if b > thresh:
                 return None
-            b2 = self._lagr_bound(base, pos, deltas)
+            b2 = self._lagr_bound(base, pos, rec.row)
             if b2 > b:
                 b = b2
                 if b > thresh:
                     return None
-            b3 = self._knap_bound(base, pos, deltas, thresh)
+            b3 = self._knap_bound(base, pos, rec.row, thresh)
             if b3 > b:
                 b = b3
                 if b > thresh:
                     return None
             return b
-        comp = m.comp_coef[fi][ck]
-        dl = m.dl_coef[fi][ck]
-        comp_lo = self.comp_sum + comp + sh.suffix_comp_lo[pos + 1]
-        comp_hi = self.comp_sum + comp + sh.suffix_comp_hi[pos + 1]
-        traf_lo = self.dl_sum + dl + t_after + sh.suffix_traf_lo[pos + 1]
+        m = self.m
+        comp_lo = self.comp_sum + rec.comp + sh.suffix_comp_lo[pos + 1]
+        comp_hi = self.comp_sum + rec.comp + sh.suffix_comp_hi[pos + 1]
+        traf_lo = self.dl_sum + rec.dl + t_after + sh.suffix_traf_lo[pos + 1]
         traf_hi = sh.traf_hi_const
         a_lo, a_hi = m.weights.w_t * traf_lo, m.weights.w_t * traf_hi
         b_lo, b_hi = m.weights.w_c * comp_lo, m.weights.w_c * comp_hi
@@ -581,45 +579,40 @@ class _Search:
             return None
         return b
 
-    def _order_key(self, dive, bound, fi, ck, t_after, deltas):
-        if not dive:
-            return bound
-        # capacity-aware myopic cost steers the first descent
-        m = self.m
-        cost = m.static_obj[fi][ck] + self.wt * t_after
+    def _order_key(self, rec, t_after):
+        """The dive's child order: a capacity-aware myopic cost."""
+        cost = rec.static + self.wt * t_after
         for ci, lam in self.shared.lam_active:
-            cost += lam * deltas.get(ci, 0.0)
+            cost += lam * rec.row[ci]
         return cost
 
     def _apply(self, pos, child):
-        b, okey, cc, I, k, q, deltas, t_after = child
+        _okey, I, _k, q, _b, rec, t_after = child
         fi = self.order[pos]
-        self.choice_val[fi] = cc
-        for ci, add in deltas.items():
+        self.choice_rec[fi] = rec
+        for ci, add in rec.items:
             self.con_lhs[ci] += add
-        m = self.m
         if not self.balance:
-            self.static_sum += m.static_obj[fi][(I, k)]
+            self.static_sum += rec.static
         else:
-            self.comp_sum += m.comp_coef[fi][(I, k)]
-            self.dl_sum += m.dl_coef[fi][(I, k)]
-        if q is not None:
+            self.comp_sum += rec.comp
+            self.dl_sum += rec.dl
+        if q >= 0:
             self.chains[I].insert(q, fi)
         self.t_stack.append(t_after)
 
     def _undo(self, pos, child):
-        b, okey, cc, I, k, q, deltas, t_after = child
+        _okey, I, _k, q, _b, rec, _t_after = child
         fi = self.order[pos]
-        self.choice_val[fi] = None
-        for ci, add in deltas.items():
+        self.choice_rec[fi] = None
+        for ci, add in rec.items:
             self.con_lhs[ci] -= add
-        m = self.m
         if not self.balance:
-            self.static_sum -= m.static_obj[fi][(I, k)]
+            self.static_sum -= rec.static
         else:
-            self.comp_sum -= m.comp_coef[fi][(I, k)]
-            self.dl_sum -= m.dl_coef[fi][(I, k)]
-        if q is not None:
+            self.comp_sum -= rec.comp
+            self.dl_sum -= rec.dl
+        if q >= 0:
             del self.chains[I][q]
         self.t_stack.pop()
 
@@ -677,7 +670,8 @@ class _Search:
         menu_sel = self._derive_menus()
         if m.menus and menu_sel is None:
             return False
-        x = canonical_assignment(m, self.choice_val, self.chains, self.shared)
+        choice_cls = [rec.cc for rec in self.choice_rec]
+        x = canonical_assignment(m, choice_cls, self.chains, self.shared)
         obj = m.objective_of(x, menu_sel)
         key = m.lex_key(x, menu_sel)
         if not self.inc.beats(obj, key):
@@ -730,11 +724,35 @@ class _Search:
         for idx, child in enumerate(self._children(pos)):
             if idx > budget:
                 break
-            if child[0] > self.inc.obj + EPS_PRUNE:
+            if child[4] > self.inc.obj + EPS_PRUNE:
                 continue
             self._apply(pos, child)
             self.lds(pos + 1, budget - (1 if idx > 0 else 0))
             self._undo(pos, child)
+
+
+class _Choice:
+    """One choice class of one factor and all a child of it reads: `rep`
+    orders a factor's classes for the multiset dedup; the capacity use is
+    both sparse (`items`) and a dense `row` with 0.0 where it adds nothing."""
+
+    __slots__ = ("cc", "rep", "I", "k", "items", "row", "static", "comp", "dl",
+                 "chained")
+
+    def __init__(self, m: MipModel, fi: int, cc: tuple, fi_cons: list, ncons: int):
+        ck = cc[0]
+        self.cc = cc
+        self.rep = max(cc)
+        self.I, self.k = ck
+        self.items = tuple((ci, contrib[ck]) for ci, contrib in fi_cons
+                           if contrib.get(ck))
+        self.row = [0.0] * ncons
+        for ci, add in self.items:
+            self.row[ci] = add
+        self.static = m.static_obj[fi][ck]
+        self.comp = m.comp_coef[fi][ck]
+        self.dl = m.dl_coef[fi][ck]
+        self.chained = self.k == TEMPORAL and self.I >= m.noc
 
 
 class _Shared:
@@ -780,11 +798,6 @@ class _Shared:
             for cc in m.choice_classes[fi]
         }
 
-        # total order on a factor's choice classes for the multiset dedup
-        self.class_rep: list[dict[tuple, tuple[int, int]]] = [
-            {cc: max(cc) for cc in m.choice_classes[fi]} for fi in range(F)
-        ]
-
         self.fi_cons: list[list[tuple[int, dict]]] = []
         for fi in range(F):
             self.fi_cons.append(
@@ -794,19 +807,11 @@ class _Shared:
                     if m.con_contrib[ci][fi]
                 ]
             )
-        # per (factor, choice class): constraint contributions, precomputed
-        self.class_deltas: list[dict[tuple, tuple[dict, tuple]]] = []
-        for fi in range(F):
-            per = {}
-            for cc in m.choice_classes[fi]:
-                c0 = cc[0]
-                d = {
-                    ci: contrib[c0]
-                    for ci, contrib in self.fi_cons[fi]
-                    if contrib.get(c0)
-                }
-                per[cc] = (d, tuple(d.items()))
-            self.class_deltas.append(per)
+        self.choices: list[list[_Choice]] = [
+            [_Choice(m, fi, cc, self.fi_cons[fi], self.ncons)
+             for cc in m.choice_classes[fi]]
+            for fi in range(F)
+        ]
         self.con_of_menu = {
             m.check_cons[ci].menu: ci
             for ci in range(self.ncons)
@@ -1075,8 +1080,11 @@ def _build_lagrangian(sh: _Shared, m: MipModel, upper: float | None = None,
 def _make_shared(model: MipModel) -> _Shared:
     sh = _Shared(model)
     if not sh.balance:
-        (sh.kn_cost0_suffix, sh.kn_w_suffix, sh.kn_segs_at,
-         sh.kn_order) = _build_knapsack(sh, model, lambda ci: sh.choice_cost)
+        cost0, w, segs, order = _build_knapsack(sh, model, lambda ci: sh.choice_cost)
+        # per depth, one row per weighted constraint, tightest first: the
+        # tail's hull weight, zero-weight cost and hull segments
+        sh.kn_at = [[(ci, w[ci][nxt], cost0[ci][nxt], segs[ci][nxt]) for ci in order]
+                    for nxt in range(model.F + 1)]
         _build_lagrangian(sh, model)
     return sh
 

@@ -63,11 +63,11 @@ def test_reruns_are_bit_identical():
     assert a.x_assignment == b.x_assignment
 
 
-def test_thread_count_does_not_change_answer():
+def test_repeated_solves_give_the_same_answer():
     model = small_model()
-    base = solve(model, SolverOptions(threads=1))
-    for threads in (2, 4, 8):
-        other = solve(model, SolverOptions(threads=threads))
+    base = solve(model)
+    for _ in range(3):
+        other = solve(model)
         assert other.status == base.status
         assert other.objective_value == base.objective_value
         assert other.x_assignment == base.x_assignment
@@ -105,8 +105,6 @@ def test_space_guard():
 def test_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(time_limit_s=0)
-    with pytest.raises(ValueError):
-        SolverOptions(threads=0)
 
 
 def test_dump_lp_structure():
@@ -212,15 +210,15 @@ def test_penalized_bound_dominates_lagrangian(simba, tol):
         lam_tol = tol * sum(lam for _ci, lam in sh.lam_active)
         fi = search.order[0]
         for child in search._children(0):
-            _b, _key, _cc, I, k, _q, deltas, t_after = child
-            slacks = [sh.con_rhs[ci] - deltas.get(ci, 0.0) + tol for ci in range(sh.ncons)]
+            _key, I, k, _q, _b, choice, t_after = child
+            slacks = [sh.con_rhs[ci] - choice.row[ci] + tol for ci in range(sh.ncons)]
             if min(slacks, default=0.0) < 0.0:
                 continue
             base = model.static_obj[fi][(I, k)] + search.wt * t_after
-            pen = search._pen_bound(base, 0, deltas, -math.inf)
-            lagr = search._lagr_bound(base, 0, deltas)
+            pen = search._pen_bound(base, 0, choice.row, -math.inf)
+            lagr = search._lagr_bound(base, 0, choice.row)
             assert not math.isnan(pen), name
-            assert pen >= lagr - lam_tol - 1e-9, (name, child[2], pen, lagr)
+            assert pen >= lagr - lam_tol - 1e-9, (name, choice.cc, pen, lagr)
             checked += 1
     assert checked > 0
 
@@ -251,6 +249,41 @@ def test_conv28_matches_highs(simba, partition):
     reference = highs_objective(model)
     assert reference is not None
     assert abs(sol.objective_value - reference) <= 1e-9
+
+
+def test_search_counts_pinned(simba):
+    """Exact (nodes, leaves) of the branch-and-bound on fixed models.  Any
+    change to a bound, the child order or the pruning moves them; a change
+    that only makes nodes cheaper must leave them as they are."""
+    counts = {}
+    for name in ("tiny", "conv28"):
+        sol = solve(build_model(factorize(SUITE_LAYERS[name]), simba))
+        counts[name] = (sol.stats.nodes, sol.stats.leaves)
+    sol = solve(build_model(factorize(SUITE_LAYERS["conv28"]), simba,
+                            partition=PartitionSpec(budget_bytes=306367)))
+    counts["conv28-partition"] = (sol.stats.nodes, sol.stats.leaves)
+    stride2 = LayerDims(3, 3, 14, 14, 32, 64, 1, stride=2)
+    result = solve_layer(factorize(stride2, PaddingPolicy(max_prime=7)), simba)
+    stats = result.solution.stats
+    counts["stride2-3x3-14"] = (result.rounds, stats.nodes, stats.leaves)
+    # combined; combined with menus; traffic with menus; balance; balance
+    # with menus
+    for seed in (82, 101, 22, 214, 245):
+        model = random_instance(seed, max_space=60_000)
+        sol = solve(model)
+        counts[seed] = (model.weights.mode, bool(model.menus),
+                        sol.stats.nodes, sol.stats.leaves)
+    assert counts == {
+        "tiny": (14, 3),
+        "conv28": (11_367, 142),
+        "conv28-partition": (941, 24),
+        "stride2-3x3-14": (2, 2_560, 45),
+        82: ("combined", False, 77, 38),
+        101: ("combined", True, 12, 5),
+        22: ("traffic", True, 46, 29),
+        214: ("balance", False, 61, 28),
+        245: ("balance", True, 20, 15),
+    }
 
 
 def test_canonical_assignment_matches_reference(simba, monkeypatch):
