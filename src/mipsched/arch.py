@@ -188,6 +188,17 @@ class ArchSpec:
         computed once per arch."""
         return self._on_chip_pairs
 
+    @cached_property
+    def finite_capacities(self) -> tuple[tuple[int, int, int], ...]:
+        """(level, tensor, capacity in elements) for every on-chip pair
+        whose capacity is finite; computed once per arch."""
+        out = []
+        for i, v in self._on_chip_pairs:
+            cap = self.capacity_elements(i, v)
+            if not math.isinf(cap):
+                out.append((i, v, int(cap)))
+        return tuple(out)
+
 
 def log2_capacity(arch: ArchSpec, level: int, v: int) -> float:
     """log2 of the element capacity of (level, tensor); inf if unbounded.

@@ -7,7 +7,9 @@ statistics go to stderr so stdout is byte-deterministic for fixed inputs
 and seed.  Exit codes: 0 optimal, 2 parse/validation error, 3
 infeasible (also when a solved schedule still fails exact validation:
 a non-capacity violation, or capacity ones left after the last halo
-re-solve round), 4 timeout, 5 I/O error.
+re-solve round), 4 limit reached (the --time-limit timeout, or an
+enumerate assignment space above --limit, with nothing on stdout),
+5 I/O error.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import costmodel, schedule as sched_mod
 from .arch import (
@@ -38,8 +40,15 @@ from .formulation import (
     build_model,
 )
 from .schedule import CostReport, Schedule, decode, evaluate, render, serialize, validate
-from .search import NoValidScheduleError, SearchConfig, metric_value, random_search
-from .solver import Solution, SolverOptions, solve
+from .search import (
+    NoValidScheduleError,
+    SearchConfig,
+    metric_value,
+    order_scorer,
+    random_search,
+    valid_assignments,
+)
+from .solver import Solution, SolverOptions, SpaceTooLarge, solve
 from .workload import (
     DIM_NAMES,
     LayerDims,
@@ -51,7 +60,7 @@ from .workload import (
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
-EXIT_TIMEOUT = 4
+EXIT_TIMEOUT = 4  # any limit reached: --time-limit, or enumerate's --limit
 EXIT_IO = 5
 
 
@@ -313,12 +322,7 @@ def arch_with_partition(arch: ArchSpec, model: MipModel, solution: Solution) -> 
 
 def baseline_total_bytes(arch: ArchSpec) -> int:
     """Whole-element bytes of every storable on-chip buffer slice."""
-    total = 0
-    for I, v in arch.on_chip_pairs():
-        elems = arch.capacity_elements(I, v)
-        if not math.isinf(elems):
-            total += int(elems) * arch.precision_bytes[v]
-    return total
+    return sum(cap * arch.precision_bytes[v] for _I, v, cap in arch.finite_capacities)
 
 
 # ----------------------------------------------------------------------
@@ -501,23 +505,33 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_enumerate(cfg: RunConfig) -> int:
-    from .search import enumerate_all
+    """Exhaustive baseline: count every valid schedule and print the first
+    best one under --metric.
 
+    Each valid (level, mapping) assignment is evaluated once, on its
+    first loop order; every one of its orders is then counted and scored
+    by `order_scorer` from its NoC iteration counts alone.  The best is
+    kept as a levels tuple (strict `<`, so the first minimum wins), and a
+    `Schedule` is built only for it, to render.
+    """
     arch, layers = _load_inputs(cfg)
     dims = layers[0]
     pf = factorize(dims, PaddingPolicy(max_prime=cfg.max_prime))
+    metric = cfg.search.metric
     count = 0
-    best = None
-    for sched in enumerate_all(pf, arch, limit=cfg.enumerate_limit):
-        count += 1
-        rep = evaluate(sched, arch)
-        value = metric_value(rep, cfg.search.metric)
-        if best is None or value < best[0]:
-            best = (value, sched)
+    best = None  # (value, first-order schedule, levels)
+    for first, orders in valid_assignments(pf, arch, limit=cfg.enumerate_limit):
+        score = order_scorer(evaluate(first, arch), arch, metric)
+        for levels in orders:
+            count += 1
+            value = score(levels)
+            if best is None or value < best[0]:
+                best = (value, first, levels)
     print(f"valid_schedules {count}")
-    if best:
-        print(f"best_{cfg.search.metric} {best[0]}")
-        print(render(best[1]), end="")
+    if best is not None:
+        value, first, levels = best
+        print(f"best_{metric} {value}")
+        print(render(replace(first, levels=levels)), end="")
     return EXIT_OK
 
 
@@ -641,6 +655,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except SpaceTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TIMEOUT
     except (ConfigError, sched_mod.ScheduleParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -13,14 +13,22 @@ full products.  One pass over the loops builds it, and a tile of tensor
 v inside level I is then the product of row I's entries over the
 dimensions related to v (`row_tile`), or the halo window built from the
 same row.  Loop order within a level does not enter the table, so every
-loop order of one (level, mapping) assignment shares it; only the NoC
-iteration counts of `traffic_terms` depend on order.  All arithmetic is
-on Python integers, so every value is exact.
+loop order of one (level, mapping) assignment shares it.
+
+The model splits along the same line.  Tiles, compute cycles and the
+NoC terms of `transfer_terms` (transfer sizes, link multipliers, the
+reduction multiplier) are order-free: one evaluation serves every loop
+order of an assignment.  Only `noc_iterations`, the temporal transfer
+counts, depends on order, so scoring another order of the same
+assignment needs just that and `bytes_and_latency`, the one latency
+formula.  All arithmetic is on Python integers, so every value is exact
+up to the final division by the (possibly fractional) NoC bandwidth.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -129,28 +137,19 @@ class TensorTraffic:
     total_elems: int
 
 
-def traffic_terms(
-    schedule: "Schedule", arch: ArchSpec, include_reduction: bool = False
-) -> tuple[TensorTraffic, TensorTraffic, TensorTraffic]:
-    """Per-tensor NoC traffic: transfer size x link multiplier x iterations.
+def transfer_terms(
+    schedule: "Schedule", arch: ArchSpec
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Order-free NoC terms: per-tensor transfer size and link multiplier,
+    and the output's partial-sum reduction multiplier.
 
     The transfer size is the tensor's tile inside the NoC level.  Spatial
     NoC-level loops related to the tensor multiply its links; unrelated
-    ones multiply the output's partial-sum reduction.  The temporal
-    transfer count starts once a loop relevant to the tensor (and
-    storable at its level) is seen at or above the NoC level; from there
-    every outer temporal loop multiplies it.
-
-    ``include_reduction`` additionally charges output partial-sum
-    reduction across unrelated spatial dimensions; the linear model never
-    includes this term, so it stays off wherever log/product agreement is
-    checked.
+    ones multiply the output's reduction.
     """
     noc = arch.noc_level
-    A, B = arch.A.rows, arch.B.rows
+    A = arch.A.rows
     link = [1] * NUM_TENSORS
-    iters = [1] * NUM_TENSORS
-    seen = [False] * NUM_TENSORS
     red = 1
     for loop in schedule.levels[noc]:
         if loop.spatial:
@@ -160,9 +159,25 @@ def traffic_terms(
                     link[v] *= loop.bound
             if not rel[OA]:
                 red *= loop.bound
-    for I in range(noc, arch.num_levels):
+    row = schedule.tiles[noc]
+    stride = schedule.layer.stride
+    sizes = tuple(row_tile(row, arch, v, stride, False) for v in range(NUM_TENSORS))
+    return sizes, tuple(link), red
+
+
+def noc_iterations(levels: "tuple[tuple[Loop, ...], ...]", arch: ArchSpec) -> list[int]:
+    """Temporal NoC transfer count per tensor, the one order-dependent term.
+
+    The count starts once a temporal loop relevant to the tensor (and
+    storable at its level) is seen at or above the NoC level; from there
+    every outer temporal loop multiplies it.
+    """
+    A, B = arch.A.rows, arch.B.rows
+    iters = [1] * NUM_TENSORS
+    seen = [False] * NUM_TENSORS
+    for I in range(arch.noc_level, arch.num_levels):
         stores = B[I]
-        for loop in schedule.levels[I]:
+        for loop in levels[I]:
             if loop.spatial:
                 continue
             rel = A[loop.dim]
@@ -170,21 +185,37 @@ def traffic_terms(
                 if seen[v] or (rel[v] and stores[v]):
                     seen[v] = True
                     iters[v] *= loop.bound
-    row = schedule.tiles[noc]
-    stride = schedule.layer.stride
+    return iters
+
+
+def traffic_terms(
+    schedule: "Schedule", arch: ArchSpec, include_reduction: bool = False
+) -> tuple[TensorTraffic, TensorTraffic, TensorTraffic]:
+    """Per-tensor NoC traffic: transfer size x link multiplier x iterations
+    (`transfer_terms` x `noc_iterations`).
+
+    ``include_reduction`` additionally charges output partial-sum
+    reduction across unrelated spatial dimensions; the linear model never
+    includes this term, so it stays off wherever log/product agreement is
+    checked.
+    """
+    sizes, link, red = transfer_terms(schedule, arch)
+    iters = noc_iterations(schedule.levels, arch)
     out = []
     for v in range(NUM_TENSORS):
-        d = row_tile(row, arch, v, stride, False)
-        total = d * link[v] * iters[v]
+        total = sizes[v] * link[v] * iters[v]
         if include_reduction and v == OA:
             total *= red
-        out.append(TensorTraffic(d, link[v], iters[v], red if v == OA else 1, total))
+        out.append(TensorTraffic(sizes[v], link[v], iters[v], red if v == OA else 1, total))
     return tuple(out)
 
 
-def traffic_bytes(traffic, arch: ArchSpec) -> int:
-    return sum(t.total_elems * arch.precision_bytes[v] for v, t in enumerate(traffic))
+def bytes_and_latency(cycles: int, totals, arch: ArchSpec) -> tuple[int, int]:
+    """NoC bytes of per-tensor element totals, and latency in cycles.
 
-
-def noc_transfer_cycles(traffic, arch: ArchSpec) -> int:
-    return math.ceil(traffic_bytes(traffic, arch) / arch.noc_bandwidth)
+    Latency assumes transfers overlap compute perfectly (double
+    buffering): the maximum of compute cycles and total NoC transfer
+    cycles at the configured bandwidth.
+    """
+    nbytes = sum(map(operator.mul, totals, arch.precision_bytes))
+    return nbytes, max(cycles, math.ceil(nbytes / arch.noc_bandwidth))

@@ -8,7 +8,6 @@ composite bounds, which behave identically in the cost model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -211,17 +210,14 @@ def validate(schedule: Schedule, arch: ArchSpec, halo: bool = True) -> list[Sche
                     )
                 )
 
-    for I, v in arch.on_chip_pairs():
-        cap = arch.capacity_elements(I, v)
-        if math.isinf(cap):
-            continue
+    for I, v, cap in arch.finite_capacities:
         tile = costmodel.row_tile(rows[I], arch, v, stride, halo)
         if tile > cap:
             out.append(
                 ScheduleViolation(
                     "capacity",
                     f"{arch.levels[I].name}/{TENSOR_NAMES[v]}",
-                    f"tile {tile} elements > capacity {int(cap)}",
+                    f"tile {tile} elements > capacity {cap}",
                 )
             )
 
@@ -245,12 +241,8 @@ def validate(schedule: Schedule, arch: ArchSpec, halo: bool = True) -> list[Sche
 
 
 def evaluate(schedule: Schedule, arch: ArchSpec, include_reduction: bool = False) -> CostReport:
-    """Analytical cost: tiles, compute cycles, NoC traffic, latency.
-
-    Latency assumes transfers overlap compute perfectly (double
-    buffering): the maximum of compute cycles and total NoC transfer
-    cycles at the configured bandwidth.
-    """
+    """Analytical cost: tiles, compute cycles, NoC traffic, latency
+    (`costmodel.bytes_and_latency`)."""
     rows = schedule.tiles
     stride = schedule.layer.stride
     util = []
@@ -264,8 +256,9 @@ def evaluate(schedule: Schedule, arch: ArchSpec, include_reduction: bool = False
         util.append(tuple(row))
     cycles = costmodel.compute_cycles(schedule)
     traffic = costmodel.traffic_terms(schedule, arch, include_reduction=include_reduction)
-    nbytes = costmodel.traffic_bytes(traffic, arch)
-    latency = max(cycles, costmodel.noc_transfer_cycles(traffic, arch))
+    nbytes, latency = costmodel.bytes_and_latency(
+        cycles, [t.total_elems for t in traffic], arch
+    )
     return CostReport(
         utilization=tuple(util),
         compute_cycles=cycles,

@@ -5,15 +5,24 @@ draw raw configurations uniformly, keep the ones that validate, score
 them with the analytical model, return the best.  Draw i uses its own
 PRNG derived from (seed, i), so results are reproducible and independent
 of any sharding of the draw range.
+
+Enumeration walks (level, mapping) assignments (`valid_assignments`):
+each valid one comes with a lazy iterator over its distinct loop orders.
+`enumerate_all` flattens that into schedules; `order_scorer` scores one
+order of an evaluated assignment from its NoC iteration counts alone,
+so a full scan evaluates each assignment once and never builds a
+`Schedule` per order.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
+from . import costmodel
 from .arch import ArchSpec
 from .formulation import SPATIAL, TEMPORAL
 from .schedule import CostReport, Loop, Schedule, evaluate, validate
@@ -21,6 +30,8 @@ from .solver import SpaceTooLarge
 from .workload import PrimeFactorization, total_factor_count
 
 METRICS = ("latency", "traffic", "compute")
+
+Levels = tuple[tuple[Loop, ...], ...]  # loops per level, inner -> outer
 
 _MIX = 0x9E3779B97F4A7C15
 _M64 = (1 << 64) - 1
@@ -124,7 +135,7 @@ def random_search(
     return best[2], best[3], stats
 
 
-def _distinct_orders(items: list) -> Iterator[tuple]:
+def _distinct_orders(items: tuple) -> Iterator[tuple]:
     """All distinct permutations of a multiset, lexicographic by position."""
     if not items:
         yield ()
@@ -140,22 +151,24 @@ def _distinct_orders(items: list) -> Iterator[tuple]:
             yield (head,) + tail
 
 
-def enumerate_all(
+def valid_assignments(
     pf: PrimeFactorization, arch: ArchSpec, limit: int = 1_000_000
-) -> Iterator[Schedule]:
-    """Yield every valid schedule exactly once, in deterministic order.
+) -> Iterator[tuple[Schedule, Iterator[Levels]]]:
+    """Yield every valid (level, mapping) assignment once, in deterministic
+    order, as its first-order schedule and a lazy iterator over its
+    distinct loop orders (levels tuples, the first order included).
 
     Distinct schedules differ in some loop's level, binding, or in the
     loop order within a level; permutations of identical factors are not
     duplicated.  Guarded by the raw assignment-space size.
 
-    Validity is decided once per (level, mapping) assignment, on its
-    first loop order: every check of `validate` (dimension products, the
-    spatial fanout, the spatial dimensions allowed per level, per-tensor
-    and shared capacities) reads only which loops sit at which level and
-    how they are bound, never their order within a level.  So either all
-    orders of an assignment are valid or none is, and the orders of an
-    invalid assignment are skipped without building them.
+    Validity is decided once per assignment, on its first loop order:
+    every check of `validate` (dimension products, the spatial fanout,
+    the spatial dimensions allowed per level, per-tensor and shared
+    capacities) reads only which loops sit at which level and how they
+    are bound, never their order within a level.  So either all orders of
+    an assignment are valid or none is, and the orders of an invalid
+    assignment are never built.
     """
     flat = pf.flat()
     F = len(flat)
@@ -191,27 +204,67 @@ def enumerate_all(
                 yield from maps(fi + 1, current)
                 current.pop()
 
+    # one Loop per (factor, binding), shared by every assignment
+    loop_of = [
+        {k: Loop(j, prime, k == SPATIAL) for k in (TEMPORAL, SPATIAL)}
+        for j, n, prime, _lg in flat
+    ]
+    # distinct orders of one level's loops, listed once per loop sequence
+    orders_of: dict[tuple[Loop, ...], tuple[tuple[Loop, ...], ...]] = {}
     for assignment in maps(0, []):
         per_level: list[list[Loop]] = [[] for _ in range(H)]
         for fi, (I, k) in enumerate(assignment):
-            j, n, prime, _lg = flat[fi]
-            per_level[I].append(Loop(j, prime, k == SPATIAL))
+            per_level[I].append(loop_of[fi][k])
         # the first distinct order of every level is the assignment's own
+        levels = tuple(tuple(loops) for loops in per_level)
         first = Schedule(
-            levels=tuple(tuple(loops) for loops in per_level),
-            level_names=level_names,
-            layer=pf.dims,
-            arch_name=arch.name,
+            levels=levels, level_names=level_names, layer=pf.dims, arch_name=arch.name
         )
         if validate(first, arch):
             continue
+        for loops in levels:
+            if loops not in orders_of:
+                orders_of[loops] = tuple(_distinct_orders(loops))
+        yield first, itertools.product(*(orders_of[loops] for loops in levels))
+
+
+def enumerate_all(
+    pf: PrimeFactorization, arch: ArchSpec, limit: int = 1_000_000
+) -> Iterator[Schedule]:
+    """Yield every valid schedule exactly once, in deterministic order:
+    the loop orders of each of `valid_assignments`, flattened."""
+    for first, orders in valid_assignments(pf, arch, limit):
+        next(orders)  # the first order is `first` itself
         yield first
-        orders = itertools.product(*(_distinct_orders(loops) for loops in per_level))
-        next(orders)
         for levels in orders:
             yield Schedule(
                 levels=levels,
-                level_names=level_names,
-                layer=pf.dims,
-                arch_name=arch.name,
+                level_names=first.level_names,
+                layer=first.layer,
+                arch_name=first.arch_name,
             )
+
+
+def order_scorer(report: CostReport, arch: ArchSpec, metric: str) -> Callable[[Levels], int]:
+    """`metric_value` of any loop order of the assignment that `report`
+    evaluates, as a function of that order's levels.
+
+    Only the NoC iteration counts depend on loop order (see `costmodel`),
+    so each order costs one `costmodel.noc_iterations` call on top of the
+    report's order-free terms; compute cycles do not depend on it at all.
+    """
+    cycles = report.compute_cycles
+    if metric == "compute":
+        return lambda levels: cycles
+    # elements per NoC iteration: everything in a total but its count
+    per_iter = [t.total_elems // t.iterations for t in report.traffic]
+
+    def totals(levels: Levels) -> list[int]:
+        iters = costmodel.noc_iterations(levels, arch)
+        return list(map(operator.mul, per_iter, iters))
+
+    if metric == "traffic":
+        return lambda levels: sum(totals(levels))
+    if metric == "latency":
+        return lambda levels: costmodel.bytes_and_latency(cycles, totals(levels), arch)[1]
+    raise ValueError(f"unknown metric {metric!r}")

@@ -8,6 +8,7 @@ from mipsched.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_TIMEOUT,
     ConfigError,
     baseline_total_bytes,
     load_arch,
@@ -262,17 +263,75 @@ class TestSweepCommand:
         assert best <= int(default_row.split()[4])
 
 
+ENUM_SMALL_LAYER = "[layer]\nR=3\nS=1\nP=2\nQ=1\nC=2\nK=2\nN=1\nStride=1\n"
+
+# helpers.toy_two_level(fanout=4, cap=16.0) as a file: the NoC boundary is
+# level 0, so the loop order of every level moves the traffic
+TOY2_ARCH = """\
+[arch]
+name=toy2
+precision=1,1,3
+bandwidth=8
+[level]
+name=Buf
+capacity=16,16,16
+fanout=4
+noc=true
+[level]
+name=Mem
+capacity=inf,inf,inf
+fanout=1
+"""
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
 class TestEnumerateCommand:
     def test_enumerate_stdout_unchanged(self, tmp_path, capsys):
         """Count, best latency and first-best render of a small layer on
         the baseline target, byte for byte as recorded in the golden file
         (10,608 valid schedules out of 10,632 candidate loop orders)."""
         p = tmp_path / "small.layer"
-        p.write_text("[layer]\nR=3\nS=1\nP=2\nQ=1\nC=2\nK=2\nN=1\nStride=1\n")
+        p.write_text(ENUM_SMALL_LAYER)
         code = main(["enumerate", "--limit", "2000000", "--layer", str(p)])
         assert code == EXIT_OK
-        golden = (Path(__file__).parent / "golden" / "enumerate_small.txt").read_text()
+        golden = (GOLDEN / "enumerate_small.txt").read_text()
         assert capsys.readouterr().out == golden
+
+    @pytest.mark.parametrize("metric", ["traffic", "compute"])
+    def test_enumerate_metric_stdout_unchanged(self, metric, tmp_path, capsys):
+        """The same layer under the other metrics, byte for byte."""
+        p = tmp_path / "small.layer"
+        p.write_text(ENUM_SMALL_LAYER)
+        code = main(
+            ["enumerate", "--limit", "2000000", "--metric", metric, "--layer", str(p)]
+        )
+        assert code == EXIT_OK
+        golden = (GOLDEN / f"enumerate_small_{metric}.txt").read_text()
+        assert capsys.readouterr().out == golden
+
+    def test_enumerate_toy2_stdout_unchanged(self, tmp_path, capsys):
+        """Latency on a two-level target whose NoC boundary is the inner
+        level, stride 2 (3,240 valid schedules), byte for byte."""
+        arch = tmp_path / "toy2.arch"
+        arch.write_text(TOY2_ARCH)
+        p = tmp_path / "toy2.layer"
+        p.write_text("[layer]\nR=3\nS=3\nP=2\nQ=2\nC=1\nK=2\nN=1\nStride=2\n")
+        code = main(["enumerate", "--arch", str(arch), "--layer", str(p)])
+        assert code == EXIT_OK
+        golden = (GOLDEN / "enumerate_toy2_latency.txt").read_text()
+        assert capsys.readouterr().out == golden
+
+    def test_enumerate_limit_exits_limit_reached(self, tmp_path, capsys):
+        """An assignment space above --limit is a limit reached, like a
+        timeout: exit 4, the error on stderr, nothing on stdout."""
+        p = tmp_path / "big.layer"
+        p.write_text("[layer]\nR=3\nS=3\nP=28\nQ=28\nC=64\nK=64\nN=1\n")
+        code = main(["enumerate", "--limit", "1000", "--layer", str(p)])
+        assert code == EXIT_TIMEOUT == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: assignment space ")
 
     def test_enumerate_small(self, tmp_path, toy_arch, capsys):
         p = tmp_path / "small.layer"

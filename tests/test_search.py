@@ -1,17 +1,21 @@
 import math
+from dataclasses import replace
 
 import pytest
 
-from helpers import reference_enumerate_all, toy_two_level
+from helpers import reference_enumerate_all, reference_evaluate, toy_two_level
 from mipsched import search
 from mipsched.formulation import ObjectiveWeights, build_model
-from mipsched.schedule import encode, validate
+from mipsched.schedule import encode, evaluate, validate
 from mipsched.search import (
+    METRICS,
     NoValidScheduleError,
     SearchConfig,
     enumerate_all,
     metric_value,
+    order_scorer,
     random_search,
+    valid_assignments,
 )
 from mipsched.solver import SpaceTooLarge, solve
 from mipsched.workload import LayerDims, factorize
@@ -125,7 +129,9 @@ def _assignment(sched):
     )
 
 
-@pytest.mark.parametrize(
+# toy2's NoC boundary is level 0, so every loop order can move the traffic;
+# simba's is level 4 of 6
+ENUMERATE_CASES = pytest.mark.parametrize(
     "arch_name,dims,stride",
     [
         pytest.param("toy2", (1, 1, 2, 1, 1, 4, 1), 1, id="toy2-p2k4"),
@@ -134,6 +140,9 @@ def _assignment(sched):
         pytest.param("simba", (3, 1, 2, 1, 2, 2, 1), 1, id="simba-r3p2c2k2"),
     ],
 )
+
+
+@ENUMERATE_CASES
 def test_enumerate_matches_reference(simba, monkeypatch, arch_name, dims, stride):
     """Validating once per assignment yields the same schedules, in the
     same order, as validating every loop order; invalid assignments are
@@ -155,3 +164,25 @@ def test_enumerate_matches_reference(simba, monkeypatch, arch_name, dims, stride
     assert verdicts.count(True) == len({_assignment(s) for s in got})
     assert verdicts.count(False) > 0
     assert len(verdicts) < len(got)
+
+
+@ENUMERATE_CASES
+def test_enumerate_scores_match_reference(simba, arch_name, dims, stride):
+    """Scoring a loop order from its assignment's one evaluation and its
+    own NoC iteration counts equals a full reference evaluation of that
+    order, for every order and every metric."""
+    arch = simba if arch_name == "simba" else toy_two_level(fanout=4, cap=16.0)
+    pf = factorize(LayerDims(*dims, stride=stride))
+    orders = 0
+    moved = False  # some order's traffic differs from its first order's
+    for first, levels_iter in valid_assignments(pf, arch, limit=10**7):
+        report = evaluate(first, arch)
+        scorers = {m: order_scorer(report, arch, m) for m in METRICS}
+        for levels in levels_iter:
+            orders += 1
+            ref = reference_evaluate(replace(first, levels=levels), arch)
+            for metric, score in scorers.items():
+                assert score(levels) == metric_value(ref, metric), (levels, metric)
+            moved |= metric_value(ref, "traffic") != metric_value(report, "traffic")
+    assert orders == sum(1 for _ in enumerate_all(pf, arch, limit=10**7))
+    assert moved
