@@ -18,7 +18,6 @@ from .workload import NUM_DIMS
 
 TENSOR_NAMES = ("W", "IA", "OA")
 NUM_TENSORS = len(TENSOR_NAMES)
-TENSOR_INDEX = {name: v for v, name in enumerate(TENSOR_NAMES)}
 
 W, IA, OA = 0, 1, 2
 

@@ -300,24 +300,9 @@ def arch_with_partition(arch: ArchSpec, model: MipModel, solution: Solution) -> 
         ent = menu.entries[solution.menu_selection[mi]]
         caps[menu.level][menu.tensor] = float(ent.nbytes)
     levels = tuple(
-        MemLevel(
-            name=lvl.name,
-            capacity_bytes=tuple(caps[i]),
-            spatial_fanout=lvl.spatial_fanout,
-            is_noc_boundary=lvl.is_noc_boundary,
-            allowed_spatial_dims=lvl.allowed_spatial_dims,
-        )
-        for i, lvl in enumerate(arch.levels)
+        replace(lvl, capacity_bytes=tuple(caps[i])) for i, lvl in enumerate(arch.levels)
     )
-    return ArchSpec(
-        levels=levels,
-        A=arch.A,
-        B=arch.B,
-        precision_bytes=arch.precision_bytes,
-        noc_bandwidth=arch.noc_bandwidth,
-        shared_capacity_bytes=arch.shared_capacity_bytes,
-        name=arch.name + "+partition",
-    )
+    return replace(arch, levels=levels, name=arch.name + "+partition")
 
 
 def baseline_total_bytes(arch: ArchSpec) -> int:

@@ -206,7 +206,6 @@ class MipModel:
         self.g_positions: list[tuple[int, int]] = [
             (I, z) for I in range(self.noc, self.H) for z in range(self.Z)
         ]
-        self.g_index = {pos: gi for gi, pos in enumerate(self.g_positions)}
 
     def _build_costs(self):
         arch = self.arch
@@ -397,7 +396,7 @@ class MipModel:
 
         Returns (per-tensor T log-sums, combined sum in canonical order).
         Only occupied positions add to the sums, so the scan walks them in
-        `g_index` order (level, then rank) and skips the empty ones.
+        `g_positions` order (level, then rank) and skips the empty ones.
         """
         occ: dict[tuple[int, int], int] = {}
         for fi, (I, z, k) in x_assign.items():

@@ -62,9 +62,6 @@ class Schedule:
     def dim_product(self, j: int) -> int:
         return self.tiles[-1][j]
 
-    def all_loops(self) -> list[tuple[int, Loop]]:
-        return [(I, loop) for I, loops in enumerate(self.levels) for loop in loops]
-
 
 @dataclass(frozen=True)
 class ScheduleViolation:

@@ -22,7 +22,10 @@ member of their class, so results are bit-stable across runs.  The search
 is single-threaded.  A child reads one flat record per (factor, choice
 class), `_Choice`; a constraint the class leaves alone reads 0.0 in its
 dense row, so every bound is evaluated with the same operands in the same
-order as a sparse lookup would give, and node counts stay pinned.
+order as a sparse lookup would give, and node counts stay pinned.  One
+`_Search` owns a solve's bound tables and its search state; every table
+is built from the `_Choice` records, and `_Search._suffix` is the one
+place the static branch order is summed into a per-depth table.
 
 `exhaustive_solve` enumerates the raw assignment space and serves as the
 independent optimality oracle for desk-scale instances.
@@ -154,7 +157,7 @@ def canonical_assignment(
     model: MipModel,
     choice_cls: list[tuple[tuple[int, int], ...]],
     chains: dict[int, list[int]],
-    sh: "_Shared",
+    sh: "_Search",
 ) -> dict[int, tuple[int, int, int]]:
     """Lexicographically smallest raw assignment realizing a leaf class.
 
@@ -294,29 +297,110 @@ class _Incumbent:
 
 
 class _Search:
-    """Depth-first search state over the collapsed space; one instance runs
-    every phase of a solve (dive, LDS, DFS)."""
+    """One solve: the model-derived tables, built from the `_Choice`
+    records, and the depth-first search state over the collapsed space.
+    One instance runs every phase (dive, LDS, DFS); only
+    `_build_lagrangian` and `_build_penalized_knapsack` update the tables,
+    between phases."""
+
+    # slotted: the search reads these attributes on every node
+    __slots__ = (
+        "m", "tol", "inc", "deadline", "stopped", "nodes", "leaves", "order",
+        "prev_same", "wt", "balance", "ncons", "con_rhs", "cap", "con_of_menu",
+        "cls_of", "canon_options", "choices", "costs", "suffix_min", "kn_at",
+        "lam_active", "lagr_suffix", "pen_at", "suffix_comp_lo",
+        "suffix_comp_hi", "suffix_traf_lo", "traf_hi_const", "choice_rec",
+        "chains", "con_lhs", "static_sum", "comp_sum", "dl_sum", "t_stack",
+    )
 
     def __init__(self, model: MipModel, tol: float, incumbent: _Incumbent,
-                 deadline: float, shared: "_Shared"):
+                 deadline: float):
         m = self.m = model
+        F = m.F
         self.tol = tol
         self.inc = incumbent
         self.deadline = deadline
         self.stopped = False
         self.nodes = 0
         self.leaves = 0
-
-        sh = self.shared = shared
-        self.order = sh.order
-        self.prev_same = sh.prev_same
         self.wt = m.weights.effective()[2]
         self.balance = m.weights.mode == "balance"
 
         self.ncons = len(m.check_cons)
-        self.con_rhs = sh.con_rhs
-        self.cap = [rhs + tol for rhs in sh.con_rhs]
-        self.con_of_menu = sh.con_of_menu
+        self.con_rhs = [c.rhs for c in m.check_cons]
+        self.cap = [rhs + tol for rhs in self.con_rhs]
+        self.con_of_menu = {
+            m.check_cons[ci].menu: ci
+            for ci in range(self.ncons)
+            if m.check_cons[ci].menu is not None
+        }
+        # per depth, rows of the penalized knapsack bound; filled by
+        # _build_penalized_knapsack
+        self.pen_at: list[list[tuple]] = [[] for _ in range(F + 1)]
+
+        # largest log-factor first; bigger identical classes ahead on ties
+        # (filling capacity early tightens the relaxation bounds sooner)
+        cls_size: dict[int, int] = {}
+        for f in m.factors:
+            cls_size[f.cls] = cls_size.get(f.cls, 0) + 1
+        key = lambda fi: (
+            -m.factors[fi].lg,
+            -cls_size[m.factors[fi].cls],
+            m.factors[fi].j,
+            m.factors[fi].n,
+        )
+        self.order = sorted(range(F), key=key)
+        self.prev_same: list[int | None] = [None] * F
+        last: dict[int, int] = {}
+        for fi in self.order:
+            cls = m.factors[fi].cls
+            self.prev_same[fi] = last.get(cls)
+            last[cls] = fi
+
+        # canonical_assignment's tables: factor -> identical class, and
+        # choice class -> (its single level or None, its options by
+        # (level, mapping) descending)
+        self.cls_of = [f.cls for f in m.factors]
+        self.canon_options = {
+            cc: (cc[0][0] if len({I for I, _k in cc}) == 1 else None,
+                 tuple(sorted(cc, reverse=True)))
+            for fi in range(F)
+            for cc in m.choice_classes[fi]
+        }
+
+        # Every member of a choice class has the same coefficients and
+        # constraint row, and classes come in order of first appearance,
+        # so a table built over the records equals one built over every
+        # collapsed choice, float for float.
+        self.choices: list[list[_Choice]] = [
+            [_Choice(m, fi, cc) for cc in m.choice_classes[fi]] for fi in range(F)
+        ]
+        if self.balance:
+            self.suffix_comp_lo = self._suffix(
+                [min(rec.comp for rec in recs) for recs in self.choices])
+            self.suffix_comp_hi = self._suffix(
+                [max(rec.comp for rec in recs) for recs in self.choices])
+            self.suffix_traf_lo = self._suffix(
+                [min(rec.dl + rec.self_t for rec in recs) for recs in self.choices])
+            total_lg = sum(f.lg for f in m.factors)
+            self.traf_hi_const = (
+                sum(max(rec.dl for rec in recs) for recs in self.choices)
+                + 3.0 * total_lg
+            )
+            self.lam_active = []
+        else:
+            # per class, full cost (static plus guaranteed self-trigger
+            # traffic)
+            self.costs = [[rec.static + self.wt * rec.self_t for rec in recs]
+                          for recs in self.choices]
+            self.suffix_min = self._suffix([min(costs) for costs in self.costs])
+            tabs, order = self._build_knapsack(self.costs, [0.0] * self.ncons)
+            # per depth, one row per weighted constraint, tightest first:
+            # the tail's hull weight, zero-weight cost and hull segments
+            self.kn_at = [[(ci, tabs[ci][0][nxt], tabs[ci][1][nxt], tabs[ci][2][nxt])
+                           for ci in order]
+                          for nxt in range(F + 1)]
+            self._build_lagrangian()
         self.reset()
 
     def reset(self):
@@ -332,6 +416,222 @@ class _Search:
         self.comp_sum = 0.0
         self.dl_sum = 0.0
         self.t_stack = [0.0]
+
+    # -- tables --------------------------------------------------------
+
+    def _suffix(self, values: list[float]) -> list[float]:
+        """Per depth, the sum of `values[fi]` over the factors the branch
+        order leaves unassigned there; the one place that order enters a
+        summed table."""
+        out = [0.0] * (self.m.F + 1)
+        for idx in range(self.m.F - 1, -1, -1):
+            out[idx] = out[idx + 1] + values[self.order[idx]]
+        return out
+
+    def _build_knapsack(self, costs: list[list[float]], lam: list[float]):
+        """LP relaxation of each capacity constraint i as a multiple-choice
+        knapsack (Sinha & Zoltners 1979) over the unassigned tail; a class
+        costs `costs[fi][j]` less `lam[i]` times its weight on i.
+
+        Returns, per constraint, the tail's total hull weight, its cheapest
+        zero-weight cost and its density-sorted hull segments, each per
+        depth; and the constraints that carry weight, tightest first."""
+        F = self.m.F
+        tables = []
+        for ci in range(self.ncons):
+            lam_i = lam[ci]
+            cost0_row = []
+            seg_w_row = [0.0] * F
+            per_factor_segs: list[list[tuple[float, float]]] = []
+            for fi in range(F):
+                pts = []
+                zero_costs = []
+                for rec, cost in zip(self.choices[fi], costs[fi]):
+                    w = rec.row[ci]
+                    if lam_i:
+                        cost = cost - lam_i * w
+                    if w > 0.0:
+                        pts.append((w, cost))
+                    else:
+                        zero_costs.append(cost)
+                c0 = min(zero_costs)
+                cost0_row.append(c0)
+                dedup: dict[float, float] = {}
+                for w, cost in pts:
+                    g = c0 - cost
+                    if g > 0.0 and g > dedup.get(w, 0.0):
+                        dedup[w] = g
+                gains = sorted(dedup.items())
+                segs: list[tuple[float, float]] = []
+                if gains:
+                    # concave gain frontier anchored at (0, 0): increasing
+                    # gain, decreasing incremental density
+                    hull: list[tuple[float, float]] = [(0.0, 0.0)]
+                    for w, g in gains:
+                        if g <= hull[-1][1]:
+                            continue  # dominated by a lighter point
+                        hull.append((w, g))
+                        while len(hull) >= 3:
+                            (w1, g1), (w2, g2), (w3, g3) = hull[-3:]
+                            if (g2 - g1) * (w3 - w2) <= (g3 - g2) * (w2 - w1):
+                                hull.pop(-2)
+                            else:
+                                break
+                    for (pw, pg), (w, g) in zip(hull, hull[1:]):
+                        segs.append(((g - pg) / (w - pw), w - pw))
+                        seg_w_row[fi] += w - pw
+                per_factor_segs.append(segs)
+
+            # per depth, the unassigned tail's density-sorted segment pool
+            segs_at: list[list[tuple[float, float]]] = [[] for _ in range(F + 1)]
+            pool: list[tuple[float, int, float]] = []
+            for idx in range(F - 1, -1, -1):
+                pool = sorted(
+                    pool + [(d, idx, w) for d, w in per_factor_segs[self.order[idx]]],
+                    key=lambda s: (-s[0], s[1], s[2]),
+                )
+                segs_at[idx] = [(d, w) for d, _i, w in pool]
+            tables.append((self._suffix(seg_w_row), self._suffix(cost0_row), segs_at))
+
+        # evaluate tightest constraints first so pruning exits early
+        def tightness(ci):
+            rhs = self.con_rhs[ci]
+            w = tables[ci][0][0]
+            if w <= 0.0 or math.isinf(rhs):
+                return INF
+            return rhs / w
+
+        order = sorted(
+            (ci for ci in range(self.ncons) if tables[ci][0][0] > 0.0), key=tightness
+        )
+        return tables, order
+
+    def _build_penalized_knapsack(self):
+        """Knapsack tables of `_pen_bound`: constraint i stays explicit and
+        every other constraint j is priced into the class costs at the root
+        multiplier lambda_j.  Built once, from the final multipliers."""
+        lam = [0.0] * self.ncons
+        for ci, value in self.lam_active:
+            lam[ci] = value
+        priced = [
+            [cost + sum(lam[ci] * add for ci, add in rec.items)
+             for rec, cost in zip(recs, costs)]
+            for recs, costs in zip(self.choices, self.costs)
+        ]
+        tabs, order = self._build_knapsack(priced, lam)
+        # per depth, one row per finite constraint (0 * inf is NaN): its
+        # multiplier, tail cost0, and the hull segments as cumulative weights
+        # and gains with their densities, for a bisect instead of a walk.  A
+        # child at depth pos reads the rows of its tail, pos + 1.  At depth F
+        # the tail is empty and the bound is at most the child's own bound, so
+        # that depth keeps no rows.
+        finite = [ci for ci in order if not math.isinf(self.con_rhs[ci])]
+        for nxt in range(1, self.m.F):
+            row = []
+            for ci in finite:
+                _w, cost0_suffix, segs_at = tabs[ci]
+                cw, cg, dens = [0.0], [0.0], []
+                for density, dw in segs_at[nxt]:
+                    cw.append(cw[-1] + dw)
+                    cg.append(cg[-1] + density * dw)
+                    dens.append(density)
+                row.append((ci, lam[ci], cost0_suffix[nxt], cw, cg, dens))
+            self.pen_at[nxt] = row
+
+    def _build_lagrangian(self, upper: float | None = None, iters: int = 240):
+        """Projected subgradient ascent on the capacity-relaxed dual at the
+        root; the resulting fixed multipliers give a cheap per-node bound.
+        With a known incumbent value, Polyak steps are used."""
+        F = self.m.F
+        ncons = self.ncons
+        con_rhs = self.con_rhs
+        finite = [ci for ci in range(ncons) if not math.isinf(con_rhs[ci])]
+        lam = [0.0] * ncons
+        best_lam = list(lam)
+        best_val = -INF
+        if F and finite:
+            per_factor = [
+                [(cost, [(ci, w) for ci, w in rec.items
+                         if not math.isinf(con_rhs[ci])])
+                 for rec, cost in zip(recs, costs)]
+                for recs, costs in zip(self.choices, self.costs)
+            ]
+            scale = max(abs(x) for x in [min(costs) for costs in self.costs] + [1.0])
+            beta = 1.2
+            stall = 0
+            for it in range(iters):
+                val = 0.0
+                usage = [0.0] * ncons
+                for fi in range(F):
+                    bc, bw = INF, ()
+                    for cost, ws in per_factor[fi]:
+                        t = cost
+                        for ci, w in ws:
+                            t += lam[ci] * w
+                        if t < bc:
+                            bc, bw = t, ws
+                    val += bc
+                    for ci, w in bw:
+                        usage[ci] += w
+                for ci in finite:
+                    val -= lam[ci] * con_rhs[ci]
+                if val > best_val + 1e-12:
+                    best_val = val
+                    best_lam = list(lam)
+                    stall = 0
+                else:
+                    stall += 1
+                    if stall >= 10:
+                        beta *= 0.6
+                        stall = 0
+                        if beta < 1e-3:
+                            break
+                g = [usage[ci] - con_rhs[ci] for ci in finite]
+                norm2 = sum(x * x for x in g)
+                if norm2 <= 1e-18:
+                    break
+                if upper is not None and upper > val:
+                    step = beta * (upper - val) / norm2
+                else:
+                    step = 0.4 * scale / ((1.0 + 0.15 * it) * math.sqrt(norm2))
+                for gi, ci in enumerate(finite):
+                    lam[ci] = max(0.0, lam[ci] + step * g[gi])
+        self.lam_active = [(ci, l) for ci, l in enumerate(best_lam) if l > 1e-12]
+        lagr_min = []
+        for recs, costs in zip(self.choices, self.costs):
+            best = INF
+            for rec, t in zip(recs, costs):
+                for ci, w in rec.items:
+                    if best_lam[ci]:
+                        t += best_lam[ci] * w
+                if t < best:
+                    best = t
+            lagr_min.append(best)
+        self.lagr_suffix = self._suffix(lagr_min)
+
+    def _root_witness(self) -> tuple[str, ...] | None:
+        """Best-effort irreducible cause when no feasible leaf exists.  It
+        scans each class's dense row: a capacity pad above the capacity
+        makes rhs < 0, and then a zero contribution already violates."""
+        m = self.m
+        names = []
+        for recs in self.choices:
+            blocking = set()
+            any_ok = False
+            for rec in recs:
+                bad = [m.check_cons[ci].name
+                       for ci, add in enumerate(rec.row) if add > self.cap[ci]]
+                if bad:
+                    blocking.update(bad)
+                else:
+                    any_ok = True
+            if not any_ok:
+                names.extend(sorted(blocking))
+        if m.menus:
+            floor_bytes = sum(menu.entries[0].nbytes for menu in m.menus)
+            if floor_bytes > m.budget_bytes:
+                names.append("budget")
+        return tuple(names) or None
 
     # -- helpers -------------------------------------------------------
 
@@ -387,21 +687,24 @@ class _Search:
                 d += f.lg + (cum[upto] - cum[p])
         return d
 
+    def _first_fit(self, menu, lo: float) -> int | None:
+        """Index of the smallest entry of `menu` that holds `lo`, or None.
+        Entries ascend in size, so every later entry holds it too."""
+        for ei, ent in enumerate(menu.entries):
+            if ent.e + self.tol >= lo:
+                return ei
+        return None
+
     def _min_menu_bytes(self, row: list[float]) -> int:
         """Cheapest admissible partition total given current buffer sums."""
         m = self.m
         total = 0
         for mi, menu in enumerate(m.menus):
             ci = self.con_of_menu[mi]
-            lo = self.con_lhs[ci] + m.check_cons[ci].pad + row[ci]
-            pick = None
-            for ent in menu.entries:
-                if ent.e + self.tol >= lo:
-                    pick = ent
-                    break
-            if pick is None:
+            ei = self._first_fit(menu, self.con_lhs[ci] + m.check_cons[ci].pad + row[ci])
+            if ei is None:
                 return 1 << 62
-            total += pick.nbytes
+            total += menu.entries[ei].nbytes
         return total
 
     def _knap_bound(self, base: float, pos: int, row: list[float],
@@ -413,7 +716,7 @@ class _Search:
         best = -INF
         con_lhs = self.con_lhs
         con_rhs = self.con_rhs
-        for ci, w_suffix, cost0, segs in self.shared.kn_at[pos + 1]:
+        for ci, w_suffix, cost0, segs in self.kn_at[pos + 1]:
             slack = con_rhs[ci] - con_lhs[ci] - row[ci]
             if slack >= w_suffix:
                 continue  # constraint cannot bind: no better than the plain bound
@@ -434,9 +737,8 @@ class _Search:
 
     def _lagr_bound(self, base: float, pos: int, row: list[float]) -> float:
         """Root Lagrangian relaxation evaluated with the current slacks."""
-        sh = self.shared
-        b = base + sh.lagr_suffix[pos + 1]
-        for ci, lam in sh.lam_active:
+        b = base + self.lagr_suffix[pos + 1]
+        for ci, lam in self.lam_active:
             b -= lam * (self.con_rhs[ci] - self.con_lhs[ci] - row[ci])
         return b
 
@@ -449,15 +751,14 @@ class _Search:
         include the tolerance, so every completion the capacity check
         admits is covered.  By LP duality each term is at least the
         Lagrangian bound at the same multipliers."""
-        sh = self.shared
         con_lhs = self.con_lhs
         con_rhs = self.con_rhs
         tol = self.tol
         refund = 0.0
-        for ci, lam in sh.lam_active:
+        for ci, lam in self.lam_active:
             refund += lam * (con_rhs[ci] - con_lhs[ci] - row[ci] + tol)
         best = threshold
-        for ci, lam_i, cost0, cw, cg, dens in sh.pen_at[pos + 1]:
+        for ci, lam_i, cost0, cw, cg, dens in self.pen_at[pos + 1]:
             slack = con_rhs[ci] - con_lhs[ci] - row[ci] + tol
             upper = base + cost0 - (refund - lam_i * slack)
             if upper <= best:
@@ -480,7 +781,7 @@ class _Search:
         thresh = self.inc.obj + EPS_PRUNE
         if child[4] > thresh:
             return True
-        if not self.shared.pen_at[pos + 1]:
+        if not self.pen_at[pos + 1]:
             return False
         rec, t_after = child[5], child[6]
         base = self.static_sum + rec.static + self.wt * t_after
@@ -500,7 +801,7 @@ class _Search:
         cap = self.cap
         profile = None
         out = []
-        for rec in self.shared.choices[fi]:
+        for rec in self.choices[fi]:
             if limit is not None and rec.rep > limit:
                 continue
             ok = True
@@ -544,11 +845,10 @@ class _Search:
     def _node_bound(self, pos, rec, t_after) -> float | None:
         """Admissible lower bound for the child, or None when prunable."""
         inc_obj = self.inc.obj
-        sh = self.shared
         if not self.balance:
             base = self.static_sum + rec.static + self.wt * t_after
             thresh = inc_obj + EPS_PRUNE
-            b = base + sh.suffix_min[pos + 1]
+            b = base + self.suffix_min[pos + 1]
             if b > thresh:
                 return None
             b2 = self._lagr_bound(base, pos, rec.row)
@@ -563,10 +863,10 @@ class _Search:
                     return None
             return b
         m = self.m
-        comp_lo = self.comp_sum + rec.comp + sh.suffix_comp_lo[pos + 1]
-        comp_hi = self.comp_sum + rec.comp + sh.suffix_comp_hi[pos + 1]
-        traf_lo = self.dl_sum + rec.dl + t_after + sh.suffix_traf_lo[pos + 1]
-        traf_hi = sh.traf_hi_const
+        comp_lo = self.comp_sum + rec.comp + self.suffix_comp_lo[pos + 1]
+        comp_hi = self.comp_sum + rec.comp + self.suffix_comp_hi[pos + 1]
+        traf_lo = self.dl_sum + rec.dl + t_after + self.suffix_traf_lo[pos + 1]
+        traf_hi = self.traf_hi_const
         a_lo, a_hi = m.weights.w_t * traf_lo, m.weights.w_t * traf_hi
         b_lo, b_hi = m.weights.w_c * comp_lo, m.weights.w_c * comp_hi
         if a_lo > b_hi:
@@ -582,7 +882,7 @@ class _Search:
     def _order_key(self, rec, t_after):
         """The dive's child order: a capacity-aware myopic cost."""
         cost = rec.static + self.wt * t_after
-        for ci, lam in self.shared.lam_active:
+        for ci, lam in self.lam_active:
             cost += lam * rec.row[ci]
         return cost
 
@@ -620,32 +920,24 @@ class _Search:
         m = self.m
         if not m.menus:
             return None
-        los = []
-        for mi in range(len(m.menus)):
-            ci = self.con_of_menu[mi]
-            los.append(self.con_lhs[ci] + m.check_cons[ci].pad)
-        n = len(m.menus)
-        min_bytes = []
+        firsts = []
         for mi, menu in enumerate(m.menus):
-            pick = None
-            for ent in menu.entries:
-                if ent.e + self.tol >= los[mi]:
-                    pick = ent.nbytes
-                    break
-            if pick is None:
+            ci = self.con_of_menu[mi]
+            ei = self._first_fit(menu, self.con_lhs[ci] + m.check_cons[ci].pad)
+            if ei is None:
                 return None
-            min_bytes.append(pick)
+            firsts.append(ei)
+        n = len(m.menus)
         suffix = [0] * (n + 1)
         for mi in range(n - 1, -1, -1):
-            suffix[mi] = suffix[mi + 1] + min_bytes[mi]
+            suffix[mi] = suffix[mi + 1] + m.menus[mi].entries[firsts[mi]].nbytes
         sel = []
         used = 0
         for mi, menu in enumerate(m.menus):
             chosen = None
-            for ei in range(len(menu.entries) - 1, -1, -1):
+            # the largest admissible entry that leaves room for the rest
+            for ei in range(len(menu.entries) - 1, firsts[mi] - 1, -1):
                 ent = menu.entries[ei]
-                if ent.e + self.tol < los[mi]:
-                    break
                 if used + ent.nbytes + suffix[mi + 1] <= m.budget_bytes:
                     chosen = ei
                     used += ent.nbytes
@@ -671,7 +963,7 @@ class _Search:
         if m.menus and menu_sel is None:
             return False
         choice_cls = [rec.cc for rec in self.choice_rec]
-        x = canonical_assignment(m, choice_cls, self.chains, self.shared)
+        x = canonical_assignment(m, choice_cls, self.chains, self)
         obj = m.objective_of(x, menu_sel)
         key = m.lex_key(x, menu_sel)
         if not self.inc.beats(obj, key):
@@ -736,405 +1028,45 @@ class _Choice:
     orders a factor's classes for the multiset dedup; the capacity use is
     both sparse (`items`) and a dense `row` with 0.0 where it adds nothing."""
 
-    __slots__ = ("cc", "rep", "I", "k", "items", "row", "static", "comp", "dl",
-                 "chained")
+    __slots__ = ("cc", "rep", "I", "k", "items", "row", "static", "self_t",
+                 "comp", "dl", "chained")
 
-    def __init__(self, m: MipModel, fi: int, cc: tuple, fi_cons: list, ncons: int):
+    def __init__(self, m: MipModel, fi: int, cc: tuple):
         ck = cc[0]
         self.cc = cc
         self.rep = max(cc)
         self.I, self.k = ck
-        self.items = tuple((ci, contrib[ck]) for ci, contrib in fi_cons
-                           if contrib.get(ck))
-        self.row = [0.0] * ncons
+        self.items = tuple((ci, add) for ci, contrib in enumerate(m.con_contrib)
+                           if (add := contrib[fi].get(ck)))
+        self.row = [0.0] * len(m.con_contrib)
         for ci, add in self.items:
             self.row[ci] = add
         self.static = m.static_obj[fi][ck]
+        self.self_t = m.self_t_coef[fi][ck]
         self.comp = m.comp_coef[fi][ck]
         self.dl = m.dl_coef[fi][ck]
         self.chained = self.k == TEMPORAL and self.I >= m.noc
-
-
-class _Shared:
-    """Model-derived tables of one solve; only `_build_lagrangian` updates
-    them, between search phases."""
-
-    def __init__(self, model: MipModel):
-        m = model
-        F = m.F
-        self.ncons = len(m.check_cons)
-        self.con_rhs = [c.rhs for c in m.check_cons]
-        # per depth, rows of the penalized knapsack bound; filled by
-        # _build_penalized_knapsack
-        self.pen_at: list[list[tuple]] = [[] for _ in range(m.F + 1)]
-
-        # largest log-factor first; bigger identical classes ahead on ties
-        # (filling capacity early tightens the relaxation bounds sooner)
-        cls_size: dict[int, int] = {}
-        for f in m.factors:
-            cls_size[f.cls] = cls_size.get(f.cls, 0) + 1
-        key = lambda fi: (
-            -m.factors[fi].lg,
-            -cls_size[m.factors[fi].cls],
-            m.factors[fi].j,
-            m.factors[fi].n,
-        )
-        self.order = sorted(range(F), key=key)
-        self.prev_same: list[int | None] = [None] * F
-        last: dict[int, int] = {}
-        for fi in self.order:
-            cls = m.factors[fi].cls
-            self.prev_same[fi] = last.get(cls)
-            last[cls] = fi
-
-        # canonical_assignment's tables: factor -> identical class, and
-        # choice class -> (its single level or None, its options by
-        # (level, mapping) descending)
-        self.cls_of = [f.cls for f in m.factors]
-        self.canon_options = {
-            cc: (cc[0][0] if len({I for I, _k in cc}) == 1 else None,
-                 tuple(sorted(cc, reverse=True)))
-            for fi in range(F)
-            for cc in m.choice_classes[fi]
-        }
-
-        self.fi_cons: list[list[tuple[int, dict]]] = []
-        for fi in range(F):
-            self.fi_cons.append(
-                [
-                    (ci, m.con_contrib[ci][fi])
-                    for ci in range(self.ncons)
-                    if m.con_contrib[ci][fi]
-                ]
-            )
-        self.choices: list[list[_Choice]] = [
-            [_Choice(m, fi, cc, self.fi_cons[fi], self.ncons)
-             for cc in m.choice_classes[fi]]
-            for fi in range(F)
-        ]
-        self.con_of_menu = {
-            m.check_cons[ci].menu: ci
-            for ci in range(self.ncons)
-            if m.check_cons[ci].menu is not None
-        }
-
-        wt = m.weights.effective()[2]
-        self.balance = m.weights.mode == "balance"
-        if self.balance:
-            self.min_comp = [
-                min(m.comp_coef[fi][c] for c in m.collapsed[fi]) for fi in range(F)
-            ]
-            self.max_comp = [
-                max(m.comp_coef[fi][c] for c in m.collapsed[fi]) for fi in range(F)
-            ]
-            self.min_traf = [
-                min(m.dl_coef[fi][c] + m.self_t_coef[fi][c] for c in m.collapsed[fi])
-                for fi in range(F)
-            ]
-            total_lg = sum(f.lg for f in m.factors)
-            self.traf_hi_const = (
-                sum(max(m.dl_coef[fi][c] for c in m.collapsed[fi]) for fi in range(F))
-                + 3.0 * total_lg
-            )
-            self.suffix_comp_lo = [0.0] * (F + 1)
-            self.suffix_comp_hi = [0.0] * (F + 1)
-            self.suffix_traf_lo = [0.0] * (F + 1)
-            for idx in range(F - 1, -1, -1):
-                fi = self.order[idx]
-                self.suffix_comp_lo[idx] = self.suffix_comp_lo[idx + 1] + self.min_comp[fi]
-                self.suffix_comp_hi[idx] = self.suffix_comp_hi[idx + 1] + self.max_comp[fi]
-                self.suffix_traf_lo[idx] = self.suffix_traf_lo[idx + 1] + self.min_traf[fi]
-            self.lam_active = []
-            return
-
-        # per-choice full cost (static plus guaranteed self-trigger traffic)
-        self.choice_cost: list[dict[tuple[int, int], float]] = [
-            {
-                c: m.static_obj[fi][c] + wt * m.self_t_coef[fi][c]
-                for c in m.collapsed[fi]
-            }
-            for fi in range(F)
-        ]
-        self.min_static = [min(self.choice_cost[fi].values()) for fi in range(F)]
-        self.suffix_min = [0.0] * (F + 1)
-        for idx in range(F - 1, -1, -1):
-            self.suffix_min[idx] = self.suffix_min[idx + 1] + self.min_static[self.order[idx]]
-
-
-def _build_knapsack(sh: _Shared, m: MipModel, cost_of):
-    """LP relaxation of each capacity constraint as a multiple-choice
-    knapsack (Sinha & Zoltners 1979) over the unassigned tail, with choice
-    costs `cost_of(ci)` (per factor: choice -> cost).
-
-    Returns, each indexed by constraint: the tail's cheapest zero-weight
-    cost, its total hull weight and its density-sorted hull segments, all
-    per depth; and the constraints that carry weight, tightest first."""
-    F = m.F
-    cost0_suffixes, w_suffixes, segs_ats = [], [], []
-    total_w = []
-    for ci in range(sh.ncons):
-        costs = cost_of(ci)
-        cost0_row = []
-        seg_w_row = [0.0] * F
-        per_factor_segs: list[list[tuple[float, float]]] = []
-        for fi in range(F):
-            contrib = m.con_contrib[ci][fi]
-            pts = []
-            zero_costs = []
-            for c in m.collapsed[fi]:
-                cost = costs[fi][c]
-                w = contrib.get(c, 0.0)
-                if w > 0.0:
-                    pts.append((w, cost))
-                else:
-                    zero_costs.append(cost)
-            c0 = min(zero_costs)
-            cost0_row.append(c0)
-            dedup: dict[float, float] = {}
-            for w, cost in pts:
-                g = c0 - cost
-                if g > 0.0 and g > dedup.get(w, 0.0):
-                    dedup[w] = g
-            gains = sorted(dedup.items())
-            segs: list[tuple[float, float]] = []
-            if gains:
-                # concave gain frontier anchored at (0, 0): increasing
-                # gain, decreasing incremental density
-                hull: list[tuple[float, float]] = [(0.0, 0.0)]
-                for w, g in gains:
-                    if g <= hull[-1][1]:
-                        continue  # dominated by a lighter point
-                    hull.append((w, g))
-                    while len(hull) >= 3:
-                        (w1, g1), (w2, g2), (w3, g3) = hull[-3:]
-                        if (g2 - g1) * (w3 - w2) <= (g3 - g2) * (w2 - w1):
-                            hull.pop(-2)
-                        else:
-                            break
-                for (pw, pg), (w, g) in zip(hull, hull[1:]):
-                    segs.append(((g - pg) / (w - pw), w - pw))
-                    seg_w_row[fi] += w - pw
-            per_factor_segs.append(segs)
-
-        # assignment follows branch order: precompute, per depth, the
-        # unassigned tail's zero-weight costs, total weights, and the
-        # density-sorted segment pool
-        cost0_suffix = [0.0] * (F + 1)
-        w_suffix = [0.0] * (F + 1)
-        segs_at: list[list[tuple[float, float]]] = [[] for _ in range(F + 1)]
-        pool: list[tuple[float, int, float]] = []
-        for idx in range(F - 1, -1, -1):
-            fi = sh.order[idx]
-            cost0_suffix[idx] = cost0_suffix[idx + 1] + cost0_row[fi]
-            w_suffix[idx] = w_suffix[idx + 1] + seg_w_row[fi]
-            pool = sorted(
-                pool + [(d, idx, w) for d, w in per_factor_segs[fi]],
-                key=lambda s: (-s[0], s[1], s[2]),
-            )
-            segs_at[idx] = [(d, w) for d, _i, w in pool]
-        cost0_suffixes.append(cost0_suffix)
-        w_suffixes.append(w_suffix)
-        segs_ats.append(segs_at)
-        total_w.append(w_suffix[0])
-
-    # evaluate tightest constraints first so pruning exits early
-    def tightness(ci):
-        rhs = sh.con_rhs[ci]
-        w = total_w[ci]
-        if w <= 0.0 or math.isinf(rhs):
-            return INF
-        return rhs / w
-
-    order = sorted(
-        (ci for ci in range(sh.ncons) if total_w[ci] > 0.0), key=tightness
-    )
-    return cost0_suffixes, w_suffixes, segs_ats, order
-
-
-def _build_penalized_knapsack(sh: _Shared, m: MipModel):
-    """Knapsack tables of `_pen_bound`: constraint i stays explicit and
-    every other constraint j is priced into the choice costs at the root
-    multiplier lambda_j.  Built once, from the final multipliers."""
-    lam = [0.0] * sh.ncons
-    for ci, value in sh.lam_active:
-        lam[ci] = value
-
-    priced = [
-        {
-            c: cost + sum(lam[ci] * d.get(c, 0.0) for ci, d in sh.fi_cons[fi])
-            for c, cost in sh.choice_cost[fi].items()
-        }
-        for fi in range(m.F)
-    ]
-
-    def cost_of(ci):
-        if not lam[ci]:
-            return priced
-        return [
-            {c: cost - lam[ci] * m.con_contrib[ci][fi].get(c, 0.0)
-             for c, cost in priced[fi].items()}
-            for fi in range(m.F)
-        ]
-
-    cost0_suffix, _w, segs_at, order = _build_knapsack(sh, m, cost_of)
-    # per depth, one row per finite constraint (0 * inf is NaN): its
-    # multiplier, tail cost0, and the hull segments as cumulative weights
-    # and gains with their densities, for a bisect instead of a walk.  A
-    # child at depth pos reads the rows of its tail, pos + 1.  At depth F
-    # the tail is empty and the bound is at most the child's own bound, so
-    # that depth keeps no rows.
-    finite = [ci for ci in order if not math.isinf(sh.con_rhs[ci])]
-    for nxt in range(1, m.F):
-        row = []
-        for ci in finite:
-            cw, cg, dens = [0.0], [0.0], []
-            for density, dw in segs_at[ci][nxt]:
-                cw.append(cw[-1] + dw)
-                cg.append(cg[-1] + density * dw)
-                dens.append(density)
-            row.append((ci, lam[ci], cost0_suffix[ci][nxt], cw, cg, dens))
-        sh.pen_at[nxt] = row
-
-
-def _build_lagrangian(sh: _Shared, m: MipModel, upper: float | None = None,
-                      iters: int = 240):
-    """Projected subgradient ascent on the capacity-relaxed dual at the
-    root; the resulting fixed multipliers give a cheap per-node bound.
-    With a known incumbent value, Polyak steps are used."""
-    F = m.F
-    ncons = sh.ncons
-    finite = [ci for ci in range(ncons) if not math.isinf(sh.con_rhs[ci])]
-    lam = [0.0] * ncons
-    best_lam = list(lam)
-    best_val = -INF
-    if F and finite:
-        per_factor = []
-        for fi in range(F):
-            rows = []
-            for c in m.collapsed[fi]:
-                ws = [
-                    (ci, d.get(c, 0.0))
-                    for ci, d in sh.fi_cons[fi]
-                    if d.get(c, 0.0) and not math.isinf(sh.con_rhs[ci])
-                ]
-                rows.append((sh.choice_cost[fi][c], ws))
-            per_factor.append(rows)
-        scale = max(abs(x) for x in (sh.min_static + [1.0]))
-        beta = 1.2
-        stall = 0
-        for it in range(iters):
-            val = 0.0
-            usage = [0.0] * ncons
-            for fi in range(F):
-                bc, bw = INF, ()
-                for cost, ws in per_factor[fi]:
-                    t = cost
-                    for ci, w in ws:
-                        t += lam[ci] * w
-                    if t < bc:
-                        bc, bw = t, ws
-                val += bc
-                for ci, w in bw:
-                    usage[ci] += w
-            for ci in finite:
-                val -= lam[ci] * sh.con_rhs[ci]
-            if val > best_val + 1e-12:
-                best_val = val
-                best_lam = list(lam)
-                stall = 0
-            else:
-                stall += 1
-                if stall >= 10:
-                    beta *= 0.6
-                    stall = 0
-                    if beta < 1e-3:
-                        break
-            g = [usage[ci] - sh.con_rhs[ci] for ci in finite]
-            norm2 = sum(x * x for x in g)
-            if norm2 <= 1e-18:
-                break
-            if upper is not None and upper > val:
-                step = beta * (upper - val) / norm2
-            else:
-                step = 0.4 * scale / ((1.0 + 0.15 * it) * math.sqrt(norm2))
-            for gi, ci in enumerate(finite):
-                lam[ci] = max(0.0, lam[ci] + step * g[gi])
-    sh.lam_active = [(ci, l) for ci, l in enumerate(best_lam) if l > 1e-12]
-    lagr_min = []
-    for fi in range(F):
-        best = INF
-        for c in m.collapsed[fi]:
-            t = sh.choice_cost[fi][c]
-            for ci, d in sh.fi_cons[fi]:
-                w = d.get(c, 0.0)
-                if w and best_lam[ci]:
-                    t += best_lam[ci] * w
-            if t < best:
-                best = t
-        lagr_min.append(best)
-    sh.lagr_suffix = [0.0] * (F + 1)
-    for idx in range(F - 1, -1, -1):
-        sh.lagr_suffix[idx] = sh.lagr_suffix[idx + 1] + lagr_min[sh.order[idx]]
-
-
-def _make_shared(model: MipModel) -> _Shared:
-    sh = _Shared(model)
-    if not sh.balance:
-        cost0, w, segs, order = _build_knapsack(sh, model, lambda ci: sh.choice_cost)
-        # per depth, one row per weighted constraint, tightest first: the
-        # tail's hull weight, zero-weight cost and hull segments
-        sh.kn_at = [[(ci, w[ci][nxt], cost0[ci][nxt], segs[ci][nxt]) for ci in order]
-                    for nxt in range(model.F + 1)]
-        _build_lagrangian(sh, model)
-    return sh
-
-
-def _root_witness(model: MipModel, opts: SolverOptions) -> tuple[str, ...] | None:
-    """Best-effort irreducible cause when no feasible leaf exists."""
-    names = []
-    for fi in range(model.F):
-        blocking = set()
-        any_ok = False
-        for c in model.collapsed[fi]:
-            bad = [
-                model.check_cons[ci].name
-                for ci in range(len(model.check_cons))
-                if model.con_contrib[ci][fi].get(c, 0.0)
-                > model.check_cons[ci].rhs + opts.tolerance
-            ]
-            if bad:
-                blocking.update(bad)
-            else:
-                any_ok = True
-        if not any_ok:
-            names.extend(sorted(blocking))
-    if model.menus:
-        floor_bytes = sum(menu.entries[0].nbytes for menu in model.menus)
-        if floor_bytes > model.budget_bytes:
-            names.append("budget")
-    return tuple(names) or None
 
 
 def solve(model: MipModel, opts: SolverOptions = SolverOptions()) -> Solution:
     """Proven-optimal solve with the deterministic branch-and-bound."""
     t0 = time.perf_counter()
     inc = _Incumbent()
-    shared = _make_shared(model)
-    search = _Search(model, opts.tolerance, inc, t0 + opts.time_limit_s, shared)
+    search = _Search(model, opts.tolerance, inc, t0 + opts.time_limit_s)
 
     if model.F == 0:
         search._leaf()
     else:
         search.dive(0)
-        if inc.x is not None and not shared.balance:
+        if inc.x is not None and not search.balance:
             # re-optimize the dual with Polyak steps against the incumbent,
             # sharpen the incumbent with a limited-discrepancy sweep, repeat
-            _build_lagrangian(shared, model, upper=inc.obj)
+            search._build_lagrangian(upper=inc.obj)
             search.reset()
             search.lds(0, 1)
-            _build_lagrangian(shared, model, upper=inc.obj)
-        if not shared.balance:
-            _build_penalized_knapsack(shared, model)
+            search._build_lagrangian(upper=inc.obj)
+        if not search.balance:
+            search._build_penalized_knapsack()
         search.reset()
         for child in search._children(0):
             if search._prunes(0, child):
@@ -1150,7 +1082,7 @@ def solve(model: MipModel, opts: SolverOptions = SolverOptions()) -> Solution:
         if search.stopped:
             return Solution("timeout", None, None, None, stats)
         return Solution(
-            "infeasible", None, None, None, stats, witness=_root_witness(model, opts)
+            "infeasible", None, None, None, stats, witness=search._root_witness()
         )
     status = "timeout" if search.stopped else "optimal"
     return Solution(status, inc.obj, inc.x, inc.menu, stats)
@@ -1190,9 +1122,9 @@ def exhaustive_solve(
     pads = [c.pad for c in m.check_cons]
     con_of_menu = {c.menu: ci for ci, c in enumerate(m.check_cons) if c.menu is not None}
 
-    fi_cons = []
+    contrib_of = []
     for fi in range(F):
-        fi_cons.append(
+        contrib_of.append(
             [(ci, m.con_contrib[ci][fi]) for ci in range(ncons) if m.con_contrib[ci][fi]]
         )
 
@@ -1240,7 +1172,7 @@ def exhaustive_solve(
                 continue
             applied = []
             ok = True
-            for ci, d in fi_cons[fi]:
+            for ci, d in contrib_of[fi]:
                 add = d.get((I, k))
                 if add:
                     if lhs[ci] + add > rhs[ci] + tol:
@@ -1257,7 +1189,10 @@ def exhaustive_solve(
             for ci, add in applied:
                 lhs[ci] -= add
 
-    rec(0)
+    # contributions are never negative, so a non-menu constraint whose rhs
+    # is below 0 is violated by every assignment, even one adding nothing
+    if not any(c.menu is None and 0.0 > c.rhs + tol for c in m.check_cons):
+        rec(0)
     stats.wall_time_s = time.perf_counter() - t0
     if best_x is None:
         return Solution("infeasible", None, None, None, stats)

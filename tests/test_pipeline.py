@@ -60,15 +60,13 @@ def test_suite_layers_decode_encode_identity(simba):
         assert again == sched
 
 
-def test_threads_env_caps_workers(monkeypatch, tmp_path, capsys):
+def test_repeated_cli_solves_print_identical_stdout(tmp_path, capsys):
     from mipsched.cli import main
 
     layer = tmp_path / "l.layer"
     layer.write_text("[layer]\nR=3\nS=1\nP=1\nQ=1\nC=1\nK=4\nN=3\n")
-    monkeypatch.setenv("COSA_THREADS", "4")
     assert main(["solve", "--layer", str(layer)]) == 0
     first = capsys.readouterr().out
-    monkeypatch.setenv("COSA_THREADS", "1")
     assert main(["solve", "--layer", str(layer)]) == 0
     second = capsys.readouterr().out
-    assert first == second  # worker count never changes the result
+    assert first == second

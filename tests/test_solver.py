@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -20,9 +21,7 @@ from mipsched.formulation import ObjectiveWeights, PartitionSpec, build_model
 from mipsched.solver import (
     SolverOptions,
     SpaceTooLarge,
-    _build_penalized_knapsack,
     _Incumbent,
-    _make_shared,
     _Search,
     assignment_space_size,
     dump_lp,
@@ -202,16 +201,16 @@ def test_penalized_bound_dominates_lagrangian(simba, tol):
     checked = 0
     for name, model in pen_models(simba):
         assert model is not None and model.weights.mode != "balance", name
-        sh = _make_shared(model)
-        _build_penalized_knapsack(sh, model)
-        if not sh.pen_at[1]:
+        search = _Search(model, tol, _Incumbent(), math.inf)
+        search._build_penalized_knapsack()
+        if not search.pen_at[1]:
             continue  # no finite constraint carries weight, or F = 1
-        search = _Search(model, tol, _Incumbent(), math.inf, sh)
-        lam_tol = tol * sum(lam for _ci, lam in sh.lam_active)
+        lam_tol = tol * sum(lam for _ci, lam in search.lam_active)
         fi = search.order[0]
         for child in search._children(0):
             _key, I, k, _q, _b, choice, t_after = child
-            slacks = [sh.con_rhs[ci] - choice.row[ci] + tol for ci in range(sh.ncons)]
+            slacks = [search.con_rhs[ci] - choice.row[ci] + tol
+                      for ci in range(search.ncons)]
             if min(slacks, default=0.0) < 0.0:
                 continue
             base = model.static_obj[fi][(I, k)] + search.wt * t_after
@@ -284,6 +283,54 @@ def test_search_counts_pinned(simba):
         214: ("balance", False, 61, 28),
         245: ("balance", True, 20, 15),
     }
+
+
+def test_bound_tables_pinned(simba):
+    """sha256 of the repr of the bound tables on fixed models, so a change
+    to how they are built cannot move a single float unnoticed."""
+    models = {
+        "conv28": build_model(factorize(SUITE_LAYERS["conv28"]), simba),
+        "conv28-partition": build_model(factorize(SUITE_LAYERS["conv28"]), simba,
+                                        partition=PartitionSpec(budget_bytes=306367)),
+        22: random_instance(22, max_space=60_000),  # traffic with menus
+        214: random_instance(214, max_space=60_000),  # balance
+    }
+    digests = {}
+    for name, model in models.items():
+        search = _Search(model, 1e-6, _Incumbent(), math.inf)
+        assert not hasattr(search, "__dict__")  # __slots__ keeps attribute reads fast
+        if search.balance:
+            tables = (search.suffix_comp_lo, search.suffix_comp_hi,
+                      search.suffix_traf_lo, search.traf_hi_const)
+        else:
+            search._build_penalized_knapsack()
+            tables = (search.order, search.prev_same, search.suffix_min,
+                      search.lam_active, search.lagr_suffix, search.kn_at,
+                      search.pen_at)
+        digests[name] = hashlib.sha256(repr(tables).encode()).hexdigest()
+    assert models[214].weights.mode == "balance"
+    assert digests == {
+        "conv28":
+            "e7679ad350989a5f159010e27b5e1a8d3ebc79debd2fc3fc9dd205ffef0e71ac",
+        "conv28-partition":
+            "7eba921c349764202bba6c76138b32957dac34289d22683865f81a1f43e2ad8c",
+        22:
+            "ec5cec057221a6342ced1efbf4fc27dacd1576ca0bbb730b7c1a52a7f1cdc670",
+        214:
+            "2b8c6e22772fad26729c2799703adeb780f0f4645930156886ab4a9f3631b5ed",
+    }
+
+
+def test_negative_rhs_is_infeasible_for_both_solvers():
+    """A capacity pad above the capacity leaves a constraint with rhs < 0,
+    which every assignment violates, even one that adds nothing to it."""
+    pf = factorize(LayerDims(1, 1, 2, 1, 3, 2, 1))
+    model = build_model(pf, toy_two_level(), capacity_pads={(0, 0): 7.0})
+    con = next(c for c in model.check_cons if c.name == "buffer[Buf/W]")
+    assert con.rhs < 0.0
+    sol = solve(model)
+    assert sol.status == exhaustive_solve(model).status == "infeasible"
+    assert "buffer[Buf/W]" in sol.witness
 
 
 def test_canonical_assignment_matches_reference(simba, monkeypatch):
