@@ -306,7 +306,7 @@ class _Search:
     # slotted: the search reads these attributes on every node
     __slots__ = (
         "m", "tol", "inc", "deadline", "stopped", "nodes", "leaves", "order",
-        "prev_same", "wt", "balance", "ncons", "con_rhs", "cap", "con_of_menu",
+        "prev_same", "wt", "balance", "ncons", "con_rhs", "cap", "menu_fit",
         "cls_of", "canon_options", "choices", "costs", "suffix_min", "kn_at",
         "lam_active", "lagr_suffix", "pen_at", "suffix_comp_lo",
         "suffix_comp_hi", "suffix_traf_lo", "traf_hi_const", "choice_rec",
@@ -329,11 +329,17 @@ class _Search:
         self.ncons = len(m.check_cons)
         self.con_rhs = [c.rhs for c in m.check_cons]
         self.cap = [rhs + tol for rhs in self.con_rhs]
-        self.con_of_menu = {
-            m.check_cons[ci].menu: ci
-            for ci in range(self.ncons)
-            if m.check_cons[ci].menu is not None
-        }
+        # per menu: its buffer constraint, that constraint's pad, and each
+        # entry's exponent plus the tolerance.  Entries ascend in size, so
+        # bisect_left on these finds the smallest entry that holds a sum:
+        # the first with `e + tol >= sum`.
+        con_of_menu = {c.menu: ci for ci, c in enumerate(m.check_cons)
+                       if c.menu is not None}
+        self.menu_fit = [
+            (con_of_menu[mi], m.check_cons[con_of_menu[mi]].pad,
+             [ent.e + tol for ent in menu.entries])
+            for mi, menu in enumerate(m.menus)
+        ]
         # per depth, rows of the penalized knapsack bound; filled by
         # _build_penalized_knapsack
         self.pen_at: list[list[tuple]] = [[] for _ in range(F + 1)]
@@ -687,22 +693,13 @@ class _Search:
                 d += f.lg + (cum[upto] - cum[p])
         return d
 
-    def _first_fit(self, menu, lo: float) -> int | None:
-        """Index of the smallest entry of `menu` that holds `lo`, or None.
-        Entries ascend in size, so every later entry holds it too."""
-        for ei, ent in enumerate(menu.entries):
-            if ent.e + self.tol >= lo:
-                return ei
-        return None
-
     def _min_menu_bytes(self, row: list[float]) -> int:
         """Cheapest admissible partition total given current buffer sums."""
-        m = self.m
+        con_lhs = self.con_lhs
         total = 0
-        for mi, menu in enumerate(m.menus):
-            ci = self.con_of_menu[mi]
-            ei = self._first_fit(menu, self.con_lhs[ci] + m.check_cons[ci].pad + row[ci])
-            if ei is None:
+        for (ci, pad, fits), menu in zip(self.menu_fit, self.m.menus):
+            ei = bisect_left(fits, con_lhs[ci] + pad + row[ci])
+            if ei == len(fits):
                 return 1 << 62
             total += menu.entries[ei].nbytes
         return total
@@ -921,10 +918,9 @@ class _Search:
         if not m.menus:
             return None
         firsts = []
-        for mi, menu in enumerate(m.menus):
-            ci = self.con_of_menu[mi]
-            ei = self._first_fit(menu, self.con_lhs[ci] + m.check_cons[ci].pad)
-            if ei is None:
+        for ci, pad, fits in self.menu_fit:
+            ei = bisect_left(fits, self.con_lhs[ci] + pad)
+            if ei == len(fits):
                 return None
             firsts.append(ei)
         n = len(m.menus)
