@@ -455,7 +455,7 @@ class _Search:
                 for rec, cost in zip(self.choices[fi], costs[fi]):
                     w = rec.row[ci]
                     if lam_i:
-                        cost = cost - lam_i * w
+                        cost -= lam_i * w
                     if w > 0.0:
                         pts.append((w, cost))
                     else:
