@@ -260,12 +260,7 @@ def solve_layer(
         check_arch = arch
         if partition is not None:
             check_arch = arch_with_partition(arch, model, solution)
-            sched = Schedule(
-                levels=sched.levels,
-                level_names=sched.level_names,
-                layer=sched.layer,
-                arch_name=check_arch.name,
-            )
+            sched = replace(sched, arch_name=check_arch.name)
         violations = validate(sched, check_arch, halo=halo)
         capacity = [v for v in violations if v.kind == "capacity"]
         if not violations:
@@ -316,6 +311,8 @@ def baseline_total_bytes(arch: ArchSpec) -> int:
 
 
 def _status_exit(solution: Solution) -> int:
+    if solution.witness:
+        print(f"infeasible: {', '.join(solution.witness)}", file=sys.stderr)
     if solution.status == "infeasible":
         return EXIT_INFEASIBLE
     if solution.status == "timeout":

@@ -9,9 +9,12 @@ and NoC-traffic objectives are linear in the same variables, with the
 traffic iteration term linearized through indicator and product
 variables.
 
-The built model carries both the raw MIP (variables, constraints,
-objective, for dumps and brute-force verification) and the structured
-view the bundled solver searches over.
+The rank slot of an allocation variable enters no cost and no capacity
+term, so the model keeps every coefficient once per (factor, level,
+mapping) choice, in one `ChoiceCoef` record, and groups the records into
+the choice classes the bundled solver branches over.  The raw MIP
+(variables, constraints, objective, for dumps and brute-force
+verification) is built from the same records.
 """
 
 from __future__ import annotations
@@ -135,6 +138,32 @@ class RawConstraint:
     rhs: float
 
 
+class ChoiceCoef:
+    """Every coefficient of one (factor, level, mapping) choice; the rank
+    slot enters no cost and no capacity term.  `row` is the capacity use
+    per check constraint, 0.0 where the choice adds nothing, and `items`
+    its nonzero `(ci, add)` pairs.  `cc` is the choice class, its (level,
+    mapping) members in order, and `rep` the largest of them, which
+    orders a factor's classes for the identical-factor dedup."""
+
+    __slots__ = ("I", "k", "util", "comp", "dl_v", "dl", "self_t", "static",
+                 "row", "items", "chained", "cc", "rep")
+
+    def __init__(self, I, k, util, comp, dl_v, dl, self_t, static, row, chained):
+        self.I = I
+        self.k = k
+        self.util = util
+        self.comp = comp
+        self.dl_v = dl_v  # per-tensor NoC lift and below-NoC traffic
+        self.dl = dl
+        self.self_t = self_t  # guaranteed self-trigger iteration traffic
+        self.static = static  # weighted linear objective
+        self.row = row
+        self.items = tuple((ci, add) for ci, add in enumerate(row) if add)
+        self.chained = chained  # temporal at/above the NoC: rank order matters
+        # cc and rep are set once the model has grouped the classes
+
+
 class MipModel:
     """Scheduling MIP plus the structure the bundled solver exploits.
 
@@ -172,10 +201,9 @@ class MipModel:
         self.F = len(factors)
 
         self._build_choices()
-        self._build_costs()
         self._build_check_constraints()
         self._build_menus()
-        self._build_choice_classes()
+        self._build_coefficients()  # rows index the final check_cons
         self._raw = None  # lazy raw MIP
 
     # ------------------------------------------------------------------
@@ -207,90 +235,19 @@ class MipModel:
             (I, z) for I in range(self.noc, self.H) for z in range(self.Z)
         ]
 
-    def _build_costs(self):
-        arch = self.arch
-        w_u, w_c, w_t = self.weights.effective()
-        self.util_pairs = arch.on_chip_pairs()
-
-        self.util_coef: list[dict[tuple[int, int], float]] = []
-        self.comp_coef: list[dict[tuple[int, int], float]] = []
-        self.dl_coef: list[dict[tuple[int, int], float]] = []
-        self.dl_coef_v: list[dict[tuple[int, int], tuple[float, float, float]]] = []
-        self.self_t_coef: list[dict[tuple[int, int], float]] = []
-        self.static_obj: list[dict[tuple[int, int], float]] = []
-
-        for fi, f in enumerate(self.factors):
-            ut, cp, dl, dlv, st, so = {}, {}, {}, {}, {}, {}
-            rel = [arch.A.related(f.j, v) for v in range(NUM_TENSORS)]
-            relcount = sum(rel)
-            for I, k in self.collapsed[fi]:
-                u = f.lg * sum(
-                    1 for (Ic, v) in self.util_pairs if Ic > I and rel[v]
-                )
-                c = f.lg if k == TEMPORAL else 0.0
-                per_v = [0.0, 0.0, 0.0]
-                if I < self.noc:
-                    for v in range(NUM_TENSORS):
-                        if rel[v]:
-                            per_v[v] = f.lg
-                elif I == self.noc and k == SPATIAL:
-                    for v in range(NUM_TENSORS):
-                        if rel[v]:
-                            per_v[v] = f.lg
-                d = f.lg * relcount if (I < self.noc or (I == self.noc and k == SPATIAL)) else 0.0
-                s = 0.0
-                if k == TEMPORAL and I >= self.noc:
-                    s = f.lg * sum(
-                        1
-                        for v in range(NUM_TENSORS)
-                        if rel[v] and arch.B.stores(I, v)
-                    )
-                ut[(I, k)] = u
-                cp[(I, k)] = c
-                dl[(I, k)] = d
-                dlv[(I, k)] = tuple(per_v)
-                st[(I, k)] = s
-                so[(I, k)] = -w_u * u + w_c * c + w_t * d
-            self.util_coef.append(ut)
-            self.comp_coef.append(cp)
-            self.dl_coef.append(dl)
-            self.dl_coef_v.append(dlv)
-            self.self_t_coef.append(st)
-            self.static_obj.append(so)
-
     def _build_check_constraints(self):
         arch = self.arch
         cons: list[CheckCon] = []
-        contribs: list[list[dict[tuple[int, int], float]]] = []
-
-        for I, v in self.util_pairs:
+        for I, v in arch.on_chip_pairs():
             cap = log2_capacity(arch, I, v)
             pad = self.pads.get((I, v), 0.0)
             if math.isinf(cap) and self.partition is None:
                 continue
-            per_factor = []
-            for fi, f in enumerate(self.factors):
-                d = {}
-                if arch.A.related(f.j, v):
-                    for Ic, k in self.collapsed[fi]:
-                        if Ic < I:
-                            d[(Ic, k)] = f.lg
-                per_factor.append(d)
             name = f"buffer[{arch.levels[I].name}/{TENSOR_NAMES[v]}]"
-            cons.append(
-                CheckCon("buffer", name, I, v, cap - pad, None, pad)
-            )
-            contribs.append(per_factor)
-
+            cons.append(CheckCon("buffer", name, I, v, cap - pad, None, pad))
         for I in range(self.H):
             if arch.levels[I].spatial_fanout <= 1:
                 continue
-            per_factor = []
-            for fi, f in enumerate(self.factors):
-                d = {}
-                if (I, SPATIAL) in self.static_obj[fi]:
-                    d[(I, SPATIAL)] = f.lg
-                per_factor.append(d)
             cons.append(
                 CheckCon(
                     "spatial",
@@ -302,10 +259,7 @@ class MipModel:
                     0.0,
                 )
             )
-            contribs.append(per_factor)
-
         self.check_cons = cons
-        self.con_contrib = contribs
 
     def _build_menus(self):
         self.menus: list[Menu] = []
@@ -316,7 +270,7 @@ class MipModel:
         arch = self.arch
         self.budget_bytes = spec.budget_bytes
         menu_of: dict[tuple[int, int], int] = {}
-        for I, v in self.util_pairs:
+        for I, v in arch.on_chip_pairs():
             baseline = arch.capacity_elements(I, v)
             if math.isinf(baseline):
                 continue
@@ -355,37 +309,58 @@ class MipModel:
                 new_cons.append(con)
         self.check_cons = new_cons
 
-    def _build_choice_classes(self):
-        """Group each factor's (level, mapping) choices that are fully
-        interchangeable: identical objective coefficients and identical
-        contribution to every constraint, with no permutation-order
-        semantics (temporal at/above the NoC is always its own class).
-        The search branches once per class; the reported assignment picks
-        the concrete level during canonicalization."""
-        self.choice_classes: list[list[tuple[tuple[int, int], ...]]] = []
-        for fi in range(self.F):
-            groups: dict[tuple, list[tuple[int, int]]] = {}
-            order: list[tuple] = []
+    def _build_coefficients(self):
+        """One `ChoiceCoef` per (factor, level, mapping) choice, grouped
+        into choice classes: choices that are fully interchangeable, with
+        identical objective coefficients and identical contribution to
+        every constraint, and no permutation-order semantics (temporal
+        at/above the NoC is always its own class).  The search branches
+        once per class; the reported assignment picks the concrete level
+        during canonicalization."""
+        arch = self.arch
+        w_u, w_c, w_t = self.weights.effective()
+        pairs = arch.on_chip_pairs()
+        self.coef: list[dict[tuple[int, int], ChoiceCoef]] = []
+        self.classes: list[list[ChoiceCoef]] = []
+        for fi, f in enumerate(self.factors):
+            rel = [arch.A.related(f.j, v) for v in range(NUM_TENSORS)]
+            relcount = sum(rel)
+            coef = {}
+            groups: dict[tuple, list[ChoiceCoef]] = {}
             for I, k in self.collapsed[fi]:
-                if k == TEMPORAL and I >= self.noc:
-                    sig = ("chain", I)
-                else:
-                    sig = (
-                        "free",
-                        k,
-                        self.util_coef[fi][(I, k)],
-                        self.comp_coef[fi][(I, k)],
-                        self.dl_coef_v[fi][(I, k)],
-                        tuple(
-                            self.con_contrib[ci][fi].get((I, k), 0.0)
-                            for ci in range(len(self.check_cons))
-                        ),
+                u = f.lg * sum(1 for (Ic, v) in pairs if Ic > I and rel[v])
+                c = f.lg if k == TEMPORAL else 0.0
+                lifted = I < self.noc or (I == self.noc and k == SPATIAL)
+                per_v = tuple(f.lg if lifted and rel[v] else 0.0
+                              for v in range(NUM_TENSORS))
+                d = f.lg * relcount if lifted else 0.0
+                chained = k == TEMPORAL and I >= self.noc
+                s = 0.0
+                if chained:
+                    s = f.lg * sum(
+                        1
+                        for v in range(NUM_TENSORS)
+                        if rel[v] and arch.B.stores(I, v)
                     )
-                if sig not in groups:
-                    groups[sig] = []
-                    order.append(sig)
-                groups[sig].append((I, k))
-            self.choice_classes.append([tuple(groups[s]) for s in order])
+                row = [
+                    f.lg
+                    if (con.kind == "buffer" and rel[con.tensor] and I < con.level)
+                    or (con.kind == "spatial" and I == con.level and k == SPATIAL)
+                    else 0.0
+                    for con in self.check_cons
+                ]
+                rec = coef[(I, k)] = ChoiceCoef(
+                    I, k, u, c, per_v, d, s, -w_u * u + w_c * c + w_t * d, row, chained
+                )
+                sig = ("chain", I) if chained else ("free", k, u, c, per_v, tuple(row))
+                groups.setdefault(sig, []).append(rec)
+            for members in groups.values():
+                cc = tuple((rec.I, rec.k) for rec in members)
+                for rec in members:
+                    rec.cc = cc
+                    rec.rep = max(cc)
+            self.coef.append(coef)
+            self.classes.append([members[0] for members in groups.values()])
 
     # ------------------------------------------------------------------
     # canonical evaluation (shared by both solvers and the tests)
@@ -427,14 +402,15 @@ class MipModel:
             traf = 0.0
             for fi in range(self.F):
                 I, z, k = x_assign[fi]
-                comp += self.comp_coef[fi][(I, k)]
-                traf += self.dl_coef[fi][(I, k)]
+                rec = self.coef[fi][(I, k)]
+                comp += rec.comp
+                traf += rec.dl
             traf += self._t_sums(x_assign)[1]
             return abs(self.weights.w_t * traf - self.weights.w_c * comp)
         obj = 0.0
         for fi in range(self.F):
             I, z, k = x_assign[fi]
-            obj += self.static_obj[fi][(I, k)]
+            obj += self.coef[fi][(I, k)].static
         w_t = self.weights.effective()[2]
         if w_t != 0.0:
             obj += w_t * self._t_sums(x_assign)[1]
@@ -447,9 +423,10 @@ class MipModel:
         lift = [0.0, 0.0, 0.0]
         for fi in range(self.F):
             I, z, k = x_assign[fi]
-            util += self.util_coef[fi][(I, k)]
-            comp += self.comp_coef[fi][(I, k)]
-            per_v = self.dl_coef_v[fi][(I, k)]
+            rec = self.coef[fi][(I, k)]
+            util += rec.util
+            comp += rec.comp
+            per_v = rec.dl_v
             if I < self.noc:
                 for v in range(NUM_TENSORS):
                     d[v] += per_v[v]
@@ -488,16 +465,17 @@ class MipModel:
         """Re-check every capacity/spatial/budget constraint independently."""
         bad = []
         slots_seen: dict[tuple[int, int], int] = {}
+        recs = []
         for fi in range(self.F):
             I, z, k = x_assign[fi]
             if (I, z) in slots_seen:
                 bad.append(f"slot[{I},{z}] assigned twice")
             slots_seen[(I, z)] = fi
+            recs.append(self.coef[fi][(I, k)])
         for ci, con in enumerate(self.check_cons):
             lhs = 0.0
-            for fi in range(self.F):
-                I, z, k = x_assign[fi]
-                lhs += self.con_contrib[ci][fi].get((I, k), 0.0)
+            for rec in recs:
+                lhs += rec.row[ci]
             rhs = con.rhs
             if con.menu is not None:
                 if menu_sel is None:
@@ -661,9 +639,11 @@ def _build_raw(m: MipModel) -> RawModel:
     for ci, con in enumerate(m.check_cons):
         terms = []
         for fi in range(m.F):
-            for (I, k), coef in m.con_contrib[ci][fi].items():
-                for z in range(m.Z):
-                    terms.append((x_id[(fi, I, z, k)], coef))
+            for I, k in m.collapsed[fi]:
+                add = m.coef[fi][(I, k)].row[ci]
+                if add:
+                    for z in range(m.Z):
+                        terms.append((x_id[(fi, I, z, k)], add))
         if con.menu is not None:
             base = menu_id_base[con.menu]
             for ei, ent in enumerate(m.menus[con.menu].entries):
@@ -757,9 +737,8 @@ def _build_raw(m: MipModel) -> RawModel:
     for fi in range(m.F):
         for I, z, k in m.choices[fi]:
             vid = x_id[(fi, I, z, k)]
-            u = m.util_coef[fi][(I, k)]
-            c = m.comp_coef[fi][(I, k)]
-            d = m.dl_coef[fi][(I, k)]
+            rec = m.coef[fi][(I, k)]
+            u, c, d = rec.util, rec.comp, rec.dl
             if u:
                 util_expr[vid] = u
             if c:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 from . import costmodel
@@ -237,12 +237,7 @@ def enumerate_all(
         next(orders)  # the first order is `first` itself
         yield first
         for levels in orders:
-            yield Schedule(
-                levels=levels,
-                level_names=first.level_names,
-                layer=first.layer,
-                arch_name=first.arch_name,
-            )
+            yield replace(first, levels=levels)
 
 
 def order_scorer(report: CostReport, arch: ArchSpec, metric: str) -> Callable[[Levels], int]:

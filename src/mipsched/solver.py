@@ -14,18 +14,21 @@ a Lagrangian-penalized knapsack bound (Fisher 1981; Sinha & Zoltners
 1979): one capacity constraint stays explicit as a knapsack LP while the
 others are priced at their root multipliers.  It is checked against the
 current incumbent right before a child is entered and only skips it: it
-never reorders children and is not used by the dive or the
-limited-discrepancy sweep, so the proof visits a subset of the nodes
-in the same order and reaches the same answer.
+never reorders children, and its tables are built only after the dive
+and the limited-discrepancy sweep, so the proof visits a subset of the
+nodes in the same order and reaches the same answer.
 Reported assignments are canonicalized to the lexicographically smallest
 member of their class, so results are bit-stable across runs.  The search
-is single-threaded.  A child reads one flat record per (factor, choice
-class), `_Choice`; a constraint the class leaves alone reads 0.0 in its
-dense row, so every bound is evaluated with the same operands in the same
-order as a sparse lookup would give, and node counts stay pinned.  One
-`_Search` owns a solve's bound tables and its search state; every table
-is built from the `_Choice` records, and `_Search._suffix` is the one
-place the static branch order is summed into a per-depth table.
+is single-threaded.  It branches over the model's choice classes,
+`MipModel.classes`, and a child reads its class's first `ChoiceCoef`
+record; a constraint the class leaves alone reads 0.0 in its dense row,
+so every bound is evaluated with the same operands in the same order as a
+sparse lookup would give, and node counts stay pinned.  One `_Search`
+owns a solve's bound tables and its search state; every table is built
+from those records, and `_Search._suffix` is the one place the static
+branch order is summed into a per-depth table.  The leaf re-check and
+`exhaustive_solve` read each concrete choice's own record, never its
+class's, so a grouping error cannot hide from them.
 
 `exhaustive_solve` enumerates the raw assignment space and serves as the
 independent optimality oracle for desk-scale instances.
@@ -38,7 +41,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .formulation import TEMPORAL, MipModel
+from .formulation import ChoiceCoef, MipModel
 
 INF = math.inf
 EPS_PRUNE = 1e-9
@@ -297,9 +300,9 @@ class _Incumbent:
 
 
 class _Search:
-    """One solve: the model-derived tables, built from the `_Choice`
-    records, and the depth-first search state over the collapsed space.
-    One instance runs every phase (dive, LDS, DFS); only
+    """One solve: the model-derived tables, built from the class records
+    of `MipModel.classes`, and the depth-first search state over the
+    collapsed space.  One instance runs every phase (dive, LDS, DFS); only
     `_build_lagrangian` and `_build_penalized_knapsack` update the tables,
     between phases."""
 
@@ -307,7 +310,7 @@ class _Search:
     __slots__ = (
         "m", "tol", "inc", "deadline", "stopped", "nodes", "leaves", "order",
         "prev_same", "wt", "balance", "ncons", "con_rhs", "cap", "menu_fit",
-        "cls_of", "canon_options", "choices", "costs", "suffix_min", "kn_at",
+        "cls_of", "canon_options", "classes", "costs", "suffix_min", "kn_at",
         "lam_active", "lagr_suffix", "pen_at", "suffix_comp_lo",
         "suffix_comp_hi", "suffix_traf_lo", "traf_hi_const", "choice_rec",
         "chains", "con_lhs", "static_sum", "comp_sum", "dl_sum", "t_stack",
@@ -368,29 +371,27 @@ class _Search:
         # (level, mapping) descending)
         self.cls_of = [f.cls for f in m.factors]
         self.canon_options = {
-            cc: (cc[0][0] if len({I for I, _k in cc}) == 1 else None,
-                 tuple(sorted(cc, reverse=True)))
-            for fi in range(F)
-            for cc in m.choice_classes[fi]
+            rec.cc: (rec.I if len({I for I, _k in rec.cc}) == 1 else None,
+                     tuple(sorted(rec.cc, reverse=True)))
+            for recs in m.classes
+            for rec in recs
         }
 
         # Every member of a choice class has the same coefficients and
         # constraint row, and classes come in order of first appearance,
-        # so a table built over the records equals one built over every
-        # collapsed choice, float for float.
-        self.choices: list[list[_Choice]] = [
-            [_Choice(m, fi, cc) for cc in m.choice_classes[fi]] for fi in range(F)
-        ]
+        # so a table built over the class records equals one built over
+        # every collapsed choice, float for float.
+        self.classes = m.classes
         if self.balance:
             self.suffix_comp_lo = self._suffix(
-                [min(rec.comp for rec in recs) for recs in self.choices])
+                [min(rec.comp for rec in recs) for recs in self.classes])
             self.suffix_comp_hi = self._suffix(
-                [max(rec.comp for rec in recs) for recs in self.choices])
+                [max(rec.comp for rec in recs) for recs in self.classes])
             self.suffix_traf_lo = self._suffix(
-                [min(rec.dl + rec.self_t for rec in recs) for recs in self.choices])
+                [min(rec.dl + rec.self_t for rec in recs) for recs in self.classes])
             total_lg = sum(f.lg for f in m.factors)
             self.traf_hi_const = (
-                sum(max(rec.dl for rec in recs) for recs in self.choices)
+                sum(max(rec.dl for rec in recs) for recs in self.classes)
                 + 3.0 * total_lg
             )
             self.lam_active = []
@@ -398,7 +399,7 @@ class _Search:
             # per class, full cost (static plus guaranteed self-trigger
             # traffic)
             self.costs = [[rec.static + self.wt * rec.self_t for rec in recs]
-                          for recs in self.choices]
+                          for recs in self.classes]
             self.suffix_min = self._suffix([min(costs) for costs in self.costs])
             tabs, order = self._build_knapsack(self.costs, [0.0] * self.ncons)
             # per depth, one row per weighted constraint, tightest first:
@@ -415,7 +416,7 @@ class _Search:
         zeroing them gives each phase the bounds, and so the node counts,
         of a fresh search."""
         m = self.m
-        self.choice_rec: list[_Choice | None] = [None] * m.F
+        self.choice_rec: list[ChoiceCoef | None] = [None] * m.F
         self.chains: dict[int, list[int]] = {I: [] for I in range(m.noc, m.H)}
         self.con_lhs = [0.0] * self.ncons
         self.static_sum = 0.0
@@ -452,7 +453,7 @@ class _Search:
             for fi in range(F):
                 pts = []
                 zero_costs = []
-                for rec, cost in zip(self.choices[fi], costs[fi]):
+                for rec, cost in zip(self.classes[fi], costs[fi]):
                     w = rec.row[ci]
                     if lam_i:
                         cost -= lam_i * w
@@ -522,7 +523,7 @@ class _Search:
         priced = [
             [cost + sum(lam[ci] * add for ci, add in rec.items)
              for rec, cost in zip(recs, costs)]
-            for recs, costs in zip(self.choices, self.costs)
+            for recs, costs in zip(self.classes, self.costs)
         ]
         tabs, order = self._build_knapsack(priced, lam)
         # per depth, one row per finite constraint (0 * inf is NaN): its
@@ -560,7 +561,7 @@ class _Search:
                 [(cost, [(ci, w) for ci, w in rec.items
                          if not math.isinf(con_rhs[ci])])
                  for rec, cost in zip(recs, costs)]
-                for recs, costs in zip(self.choices, self.costs)
+                for recs, costs in zip(self.classes, self.costs)
             ]
             scale = max(abs(x) for x in [min(costs) for costs in self.costs] + [1.0])
             beta = 1.2
@@ -604,7 +605,7 @@ class _Search:
                     lam[ci] = max(0.0, lam[ci] + step * g[gi])
         self.lam_active = [(ci, l) for ci, l in enumerate(best_lam) if l > 1e-12]
         lagr_min = []
-        for recs, costs in zip(self.choices, self.costs):
+        for recs, costs in zip(self.classes, self.costs):
             best = INF
             for rec, t in zip(recs, costs):
                 for ci, w in rec.items:
@@ -616,12 +617,13 @@ class _Search:
         self.lagr_suffix = self._suffix(lagr_min)
 
     def _root_witness(self) -> tuple[str, ...] | None:
-        """Best-effort irreducible cause when no feasible leaf exists.  It
-        scans each class's dense row: a capacity pad above the capacity
-        makes rhs < 0, and then a zero contribution already violates."""
+        """Best-effort irreducible cause when no feasible leaf exists, each
+        constraint named once.  It scans each class's dense row: a capacity
+        pad above the capacity makes rhs < 0, and then a zero contribution
+        already violates."""
         m = self.m
-        names = []
-        for recs in self.choices:
+        names: dict[str, None] = {}  # ordered set
+        for recs in self.classes:
             blocking = set()
             any_ok = False
             for rec in recs:
@@ -632,11 +634,11 @@ class _Search:
                 else:
                     any_ok = True
             if not any_ok:
-                names.extend(sorted(blocking))
+                names.update(dict.fromkeys(sorted(blocking)))
         if m.menus:
             floor_bytes = sum(menu.entries[0].nbytes for menu in m.menus)
             if floor_bytes > m.budget_bytes:
-                names.append("budget")
+                names["budget"] = None
         return tuple(names) or None
 
     # -- helpers -------------------------------------------------------
@@ -786,7 +788,7 @@ class _Search:
 
     def _children(self, pos: int, dive: bool = False):
         """Children at depth `pos` in search order, each (order key, level,
-        mapping, chain position or -1, bound, `_Choice`, traffic after); no
+        mapping, chain position or -1, bound, class record, traffic after); no
         two share (level, mapping, position), so the sort stops there."""
         m = self.m
         fi = self.order[pos]
@@ -798,7 +800,7 @@ class _Search:
         cap = self.cap
         profile = None
         out = []
-        for rec in self.choices[fi]:
+        for rec in self.classes[fi]:
             if limit is not None and rec.rep > limit:
                 continue
             ok = True
@@ -969,18 +971,23 @@ class _Search:
         self.inc.offer(obj, key, x, menu_sel)
         return True
 
-    def dfs(self, pos: int):
+    def dfs(self, pos: int, budget: float = INF):
+        """Depth-first search over the children that survive `_prunes`.
+        A finite `budget` makes it a limited-discrepancy sweep: it deviates
+        from the best-bound child at most `budget` times along any path."""
         if self.timed_out():
             return
         self.nodes += 1
         if pos == self.m.F:
             self._leaf()
             return
-        for child in self._children(pos):
+        for idx, child in enumerate(self._children(pos)):
+            if idx > budget:
+                break
             if self._prunes(pos, child):
                 continue
             self._apply(pos, child)
-            self.dfs(pos + 1)
+            self.dfs(pos + 1, budget - (1 if idx > 0 else 0))
             self._undo(pos, child)
             if self.stopped:
                 return
@@ -1000,49 +1007,6 @@ class _Search:
                 return True
         return False
 
-    def lds(self, pos: int, budget: int):
-        """Limited-discrepancy sweep: deviate from the best-bound child at
-        most `budget` times along any path; primes the incumbent."""
-        if self.timed_out():
-            return
-        self.nodes += 1
-        if pos == self.m.F:
-            self._leaf()
-            return
-        for idx, child in enumerate(self._children(pos)):
-            if idx > budget:
-                break
-            if child[4] > self.inc.obj + EPS_PRUNE:
-                continue
-            self._apply(pos, child)
-            self.lds(pos + 1, budget - (1 if idx > 0 else 0))
-            self._undo(pos, child)
-
-
-class _Choice:
-    """One choice class of one factor and all a child of it reads: `rep`
-    orders a factor's classes for the multiset dedup; the capacity use is
-    both sparse (`items`) and a dense `row` with 0.0 where it adds nothing."""
-
-    __slots__ = ("cc", "rep", "I", "k", "items", "row", "static", "self_t",
-                 "comp", "dl", "chained")
-
-    def __init__(self, m: MipModel, fi: int, cc: tuple):
-        ck = cc[0]
-        self.cc = cc
-        self.rep = max(cc)
-        self.I, self.k = ck
-        self.items = tuple((ci, add) for ci, contrib in enumerate(m.con_contrib)
-                           if (add := contrib[fi].get(ck)))
-        self.row = [0.0] * len(m.con_contrib)
-        for ci, add in self.items:
-            self.row[ci] = add
-        self.static = m.static_obj[fi][ck]
-        self.self_t = m.self_t_coef[fi][ck]
-        self.comp = m.comp_coef[fi][ck]
-        self.dl = m.dl_coef[fi][ck]
-        self.chained = self.k == TEMPORAL and self.I >= m.noc
-
 
 def solve(model: MipModel, opts: SolverOptions = SolverOptions()) -> Solution:
     """Proven-optimal solve with the deterministic branch-and-bound."""
@@ -1059,7 +1023,7 @@ def solve(model: MipModel, opts: SolverOptions = SolverOptions()) -> Solution:
             # sharpen the incumbent with a limited-discrepancy sweep, repeat
             search._build_lagrangian(upper=inc.obj)
             search.reset()
-            search.lds(0, 1)
+            search.dfs(0, 1)
             search._build_lagrangian(upper=inc.obj)
         if not search.balance:
             search._build_penalized_knapsack()
@@ -1118,12 +1082,6 @@ def exhaustive_solve(
     pads = [c.pad for c in m.check_cons]
     con_of_menu = {c.menu: ci for ci, c in enumerate(m.check_cons) if c.menu is not None}
 
-    contrib_of = []
-    for fi in range(F):
-        contrib_of.append(
-            [(ci, m.con_contrib[ci][fi]) for ci in range(ncons) if m.con_contrib[ci][fi]]
-        )
-
     best_obj = INF
     best_key = None
     best_x = None
@@ -1168,14 +1126,12 @@ def exhaustive_solve(
                 continue
             applied = []
             ok = True
-            for ci, d in contrib_of[fi]:
-                add = d.get((I, k))
-                if add:
-                    if lhs[ci] + add > rhs[ci] + tol:
-                        ok = False
-                        break
-                    lhs[ci] += add
-                    applied.append((ci, add))
+            for ci, add in m.coef[fi][(I, k)].items:
+                if lhs[ci] + add > rhs[ci] + tol:
+                    ok = False
+                    break
+                lhs[ci] += add
+                applied.append((ci, add))
             if ok:
                 occupied.add((I, z))
                 x[fi] = (I, z, k)

@@ -13,6 +13,7 @@ from mipsched.arch import (
     MemLevel,
     MemTensorMatrix,
     default_simba_arch,
+    log2_capacity,
 )
 from mipsched.formulation import (
     SPATIAL,
@@ -366,6 +367,76 @@ def reference_t_sums(model, x_assign):
                 per_v[v] += f.lg
                 total += f.lg
     return per_v, total
+
+
+def reference_choice_coefficients(model):
+    """Per factor, (level, mapping) -> (util, comp, dl_v, dl, self_t,
+    static, row), computed by the per-term dict-of-dicts rules that
+    `ChoiceCoef` replaced: one dict per objective term, and per check
+    constraint a per-factor dict of the choices it holds."""
+    arch = model.arch
+    w_u, w_c, w_t = model.weights.effective()
+    pairs = arch.on_chip_pairs()
+    out = []
+    for fi, f in enumerate(model.factors):
+        rel = [arch.A.related(f.j, v) for v in range(NUM_TENSORS)]
+        relcount = sum(rel)
+        coefs = {}
+        for I, k in model.collapsed[fi]:
+            u = f.lg * sum(1 for (Ic, v) in pairs if Ic > I and rel[v])
+            c = f.lg if k == TEMPORAL else 0.0
+            per_v = [0.0, 0.0, 0.0]
+            if I < model.noc:
+                for v in range(NUM_TENSORS):
+                    if rel[v]:
+                        per_v[v] = f.lg
+            elif I == model.noc and k == SPATIAL:
+                for v in range(NUM_TENSORS):
+                    if rel[v]:
+                        per_v[v] = f.lg
+            d = f.lg * relcount if (I < model.noc or (I == model.noc and k == SPATIAL)) else 0.0
+            s = 0.0
+            if k == TEMPORAL and I >= model.noc:
+                s = f.lg * sum(
+                    1 for v in range(NUM_TENSORS) if rel[v] and arch.B.stores(I, v)
+                )
+            coefs[(I, k)] = (u, c, tuple(per_v), d, s, -w_u * u + w_c * c + w_t * d)
+        out.append(coefs)
+
+    # constraint contributions, in the order the check constraints are made
+    names = []
+    contribs = []
+    for I, v in pairs:
+        if math.isinf(log2_capacity(arch, I, v)) and model.partition is None:
+            continue
+        per_factor = []
+        for fi, f in enumerate(model.factors):
+            d = {}
+            if arch.A.related(f.j, v):
+                for Ic, k in model.collapsed[fi]:
+                    if Ic < I:
+                        d[(Ic, k)] = f.lg
+            per_factor.append(d)
+        names.append(f"buffer[{arch.levels[I].name}/{TENSOR_NAMES[v]}]")
+        contribs.append(per_factor)
+    for I in range(model.H):
+        if arch.levels[I].spatial_fanout <= 1:
+            continue
+        per_factor = []
+        for fi, f in enumerate(model.factors):
+            d = {}
+            if (I, SPATIAL) in out[fi]:
+                d[(I, SPATIAL)] = f.lg
+            per_factor.append(d)
+        names.append(f"spatial[{arch.levels[I].name}]")
+        contribs.append(per_factor)
+    assert names == [con.name for con in model.check_cons]
+
+    for fi, coefs in enumerate(out):
+        for (I, k), terms in coefs.items():
+            row = [contrib[fi].get((I, k), 0.0) for contrib in contribs]
+            coefs[(I, k)] = terms + (row,)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -147,6 +147,9 @@ class TestSolveCommand:
     def test_tiny_budget_partition_infeasible(self, tiny_layer, capsys):
         code = main(["partition", "--layer", tiny_layer, "--budget", "1"])
         assert code == EXIT_INFEASIBLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "infeasible: budget" in err
 
     @pytest.mark.parametrize("command", ["solve", "partition"])
     def test_out_directory_exits_io(self, command, tiny_layer, tmp_path, capsys):

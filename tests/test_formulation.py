@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_instance, reference_conv28_schedule, toy_two_level
+from helpers import (
+    SUITE_LAYERS,
+    random_instance,
+    reference_choice_coefficients,
+    reference_conv28_schedule,
+    toy_two_level,
+)
 from mipsched.arch import ArchSpec, MemLevel, MemTensorMatrix
 from mipsched.formulation import (
     SPATIAL,
@@ -79,7 +85,7 @@ class TestBufferConstraints:
         assert model.constraint_violations(x) == []
         con = next(c for c in model.check_cons if c.kind == "buffer" and c.level == 1)
         lhs = sum(
-            model.con_contrib[model.check_cons.index(con)][fi][(0, TEMPORAL)]
+            model.coef[fi][(0, TEMPORAL)].row[model.check_cons.index(con)]
             for fi in range(4)
         )
         assert math.isclose(lhs, con.rhs, rel_tol=1e-12)  # 2*2*2*2 = 16 exactly
@@ -106,8 +112,8 @@ class TestBufferConstraints:
         ci = next(
             i for i, c in enumerate(model.check_cons) if c.kind == "buffer"
         )
-        contrib = model.con_contrib[ci][0]
-        assert (0, SPATIAL) not in contrib  # level 0 is the bounded level itself
+        contrib = model.coef[0][(0, SPATIAL)].row[ci]
+        assert contrib == 0.0  # level 0 is the bounded level itself
         assert cons  # constraints exist for the bounded level
 
 
@@ -123,7 +129,7 @@ class TestSpatialConstraints:
             if c.kind == "spatial" and c.level == 4
         )
         lhs = sum(
-            model.con_contrib[ci][fi].get((I, k), 0.0)
+            model.coef[fi][(I, k)].row[ci]
             for fi, (I, z, k) in x.items()
         )
         assert math.isclose(lhs, math.log2(12))  # 3*2*2 across 16 engines
@@ -405,3 +411,42 @@ def test_assignment_conservation(seed):
         per_dim[f.j] = per_dim.get(f.j, 0.0) + f.lg
     for j, total in per_dim.items():
         assert math.isclose(total, math.log2(model.pf.padded[j]), rel_tol=1e-9)
+
+
+def coef_models(simba):
+    conv28 = factorize(SUITE_LAYERS["conv28"])
+    for name, dims in SUITE_LAYERS.items():
+        yield name, build_model(factorize(dims), simba)
+    for mode in ("util", "comp", "traffic", "balance"):
+        yield f"conv28-{mode}", build_model(conv28, simba, ObjectiveWeights(mode=mode))
+    yield "conv28-partition", build_model(
+        conv28, simba, partition=PartitionSpec(budget_bytes=306367)
+    )
+    for seed in range(200):
+        model = random_instance(seed)
+        if model is not None:
+            yield seed, model
+
+
+def test_choice_coefficients_match_reference(simba):
+    """Every choice's record holds the per-term rules' coefficients, bit
+    for bit; every member of a choice class has its representative's
+    objective coefficients and constraint row; and `classes` lists each
+    class's first record in order of first appearance."""
+    for name, model in coef_models(simba):
+        ref = reference_choice_coefficients(model)
+        for fi in range(model.F):
+            coef = model.coef[fi]
+            assert list(coef) == model.collapsed[fi], name
+            firsts = {}
+            for ck, rec in coef.items():
+                got = (rec.util, rec.comp, rec.dl_v, rec.dl, rec.self_t, rec.static,
+                       rec.row)
+                assert repr(got) == repr(ref[fi][ck]), (name, fi, ck)
+                assert (rec.I, rec.k) == ck and ck in rec.cc and rec.rep == max(rec.cc)
+                assert rec.items == tuple((ci, a) for ci, a in enumerate(rec.row) if a)
+                rep = firsts.setdefault(rec.cc, rec)
+                assert rep is coef[rec.cc[0]], (name, fi, ck)
+                assert (repr((rep.util, rep.comp, rep.dl_v, rep.row))
+                        == repr((rec.util, rec.comp, rec.dl_v, rec.row))), (name, fi, ck)
+            assert model.classes[fi] == list(firsts.values()), name
