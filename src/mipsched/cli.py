@@ -63,6 +63,8 @@ EXIT_INFEASIBLE = 3
 EXIT_TIMEOUT = 4  # any limit reached: --time-limit, or enumerate's --limit
 EXIT_IO = 5
 
+MAX_ROUNDS = 12  # halo re-solve rounds before an invalid schedule is an error
+
 
 class ConfigError(ValueError):
     pass
@@ -138,7 +140,10 @@ def load_layer(path: str) -> LayerDims:
             vals[key] = int(body[key])
         except ValueError:
             raise ConfigError(f"{path}: {key} must be an integer") from None
-    stride = int(body.get("Stride", body.get("stride", "1")))
+    try:
+        stride = int(body.get("Stride", body.get("stride", "1")))
+    except ValueError:
+        raise ConfigError(f"{path}: Stride must be an integer") from None
     try:
         return LayerDims(*[vals[k] for k in DIM_NAMES], stride=stride)
     except ValueError as exc:
@@ -242,7 +247,6 @@ def solve_layer(
     opts: SolverOptions | None = None,
     partition: PartitionSpec | None = None,
     halo: bool = True,
-    max_rounds: int = 12,
 ) -> PipelineResult:
     """Build, solve, decode, validate; re-solve with tightened capacities
     when exact validation finds window-inflated input tiles the linear
@@ -266,7 +270,7 @@ def solve_layer(
         if not violations:
             report = evaluate(sched, check_arch)
             return PipelineResult(solution, sched, report, model, pads, rounds)
-        if violations != capacity or rounds >= max_rounds:
+        if violations != capacity or rounds >= MAX_ROUNDS:
             raise InvalidScheduleError(
                 "solver produced an invalid schedule: "
                 + "; ".join(str(v) for v in violations)
@@ -368,12 +372,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     arch, _layers = _load_inputs(cfg)
-    try:
-        with open(cfg.schedule_path, "rb") as fh:
-            sched = sched_mod.parse(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(cfg.schedule_path, "rb") as fh:
+        sched = sched_mod.parse(fh.read())
     violations = validate(sched, arch, halo=cfg.halo)
     if violations:
         for v in violations:
@@ -634,7 +634,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidScheduleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except SpaceTooLarge as exc:

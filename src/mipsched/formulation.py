@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .arch import ArchSpec, NUM_TENSORS, TENSOR_NAMES, log2_capacity
-from .workload import DIM_NAMES, PrimeFactorization, total_factor_count
+from .workload import DIM_NAMES, PrimeFactorization
 
 SPATIAL, TEMPORAL = 0, 1
 MAP_NAMES = ("s", "t")
@@ -190,7 +190,6 @@ class MipModel:
 
         self.H = arch.num_levels
         self.noc = arch.noc_level
-        self.Z = total_factor_count(pf)
 
         classes: dict[tuple[int, int], int] = {}
         factors = []
@@ -199,6 +198,7 @@ class MipModel:
             factors.append(Factor(j, n, prime, lg, cls))
         self.factors: tuple[Factor, ...] = tuple(factors)
         self.F = len(factors)
+        self.Z = self.F  # rank slots per level; canonicalization relies on Z == F
 
         self._build_choices()
         self._build_check_constraints()

@@ -45,6 +45,7 @@ from .formulation import ChoiceCoef, MipModel
 
 INF = math.inf
 EPS_PRUNE = 1e-9
+TOLERANCE = 1e-6  # capacity slack granted to every constraint check
 EXHAUSTIVE_SPACE_LIMIT = 10_000_000
 
 
@@ -54,20 +55,20 @@ class SpaceTooLarge(ValueError):
 
 @dataclass
 class SolverOptions:
-    """Knobs for both solvers.
+    """Knobs for `solve`.
 
     The tie-break rule is fixed: among equal-objective optima, the
-    lexicographically smallest assignment vector wins.  The search is
-    single-threaded; `threads` is a read-only constant, not a field, kept
-    because perfbench/worker.py records it with every op.
+    lexicographically smallest assignment vector wins.  So is the capacity
+    tolerance, `TOLERANCE`.  The search is single-threaded; `threads` is a
+    read-only constant, not a field, kept because perfbench/worker.py
+    records it with every op.
     """
 
     time_limit_s: float = 300.0
-    tolerance: float = 1e-6
     threads = 1
 
     def __post_init__(self):
-        if self.time_limit_s <= 0:
+        if not self.time_limit_s > 0:  # also rejects NaN
             raise ValueError("time_limit_s must be positive")
 
 
@@ -98,62 +99,39 @@ class Solution:
 
 
 class _LevelState:
-    __slots__ = ("used", "chain_pins", "chain_len", "fixed_unpinned")
+    __slots__ = ("used", "chain_pins", "chain_len")
 
-    def __init__(self, chain_len: int, fixed_here: int):
+    def __init__(self, chain_len: int):
         self.used: set[int] = set()
         self.chain_pins: dict[int, int] = {}
         self.chain_len = chain_len
-        self.fixed_unpinned = fixed_here
 
 
-def _level_feasible(st: _LevelState, Z: int) -> bool:
-    """Can the level's remaining fixed placements still be embedded?"""
-    if Z - len(st.used) < st.fixed_unpinned:
-        return False
-    pins = sorted(st.chain_pins.items())
-    prev_pos, prev_z = -1, -1
-    for pos, z in pins:
-        if z <= prev_z:
-            return False
-        run = pos - prev_pos - 1
-        if run > 0:
-            avail = sum(1 for zz in range(prev_z + 1, z) if zz not in st.used)
-            if avail < run:
-                return False
-        prev_pos, prev_z = pos, z
-    run = st.chain_len - prev_pos - 1
-    if run > 0:
-        avail = sum(1 for zz in range(prev_z + 1, Z) if zz not in st.used)
-        if avail < run:
-            return False
-    return True
+def _zmax(st: _LevelState, pos: int | None, Z: int) -> int:
+    """Highest rank a placement can take on a level with a chain while the
+    level stays embeddable (the gap rule).
 
-
-def _zmax(st: _LevelState, pos: int | None, Z: int, fixed: bool) -> int | None:
-    """Highest rank this placement can take while the rest stays embeddable."""
-    if pos is None:
-        lo, hi = -1, Z
-    else:
-        lo = max((z for p, z in st.chain_pins.items() if p < pos), default=-1)
-        hi = min((z for p, z in st.chain_pins.items() if p > pos), default=Z)
-    for z in range(hi - 1, lo, -1):
-        if z in st.used:
+    The pins increase in both position and rank.  Bounded by (-1, -1)
+    below and (chain_len, Z) above, they split the level into gaps of free
+    ranks, and the pins are embeddable exactly when no gap has fewer free
+    ranks than unpinned chain positions.  Chain position `pos` in the gap
+    (p0, z0)..(p1, z1) takes element `p1 - pos - 1` of the gap's free
+    ranks listed from the top: that leaves one rank above it for each
+    chain position before the next pin.  A placement outside the chain
+    takes the highest free rank of the topmost gap whose free ranks
+    outnumber its unpinned positions; `canonical_assignment` shows one
+    always exists."""
+    bounds = [(-1, -1), *sorted(st.chain_pins.items()), (st.chain_len, Z)]
+    for gap in range(len(bounds) - 1, 0, -1):
+        p0, z0 = bounds[gap - 1]
+        p1, z1 = bounds[gap]
+        if pos is not None and not p0 < pos < p1:
             continue
-        st.used.add(z)
-        if fixed:
-            st.fixed_unpinned -= 1
+        free = [z for z in range(z1 - 1, z0, -1) if z not in st.used]
         if pos is not None:
-            st.chain_pins[pos] = z
-        ok = _level_feasible(st, Z)
-        st.used.discard(z)
-        if fixed:
-            st.fixed_unpinned += 1
-        if pos is not None:
-            del st.chain_pins[pos]
-        if ok:
-            return z
-    return None
+            return free[p1 - pos - 1]
+        if len(free) > p1 - p0 - 1:
+            return free[0]
 
 
 def canonical_assignment(
@@ -170,18 +148,20 @@ def canonical_assignment(
     rank slots shifted freely within the class; this picks, factor by
     declared order, the placement with the highest (level, rank, mapping)
     that keeps the remainder completable (a later one-hot position is a
-    lexicographically smaller vector).
+    lexicographically smaller vector), and pins it for good.
 
-    On a level without a chain (every level below the NoC, and chain
-    levels whose chain is empty) no placement is pinned to a position, so
-    `_level_feasible` reduces to `Z - len(used) >= fixed_unpinned`, which
-    does not depend on the rank taken, and `_zmax` returns the highest
-    unused rank or None.  Every rank there is taken by that rule and
-    released last-in first-out, so the used ranks are always the top block
-    `Z-n .. Z-1`: the highest rank is `Z-1-n`, feasible exactly when
-    `Z-1-n >= fixed_unpinned - fixed`.  Only levels with a chain run
-    `_zmax`.  `sh` supplies the per-model tables (`canon_options`,
-    `cls_of`).
+    Why one forward pass with no undo is exact: the model has `Z == F`
+    rank slots per level, so the final occupants of any level number at
+    most `Z`, and every level's free ranks are at least the factors not
+    yet pinned.  A placement outside the chain therefore always finds a
+    spare free rank on its top option's level: that level's free ranks
+    exceed the unpinned chain positions it must still hold.  A chain
+    placement always fits in its gap, because the pins made so far are
+    embeddable.  So each placement's top option `max(cc)` fits, the
+    greedy never backtracks, and rank feasibility is the gap count of
+    `_zmax` alone.  On a level without a chain every pin takes the highest
+    free rank, so the used ranks are the top block and the next is
+    `Z-1-len(used)`.  `sh.cls_of` maps each factor to its identical class.
 
     Each factor has exactly one best placement, so the scan keeps one
     entry and never has to compare completions.  Two entries of one
@@ -194,8 +174,6 @@ def canonical_assignment(
     free to take z, so the highest rank of p' is above z.
     """
     Z = model.Z
-    F = model.F
-    canon_options = sh.canon_options
     cls_of = sh.cls_of
     chain_pos: dict[int, int] = {}
     for lst in chains.values():
@@ -204,80 +182,37 @@ def canonical_assignment(
 
     # per identical class, one entry per distinct placement (options
     # tuple, chain position or None): [factors of the class still holding
-    # it, options by (level, mapping) descending, fixed to one level, pos]
+    # it, top option (level, mapping), pos]
     remaining: dict[int, dict[tuple, list]] = {}
-    fixed_count = [0] * model.H
     for fi, options in enumerate(choice_cls):
-        single, by_level = canon_options[options]
-        if single is not None:
-            fixed_count[single] += 1
         pos = chain_pos.get(fi)
         rem = remaining.setdefault(cls_of[fi], {})
         ent = rem.get((options, pos))
         if ent is None:
-            rem[(options, pos)] = [1, by_level, single is not None, pos]
+            rem[(options, pos)] = [1, max(options), pos]
         else:
             ent[0] += 1
-    states = [
-        _LevelState(len(chains.get(I, ())), fixed_count[I]) for I in range(model.H)
-    ]
-    out: list[tuple[int, int, int] | None] = [None] * F
-
-    def rec(fi: int) -> bool:
-        """Fill out[fi:]; False when no completion exists."""
-        if fi == F:
-            return True
-        best = None
-        best_I = -1
-        best_ent = None
+    states = [_LevelState(len(chains.get(I, ()))) for I in range(model.H)]
+    out: dict[int, tuple[int, int, int]] = {}
+    for fi in range(model.F):
+        best = best_ent = None
         for ent in remaining[cls_of[fi]].values():
-            count, by_level, fixed, pos = ent
-            if not count:
+            count, (I, k), pos = ent
+            # a lower top level cannot beat the best so far
+            if not count or (best is not None and I < best[0]):
                 continue
-            # the first option that fits is this placement's highest
-            # (level, rank, mapping)
-            for I, k in by_level:
-                if I < best_I:
-                    break
-                st = states[I]
-                if st.chain_len:
-                    z = _zmax(st, pos, Z, fixed)
-                    if z is None:
-                        continue
-                else:
-                    z = Z - 1 - len(st.used)
-                    if z < st.fixed_unpinned - fixed:
-                        continue
-                c = (I, z, k)
-                if best is None or c > best:
-                    best = c
-                    best_I = I
-                    best_ent = ent
-                break
-        if best is None:
-            return False
-        I, z, _k = best
-        st = states[I]
-        _count, _by_level, fixed, pos = best_ent
-        best_ent[0] -= 1
-        st.used.add(z)
-        if fixed:
-            st.fixed_unpinned -= 1
-        if pos is not None:
-            st.chain_pins[pos] = z
+            st = states[I]
+            z = _zmax(st, pos, Z) if st.chain_len else Z - 1 - len(st.used)
+            if best is None or (I, z, k) > best:
+                best, best_ent = (I, z, k), ent
         out[fi] = best
-        ok = rec(fi + 1)
-        st.used.discard(z)
-        if fixed:
-            st.fixed_unpinned += 1
+        best_ent[0] -= 1
+        I, z, _k = best
+        pos = best_ent[2]
+        states[I].used.add(z)
         if pos is not None:
-            del st.chain_pins[pos]
-        best_ent[0] += 1
-        return ok
-
-    if not rec(0):
-        raise RuntimeError("canonicalization failed on a feasible leaf")
-    return dict(enumerate(out))
+            states[I].chain_pins[pos] = z
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +245,7 @@ class _Search:
     __slots__ = (
         "m", "tol", "inc", "deadline", "stopped", "nodes", "leaves", "order",
         "prev_same", "wt", "balance", "ncons", "con_rhs", "cap", "menu_fit",
-        "cls_of", "canon_options", "classes", "costs", "suffix_min", "kn_at",
+        "cls_of", "classes", "costs", "suffix_min", "kn_at",
         "lam_active", "lagr_suffix", "pen_at", "suffix_comp_lo",
         "suffix_comp_hi", "suffix_traf_lo", "traf_hi_const", "choice_rec",
         "chains", "con_lhs", "static_sum", "comp_sum", "dl_sum", "t_stack",
@@ -366,16 +301,8 @@ class _Search:
             self.prev_same[fi] = last.get(cls)
             last[cls] = fi
 
-        # canonical_assignment's tables: factor -> identical class, and
-        # choice class -> (its single level or None, its options by
-        # (level, mapping) descending)
+        # canonical_assignment's table: factor -> identical class
         self.cls_of = [f.cls for f in m.factors]
-        self.canon_options = {
-            rec.cc: (rec.I if len({I for I, _k in rec.cc}) == 1 else None,
-                     tuple(sorted(rec.cc, reverse=True)))
-            for recs in m.classes
-            for rec in recs
-        }
 
         # Every member of a choice class has the same coefficients and
         # constraint row, and classes come in order of first appearance,
@@ -1012,7 +939,7 @@ def solve(model: MipModel, opts: SolverOptions = SolverOptions()) -> Solution:
     """Proven-optimal solve with the deterministic branch-and-bound."""
     t0 = time.perf_counter()
     inc = _Incumbent()
-    search = _Search(model, opts.tolerance, inc, t0 + opts.time_limit_s)
+    search = _Search(model, TOLERANCE, inc, t0 + opts.time_limit_s)
 
     if model.F == 0:
         search._leaf()
@@ -1063,9 +990,7 @@ def assignment_space_size(model: MipModel) -> int:
 
 
 def exhaustive_solve(
-    model: MipModel,
-    opts: SolverOptions = SolverOptions(),
-    space_limit: int = EXHAUSTIVE_SPACE_LIMIT,
+    model: MipModel, space_limit: int = EXHAUSTIVE_SPACE_LIMIT
 ) -> Solution:
     """Enumerate every assignment with the exactly-one structure, filter by
     the constraints, and return the global optimum under the same
@@ -1075,7 +1000,7 @@ def exhaustive_solve(
         raise SpaceTooLarge(f"assignment space {size} exceeds limit {space_limit}")
     t0 = time.perf_counter()
     m = model
-    tol = opts.tolerance
+    tol = TOLERANCE
     F = m.F
     ncons = len(m.check_cons)
     rhs = [c.rhs for c in m.check_cons]

@@ -137,8 +137,21 @@ class TestSolveCommand:
         p.write_text("[layer]\nR=three\n")
         assert main(["solve", "--layer", str(p)]) == EXIT_PARSE
 
-    def test_missing_file_exits_io(self, capsys):
+    def test_missing_file_exits_io(self, tiny_layer, tmp_path, capsys):
         assert main(["solve", "--layer", "/nonexistent/x.layer"]) == 5
+        # a directory where a file is expected is unreadable too
+        for argv in (
+            ["solve", "--layer", str(tmp_path)],
+            ["solve", "--layer", tiny_layer, "--arch", str(tmp_path)],
+        ):
+            assert main(argv) == 5
+            assert "error: " in capsys.readouterr().err
+
+    def test_bad_stride_names_file(self, tmp_path, capsys):
+        p = tmp_path / "bad.layer"
+        p.write_text(TINY_LAYER.replace("Stride=1", "Stride=x"))
+        assert main(["solve", "--layer", str(p)]) == EXIT_PARSE
+        assert f"error: {p}: Stride must be an integer" in capsys.readouterr().err
 
     def test_zero_budget_partition_infeasible(self, tiny_layer, capsys):
         code = main(["solve", "--layer", tiny_layer, "--budget", "0"])

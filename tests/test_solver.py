@@ -104,6 +104,8 @@ def test_space_guard():
 def test_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(time_limit_s=0)
+    with pytest.raises(ValueError):
+        SolverOptions(time_limit_s=float("nan"))
 
 
 def test_dump_lp_structure():
