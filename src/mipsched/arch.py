@@ -316,6 +316,6 @@ def validate_arch(arch: ArchSpec) -> list[ArchViolation]:
             out.append(
                 ArchViolation("precision", TENSOR_NAMES[v], f"precision {prec} < 1 byte")
             )
-    if arch.noc_bandwidth <= 0:
+    if not arch.noc_bandwidth > 0:  # also flags NaN
         out.append(ArchViolation("bandwidth", arch.name, "NoC bandwidth must be positive"))
     return out

@@ -188,10 +188,19 @@ def load_arch(path: str) -> ArchSpec:
         raise ConfigError(f"{path}: no [level] sections")
 
     def triple(text: str) -> tuple[int, int, int]:
-        parts = [int(x) for x in text.split(",")]
+        try:
+            parts = tuple(int(x) for x in text.split(","))
+        except ValueError:
+            parts = ()
         if len(parts) != 3:
-            raise ConfigError(f"{path}: expected three comma-separated values: {text}")
-        return tuple(parts)
+            raise ConfigError(f"{path}: expected three comma-separated integers: {text}")
+        return parts
+
+    def matrix(cls, section: str, rows: list):
+        try:
+            return cls(rows=tuple(rows))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: [{section}] {exc}") from None
 
     if a_rows:
         rows = []
@@ -199,7 +208,7 @@ def load_arch(path: str) -> ArchSpec:
             if dim not in a_rows:
                 raise ConfigError(f"{path}: [matrix_a] missing row {dim}")
             rows.append(triple(a_rows[dim]))
-        A = TensorDimMatrix(rows=tuple(rows))
+        A = matrix(TensorDimMatrix, "matrix_a", rows)
     else:
         A = DEFAULT_A
     if b_rows:
@@ -208,19 +217,23 @@ def load_arch(path: str) -> ArchSpec:
             if lvl.name not in b_rows:
                 raise ConfigError(f"{path}: [matrix_b] missing row {lvl.name}")
             rows.append(triple(b_rows[lvl.name]))
-        B = MemTensorMatrix(rows=tuple(rows))
+        B = matrix(MemTensorMatrix, "matrix_b", rows)
     elif len(levels) == len(SIMBA_B.rows):
         B = SIMBA_B
     else:
         B = MemTensorMatrix(rows=tuple((1, 1, 1) for _ in levels))
 
     precision = triple(meta.get("precision", "1,1,3"))
+    try:
+        bandwidth = float(meta.get("bandwidth", "8"))
+    except ValueError:
+        raise ConfigError(f"{path}: bandwidth must be a number") from None
     return ArchSpec(
         levels=tuple(levels),
         A=A,
         B=B,
         precision_bytes=precision,
-        noc_bandwidth=float(meta.get("bandwidth", "8")),
+        noc_bandwidth=bandwidth,
         name=meta.get("name", os.path.splitext(os.path.basename(path))[0]),
     )
 

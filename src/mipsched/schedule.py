@@ -328,6 +328,15 @@ def _fail(msg: str, lineno: int, text: str, token: str | None = None):
     raise ScheduleParseError(msg, lineno, col)
 
 
+def _int(tok: list[str], i: int, what: str, lineno: int, text: str) -> int:
+    """Integer field `tok[i]` of a line, or a ScheduleParseError at it."""
+    token = tok[i] if i < len(tok) else None
+    try:
+        return int(token)
+    except (TypeError, ValueError):
+        _fail(f"{what} must be an integer", lineno, text, token)
+
+
 def parse(data: bytes | str) -> Schedule:
     """Parse the serialized form back into a Schedule."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
@@ -365,11 +374,11 @@ def parse(data: bytes | str) -> Schedule:
         elif tok[0] == "arch":
             arch_name = line[len("arch ") :] if len(tok) > 1 else ""
         elif tok[0] == "levels":
-            num_levels = int(tok[1])
+            num_levels = _int(tok, 1, "level count", lineno, raw)
         elif tok[0] == "level":
             if num_levels is None:
                 _fail("'levels' must precede 'level'", lineno, raw)
-            idx = int(tok[1])
+            idx = _int(tok, 1, "level index", lineno, raw)
             if idx != len(levels):
                 _fail(f"level {idx} out of order", lineno, raw, tok[1])
             level_names.append(" ".join(tok[2:]) if len(tok) > 2 else f"L{idx}")
@@ -378,10 +387,10 @@ def parse(data: bytes | str) -> Schedule:
         elif tok[0] == "loop":
             if len(tok) != 6:
                 _fail("loop needs: level rank dim bound mapping", lineno, raw)
-            I = int(tok[1])
+            I = _int(tok, 1, "loop level", lineno, raw)
             if not 0 <= I < len(levels):
                 _fail(f"loop references unknown level {I}", lineno, raw, tok[1])
-            rank = int(tok[2])
+            rank = _int(tok, 2, "loop rank", lineno, raw)
             if rank != expected_rank[I]:
                 _fail(
                     f"rank {rank} out of order (expected {expected_rank[I]})",
@@ -391,10 +400,7 @@ def parse(data: bytes | str) -> Schedule:
                 )
             if tok[3] not in DIM_INDEX:
                 _fail(f"unknown dimension {tok[3]!r}", lineno, raw, tok[3])
-            try:
-                bound = int(tok[4])
-            except ValueError:
-                _fail("bound must be an integer", lineno, raw, tok[4])
+            bound = _int(tok, 4, "bound", lineno, raw)
             if tok[5] not in ("s", "t"):
                 _fail(f"mapping must be 's' or 't', got {tok[5]!r}", lineno, raw, tok[5])
             try:

@@ -9,25 +9,32 @@ distinct schedule class is searched once.  Pruning combines a per-factor
 best-case bound, a root Lagrangian relaxation of the capacity
 constraints, and per-constraint fractional knapsack relaxations; the
 partial traffic term is monotone under extension and included exactly.
-These bounds also order the children.  The final depth-first proof adds
-a Lagrangian-penalized knapsack bound (Fisher 1981; Sinha & Zoltners
-1979): one capacity constraint stays explicit as a knapsack LP while the
-others are priced at their root multipliers.  It is checked against the
-current incumbent right before a child is entered and only skips it: it
-never reorders children, and its tables are built only after the dive
-and the limited-discrepancy sweep, so the proof visits a subset of the
-nodes in the same order and reaches the same answer.
+These bounds also order the children; there is no other child order.
+
+A solve runs one depth-first search twice: a dive that stops at the
+first accepted leaf, then, after one Polyak rebuild of the multipliers
+against that incumbent, the proof from the root.  The proof adds a
+Lagrangian-penalized knapsack bound (Fisher 1981; Sinha & Zoltners
+1979): one capacity constraint stays an explicit knapsack LP, the others
+are priced at the multipliers.  It only skips children, never reorders.
+
+The answer depends neither on the search order nor on which incumbent
+comes first: a leaf replaces the incumbent only on a strictly smaller
+`(objective, lex_key)` of its canonical assignment, and every prune is
+admissible up to `EPS_PRUNE`, so no tie is pruned and the result is the
+minimum over leaf classes.  The exceptions are a timeout, and a leaf
+within ulps of a capacity: `_children` sums capacity use in branch order.
+
 Reported assignments are canonicalized to the lexicographically smallest
 member of their class, so results are bit-stable across runs.  The search
-is single-threaded.  It branches over the model's choice classes,
-`MipModel.classes`, and a child reads its class's first `ChoiceCoef`
-record; a constraint the class leaves alone reads 0.0 in its dense row,
-so every bound is evaluated with the same operands in the same order as a
-sparse lookup would give, and node counts stay pinned.  One `_Search`
-owns a solve's bound tables and its search state; every table is built
-from those records, and `_Search._suffix` is the one place the static
-branch order is summed into a per-depth table.  The leaf re-check and
-`exhaustive_solve` read each concrete choice's own record, never its
+branches over the model's choice classes, `MipModel.classes`; a child
+reads its class's first `ChoiceCoef` record, and a constraint the class
+leaves alone reads 0.0 in its dense row, so every bound sees the operands
+of a sparse lookup in the same order, and node counts stay pinned.  One
+`_Search` owns a solve's bound tables and search state; every table is
+built from those records, and `_Search._suffix` is the one place the
+static branch order is summed into a per-depth table.  The leaf re-check
+and `exhaustive_solve` read each concrete choice's own record, never its
 class's, so a grouping error cannot hide from them.
 
 `exhaustive_solve` enumerates the raw assignment space and serves as the
@@ -47,6 +54,7 @@ INF = math.inf
 EPS_PRUNE = 1e-9
 TOLERANCE = 1e-6  # capacity slack granted to every constraint check
 EXHAUSTIVE_SPACE_LIMIT = 10_000_000
+LAGRANGIAN_ITERS = 240  # subgradient steps per multiplier build
 
 
 class SpaceTooLarge(ValueError):
@@ -237,9 +245,9 @@ class _Incumbent:
 class _Search:
     """One solve: the model-derived tables, built from the class records
     of `MipModel.classes`, and the depth-first search state over the
-    collapsed space.  One instance runs every phase (dive, LDS, DFS); only
-    `_build_lagrangian` and `_build_penalized_knapsack` update the tables,
-    between phases."""
+    collapsed space.  One instance runs both phases, the dive and the
+    proof, through `dfs`; only `_build_lagrangian` and
+    `_build_penalized_knapsack` update the tables, between them."""
 
     # slotted: the search reads these attributes on every node
     __slots__ = (
@@ -472,7 +480,7 @@ class _Search:
                 row.append((ci, lam[ci], cost0_suffix[nxt], cw, cg, dens))
             self.pen_at[nxt] = row
 
-    def _build_lagrangian(self, upper: float | None = None, iters: int = 240):
+    def _build_lagrangian(self, upper: float | None = None):
         """Projected subgradient ascent on the capacity-relaxed dual at the
         root; the resulting fixed multipliers give a cheap per-node bound.
         With a known incumbent value, Polyak steps are used."""
@@ -493,7 +501,7 @@ class _Search:
             scale = max(abs(x) for x in [min(costs) for costs in self.costs] + [1.0])
             beta = 1.2
             stall = 0
-            for it in range(iters):
+            for it in range(LAGRANGIAN_ITERS):
                 val = 0.0
                 usage = [0.0] * ncons
                 for fi in range(F):
@@ -702,21 +710,21 @@ class _Search:
         return best
 
     def _prunes(self, pos: int, child) -> bool:
-        """DFS-only test of a child against the incumbent as it stands
-        when the child's turn comes; never reorders the children."""
+        """Test of a child against the incumbent as it stands when the
+        child's turn comes; never reorders the children."""
         thresh = self.inc.obj + EPS_PRUNE
-        if child[4] > thresh:
+        if child[0] > thresh:
             return True
         if not self.pen_at[pos + 1]:
             return False
-        rec, t_after = child[5], child[6]
+        rec, t_after = child[4], child[5]
         base = self.static_sum + rec.static + self.wt * t_after
         return self._pen_bound(base, pos, rec.row, thresh) > thresh
 
-    def _children(self, pos: int, dive: bool = False):
-        """Children at depth `pos` in search order, each (order key, level,
-        mapping, chain position or -1, bound, class record, traffic after); no
-        two share (level, mapping, position), so the sort stops there."""
+    def _children(self, pos: int):
+        """Children at depth `pos` in search order, each (bound, level,
+        mapping, chain position or -1, class record, traffic after); no two
+        share (level, mapping, position), so the sort stops there."""
         m = self.m
         fi = self.order[pos]
         prev = self.prev_same[fi]
@@ -754,16 +762,12 @@ class _Search:
                 for q in range(lo_q, len(chain) + 1):
                     t_after = t_cur + self._t_delta(profile, I, q, fi)
                     b = self._node_bound(pos, rec, t_after)
-                    if b is None:
-                        continue
-                    okey = self._order_key(rec, t_after) if dive else b
-                    out.append((okey, I, rec.k, q, b, rec, t_after))
+                    if b is not None:
+                        out.append((b, I, rec.k, q, rec, t_after))
             else:
                 b = self._node_bound(pos, rec, t_cur)
-                if b is None:
-                    continue
-                okey = self._order_key(rec, t_cur) if dive else b
-                out.append((okey, rec.I, rec.k, -1, b, rec, t_cur))
+                if b is not None:
+                    out.append((b, rec.I, rec.k, -1, rec, t_cur))
         if len(out) > 1:
             out.sort()
         return out
@@ -805,15 +809,8 @@ class _Search:
             return None
         return b
 
-    def _order_key(self, rec, t_after):
-        """The dive's child order: a capacity-aware myopic cost."""
-        cost = rec.static + self.wt * t_after
-        for ci, lam in self.lam_active:
-            cost += lam * rec.row[ci]
-        return cost
-
     def _apply(self, pos, child):
-        _okey, I, _k, q, _b, rec, t_after = child
+        _b, I, _k, q, rec, t_after = child
         fi = self.order[pos]
         self.choice_rec[fi] = rec
         for ci, add in rec.items:
@@ -828,7 +825,7 @@ class _Search:
         self.t_stack.append(t_after)
 
     def _undo(self, pos, child):
-        _okey, I, _k, q, _b, rec, _t_after = child
+        _b, I, _k, q, rec, _t_after = child
         fi = self.order[pos]
         self.choice_rec[fi] = None
         for ci, add in rec.items:
@@ -898,39 +895,25 @@ class _Search:
         self.inc.offer(obj, key, x, menu_sel)
         return True
 
-    def dfs(self, pos: int, budget: float = INF):
-        """Depth-first search over the children that survive `_prunes`.
-        A finite `budget` makes it a limited-discrepancy sweep: it deviates
-        from the best-bound child at most `budget` times along any path."""
-        if self.timed_out():
-            return
-        self.nodes += 1
-        if pos == self.m.F:
-            self._leaf()
-            return
-        for idx, child in enumerate(self._children(pos)):
-            if idx > budget:
-                break
-            if self._prunes(pos, child):
-                continue
-            self._apply(pos, child)
-            self.dfs(pos + 1, budget - (1 if idx > 0 else 0))
-            self._undo(pos, child)
-            if self.stopped:
-                return
-
-    def dive(self, pos: int) -> bool:
-        """First feasible leaf along capacity-aware greedy descent."""
+    def dfs(self, pos: int, dive: bool = False) -> bool:
+        """Depth-first search, in bound order, over the children that
+        survive `_prunes`; True once it stops: at the deadline, or with
+        `dive` at the first leaf the incumbent accepts.  Until an incumbent
+        exists `_prunes` skips nothing (its threshold is infinite and
+        `pen_at` is still empty), so `dfs(0, dive=True)` is a plain
+        bound-order dive."""
         if self.timed_out():
             return True
         self.nodes += 1
         if pos == self.m.F:
-            return self._leaf()
-        for child in self._children(pos, dive=True):
+            return self._leaf() and dive
+        for child in self._children(pos):
+            if self._prunes(pos, child):
+                continue
             self._apply(pos, child)
-            done = self.dive(pos + 1)
+            stop = self.dfs(pos + 1, dive)
             self._undo(pos, child)
-            if done:
+            if stop:
                 return True
         return False
 
@@ -940,29 +923,13 @@ def solve(model: MipModel, opts: SolverOptions = SolverOptions()) -> Solution:
     t0 = time.perf_counter()
     inc = _Incumbent()
     search = _Search(model, TOLERANCE, inc, t0 + opts.time_limit_s)
-
-    if model.F == 0:
-        search._leaf()
-    else:
-        search.dive(0)
-        if inc.x is not None and not search.balance:
-            # re-optimize the dual with Polyak steps against the incumbent,
-            # sharpen the incumbent with a limited-discrepancy sweep, repeat
+    search.dfs(0, dive=True)
+    if not search.balance:
+        if inc.x is not None:  # Polyak steps against the dive's incumbent
             search._build_lagrangian(upper=inc.obj)
-            search.reset()
-            search.dfs(0, 1)
-            search._build_lagrangian(upper=inc.obj)
-        if not search.balance:
-            search._build_penalized_knapsack()
-        search.reset()
-        for child in search._children(0):
-            if search._prunes(0, child):
-                continue
-            search._apply(0, child)
-            search.dfs(1)
-            search._undo(0, child)
-            if search.stopped:
-                break
+        search._build_penalized_knapsack()
+    search.reset()
+    search.dfs(0)
 
     stats = SolveStats(search.nodes, search.leaves, time.perf_counter() - t0)
     if inc.x is None:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -137,6 +138,12 @@ def test_storable_without_capacity_flagged():
     arch = ArchSpec(levels=levels, B=MemTensorMatrix(rows=((1, 1, 1), (1, 1, 1))))
     problems = validate_arch(arch)
     assert any(v.kind == "capacity" and "OA" in v.where for v in problems)
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan])
+def test_nonpositive_bandwidth_flagged(simba, bandwidth):
+    arch = dataclasses.replace(simba, noc_bandwidth=bandwidth)
+    assert [v.kind for v in validate_arch(arch)] == ["bandwidth"]
 
 
 def test_bounded_backing_store_flagged():

@@ -153,6 +153,22 @@ class TestSolveCommand:
         assert main(["solve", "--layer", str(p)]) == EXIT_PARSE
         assert f"error: {p}: Stride must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "good, bad, message",
+        [("bandwidth=8", "bandwidth=fast", "bandwidth must be a number"),
+         ("precision=1,1,3", "precision=1,x,3",
+          "expected three comma-separated integers: 1,x,3"),
+         ("fanout=1\n", "fanout=1\n[matrix_b]\nBuf=2,1,1\nMem=1,1,1\n",
+          "[matrix_b] bad row (2, 1, 1); entries must be 0/1 triples")],
+        ids=["bandwidth", "precision", "matrix-row"],
+    )
+    def test_bad_arch_value_names_file(self, tiny_layer, tmp_path, capsys,
+                                        good, bad, message):
+        p = tmp_path / "bad.arch"
+        p.write_text(TOY_ARCH.replace(good, bad))
+        assert main(["solve", "--layer", tiny_layer, "--arch", str(p)]) == EXIT_PARSE
+        assert f"error: {p}: {message}" in capsys.readouterr().err
+
     def test_zero_budget_partition_infeasible(self, tiny_layer, capsys):
         code = main(["solve", "--layer", tiny_layer, "--budget", "0"])
         assert code == EXIT_INFEASIBLE

@@ -291,6 +291,20 @@ class TestSerialization:
         with pytest.raises(ScheduleParseError):
             parse(b"schedule v999\nend\n")
 
+    @pytest.mark.parametrize(
+        "good, bad, column",
+        [("levels 6", "levels six", 8), ("level 0 Register", "level one Register", 7),
+         ("loop 3 0 K 2 s", "loop 3 x K 2 s", 8)],
+        ids=["level-count", "level-index", "loop-rank"],
+    )
+    def test_bad_integer_field_reports_position(self, good, bad, column):
+        data = serialize(reference_tiny_schedule()).decode()
+        lineno = data.splitlines().index(good) + 1
+        with pytest.raises(ScheduleParseError) as err:
+            parse(data.replace(good, bad, 1))
+        assert (err.value.line, err.value.column) == (lineno, column)
+        assert "must be an integer" in str(err.value)
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_random_draws(self, simba, seed):

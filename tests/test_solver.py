@@ -210,7 +210,7 @@ def test_penalized_bound_dominates_lagrangian(simba, tol):
         lam_tol = tol * sum(lam for _ci, lam in search.lam_active)
         fi = search.order[0]
         for child in search._children(0):
-            _key, I, k, _q, _b, choice, t_after = child
+            _b, I, k, _q, choice, t_after = child
             slacks = [search.con_rhs[ci] - choice.row[ci] + tol
                       for ci in range(search.ncons)]
             if min(slacks, default=0.0) < 0.0:
@@ -237,15 +237,22 @@ def test_penalized_bound_keeps_oracle_identity(simba):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize(
-    "partition", [None, PartitionSpec(budget_bytes=306367)], ids=["fixed", "partition"]
-)
-def test_conv28_matches_highs(simba, partition):
-    """conv28 has 14 factors, past the exhaustive oracle: HiGHS on the raw
-    MIP checks the branch-and-bound's optimum independently."""
+@pytest.mark.parametrize("name", ["conv28-fixed", "conv28-partition", "stride2-3x3-14-padded"])
+def test_matches_highs(simba, name):
+    """Models past the exhaustive oracle: HiGHS on the raw MIP checks the
+    branch-and-bound's optimum independently.  conv28 has 14 factors; the
+    stride-2 layer's final halo round solves 17 factors under capacity
+    pads."""
     pytest.importorskip("scipy.optimize")
-    model = build_model(factorize(SUITE_LAYERS["conv28"]), simba, partition=partition)
-    sol = solve(model)
+    if name == "stride2-3x3-14-padded":
+        stride2 = LayerDims(3, 3, 14, 14, 32, 64, 1, stride=2)
+        result = solve_layer(factorize(stride2, PaddingPolicy(max_prime=7)), simba)
+        assert result.rounds == 2 and result.pads
+        model, sol = result.model, result.solution
+    else:
+        partition = PartitionSpec(budget_bytes=306367) if name == "conv28-partition" else None
+        model = build_model(factorize(SUITE_LAYERS["conv28"]), simba, partition=partition)
+        sol = solve(model)
     assert sol.status == "optimal"
     reference = highs_objective(model)
     assert reference is not None
@@ -275,15 +282,15 @@ def test_search_counts_pinned(simba):
         counts[seed] = (model.weights.mode, bool(model.menus),
                         sol.stats.nodes, sol.stats.leaves)
     assert counts == {
-        "tiny": (14, 3),
-        "conv28": (11_367, 142),
-        "conv28-partition": (941, 24),
-        "stride2-3x3-14": (2, 2_560, 45),
-        82: ("combined", False, 77, 38),
-        101: ("combined", True, 12, 5),
-        22: ("traffic", True, 46, 29),
+        "tiny": (10, 2),
+        "conv28": (12_299, 244),
+        "conv28-partition": (886, 21),
+        "stride2-3x3-14": (2, 2_515, 41),
+        82: ("combined", False, 71, 37),
+        101: ("combined", True, 8, 3),
+        22: ("traffic", True, 37, 25),
         214: ("balance", False, 61, 28),
-        245: ("balance", True, 20, 15),
+        245: ("balance", True, 21, 15),
     }
 
 
