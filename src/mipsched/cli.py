@@ -18,6 +18,7 @@ import argparse
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass, field, replace
 
 from . import costmodel, schedule as sched_mod
@@ -48,7 +49,7 @@ from .search import (
     random_search,
     valid_assignments,
 )
-from .solver import Solution, SolverOptions, SpaceTooLarge, solve
+from .solver import Solution, SolveStats, SolverOptions, SpaceTooLarge, solve
 from .workload import (
     DIM_NAMES,
     LayerDims,
@@ -260,17 +261,28 @@ def solve_layer(
     opts: SolverOptions | None = None,
     partition: PartitionSpec | None = None,
     halo: bool = True,
+    deadline: float | None = None,
 ) -> PipelineResult:
     """Build, solve, decode, validate; re-solve with tightened capacities
     when exact validation finds window-inflated input tiles the linear
-    model undercounted."""
+    model undercounted.
+
+    Every round's solve gets the time left before `deadline`, a
+    `time.perf_counter()` value (default: `opts.time_limit_s` from now); a
+    round that starts past it returns status timeout without solving."""
     opts = opts or SolverOptions()
+    if deadline is None:
+        deadline = time.perf_counter() + opts.time_limit_s
     pads: dict[tuple[int, int], float] = {}
     rounds = 0
     while True:
         rounds += 1
         model = build_model(pf, arch, weights, partition=partition, capacity_pads=pads)
-        solution = solve(model, opts)
+        left = deadline - time.perf_counter()
+        if not left > 0:
+            solution = Solution("timeout", None, None, None, SolveStats())
+            return PipelineResult(solution, None, None, model, pads, rounds)
+        solution = solve(model, replace(opts, time_limit_s=left))
         if solution.status != "optimal":
             return PipelineResult(solution, None, None, model, pads, rounds)
         sched = decode(solution, pf, arch)
@@ -399,6 +411,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
+    deadline = time.perf_counter() + cfg.solver.time_limit_s  # for the whole command
     arch, layers = _load_inputs(cfg)
     print("layer solver_metric random_metric ratio draws valid")
     ratios = []
@@ -406,7 +419,8 @@ def cmd_compare(cfg: RunConfig) -> int:
     for path, dims in zip(cfg.layer_paths, layers):
         name = os.path.splitext(os.path.basename(path))[0]
         pf = factorize(dims, PaddingPolicy(max_prime=cfg.max_prime))
-        result = solve_layer(pf, arch, cfg.weights, cfg.solver, halo=cfg.halo)
+        result = solve_layer(pf, arch, cfg.weights, cfg.solver, halo=cfg.halo,
+                             deadline=deadline)
         if result.solution.status != "optimal":
             print(f"{name} {result.solution.status} - - - -")
             code = _status_exit(result.solution)
@@ -434,6 +448,7 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_partition(cfg: RunConfig) -> int:
+    deadline = time.perf_counter() + cfg.solver.time_limit_s  # for both solves
     if not cfg.budget or cfg.budget <= 0:
         print("error: partition needs --budget > 0", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -441,7 +456,8 @@ def cmd_partition(cfg: RunConfig) -> int:
     dims = layers[0]
     pf = factorize(dims, PaddingPolicy(max_prime=cfg.max_prime))
     try:
-        fixed = solve_layer(pf, arch, cfg.weights, cfg.solver, halo=cfg.halo)
+        fixed = solve_layer(pf, arch, cfg.weights, cfg.solver, halo=cfg.halo,
+                            deadline=deadline)
         part = solve_layer(
             pf,
             arch,
@@ -449,6 +465,7 @@ def cmd_partition(cfg: RunConfig) -> int:
             cfg.solver,
             partition=PartitionSpec(budget_bytes=cfg.budget),
             halo=cfg.halo,
+            deadline=deadline,
         )
     except FormulationError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
@@ -476,6 +493,7 @@ def cmd_partition(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    deadline = time.perf_counter() + cfg.solver.time_limit_s  # for the whole grid
     arch, layers = _load_inputs(cfg)
     dims = layers[0]
     pf = factorize(dims, PaddingPolicy(max_prime=cfg.max_prime))
@@ -486,7 +504,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         for wc in cfg.sweep_grid[1]:
             for wt in cfg.sweep_grid[2]:
                 weights = ObjectiveWeights(wu, wc, wt, mode=cfg.weights.mode)
-                result = solve_layer(pf, arch, weights, cfg.solver, halo=cfg.halo)
+                result = solve_layer(pf, arch, weights, cfg.solver, halo=cfg.halo,
+                                     deadline=deadline)
                 if result.solution.status != "optimal":
                     return _status_exit(result.solution)
                 latency = result.report.latency_cycles

@@ -8,6 +8,7 @@ composite bounds, which behave identically in the cost model.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -323,18 +324,22 @@ class ScheduleParseError(ValueError):
         self.column = column
 
 
-def _fail(msg: str, lineno: int, text: str, token: str | None = None):
-    col = 1 + (text.find(token) if token and token in text else 0)
+def _fail(msg: str, lineno: int, text: str, field: int | None = None):
+    """Raise at whitespace-separated field `field` of the line `text`, at
+    the line's start without one, or just past its end if it is missing."""
+    col = 1
+    if field is not None:
+        starts = [m.start() for m in re.finditer(r"\S+", text)]
+        col += starts[field] if field < len(starts) else len(text.rstrip()) + 1
     raise ScheduleParseError(msg, lineno, col)
 
 
 def _int(tok: list[str], i: int, what: str, lineno: int, text: str) -> int:
     """Integer field `tok[i]` of a line, or a ScheduleParseError at it."""
-    token = tok[i] if i < len(tok) else None
     try:
-        return int(token)
-    except (TypeError, ValueError):
-        _fail(f"{what} must be an integer", lineno, text, token)
+        return int(tok[i])
+    except (IndexError, ValueError):
+        _fail(f"{what} must be an integer", lineno, text, i)
 
 
 def parse(data: bytes | str) -> Schedule:
@@ -365,12 +370,13 @@ def parse(data: bytes | str) -> Schedule:
         if tok[0] == "layer":
             if len(tok) != 10 or tok[8] != "stride":
                 _fail("layer needs 7 bounds and a stride", lineno, raw)
+            fields = (1, 2, 3, 4, 5, 6, 7, 9)
+            vals = [_int(tok, i, "layer bound", lineno, raw) for i in fields]
             try:
-                vals = [int(x) for x in tok[1:8]]
-                stride = int(tok[9])
-            except ValueError:
-                _fail("layer bounds must be integers", lineno, raw)
-            layer = LayerDims.from_tuple(vals, stride=stride)
+                layer = LayerDims.from_tuple(vals[:7], stride=vals[7])
+            except ValueError as exc:  # names the first value below 1
+                bad = next(i for i, v in zip(fields, vals) if v < 1)
+                _fail(str(exc), lineno, raw, bad)
         elif tok[0] == "arch":
             arch_name = line[len("arch ") :] if len(tok) > 1 else ""
         elif tok[0] == "levels":
@@ -380,7 +386,7 @@ def parse(data: bytes | str) -> Schedule:
                 _fail("'levels' must precede 'level'", lineno, raw)
             idx = _int(tok, 1, "level index", lineno, raw)
             if idx != len(levels):
-                _fail(f"level {idx} out of order", lineno, raw, tok[1])
+                _fail(f"level {idx} out of order", lineno, raw, 1)
             level_names.append(" ".join(tok[2:]) if len(tok) > 2 else f"L{idx}")
             levels.append([])
             expected_rank.append(0)
@@ -389,30 +395,30 @@ def parse(data: bytes | str) -> Schedule:
                 _fail("loop needs: level rank dim bound mapping", lineno, raw)
             I = _int(tok, 1, "loop level", lineno, raw)
             if not 0 <= I < len(levels):
-                _fail(f"loop references unknown level {I}", lineno, raw, tok[1])
+                _fail(f"loop references unknown level {I}", lineno, raw, 1)
             rank = _int(tok, 2, "loop rank", lineno, raw)
             if rank != expected_rank[I]:
                 _fail(
                     f"rank {rank} out of order (expected {expected_rank[I]})",
                     lineno,
                     raw,
-                    tok[2],
+                    2,
                 )
             if tok[3] not in DIM_INDEX:
-                _fail(f"unknown dimension {tok[3]!r}", lineno, raw, tok[3])
+                _fail(f"unknown dimension {tok[3]!r}", lineno, raw, 3)
             bound = _int(tok, 4, "bound", lineno, raw)
             if tok[5] not in ("s", "t"):
-                _fail(f"mapping must be 's' or 't', got {tok[5]!r}", lineno, raw, tok[5])
+                _fail(f"mapping must be 's' or 't', got {tok[5]!r}", lineno, raw, 5)
             try:
                 levels[I].append(Loop(DIM_INDEX[tok[3]], bound, tok[5] == "s"))
             except ValueError as exc:
-                _fail(str(exc), lineno, raw, tok[4])
+                _fail(str(exc), lineno, raw, 4)
             expected_rank[I] += 1
         elif tok[0] == "end":
             ended = True
             break
         else:
-            _fail(f"unknown directive {tok[0]!r}", lineno, raw, tok[0])
+            _fail(f"unknown directive {tok[0]!r}", lineno, raw, 0)
 
     if not ended:
         raise ScheduleParseError("missing 'end' (truncated file)", len(lines), 1)

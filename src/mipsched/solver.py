@@ -11,12 +11,17 @@ constraints, and per-constraint fractional knapsack relaxations; the
 partial traffic term is monotone under extension and included exactly.
 These bounds also order the children; there is no other child order.
 
+The knapsack bounds are one family (Sinha & Zoltners 1979; Fisher 1981),
+built by `_Search._build_knapsack(lam)` and evaluated by
+`_Search._kn_bound`: one capacity constraint stays an explicit knapsack
+LP, the others are priced at the multipliers `lam`.  The plain bound is
+the member at lam = 0.
+
 A solve runs one depth-first search twice: a dive that stops at the
 first accepted leaf, then, after one Polyak rebuild of the multipliers
-against that incumbent, the proof from the root.  The proof adds a
-Lagrangian-penalized knapsack bound (Fisher 1981; Sinha & Zoltners
-1979): one capacity constraint stays an explicit knapsack LP, the others
-are priced at the multipliers.  It only skips children, never reorders.
+against that incumbent, the proof from the root.  The proof adds the
+knapsack bound at those multipliers, the Lagrangian-penalized bound.  It
+only skips children, never reorders.
 
 The answer depends neither on the search order nor on which incumbent
 comes first: a leaf replaces the incumbent only on a strictly smaller
@@ -246,8 +251,8 @@ class _Search:
     """One solve: the model-derived tables, built from the class records
     of `MipModel.classes`, and the depth-first search state over the
     collapsed space.  One instance runs both phases, the dive and the
-    proof, through `dfs`; only `_build_lagrangian` and
-    `_build_penalized_knapsack` update the tables, between them."""
+    proof, through `dfs`; only `_build_lagrangian` and the penalized
+    `_build_knapsack` update the tables, between them."""
 
     # slotted: the search reads these attributes on every node
     __slots__ = (
@@ -286,8 +291,8 @@ class _Search:
              [ent.e + tol for ent in menu.entries])
             for mi, menu in enumerate(m.menus)
         ]
-        # per depth, rows of the penalized knapsack bound; filled by
-        # _build_penalized_knapsack
+        # per depth, rows of the penalized knapsack bound; `solve` builds
+        # them after the dive
         self.pen_at: list[list[tuple]] = [[] for _ in range(F + 1)]
 
         # largest log-factor first; bigger identical classes ahead on ties
@@ -336,12 +341,7 @@ class _Search:
             self.costs = [[rec.static + self.wt * rec.self_t for rec in recs]
                           for recs in self.classes]
             self.suffix_min = self._suffix([min(costs) for costs in self.costs])
-            tabs, order = self._build_knapsack(self.costs, [0.0] * self.ncons)
-            # per depth, one row per weighted constraint, tightest first:
-            # the tail's hull weight, zero-weight cost and hull segments
-            self.kn_at = [[(ci, tabs[ci][0][nxt], tabs[ci][1][nxt], tabs[ci][2][nxt])
-                           for ci in order]
-                          for nxt in range(F + 1)]
+            self.kn_at = self._build_knapsack([0.0] * self.ncons)
             self._build_lagrangian()
         self.reset()
 
@@ -370,17 +370,29 @@ class _Search:
             out[idx] = out[idx + 1] + values[self.order[idx]]
         return out
 
-    def _build_knapsack(self, costs: list[list[float]], lam: list[float]):
+    def _build_knapsack(self, lam: list[float]) -> list[list[tuple]]:
         """LP relaxation of each capacity constraint i as a multiple-choice
-        knapsack (Sinha & Zoltners 1979) over the unassigned tail; a class
-        costs `costs[fi][j]` less `lam[i]` times its weight on i.
+        knapsack (Sinha & Zoltners 1979) over the unassigned tail, every
+        constraint j priced into the class costs at `lam[j]` (Fisher 1981);
+        at lam = 0 this is the plain knapsack bound.
 
-        Returns, per constraint, the tail's total hull weight, its cheapest
-        zero-weight cost and its density-sorted hull segments, each per
-        depth; and the constraints that carry weight, tightest first."""
+        Returns, per depth, one row per finite constraint that carries
+        weight, tightest first: (i, lam[i], the tail's cheapest zero-weight
+        cost, and its density-sorted hull segments as cumulative weights
+        and gains with their densities, for a bisect instead of a walk).  A
+        child at depth pos reads the rows of its tail, pos + 1.  At depth F
+        the tail is empty and the bound is at most the child's own bound, so
+        that depth keeps no rows; nor does depth 0, which no child reads."""
         F = self.m.F
-        tables = []
+        priced = [
+            [cost + sum(lam[ci] * add for ci, add in rec.items)
+             for rec, cost in zip(recs, costs)]
+            for recs, costs in zip(self.classes, self.costs)
+        ]
+        tables = {}
         for ci in range(self.ncons):
+            if math.isinf(self.con_rhs[ci]):
+                continue  # 0 * inf is NaN, and the constraint never binds
             lam_i = lam[ci]
             cost0_row = []
             seg_w_row = [0.0] * F
@@ -388,7 +400,7 @@ class _Search:
             for fi in range(F):
                 pts = []
                 zero_costs = []
-                for rec, cost in zip(self.classes[fi], costs[fi]):
+                for rec, cost in zip(self.classes[fi], priced[fi]):
                     w = rec.row[ci]
                     if lam_i:
                         cost -= lam_i * w
@@ -423,62 +435,32 @@ class _Search:
                         segs.append(((g - pg) / (w - pw), w - pw))
                         seg_w_row[fi] += w - pw
                 per_factor_segs.append(segs)
-
+            total_w = self._suffix(seg_w_row)[0]
+            if total_w <= 0.0:
+                continue  # no choice weighs on it: nothing to relax
+            cost0_suffix = self._suffix(cost0_row)
             # per depth, the unassigned tail's density-sorted segment pool
-            segs_at: list[list[tuple[float, float]]] = [[] for _ in range(F + 1)]
+            rows: list[tuple | None] = [None] * (F + 1)
             pool: list[tuple[float, int, float]] = []
-            for idx in range(F - 1, -1, -1):
+            for idx in range(F - 1, 0, -1):
                 pool = sorted(
                     pool + [(d, idx, w) for d, w in per_factor_segs[self.order[idx]]],
                     key=lambda s: (-s[0], s[1], s[2]),
                 )
-                segs_at[idx] = [(d, w) for d, _i, w in pool]
-            tables.append((self._suffix(seg_w_row), self._suffix(cost0_row), segs_at))
-
-        # evaluate tightest constraints first so pruning exits early
-        def tightness(ci):
-            rhs = self.con_rhs[ci]
-            w = tables[ci][0][0]
-            if w <= 0.0 or math.isinf(rhs):
-                return INF
-            return rhs / w
-
-        order = sorted(
-            (ci for ci in range(self.ncons) if tables[ci][0][0] > 0.0), key=tightness
-        )
-        return tables, order
-
-    def _build_penalized_knapsack(self):
-        """Knapsack tables of `_pen_bound`: constraint i stays explicit and
-        every other constraint j is priced into the class costs at the root
-        multiplier lambda_j.  Built once, from the final multipliers."""
-        lam = [0.0] * self.ncons
-        for ci, value in self.lam_active:
-            lam[ci] = value
-        priced = [
-            [cost + sum(lam[ci] * add for ci, add in rec.items)
-             for rec, cost in zip(recs, costs)]
-            for recs, costs in zip(self.classes, self.costs)
-        ]
-        tabs, order = self._build_knapsack(priced, lam)
-        # per depth, one row per finite constraint (0 * inf is NaN): its
-        # multiplier, tail cost0, and the hull segments as cumulative weights
-        # and gains with their densities, for a bisect instead of a walk.  A
-        # child at depth pos reads the rows of its tail, pos + 1.  At depth F
-        # the tail is empty and the bound is at most the child's own bound, so
-        # that depth keeps no rows.
-        finite = [ci for ci in order if not math.isinf(self.con_rhs[ci])]
-        for nxt in range(1, self.m.F):
-            row = []
-            for ci in finite:
-                _w, cost0_suffix, segs_at = tabs[ci]
                 cw, cg, dens = [0.0], [0.0], []
-                for density, dw in segs_at[nxt]:
+                for density, _i, dw in pool:
                     cw.append(cw[-1] + dw)
                     cg.append(cg[-1] + density * dw)
                     dens.append(density)
-                row.append((ci, lam[ci], cost0_suffix[nxt], cw, cg, dens))
-            self.pen_at[nxt] = row
+                rows[idx] = (ci, lam_i, cost0_suffix[idx], cw, cg, dens)
+            tables[ci] = (self.con_rhs[ci] / total_w, rows)
+
+        # evaluate tightest constraints first so pruning exits early
+        order = sorted(tables, key=lambda ci: tables[ci][0])
+        kn_at: list[list[tuple]] = [[] for _ in range(F + 1)]
+        for nxt in range(1, F):
+            kn_at[nxt] = [tables[ci][1][nxt] for ci in order]
+        return kn_at
 
     def _build_lagrangian(self, upper: float | None = None):
         """Projected subgradient ascent on the capacity-relaxed dual at the
@@ -641,34 +623,6 @@ class _Search:
             total += menu.entries[ei].nbytes
         return total
 
-    def _knap_bound(self, base: float, pos: int, row: list[float],
-                    threshold: float) -> float:
-        """Max over single-constraint relaxations of the node lower bound;
-        returns early once the threshold is exceeded (caller prunes).
-        Assignment always follows branch order, so the unassigned tail at
-        depth `pos` is a precomputed suffix."""
-        best = -INF
-        con_lhs = self.con_lhs
-        con_rhs = self.con_rhs
-        for ci, w_suffix, cost0, segs in self.kn_at[pos + 1]:
-            slack = con_rhs[ci] - con_lhs[ci] - row[ci]
-            if slack >= w_suffix:
-                continue  # constraint cannot bind: no better than the plain bound
-            gain = 0.0
-            if slack > 0.0:
-                for density, dw in segs:
-                    if dw >= slack:
-                        gain += density * slack
-                        break
-                    gain += density * dw
-                    slack -= dw
-            b = base + cost0 - gain
-            if b > best:
-                best = b
-                if b > threshold:
-                    return b
-        return best
-
     def _lagr_bound(self, base: float, pos: int, row: list[float]) -> float:
         """Root Lagrangian relaxation evaluated with the current slacks."""
         b = base + self.lagr_suffix[pos + 1]
@@ -676,23 +630,21 @@ class _Search:
             b -= lam * (self.con_rhs[ci] - self.con_lhs[ci] - row[ci])
         return b
 
-    def _pen_bound(self, base: float, pos: int, row: list[float],
-                   threshold: float) -> float:
-        """max(threshold, max over constraints i of the Lagrangian-
-        penalized knapsack bound): i stays explicit with the child's slack,
-        every other constraint j is priced at its root multiplier lambda_j
-        (the tables' costs) and refunded lambda_j times its slack.  Slacks
-        include the tolerance, so every completion the capacity check
-        admits is covered.  By LP duality each term is at least the
-        Lagrangian bound at the same multipliers."""
+    def _kn_bound(self, table: list[list[tuple]], base: float, pos: int,
+                  row: list[float], best: float, thresh: float, refund: float,
+                  tol: float) -> float:
+        """max(best, max over the rows of `table` at the tail of depth
+        `pos` of the knapsack bound); returns once that max exceeds
+        `thresh` (the caller prunes).  Constraint i stays explicit with the
+        child's slack plus `tol`, every other constraint j is priced at its
+        multiplier lambda_j (the table's costs) and `refund` gives back
+        lambda_j times its slack.  For the plain table (`kn_at`, lambda = 0)
+        the refund and `tol` are 0.  With the tolerance every completion the
+        capacity check admits is covered, and by LP duality each term is at
+        least the Lagrangian bound at the same multipliers."""
         con_lhs = self.con_lhs
         con_rhs = self.con_rhs
-        tol = self.tol
-        refund = 0.0
-        for ci, lam in self.lam_active:
-            refund += lam * (con_rhs[ci] - con_lhs[ci] - row[ci] + tol)
-        best = threshold
-        for ci, lam_i, cost0, cw, cg, dens in self.pen_at[pos + 1]:
+        for ci, lam_i, cost0, cw, cg, dens in table[pos + 1]:
             slack = con_rhs[ci] - con_lhs[ci] - row[ci] + tol
             upper = base + cost0 - (refund - lam_i * slack)
             if upper <= best:
@@ -707,6 +659,8 @@ class _Search:
             b = upper - gain
             if b > best:
                 best = b
+                if b > thresh:
+                    return b
         return best
 
     def _prunes(self, pos: int, child) -> bool:
@@ -719,7 +673,15 @@ class _Search:
             return False
         rec, t_after = child[4], child[5]
         base = self.static_sum + rec.static + self.wt * t_after
-        return self._pen_bound(base, pos, rec.row, thresh) > thresh
+        row = rec.row
+        con_lhs = self.con_lhs
+        con_rhs = self.con_rhs
+        tol = self.tol
+        refund = 0.0
+        for ci, lam in self.lam_active:
+            refund += lam * (con_rhs[ci] - con_lhs[ci] - row[ci] + tol)
+        return self._kn_bound(self.pen_at, base, pos, row, thresh, thresh,
+                              refund, tol) > thresh
 
     def _children(self, pos: int):
         """Children at depth `pos` in search order, each (bound, level,
@@ -786,11 +748,9 @@ class _Search:
                 b = b2
                 if b > thresh:
                     return None
-            b3 = self._knap_bound(base, pos, rec.row, thresh)
-            if b3 > b:
-                b = b3
-                if b > thresh:
-                    return None
+            b = self._kn_bound(self.kn_at, base, pos, rec.row, b, thresh, 0.0, 0.0)
+            if b > thresh:
+                return None
             return b
         m = self.m
         comp_lo = self.comp_sum + rec.comp + self.suffix_comp_lo[pos + 1]
@@ -927,7 +887,10 @@ def solve(model: MipModel, opts: SolverOptions = SolverOptions()) -> Solution:
     if not search.balance:
         if inc.x is not None:  # Polyak steps against the dive's incumbent
             search._build_lagrangian(upper=inc.obj)
-        search._build_penalized_knapsack()
+        lam = [0.0] * search.ncons
+        for ci, value in search.lam_active:
+            lam[ci] = value
+        search.pen_at = search._build_knapsack(lam)
     search.reset()
     search.dfs(0)
 

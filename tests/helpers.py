@@ -2,6 +2,7 @@
 
 import math
 import random
+from bisect import bisect_left
 
 from mipsched import costmodel
 from mipsched.arch import (
@@ -681,3 +682,179 @@ def reference_enumerate_all(pf, arch, limit=1_000_000):
             )
             if not reference_validate(sched, arch):
                 yield sched
+
+
+# ----------------------------------------------------------------------
+# reference copies of the two knapsack bounds as they were before they
+# shared one table builder and one evaluator: the plain bound walked
+# per-depth hull segment lists built at zero multipliers, the penalized
+# bound bisected cumulative arrays built at the root multipliers.  `sh`
+# is the solver's `_Search`; only its model-derived fields are read.
+# ----------------------------------------------------------------------
+
+
+def _reference_suffix(sh, values):
+    out = [0.0] * (sh.m.F + 1)
+    for idx in range(sh.m.F - 1, -1, -1):
+        out[idx] = out[idx + 1] + values[sh.order[idx]]
+    return out
+
+
+def reference_build_knapsack(sh, costs, lam):
+    """Per constraint, the tail's total hull weight, its cheapest
+    zero-weight cost and its density-sorted hull segments, each per depth;
+    and the constraints that carry weight, tightest first."""
+    F = sh.m.F
+    tables = []
+    for ci in range(sh.ncons):
+        lam_i = lam[ci]
+        cost0_row = []
+        seg_w_row = [0.0] * F
+        per_factor_segs = []
+        for fi in range(F):
+            pts = []
+            zero_costs = []
+            for rec, cost in zip(sh.classes[fi], costs[fi]):
+                w = rec.row[ci]
+                if lam_i:
+                    cost -= lam_i * w
+                if w > 0.0:
+                    pts.append((w, cost))
+                else:
+                    zero_costs.append(cost)
+            c0 = min(zero_costs)
+            cost0_row.append(c0)
+            dedup = {}
+            for w, cost in pts:
+                g = c0 - cost
+                if g > 0.0 and g > dedup.get(w, 0.0):
+                    dedup[w] = g
+            gains = sorted(dedup.items())
+            segs = []
+            if gains:
+                hull = [(0.0, 0.0)]
+                for w, g in gains:
+                    if g <= hull[-1][1]:
+                        continue
+                    hull.append((w, g))
+                    while len(hull) >= 3:
+                        (w1, g1), (w2, g2), (w3, g3) = hull[-3:]
+                        if (g2 - g1) * (w3 - w2) <= (g3 - g2) * (w2 - w1):
+                            hull.pop(-2)
+                        else:
+                            break
+                for (pw, pg), (w, g) in zip(hull, hull[1:]):
+                    segs.append(((g - pg) / (w - pw), w - pw))
+                    seg_w_row[fi] += w - pw
+            per_factor_segs.append(segs)
+        segs_at = [[] for _ in range(F + 1)]
+        pool = []
+        for idx in range(F - 1, -1, -1):
+            pool = sorted(
+                pool + [(d, idx, w) for d, w in per_factor_segs[sh.order[idx]]],
+                key=lambda s: (-s[0], s[1], s[2]),
+            )
+            segs_at[idx] = [(d, w) for d, _i, w in pool]
+        tables.append((_reference_suffix(sh, seg_w_row),
+                       _reference_suffix(sh, cost0_row), segs_at))
+
+    def tightness(ci):
+        rhs = sh.con_rhs[ci]
+        w = tables[ci][0][0]
+        if w <= 0.0 or math.isinf(rhs):
+            return math.inf
+        return rhs / w
+
+    order = sorted(
+        (ci for ci in range(sh.ncons) if tables[ci][0][0] > 0.0), key=tightness
+    )
+    return tables, order
+
+
+def reference_plain_knapsack(sh):
+    """Per depth, (i, tail hull weight, tail cost0, hull segments) for each
+    constraint that carries weight, tightest first, at zero multipliers."""
+    tabs, order = reference_build_knapsack(sh, sh.costs, [0.0] * sh.ncons)
+    return [[(ci, tabs[ci][0][nxt], tabs[ci][1][nxt], tabs[ci][2][nxt])
+             for ci in order]
+            for nxt in range(sh.m.F + 1)]
+
+
+def reference_penalized_knapsack(sh):
+    """Per depth, (i, lambda_i, tail cost0, cumulative weights, cumulative
+    gains, densities) for each finite constraint that carries weight, with
+    every constraint priced at the multipliers `sh.lam_active`."""
+    lam = [0.0] * sh.ncons
+    for ci, value in sh.lam_active:
+        lam[ci] = value
+    priced = [
+        [cost + sum(lam[ci] * add for ci, add in rec.items)
+         for rec, cost in zip(recs, costs)]
+        for recs, costs in zip(sh.classes, sh.costs)
+    ]
+    tabs, order = reference_build_knapsack(sh, priced, lam)
+    pen_at = [[] for _ in range(sh.m.F + 1)]
+    finite = [ci for ci in order if not math.isinf(sh.con_rhs[ci])]
+    for nxt in range(1, sh.m.F):
+        row = []
+        for ci in finite:
+            _w, cost0_suffix, segs_at = tabs[ci]
+            cw, cg, dens = [0.0], [0.0], []
+            for density, dw in segs_at[nxt]:
+                cw.append(cw[-1] + dw)
+                cg.append(cg[-1] + density * dw)
+                dens.append(density)
+            row.append((ci, lam[ci], cost0_suffix[nxt], cw, cg, dens))
+        pen_at[nxt] = row
+    return pen_at
+
+
+def reference_plain_bound(sh, kn_at, base, pos, row, threshold):
+    """Max over single-constraint knapsack relaxations at zero multipliers,
+    returning early once `threshold` is exceeded; a constraint whose slack
+    covers its tail's hull weight is skipped."""
+    best = -math.inf
+    for ci, w_suffix, cost0, segs in kn_at[pos + 1]:
+        slack = sh.con_rhs[ci] - sh.con_lhs[ci] - row[ci]
+        if slack >= w_suffix:
+            continue
+        gain = 0.0
+        if slack > 0.0:
+            for density, dw in segs:
+                if dw >= slack:
+                    gain += density * slack
+                    break
+                gain += density * dw
+                slack -= dw
+        b = base + cost0 - gain
+        if b > best:
+            best = b
+            if b > threshold:
+                return b
+    return best
+
+
+def reference_penalized_bound(sh, pen_at, base, pos, row, threshold):
+    """max(threshold, max over constraints i of the Lagrangian-penalized
+    knapsack bound), every slack with the tolerance `sh.tol`."""
+    tol = sh.tol
+    refund = 0.0
+    for ci, lam in sh.lam_active:
+        refund += lam * (sh.con_rhs[ci] - sh.con_lhs[ci] - row[ci] + tol)
+    best = threshold
+    for ci, lam_i, cost0, cw, cg, dens in pen_at[pos + 1]:
+        slack = sh.con_rhs[ci] - sh.con_lhs[ci] - row[ci] + tol
+        upper = base + cost0 - (refund - lam_i * slack)
+        if upper <= best:
+            continue
+        if slack >= cw[-1]:
+            gain = cg[-1]
+        elif slack > 0.0:
+            j = bisect_left(cw, slack, 1) - 1
+            gain = cg[j] + dens[j] * (slack - cw[j])
+        else:
+            gain = 0.0
+        b = upper - gain
+        if b > best:
+            best = b
+    return best

@@ -1,4 +1,5 @@
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -268,6 +269,35 @@ class TestPartitionCommand:
         part = float([l for l in out.splitlines() if l.startswith("partition_objective")][0].split()[1])
         base = float([l for l in out.splitlines() if l.startswith("baseline_objective")][0].split()[1])
         assert part <= base + 1e-9
+
+
+    def test_time_limit_bounds_the_command(self, conv28_layer, monkeypatch):
+        """`--time-limit` is one deadline for both of partition's solves:
+        each gets the time left, and a pipeline that starts past the
+        deadline times out without solving."""
+        import mipsched.cli
+        from mipsched.arch import default_simba_arch
+        from mipsched.workload import factorize
+
+        real = mipsched.cli.solve
+        limits = []
+
+        def recording(model, opts):
+            limits.append(opts.time_limit_s)
+            return real(model, opts)
+
+        monkeypatch.setattr(mipsched.cli, "solve", recording)
+        argv = ["partition", "--layer", conv28_layer, "--budget", "306367",
+                "--time-limit", "60"]
+        assert main(argv) == EXIT_OK
+        assert len(limits) == 2 and all(0 < t <= 60 for t in limits), limits
+        assert limits[1] < limits[0], limits
+
+        pf = factorize(load_layer(conv28_layer))
+        result = mipsched.cli.solve_layer(pf, default_simba_arch(),
+                                          deadline=time.perf_counter() - 1.0)
+        assert result.solution.status == "timeout" and result.rounds == 1
+        assert len(limits) == 2  # no solve ran
 
 
 class TestSweepCommand:

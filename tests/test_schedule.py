@@ -305,6 +305,28 @@ class TestSerialization:
         assert (err.value.line, err.value.column) == (lineno, column)
         assert "must be an integer" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "good, bad, column, message",
+        [("loop 4 1 K 2 s", "loop 4 4 K 2 s", 8, "rank 4 out of order"),
+         ("loop 4 1 K 2 s", "  loop 4 4 K 2 s", 10, "rank 4 out of order"),
+         ("loop 3 0 K 2 s", "loop 3 0 K 2 2", 14, "mapping must be"),
+         ("layer 3 1 1 1 1 4 3 stride 1", "layer 3 1 1 1 1 4 3 stride 0", 28,
+          "stride must be >= 1"),
+         ("layer 3 1 1 1 1 4 3 stride 1", "layer 3 1 1 1 0 4 3 stride 1", 15,
+          "dimension C must be >= 1"),
+         ("levels 6", "levels", 8, "must be an integer")],
+        ids=["rank", "indented-rank", "mapping", "stride", "bound", "missing-count"],
+    )
+    def test_error_points_at_field(self, good, bad, column, message):
+        """The column is the field's own, even where its text occurs
+        earlier in the line, and a bad layer value is a parse error."""
+        data = serialize(reference_tiny_schedule()).decode()
+        lineno = data.splitlines().index(good) + 1
+        with pytest.raises(ScheduleParseError) as err:
+            parse(data.replace(good, bad, 1))
+        assert (err.value.line, err.value.column) == (lineno, column)
+        assert message in str(err.value)
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_random_draws(self, simba, seed):

@@ -12,6 +12,10 @@ from helpers import (
     highs_objective,
     random_instance,
     reference_canonical_assignment,
+    reference_penalized_bound,
+    reference_penalized_knapsack,
+    reference_plain_bound,
+    reference_plain_knapsack,
     reference_t_sums,
     toy_two_level,
 )
@@ -19,6 +23,7 @@ from mipsched.arch import ArchSpec, MemLevel, MemTensorMatrix
 from mipsched.cli import solve_layer
 from mipsched.formulation import ObjectiveWeights, PartitionSpec, build_model
 from mipsched.solver import (
+    EPS_PRUNE,
     SolverOptions,
     SpaceTooLarge,
     _Incumbent,
@@ -204,7 +209,10 @@ def test_penalized_bound_dominates_lagrangian(simba, tol):
     for name, model in pen_models(simba):
         assert model is not None and model.weights.mode != "balance", name
         search = _Search(model, tol, _Incumbent(), math.inf)
-        search._build_penalized_knapsack()
+        dense = [0.0] * search.ncons
+        for ci, value in search.lam_active:
+            dense[ci] = value
+        search.pen_at = search._build_knapsack(dense)
         if not search.pen_at[1]:
             continue  # no finite constraint carries weight, or F = 1
         lam_tol = tol * sum(lam for _ci, lam in search.lam_active)
@@ -216,7 +224,9 @@ def test_penalized_bound_dominates_lagrangian(simba, tol):
             if min(slacks, default=0.0) < 0.0:
                 continue
             base = model.coef[fi][(I, k)].static + search.wt * t_after
-            pen = search._pen_bound(base, 0, choice.row, -math.inf)
+            refund = sum(lam * slacks[ci] for ci, lam in search.lam_active)
+            pen = search._kn_bound(search.pen_at, base, 0, choice.row, -math.inf,
+                                   math.inf, refund, tol)
             lagr = search._lagr_bound(base, 0, choice.row)
             assert not math.isnan(pen), name
             assert pen >= lagr - lam_tol - 1e-9, (name, choice.cc, pen, lagr)
@@ -312,7 +322,10 @@ def test_bound_tables_pinned(simba):
             tables = (search.suffix_comp_lo, search.suffix_comp_hi,
                       search.suffix_traf_lo, search.traf_hi_const)
         else:
-            search._build_penalized_knapsack()
+            lam = [0.0] * search.ncons
+            for ci, value in search.lam_active:
+                lam[ci] = value
+            search.pen_at = search._build_knapsack(lam)
             tables = (search.order, search.prev_same, search.suffix_min,
                       search.lam_active, search.lagr_suffix, search.kn_at,
                       search.pen_at)
@@ -320,14 +333,67 @@ def test_bound_tables_pinned(simba):
     assert models[214].weights.mode == "balance"
     assert digests == {
         "conv28":
-            "e7679ad350989a5f159010e27b5e1a8d3ebc79debd2fc3fc9dd205ffef0e71ac",
+            "37faea3d2d619e55b85887560509148761b2e5eefb008f644dc05dae400ba37f",
         "conv28-partition":
-            "7eba921c349764202bba6c76138b32957dac34289d22683865f81a1f43e2ad8c",
+            "701ed036207a7bf0c4205206b70a563ff51706519f7d22eb56bc36070a1eebc7",
         22:
             "ec5cec057221a6342ced1efbf4fc27dacd1576ca0bbb730b7c1a52a7f1cdc670",
         214:
             "2b8c6e22772fad26729c2799703adeb780f0f4645930156886ab4a9f3631b5ed",
     }
+
+
+def test_knapsack_bounds_match_reference(simba, monkeypatch):
+    """Every knapsack bound a solve evaluates, in `_node_bound` and in
+    `_prunes`, against the frozen reference of the two separate bounds.
+    The penalized bound is bit-identical, and so are its tables.  The plain
+    bound agrees within 1e-12 (the reference skips a constraint whose slack
+    covers its tail's whole hull weight; the evaluator computes that term,
+    equal to the suffix bound in exact arithmetic), and both give the same
+    verdict against the incumbent."""
+    real = _Search._kn_bound
+    refs = {}  # "plain" / "penalized" -> (the solver's table, the reference's)
+    calls = {"plain": 0, "penalized": 0}
+
+    def reference_for(kind, table, build, sh):
+        held = refs.get(kind)
+        if held is None or held[0] is not table:
+            held = refs[kind] = (table, build(sh))
+        return held[1]
+
+    def checked(sh, table, base, pos, row, best, thresh, refund, tol):
+        b = real(sh, table, base, pos, row, best, thresh, refund, tol)
+        cut = sh.inc.obj + EPS_PRUNE
+        if table is sh.pen_at:
+            ref_table = reference_for("penalized", table,
+                                      reference_penalized_knapsack, sh)
+            assert table == ref_table
+            ref = reference_penalized_bound(sh, ref_table, base, pos, row, thresh)
+            # the evaluator stops at the first term past `thresh`; without
+            # the stop it is the reference's max, float for float
+            assert real(sh, table, base, pos, row, best, math.inf, refund, tol) == ref
+            calls["penalized"] += 1
+        else:
+            assert table is sh.kn_at and refund == tol == 0.0
+            ref_table = reference_for("plain", table, reference_plain_knapsack, sh)
+            ref = max(best,
+                      reference_plain_bound(sh, ref_table, base, pos, row, thresh))
+            assert abs(b - ref) <= 1e-12, (b, ref)
+            calls["plain"] += 1
+        assert (b > cut) == (ref > cut), (b, ref, cut)
+        return b
+
+    monkeypatch.setattr(_Search, "_kn_bound", checked)
+    conv28 = factorize(SUITE_LAYERS["conv28"])
+    solve(build_model(conv28, simba))
+    solve(build_model(conv28, simba, partition=PartitionSpec(budget_bytes=306367)))
+    conv28_calls = dict(calls)
+    for seed in range(400):
+        model = random_instance(seed, max_space=60_000)
+        if model is not None:
+            solve(model)
+    assert all(conv28_calls.values()), conv28_calls
+    assert all(calls[kind] > conv28_calls[kind] for kind in calls), calls
 
 
 def test_negative_rhs_is_infeasible_for_both_solvers():
