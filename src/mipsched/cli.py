@@ -497,21 +497,24 @@ def cmd_sweep(cfg: RunConfig) -> int:
     arch, layers = _load_inputs(cfg)
     dims = layers[0]
     pf = factorize(dims, PaddingPolicy(max_prime=cfg.max_prime))
+    # every grid point's weights are checked before anything is printed
+    grid = [ObjectiveWeights(wu, wc, wt, mode=cfg.weights.mode)
+            for wu in cfg.sweep_grid[0]
+            for wc in cfg.sweep_grid[1]
+            for wt in cfg.sweep_grid[2]]
     print("w_u w_c w_t objective latency_cycles")
     best = None
     rows = []
-    for wu in cfg.sweep_grid[0]:
-        for wc in cfg.sweep_grid[1]:
-            for wt in cfg.sweep_grid[2]:
-                weights = ObjectiveWeights(wu, wc, wt, mode=cfg.weights.mode)
-                result = solve_layer(pf, arch, weights, cfg.solver, halo=cfg.halo,
-                                     deadline=deadline)
-                if result.solution.status != "optimal":
-                    return _status_exit(result.solution)
-                latency = result.report.latency_cycles
-                rows.append((wu, wc, wt, result.solution.objective_value, latency))
-                if best is None or latency < best[4]:
-                    best = rows[-1]
+    for weights in grid:
+        result = solve_layer(pf, arch, weights, cfg.solver, halo=cfg.halo,
+                             deadline=deadline)
+        if result.solution.status != "optimal":
+            return _status_exit(result.solution)
+        latency = result.report.latency_cycles
+        rows.append((weights.w_u, weights.w_c, weights.w_t,
+                     result.solution.objective_value, latency))
+        if best is None or latency < best[4]:
+            best = rows[-1]
     for row in rows:
         mark = " best" if row == best else ""
         print(f"{row[0]:g} {row[1]:g} {row[2]:g} {row[3]:.9f} {row[4]}{mark}")
@@ -605,6 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     weights = _parse_weights(args.weights, args.obj)
+    if args.limit < 1:
+        raise ConfigError("--limit must be >= 1")
     solver_opts = SolverOptions(time_limit_s=args.time_limit)
     search = SearchConfig(
         samples=args.samples,

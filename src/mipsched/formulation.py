@@ -47,8 +47,9 @@ class ObjectiveWeights:
     def __post_init__(self):
         if self.mode not in MODES:
             raise FormulationError(f"unknown objective mode {self.mode!r}")
-        if min(self.w_u, self.w_c, self.w_t) < 0:
-            raise FormulationError("objective weights must be non-negative")
+        if not all(0 <= w < math.inf for w in (self.w_u, self.w_c, self.w_t)):
+            # NaN fails every comparison, so it is rejected here too
+            raise FormulationError("objective weights must be finite and non-negative")
         if self.mode == "combined" and max(self.w_u, self.w_c, self.w_t) <= 0:
             raise FormulationError("combined mode needs at least one positive weight")
 
@@ -373,11 +374,19 @@ class MipModel:
         Only occupied positions add to the sums, so the scan walks them in
         `g_positions` order (level, then rank) and skips the empty ones.
         """
+        return self._walk_t_sums(self._temporal_walk(x_assign))
+
+    def _temporal_walk(self, x_assign: dict[int, tuple[int, int, int]]):
+        """(level, factor) of each temporal factor at or above the NoC, in
+        (level, rank) order."""
         occ: dict[tuple[int, int], int] = {}
         for fi, (I, z, k) in x_assign.items():
             if k == TEMPORAL and I >= self.noc:
                 occ[(I, z)] = fi
-        walk = [(I, self.factors[occ[(I, z)]]) for I, z in sorted(occ)]
+        return [(I, self.factors[occ[(I, z)]]) for I, z in sorted(occ)]
+
+    def _walk_t_sums(self, walk: list[tuple[int, Factor]]):
+        """`_t_sums` over an occupied temporal walk in (level, rank) order."""
         arch = self.arch
         per_v = [0.0, 0.0, 0.0]
         total = 0.0
@@ -391,30 +400,38 @@ class MipModel:
                     total += f.lg
         return per_v, total
 
+    def objective_from(self, recs: list[ChoiceCoef],
+                       walk: list[tuple[int, Factor]]) -> float:
+        """Objective from each factor's choice record, in factor order, and
+        the occupied temporal walk; `objective_of` and the solver's leaf
+        both compute it here, so they agree float for float."""
+        if self.weights.mode == "balance":
+            comp = 0.0
+            traf = 0.0
+            for rec in recs:
+                comp += rec.comp
+                traf += rec.dl
+            traf += self._walk_t_sums(walk)[1]
+            return abs(self.weights.w_t * traf - self.weights.w_c * comp)
+        obj = 0.0
+        for rec in recs:
+            obj += rec.static
+        w_t = self.weights.effective()[2]
+        if w_t != 0.0:
+            obj += w_t * self._walk_t_sums(walk)[1]
+        return obj
+
     def objective_of(
         self,
         x_assign: dict[int, tuple[int, int, int]],
         menu_sel: tuple[int, ...] | None = None,
     ) -> float:
         """Objective value of a complete assignment (canonical term order)."""
-        if self.weights.mode == "balance":
-            comp = 0.0
-            traf = 0.0
-            for fi in range(self.F):
-                I, z, k = x_assign[fi]
-                rec = self.coef[fi][(I, k)]
-                comp += rec.comp
-                traf += rec.dl
-            traf += self._t_sums(x_assign)[1]
-            return abs(self.weights.w_t * traf - self.weights.w_c * comp)
-        obj = 0.0
+        recs = []
         for fi in range(self.F):
             I, z, k = x_assign[fi]
-            obj += self.coef[fi][(I, k)].static
-        w_t = self.weights.effective()[2]
-        if w_t != 0.0:
-            obj += w_t * self._t_sums(x_assign)[1]
-        return obj
+            recs.append(self.coef[fi][(I, k)])
+        return self.objective_from(recs, self._temporal_walk(x_assign))
 
     def term_values(self, x_assign: dict[int, tuple[int, int, int]]) -> dict[str, float]:
         """Raw (unweighted) objective term values for an assignment."""

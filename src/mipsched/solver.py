@@ -31,11 +31,24 @@ minimum over leaf classes.  The exceptions are a timeout, and a leaf
 within ulps of a capacity: `_children` sums capacity use in branch order.
 
 Reported assignments are canonicalized to the lexicographically smallest
-member of their class, so results are bit-stable across runs.  The search
-branches over the model's choice classes, `MipModel.classes`; a child
-reads its class's first `ChoiceCoef` record, and a constraint the class
-leaves alone reads 0.0 in its dense row, so every bound sees the operands
-of a sparse lookup in the same order, and node counts stay pinned.  One
+member of their class, so results are bit-stable across runs.  A leaf is
+decided from its exact objective before that: `MipModel.objective_from`
+sums each factor's class record in factor order and adds the traffic
+walk over the chains in (level, chain position) order.  Every member of
+a choice class has the same coefficients, and canonical ranks rise with
+chain position on each level, so this value needs no rank and equals
+`objective_of` of the canonical assignment bit for bit.  A leaf above
+the incumbent's objective is rejected as it stands; one that ties it
+exactly is canonicalized against the incumbent's key and stops at the
+first factor where the keys differ; only a better leaf, or the first,
+takes the full pass.  The compares are exact, with no tolerance:
+rounding in the last ulp decides real ties.
+
+The search branches over the model's choice classes, `MipModel.classes`;
+a child reads its class's first `ChoiceCoef` record, and a constraint the
+class leaves alone reads 0.0 in its dense row, so every bound sees the
+operands of a sparse lookup in the same order, and node counts stay
+pinned.  One
 `_Search` owns a solve's bound tables and search state; every table is
 built from those records, and `_Search._suffix` is the one place the
 static branch order is summed into a per-depth table.  The leaf re-check
@@ -90,6 +103,7 @@ class SolveStats:
     nodes: int = 0
     leaves: int = 0
     wall_time_s: float = 0.0
+    canonicalized: int = 0  # leaves that entered `canonical_assignment`
 
 
 @dataclass
@@ -152,7 +166,8 @@ def canonical_assignment(
     choice_cls: list[tuple[tuple[int, int], ...]],
     chains: dict[int, list[int]],
     sh: "_Search",
-) -> dict[int, tuple[int, int, int]]:
+    bound_key: tuple[int, ...] | None = None,
+) -> dict[int, tuple[int, int, int]] | None:
     """Lexicographically smallest raw assignment realizing a leaf class.
 
     A leaf fixes, per factor, a class of interchangeable (level, mapping)
@@ -185,9 +200,16 @@ def canonical_assignment(
     same highest rank z: if p fits at z, the embedding that proves it
     puts p' at some free rank above z, where p' also fits with p still
     free to take z, so the highest rank of p' is above z.
+
+    With `bound_key`, the incumbent's `lex_key`, each pin's key entry is
+    compared with the incumbent's as it is made: the pass returns None as
+    soon as the leaf's key is the larger, and stops comparing once it is
+    the smaller.  The pins never change, so this is the full pass cut
+    short.
     """
     Z = model.Z
     cls_of = sh.cls_of
+    choice_index = model.choice_index
     chain_pos: dict[int, int] = {}
     for lst in chains.values():
         for pos, fi in enumerate(lst):
@@ -218,6 +240,12 @@ def canonical_assignment(
             z = _zmax(st, pos, Z) if st.chain_len else Z - 1 - len(st.used)
             if best is None or (I, z, k) > best:
                 best, best_ent = (I, z, k), ent
+        if bound_key is not None:
+            entry = -choice_index[fi][best]
+            if entry != bound_key[fi]:
+                if entry > bound_key[fi]:
+                    return None
+                bound_key = None
         out[fi] = best
         best_ent[0] -= 1
         I, z, _k = best
@@ -256,7 +284,8 @@ class _Search:
 
     # slotted: the search reads these attributes on every node
     __slots__ = (
-        "m", "tol", "inc", "deadline", "stopped", "nodes", "leaves", "order",
+        "m", "tol", "inc", "deadline", "stopped", "nodes", "leaves",
+        "canonicalized", "order",
         "prev_same", "wt", "balance", "ncons", "con_rhs", "cap", "menu_fit",
         "cls_of", "classes", "costs", "suffix_min", "kn_at",
         "lam_active", "lagr_suffix", "pen_at", "suffix_comp_lo",
@@ -274,6 +303,7 @@ class _Search:
         self.stopped = False
         self.nodes = 0
         self.leaves = 0
+        self.canonicalized = 0
         self.wt = m.weights.effective()[2]
         self.balance = m.weights.mode == "balance"
 
@@ -844,15 +874,24 @@ class _Search:
         menu_sel = self._derive_menus()
         if m.menus and menu_sel is None:
             return False
+        inc = self.inc
+        walk = [(I, m.factors[fi]) for I, chain in self.chains.items()
+                for fi in chain]
+        obj = m.objective_from(self.choice_rec, walk)
+        if obj > inc.obj:
+            return False
+        self.canonicalized += 1
         choice_cls = [rec.cc for rec in self.choice_rec]
-        x = canonical_assignment(m, choice_cls, self.chains, self)
-        obj = m.objective_of(x, menu_sel)
+        x = canonical_assignment(m, choice_cls, self.chains, self,
+                                 inc.key if obj == inc.obj else None)
+        if x is None:
+            return False
         key = m.lex_key(x, menu_sel)
-        if not self.inc.beats(obj, key):
+        if not inc.beats(obj, key):
             return False
         if m.constraint_violations(x, menu_sel, self.tol):
             return False  # defensive: never accept an infeasible leaf
-        self.inc.offer(obj, key, x, menu_sel)
+        inc.offer(obj, key, x, menu_sel)
         return True
 
     def dfs(self, pos: int, dive: bool = False) -> bool:
@@ -894,7 +933,8 @@ def solve(model: MipModel, opts: SolverOptions = SolverOptions()) -> Solution:
     search.reset()
     search.dfs(0)
 
-    stats = SolveStats(search.nodes, search.leaves, time.perf_counter() - t0)
+    stats = SolveStats(search.nodes, search.leaves, time.perf_counter() - t0,
+                       search.canonicalized)
     if inc.x is None:
         if search.stopped:
             return Solution("timeout", None, None, None, stats)

@@ -324,6 +324,30 @@ class TestSweepCommand:
         default_row = [r for r in rows if r.startswith("1 1 1")][0]
         assert best <= int(default_row.split()[4])
 
+    @pytest.mark.parametrize("grid", [("--sweep-wt", "1,nan"),
+                                      ("--sweep-wt", "1,inf"),
+                                      ("--sweep-wu", "1,-2")])
+    def test_bad_grid_value_prints_nothing(self, grid, tiny_layer, capsys):
+        """Every grid point's weights are checked before the header, so a
+        bad value leaves stdout empty, on the path of a negative weight."""
+        code = main(["sweep", "--layer", tiny_layer, *grid])
+        assert code == EXIT_INFEASIBLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "finite and non-negative" in err
+
+
+class TestObjectiveWeights:
+    @pytest.mark.parametrize("weights", ["1,1,nan", "nan,1,1", "1,inf,1", "-1,1,1"])
+    def test_bad_weight_rejected(self, weights, tiny_layer, capsys):
+        """A NaN or infinite weight is refused like a negative one: with
+        NaN the search could prune nothing and reported `objective nan`."""
+        code = main(["solve", "--layer", tiny_layer, f"--weights={weights}"])
+        assert code == EXIT_INFEASIBLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("infeasible: objective weights must be finite")
+
 
 ENUM_SMALL_LAYER = "[layer]\nR=3\nS=1\nP=2\nQ=1\nC=2\nK=2\nN=1\nStride=1\n"
 
@@ -394,6 +418,17 @@ class TestEnumerateCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: assignment space ")
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_limit_below_one_is_a_usage_error(self, limit, tmp_path, capsys):
+        """A --limit below 1 is a bad argument, not a limit reached."""
+        p = tmp_path / "small.layer"
+        p.write_text(ENUM_SMALL_LAYER)
+        code = main(["enumerate", "--limit", limit, "--layer", str(p)])
+        assert code == EXIT_PARSE == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --limit must be >= 1\n"
 
     def test_enumerate_small(self, tmp_path, toy_arch, capsys):
         p = tmp_path / "small.layer"

@@ -21,7 +21,7 @@ from helpers import (
 )
 from mipsched.arch import ArchSpec, MemLevel, MemTensorMatrix
 from mipsched.cli import solve_layer
-from mipsched.formulation import ObjectiveWeights, PartitionSpec, build_model
+from mipsched.formulation import MipModel, ObjectiveWeights, PartitionSpec, build_model
 from mipsched.solver import (
     EPS_PRUNE,
     SolverOptions,
@@ -410,13 +410,24 @@ def test_negative_rhs_is_infeasible_for_both_solvers():
 
 def test_canonical_assignment_matches_reference(simba, monkeypatch):
     """Every leaf canonicalized during a solve gets exactly the assignment
-    of the reference that tries every rank of every level."""
+    of the reference that tries every rank of every level.  A pass given
+    the incumbent's key returns None only for a leaf whose reference
+    assignment does not beat the incumbent."""
     real = mipsched.solver.canonical_assignment
     leaves = []
+    early = []
 
-    def checked(model, choice_cls, chains, sh):
-        x = real(model, choice_cls, chains, sh)
-        assert x == reference_canonical_assignment(model, choice_cls, chains)
+    def checked(model, choice_cls, chains, sh, bound_key=None):
+        x = real(model, choice_cls, chains, sh, bound_key)
+        ref = reference_canonical_assignment(model, choice_cls, chains)
+        if x is None:
+            assert bound_key is not None and bound_key is sh.inc.key
+            menu_sel = sh._derive_menus()
+            ref_obj = model.objective_of(ref, menu_sel)
+            assert not sh.inc.beats(ref_obj, model.lex_key(ref, menu_sel))
+            early.append(1)
+        else:
+            assert x == ref
         leaves.append(bool(model.menus))
         return x
 
@@ -441,6 +452,93 @@ def test_canonical_assignment_matches_reference(simba, monkeypatch):
     steps = list(counts.values())
     assert all(b > a for a, b in zip([0] + steps, steps)), counts
     assert any(leaves) and not all(leaves)  # with and without menus
+    assert early  # the early exit ran
+
+
+def test_leaf_decision_matches_full_path(simba, monkeypatch):
+    """Every leaf of a solve, against the full path it replaces: the
+    objective the leaf computes before canonicalizing equals
+    `objective_of` on the reference canonical assignment, float for float,
+    and the leaf accepts exactly when that path would, with the same
+    incumbent."""
+    real_leaf = _Search._leaf
+    real_objective = MipModel.objective_from
+    from_leaf = []
+    modes = set()
+    on_objective = []  # leaves rejected by their objective alone
+
+    def recorded(model, recs, walk):
+        obj = real_objective(model, recs, walk)
+        from_leaf.append(obj)
+        return obj
+
+    def full_path(sh):
+        """The leaf as it was: canonicalize, then evaluate and compare."""
+        m, inc = sh.m, sh.inc
+        if not sh.balance:
+            est = sh.static_sum + sh.wt * sh.t_stack[-1]
+        else:
+            est = abs(m.weights.w_t * (sh.dl_sum + sh.t_stack[-1])
+                      - m.weights.w_c * sh.comp_sum)
+        if est > inc.obj + EPS_PRUNE:
+            return None, False
+        menu_sel = sh._derive_menus()
+        if m.menus and menu_sel is None:
+            return None, False
+        x = reference_canonical_assignment(
+            m, [rec.cc for rec in sh.choice_rec], sh.chains)
+        obj = m.objective_of(x, menu_sel)
+        key = m.lex_key(x, menu_sel)
+        accept = (inc.beats(obj, key)
+                  and not m.constraint_violations(x, menu_sel, sh.tol))
+        return obj, (obj, key, x, menu_sel) if accept else False
+
+    def checked(sh):
+        ref_obj, ref_verdict = full_path(sh)
+        from_leaf.clear()
+        entered = sh.canonicalized
+        accepted = real_leaf(sh)
+        if ref_obj is None:
+            assert from_leaf == []
+        else:
+            assert from_leaf == [ref_obj]
+            if sh.canonicalized == entered:
+                on_objective.append(ref_obj)
+        if ref_verdict:
+            assert accepted
+            inc = sh.inc
+            assert (inc.obj, inc.key, inc.x, inc.menu) == ref_verdict
+        else:
+            assert not accepted
+        modes.add((sh.m.weights.mode, bool(sh.m.menus)))
+        return accepted
+
+    monkeypatch.setattr(MipModel, "objective_from", recorded)
+    monkeypatch.setattr(_Search, "_leaf", checked)
+    canonicalized = {}
+    solve(build_model(factorize(SUITE_LAYERS["tiny"]), simba))
+    sol = solve(build_model(factorize(SUITE_LAYERS["conv28"]), simba))
+    canonicalized["conv28"] = (sol.stats.leaves, sol.stats.canonicalized)
+    solve(build_model(factorize(SUITE_LAYERS["conv28"]), simba,
+                      partition=PartitionSpec(budget_bytes=306367)))
+    stride2 = LayerDims(3, 3, 14, 14, 32, 64, 1, stride=2)
+    result = solve_layer(factorize(stride2, PaddingPolicy(max_prime=7)), simba)
+    assert result.rounds == 2
+    stats = result.solution.stats
+    canonicalized["stride2-3x3-14"] = (stats.leaves, stats.canonicalized)
+    for seed in range(400):
+        model = random_instance(seed, max_space=60_000)
+        if model is not None:
+            solve(model)
+    assert {"combined", "traffic", "balance"} <= {mode for mode, _ in modes}
+    assert {menus for _, menus in modes} == {False, True}
+    assert on_objective
+    # leaves that entered `canonical_assignment`, early exits included, of
+    # all the leaves (last round of the stride-2 layer)
+    assert canonicalized == {
+        "conv28": (244, 244),
+        "stride2-3x3-14": (41, 41),
+    }
 
 
 def test_t_sums_matches_reference(simba):
