@@ -449,9 +449,8 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def cmd_partition(cfg: RunConfig) -> int:
     deadline = time.perf_counter() + cfg.solver.time_limit_s  # for both solves
-    if not cfg.budget or cfg.budget <= 0:
-        print("error: partition needs --budget > 0", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    if not cfg.budget:
+        raise ConfigError("partition needs --budget > 0")
     arch, layers = _load_inputs(cfg)
     dims = layers[0]
     pf = factorize(dims, PaddingPolicy(max_prime=cfg.max_prime))
@@ -498,10 +497,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
     dims = layers[0]
     pf = factorize(dims, PaddingPolicy(max_prime=cfg.max_prime))
     # every grid point's weights are checked before anything is printed
-    grid = [ObjectiveWeights(wu, wc, wt, mode=cfg.weights.mode)
-            for wu in cfg.sweep_grid[0]
-            for wc in cfg.sweep_grid[1]
-            for wt in cfg.sweep_grid[2]]
+    try:
+        grid = [ObjectiveWeights(wu, wc, wt, mode=cfg.weights.mode)
+                for wu in cfg.sweep_grid[0]
+                for wc in cfg.sweep_grid[1]
+                for wt in cfg.sweep_grid[2]]
+    except FormulationError as exc:
+        raise ConfigError(str(exc)) from None
     print("w_u w_c w_t objective latency_cycles")
     best = None
     rows = []
@@ -561,7 +563,10 @@ def _parse_weights(text: str, mode: str) -> ObjectiveWeights:
     parts = [float(x) for x in text.split(",")]
     if len(parts) != 3:
         raise ConfigError("--weights needs wU,wC,wT")
-    return ObjectiveWeights(*parts, mode=mode)
+    try:
+        return ObjectiveWeights(*parts, mode=mode)
+    except FormulationError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -610,6 +615,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     weights = _parse_weights(args.weights, args.obj)
     if args.limit < 1:
         raise ConfigError("--limit must be >= 1")
+    if args.budget is not None and args.budget < 0:
+        raise ConfigError("--budget must be >= 0")
     solver_opts = SolverOptions(time_limit_s=args.time_limit)
     search = SearchConfig(
         samples=args.samples,

@@ -15,7 +15,15 @@ The knapsack bounds are one family (Sinha & Zoltners 1979; Fisher 1981),
 built by `_Search._build_knapsack(lam)` and evaluated by
 `_Search._kn_bound`: one capacity constraint stays an explicit knapsack
 LP, the others are priced at the multipliers `lam`.  The plain bound is
-the member at lam = 0.
+the member at lam = 0.  Where every class record of the unassigned tail
+weighs a whole number on the explicit constraint (a prime factor 2 weighs
+exactly 1.0, and 2s make up the deep tail of most layers), the row is
+marked and the knapsack's capacity is rounded down to whole units, in the
+spirit of Chvatal-Gomory rounding (Chvatal 1973): no integer completion
+can use the fraction.  Every capacity bound, the Lagrangian one included,
+grants each slack `TOLERANCE`, as the capacity check does, so none cuts a
+completion that check admits; the rounding relies on it, since a float
+slack can fall an ulp short of the whole number it stands for.
 
 A solve runs one depth-first search twice: a dive that stops at the
 first accepted leaf, then, after one Polyak rebuild of the multipliers
@@ -407,9 +415,13 @@ class _Search:
         at lam = 0 this is the plain knapsack bound.
 
         Returns, per depth, one row per finite constraint that carries
-        weight, tightest first: (i, lam[i], the tail's cheapest zero-weight
-        cost, and its density-sorted hull segments as cumulative weights
-        and gains with their densities, for a bisect instead of a walk).  A
+        weight, tightest first: (i, lam[i], whether the tail is whole, the
+        tail's cheapest zero-weight cost, and its density-sorted hull
+        segments as cumulative weights and gains with their densities, for
+        a bisect instead of a walk).  The tail is whole when every class
+        record of every factor in it weighs a whole number on constraint i;
+        then `_kn_bound` rounds the capacity down.  Depths are walked from
+        F - 1 down, so once one factor fails, every shallower row fails.  A
         child at depth pos reads the rows of its tail, pos + 1.  At depth F
         the tail is empty and the bound is at most the child's own bound, so
         that depth keeps no rows; nor does depth 0, which no child reads."""
@@ -470,9 +482,13 @@ class _Search:
                 continue  # no choice weighs on it: nothing to relax
             cost0_suffix = self._suffix(cost0_row)
             # per depth, the unassigned tail's density-sorted segment pool
+            # and whether the tail is whole
             rows: list[tuple | None] = [None] * (F + 1)
             pool: list[tuple[float, int, float]] = []
+            whole = True
             for idx in range(F - 1, 0, -1):
+                whole = whole and all(float(rec.row[ci]).is_integer()
+                                      for rec in self.classes[self.order[idx]])
                 pool = sorted(
                     pool + [(d, idx, w) for d, w in per_factor_segs[self.order[idx]]],
                     key=lambda s: (-s[0], s[1], s[2]),
@@ -482,7 +498,7 @@ class _Search:
                     cw.append(cw[-1] + dw)
                     cg.append(cg[-1] + density * dw)
                     dens.append(density)
-                rows[idx] = (ci, lam_i, cost0_suffix[idx], cw, cg, dens)
+                rows[idx] = (ci, lam_i, whole, cost0_suffix[idx], cw, cg, dens)
             tables[ci] = (self.con_rhs[ci] / total_w, rows)
 
         # evaluate tightest constraints first so pruning exits early
@@ -654,31 +670,44 @@ class _Search:
         return total
 
     def _lagr_bound(self, base: float, pos: int, row: list[float]) -> float:
-        """Root Lagrangian relaxation evaluated with the current slacks."""
+        """Root Lagrangian relaxation evaluated with the current slacks,
+        each with the tolerance the capacity check grants."""
         b = base + self.lagr_suffix[pos + 1]
+        tol = self.tol
         for ci, lam in self.lam_active:
-            b -= lam * (self.con_rhs[ci] - self.con_lhs[ci] - row[ci])
+            b -= lam * (self.con_rhs[ci] - self.con_lhs[ci] - row[ci] + tol)
         return b
 
     def _kn_bound(self, table: list[list[tuple]], base: float, pos: int,
-                  row: list[float], best: float, thresh: float, refund: float,
-                  tol: float) -> float:
+                  row: list[float], best: float, thresh: float,
+                  refund: float) -> float:
         """max(best, max over the rows of `table` at the tail of depth
         `pos` of the knapsack bound); returns once that max exceeds
         `thresh` (the caller prunes).  Constraint i stays explicit with the
-        child's slack plus `tol`, every other constraint j is priced at its
-        multiplier lambda_j (the table's costs) and `refund` gives back
-        lambda_j times its slack.  For the plain table (`kn_at`, lambda = 0)
-        the refund and `tol` are 0.  With the tolerance every completion the
-        capacity check admits is covered, and by LP duality each term is at
-        least the Lagrangian bound at the same multipliers."""
+        child's slack plus the tolerance, every other constraint j is priced
+        at its multiplier lambda_j (the table's costs) and `refund` gives
+        back lambda_j times its slack.  For the plain table (`kn_at`,
+        lambda = 0) the refund is 0.  With the tolerance every completion
+        the capacity check admits is covered, and by LP duality each term is
+        at least the Lagrangian bound at the same multipliers.
+
+        On a row marked whole the knapsack's capacity is the slack rounded
+        down.  Every weight in that tail is a whole number, so a
+        completion's tail weight W is an integer, summed exactly, and
+        W <= slack gives W <= floor(slack): the LP at the rounded capacity
+        still relaxes every admitted completion.  The refund keeps the
+        unrounded slack; there it only cancels lambda_i times the slack,
+        and is no capacity."""
         con_lhs = self.con_lhs
         con_rhs = self.con_rhs
-        for ci, lam_i, cost0, cw, cg, dens in table[pos + 1]:
+        tol = self.tol
+        for ci, lam_i, whole, cost0, cw, cg, dens in table[pos + 1]:
             slack = con_rhs[ci] - con_lhs[ci] - row[ci] + tol
             upper = base + cost0 - (refund - lam_i * slack)
             if upper <= best:
                 continue  # the knapsack gain is >= 0: cannot raise the max
+            if whole:
+                slack = math.floor(slack)  # no completion uses the fraction
             if slack >= cw[-1]:
                 gain = cg[-1]
             elif slack > 0.0:
@@ -711,7 +740,7 @@ class _Search:
         for ci, lam in self.lam_active:
             refund += lam * (con_rhs[ci] - con_lhs[ci] - row[ci] + tol)
         return self._kn_bound(self.pen_at, base, pos, row, thresh, thresh,
-                              refund, tol) > thresh
+                              refund) > thresh
 
     def _children(self, pos: int):
         """Children at depth `pos` in search order, each (bound, level,
@@ -778,7 +807,7 @@ class _Search:
                 b = b2
                 if b > thresh:
                     return None
-            b = self._kn_bound(self.kn_at, base, pos, rec.row, b, thresh, 0.0, 0.0)
+            b = self._kn_bound(self.kn_at, base, pos, rec.row, b, thresh, 0.0)
             if b > thresh:
                 return None
             return b

@@ -688,8 +688,11 @@ def reference_enumerate_all(pf, arch, limit=1_000_000):
 # reference copies of the two knapsack bounds as they were before they
 # shared one table builder and one evaluator: the plain bound walked
 # per-depth hull segment lists built at zero multipliers, the penalized
-# bound bisected cumulative arrays built at the root multipliers.  `sh`
-# is the solver's `_Search`; only its model-derived fields are read.
+# bound bisected cumulative arrays built at the root multipliers.  Both
+# grant every slack the tolerance, and both round the capacity of a
+# constraint down to a whole number where every class record of the
+# unassigned tail weighs a whole number on it.  `sh` is the solver's
+# `_Search`; only its model-derived fields are read.
 # ----------------------------------------------------------------------
 
 
@@ -700,10 +703,20 @@ def _reference_suffix(sh, values):
     return out
 
 
+def reference_whole_tails(model, order, ci):
+    """Per depth, whether every class record of every factor that `order`
+    leaves unassigned there weighs a whole number on constraint `ci`."""
+    F = model.F
+    return [all(float(rec.row[ci]).is_integer()
+                for fi in order[idx:] for rec in model.classes[fi])
+            for idx in range(F + 1)]
+
+
 def reference_build_knapsack(sh, costs, lam):
     """Per constraint, the tail's total hull weight, its cheapest
-    zero-weight cost and its density-sorted hull segments, each per depth;
-    and the constraints that carry weight, tightest first."""
+    zero-weight cost, its density-sorted hull segments and whether it
+    weighs only whole numbers, each per depth; and the constraints that
+    carry weight, tightest first."""
     F = sh.m.F
     tables = []
     for ci in range(sh.ncons):
@@ -756,7 +769,8 @@ def reference_build_knapsack(sh, costs, lam):
             )
             segs_at[idx] = [(d, w) for d, _i, w in pool]
         tables.append((_reference_suffix(sh, seg_w_row),
-                       _reference_suffix(sh, cost0_row), segs_at))
+                       _reference_suffix(sh, cost0_row), segs_at,
+                       reference_whole_tails(sh.m, sh.order, ci)))
 
     def tightness(ci):
         rhs = sh.con_rhs[ci]
@@ -772,18 +786,21 @@ def reference_build_knapsack(sh, costs, lam):
 
 
 def reference_plain_knapsack(sh):
-    """Per depth, (i, tail hull weight, tail cost0, hull segments) for each
-    constraint that carries weight, tightest first, at zero multipliers."""
+    """Per depth, (i, whole tail, tail hull weight, tail cost0, hull
+    segments) for each constraint that carries weight, tightest first, at
+    zero multipliers."""
     tabs, order = reference_build_knapsack(sh, sh.costs, [0.0] * sh.ncons)
-    return [[(ci, tabs[ci][0][nxt], tabs[ci][1][nxt], tabs[ci][2][nxt])
+    return [[(ci, tabs[ci][3][nxt], tabs[ci][0][nxt], tabs[ci][1][nxt],
+              tabs[ci][2][nxt])
              for ci in order]
             for nxt in range(sh.m.F + 1)]
 
 
 def reference_penalized_knapsack(sh):
-    """Per depth, (i, lambda_i, tail cost0, cumulative weights, cumulative
-    gains, densities) for each finite constraint that carries weight, with
-    every constraint priced at the multipliers `sh.lam_active`."""
+    """Per depth, (i, lambda_i, whole tail, tail cost0, cumulative weights,
+    cumulative gains, densities) for each finite constraint that carries
+    weight, with every constraint priced at the multipliers
+    `sh.lam_active`."""
     lam = [0.0] * sh.ncons
     for ci, value in sh.lam_active:
         lam[ci] = value
@@ -798,34 +815,37 @@ def reference_penalized_knapsack(sh):
     for nxt in range(1, sh.m.F):
         row = []
         for ci in finite:
-            _w, cost0_suffix, segs_at = tabs[ci]
+            _w, cost0_suffix, segs_at, whole = tabs[ci]
             cw, cg, dens = [0.0], [0.0], []
             for density, dw in segs_at[nxt]:
                 cw.append(cw[-1] + dw)
                 cg.append(cg[-1] + density * dw)
                 dens.append(density)
-            row.append((ci, lam[ci], cost0_suffix[nxt], cw, cg, dens))
+            row.append((ci, lam[ci], whole[nxt], cost0_suffix[nxt], cw, cg, dens))
         pen_at[nxt] = row
     return pen_at
 
 
 def reference_plain_bound(sh, kn_at, base, pos, row, threshold):
     """Max over single-constraint knapsack relaxations at zero multipliers,
-    returning early once `threshold` is exceeded; a constraint whose slack
-    covers its tail's hull weight is skipped."""
+    returning early once `threshold` is exceeded; each capacity is the
+    slack plus the tolerance, rounded down on a whole tail, and a
+    constraint whose capacity covers its tail's hull weight is skipped."""
     best = -math.inf
-    for ci, w_suffix, cost0, segs in kn_at[pos + 1]:
-        slack = sh.con_rhs[ci] - sh.con_lhs[ci] - row[ci]
-        if slack >= w_suffix:
+    for ci, whole, w_suffix, cost0, segs in kn_at[pos + 1]:
+        capacity = sh.con_rhs[ci] - sh.con_lhs[ci] - row[ci] + sh.tol
+        if whole:
+            capacity = math.floor(capacity)
+        if capacity >= w_suffix:
             continue
         gain = 0.0
-        if slack > 0.0:
+        if capacity > 0.0:
             for density, dw in segs:
-                if dw >= slack:
-                    gain += density * slack
+                if dw >= capacity:
+                    gain += density * capacity
                     break
                 gain += density * dw
-                slack -= dw
+                capacity -= dw
         b = base + cost0 - gain
         if b > best:
             best = b
@@ -836,22 +856,25 @@ def reference_plain_bound(sh, kn_at, base, pos, row, threshold):
 
 def reference_penalized_bound(sh, pen_at, base, pos, row, threshold):
     """max(threshold, max over constraints i of the Lagrangian-penalized
-    knapsack bound), every slack with the tolerance `sh.tol`."""
+    knapsack bound), every slack with the tolerance `sh.tol`; the
+    knapsack's capacity is that slack, rounded down on a whole tail, while
+    the refund keeps the slack as it is."""
     tol = sh.tol
     refund = 0.0
     for ci, lam in sh.lam_active:
         refund += lam * (sh.con_rhs[ci] - sh.con_lhs[ci] - row[ci] + tol)
     best = threshold
-    for ci, lam_i, cost0, cw, cg, dens in pen_at[pos + 1]:
+    for ci, lam_i, whole, cost0, cw, cg, dens in pen_at[pos + 1]:
         slack = sh.con_rhs[ci] - sh.con_lhs[ci] - row[ci] + tol
         upper = base + cost0 - (refund - lam_i * slack)
         if upper <= best:
             continue
-        if slack >= cw[-1]:
+        capacity = math.floor(slack) if whole else slack
+        if capacity >= cw[-1]:
             gain = cg[-1]
-        elif slack > 0.0:
-            j = bisect_left(cw, slack, 1) - 1
-            gain = cg[j] + dens[j] * (slack - cw[j])
+        elif capacity > 0.0:
+            j = bisect_left(cw, capacity, 1) - 1
+            gain = cg[j] + dens[j] * (capacity - cw[j])
         else:
             gain = 0.0
         b = upper - gain

@@ -174,6 +174,20 @@ class TestSolveCommand:
         code = main(["solve", "--layer", tiny_layer, "--budget", "0"])
         assert code == EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("argv", [["solve", "--budget", "-5"],
+                                      ["partition", "--budget", "-5"],
+                                      ["partition", "--budget", "0"],
+                                      ["partition"]])
+    def test_bad_budget_is_a_usage_error(self, argv, tiny_layer, capsys):
+        """A negative budget, or partition without a positive one, is an
+        argument error; a zero budget for solve is an infeasible
+        partition (above)."""
+        code = main([*argv, "--layer", tiny_layer])
+        assert code == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "--budget" in err
+
     def test_tiny_budget_partition_infeasible(self, tiny_layer, capsys):
         code = main(["partition", "--layer", tiny_layer, "--budget", "1"])
         assert code == EXIT_INFEASIBLE
@@ -329,24 +343,25 @@ class TestSweepCommand:
                                       ("--sweep-wu", "1,-2")])
     def test_bad_grid_value_prints_nothing(self, grid, tiny_layer, capsys):
         """Every grid point's weights are checked before the header, so a
-        bad value leaves stdout empty, on the path of a negative weight."""
+        bad value leaves stdout empty; it is an argument error."""
         code = main(["sweep", "--layer", tiny_layer, *grid])
-        assert code == EXIT_INFEASIBLE
+        assert code == EXIT_PARSE
         out, err = capsys.readouterr()
         assert out == ""
-        assert "finite and non-negative" in err
+        assert err.startswith("error: objective weights must be finite and non-negative")
 
 
 class TestObjectiveWeights:
     @pytest.mark.parametrize("weights", ["1,1,nan", "nan,1,1", "1,inf,1", "-1,1,1"])
     def test_bad_weight_rejected(self, weights, tiny_layer, capsys):
-        """A NaN or infinite weight is refused like a negative one: with
-        NaN the search could prune nothing and reported `objective nan`."""
+        """A NaN or infinite weight is refused like a negative one, as an
+        argument error: with NaN the search could prune nothing and reported
+        `objective nan`."""
         code = main(["solve", "--layer", tiny_layer, f"--weights={weights}"])
-        assert code == EXIT_INFEASIBLE
+        assert code == EXIT_PARSE
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("infeasible: objective weights must be finite")
+        assert err.startswith("error: objective weights must be finite")
 
 
 ENUM_SMALL_LAYER = "[layer]\nR=3\nS=1\nP=2\nQ=1\nC=2\nK=2\nN=1\nStride=1\n"

@@ -24,6 +24,7 @@ from mipsched.cli import solve_layer
 from mipsched.formulation import MipModel, ObjectiveWeights, PartitionSpec, build_model
 from mipsched.solver import (
     EPS_PRUNE,
+    TOLERANCE,
     SolverOptions,
     SpaceTooLarge,
     _Incumbent,
@@ -204,7 +205,7 @@ def pen_models(simba):
 def test_penalized_bound_dominates_lagrangian(simba, tol):
     """At every root child, the Lagrangian-penalized knapsack bound is a
     number and, by LP duality, at least the Lagrangian bound at the same
-    multipliers, less the tolerance the capacity check grants each slack."""
+    multipliers; both grant each slack the same tolerance."""
     checked = 0
     for name, model in pen_models(simba):
         assert model is not None and model.weights.mode != "balance", name
@@ -215,7 +216,6 @@ def test_penalized_bound_dominates_lagrangian(simba, tol):
         search.pen_at = search._build_knapsack(dense)
         if not search.pen_at[1]:
             continue  # no finite constraint carries weight, or F = 1
-        lam_tol = tol * sum(lam for _ci, lam in search.lam_active)
         fi = search.order[0]
         for child in search._children(0):
             _b, I, k, _q, choice, t_after = child
@@ -226,10 +226,10 @@ def test_penalized_bound_dominates_lagrangian(simba, tol):
             base = model.coef[fi][(I, k)].static + search.wt * t_after
             refund = sum(lam * slacks[ci] for ci, lam in search.lam_active)
             pen = search._kn_bound(search.pen_at, base, 0, choice.row, -math.inf,
-                                   math.inf, refund, tol)
+                                   math.inf, refund)
             lagr = search._lagr_bound(base, 0, choice.row)
             assert not math.isnan(pen), name
-            assert pen >= lagr - lam_tol - 1e-9, (name, choice.cc, pen, lagr)
+            assert pen >= lagr - 1e-9, (name, choice.cc, pen, lagr)
             checked += 1
     assert checked > 0
 
@@ -293,9 +293,9 @@ def test_search_counts_pinned(simba):
                         sol.stats.nodes, sol.stats.leaves)
     assert counts == {
         "tiny": (10, 2),
-        "conv28": (12_299, 244),
-        "conv28-partition": (886, 21),
-        "stride2-3x3-14": (2, 2_515, 41),
+        "conv28": (4_007, 266),
+        "conv28-partition": (210, 25),
+        "stride2-3x3-14": (2, 1_758, 41),
         82: ("combined", False, 71, 37),
         101: ("combined", True, 8, 3),
         22: ("traffic", True, 37, 25),
@@ -333,9 +333,9 @@ def test_bound_tables_pinned(simba):
     assert models[214].weights.mode == "balance"
     assert digests == {
         "conv28":
-            "37faea3d2d619e55b85887560509148761b2e5eefb008f644dc05dae400ba37f",
+            "1557497cbdbf63e045dc594f95e7d6bb0cbdd30b71a9ef5c7ca1d03d9ffc699d",
         "conv28-partition":
-            "701ed036207a7bf0c4205206b70a563ff51706519f7d22eb56bc36070a1eebc7",
+            "8823264d100f2c5fe0f94c902063b861e34ec30d7041646f515caa6f1a5abe0c",
         22:
             "ec5cec057221a6342ced1efbf4fc27dacd1576ca0bbb730b7c1a52a7f1cdc670",
         214:
@@ -346,14 +346,22 @@ def test_bound_tables_pinned(simba):
 def test_knapsack_bounds_match_reference(simba, monkeypatch):
     """Every knapsack bound a solve evaluates, in `_node_bound` and in
     `_prunes`, against the frozen reference of the two separate bounds.
-    The penalized bound is bit-identical, and so are its tables.  The plain
-    bound agrees within 1e-12 (the reference skips a constraint whose slack
-    covers its tail's whole hull weight; the evaluator computes that term,
-    equal to the suffix bound in exact arithmetic), and both give the same
-    verdict against the incumbent."""
+    The penalized bound is bit-identical, and so are its tables, whole-tail
+    marks included.  The plain bound agrees within 1e-12 (the reference
+    skips a constraint whose capacity covers its tail's whole hull weight;
+    the evaluator computes that term, equal to the suffix bound in exact
+    arithmetic), and both give the same verdict against the incumbent.
+    Both bounds are seen rounding a capacity down on conv28."""
     real = _Search._kn_bound
     refs = {}  # "plain" / "penalized" -> (the solver's table, the reference's)
     calls = {"plain": 0, "penalized": 0}
+    rounded = {"plain": 0, "penalized": 0}  # calls with a fraction cut off
+
+    def cuts_fraction(sh, row, ci, whole, tail_w):
+        """The reference rounds this row's capacity down below both the
+        slack and the tail's weight, so the rounding moves its gain."""
+        slack = sh.con_rhs[ci] - sh.con_lhs[ci] - row[ci] + sh.tol
+        return whole and 0.0 < slack and math.floor(slack) < min(slack, tail_w)
 
     def reference_for(kind, table, build, sh):
         held = refs.get(kind)
@@ -361,8 +369,8 @@ def test_knapsack_bounds_match_reference(simba, monkeypatch):
             held = refs[kind] = (table, build(sh))
         return held[1]
 
-    def checked(sh, table, base, pos, row, best, thresh, refund, tol):
-        b = real(sh, table, base, pos, row, best, thresh, refund, tol)
+    def checked(sh, table, base, pos, row, best, thresh, refund):
+        b = real(sh, table, base, pos, row, best, thresh, refund)
         cut = sh.inc.obj + EPS_PRUNE
         if table is sh.pen_at:
             ref_table = reference_for("penalized", table,
@@ -371,15 +379,21 @@ def test_knapsack_bounds_match_reference(simba, monkeypatch):
             ref = reference_penalized_bound(sh, ref_table, base, pos, row, thresh)
             # the evaluator stops at the first term past `thresh`; without
             # the stop it is the reference's max, float for float
-            assert real(sh, table, base, pos, row, best, math.inf, refund, tol) == ref
+            assert real(sh, table, base, pos, row, best, math.inf, refund) == ref
             calls["penalized"] += 1
+            rounded["penalized"] += any(
+                cuts_fraction(sh, row, ci, whole, cw[-1])
+                for ci, _lam, whole, _c0, cw, _cg, _d in ref_table[pos + 1])
         else:
-            assert table is sh.kn_at and refund == tol == 0.0
+            assert table is sh.kn_at and refund == 0.0
             ref_table = reference_for("plain", table, reference_plain_knapsack, sh)
             ref = max(best,
                       reference_plain_bound(sh, ref_table, base, pos, row, thresh))
             assert abs(b - ref) <= 1e-12, (b, ref)
             calls["plain"] += 1
+            rounded["plain"] += any(
+                cuts_fraction(sh, row, ci, whole, tail_w)
+                for ci, whole, tail_w, _c0, _segs in ref_table[pos + 1])
         assert (b > cut) == (ref > cut), (b, ref, cut)
         return b
 
@@ -388,12 +402,61 @@ def test_knapsack_bounds_match_reference(simba, monkeypatch):
     solve(build_model(conv28, simba))
     solve(build_model(conv28, simba, partition=PartitionSpec(budget_bytes=306367)))
     conv28_calls = dict(calls)
+    assert all(rounded.values()), rounded
     for seed in range(400):
         model = random_instance(seed, max_space=60_000)
         if model is not None:
             solve(model)
     assert all(conv28_calls.values()), conv28_calls
     assert all(calls[kind] > conv28_calls[kind] for kind in calls), calls
+
+
+def exact_fill_model():
+    """Three levels; the optimum holds C's factors 7, 2 and 2 below the
+    middle level, 28 input elements in its 28-element buffer.  In floats
+    that buffer's slack after the 7 is an ulp short of 2, so rounding it
+    down without the tolerance cuts the optimum."""
+    arch = ArchSpec(
+        levels=(
+            MemLevel("L0", (4.0, 4.0, 4.0)),
+            MemLevel("L1", (28.0, 28.0, 28.0), spatial_fanout=4, is_noc_boundary=True),
+            MemLevel("Mem", (math.inf,) * 3),
+        ),
+        B=MemTensorMatrix(rows=((1, 1, 1),) * 3),
+        name="exact-fill",
+    )
+    return build_model(factorize(LayerDims(1, 1, 1, 1, 28, 3, 1)), arch)
+
+
+def test_whole_tail_rounding_keeps_oracle_identity():
+    """A knapsack capacity rounded down on a whole tail cuts no optimum: on
+    a model whose optimum fills a buffer exactly with 2-factors behind a
+    7-factor, and on every random model with a whole-tail row, the answer
+    is the exhaustive oracle's."""
+    fill = exact_fill_model()
+    ia = next(c for c in fill.check_cons if c.name == "buffer[L1/IA]")
+    assert ia.rhs - math.log2(7) < 2.0
+    models = {"exact-fill": fill}
+    for seed in range(400):
+        model = random_instance(seed, max_space=60_000)
+        if model is None or model.weights.mode == "balance":
+            continue  # balance mode builds no knapsack bound
+        search = _Search(model, TOLERANCE, _Incumbent(), math.inf)
+        if any(whole for rows in reference_plain_knapsack(search)
+               for _ci, whole, *_rest in rows):
+            models[seed] = model
+    assert len(models) > 50
+    for name, model in models.items():
+        sol = solve(model)
+        oracle = exhaustive_solve(model)
+        assert sol.status == oracle.status, name
+        assert sol.objective_value == oracle.objective_value, name
+        assert sol.x_assignment == oracle.x_assignment, name
+        assert sol.menu_selection == oracle.menu_selection, name
+    x = exhaustive_solve(fill).x_assignment
+    below = [f.prime for fi, f in enumerate(fill.factors)
+             if f.j == 4 and x[fi][0] == 0]  # C's factors at L0
+    assert sorted(below) == [2, 2, 7]
 
 
 def test_negative_rhs_is_infeasible_for_both_solvers():
@@ -536,7 +599,7 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
     # leaves that entered `canonical_assignment`, early exits included, of
     # all the leaves (last round of the stride-2 layer)
     assert canonicalized == {
-        "conv28": (244, 244),
+        "conv28": (266, 231),
         "stride2-3x3-14": (41, 41),
     }
 
