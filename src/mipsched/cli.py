@@ -449,8 +449,8 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def cmd_partition(cfg: RunConfig) -> int:
     deadline = time.perf_counter() + cfg.solver.time_limit_s  # for both solves
-    if not cfg.budget:
-        raise ConfigError("partition needs --budget > 0")
+    if cfg.budget is None:
+        raise ConfigError("partition needs --budget")
     arch, layers = _load_inputs(cfg)
     dims = layers[0]
     pf = factorize(dims, PaddingPolicy(max_prime=cfg.max_prime))
@@ -505,7 +505,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     except FormulationError as exc:
         raise ConfigError(str(exc)) from None
     print("w_u w_c w_t objective latency_cycles")
-    best = None
+    best = None  # index of the first row with the least latency
     rows = []
     for weights in grid:
         result = solve_layer(pf, arch, weights, cfg.solver, halo=cfg.halo,
@@ -515,10 +515,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
         latency = result.report.latency_cycles
         rows.append((weights.w_u, weights.w_c, weights.w_t,
                      result.solution.objective_value, latency))
-        if best is None or latency < best[4]:
-            best = rows[-1]
-    for row in rows:
-        mark = " best" if row == best else ""
+        if best is None or latency < rows[best][4]:
+            best = len(rows) - 1
+    for i, row in enumerate(rows):
+        mark = " best" if i == best else ""
         print(f"{row[0]:g} {row[1]:g} {row[2]:g} {row[3]:.9f} {row[4]}{mark}")
     return EXIT_OK
 
@@ -615,8 +615,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     weights = _parse_weights(args.weights, args.obj)
     if args.limit < 1:
         raise ConfigError("--limit must be >= 1")
-    if args.budget is not None and args.budget < 0:
-        raise ConfigError("--budget must be >= 0")
+    if args.budget is not None and args.budget < 1:
+        raise ConfigError("--budget must be >= 1")
     solver_opts = SolverOptions(time_limit_s=args.time_limit)
     search = SearchConfig(
         samples=args.samples,

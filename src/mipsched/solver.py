@@ -25,6 +25,16 @@ grants each slack `TOLERANCE`, as the capacity check does, so none cuts a
 completion that check admits; the rounding relies on it, since a float
 slack can fall an ulp short of the whole number it stands for.
 
+Identical factors are symmetry-broken: in branch order each member of an
+identical class, a run, takes a class whose `rep` is at or below the
+previous member's.  `_children` propagates that order into the capacity
+check, in the spirit of orbitopal fixing (Kaibel, Peinhardt & Pfetsch
+2011): a child is dropped when the rest of its run, each member at its
+lightest allowed weight, cannot fit.  Every completion of such a child
+fails a capacity check, so the cut subtree holds no leaf; the leaves,
+their order, the incumbent's trajectory and the answer stay as they were,
+and only nodes fall.
+
 A solve runs one depth-first search twice: a dive that stops at the
 first accepted leaf, then, after one Polyak rebuild of the multipliers
 against that incumbent, the proof from the root.  The proof adds the
@@ -294,7 +304,8 @@ class _Search:
     __slots__ = (
         "m", "tol", "inc", "deadline", "stopped", "nodes", "leaves",
         "canonicalized", "order",
-        "prev_same", "wt", "balance", "ncons", "con_rhs", "cap", "menu_fit",
+        "prev_same", "run_rem", "run_need", "wt", "balance", "ncons",
+        "con_rhs", "cap", "menu_fit",
         "cls_of", "classes", "costs", "suffix_min", "kn_at",
         "lam_active", "lagr_suffix", "pen_at", "suffix_comp_lo",
         "suffix_comp_hi", "suffix_traf_lo", "traf_hi_const", "choice_rec",
@@ -360,6 +371,27 @@ class _Search:
         # so a table built over the class records equals one built over
         # every collapsed choice, float for float.
         self.classes = m.classes
+
+        # the run lookahead of `_children`: per factor, how many members of
+        # its identical class follow it in the branch order, and per class
+        # record r (parallel to `classes[fi]`), the (ci, w) pairs where w,
+        # the least weight on ci of any record with rep <= r.rep of any of
+        # those members, is positive
+        self.run_rem = [0] * F
+        self.run_need: list[list[tuple]] = [[] for _ in range(F)]
+        after: dict[int, list[int]] = {}
+        for fi in reversed(self.order):
+            rest = after.setdefault(m.factors[fi].cls, [])
+            self.run_rem[fi] = len(rest)
+            # identical members have equal records: keep each (rep, row) once
+            pool = {(r.rep, tuple(r.row)) for gi in rest for r in self.classes[gi]}
+            for rec in self.classes[fi]:
+                rows = [row for rep, row in pool if rep <= rec.rep]
+                least = [min((row[ci] for row in rows), default=0.0)
+                         for ci in range(self.ncons)]
+                self.run_need[fi].append(
+                    tuple((ci, w) for ci, w in enumerate(least) if w > 0.0))
+            rest.append(fi)
         if self.balance:
             self.suffix_comp_lo = self._suffix(
                 [min(rec.comp for rec in recs) for recs in self.classes])
@@ -745,7 +777,22 @@ class _Search:
     def _children(self, pos: int):
         """Children at depth `pos` in search order, each (bound, level,
         mapping, chain position or -1, class record, traffic after); no two
-        share (level, mapping, position), so the sort stops there."""
+        share (level, mapping, position), so the sort stops there.
+
+        Like the capacity check, the run lookahead only filters.  With
+        `run_rem[fi]` members of fi's identical class still to come, a
+        record r is dropped when, on some constraint ci of
+        `run_need[fi]`, t = con_lhs[ci] + r.row[ci] plus w, added
+        `run_rem[fi]` times one step at a time, exceeds the capacity.  It
+        is exact: every completion gives each remaining member a record
+        with rep <= r.rep, so a weight >= w on ci at every step, and no
+        weight is negative.  Float addition is monotone, so the
+        completion's running sum on ci stays >= t step for step, and its
+        own capacity check fails by the run's last member.  A dropped
+        child's subtree thus holds no leaf: leaves come in the same order,
+        the incumbent evolves the same way, and every other prune decision
+        and child order is unchanged.  Adding w one step at a time, not
+        `run_rem * w` at once, keeps this exact on non-integer weights."""
         m = self.m
         fi = self.order[pos]
         prev = self.prev_same[fi]
@@ -754,14 +801,24 @@ class _Search:
         t_cur = self.t_stack[-1]
         con_lhs = self.con_lhs
         cap = self.cap
+        rem = self.run_rem[fi]
         profile = None
         out = []
-        for rec in self.classes[fi]:
+        for rec, need in zip(self.classes[fi], self.run_need[fi]):
             if limit is not None and rec.rep > limit:
                 continue
             ok = True
             for ci, add in rec.items:
                 if con_lhs[ci] + add > cap[ci]:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            for ci, w in need:  # the run lookahead
+                t = con_lhs[ci] + rec.row[ci]
+                for _ in range(rem):
+                    t += w
+                if t > cap[ci]:
                     ok = False
                     break
             if not ok:

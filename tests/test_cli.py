@@ -171,17 +171,19 @@ class TestSolveCommand:
         assert f"error: {p}: {message}" in capsys.readouterr().err
 
     def test_zero_budget_partition_infeasible(self, tiny_layer, capsys):
-        code = main(["solve", "--layer", tiny_layer, "--budget", "0"])
+        code = main(["solve", "--layer", tiny_layer, "--budget", "1"])
         assert code == EXIT_INFEASIBLE
+        assert "infeasible: budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["solve", "--budget", "-5"],
                                       ["partition", "--budget", "-5"],
                                       ["partition", "--budget", "0"],
-                                      ["partition"]])
+                                      ["partition"],
+                                      ["solve", "--budget", "0"]])
     def test_bad_budget_is_a_usage_error(self, argv, tiny_layer, capsys):
-        """A negative budget, or partition without a positive one, is an
-        argument error; a zero budget for solve is an infeasible
-        partition (above)."""
+        """A budget below one byte, or partition without a budget, is an
+        argument error for every command; a positive budget that nothing
+        fits is an infeasible partition (above)."""
         code = main([*argv, "--layer", tiny_layer])
         assert code == EXIT_PARSE
         out, err = capsys.readouterr()
@@ -337,6 +339,15 @@ class TestSweepCommand:
         best = min(int(r.split()[4]) for r in rows)
         default_row = [r for r in rows if r.startswith("1 1 1")][0]
         assert best <= int(default_row.split()[4])
+
+    def test_duplicate_grid_value_marks_one_best(self, tiny_layer, capsys):
+        """Two grid points with the same weights tie on latency; only the
+        first is marked best."""
+        code = main(["sweep", "--layer", tiny_layer, "--sweep-wt", "1,1"])
+        assert code == EXIT_OK
+        rows = [l for l in capsys.readouterr().out.splitlines() if l[:1].isdigit()]
+        assert len(rows) == 2 and rows[0].split()[:5] == rows[1].split()[:5]
+        assert [r.endswith(" best") for r in rows] == [True, False]
 
     @pytest.mark.parametrize("grid", [("--sweep-wt", "1,nan"),
                                       ("--sweep-wt", "1,inf"),

@@ -293,13 +293,13 @@ def test_search_counts_pinned(simba):
                         sol.stats.nodes, sol.stats.leaves)
     assert counts == {
         "tiny": (10, 2),
-        "conv28": (4_007, 266),
-        "conv28-partition": (210, 25),
-        "stride2-3x3-14": (2, 1_758, 41),
-        82: ("combined", False, 71, 37),
+        "conv28": (3_433, 266),
+        "conv28-partition": (203, 25),
+        "stride2-3x3-14": (2, 984, 41),
+        82: ("combined", False, 68, 37),
         101: ("combined", True, 8, 3),
         22: ("traffic", True, 37, 25),
-        214: ("balance", False, 61, 28),
+        214: ("balance", False, 59, 28),
         245: ("balance", True, 21, 15),
     }
 
@@ -411,21 +411,27 @@ def test_knapsack_bounds_match_reference(simba, monkeypatch):
     assert all(calls[kind] > conv28_calls[kind] for kind in calls), calls
 
 
-def exact_fill_model():
-    """Three levels; the optimum holds C's factors 7, 2 and 2 below the
-    middle level, 28 input elements in its 28-element buffer.  In floats
-    that buffer's slack after the 7 is an ulp short of 2, so rounding it
-    down without the tolerance cuts the optimum."""
+def fill_model(c: int, buf: float):
+    """Three levels, C = `c` and K = 3; the middle level's buffers hold
+    `buf` elements."""
     arch = ArchSpec(
         levels=(
             MemLevel("L0", (4.0, 4.0, 4.0)),
-            MemLevel("L1", (28.0, 28.0, 28.0), spatial_fanout=4, is_noc_boundary=True),
+            MemLevel("L1", (buf, buf, buf), spatial_fanout=4, is_noc_boundary=True),
             MemLevel("Mem", (math.inf,) * 3),
         ),
         B=MemTensorMatrix(rows=((1, 1, 1),) * 3),
         name="exact-fill",
     )
-    return build_model(factorize(LayerDims(1, 1, 1, 1, 28, 3, 1)), arch)
+    return build_model(factorize(LayerDims(1, 1, 1, 1, c, 3, 1)), arch)
+
+
+def exact_fill_model():
+    """The optimum holds C's factors 7, 2 and 2 below the middle level, 28
+    input elements in its 28-element buffer.  In floats that buffer's
+    slack after the 7 is an ulp short of 2, so rounding it down without
+    the tolerance cuts the optimum."""
+    return fill_model(28, 28.0)
 
 
 def test_whole_tail_rounding_keeps_oracle_identity():
@@ -457,6 +463,124 @@ def test_whole_tail_rounding_keeps_oracle_identity():
     below = [f.prime for fi, f in enumerate(fill.factors)
              if f.j == 4 and x[fi][0] == 0]  # C's factors at L0
     assert sorted(below) == [2, 2, 7]
+
+
+def run_completion_fits(sh, pos, rec) -> bool:
+    """Whether the members of the child's identical run that follow depth
+    `pos` can take records of non-increasing rep, at or below `rec.rep`,
+    whose weights, added one at a time from the child's `con_lhs`, pass
+    every capacity check.  Brute force over the run's completions, each
+    (member, rep limit, sums) state tried once."""
+    m = sh.m
+    cls = m.factors[sh.order[pos]].cls
+    rest = [g for g in sh.order[pos + 1:] if m.factors[g].cls == cls]
+    tried = set()
+
+    def fits(k, limit, sums):
+        if any(t > cap for t, cap in zip(sums, sh.cap)):
+            return False
+        if k == len(rest) or (k, limit, sums) in tried:
+            return k == len(rest)
+        tried.add((k, limit, sums))
+        return any(
+            fits(k + 1, r.rep, tuple(t + add for t, add in zip(sums, r.row)))
+            for r in sh.classes[rest[k]] if r.rep <= limit
+        )
+
+    start = tuple(lhs + add for lhs, add in zip(sh.con_lhs, rec.row))
+    return fits(0, rec.rep, start)
+
+
+def test_run_lookahead_cuts_only_leafless_children(simba, monkeypatch):
+    """Every child the run lookahead drops has no completion of its
+    identical run that passes the capacity checks: the records of the
+    remaining members are enumerated by brute force.  A dropped child is
+    one that passes the rep limit and the capacity check but never
+    reaches the menu or the node bound."""
+    real_children = _Search._children
+    real_bound = _Search._node_bound
+    real_menu = _Search._min_menu_bytes
+    reached = []  # rows that got past the filters in this `_children` call
+    cuts = []
+
+    def bound(sh, pos, rec, t_after):
+        reached.append(rec.row)
+        return real_bound(sh, pos, rec, t_after)
+
+    def menu(sh, row):
+        reached.append(row)
+        return real_menu(sh, row)
+
+    def children(sh, pos):
+        reached.clear()
+        out = real_children(sh, pos)
+        fi = sh.order[pos]
+        prev = sh.prev_same[fi]
+        limit = None if prev is None else sh.choice_rec[prev].rep
+        for rec in sh.classes[fi]:
+            if limit is not None and rec.rep > limit:
+                continue
+            if any(sh.con_lhs[ci] + add > sh.cap[ci] for ci, add in rec.items):
+                continue
+            if any(row is rec.row for row in reached):
+                continue
+            assert not run_completion_fits(sh, pos, rec)
+            cuts.append(rec)
+        return out
+
+    monkeypatch.setattr(_Search, "_children", children)
+    monkeypatch.setattr(_Search, "_node_bound", bound)
+    monkeypatch.setattr(_Search, "_min_menu_bytes", menu)
+    counts = {}
+    solve(build_model(factorize(SUITE_LAYERS["conv28"]), simba))
+    counts["conv28"] = len(cuts)
+    solve(build_model(factorize(SUITE_LAYERS["conv28"]), simba,
+                      partition=PartitionSpec(budget_bytes=306367)))
+    counts["conv28-partition"] = len(cuts)
+    stride2 = LayerDims(3, 3, 14, 14, 32, 64, 1, stride=2)
+    result = solve_layer(factorize(stride2, PaddingPolicy(max_prime=7)), simba)
+    assert result.rounds == 2
+    counts["stride2-3x3-14"] = len(cuts)
+    fired = []
+    for seed in range(400):
+        model = random_instance(seed, max_space=60_000)
+        if model is not None:
+            before = len(cuts)
+            solve(model)
+            if len(cuts) > before:
+                fired.append(seed)
+    steps = list(counts.values())
+    assert all(b > a for a, b in zip([0] + steps, steps)), counts
+    assert fired
+
+
+def test_run_lookahead_keeps_an_exact_fit():
+    """The optimum fills the 8-element input buffer of the middle level
+    with C's run of three 2s, so the lookahead at the first 2 reaches the
+    capacity exactly; the answer is the exhaustive oracle's.  With no
+    tolerance the capacity is the sum itself, and the child is kept."""
+    model = fill_model(8, 8.0)
+    sol = solve(model)
+    oracle = exhaustive_solve(model)
+    assert sol.status == oracle.status == "optimal"
+    assert sol.objective_value == oracle.objective_value
+    assert sol.x_assignment == oracle.x_assignment
+    x = oracle.x_assignment
+    below = [f.prime for fi, f in enumerate(model.factors)
+             if f.j == 4 and x[fi][0] == 0]  # C's factors at L0
+    assert below == [2, 2, 2]
+
+    ci = next(ci for ci, c in enumerate(model.check_cons) if c.name == "buffer[L1/IA]")
+    assert model.check_cons[ci].rhs == 3.0
+    sh = _Search(model, 0.0, _Incumbent(), math.inf)
+    assert sh.cap[ci] == 3.0
+    pos = next(pos for pos, fi in enumerate(sh.order) if sh.run_rem[fi] == 2)
+    for p in range(pos):  # assign K's 3 ahead of the run
+        sh._apply(p, sh._children(p)[0])
+    at_l0 = [rec for rec in sh.classes[sh.order[pos]] if rec.I == 0]
+    assert at_l0 and all(rec.row[ci] == 1.0 for rec in at_l0)
+    kept = [child[4] for child in sh._children(pos)]
+    assert all(rec in kept for rec in at_l0)
 
 
 def test_negative_rhs_is_infeasible_for_both_solvers():
