@@ -387,13 +387,14 @@ class MipModel:
 
     def _walk_t_sums(self, walk: list[tuple[int, Factor]]):
         """`_t_sums` over an occupied temporal walk in (level, rank) order."""
-        arch = self.arch
+        related = self.arch.A.rows  # `A.related(j, v)` is rows[j][v] == 1
+        stores = self.arch.B.rows  # `B.stores(I, v)` is rows[I][v] == 1
         per_v = [0.0, 0.0, 0.0]
         total = 0.0
         for v in range(NUM_TENSORS):
             y = False
             for I, f in walk:
-                if not y and arch.A.related(f.j, v) and arch.B.stores(I, v):
+                if not y and related[f.j][v] == 1 and stores[I][v] == 1:
                     y = True
                 if y:
                     per_v[v] += f.lg

@@ -17,13 +17,15 @@ built by `_Search._build_knapsack(lam)` and evaluated by
 LP, the others are priced at the multipliers `lam`.  The plain bound is
 the member at lam = 0.  Where every class record of the unassigned tail
 weighs a whole number on the explicit constraint (a prime factor 2 weighs
-exactly 1.0, and 2s make up the deep tail of most layers), the row is
-marked and the knapsack's capacity is rounded down to whole units, in the
-spirit of Chvatal-Gomory rounding (Chvatal 1973): no integer completion
-can use the fraction.  Every capacity bound, the Lagrangian one included,
-grants each slack `TOLERANCE`, as the capacity check does, so none cuts a
-completion that check admits; the rounding relies on it, since a float
-slack can fall an ulp short of the whole number it stands for.
+exactly 1.0, and 2s make up the deep tail of most layers), the knapsack's
+capacity is rounded down to whole units, in the spirit of Chvatal-Gomory
+rounding (Chvatal 1973): no integer completion can use the fraction.
+Such a row carries a table of its gain at every whole capacity, so the
+bound reads it by index instead of a bisect.  Every capacity bound, the
+Lagrangian one included, grants each slack `TOLERANCE`, as the capacity
+check does, so none cuts a completion that check admits; the rounding
+relies on it, since a float slack can fall an ulp short of the whole
+number it stands for.
 
 Identical factors are symmetry-broken: in branch order each member of an
 identical class, a run, takes a class whose `rep` is at or below the
@@ -34,6 +36,11 @@ lightest allowed weight, cannot fit.  Every completion of such a child
 fails a capacity check, so the cut subtree holds no leaf; the leaves,
 their order, the incumbent's trajectory and the answer stay as they were,
 and only nodes fall.
+
+A node's work is kept to what its own child changes: the traffic walk's
+chain profile is kept per depth and rebuilt only below a chained child,
+whose insertion is the one change to the chains, and the per-level
+trigger flags of the walk are tabulated once per solve.
 
 A solve runs one depth-first search twice: a dive that stops at the
 first accepted leaf, then, after one Polyak rebuild of the multipliers
@@ -207,7 +214,10 @@ def canonical_assignment(
     greedy never backtracks, and rank feasibility is the gap count of
     `_zmax` alone.  On a level without a chain every pin takes the highest
     free rank, so the used ranks are the top block and the next is
-    `Z-1-len(used)`.  `sh.cls_of` maps each factor to its identical class.
+    `Z-1-len(used)`.  `sh.cls_of` maps each factor to its identical class
+    and `sh.members` each class to its factors; a class's entries are
+    built when the pass first reaches one of its factors, so a pass cut
+    short by `bound_key` skips the classes it never reaches.
 
     Each factor has exactly one best placement, so the scan keeps one
     entry and never has to compare completions.  Two entries of one
@@ -227,6 +237,7 @@ def canonical_assignment(
     """
     Z = model.Z
     cls_of = sh.cls_of
+    members = sh.members
     choice_index = model.choice_index
     chain_pos: dict[int, int] = {}
     for lst in chains.values():
@@ -237,19 +248,22 @@ def canonical_assignment(
     # tuple, chain position or None): [factors of the class still holding
     # it, top option (level, mapping), pos]
     remaining: dict[int, dict[tuple, list]] = {}
-    for fi, options in enumerate(choice_cls):
-        pos = chain_pos.get(fi)
-        rem = remaining.setdefault(cls_of[fi], {})
-        ent = rem.get((options, pos))
-        if ent is None:
-            rem[(options, pos)] = [1, max(options), pos]
-        else:
-            ent[0] += 1
     states = [_LevelState(len(chains.get(I, ()))) for I in range(model.H)]
     out: dict[int, tuple[int, int, int]] = {}
     for fi in range(model.F):
+        rem = remaining.get(cls_of[fi])
+        if rem is None:
+            rem = remaining[cls_of[fi]] = {}
+            for gi in members[cls_of[fi]]:
+                options = choice_cls[gi]
+                pos = chain_pos.get(gi)
+                ent = rem.get((options, pos))
+                if ent is None:
+                    rem[(options, pos)] = [1, max(options), pos]
+                else:
+                    ent[0] += 1
         best = best_ent = None
-        for ent in remaining[cls_of[fi]].values():
+        for ent in rem.values():
             count, (I, k), pos = ent
             # a lower top level cannot beat the best so far
             if not count or (best is not None and I < best[0]):
@@ -303,13 +317,14 @@ class _Search:
     # slotted: the search reads these attributes on every node
     __slots__ = (
         "m", "tol", "inc", "deadline", "stopped", "nodes", "leaves",
-        "canonicalized", "order",
+        "canonicalized", "order", "lg", "trig", "members",
         "prev_same", "run_rem", "run_need", "wt", "balance", "ncons",
         "con_rhs", "cap", "menu_fit",
         "cls_of", "classes", "costs", "suffix_min", "kn_at",
         "lam_active", "lagr_suffix", "pen_at", "suffix_comp_lo",
         "suffix_comp_hi", "suffix_traf_lo", "traf_hi_const", "choice_rec",
         "chains", "con_lhs", "static_sum", "comp_sum", "dl_sum", "t_stack",
+        "prof_stack",
     )
 
     def __init__(self, model: MipModel, tol: float, incumbent: _Incumbent,
@@ -363,8 +378,24 @@ class _Search:
             self.prev_same[fi] = last.get(cls)
             last[cls] = fi
 
-        # canonical_assignment's table: factor -> identical class
+        # canonical_assignment's tables: factor -> identical class, and
+        # identical class -> its factors in factor order
         self.cls_of = [f.cls for f in m.factors]
+        self.members: dict[int, list[int]] = {}
+        for fi, cls in enumerate(self.cls_of):
+            self.members.setdefault(cls, []).append(fi)
+
+        # the traffic walk's tables: per factor its log-factor, and per
+        # level and factor whether the factor triggers each tensor there
+        # (the level stores the tensor and the factor's dimension is
+        # related to it)
+        A, B = m.arch.A, m.arch.B
+        self.lg = [f.lg for f in m.factors]
+        self.trig = [
+            [tuple(B.stores(I, v) and A.related(f.j, v) for v in range(3))
+             for f in m.factors]
+            for I in range(m.H)
+        ]
 
         # Every member of a choice class has the same coefficients and
         # constraint row, and classes come in order of first appearance,
@@ -428,6 +459,9 @@ class _Search:
         self.comp_sum = 0.0
         self.dl_sum = 0.0
         self.t_stack = [0.0]
+        # per depth, the chain profile of `_chain_profile`, or None until a
+        # child there needs it; only a chained child changes the chains
+        self.prof_stack = [None]
 
     # -- tables --------------------------------------------------------
 
@@ -447,16 +481,20 @@ class _Search:
         at lam = 0 this is the plain knapsack bound.
 
         Returns, per depth, one row per finite constraint that carries
-        weight, tightest first: (i, lam[i], whether the tail is whole, the
-        tail's cheapest zero-weight cost, and its density-sorted hull
-        segments as cumulative weights and gains with their densities, for
-        a bisect instead of a walk).  The tail is whole when every class
-        record of every factor in it weighs a whole number on constraint i;
-        then `_kn_bound` rounds the capacity down.  Depths are walked from
-        F - 1 down, so once one factor fails, every shallower row fails.  A
-        child at depth pos reads the rows of its tail, pos + 1.  At depth F
-        the tail is empty and the bound is at most the child's own bound, so
-        that depth keeps no rows; nor does depth 0, which no child reads."""
+        weight, tightest first: (i, lam[i], the gain table of a whole tail
+        or None, the tail's cheapest zero-weight cost, and its
+        density-sorted hull segments as cumulative weights and gains with
+        their densities, for a bisect instead of a walk).  The tail is
+        whole when every class record of every factor in it weighs a whole
+        number on constraint i; then `_kn_bound` rounds the capacity down,
+        so it only ever reads the gain at a whole capacity, and the table
+        holds that gain for each capacity k = 0 .. ceil(cw[-1]) - 1, each
+        from the same bisect and expression as a fractional capacity.
+        Depths are walked from F - 1 down, so once one factor fails, every
+        shallower row fails.  A child at depth pos reads the rows of its
+        tail, pos + 1.  At depth F the tail is empty and the bound is at
+        most the child's own bound, so that depth keeps no rows; nor does
+        depth 0, which no child reads."""
         F = self.m.F
         priced = [
             [cost + sum(lam[ci] * add for ci, add in rec.items)
@@ -530,7 +568,13 @@ class _Search:
                     cw.append(cw[-1] + dw)
                     cg.append(cg[-1] + density * dw)
                     dens.append(density)
-                rows[idx] = (ci, lam_i, whole, cost0_suffix[idx], cw, cg, dens)
+                gains = None
+                if whole:
+                    gains = []
+                    for k in range(math.ceil(cw[-1])):
+                        j = bisect_left(cw, k, 1) - 1
+                        gains.append(cg[j] + dens[j] * (k - cw[j]))
+                rows[idx] = (ci, lam_i, gains, cost0_suffix[idx], cw, cg, dens)
             tables[ci] = (self.con_rhs[ci] / total_w, rows)
 
         # evaluate tightest constraints first so pruning exits early
@@ -646,48 +690,44 @@ class _Search:
     def _chain_profile(self):
         """O(1)-per-insertion traffic deltas for the current chains.
 
-        Returns (level offsets into the flattened order, cumulative lg
-        sums, per-tensor first-trigger index or None)."""
-        m = self.m
-        offsets = {}
-        seq_lg = []
-        trig_at = []
-        n = 0
-        for I in range(m.noc, m.H):
-            offsets[I] = n
-            stores = [m.arch.B.stores(I, v) for v in range(3)]
-            for fi in self.chains[I]:
-                f = m.factors[fi]
-                seq_lg.append(f.lg)
-                trig_at.append(
-                    tuple(stores[v] and m.arch.A.related(f.j, v) for v in range(3))
-                )
-                n += 1
-        cum = [0.0] * (n + 1)
-        for i in range(n):
-            cum[i + 1] = cum[i] + seq_lg[i]
+        Returns (per level, its offset into the flattened order, cumulative
+        lg sums, per-tensor first-trigger index or None).  It depends on
+        the chains alone, so `_children` keeps one per depth on
+        `prof_stack`: a node below a non-chained child inherits its
+        parent's, and one below a chained child builds its own the first
+        time one of its children needs it."""
+        lg = self.lg
+        offsets = [0] * self.m.H
+        cum = [0.0]
         first = [None, None, None]
-        for i in range(n):
-            for v in range(3):
-                if first[v] is None and trig_at[i][v]:
-                    first[v] = i
+        n = 0
+        for I, chain in self.chains.items():
+            offsets[I] = n
+            trig = self.trig[I]
+            for fi in chain:
+                cum.append(cum[n] + lg[fi])
+                t = trig[fi]
+                for v in range(3):
+                    if first[v] is None and t[v]:
+                        first[v] = n
+                n += 1
         return offsets, cum, first
 
     def _t_delta(self, profile, I: int, q: int, fi: int) -> float:
         """Traffic increase from inserting factor fi at chain position q."""
         offsets, cum, first = profile
-        m = self.m
-        f = m.factors[fi]
+        lg = self.lg[fi]
+        t = self.trig[I][fi]
         p = offsets[I] + q
         n = len(cum) - 1
         d = 0.0
         for v in range(3):
             g = first[v]
             if g is not None and p > g:
-                d += f.lg
-            elif m.arch.A.related(f.j, v) and m.arch.B.stores(I, v):
+                d += lg
+            elif t[v]:
                 upto = g if g is not None else n
-                d += f.lg + (cum[upto] - cum[p])
+                d += lg + (cum[upto] - cum[p])
         return d
 
     def _min_menu_bytes(self, row: list[float]) -> int:
@@ -723,24 +763,32 @@ class _Search:
         the capacity check admits is covered, and by LP duality each term is
         at least the Lagrangian bound at the same multipliers.
 
-        On a row marked whole the knapsack's capacity is the slack rounded
-        down.  Every weight in that tail is a whole number, so a
-        completion's tail weight W is an integer, summed exactly, and
-        W <= slack gives W <= floor(slack): the LP at the rounded capacity
-        still relaxes every admitted completion.  The refund keeps the
+        On a row with a gain table (a whole tail) the knapsack's capacity
+        is the slack rounded down.  Every weight in that tail is a whole
+        number, so a completion's tail weight W is an integer, summed
+        exactly, and W <= slack gives W <= floor(slack): the LP at the
+        rounded capacity still relaxes every admitted completion.  Its gain
+        is read from the table: 0.0 at k <= 0, the whole hull's gain past
+        the table's end, the entry in between.  The refund keeps the
         unrounded slack; there it only cancels lambda_i times the slack,
         and is no capacity."""
         con_lhs = self.con_lhs
         con_rhs = self.con_rhs
         tol = self.tol
-        for ci, lam_i, whole, cost0, cw, cg, dens in table[pos + 1]:
+        for ci, lam_i, gains, cost0, cw, cg, dens in table[pos + 1]:
             slack = con_rhs[ci] - con_lhs[ci] - row[ci] + tol
             upper = base + cost0 - (refund - lam_i * slack)
             if upper <= best:
                 continue  # the knapsack gain is >= 0: cannot raise the max
-            if whole:
-                slack = math.floor(slack)  # no completion uses the fraction
-            if slack >= cw[-1]:
+            if gains is not None:
+                k = math.floor(slack)  # no completion uses the fraction
+                if k <= 0:
+                    gain = 0.0
+                elif k < len(gains):
+                    gain = gains[k]
+                else:
+                    gain = cg[-1]
+            elif slack >= cw[-1]:
                 gain = cg[-1]
             elif slack > 0.0:
                 j = bisect_left(cw, slack, 1) - 1
@@ -827,14 +875,17 @@ class _Search:
                 continue
             if rec.chained:
                 if profile is None:
-                    profile = self._chain_profile()
+                    profile = self.prof_stack[-1]
+                    if profile is None:
+                        profile = self.prof_stack[-1] = self._chain_profile()
                 I = rec.I
                 chain = self.chains[I]
                 lo_q = 0
                 if prev_rec is not None and prev_rec.cc == rec.cc:
                     # identical member already in this chain: insert outward
+                    cls_of = self.cls_of
                     for qpos in range(len(chain) - 1, -1, -1):
-                        if m.factors[chain[qpos]].cls == m.factors[fi].cls:
+                        if cls_of[chain[qpos]] == cls_of[fi]:
                             lo_q = qpos + 1
                             break
                 for q in range(lo_q, len(chain) + 1):
@@ -898,6 +949,9 @@ class _Search:
             self.dl_sum += rec.dl
         if q >= 0:
             self.chains[I].insert(q, fi)
+            self.prof_stack.append(None)
+        else:
+            self.prof_stack.append(self.prof_stack[-1])
         self.t_stack.append(t_after)
 
     def _undo(self, pos, child):
@@ -914,6 +968,7 @@ class _Search:
         if q >= 0:
             del self.chains[I][q]
         self.t_stack.pop()
+        self.prof_stack.pop()
 
     def _derive_menus(self) -> tuple[int, ...] | None:
         m = self.m

@@ -854,6 +854,18 @@ def reference_plain_bound(sh, kn_at, base, pos, row, threshold):
     return best
 
 
+def reference_kn_gain(cw, cg, dens, capacity):
+    """The multiple-choice knapsack LP's gain at `capacity`, from a row's
+    cumulative hull weights `cw`, gains `cg` and densities `dens`: a
+    bisect for the segment the capacity ends in."""
+    if capacity >= cw[-1]:
+        return cg[-1]
+    if capacity > 0.0:
+        j = bisect_left(cw, capacity, 1) - 1
+        return cg[j] + dens[j] * (capacity - cw[j])
+    return 0.0
+
+
 def reference_penalized_bound(sh, pen_at, base, pos, row, threshold):
     """max(threshold, max over constraints i of the Lagrangian-penalized
     knapsack bound), every slack with the tolerance `sh.tol`; the
@@ -870,14 +882,7 @@ def reference_penalized_bound(sh, pen_at, base, pos, row, threshold):
         if upper <= best:
             continue
         capacity = math.floor(slack) if whole else slack
-        if capacity >= cw[-1]:
-            gain = cg[-1]
-        elif capacity > 0.0:
-            j = bisect_left(cw, capacity, 1) - 1
-            gain = cg[j] + dens[j] * (capacity - cw[j])
-        else:
-            gain = 0.0
-        b = upper - gain
+        b = upper - reference_kn_gain(cw, cg, dens, capacity)
         if b > best:
             best = b
     return best

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from helpers import (
     highs_objective,
     random_instance,
     reference_canonical_assignment,
+    reference_kn_gain,
     reference_penalized_bound,
     reference_penalized_knapsack,
     reference_plain_bound,
@@ -87,12 +89,18 @@ def test_feasibility_rechecked(simba):
 
 
 def test_timeout_returns_incumbent(simba):
-    pf = factorize(LayerDims(3, 3, 14, 14, 256, 256, 1))
-    model = build_model(pf, simba)
+    """conv28 under the comp objective finds an incumbent within a few
+    thousand nodes but does not prove it optimal in 120 s (millions of
+    nodes), so a 0.5 s limit always stops the search holding a feasible
+    incumbent."""
+    model = build_model(factorize(SUITE_LAYERS["conv28"]), simba,
+                        ObjectiveWeights(mode="comp"))
     # 1e-6 s has expired before the search starts
     for limit in (0.5, 1e-6):
         sol = solve(model, SolverOptions(time_limit_s=limit))
         assert sol.status == "timeout"
+        if limit == 0.5:
+            assert sol.x_assignment is not None
         if sol.x_assignment is not None:
             assert model.constraint_violations(sol.x_assignment, sol.menu_selection) == []
 
@@ -274,7 +282,7 @@ def test_search_counts_pinned(simba):
     change to a bound, the child order or the pruning moves them; a change
     that only makes nodes cheaper must leave them as they are."""
     counts = {}
-    for name in ("tiny", "conv28"):
+    for name in ("tiny", "conv28", "deep512", "wide256"):
         sol = solve(build_model(factorize(SUITE_LAYERS[name]), simba))
         counts[name] = (sol.stats.nodes, sol.stats.leaves)
     sol = solve(build_model(factorize(SUITE_LAYERS["conv28"]), simba,
@@ -284,6 +292,10 @@ def test_search_counts_pinned(simba):
     result = solve_layer(factorize(stride2, PaddingPolicy(max_prime=7)), simba)
     stats = result.solution.stats
     counts["stride2-3x3-14"] = (result.rounds, stats.nodes, stats.leaves)
+    stride2 = LayerDims(1, 1, 28, 28, 64, 128, 1, stride=2)
+    result = solve_layer(factorize(stride2, PaddingPolicy(max_prime=7)), simba)
+    stats = result.solution.stats
+    counts["stride2-1x1-28"] = (result.rounds, stats.nodes, stats.leaves)
     # combined; combined with menus; traffic with menus; balance; balance
     # with menus
     for seed in (82, 101, 22, 214, 245):
@@ -294,8 +306,11 @@ def test_search_counts_pinned(simba):
     assert counts == {
         "tiny": (10, 2),
         "conv28": (3_433, 266),
+        "deep512": (4_087, 20),
+        "wide256": (22_523, 705),
         "conv28-partition": (203, 25),
         "stride2-3x3-14": (2, 984, 41),
+        "stride2-1x1-28": (2, 26_178, 7_805),
         82: ("combined", False, 68, 37),
         101: ("combined", True, 8, 3),
         22: ("traffic", True, 37, 25),
@@ -333,9 +348,9 @@ def test_bound_tables_pinned(simba):
     assert models[214].weights.mode == "balance"
     assert digests == {
         "conv28":
-            "1557497cbdbf63e045dc594f95e7d6bb0cbdd30b71a9ef5c7ca1d03d9ffc699d",
+            "e5026440f0bb2a8562c64faa0d8367637540315da07841060cbe3355588a286c",
         "conv28-partition":
-            "8823264d100f2c5fe0f94c902063b861e34ec30d7041646f515caa6f1a5abe0c",
+            "a38e79179f1a2faa7c46e591bb0e7572b4fd7af9fbe3473bcf58b10422f5ea85",
         22:
             "ec5cec057221a6342ced1efbf4fc27dacd1576ca0bbb730b7c1a52a7f1cdc670",
         214:
@@ -343,14 +358,37 @@ def test_bound_tables_pinned(simba):
     }
 
 
+def reference_gain_table(cw, cg, dens):
+    """The reference's gain at each whole capacity below a row's hull
+    weight `cw[-1]`."""
+    return [reference_kn_gain(cw, cg, dens, k) for k in range(math.ceil(cw[-1]))]
+
+
+def assert_rows_match(table, ref_table):
+    """Every field of every knapsack row equals the reference's; in place
+    of the reference's whole-tail flag a row holds a gain table exactly
+    when the flag is set, and the table holds the reference's gain at
+    each whole capacity below the tail's hull weight, bit for bit."""
+    assert len(table) == len(ref_table)
+    for rows, ref_rows in zip(table, ref_table):
+        assert len(rows) == len(ref_rows)
+        for row, ref in zip(rows, ref_rows):
+            ci, lam_i, gains, cost0, cw, cg, dens = row
+            assert (ci, lam_i, cost0, cw, cg, dens) == ref[:2] + ref[3:]
+            assert (gains is not None) == ref[2]
+            if gains is not None:
+                assert repr(gains) == repr(reference_gain_table(cw, cg, dens))
+
+
 def test_knapsack_bounds_match_reference(simba, monkeypatch):
     """Every knapsack bound a solve evaluates, in `_node_bound` and in
     `_prunes`, against the frozen reference of the two separate bounds.
     The penalized bound is bit-identical, and so are its tables, whole-tail
-    marks included.  The plain bound agrees within 1e-12 (the reference
-    skips a constraint whose capacity covers its tail's whole hull weight;
-    the evaluator computes that term, equal to the suffix bound in exact
-    arithmetic), and both give the same verdict against the incumbent.
+    marks included (`assert_rows_match`).  The plain bound agrees within
+    1e-12 (the reference skips a constraint whose capacity covers its
+    tail's whole hull weight; the evaluator computes that term, equal to
+    the suffix bound in exact arithmetic), and both give the same verdict
+    against the incumbent.
     Both bounds are seen rounding a capacity down on conv28."""
     real = _Search._kn_bound
     refs = {}  # "plain" / "penalized" -> (the solver's table, the reference's)
@@ -375,7 +413,7 @@ def test_knapsack_bounds_match_reference(simba, monkeypatch):
         if table is sh.pen_at:
             ref_table = reference_for("penalized", table,
                                       reference_penalized_knapsack, sh)
-            assert table == ref_table
+            assert_rows_match(table, ref_table)
             ref = reference_penalized_bound(sh, ref_table, base, pos, row, thresh)
             # the evaluator stops at the first term past `thresh`; without
             # the stop it is the reference's max, float for float
@@ -409,6 +447,87 @@ def test_knapsack_bounds_match_reference(simba, monkeypatch):
             solve(model)
     assert all(conv28_calls.values()), conv28_calls
     assert all(calls[kind] > conv28_calls[kind] for kind in calls), calls
+
+
+def test_gain_tables_are_exact(simba):
+    """Every entry of every whole-tail row's gain table, in the plain and
+    the penalized tables, is the bisect path's gain at that whole
+    capacity, bit for bit; and `_kn_bound` on such a row is the bisect
+    path at the rounded-down slack, just below, at and between whole
+    slacks and past the table's end."""
+    models = {
+        "conv28": build_model(factorize(SUITE_LAYERS["conv28"]), simba),
+        "conv28-partition": build_model(factorize(SUITE_LAYERS["conv28"]), simba,
+                                        partition=PartitionSpec(budget_bytes=306367)),
+    }
+    for seed in range(400):
+        model = random_instance(seed, max_space=60_000)
+        if model is not None and model.weights.mode != "balance":
+            models[seed] = model
+    tables = entries = 0
+    for name, model in models.items():
+        search = _Search(model, TOLERANCE, _Incumbent(), math.inf)
+        lam = [0.0] * search.ncons
+        for ci, value in search.lam_active:
+            lam[ci] = value
+        search.pen_at = search._build_knapsack(lam)
+        for table in (search.kn_at, search.pen_at):
+            for rows in table:
+                for _ci, lam_i, gains, cost0, cw, cg, dens in rows:
+                    if gains is None:
+                        continue
+                    assert repr(gains) == repr(reference_gain_table(cw, cg, dens)), name
+                    tables += 1
+                    entries += len(gains)
+                    # a one-constraint search whose slack is exactly s
+                    one = [[(0, lam_i, gains, cost0, cw, cg, dens)]]
+                    n = len(gains)
+                    slacks = [x for k in range(n + 1) for x in (k - 1e-12, k, k + 0.5)]
+                    for s in slacks + [n + 3]:
+                        stub = types.SimpleNamespace(con_rhs=[s], con_lhs=[0.0], tol=0.0)
+                        b = _Search._kn_bound(stub, one, 0.0, -1, [0.0], -math.inf,
+                                              math.inf, 0.0)
+                        upper = 0.0 + cost0 - (0.0 - lam_i * s)
+                        gain = reference_kn_gain(cw, cg, dens, math.floor(s))
+                        assert repr(b) == repr(upper - gain), (name, s)
+    assert tables > 100 and entries > tables
+
+
+def test_cached_chain_profile_is_exact(simba, monkeypatch):
+    """At every `_children` call that inserts into a chain, the chain
+    profile it reads from the per-depth stack equals a fresh
+    `_chain_profile()` of the chains as they stand; the cache is both
+    built and inherited."""
+    real_children = _Search._children
+    real_t_delta = _Search._t_delta
+    fresh = []  # the profile of the chains of the `_children` call running
+    counts = {"calls": 0, "inherited": 0}
+
+    def t_delta(sh, profile, I, q, fi):
+        assert profile == fresh[0]
+        fresh[1] = True
+        return real_t_delta(sh, profile, I, q, fi)
+
+    def children(sh, pos):
+        held = sh.prof_stack[-1]
+        fresh[:] = [sh._chain_profile(), False]
+        out = real_children(sh, pos)
+        if fresh[1]:
+            counts["calls"] += 1
+            counts["inherited"] += held is not None
+        return out
+
+    monkeypatch.setattr(_Search, "_t_delta", t_delta)
+    monkeypatch.setattr(_Search, "_children", children)
+    solve(build_model(factorize(SUITE_LAYERS["conv28"]), simba))
+    stride2 = LayerDims(3, 3, 14, 14, 32, 64, 1, stride=2)
+    result = solve_layer(factorize(stride2, PaddingPolicy(max_prime=7)), simba)
+    assert result.rounds == 2
+    for seed in range(400):
+        model = random_instance(seed, max_space=60_000)
+        if model is not None and model.weights.mode != "balance":
+            solve(model)
+    assert 0 < counts["inherited"] < counts["calls"], counts
 
 
 def fill_model(c: int, buf: float):
