@@ -44,10 +44,9 @@ from .schedule import CostReport, Schedule, decode, evaluate, render, serialize,
 from .search import (
     NoValidScheduleError,
     SearchConfig,
+    enumerate_best,
     metric_value,
-    order_scorer,
     random_search,
-    valid_assignments,
 )
 from .solver import Solution, SolveStats, SolverOptions, SpaceTooLarge, solve
 from .workload import (
@@ -525,32 +524,29 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_enumerate(cfg: RunConfig) -> int:
     """Exhaustive baseline: count every valid schedule and print the first
-    best one under --metric.
+    best one under --metric (`search.enumerate_best`).
 
-    Each valid (level, mapping) assignment is evaluated once, on its
-    first loop order; every one of its orders is then counted and scored
-    by `order_scorer` from its NoC iteration counts alone.  The best is
-    kept as a levels tuple (strict `<`, so the first minimum wins), and a
-    `Schedule` is built only for it, to render.
+    Each valid (level, mapping) assignment is validated once.  Its loop
+    orders are counted by formula, never built: a level's count is the
+    multinomial len(loops)! / prod(mult!).  The metric reads an order
+    only through the temporal loops of the levels at and above the NoC
+    level, so one order per class of orders sharing those is scored, the
+    class's first in enumeration order.  Enumeration order is
+    lexicographic in the per-level order indices, so the first minimum
+    of a strict-`<` scan over every order sits at class-first indices,
+    and the scan over the representatives finds the same one.  A
+    `Schedule` is built only for the winner, to render.
     """
     arch, layers = _load_inputs(cfg)
     dims = layers[0]
     pf = factorize(dims, PaddingPolicy(max_prime=cfg.max_prime))
     metric = cfg.search.metric
-    count = 0
-    best = None  # (value, first-order schedule, levels)
-    for first, orders in valid_assignments(pf, arch, limit=cfg.enumerate_limit):
-        score = order_scorer(evaluate(first, arch), arch, metric)
-        for levels in orders:
-            count += 1
-            value = score(levels)
-            if best is None or value < best[0]:
-                best = (value, first, levels)
+    count, best = enumerate_best(pf, arch, metric, limit=cfg.enumerate_limit)
     print(f"valid_schedules {count}")
     if best is not None:
-        value, first, levels = best
+        value, sched = best
         print(f"best_{metric} {value}")
-        print(render(replace(first, levels=levels)), end="")
+        print(render(sched), end="")
     return EXIT_OK
 
 

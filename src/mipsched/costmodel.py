@@ -21,8 +21,14 @@ reduction multiplier) are order-free: one evaluation serves every loop
 order of an assignment.  Only `noc_iterations`, the temporal transfer
 counts, depends on order, so scoring another order of the same
 assignment needs just that and `bytes_and_latency`, the one latency
-formula.  All arithmetic is on Python integers, so every value is exact
-up to the final division by the (possibly fractional) NoC bandwidth.
+formula.  `noc_iterations` reads only the temporal loops of the levels
+at and above the NoC level, in order: orders that differ only below the
+NoC level, or only in where the spatial loops sit, score alike.  So
+`search.enumerate_best` scores one order of each such class, the first
+in enumeration order, and still finds the first best order of a scan
+over all of them.  All arithmetic is on Python integers, so every value
+is exact up to the final division by the (possibly fractional) NoC
+bandwidth.
 """
 
 from __future__ import annotations

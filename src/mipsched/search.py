@@ -6,19 +6,44 @@ them with the analytical model, return the best.  Draw i uses its own
 PRNG derived from (seed, i), so results are reproducible and independent
 of any sharding of the draw range.
 
-Enumeration walks (level, mapping) assignments (`valid_assignments`):
-each valid one comes with a lazy iterator over its distinct loop orders.
-`enumerate_all` flattens that into schedules; `order_scorer` scores one
-order of an evaluated assignment from its NoC iteration counts alone,
-so a full scan evaluates each assignment once and never builds a
-`Schedule` per order.
+Enumeration walks the valid (level, mapping) assignments
+(`valid_assignments`, one `validate` each, on the assignment's first
+loop order).  `enumerate_all` yields every distinct loop order of each
+as a schedule.  `enumerate_best`, the exhaustive baseline behind the
+`enumerate` command, gets the same count and the same first best
+without building those orders:
+
+* Count: a level's loops have `order_count` distinct orders, the
+  multinomial len! / prod(mult!), and an assignment has the product of
+  its levels' counts.
+* Classes: an order moves the metric only through
+  `costmodel.noc_iterations`, which reads only the temporal loops of the
+  levels at and above the NoC level, in order.  Orders of such a level
+  with the same temporal subsequence form a class that scores alike, and
+  orders of a lower level all score alike.  `enumerate_best` scores the
+  product of each upper level's class representatives, the first order
+  of each class (`_class_orders`), with every lower level at its own
+  order (under `compute` no order moves the value, so every level keeps
+  its own).  `order_scorer` takes the order-free terms from
+  `costmodel.compute_cycles` and `costmodel.transfer_terms` once per
+  assignment.
+* First minimum: `enumerate_all`'s order is lexicographic in the
+  per-level order indices (`itertools.product`, innermost level
+  slowest), so a scan with strict `<` keeps the smallest index tuple of
+  least value.  That tuple holds index 0 at every lower level and a
+  class's first index at every upper level, for otherwise lowering one
+  of them gives the same value at a smaller tuple.  The representatives
+  keep their index order, so a strict-`<` scan of them finds it too.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
@@ -151,12 +176,30 @@ def _distinct_orders(items: tuple) -> Iterator[tuple]:
             yield (head,) + tail
 
 
+def order_count(loops: tuple[Loop, ...]) -> int:
+    """Distinct orders of one level's loops: the multinomial
+    len(loops)! / prod(mult!) over the multiplicities of identical loops."""
+    count = math.factorial(len(loops))
+    for mult in Counter(loops).values():
+        count //= math.factorial(mult)
+    return count
+
+
+def _class_orders(loops: tuple[Loop, ...]) -> tuple[tuple[Loop, ...], ...]:
+    """The first distinct order of each class of one level's orders that
+    share their temporal subsequence, in order of first appearance; the
+    level's own order comes first."""
+    reps = {}
+    for order in _distinct_orders(loops):
+        reps.setdefault(tuple(l for l in order if not l.spatial), order)
+    return tuple(reps.values())
+
+
 def valid_assignments(
     pf: PrimeFactorization, arch: ArchSpec, limit: int = 1_000_000
-) -> Iterator[tuple[Schedule, Iterator[Levels]]]:
+) -> Iterator[Schedule]:
     """Yield every valid (level, mapping) assignment once, in deterministic
-    order, as its first-order schedule and a lazy iterator over its
-    distinct loop orders (levels tuples, the first order included).
+    order, as its first-order schedule.
 
     Distinct schedules differ in some loop's level, binding, or in the
     loop order within a level; permutations of identical factors are not
@@ -209,50 +252,52 @@ def valid_assignments(
         {k: Loop(j, prime, k == SPATIAL) for k in (TEMPORAL, SPATIAL)}
         for j, n, prime, _lg in flat
     ]
-    # distinct orders of one level's loops, listed once per loop sequence
-    orders_of: dict[tuple[Loop, ...], tuple[tuple[Loop, ...], ...]] = {}
     for assignment in maps(0, []):
         per_level: list[list[Loop]] = [[] for _ in range(H)]
         for fi, (I, k) in enumerate(assignment):
             per_level[I].append(loop_of[fi][k])
-        # the first distinct order of every level is the assignment's own
-        levels = tuple(tuple(loops) for loops in per_level)
         first = Schedule(
-            levels=levels, level_names=level_names, layer=pf.dims, arch_name=arch.name
+            levels=tuple(tuple(loops) for loops in per_level),
+            level_names=level_names,
+            layer=pf.dims,
+            arch_name=arch.name,
         )
-        if validate(first, arch):
-            continue
-        for loops in levels:
-            if loops not in orders_of:
-                orders_of[loops] = tuple(_distinct_orders(loops))
-        yield first, itertools.product(*(orders_of[loops] for loops in levels))
+        if not validate(first, arch):
+            yield first
 
 
 def enumerate_all(
     pf: PrimeFactorization, arch: ArchSpec, limit: int = 1_000_000
 ) -> Iterator[Schedule]:
     """Yield every valid schedule exactly once, in deterministic order:
-    the loop orders of each of `valid_assignments`, flattened."""
-    for first, orders in valid_assignments(pf, arch, limit):
-        next(orders)  # the first order is `first` itself
+    for each of `valid_assignments`, the product of its levels' distinct
+    orders, lexicographic with the innermost level slowest."""
+    # distinct orders of one level's loops, listed once per loop sequence
+    orders = functools.cache(lambda loops: tuple(_distinct_orders(loops)))
+    for first in valid_assignments(pf, arch, limit):
+        product = itertools.product(*map(orders, first.levels))
+        next(product)  # the first order is `first` itself
         yield first
-        for levels in orders:
+        for levels in product:
             yield replace(first, levels=levels)
 
 
-def order_scorer(report: CostReport, arch: ArchSpec, metric: str) -> Callable[[Levels], int]:
-    """`metric_value` of any loop order of the assignment that `report`
-    evaluates, as a function of that order's levels.
+def order_scorer(first: Schedule, arch: ArchSpec, metric: str) -> Callable[[Levels], int]:
+    """`metric_value` of any loop order of `first`'s assignment, as a
+    function of that order's levels.
 
     Only the NoC iteration counts depend on loop order (see `costmodel`),
     so each order costs one `costmodel.noc_iterations` call on top of the
-    report's order-free terms; compute cycles do not depend on it at all.
+    assignment's order-free compute cycles and elements per NoC
+    iteration (`costmodel.transfer_terms`); compute cycles do not depend
+    on it at all.
     """
-    cycles = report.compute_cycles
+    cycles = costmodel.compute_cycles(first)
     if metric == "compute":
         return lambda levels: cycles
+    sizes, link, _red = costmodel.transfer_terms(first, arch)
     # elements per NoC iteration: everything in a total but its count
-    per_iter = [t.total_elems // t.iterations for t in report.traffic]
+    per_iter = list(map(operator.mul, sizes, link))
 
     def totals(levels: Levels) -> list[int]:
         iters = costmodel.noc_iterations(levels, arch)
@@ -263,3 +308,44 @@ def order_scorer(report: CostReport, arch: ArchSpec, metric: str) -> Callable[[L
     if metric == "latency":
         return lambda levels: costmodel.bytes_and_latency(cycles, totals(levels), arch)[1]
     raise ValueError(f"unknown metric {metric!r}")
+
+
+def enumerate_best(
+    pf: PrimeFactorization, arch: ArchSpec, metric: str, limit: int = 1_000_000
+) -> tuple[int, tuple[int, Schedule] | None]:
+    """The number of schedules `enumerate_all` yields, and the first of
+    them with the least `metric_value` with that value (None when there
+    is none).  Per valid assignment the orders are counted by formula and
+    only one order per class is scored (see the module docstring); no
+    order but the winner's becomes a `Schedule`.
+    """
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    # no order moves compute cycles: there every level keeps its own order
+    scored_from = arch.num_levels if metric == "compute" else arch.noc_level
+    # per loop sequence, computed once per scan; a level with fewer than
+    # two loops has one order, so it is not even looked up
+    count_of = functools.cache(order_count)
+    reps_of = functools.cache(_class_orders)
+    count = 0
+    best = None  # (value, first-order schedule, levels)
+    for first in valid_assignments(pf, arch, limit):
+        levels = first.levels
+        n = 1
+        for loops in levels:
+            if len(loops) > 1:
+                n *= count_of(loops)
+        count += n
+        upper = [reps_of(loops) if len(loops) > 1 else (loops,)
+                 for loops in levels[scored_from:]]
+        score = order_scorer(first, arch, metric)
+        lower = levels[:scored_from]
+        for combo in itertools.product(*upper):
+            cand = lower + combo
+            value = score(cand)
+            if best is None or value < best[0]:
+                best = (value, first, cand)
+    if best is None:
+        return count, None
+    value, first, levels = best
+    return count, (value, replace(first, levels=levels))

@@ -75,8 +75,9 @@ class leaves alone reads 0.0 in its dense row, so every bound sees the
 operands of a sparse lookup in the same order, and node counts stay
 pinned.  One
 `_Search` owns a solve's bound tables and search state; every table is
-built from those records, and `_Search._suffix` is the one place the
-static branch order is summed into a per-depth table.  The leaf re-check
+built from those records.  `_Search._branch_order` builds the static
+branch order, and `_Search._suffix` is the one place it is summed into
+a per-depth table.  The leaf re-check
 and `exhaustive_solve` read each concrete choice's own record, never its
 class's, so a grouping error cannot hide from them.
 
@@ -359,18 +360,7 @@ class _Search:
         # them after the dive
         self.pen_at: list[list[tuple]] = [[] for _ in range(F + 1)]
 
-        # largest log-factor first; bigger identical classes ahead on ties
-        # (filling capacity early tightens the relaxation bounds sooner)
-        cls_size: dict[int, int] = {}
-        for f in m.factors:
-            cls_size[f.cls] = cls_size.get(f.cls, 0) + 1
-        key = lambda fi: (
-            -m.factors[fi].lg,
-            -cls_size[m.factors[fi].cls],
-            m.factors[fi].j,
-            m.factors[fi].n,
-        )
-        self.order = sorted(range(F), key=key)
+        self.order = self._branch_order()
         self.prev_same: list[int | None] = [None] * F
         last: dict[int, int] = {}
         for fi in self.order:
@@ -464,6 +454,25 @@ class _Search:
         self.prof_stack = [None]
 
     # -- tables --------------------------------------------------------
+
+    def _branch_order(self) -> list[int]:
+        """The static branch order, factor indices by depth: largest
+        log-factor first, bigger identical classes ahead on ties (filling
+        capacity early tightens the relaxation bounds sooner).  Every
+        table and the symmetry breaking of identical runs are derived
+        from it; any permutation gives the same answer (see the module
+        docstring), only the node counts move."""
+        factors = self.m.factors
+        cls_size: dict[int, int] = {}
+        for f in factors:
+            cls_size[f.cls] = cls_size.get(f.cls, 0) + 1
+        key = lambda fi: (
+            -factors[fi].lg,
+            -cls_size[factors[fi].cls],
+            factors[fi].j,
+            factors[fi].n,
+        )
+        return sorted(range(len(factors)), key=key)
 
     def _suffix(self, values: list[float]) -> list[float]:
         """Per depth, the sum of `values[fi]` over the factors the branch

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import time
 from pathlib import Path
@@ -396,6 +398,7 @@ fanout=1
 """
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
 
 
 class TestEnumerateCommand:
@@ -433,6 +436,32 @@ class TestEnumerateCommand:
         assert code == EXIT_OK
         golden = (GOLDEN / "enumerate_toy2_latency.txt").read_text()
         assert capsys.readouterr().out == golden
+
+    @pytest.mark.parametrize("metric", ["traffic", "compute"])
+    def test_enumerate_toy2_metric_stdout_unchanged(self, metric, tmp_path, capsys):
+        """The same toy2 layer under the other metrics, byte for byte."""
+        arch = tmp_path / "toy2.arch"
+        arch.write_text(TOY2_ARCH)
+        p = tmp_path / "toy2.layer"
+        p.write_text("[layer]\nR=3\nS=3\nP=2\nQ=2\nC=1\nK=2\nN=1\nStride=2\n")
+        code = main(["enumerate", "--arch", str(arch), "--layer", str(p), "--metric", metric])
+        assert code == EXIT_OK
+        golden = (GOLDEN / f"enumerate_toy2_{metric}.txt").read_text()
+        assert capsys.readouterr().out == golden
+
+    def test_enumerate_benchmark_layer_stdout_unchanged(self, tmp_path, capsys):
+        """The benchmark's enumerate layer (75,492 valid schedules), byte
+        for byte; the golden file is the stdout whose sha256 the benchmark
+        checks."""
+        p = tmp_path / "bench.layer"
+        p.write_text("[layer]\nR=3\nS=1\nP=2\nQ=1\nC=4\nK=2\nN=1\nStride=1\n")
+        code = main(["enumerate", "--limit", str(10**12), "--layer", str(p)])
+        assert code == EXIT_OK
+        golden = (GOLDEN / "enumerate_r3s1p2.txt").read_text()
+        assert capsys.readouterr().out == golden
+        expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+        digest = hashlib.sha256(golden.encode()).hexdigest()
+        assert digest == expected["enumerate/r3s1p2"]["sha256"]
 
     def test_enumerate_limit_exits_limit_reached(self, tmp_path, capsys):
         """An assignment space above --limit is a limit reached, like a

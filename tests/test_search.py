@@ -1,18 +1,20 @@
+import itertools
 import math
-from dataclasses import replace
 
 import pytest
 
 from helpers import reference_enumerate_all, reference_evaluate, toy_two_level
 from mipsched import search
 from mipsched.formulation import ObjectiveWeights, build_model
-from mipsched.schedule import encode, evaluate, validate
+from mipsched.schedule import Loop, encode, validate
 from mipsched.search import (
     METRICS,
     NoValidScheduleError,
     SearchConfig,
     enumerate_all,
+    enumerate_best,
     metric_value,
+    order_count,
     order_scorer,
     random_search,
     valid_assignments,
@@ -168,21 +170,102 @@ def test_enumerate_matches_reference(simba, monkeypatch, arch_name, dims, stride
 
 @ENUMERATE_CASES
 def test_enumerate_scores_match_reference(simba, arch_name, dims, stride):
-    """Scoring a loop order from its assignment's one evaluation and its
+    """Scoring a loop order from its assignment's order-free terms and its
     own NoC iteration counts equals a full reference evaluation of that
     order, for every order and every metric."""
     arch = simba if arch_name == "simba" else toy_two_level(fanout=4, cap=16.0)
     pf = factorize(LayerDims(*dims, stride=stride))
+    firsts = iter(valid_assignments(pf, arch, limit=10**7))
+    first = None
     orders = 0
     moved = False  # some order's traffic differs from its first order's
-    for first, levels_iter in valid_assignments(pf, arch, limit=10**7):
-        report = evaluate(first, arch)
-        scorers = {m: order_scorer(report, arch, m) for m in METRICS}
-        for levels in levels_iter:
-            orders += 1
-            ref = reference_evaluate(replace(first, levels=levels), arch)
-            for metric, score in scorers.items():
-                assert score(levels) == metric_value(ref, metric), (levels, metric)
-            moved |= metric_value(ref, "traffic") != metric_value(report, "traffic")
-    assert orders == sum(1 for _ in enumerate_all(pf, arch, limit=10**7))
+    for sched in enumerate_all(pf, arch, limit=10**7):
+        if first is None or _assignment(sched) != _assignment(first):
+            # a new assignment: enumerate_all opens it with its first order
+            first = next(firsts)
+            assert sched == first
+            scorers = {m: order_scorer(first, arch, m) for m in METRICS}
+            first_traffic = metric_value(reference_evaluate(first, arch), "traffic")
+        orders += 1
+        ref = reference_evaluate(sched, arch)
+        for metric, score in scorers.items():
+            assert score(sched.levels) == metric_value(ref, metric), (sched.levels, metric)
+        moved |= metric_value(ref, "traffic") != first_traffic
+    assert next(firsts, None) is None
+    assert orders > 0
     assert moved
+
+
+@pytest.mark.parametrize("loops,count", [
+    ((), 1),
+    ((Loop(0, 3, False),), 1),
+    ((Loop(0, 3, False), Loop(2, 2, False)), 2),
+    ((Loop(5, 2, False), Loop(5, 2, False)), 1),
+    ((Loop(5, 2, False), Loop(5, 2, False), Loop(5, 2, True), Loop(2, 2, False)), 12),
+])
+def test_order_count_is_the_number_of_distinct_orders(loops, count):
+    assert order_count(loops) == count == len(set(itertools.permutations(loops)))
+
+
+# toy2 without fanout keeps every loop temporal; there the traffic winner
+# is not its assignment's first order
+BEST_CASES = pytest.mark.parametrize(
+    "arch_name,dims,stride",
+    [
+        *ENUMERATE_CASES.args[1],
+        pytest.param("toy2-f1", (3, 1, 2, 1, 2, 2, 1), 1, id="toy2-f1-r3p2c2k2"),
+    ],
+)
+
+
+@BEST_CASES
+def test_enumerate_best_matches_brute_force(simba, monkeypatch, arch_name, dims, stride):
+    """For every metric, `enumerate_best` counts what `enumerate_all`
+    yields and finds what a strict-`<` scan of a full reference
+    evaluation of every loop order finds, value and levels, validating
+    each assignment once."""
+    arch = {
+        "simba": simba,
+        "toy2": toy_two_level(fanout=4, cap=16.0),
+        "toy2-f1": toy_two_level(fanout=1, cap=16.0),
+    }[arch_name]
+    pf = factorize(LayerDims(*dims, stride=stride))
+    count = 0
+    brute = {m: None for m in METRICS}  # metric -> (value, levels)
+    for sched in reference_enumerate_all(pf, arch, limit=10**7):
+        count += 1
+        report = reference_evaluate(sched, arch)
+        for metric, best in brute.items():
+            value = metric_value(report, metric)
+            if best is None or value < best[0]:
+                brute[metric] = (value, sched.levels)
+    firsts = {first.levels for first in valid_assignments(pf, arch, limit=10**7)}
+
+    calls = []
+
+    def counting_validate(sched, arch, halo=True):
+        got = validate(sched, arch, halo=halo)
+        calls.append(not got)
+        return got
+
+    monkeypatch.setattr(search, "validate", counting_validate)
+    assert count == sum(1 for _ in enumerate_all(pf, arch, limit=10**7))
+    # one validate per assignment, valid or not
+    assert calls.count(True) == len(firsts)
+    per_scan = len(calls)
+    for metric in METRICS:
+        calls.clear()
+        got_count, (value, sched) = enumerate_best(pf, arch, metric, limit=10**7)
+        assert (got_count, value, sched.levels) == (count, *brute[metric]), metric
+        assert len(calls) == per_scan
+        assert validate(sched, arch) == []
+    if arch_name == "toy2-f1":
+        assert brute["traffic"][1] not in firsts
+
+
+def test_enumerate_best_without_a_valid_schedule():
+    """No valid assignment: a zero count and no best."""
+    arch = toy_two_level(fanout=1, cap=1.0)
+    pf = factorize(LayerDims(1, 1, 2, 1, 1, 2, 1))
+    assert next(valid_assignments(pf, arch), None) is None
+    assert enumerate_best(pf, arch, "latency") == (0, None)

@@ -277,6 +277,54 @@ def test_matches_highs(simba, name):
     assert abs(sol.objective_value - reference) <= 1e-9
 
 
+def _answer(sol):
+    return sol.status, sol.objective_value, sol.x_assignment, sol.menu_selection
+
+
+def test_branch_order_does_not_change_the_answer(simba, monkeypatch):
+    """Seeded permutations of `_Search._branch_order` give the default
+    order's answer, bit for bit: on the oracle models, where that is also
+    the exhaustive oracle's, and on conv28.  Only the node counts move.
+    The oracle models take any permutation; conv28 takes permutations of
+    its identical runs as blocks, since orders that split a run can cost
+    it millions of nodes."""
+    default = _Search._branch_order
+
+    def shuffled(rng, blocks):
+        def order(self):
+            runs = {}
+            for fi in default(self):
+                key = self.m.factors[fi].cls if blocks else fi
+                runs.setdefault(key, []).append(fi)
+            runs = list(runs.values())
+            rng.shuffle(runs)
+            return [fi for run in runs for fi in run]
+        return order
+
+    cases = [(f"seed{seed}", random_instance(seed, max_space=60_000), 2)
+             for seed in range(200)]
+    cases.append(("conv28", build_model(factorize(SUITE_LAYERS["conv28"]), simba), 2))
+    checked = 0
+    for name, model, perms in cases:
+        if model is None:
+            continue
+        monkeypatch.setattr(_Search, "_branch_order", default)
+        base = solve(model)
+        if name != "conv28":
+            assert _answer(base) == _answer(exhaustive_solve(model)), name
+        nodes = set()
+        for p in range(perms):
+            order = shuffled(random.Random(p), blocks=name == "conv28")
+            monkeypatch.setattr(_Search, "_branch_order", order)
+            sol = solve(model)
+            assert _answer(sol) == _answer(base), (name, p)
+            nodes.add(sol.stats.nodes)
+            checked += 1
+        if name == "conv28":
+            assert nodes - {base.stats.nodes}, "no permutation moved the search"
+    assert checked > 150
+
+
 def test_search_counts_pinned(simba):
     """Exact (nodes, leaves) of the branch-and-bound on fixed models.  Any
     change to a bound, the child order or the pruning moves them; a change
