@@ -42,8 +42,12 @@ def main() -> int:
         part = solve_layer(
             pf, arch, ObjectiveWeights(), opts, partition=PartitionSpec(budget_bytes=budget)
         )
-        if part.solution.status != "optimal" or fixed.solution.status != "optimal":
-            print(f"{name}: {part.solution.status}")
+        failed = [(label, result.solution.status)
+                  for label, result in (("fixed", fixed), ("partition", part))
+                  if result.solution.status != "optimal"]
+        if failed:
+            print(f"{name}: " + ", ".join(f"{label} solve {status}"
+                                          for label, status in failed))
             continue
         model = part.model
         picks = []
@@ -55,7 +59,8 @@ def main() -> int:
                 f"{arch.levels[menu.level].name}/{TENSOR_NAMES[menu.tensor]}={ent.nbytes}B"
             )
         print(f"\n{name}: objective {fixed.solution.objective_value:.4f} -> "
-              f"{part.solution.objective_value:.4f}, {total} B used")
+              f"{part.solution.objective_value:.4f}, {total} B used, "
+              f"nodes {fixed.solution.stats.nodes} -> {part.solution.stats.nodes}")
         print("  " + " ".join(picks))
     return 0
 

@@ -348,6 +348,18 @@ def _status_exit(solution: Solution) -> int:
     return EXIT_OK
 
 
+def _report_solve(result: PipelineResult, label: str = "") -> None:
+    """The status and search statistics of a pipeline's last solve round
+    on stderr, each line prefixed with `label`."""
+    sol = result.solution
+    print(f"{label}status {sol.status}", file=sys.stderr)
+    print(
+        f"{label}nodes {sol.stats.nodes} leaves {sol.stats.leaves} "
+        f"wall {sol.stats.wall_time_s:.3f}s rounds {result.rounds}",
+        file=sys.stderr,
+    )
+
+
 def _load_inputs(cfg: RunConfig):
     arch = default_simba_arch() if cfg.arch_path is None else load_arch(cfg.arch_path)
     problems = validate_arch(arch)
@@ -378,12 +390,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         pf, arch, cfg.weights, cfg.solver, partition=partition, halo=cfg.halo
     )
     sol = result.solution
-    print(f"status {sol.status}", file=sys.stderr)
-    print(
-        f"nodes {sol.stats.nodes} leaves {sol.stats.leaves} "
-        f"wall {sol.stats.wall_time_s:.3f}s rounds {result.rounds}",
-        file=sys.stderr,
-    )
+    _report_solve(result)
     if sol.status != "optimal":
         return _status_exit(sol)
     print(render(result.schedule), end="")
@@ -456,6 +463,7 @@ def cmd_partition(cfg: RunConfig) -> int:
     try:
         fixed = solve_layer(pf, arch, cfg.weights, cfg.solver, halo=cfg.halo,
                             deadline=deadline)
+        _report_solve(fixed, "baseline ")
         part = solve_layer(
             pf,
             arch,
@@ -468,6 +476,7 @@ def cmd_partition(cfg: RunConfig) -> int:
     except FormulationError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    _report_solve(part, "partition ")
     if part.solution.status != "optimal":
         return _status_exit(part.solution)
     model = part.model

@@ -37,6 +37,28 @@ fails a capacity check, so the cut subtree holds no leaf; the leaves,
 their order, the incumbent's trajectory and the answer stay as they were,
 and only nodes fall.
 
+A partition model's byte budget is propagated into the capacity bounds,
+as activity-based bound propagation does with a linear row (Savelsbergh
+1994; Achterberg 2007).  As a node's children are built, `_menu_floors`
+records each menu's floor, its least admissible entry at the node's
+buffer sums (the bisect `_derive_menus` makes at a leaf), and the
+floors' byte total; menu i's rhs there, `rhs_at[pos]`, is that of the
+largest entry whose bytes fit in the budget beside every other menu's
+floor.  It is exact: weights are never negative and float addition is
+monotone, so at every leaf below the node each floor is at least the
+node's, an accepted leaf selects for menu i an entry within that
+allowance, and so its sum satisfies `lhs_i + pad <= e + tol` for that
+entry, the relation the loosest rhs encodes for the last entry.  The
+Lagrangian bound and both knapsack bounds read the node's rhs; on a
+model without menus it is `con_rhs` itself.  The loosest rhs stays in
+the feasibility checks (the capacity check, the run lookahead,
+`_derive_menus` and `MipModel.constraint_violations`) and in the root
+builds of the multipliers and the knapsack tables.  The per-child menu
+check starts from the node's floors and re-prices only the menus a
+child's record touches; every other menu reads 0.0 in its row, and
+byte sums are integers, so each child is decided as a full re-bisect
+would decide it.
+
 A node's work is kept to what its own child changes: the traffic walk's
 chain profile is kept per depth and rebuilt only below a chained child,
 whose insertion is the one change to the chains, and the per-level
@@ -89,7 +111,7 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .formulation import ChoiceCoef, MipModel
@@ -320,7 +342,7 @@ class _Search:
         "m", "tol", "inc", "deadline", "stopped", "nodes", "leaves",
         "canonicalized", "order", "lg", "trig", "members",
         "prev_same", "run_rem", "run_need", "wt", "balance", "ncons",
-        "con_rhs", "cap", "menu_fit",
+        "con_rhs", "cap", "menu_fit", "menu_of", "rhs_at",
         "cls_of", "classes", "costs", "suffix_min", "kn_at",
         "lam_active", "lagr_suffix", "pen_at", "suffix_comp_lo",
         "suffix_comp_hi", "suffix_traf_lo", "traf_hi_const", "choice_rec",
@@ -345,17 +367,30 @@ class _Search:
         self.ncons = len(m.check_cons)
         self.con_rhs = [c.rhs for c in m.check_cons]
         self.cap = [rhs + tol for rhs in self.con_rhs]
-        # per menu: its buffer constraint, that constraint's pad, and each
-        # entry's exponent plus the tolerance.  Entries ascend in size, so
-        # bisect_left on these finds the smallest entry that holds a sum:
-        # the first with `e + tol >= sum`.
+        # per menu: its buffer constraint, that constraint's pad, each
+        # entry's exponent plus the tolerance, each entry's bytes with
+        # budget + 1 appended for "no entry holds the sum", and each entry's
+        # rhs.  Entries ascend in size, so bisect_left on the exponents
+        # finds the smallest entry that holds a sum, the first with
+        # `e + tol >= sum`, and bisect_right on the bytes the largest entry
+        # within a byte allowance.  The last entry's rhs is `con_rhs`, the
+        # same expression in `MipModel`.
         con_of_menu = {c.menu: ci for ci, c in enumerate(m.check_cons)
                        if c.menu is not None}
-        self.menu_fit = [
-            (con_of_menu[mi], m.check_cons[con_of_menu[mi]].pad,
-             [ent.e + tol for ent in menu.entries])
-            for mi, menu in enumerate(m.menus)
-        ]
+        self.menu_fit = []
+        self.menu_of: list[int | None] = [None] * self.ncons
+        for mi, menu in enumerate(m.menus):
+            ci = con_of_menu[mi]
+            pad = m.check_cons[ci].pad
+            self.menu_fit.append((
+                ci, pad, [ent.e + tol for ent in menu.entries],
+                [ent.nbytes for ent in menu.entries] + [m.budget_bytes + 1],
+                [ent.e - pad for ent in menu.entries],
+            ))
+            self.menu_of[ci] = mi
+        # per depth, the rhs the bounds read there: `con_rhs` itself on a
+        # model without menus, else set by `_menu_floors`
+        self.rhs_at = [self.con_rhs] * (F + 1)
         # per depth, rows of the penalized knapsack bound; `solve` builds
         # them after the dive
         self.pen_at: list[list[tuple]] = [[] for _ in range(F + 1)]
@@ -739,24 +774,55 @@ class _Search:
                 d += lg + (cum[upto] - cum[p])
         return d
 
-    def _min_menu_bytes(self, row: list[float]) -> int:
-        """Cheapest admissible partition total given current buffer sums."""
+    def _menu_floors(self, pos: int) -> tuple[list[int], int]:
+        """The node's menu floors, each menu's least admissible entry at
+        the current buffer sums, and their byte total; a menu no entry
+        holds counts budget + 1 bytes.  Within the budget it also sets
+        `rhs_at[pos]`: menu i's rhs is that of the largest entry whose
+        bytes fit beside every other menu's floor.  Over the budget every
+        child fails the menu check, so no bound reads that depth."""
         con_lhs = self.con_lhs
+        floors = []
         total = 0
-        for (ci, pad, fits), menu in zip(self.menu_fit, self.m.menus):
-            ei = bisect_left(fits, con_lhs[ci] + pad + row[ci])
-            if ei == len(fits):
-                return 1 << 62
-            total += menu.entries[ei].nbytes
+        for ci, pad, fits, sizes, _rhs_of in self.menu_fit:
+            ei = bisect_left(fits, con_lhs[ci] + pad)
+            floors.append(ei)
+            total += sizes[ei]
+        room = self.m.budget_bytes - total
+        if room >= 0:
+            rhs = self.con_rhs[:]
+            for (ci, _pad, _fits, sizes, rhs_of), ei in zip(self.menu_fit, floors):
+                rhs[ci] = rhs_of[bisect_right(sizes, room + sizes[ei]) - 1]
+            self.rhs_at[pos] = rhs
+        return floors, total
+
+    def _menu_bytes(self, rec: ChoiceCoef, floors: list[int], total: int) -> int:
+        """The byte total of the menu floors with `rec` added to the node's
+        buffer sums, given the node's `floors` and their `total`: only the
+        menus `rec` touches are re-priced, since every other one reads a
+        0.0 in its row and keeps its floor.  The sum is of integers, so it
+        is exact in any order."""
+        con_lhs = self.con_lhs
+        menu_fit = self.menu_fit
+        menu_of = self.menu_of
+        for ci, add in rec.items:
+            mi = menu_of[ci]
+            if mi is not None:
+                _ci, pad, fits, sizes, _rhs_of = menu_fit[mi]
+                ei = bisect_left(fits, con_lhs[ci] + pad + add)
+                total += sizes[ei] - sizes[floors[mi]]
         return total
 
     def _lagr_bound(self, base: float, pos: int, row: list[float]) -> float:
-        """Root Lagrangian relaxation evaluated with the current slacks,
-        each with the tolerance the capacity check grants."""
+        """Root Lagrangian relaxation evaluated with the current slacks
+        against the node's rhs, each with the tolerance the capacity check
+        grants."""
         b = base + self.lagr_suffix[pos + 1]
+        rhs = self.rhs_at[pos]
+        con_lhs = self.con_lhs
         tol = self.tol
         for ci, lam in self.lam_active:
-            b -= lam * (self.con_rhs[ci] - self.con_lhs[ci] - row[ci] + tol)
+            b -= lam * (rhs[ci] - con_lhs[ci] - row[ci] + tol)
         return b
 
     def _kn_bound(self, table: list[list[tuple]], base: float, pos: int,
@@ -765,7 +831,8 @@ class _Search:
         """max(best, max over the rows of `table` at the tail of depth
         `pos` of the knapsack bound); returns once that max exceeds
         `thresh` (the caller prunes).  Constraint i stays explicit with the
-        child's slack plus the tolerance, every other constraint j is priced
+        child's slack against the node's rhs, `rhs_at[pos]`, plus the
+        tolerance, every other constraint j is priced
         at its multiplier lambda_j (the table's costs) and `refund` gives
         back lambda_j times its slack.  For the plain table (`kn_at`,
         lambda = 0) the refund is 0.  With the tolerance every completion
@@ -782,10 +849,10 @@ class _Search:
         unrounded slack; there it only cancels lambda_i times the slack,
         and is no capacity."""
         con_lhs = self.con_lhs
-        con_rhs = self.con_rhs
+        rhs = self.rhs_at[pos]
         tol = self.tol
         for ci, lam_i, gains, cost0, cw, cg, dens in table[pos + 1]:
-            slack = con_rhs[ci] - con_lhs[ci] - row[ci] + tol
+            slack = rhs[ci] - con_lhs[ci] - row[ci] + tol
             upper = base + cost0 - (refund - lam_i * slack)
             if upper <= best:
                 continue  # the knapsack gain is >= 0: cannot raise the max
@@ -823,11 +890,11 @@ class _Search:
         base = self.static_sum + rec.static + self.wt * t_after
         row = rec.row
         con_lhs = self.con_lhs
-        con_rhs = self.con_rhs
+        rhs = self.rhs_at[pos]
         tol = self.tol
         refund = 0.0
         for ci, lam in self.lam_active:
-            refund += lam * (con_rhs[ci] - con_lhs[ci] - row[ci] + tol)
+            refund += lam * (rhs[ci] - con_lhs[ci] - row[ci] + tol)
         return self._kn_bound(self.pen_at, base, pos, row, thresh, thresh,
                               refund) > thresh
 
@@ -859,6 +926,9 @@ class _Search:
         con_lhs = self.con_lhs
         cap = self.cap
         rem = self.run_rem[fi]
+        menu_fit = self.menu_fit
+        if menu_fit:
+            floors, floor_total = self._menu_floors(pos)
         profile = None
         out = []
         for rec, need in zip(self.classes[fi], self.run_need[fi]):
@@ -880,7 +950,7 @@ class _Search:
                     break
             if not ok:
                 continue
-            if m.menus and self._min_menu_bytes(rec.row) > m.budget_bytes:
+            if menu_fit and self._menu_bytes(rec, floors, floor_total) > m.budget_bytes:
                 continue
             if rec.chained:
                 if profile is None:
@@ -984,7 +1054,7 @@ class _Search:
         if not m.menus:
             return None
         firsts = []
-        for ci, pad, fits in self.menu_fit:
+        for ci, pad, fits, _sizes, _rhs_of in self.menu_fit:
             ei = bisect_left(fits, self.con_lhs[ci] + pad)
             if ei == len(fits):
                 return None

@@ -85,6 +85,36 @@ def random_instance(seed: int, max_space: int = 250_000):
     return model
 
 
+def binding_partition_instance(seed: int, max_space: int = 60_000):
+    """`random_instance(seed)`'s layer, target and weights with partition
+    menus of 4 to 32 elements (and the baseline capacity) under a byte
+    budget that binds; None when `random_instance` draws no model, the
+    target has no menu, or the model's space exceeds `max_space`.  The
+    budget is drawn from the sum of the menus' smallest entries up to
+    that sum plus one largest entry, and below the sum of the largest
+    entries, so a buffer can grow only as far as the others' sizes let
+    it.  `random_instance`'s own budgets of 48-192 B rarely bind."""
+    model = random_instance(seed, max_space)
+    if model is None:
+        return None
+
+    def build(budget):
+        spec = PartitionSpec(budget_bytes=budget, e_min=2, e_max=5)
+        return build_model(model.pf, model.arch, model.weights, partition=spec)
+
+    menus = build(1 << 20).menus
+    lo = sum(menu.entries[0].nbytes for menu in menus)
+    hi = sum(menu.entries[-1].nbytes for menu in menus)
+    if hi <= lo:
+        return None
+    top = max(menu.entries[-1].nbytes for menu in menus)
+    budget = random.Random(seed).randint(lo, min(hi - 1, lo + top))
+    model = build(budget)
+    if assignment_space_size(model) > max_space:
+        return None
+    return model
+
+
 def toy_two_level(fanout: int = 4, cap: float = 64.0) -> ArchSpec:
     """Minimal two-level target: one bounded NoC-boundary buffer + backing."""
     return ArchSpec(
@@ -692,7 +722,8 @@ def reference_enumerate_all(pf, arch, limit=1_000_000):
 # grant every slack the tolerance, and both round the capacity of a
 # constraint down to a whole number where every class record of the
 # unassigned tail weighs a whole number on it.  `sh` is the solver's
-# `_Search`; only its model-derived fields are read.
+# `_Search`; besides its model-derived fields, the bounds read the node's
+# buffer sums `con_lhs` and its rhs `rhs_at[pos]`.
 # ----------------------------------------------------------------------
 
 
@@ -833,7 +864,7 @@ def reference_plain_bound(sh, kn_at, base, pos, row, threshold):
     constraint whose capacity covers its tail's hull weight is skipped."""
     best = -math.inf
     for ci, whole, w_suffix, cost0, segs in kn_at[pos + 1]:
-        capacity = sh.con_rhs[ci] - sh.con_lhs[ci] - row[ci] + sh.tol
+        capacity = sh.rhs_at[pos][ci] - sh.con_lhs[ci] - row[ci] + sh.tol
         if whole:
             capacity = math.floor(capacity)
         if capacity >= w_suffix:
@@ -872,12 +903,13 @@ def reference_penalized_bound(sh, pen_at, base, pos, row, threshold):
     knapsack's capacity is that slack, rounded down on a whole tail, while
     the refund keeps the slack as it is."""
     tol = sh.tol
+    rhs = sh.rhs_at[pos]
     refund = 0.0
     for ci, lam in sh.lam_active:
-        refund += lam * (sh.con_rhs[ci] - sh.con_lhs[ci] - row[ci] + tol)
+        refund += lam * (rhs[ci] - sh.con_lhs[ci] - row[ci] + tol)
     best = threshold
     for ci, lam_i, whole, cost0, cw, cg, dens in pen_at[pos + 1]:
-        slack = sh.con_rhs[ci] - sh.con_lhs[ci] - row[ci] + tol
+        slack = rhs[ci] - sh.con_lhs[ci] - row[ci] + tol
         upper = base + cost0 - (refund - lam_i * slack)
         if upper <= best:
             continue

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import time
 from pathlib import Path
 
@@ -288,6 +289,26 @@ class TestPartitionCommand:
         base = float([l for l in out.splitlines() if l.startswith("baseline_objective")][0].split()[1])
         assert part <= base + 1e-9
 
+
+    def test_partition_reports_both_solves(self, conv28_layer, capsys):
+        """Each of partition's two solves prints its status and search
+        statistics on stderr, labelled baseline and partition, in the
+        format of `solve`; stdout is the benchmark's recorded output for
+        this layer and budget, byte for byte."""
+        code = main(["partition", "--layer", conv28_layer, "--budget", "306367"])
+        assert code == EXIT_OK
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert lines[0] == "baseline status optimal"
+        assert re.fullmatch(r"baseline nodes 3433 leaves 266 wall \d+\.\d{3}s rounds 1",
+                            lines[1]), lines[1]
+        assert lines[2] == "partition status optimal"
+        assert re.fullmatch(r"partition nodes 203 leaves 25 wall \d+\.\d{3}s rounds 1",
+                            lines[3]), lines[3]
+        assert len(lines) == 4
+        expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == expected["partition/conv28"]["sha256"]
 
     def test_time_limit_bounds_the_command(self, conv28_layer, monkeypatch):
         """`--time-limit` is one deadline for both of partition's solves:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import mipsched.solver
 from helpers import (
     SUITE_LAYERS,
+    binding_partition_instance,
     highs_objective,
     random_instance,
     reference_canonical_assignment,
@@ -37,6 +38,10 @@ from mipsched.solver import (
     solve,
 )
 from mipsched.workload import LayerDims, PaddingPolicy, factorize
+
+
+# the benchmark's fully connected layer: 1x1, C1024 K1000, batch 16
+FC_LAYER = LayerDims(1, 1, 1, 1, 1024, 1000, 16)
 
 
 def small_model(mode="combined"):
@@ -227,7 +232,7 @@ def test_penalized_bound_dominates_lagrangian(simba, tol):
         fi = search.order[0]
         for child in search._children(0):
             _b, I, k, _q, choice, t_after = child
-            slacks = [search.con_rhs[ci] - choice.row[ci] + tol
+            slacks = [search.rhs_at[0][ci] - choice.row[ci] + tol
                       for ci in range(search.ncons)]
             if min(slacks, default=0.0) < 0.0:
                 continue
@@ -255,12 +260,14 @@ def test_penalized_bound_keeps_oracle_identity(simba):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("name", ["conv28-fixed", "conv28-partition", "stride2-3x3-14-padded"])
+@pytest.mark.parametrize("name", ["conv28-fixed", "conv28-partition", "deep512-partition",
+                                  "fc-partition", "stride2-3x3-14-padded"])
 def test_matches_highs(simba, name):
     """Models past the exhaustive oracle: HiGHS on the raw MIP checks the
     branch-and-bound's optimum independently.  conv28 has 14 factors; the
     stride-2 layer's final halo round solves 17 factors under capacity
-    pads."""
+    pads.  The partition models take the benchmark's budget, where the
+    budget-tightened rhs cuts deep512's search by more than half."""
     pytest.importorskip("scipy.optimize")
     if name == "stride2-3x3-14-padded":
         stride2 = LayerDims(3, 3, 14, 14, 32, 64, 1, stride=2)
@@ -268,8 +275,10 @@ def test_matches_highs(simba, name):
         assert result.rounds == 2 and result.pads
         model, sol = result.model, result.solution
     else:
-        partition = PartitionSpec(budget_bytes=306367) if name == "conv28-partition" else None
-        model = build_model(factorize(SUITE_LAYERS["conv28"]), simba, partition=partition)
+        layer, kind = name.split("-")
+        dims = FC_LAYER if layer == "fc" else SUITE_LAYERS[layer]
+        partition = PartitionSpec(budget_bytes=306367) if kind == "partition" else None
+        model = build_model(factorize(dims), simba, partition=partition)
         sol = solve(model)
     assert sol.status == "optimal"
     reference = highs_objective(model)
@@ -333,9 +342,11 @@ def test_search_counts_pinned(simba):
     for name in ("tiny", "conv28", "deep512", "wide256"):
         sol = solve(build_model(factorize(SUITE_LAYERS[name]), simba))
         counts[name] = (sol.stats.nodes, sol.stats.leaves)
-    sol = solve(build_model(factorize(SUITE_LAYERS["conv28"]), simba,
-                            partition=PartitionSpec(budget_bytes=306367)))
-    counts["conv28-partition"] = (sol.stats.nodes, sol.stats.leaves)
+    for name, dims in (("conv28", SUITE_LAYERS["conv28"]),
+                       ("deep512", SUITE_LAYERS["deep512"]), ("fc", FC_LAYER)):
+        sol = solve(build_model(factorize(dims), simba,
+                                partition=PartitionSpec(budget_bytes=306367)))
+        counts[f"{name}-partition"] = (sol.stats.nodes, sol.stats.leaves)
     stride2 = LayerDims(3, 3, 14, 14, 32, 64, 1, stride=2)
     result = solve_layer(factorize(stride2, PaddingPolicy(max_prime=7)), simba)
     stats = result.solution.stats
@@ -357,6 +368,8 @@ def test_search_counts_pinned(simba):
         "deep512": (4_087, 20),
         "wide256": (22_523, 705),
         "conv28-partition": (203, 25),
+        "deep512-partition": (9_233, 36),
+        "fc-partition": (1_662, 21),
         "stride2-3x3-14": (2, 984, 41),
         "stride2-1x1-28": (2, 26_178, 7_805),
         82: ("combined", False, 68, 37),
@@ -443,10 +456,10 @@ def test_knapsack_bounds_match_reference(simba, monkeypatch):
     calls = {"plain": 0, "penalized": 0}
     rounded = {"plain": 0, "penalized": 0}  # calls with a fraction cut off
 
-    def cuts_fraction(sh, row, ci, whole, tail_w):
+    def cuts_fraction(sh, pos, row, ci, whole, tail_w):
         """The reference rounds this row's capacity down below both the
         slack and the tail's weight, so the rounding moves its gain."""
-        slack = sh.con_rhs[ci] - sh.con_lhs[ci] - row[ci] + sh.tol
+        slack = sh.rhs_at[pos][ci] - sh.con_lhs[ci] - row[ci] + sh.tol
         return whole and 0.0 < slack and math.floor(slack) < min(slack, tail_w)
 
     def reference_for(kind, table, build, sh):
@@ -468,7 +481,7 @@ def test_knapsack_bounds_match_reference(simba, monkeypatch):
             assert real(sh, table, base, pos, row, best, math.inf, refund) == ref
             calls["penalized"] += 1
             rounded["penalized"] += any(
-                cuts_fraction(sh, row, ci, whole, cw[-1])
+                cuts_fraction(sh, pos, row, ci, whole, cw[-1])
                 for ci, _lam, whole, _c0, cw, _cg, _d in ref_table[pos + 1])
         else:
             assert table is sh.kn_at and refund == 0.0
@@ -478,7 +491,7 @@ def test_knapsack_bounds_match_reference(simba, monkeypatch):
             assert abs(b - ref) <= 1e-12, (b, ref)
             calls["plain"] += 1
             rounded["plain"] += any(
-                cuts_fraction(sh, row, ci, whole, tail_w)
+                cuts_fraction(sh, pos, row, ci, whole, tail_w)
                 for ci, whole, tail_w, _c0, _segs in ref_table[pos + 1])
         assert (b > cut) == (ref > cut), (b, ref, cut)
         return b
@@ -532,7 +545,7 @@ def test_gain_tables_are_exact(simba):
                     n = len(gains)
                     slacks = [x for k in range(n + 1) for x in (k - 1e-12, k, k + 0.5)]
                     for s in slacks + [n + 3]:
-                        stub = types.SimpleNamespace(con_rhs=[s], con_lhs=[0.0], tol=0.0)
+                        stub = types.SimpleNamespace(rhs_at=[[s]], con_lhs=[0.0], tol=0.0)
                         b = _Search._kn_bound(stub, one, 0.0, -1, [0.0], -math.inf,
                                               math.inf, 0.0)
                         upper = 0.0 + cost0 - (0.0 - lam_i * s)
@@ -666,7 +679,7 @@ def test_run_lookahead_cuts_only_leafless_children(simba, monkeypatch):
     reaches the menu or the node bound."""
     real_children = _Search._children
     real_bound = _Search._node_bound
-    real_menu = _Search._min_menu_bytes
+    real_menu = _Search._menu_bytes
     reached = []  # rows that got past the filters in this `_children` call
     cuts = []
 
@@ -674,9 +687,9 @@ def test_run_lookahead_cuts_only_leafless_children(simba, monkeypatch):
         reached.append(rec.row)
         return real_bound(sh, pos, rec, t_after)
 
-    def menu(sh, row):
-        reached.append(row)
-        return real_menu(sh, row)
+    def menu(sh, rec, floors, total):
+        reached.append(rec.row)
+        return real_menu(sh, rec, floors, total)
 
     def children(sh, pos):
         reached.clear()
@@ -697,7 +710,7 @@ def test_run_lookahead_cuts_only_leafless_children(simba, monkeypatch):
 
     monkeypatch.setattr(_Search, "_children", children)
     monkeypatch.setattr(_Search, "_node_bound", bound)
-    monkeypatch.setattr(_Search, "_min_menu_bytes", menu)
+    monkeypatch.setattr(_Search, "_menu_bytes", menu)
     counts = {}
     solve(build_model(factorize(SUITE_LAYERS["conv28"]), simba))
     counts["conv28"] = len(cuts)
@@ -719,6 +732,94 @@ def test_run_lookahead_cuts_only_leafless_children(simba, monkeypatch):
     steps = list(counts.values())
     assert all(b > a for a, b in zip([0] + steps, steps)), counts
     assert fired
+
+
+def tightened_rhs_excess(model) -> tuple[int, int]:
+    """(feasible leaves, menu constraints on which a leaf's final buffer
+    sum passes the tightened rhs of one of its prefixes plus `TOLERANCE`).
+
+    A feasible leaf is a class record per factor whose buffer sums,
+    added in branch order, pass every capacity check, and whose menus'
+    least admissible entries fit the budget; ranks and chains add nothing
+    to the sums, so they are left out, and so are the symmetry breaking
+    and every prune.  Each prefix's rhs is `_Search._menu_floors` at the
+    prefix's sums; a prefix over the budget counts as an rhs of -inf."""
+    sh = _Search(model, TOLERANCE, _Incumbent(), math.inf)
+    m = sh.m
+    menu_cons = [(ci, c.pad, m.menus[c.menu].entries)
+                 for ci, c in enumerate(m.check_cons) if c.menu is not None]
+    counts = [0, 0]
+
+    def fits_budget(lhs):
+        total = 0
+        for ci, pad, entries in menu_cons:
+            sizes = [ent.nbytes for ent in entries if lhs[ci] + pad <= ent.e + TOLERANCE]
+            if not sizes:
+                return False
+            total += sizes[0]
+        return total <= m.budget_bytes
+
+    def walk(pos, lhs, tight):
+        if pos == m.F:
+            if fits_budget(lhs):
+                counts[0] += 1
+                counts[1] += sum(lhs[ci] > tight[ci] + TOLERANCE for ci, _p, _e in menu_cons)
+            return
+        sh.con_lhs = lhs
+        _floors, total = sh._menu_floors(pos)
+        rhs = sh.rhs_at[pos] if total <= m.budget_bytes else [-math.inf] * sh.ncons
+        tight = [min(a, b) for a, b in zip(tight, rhs)]
+        for rec in sh.classes[sh.order[pos]]:
+            nxt = [a + b for a, b in zip(lhs, rec.row)]
+            if all(x <= cap for x, cap in zip(nxt, sh.cap)):
+                walk(pos + 1, nxt, tight)
+
+    walk(0, [0.0] * sh.ncons, list(sh.con_rhs))
+    return tuple(counts)
+
+
+def test_tightened_rhs_is_sound(monkeypatch):
+    """On partition models whose budget binds, the search with the
+    budget-tightened rhs gives the exhaustive oracle's answer, and every
+    feasible leaf keeps each menu constraint within the tightened rhs of
+    every prefix of it in branch order, plus the tolerance.  The check
+    has teeth: an rhs one menu entry tighter is passed by some leaf.  The
+    tightening moves the node count of a few models only; these searches
+    are a handful of nodes each."""
+    real = _Search._menu_floors
+
+    def loose(sh, pos):
+        out = real(sh, pos)
+        sh.rhs_at[pos] = sh.con_rhs
+        return out
+
+    def one_entry_tighter(sh, pos):
+        out = real(sh, pos)
+        if out[1] <= sh.m.budget_bytes:
+            rhs = sh.rhs_at[pos]
+            for ci, _pad, _fits, _sizes, rhs_of in sh.menu_fit:
+                rhs[ci] = rhs_of[max(rhs_of.index(rhs[ci]) - 1, 0)]
+        return out
+
+    models = moved = leaves = tighter_excess = 0
+    for seed in range(700):
+        model = binding_partition_instance(seed)
+        if model is None:
+            continue
+        models += 1
+        sol = solve(model)
+        assert _answer(sol) == _answer(exhaustive_solve(model)), seed
+        n, excess = tightened_rhs_excess(model)
+        assert excess == 0, seed
+        leaves += n
+        with monkeypatch.context() as mp:
+            mp.setattr(_Search, "_menu_floors", loose)
+            moved += solve(model).stats.nodes != sol.stats.nodes
+            mp.setattr(_Search, "_menu_floors", one_entry_tighter)
+            tighter_excess += tightened_rhs_excess(model)[1]
+    assert models > 150 and leaves > models
+    assert moved >= 2, moved
+    assert tighter_excess > 0
 
 
 def test_run_lookahead_keeps_an_exact_fit():
