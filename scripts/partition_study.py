@@ -60,7 +60,7 @@ def main() -> int:
             )
         print(f"\n{name}: objective {fixed.solution.objective_value:.4f} -> "
               f"{part.solution.objective_value:.4f}, {total} B used, "
-              f"nodes {fixed.solution.stats.nodes} -> {part.solution.stats.nodes}")
+              f"nodes {fixed.stats.nodes} -> {part.stats.nodes}")
         print("  " + " ".join(picks))
     return 0
 

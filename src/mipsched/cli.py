@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 from . import costmodel, schedule as sched_mod
 from .arch import (
@@ -245,12 +245,16 @@ def load_arch(path: str) -> ArchSpec:
 
 @dataclass
 class PipelineResult:
+    """The last round's solution, schedule, report and model, and the
+    search statistics summed over every round, `stats`."""
+
     solution: Solution
     schedule: Schedule | None
     report: CostReport | None
     model: MipModel
     pads: dict[tuple[int, int], float]
     rounds: int
+    stats: SolveStats
 
 
 def solve_layer(
@@ -274,16 +278,19 @@ def solve_layer(
         deadline = time.perf_counter() + opts.time_limit_s
     pads: dict[tuple[int, int], float] = {}
     rounds = 0
+    stats = SolveStats()
     while True:
         rounds += 1
         model = build_model(pf, arch, weights, partition=partition, capacity_pads=pads)
         left = deadline - time.perf_counter()
         if not left > 0:
             solution = Solution("timeout", None, None, None, SolveStats())
-            return PipelineResult(solution, None, None, model, pads, rounds)
+            return PipelineResult(solution, None, None, model, pads, rounds, stats)
         solution = solve(model, replace(opts, time_limit_s=left))
+        stats = SolveStats(*(a + b for a, b in
+                             zip(astuple(stats), astuple(solution.stats))))
         if solution.status != "optimal":
-            return PipelineResult(solution, None, None, model, pads, rounds)
+            return PipelineResult(solution, None, None, model, pads, rounds, stats)
         sched = decode(solution, pf, arch)
         check_arch = arch
         if partition is not None:
@@ -293,7 +300,7 @@ def solve_layer(
         capacity = [v for v in violations if v.kind == "capacity"]
         if not violations:
             report = evaluate(sched, check_arch)
-            return PipelineResult(solution, sched, report, model, pads, rounds)
+            return PipelineResult(solution, sched, report, model, pads, rounds, stats)
         if violations != capacity or rounds >= MAX_ROUNDS:
             raise InvalidScheduleError(
                 "solver produced an invalid schedule: "
@@ -349,13 +356,14 @@ def _status_exit(solution: Solution) -> int:
 
 
 def _report_solve(result: PipelineResult, label: str = "") -> None:
-    """The status and search statistics of a pipeline's last solve round
-    on stderr, each line prefixed with `label`."""
-    sol = result.solution
-    print(f"{label}status {sol.status}", file=sys.stderr)
+    """A pipeline's status, from its last solve round, and its search
+    statistics summed over the rounds on stderr, each line prefixed with
+    `label`."""
+    stats = result.stats
+    print(f"{label}status {result.solution.status}", file=sys.stderr)
     print(
-        f"{label}nodes {sol.stats.nodes} leaves {sol.stats.leaves} "
-        f"wall {sol.stats.wall_time_s:.3f}s rounds {result.rounds}",
+        f"{label}nodes {stats.nodes} leaves {stats.leaves} "
+        f"wall {stats.wall_time_s:.3f}s rounds {result.rounds}",
         file=sys.stderr,
     )
 
@@ -444,7 +452,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         except NoValidScheduleError:
             print(f"{name} {solver_metric} none - {cfg.search.samples} 0")
         print(
-            f"{name}: solver {result.solution.stats.wall_time_s:.3f}s",
+            f"{name}: solver {result.stats.wall_time_s:.3f}s",
             file=sys.stderr,
         )
     if len(ratios) > 1:

@@ -41,7 +41,7 @@ A partition model's byte budget is propagated into the capacity bounds,
 as activity-based bound propagation does with a linear row (Savelsbergh
 1994; Achterberg 2007).  As a node's children are built, `_menu_floors`
 records each menu's floor, its least admissible entry at the node's
-buffer sums (the bisect `_derive_menus` makes at a leaf), and the
+buffer sums (`_derive_menus` starts from the leaf's floors), and the
 floors' byte total; menu i's rhs there, `rhs_at[pos]`, is that of the
 largest entry whose bytes fit in the budget beside every other menu's
 floor.  It is exact: weights are never negative and float addition is
@@ -63,6 +63,16 @@ A node's work is kept to what its own child changes: the traffic walk's
 chain profile is kept per depth and rebuilt only below a chained child,
 whose insertion is the one change to the chains, and the per-level
 trigger flags of the walk are tabulated once per solve.
+
+A node's state is a function of its path.  `_apply` saves the node's
+buffer sums `con_lhs`, its objective sums, its traffic and its chain
+profile on `saved` and gives the child its own, each sum the parent's
+plus the child's record; `_undo` puts the saved ones back.  Nothing is
+subtracted, so each sum is the left fold, in branch order, of the records
+on the path, bit for bit, whatever was searched before: the dive leaves
+the root as it found it, and the proof starts there with no reset.  The
+path's records and chains are changed in place; references and integers
+restore exactly.
 
 A solve runs one depth-first search twice: a dive that stops at the
 first accepted leaf, then, after one Polyak rebuild of the multipliers
@@ -346,8 +356,8 @@ class _Search:
         "cls_of", "classes", "costs", "suffix_min", "kn_at",
         "lam_active", "lagr_suffix", "pen_at", "suffix_comp_lo",
         "suffix_comp_hi", "suffix_traf_lo", "traf_hi_const", "choice_rec",
-        "chains", "con_lhs", "static_sum", "comp_sum", "dl_sum", "t_stack",
-        "prof_stack",
+        "chains", "con_lhs", "static_sum", "comp_sum", "dl_sum", "t_cur",
+        "profile", "saved",
     )
 
     def __init__(self, model: MipModel, tol: float, incumbent: _Incumbent,
@@ -469,24 +479,17 @@ class _Search:
             self.suffix_min = self._suffix([min(costs) for costs in self.costs])
             self.kn_at = self._build_knapsack([0.0] * self.ncons)
             self._build_lagrangian()
-        self.reset()
 
-    def reset(self):
-        """Return the mutable state to the root.  Every `_apply` is paired
-        with an `_undo`, but the float sums can come back off by rounding;
-        zeroing them gives each phase the bounds, and so the node counts,
-        of a fresh search."""
-        m = self.m
-        self.choice_rec: list[ChoiceCoef | None] = [None] * m.F
+        # the search state at the root; `_apply` saves the node's on `saved`
+        self.choice_rec: list[ChoiceCoef | None] = [None] * F
         self.chains: dict[int, list[int]] = {I: [] for I in range(m.noc, m.H)}
         self.con_lhs = [0.0] * self.ncons
-        self.static_sum = 0.0
-        self.comp_sum = 0.0
-        self.dl_sum = 0.0
-        self.t_stack = [0.0]
-        # per depth, the chain profile of `_chain_profile`, or None until a
-        # child there needs it; only a chained child changes the chains
-        self.prof_stack = [None]
+        self.static_sum = self.comp_sum = self.dl_sum = 0.0
+        self.t_cur = 0.0
+        # the chain profile of `_chain_profile`, or None until a child needs
+        # it; only a chained child changes the chains
+        self.profile = None
+        self.saved: list[tuple] = []
 
     # -- tables --------------------------------------------------------
 
@@ -736,10 +739,10 @@ class _Search:
 
         Returns (per level, its offset into the flattened order, cumulative
         lg sums, per-tensor first-trigger index or None).  It depends on
-        the chains alone, so `_children` keeps one per depth on
-        `prof_stack`: a node below a non-chained child inherits its
-        parent's, and one below a chained child builds its own the first
-        time one of its children needs it."""
+        the chains alone, so `_children` keeps it as the node's `profile`:
+        a node below a non-chained child inherits its parent's, and one
+        below a chained child builds its own the first time one of its
+        children needs it."""
         lg = self.lg
         offsets = [0] * self.m.H
         cum = [0.0]
@@ -922,14 +925,13 @@ class _Search:
         prev = self.prev_same[fi]
         prev_rec = None if prev is None else self.choice_rec[prev]
         limit = None if prev_rec is None else prev_rec.rep
-        t_cur = self.t_stack[-1]
+        t_cur = self.t_cur
         con_lhs = self.con_lhs
         cap = self.cap
         rem = self.run_rem[fi]
         menu_fit = self.menu_fit
         if menu_fit:
             floors, floor_total = self._menu_floors(pos)
-        profile = None
         out = []
         for rec, need in zip(self.classes[fi], self.run_need[fi]):
             if limit is not None and rec.rep > limit:
@@ -953,10 +955,9 @@ class _Search:
             if menu_fit and self._menu_bytes(rec, floors, floor_total) > m.budget_bytes:
                 continue
             if rec.chained:
+                profile = self.profile
                 if profile is None:
-                    profile = self.prof_stack[-1]
-                    if profile is None:
-                        profile = self.prof_stack[-1] = self._chain_profile()
+                    profile = self.profile = self._chain_profile()
                 I = rec.I
                 chain = self.chains[I]
                 lo_q = 0
@@ -1016,77 +1017,62 @@ class _Search:
         return b
 
     def _apply(self, pos, child):
+        """Descend into `child`: save the node's state and set the child's,
+        each sum its parent's plus the child's record."""
         _b, I, _k, q, rec, t_after = child
         fi = self.order[pos]
-        self.choice_rec[fi] = rec
+        self.saved.append((self.con_lhs, self.static_sum, self.comp_sum,
+                           self.dl_sum, self.t_cur, self.profile))
+        con_lhs = self.con_lhs[:]
         for ci, add in rec.items:
-            self.con_lhs[ci] += add
-        if not self.balance:
-            self.static_sum += rec.static
-        else:
-            self.comp_sum += rec.comp
-            self.dl_sum += rec.dl
+            con_lhs[ci] += add
+        self.con_lhs = con_lhs
+        self.static_sum += rec.static
+        self.comp_sum += rec.comp
+        self.dl_sum += rec.dl
+        self.t_cur = t_after
+        self.choice_rec[fi] = rec
         if q >= 0:
             self.chains[I].insert(q, fi)
-            self.prof_stack.append(None)
-        else:
-            self.prof_stack.append(self.prof_stack[-1])
-        self.t_stack.append(t_after)
+            self.profile = None
 
     def _undo(self, pos, child):
-        _b, I, _k, q, rec, _t_after = child
-        fi = self.order[pos]
-        self.choice_rec[fi] = None
-        for ci, add in rec.items:
-            self.con_lhs[ci] -= add
-        if not self.balance:
-            self.static_sum -= rec.static
-        else:
-            self.comp_sum -= rec.comp
-            self.dl_sum -= rec.dl
+        """Return from `child` to the node `_apply` saved."""
+        _b, I, _k, q, _rec, _t_after = child
+        (self.con_lhs, self.static_sum, self.comp_sum, self.dl_sum,
+         self.t_cur, self.profile) = self.saved.pop()
+        self.choice_rec[self.order[pos]] = None
         if q >= 0:
             del self.chains[I][q]
-        self.t_stack.pop()
-        self.prof_stack.pop()
 
     def _derive_menus(self) -> tuple[int, ...] | None:
-        m = self.m
-        if not m.menus:
+        """The leaf's menu selection: menu by menu, the largest entry whose
+        bytes fit beside the entries chosen so far and the floors of the
+        menus still to come; None when the floors alone, a menu no entry
+        holds at budget + 1 bytes, exceed the budget.  `room` is the budget
+        left beside those; sizes ascend, so `top` is at or above the floor,
+        and the sentinel never fits."""
+        if not self.m.menus:
             return None
-        firsts = []
-        for ci, pad, fits, _sizes, _rhs_of in self.menu_fit:
-            ei = bisect_left(fits, self.con_lhs[ci] + pad)
-            if ei == len(fits):
-                return None
-            firsts.append(ei)
-        n = len(m.menus)
-        suffix = [0] * (n + 1)
-        for mi in range(n - 1, -1, -1):
-            suffix[mi] = suffix[mi + 1] + m.menus[mi].entries[firsts[mi]].nbytes
+        floors, total = self._menu_floors(self.m.F)
+        room = self.m.budget_bytes - total
+        if room < 0:
+            return None
         sel = []
-        used = 0
-        for mi, menu in enumerate(m.menus):
-            chosen = None
-            # the largest admissible entry that leaves room for the rest
-            for ei in range(len(menu.entries) - 1, firsts[mi] - 1, -1):
-                ent = menu.entries[ei]
-                if used + ent.nbytes + suffix[mi + 1] <= m.budget_bytes:
-                    chosen = ei
-                    used += ent.nbytes
-                    break
-            if chosen is None:
-                return None
-            sel.append(chosen)
+        for (_ci, _pad, _fits, sizes, _rhs_of), ei in zip(self.menu_fit, floors):
+            top = bisect_right(sizes, room + sizes[ei]) - 1
+            room -= sizes[top] - sizes[ei]
+            sel.append(top)
         return tuple(sel)
 
     def _leaf(self) -> bool:
         self.leaves += 1
         m = self.m
         if not self.balance:
-            est = self.static_sum + self.wt * self.t_stack[-1]
+            est = self.static_sum + self.wt * self.t_cur
         else:
             est = abs(
-                m.weights.w_t * (self.dl_sum + self.t_stack[-1])
+                m.weights.w_t * (self.dl_sum + self.t_cur)
                 - m.weights.w_c * self.comp_sum
             )
         if est > self.inc.obj + EPS_PRUNE:
@@ -1150,7 +1136,6 @@ def solve(model: MipModel, opts: SolverOptions = SolverOptions()) -> Solution:
         for ci, value in search.lam_active:
             lam[ci] = value
         search.pen_at = search._build_knapsack(lam)
-    search.reset()
     search.dfs(0)
 
     stats = SolveStats(search.nodes, search.leaves, time.perf_counter() - t0,
@@ -1203,7 +1188,6 @@ def exhaustive_solve(
     best_menu = None
     x: dict[int, tuple[int, int, int]] = {}
     occupied: set[tuple[int, int]] = set()
-    lhs = [0.0] * ncons
     stats = SolveStats()
 
     def leaf(menu_sel):
@@ -1214,7 +1198,7 @@ def exhaustive_solve(
         if best_x is None or (obj, key) < (best_obj, best_key):
             best_obj, best_key, best_x, best_menu = obj, key, dict(x), menu_sel
 
-    def menu_rec(mi: int, used: int, sel: list[int]):
+    def menu_rec(lhs: list[float], mi: int, used: int, sel: list[int]):
         if mi == len(m.menus):
             leaf(tuple(sel))
             return
@@ -1225,41 +1209,38 @@ def exhaustive_solve(
             if used + ent.nbytes > m.budget_bytes:
                 continue
             sel.append(ei)
-            menu_rec(mi + 1, used + ent.nbytes, sel)
+            menu_rec(lhs, mi + 1, used + ent.nbytes, sel)
             sel.pop()
 
-    def rec(fi: int):
+    def rec(fi: int, lhs: list[float]):
+        """Every completion of factors fi.. below the capacity sums `lhs`,
+        each level summing into its own copy."""
         stats.nodes += 1
         if fi == F:
             if m.menus:
-                menu_rec(0, 0, [])
+                menu_rec(lhs, 0, 0, [])
             else:
                 leaf(None)
             return
         for I, z, k in m.choices[fi]:
             if (I, z) in occupied:
                 continue
-            applied = []
-            ok = True
+            nxt = lhs[:]
             for ci, add in m.coef[fi][(I, k)].items:
-                if lhs[ci] + add > rhs[ci] + tol:
-                    ok = False
+                nxt[ci] += add
+                if nxt[ci] > rhs[ci] + tol:
                     break
-                lhs[ci] += add
-                applied.append((ci, add))
-            if ok:
+            else:
                 occupied.add((I, z))
                 x[fi] = (I, z, k)
-                rec(fi + 1)
+                rec(fi + 1, nxt)
                 del x[fi]
                 occupied.discard((I, z))
-            for ci, add in applied:
-                lhs[ci] -= add
 
     # contributions are never negative, so a non-menu constraint whose rhs
     # is below 0 is violated by every assignment, even one adding nothing
     if not any(c.menu is None and 0.0 > c.rhs + tol for c in m.check_cons):
-        rec(0)
+        rec(0, [0.0] * ncons)
     stats.wall_time_s = time.perf_counter() - t0
     if best_x is None:
         return Solution("infeasible", None, None, None, stats)

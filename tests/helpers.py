@@ -918,3 +918,38 @@ def reference_penalized_bound(sh, pen_at, base, pos, row, threshold):
         if b > best:
             best = b
     return best
+
+
+def reference_derive_menus(sh):
+    """A leaf's menu selection as the solver derived it by a scan: each
+    menu's least entry that holds its buffer sum `sh.con_lhs[ci]` plus the
+    pad, then, menu by menu, the largest entry from there down that
+    leaves room in the budget for the least entries of the menus after
+    it; None when a menu has no such entry."""
+    m = sh.m
+    if not m.menus:
+        return None
+    firsts = []
+    for ci, pad, fits, _sizes, _rhs_of in sh.menu_fit:
+        ei = bisect_left(fits, sh.con_lhs[ci] + pad)
+        if ei == len(fits):
+            return None
+        firsts.append(ei)
+    n = len(m.menus)
+    suffix = [0] * (n + 1)
+    for mi in range(n - 1, -1, -1):
+        suffix[mi] = suffix[mi + 1] + m.menus[mi].entries[firsts[mi]].nbytes
+    sel = []
+    used = 0
+    for mi, menu in enumerate(m.menus):
+        chosen = None
+        for ei in range(len(menu.entries) - 1, firsts[mi] - 1, -1):
+            ent = menu.entries[ei]
+            if used + ent.nbytes + suffix[mi + 1] <= m.budget_bytes:
+                chosen = ei
+                used += ent.nbytes
+                break
+        if chosen is None:
+            return None
+        sel.append(chosen)
+    return tuple(sel)

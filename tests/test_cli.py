@@ -136,6 +136,22 @@ class TestSolveCommand:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_stats_sum_the_halo_rounds(self, tmp_path, capsys):
+        """The stderr statistics of a solve that needs a second halo round
+        are the totals of both rounds: 643 + 984 nodes, 96 + 41 leaves;
+        stdout is the benchmark's recorded output for this layer."""
+        p = tmp_path / "s2.layer"
+        p.write_text("[layer]\nR=3\nS=3\nP=14\nQ=14\nC=32\nK=64\nN=1\nStride=2\n")
+        assert main(["solve", "--layer", str(p)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert lines[0] == "status optimal"
+        assert re.fullmatch(r"nodes 1627 leaves 137 wall \d+\.\d{3}s rounds 2",
+                            lines[1]), lines[1]
+        expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == expected["stride2/3x3-14-c32-k64"]["sha256"]
+
     def test_malformed_layer_exits_parse(self, tmp_path, capsys):
         p = tmp_path / "bad.layer"
         p.write_text("[layer]\nR=three\n")

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import types
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from helpers import (
     highs_objective,
     random_instance,
     reference_canonical_assignment,
+    reference_derive_menus,
     reference_kn_gain,
     reference_penalized_bound,
     reference_penalized_knapsack,
@@ -556,7 +558,7 @@ def test_gain_tables_are_exact(simba):
 
 def test_cached_chain_profile_is_exact(simba, monkeypatch):
     """At every `_children` call that inserts into a chain, the chain
-    profile it reads from the per-depth stack equals a fresh
+    profile it reads, the node's `profile`, equals a fresh
     `_chain_profile()` of the chains as they stand; the cache is both
     built and inherited."""
     real_children = _Search._children
@@ -570,7 +572,7 @@ def test_cached_chain_profile_is_exact(simba, monkeypatch):
         return real_t_delta(sh, profile, I, q, fi)
 
     def children(sh, pos):
-        held = sh.prof_stack[-1]
+        held = sh.profile
         fresh[:] = [sh._chain_profile(), False]
         out = real_children(sh, pos)
         if fresh[1]:
@@ -589,6 +591,102 @@ def test_cached_chain_profile_is_exact(simba, monkeypatch):
         if model is not None and model.weights.mode != "balance":
             solve(model)
     assert 0 < counts["inherited"] < counts["calls"], counts
+
+
+def test_search_state_is_a_function_of_the_path(simba, monkeypatch):
+    """At every `_children` call the node's sums are the left folds, from
+    0.0 in branch order, of the class records on its path, bit for bit:
+    `con_lhs` of their rows, and `static_sum`, `comp_sum` and `dl_sum` of
+    their own terms.  So no dive, sibling or earlier subtree moves a
+    bound.  After a solve the search is back at its root exactly: nothing
+    saved, every buffer sum 0.0."""
+    real_children = _Search._children
+    searches = []
+    calls = {}
+
+    def children(sh, pos):
+        if not searches or searches[-1] is not sh:
+            searches.append(sh)
+        path = [sh.choice_rec[fi] for fi in sh.order[:pos]]
+        lhs = [0.0] * sh.ncons
+        static = comp = dl = 0.0
+        for rec in path:
+            lhs = [a + b for a, b in zip(lhs, rec.row)]
+            static += rec.static
+            comp += rec.comp
+            dl += rec.dl
+        assert repr(sh.con_lhs) == repr(lhs), pos
+        assert repr((sh.static_sum, sh.comp_sum, sh.dl_sum)) == repr((static, comp, dl))
+        assert len(sh.saved) == pos
+        calls[sh.m.weights.mode] = calls.get(sh.m.weights.mode, 0) + 1
+        return real_children(sh, pos)
+
+    def solved(model):
+        before = len(searches)
+        solve(model)
+        if len(searches) > before:
+            sh = searches[-1]
+            assert sh.saved == []
+            assert repr(sh.con_lhs) == repr([0.0] * sh.ncons)
+
+    monkeypatch.setattr(_Search, "_children", children)
+    for name in ("conv28", "wide256"):
+        solved(build_model(factorize(SUITE_LAYERS[name]), simba))
+    solved(build_model(factorize(SUITE_LAYERS["deep512"]), simba,
+                       partition=PartitionSpec(budget_bytes=306367)))
+    for seed in range(300):
+        model = random_instance(seed)
+        if model is not None:
+            solved(model)
+    assert len(searches) > 100
+    assert {"combined", "traffic", "balance"} <= set(calls), calls
+
+
+def test_derive_menus_matches_reference(simba, monkeypatch):
+    """At every leaf that derives its menus, the selection is the
+    reference scan's (`helpers.reference_derive_menus`), on partition
+    models whose budget binds and on three benchmark layers at two
+    budgets; leaves both keep every menu at its least admissible entry
+    and grow one above it.  No search leaf overflows the budget, since
+    `_children` drops such a child, so drawn buffer sums, some past the
+    largest entry, check the two where there is no selection as well."""
+    real = _Search._derive_menus
+    seen = {"least": 0, "grown": 0, "none": 0}
+
+    def checked(sh):
+        sel = real(sh)
+        assert sel == reference_derive_menus(sh)
+        if sel is None:
+            seen["none"] += 1
+        elif any(ei > bisect_left(fits, sh.con_lhs[ci] + pad)
+                 for ei, (ci, pad, fits, _s, _r) in zip(sel, sh.menu_fit)):
+            seen["grown"] += 1
+        else:
+            seen["least"] += 1
+        return sel
+
+    monkeypatch.setattr(_Search, "_derive_menus", checked)
+    for seed in range(700):
+        model = binding_partition_instance(seed)
+        if model is not None:
+            solve(model)
+    for dims in (SUITE_LAYERS["conv28"], SUITE_LAYERS["deep512"], FC_LAYER):
+        for budget in (306367, 80000):
+            solve(build_model(factorize(dims), simba,
+                              partition=PartitionSpec(budget_bytes=budget)))
+    assert seen["least"] and seen["grown"] and not seen["none"], seen
+
+    rng = random.Random(19)
+    for seed in range(700):
+        model = binding_partition_instance(seed)
+        if model is None:
+            continue
+        sh = _Search(model, TOLERANCE, _Incumbent(), math.inf)
+        for _ in range(10):
+            sh.con_lhs = [rng.uniform(0.0, rhs + 1.0) if sh.menu_of[ci] is not None
+                          else 0.0 for ci, rhs in enumerate(sh.con_rhs)]
+            sh._derive_menus()
+    assert seen["none"], seen
 
 
 def fill_model(c: int, buf: float):
@@ -931,9 +1029,9 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
         """The leaf as it was: canonicalize, then evaluate and compare."""
         m, inc = sh.m, sh.inc
         if not sh.balance:
-            est = sh.static_sum + sh.wt * sh.t_stack[-1]
+            est = sh.static_sum + sh.wt * sh.t_cur
         else:
-            est = abs(m.weights.w_t * (sh.dl_sum + sh.t_stack[-1])
+            est = abs(m.weights.w_t * (sh.dl_sum + sh.t_cur)
                       - m.weights.w_c * sh.comp_sum)
         if est > inc.obj + EPS_PRUNE:
             return None, False
