@@ -441,7 +441,7 @@ def cmd_compare(cfg: RunConfig) -> int:
             continue
         solver_metric = metric_value(result.report, cfg.search.metric)
         try:
-            _best, rep, stats = random_search(pf, arch, cfg.search)
+            _best, rep, stats = random_search(pf, arch, cfg.search, halo=cfg.halo)
             random_metric = metric_value(rep, cfg.search.metric)
             ratio = random_metric / solver_metric if solver_metric else math.inf
             ratios.append(ratio)
@@ -543,12 +543,16 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     """Exhaustive baseline: count every valid schedule and print the first
     best one under --metric (`search.enumerate_best`).
 
-    Each valid (level, mapping) assignment is validated once.  Its loop
-    orders are counted by formula, never built: a level's count is the
-    multinomial len(loops)! / prod(mult!).  The metric reads an order
-    only through the temporal loops of the levels at and above the NoC
-    level, so one order per class of orders sharing those is scored, the
-    class's first in enumeration order.  Enumeration order is
+    One depth-first walk over the (level, mapping) assignments carries
+    their tile rows and spatial products, checks after each placed factor
+    only what the placement changed, and cuts a partial assignment once a
+    capacity or fanout check fails; --no-halo sizes input tiles there
+    without the halo window, as `validate` does.  The loop orders of a
+    valid assignment are counted by formula, never built: a level's count
+    is the multinomial len(loops)! / prod(mult!).  The metric reads an
+    order only through the temporal loops of the levels at and above the
+    NoC level, so one order per class of orders sharing those is scored,
+    the class's first in enumeration order.  Enumeration order is
     lexicographic in the per-level order indices, so the first minimum
     of a strict-`<` scan over every order sits at class-first indices,
     and the scan over the representatives finds the same one.  A
@@ -558,7 +562,9 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     dims = layers[0]
     pf = factorize(dims, PaddingPolicy(max_prime=cfg.max_prime))
     metric = cfg.search.metric
-    count, best = enumerate_best(pf, arch, metric, limit=cfg.enumerate_limit)
+    count, best = enumerate_best(
+        pf, arch, metric, limit=cfg.enumerate_limit, halo=cfg.halo
+    )
     print(f"valid_schedules {count}")
     if best is not None:
         value, sched = best

@@ -13,7 +13,11 @@ full products.  One pass over the loops builds it, and a tile of tensor
 v inside level I is then the product of row I's entries over the
 dimensions related to v (`row_tile`), or the halo window built from the
 same row.  Loop order within a level does not enter the table, so every
-loop order of one (level, mapping) assignment shares it.
+loop order of one (level, mapping) assignment shares it.  The
+enumeration walk (`search.valid_assignments`) carries the same table
+instead of building it: placing a factor at a level multiplies that
+dimension's entry in every row above the level, and removing it divides
+the entry back.
 
 The model splits along the same line.  Tiles, compute cycles and the
 NoC terms of `transfer_terms` (transfer sizes, link multipliers, the
@@ -25,10 +29,11 @@ formula.  `noc_iterations` reads only the temporal loops of the levels
 at and above the NoC level, in order: orders that differ only below the
 NoC level, or only in where the spatial loops sit, score alike.  So
 `search.enumerate_best` scores one order of each such class, the first
-in enumeration order, and still finds the first best order of a scan
-over all of them.  All arithmetic is on Python integers, so every value
-is exact up to the final division by the (possibly fractional) NoC
-bandwidth.
+in enumeration order, from the walk's NoC-level row and loops
+(`transfer_terms` takes those, not a schedule), and still finds the
+first best order of a scan over all of them.  All arithmetic is on
+Python integers, so every value is exact up to the final division by
+the (possibly fractional) NoC bandwidth.
 """
 
 from __future__ import annotations
@@ -144,20 +149,20 @@ class TensorTraffic:
 
 
 def transfer_terms(
-    schedule: "Schedule", arch: ArchSpec
+    loops: "tuple[Loop, ...]", row: tuple[int, ...], arch: ArchSpec
 ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Order-free NoC terms: per-tensor transfer size and link multiplier,
-    and the output's partial-sum reduction multiplier.
+    """Order-free NoC terms of the NoC level's `loops` and tile `row`:
+    per-tensor transfer size and link multiplier, and the output's
+    partial-sum reduction multiplier.
 
-    The transfer size is the tensor's tile inside the NoC level.  Spatial
-    NoC-level loops related to the tensor multiply its links; unrelated
-    ones multiply the output's reduction.
+    The transfer size is the tensor's plain tile inside the NoC level.
+    Spatial NoC-level loops related to the tensor multiply its links;
+    unrelated ones multiply the output's reduction.
     """
-    noc = arch.noc_level
     A = arch.A.rows
     link = [1] * NUM_TENSORS
     red = 1
-    for loop in schedule.levels[noc]:
+    for loop in loops:
         if loop.spatial:
             rel = A[loop.dim]
             for v in range(NUM_TENSORS):
@@ -165,9 +170,8 @@ def transfer_terms(
                     link[v] *= loop.bound
             if not rel[OA]:
                 red *= loop.bound
-    row = schedule.tiles[noc]
-    stride = schedule.layer.stride
-    sizes = tuple(row_tile(row, arch, v, stride, False) for v in range(NUM_TENSORS))
+    # the stride only shapes a halo window, and these tiles are plain
+    sizes = tuple(row_tile(row, arch, v, 1, False) for v in range(NUM_TENSORS))
     return sizes, tuple(link), red
 
 
@@ -205,7 +209,8 @@ def traffic_terms(
     includes this term, so it stays off wherever log/product agreement is
     checked.
     """
-    sizes, link, red = transfer_terms(schedule, arch)
+    noc = arch.noc_level
+    sizes, link, red = transfer_terms(schedule.levels[noc], schedule.tiles[noc], arch)
     iters = noc_iterations(schedule.levels, arch)
     out = []
     for v in range(NUM_TENSORS):

@@ -177,7 +177,6 @@ def validate(schedule: Schedule, arch: ArchSpec, halo: bool = True) -> list[Sche
         return out
 
     rows = schedule.tiles
-    stride = schedule.layer.stride
     full = rows[-1]
     for j, bound in enumerate(schedule.layer.as_tuple()):
         prod = full[j]
@@ -189,16 +188,44 @@ def validate(schedule: Schedule, arch: ArchSpec, halo: bool = True) -> list[Sche
                     f"loop product {prod} < bound {bound}",
                 )
             )
+    spatial = [costmodel.spatial_product(schedule, I) for I in range(arch.num_levels)]
+    out += tile_violations(
+        rows, spatial, arch, schedule.layer.stride, halo, levels=schedule.levels
+    )
+    return out
 
-    for I, lvl in enumerate(arch.levels):
-        sp = costmodel.spatial_product(schedule, I)
-        if sp > lvl.spatial_fanout:
+
+def tile_violations(
+    rows, spatial, arch: ArchSpec, stride: int, halo: bool, lo: int = 0, levels=None
+) -> list[ScheduleViolation]:
+    """The checks of `validate` that read only tile rows and spatial
+    products, at levels `lo` and outward: each level's spatial fanout,
+    then each finite per-tensor capacity, then each shared capacity.
+
+    `rows[I]` is level I's row of the prefix-product table
+    (`costmodel.tile_table`) and `spatial[I]` its spatial product.  Both
+    only grow as loops are added, and so do the plain tiles and the halo
+    windows (P_t - 1) * stride + R_t, so a partial assignment that fails
+    a check fails it at every completion.  Given the loops per level,
+    `levels`, a spatial loop on a dimension its level may not map
+    spatially is flagged after that level's fanout, which keeps
+    `validate`'s violations in level order.
+    """
+    out: list[ScheduleViolation] = []
+    H = arch.num_levels
+    for I in range(lo, H):
+        lvl = arch.levels[I]
+        if spatial[I] > lvl.spatial_fanout:
             out.append(
                 ScheduleViolation(
-                    "spatial-overflow", lvl.name, f"spatial product {sp} > fanout {lvl.spatial_fanout}"
+                    "spatial-overflow",
+                    lvl.name,
+                    f"spatial product {spatial[I]} > fanout {lvl.spatial_fanout}",
                 )
             )
-        for loop in schedule.levels[I]:
+        if levels is None:
+            continue
+        for loop in levels[I]:
             if loop.spatial and not lvl.spatial_allowed(loop.dim):
                 out.append(
                     ScheduleViolation(
@@ -209,6 +236,8 @@ def validate(schedule: Schedule, arch: ArchSpec, halo: bool = True) -> list[Sche
                 )
 
     for I, v, cap in arch.finite_capacities:
+        if I < lo:
+            continue
         tile = costmodel.row_tile(rows[I], arch, v, stride, halo)
         if tile > cap:
             out.append(
@@ -220,7 +249,7 @@ def validate(schedule: Schedule, arch: ArchSpec, halo: bool = True) -> list[Sche
             )
 
     for I, shared in enumerate(arch.shared_capacity_bytes):
-        if shared is None:
+        if I < lo or shared is None:
             continue
         used = sum(
             costmodel.row_tile(rows[I], arch, v, stride, halo) * arch.precision_bytes[v]

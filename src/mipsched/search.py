@@ -6,12 +6,30 @@ them with the analytical model, return the best.  Draw i uses its own
 PRNG derived from (seed, i), so results are reproducible and independent
 of any sharding of the draw range.
 
-Enumeration walks the valid (level, mapping) assignments
-(`valid_assignments`, one `validate` each, on the assignment's first
-loop order).  `enumerate_all` yields every distinct loop order of each
-as a schedule.  `enumerate_best`, the exhaustive baseline behind the
-`enumerate` command, gets the same count and the same first best
-without building those orders:
+Enumeration is one depth-first walk over the (level, mapping)
+assignments, `valid_assignments`.  It places the prime factors in
+order, each at every level and binding in turn, and carries the loops
+per level, the tile rows (the prefix products of `costmodel.tile_table`:
+placing a factor multiplies the rows of the levels above its own,
+removing it divides them back, exactly), each level's spatial product
+and the temporal product.  After each placement it runs
+`schedule.tile_violations`, the capacity, shared-capacity and fanout
+checks of `validate`, on the levels the placement changed.  Tiles, halo
+windows (P_t - 1) * stride + R_t and spatial products only grow as
+factors are placed, so a failed check fails at every completion: the
+walk cuts the subtree there, and yields the same assignments in the same
+order as validating each whole assignment would.  `validate`'s two
+other checks need no counterpart: the walk places every factor of the
+factorization exactly once, so each dimension's product is its padded
+bound, and it offers a spatial binding only where the level's
+`spatial_allowed` holds.  No check reads loop order, so the verdict
+holds for every order of an assignment.
+
+`enumerate_all` yields every distinct loop order of each valid
+assignment as a schedule.  `enumerate_best`, the exhaustive baseline
+behind the `enumerate` command, gets the same count and the same first
+best without building those orders, scoring from the walk's NoC-level
+tile row and temporal product:
 
 * Count: a level's loops have `order_count` distinct orders, the
   multinomial len! / prod(mult!), and an assignment has the product of
@@ -24,8 +42,8 @@ without building those orders:
   product of each upper level's class representatives, the first order
   of each class (`_class_orders`), with every lower level at its own
   order (under `compute` no order moves the value, so every level keeps
-  its own).  `order_scorer` takes the order-free terms from
-  `costmodel.compute_cycles` and `costmodel.transfer_terms` once per
+  its own).  `order_scorer` takes the order-free terms, the walk's
+  temporal product and `costmodel.transfer_terms`, once per
   assignment.
 * First minimum: `enumerate_all`'s order is lexicographic in the
   per-level order indices (`itertools.product`, innermost level
@@ -50,9 +68,9 @@ from typing import Callable, Iterator
 from . import costmodel
 from .arch import ArchSpec
 from .formulation import SPATIAL, TEMPORAL
-from .schedule import CostReport, Loop, Schedule, evaluate, validate
+from .schedule import CostReport, Loop, Schedule, evaluate, tile_violations, validate
 from .solver import SpaceTooLarge
-from .workload import PrimeFactorization, total_factor_count
+from .workload import NUM_DIMS, PrimeFactorization, total_factor_count
 
 METRICS = ("latency", "traffic", "compute")
 
@@ -130,13 +148,14 @@ def _draw_schedule(pf: PrimeFactorization, arch: ArchSpec, rng: random.Random) -
 
 
 def random_search(
-    pf: PrimeFactorization, arch: ArchSpec, cfg: SearchConfig
+    pf: PrimeFactorization, arch: ArchSpec, cfg: SearchConfig, halo: bool = True
 ) -> tuple[Schedule, CostReport, SearchStats]:
     """Best of up to cfg.valid_target valid schedules from uniform draws.
 
     Draws raw configurations (level, rank, binding per factor); slot
     collisions are resolved by deterministic order, every other
-    infeasibility is rejected by the exact validator.  Raises
+    infeasibility is rejected by the exact validator (input tiles sized
+    with their halo window unless `halo` is off).  Raises
     NoValidScheduleError when cfg.samples draws produce nothing valid.
     """
     stats = SearchStats()
@@ -144,7 +163,7 @@ def random_search(
     for i in range(cfg.samples):
         stats.draws = i + 1
         sched = _draw_schedule(pf, arch, _draw_rng(cfg.seed, i))
-        if validate(sched, arch):
+        if validate(sched, arch, halo=halo):
             continue
         stats.valid += 1
         report = evaluate(sched, arch)
@@ -196,22 +215,19 @@ def _class_orders(loops: tuple[Loop, ...]) -> tuple[tuple[Loop, ...], ...]:
 
 
 def valid_assignments(
-    pf: PrimeFactorization, arch: ArchSpec, limit: int = 1_000_000
-) -> Iterator[Schedule]:
+    pf: PrimeFactorization, arch: ArchSpec, limit: int = 1_000_000, halo: bool = True
+) -> Iterator[tuple[Levels, list[list[int]], int]]:
     """Yield every valid (level, mapping) assignment once, in deterministic
-    order, as its first-order schedule.
+    order: its loops per level in factor order (its first loop order),
+    its tile rows and its compute cycles, from one depth-first walk that
+    cuts a partial assignment at its first failed check (see the module
+    docstring).
 
     Distinct schedules differ in some loop's level, binding, or in the
     loop order within a level; permutations of identical factors are not
-    duplicated.  Guarded by the raw assignment-space size.
-
-    Validity is decided once per assignment, on its first loop order:
-    every check of `validate` (dimension products, the spatial fanout,
-    the spatial dimensions allowed per level, per-tensor and shared
-    capacities) reads only which loops sit at which level and how they
-    are bound, never their order within a level.  So either all orders of
-    an assignment are valid or none is, and the orders of an invalid
-    assignment are never built.
+    duplicated.  Guarded by the raw assignment-space size.  The rows,
+    `rows[I]` the tile row of level I (`costmodel.tile_table`), are the
+    walk's own state: read them before drawing the next assignment.
     """
     flat = pf.flat()
     F = len(flat)
@@ -226,65 +242,85 @@ def valid_assignments(
     if space > limit:
         raise SpaceTooLarge(f"assignment space {space} exceeds limit {limit}")
 
-    level_names = tuple(lvl.name for lvl in arch.levels)
-
-    def maps(fi: int, current: list[tuple[int, int]]) -> Iterator[list[tuple[int, int]]]:
-        if fi == F:
-            yield list(current)
-            return
-        j = flat[fi][0]
-        prev_cap = None
-        if fi > 0 and flat[fi - 1][0] == j and flat[fi - 1][2] == flat[fi][2]:
-            prev_cap = current[fi - 1]
-        for I in range(H):
-            options = [(I, TEMPORAL)]
-            if arch.levels[I].spatial_allowed(j):
-                options.append((I, SPATIAL))
-            for opt in options:
-                if prev_cap is not None and opt < prev_cap:
-                    continue  # identical factors: canonical non-decreasing
-                current.append(opt)
-                yield from maps(fi + 1, current)
-                current.pop()
-
-    # one Loop per (factor, binding), shared by every assignment
-    loop_of = [
-        {k: Loop(j, prime, k == SPATIAL) for k in (TEMPORAL, SPATIAL)}
-        for j, n, prime, _lg in flat
+    stride = pf.dims.stride
+    per_level: list[list[Loop]] = [[] for _ in range(H)]
+    rows = [[1] * NUM_DIMS for _ in range(H)]
+    spatial = [1] * H
+    # per factor, its placements in walk order: (level, binding) and the
+    # loop it adds, one Loop object per distinct loop
+    loops = {}
+    options = []
+    for j, n, prime, _lg in flat:
+        options.append([
+            ((I, k), loops.setdefault((j, prime, k), Loop(j, prime, k == SPATIAL)))
+            for I in range(H)
+            for k in (TEMPORAL, SPATIAL)
+            if k == TEMPORAL or arch.levels[I].spatial_allowed(j)
+        ])
+    # identical factors (same dimension and prime) take non-decreasing
+    # (level, binding): one assignment per multiset.  (0, 0) is below
+    # every placement.
+    same_next = [
+        fi + 1 < F and flat[fi][0::2] == flat[fi + 1][0::2] for fi in range(F)
     ]
-    for assignment in maps(0, []):
-        per_level: list[list[Loop]] = [[] for _ in range(H)]
-        for fi, (I, k) in enumerate(assignment):
-            per_level[I].append(loop_of[fi][k])
-        first = Schedule(
-            levels=tuple(tuple(loops) for loops in per_level),
-            level_names=level_names,
-            layer=pf.dims,
-            arch_name=arch.name,
-        )
-        if not validate(first, arch):
-            yield first
+
+    def walk(fi: int, low: tuple[int, int], cycles: int):
+        if fi == F:
+            yield tuple(map(tuple, per_level)), rows, cycles
+            return
+        j, _n, prime, _lg = flat[fi]
+        for opt, loop in options[fi]:
+            if opt < low:
+                continue
+            I, k = opt
+            nxt = opt if same_next[fi] else (0, 0)
+            per_level[I].append(loop)
+            above = rows[I + 1 :]
+            for row in above:
+                row[j] *= prime
+            # a temporal loop changes only the rows above its level; a
+            # spatial one also its level's spatial product
+            if k == SPATIAL:
+                spatial[I] *= prime
+                if not tile_violations(rows, spatial, arch, stride, halo, lo=I):
+                    yield from walk(fi + 1, nxt, cycles)
+                spatial[I] //= prime
+            elif not tile_violations(rows, spatial, arch, stride, halo, lo=I + 1):
+                yield from walk(fi + 1, nxt, cycles * prime)
+            for row in above:
+                row[j] //= prime
+            per_level[I].pop()
+
+    if not tile_violations(rows, spatial, arch, stride, halo):
+        yield from walk(0, (0, 0), 1)
 
 
 def enumerate_all(
-    pf: PrimeFactorization, arch: ArchSpec, limit: int = 1_000_000
+    pf: PrimeFactorization, arch: ArchSpec, limit: int = 1_000_000, halo: bool = True
 ) -> Iterator[Schedule]:
     """Yield every valid schedule exactly once, in deterministic order:
     for each of `valid_assignments`, the product of its levels' distinct
     orders, lexicographic with the innermost level slowest."""
     # distinct orders of one level's loops, listed once per loop sequence
     orders = functools.cache(lambda loops: tuple(_distinct_orders(loops)))
-    for first in valid_assignments(pf, arch, limit):
-        product = itertools.product(*map(orders, first.levels))
+    level_names = tuple(lvl.name for lvl in arch.levels)
+    for levels, _rows, _cycles in valid_assignments(pf, arch, limit, halo):
+        first = Schedule(
+            levels=levels, level_names=level_names, layer=pf.dims, arch_name=arch.name
+        )
+        product = itertools.product(*map(orders, levels))
         next(product)  # the first order is `first` itself
         yield first
         for levels in product:
             yield replace(first, levels=levels)
 
 
-def order_scorer(first: Schedule, arch: ArchSpec, metric: str) -> Callable[[Levels], int]:
-    """`metric_value` of any loop order of `first`'s assignment, as a
-    function of that order's levels.
+def order_scorer(
+    levels: Levels, rows, cycles: int, arch: ArchSpec, metric: str
+) -> Callable[[Levels], int]:
+    """`metric_value` of any loop order of the assignment with loops
+    `levels`, tile rows `rows` (`rows[I]` level I's) and compute cycles
+    `cycles`, as a function of that order's levels.
 
     Only the NoC iteration counts depend on loop order (see `costmodel`),
     so each order costs one `costmodel.noc_iterations` call on top of the
@@ -292,10 +328,10 @@ def order_scorer(first: Schedule, arch: ArchSpec, metric: str) -> Callable[[Leve
     iteration (`costmodel.transfer_terms`); compute cycles do not depend
     on it at all.
     """
-    cycles = costmodel.compute_cycles(first)
     if metric == "compute":
         return lambda levels: cycles
-    sizes, link, _red = costmodel.transfer_terms(first, arch)
+    noc = arch.noc_level
+    sizes, link, _red = costmodel.transfer_terms(levels[noc], rows[noc], arch)
     # elements per NoC iteration: everything in a total but its count
     per_iter = list(map(operator.mul, sizes, link))
 
@@ -311,13 +347,18 @@ def order_scorer(first: Schedule, arch: ArchSpec, metric: str) -> Callable[[Leve
 
 
 def enumerate_best(
-    pf: PrimeFactorization, arch: ArchSpec, metric: str, limit: int = 1_000_000
+    pf: PrimeFactorization,
+    arch: ArchSpec,
+    metric: str,
+    limit: int = 1_000_000,
+    halo: bool = True,
 ) -> tuple[int, tuple[int, Schedule] | None]:
     """The number of schedules `enumerate_all` yields, and the first of
     them with the least `metric_value` with that value (None when there
     is none).  Per valid assignment the orders are counted by formula and
-    only one order per class is scored (see the module docstring); no
-    order but the winner's becomes a `Schedule`.
+    only one order per class is scored (see the module docstring), from
+    the walk's own tile row and compute cycles; only the winner becomes a
+    `Schedule`.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -328,9 +369,8 @@ def enumerate_best(
     count_of = functools.cache(order_count)
     reps_of = functools.cache(_class_orders)
     count = 0
-    best = None  # (value, first-order schedule, levels)
-    for first in valid_assignments(pf, arch, limit):
-        levels = first.levels
+    best = None  # (value, levels)
+    for levels, rows, cycles in valid_assignments(pf, arch, limit, halo):
         n = 1
         for loops in levels:
             if len(loops) > 1:
@@ -338,14 +378,19 @@ def enumerate_best(
         count += n
         upper = [reps_of(loops) if len(loops) > 1 else (loops,)
                  for loops in levels[scored_from:]]
-        score = order_scorer(first, arch, metric)
+        score = order_scorer(levels, rows, cycles, arch, metric)
         lower = levels[:scored_from]
         for combo in itertools.product(*upper):
             cand = lower + combo
             value = score(cand)
             if best is None or value < best[0]:
-                best = (value, first, cand)
+                best = (value, cand)
     if best is None:
         return count, None
-    value, first, levels = best
-    return count, (value, replace(first, levels=levels))
+    value, levels = best
+    return count, (value, Schedule(
+        levels=levels,
+        level_names=tuple(lvl.name for lvl in arch.levels),
+        layer=pf.dims,
+        arch_name=arch.name,
+    ))

@@ -777,13 +777,10 @@ class _Search:
                 d += lg + (cum[upto] - cum[p])
         return d
 
-    def _menu_floors(self, pos: int) -> tuple[list[int], int]:
-        """The node's menu floors, each menu's least admissible entry at
-        the current buffer sums, and their byte total; a menu no entry
-        holds counts budget + 1 bytes.  Within the budget it also sets
-        `rhs_at[pos]`: menu i's rhs is that of the largest entry whose
-        bytes fit beside every other menu's floor.  Over the budget every
-        child fails the menu check, so no bound reads that depth."""
+    def _floors(self) -> tuple[list[int], int]:
+        """The menu floors, each menu's least admissible entry at the
+        current buffer sums, and their byte total; a menu no entry holds
+        counts budget + 1 bytes."""
         con_lhs = self.con_lhs
         floors = []
         total = 0
@@ -791,6 +788,15 @@ class _Search:
             ei = bisect_left(fits, con_lhs[ci] + pad)
             floors.append(ei)
             total += sizes[ei]
+        return floors, total
+
+    def _menu_floors(self, pos: int) -> tuple[list[int], int]:
+        """The node's menu floors and their byte total (`_floors`).
+        Within the budget it also sets `rhs_at[pos]`: menu i's rhs is that
+        of the largest entry whose bytes fit beside every other menu's
+        floor.  Over the budget every child fails the menu check, so no
+        bound reads that depth."""
+        floors, total = self._floors()
         room = self.m.budget_bytes - total
         if room >= 0:
             rhs = self.con_rhs[:]
@@ -1054,7 +1060,7 @@ class _Search:
         and the sentinel never fits."""
         if not self.m.menus:
             return None
-        floors, total = self._menu_floors(self.m.F)
+        floors, total = self._floors()
         room = self.m.budget_bytes - total
         if room < 0:
             return None

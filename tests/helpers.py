@@ -127,6 +127,37 @@ def toy_two_level(fanout: int = 4, cap: float = 64.0) -> ArchSpec:
     )
 
 
+def toy_three_level(shared: float | None = None) -> ArchSpec:
+    """Register, NoC-boundary buffer and backing store, with small buffers
+    and a fanout of 2, so that most random draws are invalid."""
+    return ArchSpec(
+        levels=(
+            MemLevel("Reg", (4.0, 4.0, 4.0), spatial_fanout=2),
+            MemLevel("Buf", (16.0, 16.0, 16.0), spatial_fanout=2, is_noc_boundary=True),
+            MemLevel("Mem", (math.inf,) * 3),
+        ),
+        B=MemTensorMatrix(rows=((1, 1, 1), (1, 1, 1), (1, 1, 1))),
+        precision_bytes=(1, 1, 1),
+        shared_capacity_bytes=(None, shared, None),
+        name="toy3",
+    )
+
+
+def tight_ia_arch() -> ArchSpec:
+    """Register, NoC-boundary GlobalBuf and DRAM, fanout 4 at both on-chip
+    levels, with room for only two input elements in GlobalBuf: on a
+    stride-2 layer the halo window decides many assignments."""
+    return ArchSpec(
+        levels=(
+            MemLevel("Register", (64.0, 64.0, 64.0), spatial_fanout=4),
+            MemLevel("GlobalBuf", (64.0, 2.0, 64.0), spatial_fanout=4, is_noc_boundary=True),
+            MemLevel("DRAM", (math.inf,) * 3),
+        ),
+        B=MemTensorMatrix(rows=((1, 1, 1), (1, 1, 1), (1, 1, 1))),
+        name="tightia",
+    )
+
+
 def reference_conv28_schedule(arch=None) -> Schedule:
     """Hand-built 28x28 schedule (the inconsistent inner channel tile is
     dropped; the shared-buffer-level spatial loops sit at the NoC fanout
@@ -656,21 +687,12 @@ def _reference_distinct_orders(items):
             yield (head,) + tail
 
 
-def reference_enumerate_all(pf, arch, limit=1_000_000):
-    """Every valid schedule, validating each loop order separately."""
+def reference_assignments(pf, arch):
+    """Every raw (level, mapping) assignment, as one (level, binding) per
+    factor, identical factors in non-decreasing order, depth first."""
     flat = pf.flat()
     F = len(flat)
     H = arch.num_levels
-    Z = max(1, F)
-    space = 1
-    for j, n, prime, _lg in flat:
-        per = 0
-        for I in range(H):
-            per += Z * (2 if arch.levels[I].spatial_allowed(j) else 1)
-        space *= max(per, 1)
-    if space > limit:
-        raise SpaceTooLarge(f"assignment space {space} exceeds limit {limit}")
-    level_names = tuple(lvl.name for lvl in arch.levels)
 
     def maps(fi, current):
         if fi == F:
@@ -691,7 +713,39 @@ def reference_enumerate_all(pf, arch, limit=1_000_000):
                 yield from maps(fi + 1, current)
                 current.pop()
 
-    for assignment in maps(0, []):
+    return maps(0, [])
+
+
+def reference_first_order(pf, arch, assignment):
+    """The schedule of a raw assignment with each level's loops in factor
+    order."""
+    per_level = [[] for _ in range(arch.num_levels)]
+    for (I, k), (j, _n, prime, _lg) in zip(assignment, pf.flat()):
+        per_level[I].append(Loop(j, prime, k == SPATIAL))
+    return Schedule(
+        levels=tuple(map(tuple, per_level)),
+        level_names=tuple(lvl.name for lvl in arch.levels),
+        layer=pf.dims,
+        arch_name=arch.name,
+    )
+
+
+def reference_enumerate_all(pf, arch, limit=1_000_000, halo=True):
+    """Every valid schedule, validating each loop order separately."""
+    flat = pf.flat()
+    H = arch.num_levels
+    Z = max(1, len(flat))
+    space = 1
+    for j, n, prime, _lg in flat:
+        per = 0
+        for I in range(H):
+            per += Z * (2 if arch.levels[I].spatial_allowed(j) else 1)
+        space *= max(per, 1)
+    if space > limit:
+        raise SpaceTooLarge(f"assignment space {space} exceeds limit {limit}")
+    level_names = tuple(lvl.name for lvl in arch.levels)
+
+    for assignment in reference_assignments(pf, arch):
         per_level = [[] for _ in range(H)]
         for fi, (I, k) in enumerate(assignment):
             j, n, prime, _lg = flat[fi]
@@ -710,7 +764,7 @@ def reference_enumerate_all(pf, arch, limit=1_000_000):
             sched = Schedule(
                 levels=levels, level_names=level_names, layer=pf.dims, arch_name=arch.name
             )
-            if not reference_validate(sched, arch):
+            if not reference_validate(sched, arch, halo=halo):
                 yield sched
 
 

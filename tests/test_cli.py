@@ -20,7 +20,10 @@ from mipsched.cli import (
     main,
     parse_sections,
 )
+from helpers import reference_enumerate_all, tight_ia_arch
 from mipsched.schedule import parse as parse_schedule
+from mipsched.search import SearchConfig, random_search
+from mipsched.workload import factorize
 
 TINY_LAYER = """\
 [layer]
@@ -81,6 +84,41 @@ def toy_arch(tmp_path):
     p = tmp_path / "toy.arch"
     p.write_text(TOY_ARCH)
     return str(p)
+
+
+# a GlobalBuf with room for two input elements: the halo window of a
+# stride-2 layer decides validity
+TIGHT_IA_ARCH = """\
+[arch]
+name=tightia
+precision=1,1,3
+bandwidth=8
+[level]
+name=Register
+capacity=64,64,64
+fanout=4
+[level]
+name=GlobalBuf
+capacity=64,2,64
+fanout=4
+noc=true
+[level]
+name=DRAM
+capacity=inf,inf,inf
+fanout=1
+"""
+TIGHT_IA_LAYER = "[layer]\nR=3\nS=1\nP=4\nQ=1\nC=2\nK=2\nN=1\nStride=2\n"
+
+
+@pytest.fixture
+def tight_ia(tmp_path):
+    """Paths of the tight-input arch and its R3 P4 C2 K2 stride-2 layer."""
+    arch = tmp_path / "tightia.arch"
+    arch.write_text(TIGHT_IA_ARCH)
+    layer = tmp_path / "r3p4.layer"
+    layer.write_text(TIGHT_IA_LAYER)
+    assert load_arch(str(arch)) == tight_ia_arch()
+    return str(arch), str(layer)
 
 
 class TestParsing:
@@ -288,6 +326,23 @@ class TestCompareCommand:
         row = [l for l in out.splitlines() if l.startswith("tiny")][0]
         ratio = float(row.split()[3])
         assert ratio >= 0.0
+
+
+    def test_compare_no_halo_random_baseline(self, tight_ia, capsys):
+        """compare --no-halo validates the random baseline's draws without
+        the halo too: its columns are those of a halo-free random search,
+        which differ from the halo search's here."""
+        arch, layer = tight_ia
+        code = main(["compare", "--no-halo", "--seed", "0", "--arch", arch, "--layer", layer])
+        assert code == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[1].split()
+        pf = factorize(load_layer(layer))
+        cfg = SearchConfig(seed=0)
+        columns = {}
+        for halo in (False, True):
+            _s, report, stats = random_search(pf, load_arch(arch), cfg, halo=halo)
+            columns[halo] = [str(report.latency_cycles), str(stats.draws), str(stats.valid)]
+        assert [row[2], *row[4:]] == columns[False] != columns[True]
 
 
 class TestPartitionCommand:
@@ -521,6 +576,30 @@ class TestEnumerateCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: --limit must be >= 1\n"
+
+    def test_enumerate_halo_default_unchanged(self, tight_ia, capsys):
+        """Where the input halo decides validity, the default output is
+        byte for byte as recorded (3,212 valid schedules)."""
+        arch, layer = tight_ia
+        code = main(["enumerate", "--limit", str(10**8), "--arch", arch, "--layer", layer])
+        assert code == EXIT_OK
+        golden = (GOLDEN / "enumerate_tightia.txt").read_text()
+        assert capsys.readouterr().out == golden
+
+    def test_enumerate_no_halo_counts_plain_tiles(self, tight_ia, capsys):
+        """--no-halo counts the schedules that validate with plain input
+        tiles, every loop order checked by the reference validator."""
+        arch, layer = tight_ia
+        code = main(
+            ["enumerate", "--no-halo", "--limit", str(10**8), "--arch", arch, "--layer", layer]
+        )
+        assert code == EXIT_OK
+        pf = factorize(load_layer(layer))
+        plain = sum(
+            1 for _ in reference_enumerate_all(pf, load_arch(arch), limit=10**8, halo=False)
+        )
+        assert plain != 3212
+        assert capsys.readouterr().out.splitlines()[0] == f"valid_schedules {plain}"
 
     def test_enumerate_small(self, tmp_path, toy_arch, capsys):
         p = tmp_path / "small.layer"

@@ -10,6 +10,7 @@ from helpers import (
     reference_evaluate,
     reference_tile_elements,
     reference_validate,
+    toy_three_level,
     toy_two_level,
 )
 from mipsched.arch import IA, NUM_TENSORS, OA, W, ArchSpec, MemLevel, MemTensorMatrix
@@ -141,22 +142,6 @@ def test_log_product_duality(simba, seed):
     assert math.isclose(terms["util"], util, rel_tol=1e-9, abs_tol=1e-9)
 
 
-def _toy_three_level(shared: float | None = None) -> ArchSpec:
-    """Register, NoC-boundary buffer and backing store, with small buffers
-    and a fanout of 2, so that most random draws are invalid."""
-    return ArchSpec(
-        levels=(
-            MemLevel("Reg", (4.0, 4.0, 4.0), spatial_fanout=2),
-            MemLevel("Buf", (16.0, 16.0, 16.0), spatial_fanout=2, is_noc_boundary=True),
-            MemLevel("Mem", (math.inf,) * 3),
-        ),
-        B=MemTensorMatrix(rows=((1, 1, 1), (1, 1, 1), (1, 1, 1))),
-        precision_bytes=(1, 1, 1),
-        shared_capacity_bytes=(None, shared, None),
-        name="toy3",
-    )
-
-
 def _check_against_reference(arch, layer, draws):
     """Compare every tile, dimension product, verdict and cost report of
     `draws` random schedules, and of each with its outermost level emptied
@@ -210,7 +195,7 @@ def test_one_pass_matches_reference(simba):
         (simba, LayerDims(3, 3, 28, 28, 8, 4, 3, stride=2), 500),
         (simba, LayerDims(3, 3, 14, 14, 256, 256, 1, stride=2), 500),
         (toy_two_level(fanout=2, cap=16.0), LayerDims(3, 3, 4, 4, 2, 2, 1, stride=2), 500),
-        (_toy_three_level(), LayerDims(3, 3, 4, 4, 2, 2, 1, stride=2), 1500),
+        (toy_three_level(), LayerDims(3, 3, 4, 4, 2, 2, 1, stride=2), 1500),
     ]
     valid = halo_wider = 0
     kinds = set()
@@ -228,7 +213,7 @@ def test_one_pass_matches_reference(simba):
 def test_shared_capacity_matches_reference():
     """A level's joint byte budget is summed from the same table."""
     valid, _halo_wider, kinds = _check_against_reference(
-        _toy_three_level(shared=48.0), LayerDims(3, 3, 4, 4, 2, 2, 1, stride=2), 600
+        toy_three_level(shared=48.0), LayerDims(3, 3, 4, 4, 2, 2, 1, stride=2), 600
     )
     assert valid > 0
     assert "shared-capacity" in kinds

@@ -3,10 +3,19 @@ import math
 
 import pytest
 
-from helpers import reference_enumerate_all, reference_evaluate, toy_two_level
+from helpers import (
+    reference_assignments,
+    reference_enumerate_all,
+    reference_evaluate,
+    reference_first_order,
+    tight_ia_arch,
+    toy_three_level,
+    toy_two_level,
+)
 from mipsched import search
+from mipsched.costmodel import compute_cycles
 from mipsched.formulation import ObjectiveWeights, build_model
-from mipsched.schedule import Loop, encode, validate
+from mipsched.schedule import Loop, encode, tile_violations, validate
 from mipsched.search import (
     METRICS,
     NoValidScheduleError,
@@ -144,28 +153,58 @@ ENUMERATE_CASES = pytest.mark.parametrize(
 )
 
 
-@ENUMERATE_CASES
-def test_enumerate_matches_reference(simba, monkeypatch, arch_name, dims, stride):
-    """Validating once per assignment yields the same schedules, in the
-    same order, as validating every loop order; invalid assignments are
-    skipped whole."""
-    arch = simba if arch_name == "simba" else toy_two_level(fanout=4, cap=16.0)
-    pf = factorize(LayerDims(*dims, stride=stride))
-    expected = list(reference_enumerate_all(pf, arch, limit=10**7))
+def _walk_verdicts(monkeypatch):
+    """The verdicts of the enumeration walk's `tile_violations` calls, in
+    call order, with every `validate` call from `search` an error."""
     verdicts = []
 
-    def counting_validate(sched, arch, halo=True):
-        got = validate(sched, arch, halo=halo)
+    def counting(*args, **kwargs):
+        got = tile_violations(*args, **kwargs)
         verdicts.append(not got)
         return got
 
-    monkeypatch.setattr(search, "validate", counting_validate)
+    def no_validate(*args, **kwargs):
+        raise AssertionError("the enumeration walk called validate")
+
+    monkeypatch.setattr(search, "tile_violations", counting)
+    monkeypatch.setattr(search, "validate", no_validate)
+    return verdicts
+
+
+def _reference_walk(pf, arch, halo):
+    """What the walk should decide, by `validate` on each partial
+    assignment in depth-first order (a partial one cannot cover every
+    dimension, so underflow is ignored there): the verdicts of the nodes
+    whose ancestors all pass, and the number of nodes of the uncut tree."""
+    F = len(pf.flat())
+    prefixes = {}  # insertion order is depth-first preorder
+    for a in reference_assignments(pf, arch):
+        for d in range(F + 1):
+            prefixes.setdefault(tuple(a[:d]), None)
+    ok = {}
+    for p in prefixes:
+        if p and not ok.get(p[:-1]):
+            continue  # below a failed node, or not reached
+        got = validate(reference_first_order(pf, arch, p), arch, halo=halo)
+        ok[p] = not [v for v in got if v.kind != "dimension-underflow"]
+    return list(ok.values()), len(prefixes)
+
+
+@ENUMERATE_CASES
+def test_enumerate_matches_reference(simba, monkeypatch, arch_name, dims, stride):
+    """The walk yields the same schedules, in the same order, as
+    validating every loop order: one verdict per node of the assignment
+    tree, never one per loop order and never a `validate` call; invalid
+    assignments are skipped whole."""
+    arch = simba if arch_name == "simba" else toy_two_level(fanout=4, cap=16.0)
+    pf = factorize(LayerDims(*dims, stride=stride))
+    expected = list(reference_enumerate_all(pf, arch, limit=10**7))
+    visited, _nodes = _reference_walk(pf, arch, halo=True)
+    verdicts = _walk_verdicts(monkeypatch)
     got = list(enumerate_all(pf, arch, limit=10**7))
     assert got == expected
-    # one call per assignment, some of them invalid (the skip path ran)
-    assert verdicts.count(True) == len({_assignment(s) for s in got})
-    assert verdicts.count(False) > 0
-    assert len(verdicts) < len(got)
+    assert verdicts == visited
+    assert verdicts.count(False) > 0  # the skip path ran
 
 
 @ENUMERATE_CASES
@@ -175,16 +214,17 @@ def test_enumerate_scores_match_reference(simba, arch_name, dims, stride):
     order, for every order and every metric."""
     arch = simba if arch_name == "simba" else toy_two_level(fanout=4, cap=16.0)
     pf = factorize(LayerDims(*dims, stride=stride))
-    firsts = iter(valid_assignments(pf, arch, limit=10**7))
+    firsts = valid_assignments(pf, arch, limit=10**7)
     first = None
     orders = 0
     moved = False  # some order's traffic differs from its first order's
     for sched in enumerate_all(pf, arch, limit=10**7):
         if first is None or _assignment(sched) != _assignment(first):
             # a new assignment: enumerate_all opens it with its first order
-            first = next(firsts)
-            assert sched == first
-            scorers = {m: order_scorer(first, arch, m) for m in METRICS}
+            levels, rows, cycles = next(firsts)
+            first = sched
+            assert sched.levels == levels
+            scorers = {m: order_scorer(levels, rows, cycles, arch, m) for m in METRICS}
             first_traffic = metric_value(reference_evaluate(first, arch), "traffic")
         orders += 1
         ref = reference_evaluate(sched, arch)
@@ -218,49 +258,93 @@ BEST_CASES = pytest.mark.parametrize(
 )
 
 
-@BEST_CASES
-def test_enumerate_best_matches_brute_force(simba, monkeypatch, arch_name, dims, stride):
-    """For every metric, `enumerate_best` counts what `enumerate_all`
-    yields and finds what a strict-`<` scan of a full reference
-    evaluation of every loop order finds, value and levels, validating
-    each assignment once."""
-    arch = {
-        "simba": simba,
-        "toy2": toy_two_level(fanout=4, cap=16.0),
-        "toy2-f1": toy_two_level(fanout=1, cap=16.0),
-    }[arch_name]
-    pf = factorize(LayerDims(*dims, stride=stride))
+def _brute_best(pf, arch, halo=True):
+    """The number of valid schedules and, per metric, the (value, levels)
+    a strict-`<` scan of a full reference evaluation of each finds."""
     count = 0
-    brute = {m: None for m in METRICS}  # metric -> (value, levels)
-    for sched in reference_enumerate_all(pf, arch, limit=10**7):
+    brute = {m: None for m in METRICS}
+    for sched in reference_enumerate_all(pf, arch, limit=10**7, halo=halo):
         count += 1
         report = reference_evaluate(sched, arch)
         for metric, best in brute.items():
             value = metric_value(report, metric)
             if best is None or value < best[0]:
                 brute[metric] = (value, sched.levels)
-    firsts = {first.levels for first in valid_assignments(pf, arch, limit=10**7)}
+    return count, brute
 
-    calls = []
 
-    def counting_validate(sched, arch, halo=True):
-        got = validate(sched, arch, halo=halo)
-        calls.append(not got)
-        return got
+@BEST_CASES
+def test_enumerate_best_matches_brute_force(simba, monkeypatch, arch_name, dims, stride):
+    """For every metric, `enumerate_best` counts what `enumerate_all`
+    yields and finds what a strict-`<` scan of a full reference
+    evaluation of every loop order finds, value and levels, on one walk
+    over the assignments: the same verdicts as `enumerate_all`'s walk,
+    and no `validate` call."""
+    arch = {
+        "simba": simba,
+        "toy2": toy_two_level(fanout=4, cap=16.0),
+        "toy2-f1": toy_two_level(fanout=1, cap=16.0),
+    }[arch_name]
+    pf = factorize(LayerDims(*dims, stride=stride))
+    count, brute = _brute_best(pf, arch)
+    firsts = {levels for levels, _rows, _cycles in valid_assignments(pf, arch, limit=10**7)}
 
-    monkeypatch.setattr(search, "validate", counting_validate)
+    verdicts = _walk_verdicts(monkeypatch)
     assert count == sum(1 for _ in enumerate_all(pf, arch, limit=10**7))
-    # one validate per assignment, valid or not
-    assert calls.count(True) == len(firsts)
-    per_scan = len(calls)
+    per_scan = list(verdicts)
     for metric in METRICS:
-        calls.clear()
+        verdicts.clear()
         got_count, (value, sched) = enumerate_best(pf, arch, metric, limit=10**7)
         assert (got_count, value, sched.levels) == (count, *brute[metric]), metric
-        assert len(calls) == per_scan
+        assert verdicts == per_scan
         assert validate(sched, arch) == []
     if arch_name == "toy2-f1":
         assert brute["traffic"][1] not in firsts
+
+
+# each case has an invalid assignment and a subtree the walk cuts, under
+# either halo mode
+WALK_CASES = pytest.mark.parametrize(
+    "arch,dims,stride",
+    [
+        pytest.param(toy_two_level(fanout=4, cap=4.0), (1, 1, 2, 1, 2, 4, 1), 1, id="capacity"),
+        pytest.param(toy_three_level(shared=24.0), (3, 1, 2, 1, 2, 2, 1), 2, id="shared"),
+        pytest.param(toy_two_level(fanout=2, cap=64.0), (1, 1, 4, 1, 1, 2, 1), 1, id="fanout"),
+        pytest.param(tight_ia_arch(), (3, 1, 4, 1, 2, 2, 1), 2, id="halo-s2"),
+    ],
+)
+
+
+@WALK_CASES
+@pytest.mark.parametrize("halo", [True, False])
+def test_walk_verdicts_match_validate(monkeypatch, arch, dims, stride, halo):
+    """The walk decides each node of the assignment tree as `validate`
+    decides that partial assignment, cuts below every failed node, and
+    yields exactly the raw assignments `validate` passes, in order, each
+    with its tile rows and compute cycles; counts and winners equal the
+    per-order reference under the same halo mode."""
+    pf = factorize(LayerDims(*dims, stride=stride))
+    H = arch.num_levels
+    visited, nodes = _reference_walk(pf, arch, halo)
+    verdicts = _walk_verdicts(monkeypatch)
+    walked = [
+        (levels, tuple(map(tuple, rows)), cycles)
+        for levels, rows, cycles in valid_assignments(pf, arch, limit=10**7, halo=halo)
+    ]
+    monkeypatch.undo()
+    assert verdicts == visited
+    assert len(verdicts) < nodes  # some subtree was cut
+
+    firsts = [reference_first_order(pf, arch, a) for a in reference_assignments(pf, arch)]
+    valid = [s for s in firsts if not validate(s, arch, halo=halo)]
+    assert 0 < len(valid) < len(firsts)
+    assert walked == [(s.levels, s.tiles[:H], compute_cycles(s)) for s in valid]
+
+    count, brute = _brute_best(pf, arch, halo)
+    assert count == sum(1 for _ in enumerate_all(pf, arch, limit=10**7, halo=halo))
+    for metric in METRICS:
+        got_count, (value, sched) = enumerate_best(pf, arch, metric, limit=10**7, halo=halo)
+        assert (got_count, value, sched.levels) == (count, *brute[metric]), metric
 
 
 def test_enumerate_best_without_a_valid_schedule():
