@@ -13,7 +13,7 @@ import sys
 
 from mipsched.arch import default_simba_arch
 from mipsched.schedule import evaluate, validate
-from mipsched.search import _draw_rng, _draw_schedule
+from mipsched.search import draw_schedule
 from mipsched.workload import LayerDims, factorize
 
 
@@ -30,7 +30,7 @@ def main() -> int:
     latencies = []
     draws = 0
     while len(latencies) < args.valid and draws < args.max_draws:
-        sched = _draw_schedule(pf, arch, _draw_rng(args.seed, draws))
+        sched = draw_schedule(pf, arch, args.seed, draws)
         draws += 1
         if validate(sched, arch):
             continue

@@ -6,6 +6,15 @@ prime-factor allocation variables, solves it with a deterministic
 branch-and-bound, and emits a validated, cost-scored schedule.  Buffer
 partitioning under a total-capacity budget can be co-optimized in the
 same model.
+
+Entry points besides the `mipsched` command (`cli.main`), each read
+outside the command's own path: `MipModel.raw`, `MipModel.raw_values`,
+`MipModel.check_raw` and `MipModel.term_values` (the raw MIP view that
+external solvers such as HiGHS are checked against); `exhaustive_solve`
+and `assignment_space_size` (the exhaustive oracle); `dump_lp` (the
+model as an LP file); `encode` (a schedule back to its assignment, read
+by `perfbench/record.py`); and `enumerate_all`, `SolverOptions.threads`
+and the `cli` functions that `perfbench/tracer.py` wraps (the benchmark).
 """
 
 from .arch import (
@@ -25,7 +34,6 @@ from .formulation import (
     MipModel,
     ObjectiveWeights,
     PartitionSpec,
-    VarIndex,
     build_model,
     compose_objective,
 )

@@ -20,14 +20,14 @@ dimension's entry in every row above the level, and removing it divides
 the entry back.
 
 The model splits along the same line.  Tiles, compute cycles and the
-NoC terms of `transfer_terms` (transfer sizes, link multipliers, the
-reduction multiplier) are order-free: one evaluation serves every loop
-order of an assignment.  Only `noc_iterations`, the temporal transfer
-counts, depends on order, so scoring another order of the same
-assignment needs just that and `bytes_and_latency`, the one latency
-formula.  `noc_iterations` reads only the temporal loops of the levels
-at and above the NoC level, in order: orders that differ only below the
-NoC level, or only in where the spatial loops sit, score alike.  So
+NoC terms of `transfer_terms` (transfer sizes and link multipliers) are
+order-free: one evaluation serves every loop order of an assignment.
+Only `noc_iterations`, the temporal transfer counts, depends on order,
+so scoring another order of the same assignment needs just that and
+`bytes_and_latency`, the one latency formula.  `noc_iterations` reads
+only the temporal loops of the levels at and above the NoC level, in
+order: orders that differ only below the NoC level, or only in where
+the spatial loops sit, score alike.  So
 `search.enumerate_best` scores one order of each such class, the first
 in enumeration order, from the walk's NoC-level row and loops
 (`transfer_terms` takes those, not a schedule), and still finds the
@@ -43,7 +43,7 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .arch import ArchSpec, IA, NUM_TENSORS, OA
+from .arch import ArchSpec, IA, NUM_TENSORS
 from .workload import DIM_INDEX, NUM_DIMS
 
 if TYPE_CHECKING:
@@ -109,70 +109,33 @@ def spatial_product(schedule: "Schedule", level: int) -> int:
 
 
 @dataclass(frozen=True)
-class TrafficClassEntry:
-    tensor: int
-    dim: int
-    bound: int
-    klass: str  # "unicast" | "multicast" | "reduction"
-
-
-def classify_traffic(schedule: "Schedule", arch: ArchSpec) -> list[TrafficClassEntry]:
-    """Traffic class of every spatially mapped NoC-level loop, per tensor.
-
-    A spatial dimension related to the tensor splits it across PEs
-    (unicast); an unrelated dimension replicates weights/inputs
-    (multicast) or accumulates partial sums (reduction for outputs).
-    """
-    noc = arch.noc_level
-    out = []
-    for loop in schedule.levels[noc]:
-        if not loop.spatial:
-            continue
-        for v in range(NUM_TENSORS):
-            if arch.A.related(loop.dim, v):
-                klass = "unicast"
-            elif v == OA:
-                klass = "reduction"
-            else:
-                klass = "multicast"
-            out.append(TrafficClassEntry(v, loop.dim, loop.bound, klass))
-    return out
-
-
-@dataclass(frozen=True)
 class TensorTraffic:
     per_transfer_elems: int
     link_multiplier: int
     iterations: int
-    reduction_multiplier: int
     total_elems: int
 
 
 def transfer_terms(
     loops: "tuple[Loop, ...]", row: tuple[int, ...], arch: ArchSpec
-) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Order-free NoC terms of the NoC level's `loops` and tile `row`:
-    per-tensor transfer size and link multiplier, and the output's
-    partial-sum reduction multiplier.
+    per-tensor transfer size and link multiplier.
 
     The transfer size is the tensor's plain tile inside the NoC level.
-    Spatial NoC-level loops related to the tensor multiply its links;
-    unrelated ones multiply the output's reduction.
+    Spatial NoC-level loops related to the tensor multiply its links.
     """
     A = arch.A.rows
     link = [1] * NUM_TENSORS
-    red = 1
     for loop in loops:
         if loop.spatial:
             rel = A[loop.dim]
             for v in range(NUM_TENSORS):
                 if rel[v]:
                     link[v] *= loop.bound
-            if not rel[OA]:
-                red *= loop.bound
     # the stride only shapes a halo window, and these tiles are plain
     sizes = tuple(row_tile(row, arch, v, 1, False) for v in range(NUM_TENSORS))
-    return sizes, tuple(link), red
+    return sizes, tuple(link)
 
 
 def noc_iterations(levels: "tuple[tuple[Loop, ...], ...]", arch: ArchSpec) -> list[int]:
@@ -199,26 +162,17 @@ def noc_iterations(levels: "tuple[tuple[Loop, ...], ...]", arch: ArchSpec) -> li
 
 
 def traffic_terms(
-    schedule: "Schedule", arch: ArchSpec, include_reduction: bool = False
+    schedule: "Schedule", arch: ArchSpec
 ) -> tuple[TensorTraffic, TensorTraffic, TensorTraffic]:
     """Per-tensor NoC traffic: transfer size x link multiplier x iterations
-    (`transfer_terms` x `noc_iterations`).
-
-    ``include_reduction`` additionally charges output partial-sum
-    reduction across unrelated spatial dimensions; the linear model never
-    includes this term, so it stays off wherever log/product agreement is
-    checked.
-    """
+    (`transfer_terms` x `noc_iterations`)."""
     noc = arch.noc_level
-    sizes, link, red = transfer_terms(schedule.levels[noc], schedule.tiles[noc], arch)
+    sizes, link = transfer_terms(schedule.levels[noc], schedule.tiles[noc], arch)
     iters = noc_iterations(schedule.levels, arch)
-    out = []
-    for v in range(NUM_TENSORS):
-        total = sizes[v] * link[v] * iters[v]
-        if include_reduction and v == OA:
-            total *= red
-        out.append(TensorTraffic(sizes[v], link[v], iters[v], red if v == OA else 1, total))
-    return tuple(out)
+    return tuple(
+        TensorTraffic(sizes[v], link[v], iters[v], sizes[v] * link[v] * iters[v])
+        for v in range(NUM_TENSORS)
+    )
 
 
 def bytes_and_latency(cycles: int, totals, arch: ArchSpec) -> tuple[int, int]:

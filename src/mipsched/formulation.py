@@ -85,16 +85,6 @@ class PartitionSpec:
 
 
 @dataclass(frozen=True)
-class VarIndex:
-    """Identity of one allocation variable: factor, slot, binding."""
-
-    factor: tuple[int, int]  # (dimension j, ordinal n)
-    level: int
-    rank: int
-    mapping: int  # SPATIAL or TEMPORAL
-
-
-@dataclass(frozen=True)
 class Factor:
     j: int
     n: int
@@ -512,17 +502,6 @@ class MipModel:
     # ------------------------------------------------------------------
     # raw MIP view
     # ------------------------------------------------------------------
-
-    def var_count_before_fixing(self) -> int:
-        return self.F * (self.H * self.Z) * 2
-
-    def variable_indices(self) -> list[VarIndex]:
-        """Identity of every allocation variable, in declaration order."""
-        return [
-            VarIndex(factor=(f.j, f.n), level=I, rank=z, mapping=k)
-            for fi, f in enumerate(self.factors)
-            for I, z, k in self.choices[fi]
-        ]
 
     def raw(self):
         if self._raw is None:

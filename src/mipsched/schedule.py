@@ -38,10 +38,6 @@ class Loop:
         if self.bound < 2:
             raise ValueError(f"loop bound must be >= 2, got {self.bound}")
 
-    @property
-    def mapping(self) -> str:
-        return "spatial" if self.spatial else "temporal"
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -267,7 +263,7 @@ def tile_violations(
     return out
 
 
-def evaluate(schedule: Schedule, arch: ArchSpec, include_reduction: bool = False) -> CostReport:
+def evaluate(schedule: Schedule, arch: ArchSpec) -> CostReport:
     """Analytical cost: tiles, compute cycles, NoC traffic, latency
     (`costmodel.bytes_and_latency`)."""
     rows = schedule.tiles
@@ -282,7 +278,7 @@ def evaluate(schedule: Schedule, arch: ArchSpec, include_reduction: bool = False
                 row.append(None)
         util.append(tuple(row))
     cycles = costmodel.compute_cycles(schedule)
-    traffic = costmodel.traffic_terms(schedule, arch, include_reduction=include_reduction)
+    traffic = costmodel.traffic_terms(schedule, arch)
     nbytes, latency = costmodel.bytes_and_latency(
         cycles, [t.total_elems for t in traffic], arch
     )

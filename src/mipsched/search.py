@@ -105,10 +105,6 @@ class SearchStats:
     draws: int = 0
     valid: int = 0
 
-    @property
-    def validity_rate(self) -> float:
-        return self.valid / self.draws if self.draws else 0.0
-
 
 def metric_value(report: CostReport, metric: str) -> int:
     if metric == "latency":
@@ -120,11 +116,11 @@ def metric_value(report: CostReport, metric: str) -> int:
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def _draw_rng(seed: int, i: int) -> random.Random:
-    return random.Random(((seed & _M64) * _MIX + i + 1) & _M64)
-
-
-def _draw_schedule(pf: PrimeFactorization, arch: ArchSpec, rng: random.Random) -> Schedule:
+def draw_schedule(pf: PrimeFactorization, arch: ArchSpec, seed: int, i: int) -> Schedule:
+    """The raw configuration of draw `i` under `seed`: a level, a rank and
+    a binding per factor from the draw's own PRNG, loops ordered by rank
+    (collisions by factor order).  It need not validate."""
+    rng = random.Random(((seed & _M64) * _MIX + i + 1) & _M64)
     H = arch.num_levels
     Z = max(1, total_factor_count(pf))
     per_level: list[list[tuple[int, int, Loop]]] = [[] for _ in range(H)]
@@ -162,7 +158,7 @@ def random_search(
     best = None  # (metric, draw index, schedule, report)
     for i in range(cfg.samples):
         stats.draws = i + 1
-        sched = _draw_schedule(pf, arch, _draw_rng(cfg.seed, i))
+        sched = draw_schedule(pf, arch, cfg.seed, i)
         if validate(sched, arch, halo=halo):
             continue
         stats.valid += 1
@@ -331,7 +327,7 @@ def order_scorer(
     if metric == "compute":
         return lambda levels: cycles
     noc = arch.noc_level
-    sizes, link, _red = costmodel.transfer_terms(levels[noc], rows[noc], arch)
+    sizes, link = costmodel.transfer_terms(levels[noc], rows[noc], arch)
     # elements per NoC iteration: everything in a total but its count
     per_iter = list(map(operator.mul, sizes, link))
 

@@ -809,8 +809,11 @@ class _Search:
         """The byte total of the menu floors with `rec` added to the node's
         buffer sums, given the node's `floors` and their `total`: only the
         menus `rec` touches are re-priced, since every other one reads a
-        0.0 in its row and keeps its floor.  The sum is of integers, so it
-        is exact in any order."""
+        0.0 in its row and keeps its floor.  Each floor is bisected on the
+        child's own buffer sum, `(con_lhs + add) + pad` as the child's
+        `_floors` evaluates it, so a leaf reads the floors its last child
+        was accepted on.  The sum is of integers, so it is exact in any
+        order."""
         con_lhs = self.con_lhs
         menu_fit = self.menu_fit
         menu_of = self.menu_of
@@ -818,7 +821,7 @@ class _Search:
             mi = menu_of[ci]
             if mi is not None:
                 _ci, pad, fits, sizes, _rhs_of = menu_fit[mi]
-                ei = bisect_left(fits, con_lhs[ci] + pad + add)
+                ei = bisect_left(fits, (con_lhs[ci] + add) + pad)
                 total += sizes[ei] - sizes[floors[mi]]
         return total
 
@@ -1084,6 +1087,7 @@ class _Search:
         if est > self.inc.obj + EPS_PRUNE:
             return False
         menu_sel = self._derive_menus()
+        # fires only when F = 0 (an all-ones layer): no child priced the menus
         if m.menus and menu_sel is None:
             return False
         inc = self.inc

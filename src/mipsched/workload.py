@@ -116,11 +116,6 @@ class PrimeFactorization:
                 out.append((j, n, prime, self.log2_factors[j][n]))
         return out
 
-    def padding_overhead(self) -> float:
-        """Ratio of padded iteration volume to the original volume."""
-        orig = math.prod(self.dims.as_tuple())
-        return math.prod(self.padded) / orig
-
 
 def factorize(dims: LayerDims, policy: PaddingPolicy = PaddingPolicy()) -> PrimeFactorization:
     """Decompose every loop bound into prime factors, padding per policy."""

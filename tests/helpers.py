@@ -8,7 +8,6 @@ from mipsched import costmodel
 from mipsched.arch import (
     IA,
     NUM_TENSORS,
-    OA,
     TENSOR_NAMES,
     ArchSpec,
     MemLevel,
@@ -550,25 +549,17 @@ def _reference_iterations(schedule, arch, v):
     return t
 
 
-def reference_traffic_terms(schedule, arch, include_reduction=False):
+def reference_traffic_terms(schedule, arch):
     noc = arch.noc_level
     out = []
     for v in range(NUM_TENSORS):
         d = reference_tile_elements(schedule, arch, noc, v, halo=False)
         link = 1
-        red = 1
         for loop in schedule.levels[noc]:
-            if not loop.spatial:
-                continue
-            if arch.A.related(loop.dim, v):
+            if loop.spatial and arch.A.related(loop.dim, v):
                 link *= loop.bound
-            elif v == OA:
-                red *= loop.bound
         iters = _reference_iterations(schedule, arch, v)
-        total = d * link * iters
-        if include_reduction and v == OA:
-            total *= red
-        out.append(costmodel.TensorTraffic(d, link, iters, red if v == OA else 1, total))
+        out.append(costmodel.TensorTraffic(d, link, iters, d * link * iters))
     return tuple(out)
 
 
@@ -645,7 +636,7 @@ def reference_validate(schedule, arch, halo=True):
     return out
 
 
-def reference_evaluate(schedule, arch, include_reduction=False):
+def reference_evaluate(schedule, arch):
     util = []
     for I in range(arch.num_levels):
         row = []
@@ -660,7 +651,7 @@ def reference_evaluate(schedule, arch, include_reduction=False):
         for loop in loops:
             if not loop.spatial:
                 cycles *= loop.bound
-    traffic = reference_traffic_terms(schedule, arch, include_reduction=include_reduction)
+    traffic = reference_traffic_terms(schedule, arch)
     nbytes = sum(t.total_elems * arch.precision_bytes[v] for v, t in enumerate(traffic))
     latency = max(cycles, math.ceil(nbytes / arch.noc_bandwidth))
     return CostReport(

@@ -15,7 +15,7 @@ from mipsched.costmodel import compute_cycles, tile_elements, traffic_terms
 from mipsched.cli import baseline_total_bytes, solve_layer
 from mipsched.formulation import ObjectiveWeights, PartitionSpec, build_model
 from mipsched.schedule import encode, evaluate, parse, render, serialize, validate
-from mipsched.search import SearchConfig, _draw_rng, _draw_schedule, random_search
+from mipsched.search import SearchConfig, draw_schedule, random_search
 from mipsched.solver import SolverOptions, exhaustive_solve, solve
 from mipsched.workload import LayerDims, factorize
 
@@ -100,7 +100,7 @@ def test_04_conservation(simba, solved_suite):
     i = 0
     while found < 1000:
         assert i < 100_000
-        sched = _draw_schedule(pf, simba, _draw_rng(11, i))
+        sched = draw_schedule(pf, simba, 11, i)
         i += 1
         if validate(sched, simba):
             continue
@@ -116,7 +116,7 @@ def test_05_spread(simba):
     latencies = []
     i = 0
     while len(latencies) < 1000 and i < 100_000:
-        sched = _draw_schedule(pf, simba, _draw_rng(5, i))
+        sched = draw_schedule(pf, simba, 5, i)
         i += 1
         if validate(sched, simba):
             continue
@@ -230,7 +230,7 @@ def test_09_round_trips_and_golden(simba, solved_suite):
         count += 1
     pf = factorize(SUITE_LAYERS["conv28"])
     for i in range(200):
-        sched = _draw_schedule(pf, simba, _draw_rng(23, i))
+        sched = draw_schedule(pf, simba, 23, i)
         if validate(sched, simba):
             continue
         assert parse(serialize(sched)) == sched

@@ -255,6 +255,17 @@ class TestSolveCommand:
         assert "infeasible: budget" in err
 
     @pytest.mark.parametrize("command", ["solve", "partition"])
+    def test_factorless_layer_over_budget_infeasible(self, command, tmp_path, capsys):
+        """An all-ones layer has no factors, so its root is a leaf that no
+        child's menu check priced: the leaf itself must reject the budget."""
+        p = tmp_path / "ones.layer"
+        p.write_text(TINY_LAYER.replace("R=3", "R=1").replace("K=4", "K=1").replace("N=3", "N=1"))
+        assert main([command, "--layer", str(p), "--budget", "1"]) == EXIT_INFEASIBLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "infeasible: budget" in err
+
+    @pytest.mark.parametrize("command", ["solve", "partition"])
     def test_out_directory_exits_io(self, command, tiny_layer, tmp_path, capsys):
         argv = [command, "--layer", tiny_layer, "--out", str(tmp_path)]
         if command == "partition":

@@ -14,10 +14,10 @@ from helpers import (
     toy_two_level,
 )
 from mipsched.arch import IA, NUM_TENSORS, OA, W, ArchSpec, MemLevel, MemTensorMatrix
-from mipsched.costmodel import classify_traffic, compute_cycles, tile_elements, traffic_terms
+from mipsched.costmodel import compute_cycles, tile_elements, traffic_terms, transfer_terms
 from mipsched.formulation import build_model
 from mipsched.schedule import Loop, Schedule, encode, evaluate, validate
-from mipsched.search import _draw_rng, _draw_schedule
+from mipsched.search import draw_schedule
 from mipsched.workload import LayerDims, factorize
 
 
@@ -30,23 +30,32 @@ def noc_schedule(simba, loops, layer=None):
     )
 
 
+def noc_links(simba, loops):
+    """`transfer_terms`' per-tensor link multipliers of NoC-level `loops`."""
+    sched = noc_schedule(simba, loops)
+    noc = simba.noc_level
+    return transfer_terms(sched.levels[noc], sched.tiles[noc], simba)[1]
+
+
 class TestClassify:
+    """The link kind of a spatial NoC-level loop: a dimension related to a
+    tensor splits it across PEs (unicast, its links multiply); an
+    unrelated one multicasts weights and inputs, or reduces outputs, on
+    the same links."""
+
     def test_output_column_spatial_is_weight_multicast(self, simba):
-        sched = noc_schedule(simba, [Loop(J["P"], 4, True)])
-        table = {(e.tensor, e.dim): e.klass for e in classify_traffic(sched, simba)}
-        assert table[(W, J["P"])] == "multicast"
-        assert table[(OA, J["P"])] == "unicast"
+        links = noc_links(simba, [Loop(J["P"], 4, True)])
+        assert links[W] == 1
+        assert links[OA] == 4
 
     def test_channel_spatial_is_weight_unicast_output_reduction(self, simba):
-        sched = noc_schedule(simba, [Loop(J["C"], 4, True)])
-        table = {(e.tensor, e.dim): e.klass for e in classify_traffic(sched, simba)}
-        assert table[(W, J["C"])] == "unicast"
-        assert table[(IA, J["C"])] == "unicast"
-        assert table[(OA, J["C"])] == "reduction"
+        links = noc_links(simba, [Loop(J["C"], 4, True)])
+        assert links[W] == 4
+        assert links[IA] == 4
+        assert links[OA] == 1
 
     def test_temporal_loops_not_classified(self, simba):
-        sched = noc_schedule(simba, [Loop(J["C"], 4, False)])
-        assert classify_traffic(sched, simba) == []
+        assert noc_links(simba, [Loop(J["C"], 4, False)]) == (1, 1, 1)
 
 
 class TestIterations:
@@ -101,13 +110,6 @@ class TestTerms:
         assert terms[IA].total_elems == 64 * 1 * 294
         assert terms[OA].total_elems == 8 * 4 * 2
 
-    def test_optional_reduction_charge(self, simba):
-        sched = noc_schedule(simba, [Loop(J["C"], 4, True)])
-        plain = traffic_terms(sched, simba)[OA]
-        charged = traffic_terms(sched, simba, include_reduction=True)[OA]
-        assert plain.reduction_multiplier == 4
-        assert charged.total_elems == plain.total_elems * 4
-
     def test_tile_elements_halo(self, simba):
         # inside the input buffer: P,Q tiles 4x2 with kernel tiles 1x3
         # resident below give a physical 4x4 window over 8 channels
@@ -123,7 +125,7 @@ class TestTerms:
 def test_log_product_duality(simba, seed):
     """Each linear objective term equals log2 of the product-domain value."""
     pf = factorize(LayerDims(3, 3, 28, 28, 8, 4, 3))
-    sched = _draw_schedule(pf, simba, _draw_rng(seed, 0))
+    sched = draw_schedule(pf, simba, seed, 0)
     if validate(sched, simba):
         return
     model = build_model(pf, simba)
@@ -153,7 +155,7 @@ def _check_against_reference(arch, layer, draws):
     valid = halo_wider = 0
     kinds = set()
     for i in range(draws):
-        sched = _draw_schedule(pf, arch, _draw_rng(11, i))
+        sched = draw_schedule(pf, arch, 11, i)
         short = Schedule(
             levels=sched.levels[:-1] + ((),),
             level_names=sched.level_names,
@@ -178,10 +180,7 @@ def _check_against_reference(arch, layer, draws):
                 got = validate(s, arch, halo=halo)
                 assert got == reference_validate(s, arch, halo=halo)
                 kinds.update(x.kind for x in got)
-            for red in (False, True):
-                assert evaluate(s, arch, include_reduction=red) == reference_evaluate(
-                    s, arch, include_reduction=red
-                )
+            assert evaluate(s, arch) == reference_evaluate(s, arch)
         valid += not validate(sched, arch)
     return valid, halo_wider, kinds
 

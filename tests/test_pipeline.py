@@ -6,7 +6,7 @@ from mipsched.arch import ArchSpec, MemLevel, MemTensorMatrix
 from mipsched.cli import solve_layer
 from mipsched.formulation import ObjectiveWeights
 from mipsched.schedule import decode, encode, validate
-from mipsched.search import _draw_rng, _draw_schedule
+from mipsched.search import draw_schedule
 from mipsched.solver import Solution, SolveStats, SolverOptions
 from mipsched.workload import LayerDims, factorize
 
@@ -54,7 +54,7 @@ def test_no_tightening_without_halo():
 def test_suite_layers_decode_encode_identity(simba):
     pf = factorize(LayerDims(3, 3, 28, 28, 8, 4, 3))
     for i in range(40):
-        sched = _draw_schedule(pf, simba, _draw_rng(77, i))
+        sched = draw_schedule(pf, simba, 77, i)
         x = encode(sched, pf)
         again = decode(Solution("optimal", 0.0, x, None, SolveStats()), pf, simba)
         assert again == sched

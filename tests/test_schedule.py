@@ -330,10 +330,10 @@ class TestSerialization:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_random_draws(self, simba, seed):
-        from mipsched.search import _draw_rng, _draw_schedule
+        from mipsched.search import draw_schedule
 
         pf = factorize(LayerDims(3, 3, 28, 28, 8, 4, 3))
-        sched = _draw_schedule(pf, simba, _draw_rng(seed, 0))
+        sched = draw_schedule(pf, simba, seed, 0)
         assert parse(serialize(sched)) == sched
 
 

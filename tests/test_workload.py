@@ -103,4 +103,4 @@ def test_flat_order_and_overhead():
         (5, 1, 2),
         (6, 0, 3),
     ]
-    assert pf.padding_overhead() == 1.0
+    assert pf.padded == pf.dims.as_tuple()
