@@ -43,15 +43,21 @@ tile row and temporal product:
   of each class (`_class_orders`), with every lower level at its own
   order (under `compute` no order moves the value, so every level keeps
   its own).  `order_scorer` takes the order-free terms, the walk's
-  temporal product and `costmodel.transfer_terms`, once per
-  assignment.
+  temporal product and `costmodel.transfer_terms`.
+* NoC keys: a combination's value reads only the levels at and above
+  the NoC level, the NoC level's tile row and the compute cycles, so
+  assignments that share these, their NoC key, score every combination
+  alike.  Each key is scored once, for its least value and the first
+  combination that reaches it.
 * First minimum: `enumerate_all`'s order is lexicographic in the
   per-level order indices (`itertools.product`, innermost level
   slowest), so a scan with strict `<` keeps the smallest index tuple of
   least value.  That tuple holds index 0 at every lower level and a
   class's first index at every upper level, for otherwise lowering one
   of them gives the same value at a smaller tuple.  The representatives
-  keep their index order, so a strict-`<` scan of them finds it too.
+  keep their index order, so a strict-`<` scan of them finds it too,
+  and a strict-`<` scan over the assignments of each one's least value
+  and first combination keeps the same first minimum.
 """
 
 from __future__ import annotations
@@ -352,9 +358,9 @@ def enumerate_best(
     """The number of schedules `enumerate_all` yields, and the first of
     them with the least `metric_value` with that value (None when there
     is none).  Per valid assignment the orders are counted by formula and
-    only one order per class is scored (see the module docstring), from
-    the walk's own tile row and compute cycles; only the winner becomes a
-    `Schedule`.
+    only one order per class is scored, once per NoC key (see the module
+    docstring), from the walk's own tile row and compute cycles; only the
+    winner becomes a `Schedule`.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -364,6 +370,9 @@ def enumerate_best(
     # two loops has one order, so it is not even looked up
     count_of = functools.cache(order_count)
     reps_of = functools.cache(_class_orders)
+    # per NoC key, the least value over the representatives and the first
+    # combination of them that reaches it
+    least_of: dict[tuple, tuple[int, Levels]] = {}
     count = 0
     best = None  # (value, levels)
     for levels, rows, cycles in valid_assignments(pf, arch, limit, halo):
@@ -372,15 +381,25 @@ def enumerate_best(
             if len(loops) > 1:
                 n *= count_of(loops)
         count += n
-        upper = [reps_of(loops) if len(loops) > 1 else (loops,)
-                 for loops in levels[scored_from:]]
-        score = order_scorer(levels, rows, cycles, arch, metric)
-        lower = levels[:scored_from]
-        for combo in itertools.product(*upper):
-            cand = lower + combo
-            value = score(cand)
-            if best is None or value < best[0]:
-                best = (value, cand)
+        upper = levels[scored_from:]
+        if not upper:  # compute: one order, the assignment's own
+            value, combo = cycles, ()
+        else:
+            key = (upper, tuple(rows[scored_from]), cycles)
+            least = least_of.get(key)
+            if least is None:
+                score = order_scorer(levels, rows, cycles, arch, metric)
+                lower = levels[:scored_from]
+                for combo in itertools.product(
+                        *[reps_of(loops) if len(loops) > 1 else (loops,)
+                          for loops in upper]):
+                    value = score(lower + combo)
+                    if least is None or value < least[0]:
+                        least = (value, combo)
+                least_of[key] = least
+            value, combo = least
+        if best is None or value < best[0]:
+            best = (value, levels[:scored_from] + combo)
     if best is None:
         return count, None
     value, levels = best

@@ -37,6 +37,46 @@ fails a capacity check, so the cut subtree holds no leaf; the leaves,
 their order, the incumbent's trajectory and the answer stay as they were,
 and only nodes fall.
 
+Transpositions of dimensions are broken as well, in the spirit of
+isomorphism pruning and orbital branching (Margot 2002; Ostrowski,
+Linderoth, Rossi & Smriglio 2011).  `_Search._swaps` finds them in the
+model: two dimensions transpose when the k-th factor of each, in branch
+order, has the same log-factor, traffic triggers and class records, field
+for field, for every k.  Then trading the pairs' records moves no row,
+objective term or chain trigger.  A square layer (R = S, P = Q) on an
+arch that treats the two alike has R with S and P with Q; unequal rows,
+spatial limits or pads make some pair differ, and nothing is cut.  Each
+dimension joins at most one transposition, so they commute and no one
+moves another's factors.  Each gets one lex-leader cut: the later factor
+of its first pair takes the earlier one as its `prev_same`, the rule of
+identical runs, so its record's `rep` is at or below the earlier's.
+A leaf's image under a set of transpositions trades the records and
+chain places of their pairs.  The pairs keep branch order within each
+prime, so an image keeps the record order of every identical run and
+the chain order of its members: it is a leaf of the uncut search.
+Applying to a leaf L' the set g of transpositions whose cut it fails
+gives L = g(L'), which meets every cut and takes records of different
+rep in the first pair of each member of g; and g(L) = L'.  So `_leaf`
+decides each leaf that passes its estimate, then its images under each
+g whose every first pair differs in rep there: these are the leaves of
+the uncut search that fail a cut, each decided at exactly one leaf.  An
+image is decided as the uncut search decides that leaf: its own fold of
+the buffer sums in branch order against the capacities, its own
+`_derive_menus`, `objective_from` in factor order,
+`canonical_assignment` and `lex_key`, through the same `beats`.
+
+So the answer is still the least `(objective, lex_key)` over all leaves
+of the uncut search.  Every decided image is one of them, decided as that
+search decides it.  The least one, L*, is L0 or one of its decided
+images, for L0 = g(L*) as above.  A bound or estimate that rejects L0
+exceeds `inc.obj + EPS_PRUNE` while bounding L0's objective from below.
+L0's objective differs from L*'s only in summation order, by about
+F·u·Σ|terms|, far below `EPS_PRUNE`, and the incumbent is a leaf's
+objective, so at least L*'s; no bound or estimate rejects L0.  L0 is
+reached and offers L*.  The argument reads nothing but admissible bounds
+and summation order, so it holds in every objective mode, balance
+included.
+
 A partition model's byte budget is propagated into the capacity bounds,
 as activity-based bound propagation does with a linear row (Savelsbergh
 1994; Achterberg 2007).  As a node's children are built, `_menu_floors`
@@ -85,7 +125,8 @@ comes first: a leaf replaces the incumbent only on a strictly smaller
 `(objective, lex_key)` of its canonical assignment, and every prune is
 admissible up to `EPS_PRUNE`, so no tie is pruned and the result is the
 minimum over leaf classes.  The exceptions are a timeout, and a leaf
-within ulps of a capacity: `_children` sums capacity use in branch order.
+within ulps of a capacity: `_children` sums capacity use in branch order,
+and an image's fold runs in another order than its leaf's.
 
 Reported assignments are canonicalized to the lexicographically smallest
 member of their class, so results are bit-stable across runs.  A leaf is
@@ -119,6 +160,7 @@ independent optimality oracle for desk-scale instances.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from bisect import bisect_left, bisect_right
@@ -161,7 +203,8 @@ class SolveStats:
     nodes: int = 0
     leaves: int = 0
     wall_time_s: float = 0.0
-    canonicalized: int = 0  # leaves that entered `canonical_assignment`
+    # leaves and their images that entered `canonical_assignment`
+    canonicalized: int = 0
 
 
 @dataclass
@@ -351,8 +394,8 @@ class _Search:
     __slots__ = (
         "m", "tol", "inc", "deadline", "stopped", "nodes", "leaves",
         "canonicalized", "order", "lg", "trig", "members",
-        "prev_same", "run_rem", "run_need", "wt", "balance", "ncons",
-        "con_rhs", "cap", "menu_fit", "menu_of", "rhs_at",
+        "prev_same", "partner", "images", "run_rem", "run_need", "wt",
+        "balance", "ncons", "con_rhs", "cap", "menu_fit", "menu_of", "rhs_at",
         "cls_of", "classes", "costs", "suffix_min", "kn_at",
         "lam_active", "lagr_suffix", "pen_at", "suffix_comp_lo",
         "suffix_comp_hi", "suffix_traf_lo", "traf_hi_const", "choice_rec",
@@ -406,12 +449,6 @@ class _Search:
         self.pen_at: list[list[tuple]] = [[] for _ in range(F + 1)]
 
         self.order = self._branch_order()
-        self.prev_same: list[int | None] = [None] * F
-        last: dict[int, int] = {}
-        for fi in self.order:
-            cls = m.factors[fi].cls
-            self.prev_same[fi] = last.get(cls)
-            last[cls] = fi
 
         # canonical_assignment's tables: factor -> identical class, and
         # identical class -> its factors in factor order
@@ -437,6 +474,38 @@ class _Search:
         # so a table built over the class records equals one built over
         # every collapsed choice, float for float.
         self.classes = m.classes
+
+        # per factor, the factor whose record's rep bounds its own: the
+        # previous member of its identical run, and for the later factor
+        # of a transposition's first pair, the earlier one (the lex-leader
+        # cut).  `images` holds, per non-identity element of the group the
+        # transpositions generate, the (earlier, later) first pair of each
+        # of its transpositions, its factor pairs and its factor map;
+        # `partner` maps each record of a paired factor to its partner's.
+        self.prev_same: list[int | None] = [None] * F
+        last: dict[int, int] = {}
+        for fi in self.order:
+            cls = m.factors[fi].cls
+            self.prev_same[fi] = last.get(cls)
+            last[cls] = fi
+        self.partner: dict[ChoiceCoef, ChoiceCoef] = {}
+        depth = {fi: pos for pos, fi in enumerate(self.order)}
+        swaps = [(sorted(pairs[0], key=depth.__getitem__), pairs)
+                 for pairs in self._swaps()]
+        for (first, later), pairs in swaps:
+            self.prev_same[later] = first
+            for fa, fb in pairs:
+                for ra, rb in zip(self.classes[fa], self.classes[fb]):
+                    self.partner[ra], self.partner[rb] = rb, ra
+        self.images = []
+        for n in range(1, len(swaps) + 1):
+            for group in itertools.combinations(swaps, n):
+                pairs = [pair for _head, swap in group for pair in swap]
+                sigma = {}
+                for fa, fb in pairs:
+                    sigma[fa], sigma[fb] = fb, fa
+                heads = [head for head, _swap in group]
+                self.images.append((heads, pairs, sigma))
 
         # the run lookahead of `_children`: per factor, how many members of
         # its identical class follow it in the branch order, and per class
@@ -511,6 +580,41 @@ class _Search:
             factors[fi].n,
         )
         return sorted(range(len(factors)), key=key)
+
+    def _swaps(self) -> list[list[tuple[int, int]]]:
+        """The transpositions of the model, each as its factor pairs in
+        branch order.  Dimensions a and b transpose when they have equally
+        many factors and the k-th of a in the branch order mirrors the
+        k-th of b for every k (`_mirrored`).  Each dimension joins at most
+        one transposition, the first in dimension order, so the
+        transpositions commute and no one moves another's factors."""
+        dims: dict[int, list[int]] = {}
+        for fi in self.order:
+            dims.setdefault(self.m.factors[fi].j, []).append(fi)
+        swaps = []
+        taken: set[int] = set()
+        for a, b in itertools.combinations(sorted(dims), 2):
+            pairs = list(zip(dims[a], dims[b]))
+            if (a in taken or b in taken or len(dims[a]) != len(dims[b])
+                    or not all(self._mirrored(fa, fb) for fa, fb in pairs)):
+                continue
+            taken.update((a, b))
+            swaps.append(pairs)
+        return swaps
+
+    def _mirrored(self, fa: int, fb: int) -> bool:
+        """Whether factors fa and fb are alike to the search: the same
+        log-factor and traffic triggers at every level, and class records
+        that match one for one in every field the search reads, all but
+        the factor they belong to."""
+        def fields(rec):
+            return (rec.I, rec.k, rec.rep, rec.row, rec.static, rec.comp,
+                    rec.dl, rec.self_t, rec.chained)
+
+        return (self.lg[fa] == self.lg[fb]
+                and all(trig[fa] == trig[fb] for trig in self.trig)
+                and list(map(fields, self.classes[fa]))
+                == list(map(fields, self.classes[fb])))
 
     def _suffix(self, values: list[float]) -> list[float]:
         """Per depth, the sum of `values[fi]` over the factors the branch
@@ -971,7 +1075,8 @@ class _Search:
                 chain = self.chains[I]
                 lo_q = 0
                 if prev_rec is not None and prev_rec.cc == rec.cc:
-                    # identical member already in this chain: insert outward
+                    # identical member already in this chain: insert
+                    # outward (a transposition partner finds none)
                     cls_of = self.cls_of
                     for qpos in range(len(chain) - 1, -1, -1):
                         if cls_of[chain[qpos]] == cls_of[fi]:
@@ -1075,6 +1180,9 @@ class _Search:
         return tuple(sel)
 
     def _leaf(self) -> bool:
+        """A leaf whose estimate passes the incumbent is decided, and so
+        are its images that fail a transposition's cut; True when one of
+        them is accepted."""
         self.leaves += 1
         m = self.m
         if not self.balance:
@@ -1086,8 +1194,52 @@ class _Search:
             )
         if est > self.inc.obj + EPS_PRUNE:
             return False
+        accepted = self._decide()
+        if self.images:
+            accepted = self._decide_images() or accepted
+        return accepted
+
+    def _decide_images(self) -> bool:
+        """Decide the leaf's images that fail a cut, those under the group
+        elements whose every transposition's first pair takes records of
+        different rep here, as the search decides each such leaf: the
+        image's records and chains, each factor's swapped for its
+        partner's, and its own branch-order fold of the buffer sums,
+        checked against the capacities, are set as the search state for
+        `_decide`, then the leaf's are put back.  The weights are never
+        negative, so the fold's last sums are at least every prefix's, and
+        one check of them is every check on the image's path."""
+        recs, chains, lhs = self.choice_rec, self.chains, self.con_lhs
+        partner = self.partner
+        cap = self.cap
+        accepted = False
+        for heads, pairs, sigma in self.images:
+            if any(recs[later].rep == recs[first].rep for first, later in heads):
+                continue  # another leaf decides this image, or it is one
+            img = recs[:]
+            for fa, fb in pairs:
+                img[fa], img[fb] = partner[recs[fb]], partner[recs[fa]]
+            img_chains = {I: [sigma.get(fi, fi) for fi in chain]
+                          for I, chain in chains.items()}
+            img_lhs = [0.0] * self.ncons
+            for fi in self.order:
+                for ci, add in img[fi].items:
+                    img_lhs[ci] += add
+            if any(t > c for t, c in zip(img_lhs, cap)):
+                continue
+            self.choice_rec, self.chains, self.con_lhs = img, img_chains, img_lhs
+            accepted = self._decide() or accepted
+        self.choice_rec, self.chains, self.con_lhs = recs, chains, lhs
+        return accepted
+
+    def _decide(self) -> bool:
+        """Offer the leaf the search state holds to the incumbent: its
+        menus, its exact objective, then its canonical assignment's key;
+        True when the incumbent takes it."""
+        m = self.m
         menu_sel = self._derive_menus()
-        # fires only when F = 0 (an all-ones layer): no child priced the menus
+        # fires only when F = 0 (an all-ones layer), where no child priced
+        # the menus, or for an image whose own fold needs a larger entry
         if m.menus and menu_sel is None:
             return False
         inc = self.inc

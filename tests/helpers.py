@@ -44,6 +44,27 @@ def random_instance(seed: int, max_space: int = 250_000):
     for j in rng.sample(range(7), k=rng.randint(1, 4)):
         dims[j] = rng.choice([2, 3, 4, 5, 6, 8, 9])
     layer = LayerDims(*dims, stride=rng.choice([1, 1, 2]))
+    return _random_target_model(rng, seed, layer, max_space)
+
+
+def square_instance(seed: int, max_space: int = 60_000):
+    """A small instance drawn square, R = S or P = Q or both, with at
+    least one of them above 1, on `random_instance`'s kind of target and
+    weights; None when it exceeds the space budget."""
+    rng = random.Random(seed)
+    dims = [1] * 7
+    while dims[0] == dims[2] == 1:
+        dims[0] = dims[1] = rng.choice([1, 2, 3, 4])
+        dims[2] = dims[3] = rng.choice([1, 2, 3, 4, 6])
+    if rng.random() < 0.3:
+        dims[rng.choice([4, 5, 6])] = rng.choice([2, 3])
+    layer = LayerDims(*dims, stride=rng.choice([1, 1, 2]))
+    return _random_target_model(rng, seed, layer, max_space)
+
+
+def _random_target_model(rng, seed, layer, max_space):
+    """`layer` on a target, weights and optional budget drawn from `rng`,
+    or None when the model cannot be built or exceeds `max_space`."""
     pf = factorize(layer, PaddingPolicy(max_prime=7))
 
     H = rng.randint(2, 3)
@@ -84,16 +105,17 @@ def random_instance(seed: int, max_space: int = 250_000):
     return model
 
 
-def binding_partition_instance(seed: int, max_space: int = 60_000):
-    """`random_instance(seed)`'s layer, target and weights with partition
-    menus of 4 to 32 elements (and the baseline capacity) under a byte
-    budget that binds; None when `random_instance` draws no model, the
-    target has no menu, or the model's space exceeds `max_space`.  The
-    budget is drawn from the sum of the menus' smallest entries up to
-    that sum plus one largest entry, and below the sum of the largest
-    entries, so a buffer can grow only as far as the others' sizes let
-    it.  `random_instance`'s own budgets of 48-192 B rarely bind."""
-    model = random_instance(seed, max_space)
+def binding_partition_instance(seed: int, max_space: int = 60_000,
+                               draw=random_instance):
+    """`draw(seed)`'s layer, target and weights with partition menus of 4
+    to 32 elements (and the baseline capacity) under a byte budget that
+    binds; None when `draw` gives no model, the target has no menu, or
+    the model's space exceeds `max_space`.  The budget is drawn from the
+    sum of the menus' smallest entries up to that sum plus one largest
+    entry, and below the sum of the largest entries, so a buffer can grow
+    only as far as the others' sizes let it.  `random_instance`'s own
+    budgets of 48-192 B rarely bind."""
+    model = draw(seed, max_space)
     if model is None:
         return None
 

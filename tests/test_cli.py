@@ -176,7 +176,7 @@ class TestSolveCommand:
 
     def test_stats_sum_the_halo_rounds(self, tmp_path, capsys):
         """The stderr statistics of a solve that needs a second halo round
-        are the totals of both rounds: 643 + 984 nodes, 96 + 41 leaves;
+        are the totals of both rounds: 341 + 472 nodes, 50 + 41 leaves;
         stdout is the benchmark's recorded output for this layer."""
         p = tmp_path / "s2.layer"
         p.write_text("[layer]\nR=3\nS=3\nP=14\nQ=14\nC=32\nK=64\nN=1\nStride=2\n")
@@ -184,7 +184,7 @@ class TestSolveCommand:
         out, err = capsys.readouterr()
         lines = err.splitlines()
         assert lines[0] == "status optimal"
-        assert re.fullmatch(r"nodes 1627 leaves 137 wall \d+\.\d{3}s rounds 2",
+        assert re.fullmatch(r"nodes 813 leaves 91 wall \d+\.\d{3}s rounds 2",
                             lines[1]), lines[1]
         expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
         digest = hashlib.sha256(out.encode()).hexdigest()
@@ -382,10 +382,10 @@ class TestPartitionCommand:
         out, err = capsys.readouterr()
         lines = err.splitlines()
         assert lines[0] == "baseline status optimal"
-        assert re.fullmatch(r"baseline nodes 3433 leaves 266 wall \d+\.\d{3}s rounds 1",
+        assert re.fullmatch(r"baseline nodes 2099 leaves 215 wall \d+\.\d{3}s rounds 1",
                             lines[1]), lines[1]
         assert lines[2] == "partition status optimal"
-        assert re.fullmatch(r"partition nodes 203 leaves 25 wall \d+\.\d{3}s rounds 1",
+        assert re.fullmatch(r"partition nodes 154 leaves 21 wall \d+\.\d{3}s rounds 1",
                             lines[3]), lines[3]
         assert len(lines) == 4
         expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -22,6 +23,7 @@ from helpers import (
     reference_plain_bound,
     reference_plain_knapsack,
     reference_t_sums,
+    square_instance,
     toy_two_level,
 )
 from mipsched.arch import ArchSpec, MemLevel, MemTensorMatrix
@@ -39,7 +41,7 @@ from mipsched.solver import (
     exhaustive_solve,
     solve,
 )
-from mipsched.workload import LayerDims, PaddingPolicy, factorize
+from mipsched.workload import DIM_NAMES, LayerDims, PaddingPolicy, factorize
 
 
 # the benchmark's fully connected layer: 1x1, C1024 K1000, batch 16
@@ -366,14 +368,14 @@ def test_search_counts_pinned(simba):
                         sol.stats.nodes, sol.stats.leaves)
     assert counts == {
         "tiny": (10, 2),
-        "conv28": (3_433, 266),
-        "deep512": (4_087, 20),
-        "wide256": (22_523, 705),
-        "conv28-partition": (203, 25),
-        "deep512-partition": (9_233, 36),
+        "conv28": (2_099, 215),
+        "deep512": (1_648, 13),
+        "wide256": (11_660, 419),
+        "conv28-partition": (154, 21),
+        "deep512-partition": (5_031, 36),
         "fc-partition": (1_662, 21),
-        "stride2-3x3-14": (2, 984, 41),
-        "stride2-1x1-28": (2, 26_178, 7_805),
+        "stride2-3x3-14": (2, 472, 41),
+        "stride2-1x1-28": (2, 13_825, 4_179),
         82: ("combined", False, 68, 37),
         101: ("combined", True, 8, 3),
         22: ("traffic", True, 37, 25),
@@ -411,9 +413,9 @@ def test_bound_tables_pinned(simba):
     assert models[214].weights.mode == "balance"
     assert digests == {
         "conv28":
-            "e5026440f0bb2a8562c64faa0d8367637540315da07841060cbe3355588a286c",
+            "188bac0359754ea8fb6d2f13cbb17200347eebc12edd2eae6d5de5fc223497b8",
         "conv28-partition":
-            "a38e79179f1a2faa7c46e591bb0e7572b4fd7af9fbe3473bcf58b10422f5ea85",
+            "dbd25d9f9866a9f78efe0c4543c8db2f03c7bcfdd7df7488011941ef1c4b8993",
         22:
             "ec5cec057221a6342ced1efbf4fc27dacd1576ca0bbb730b7c1a52a7f1cdc670",
         214:
@@ -1009,32 +1011,34 @@ def test_canonical_assignment_matches_reference(simba, monkeypatch):
 
 
 def test_leaf_decision_matches_full_path(simba, monkeypatch):
-    """Every leaf of a solve, against the full path it replaces: the
-    objective the leaf computes before canonicalizing equals
-    `objective_of` on the reference canonical assignment, float for float,
-    and the leaf accepts exactly when that path would, with the same
-    incumbent."""
+    """Every decision of a solve, of a leaf or of one of its images,
+    against the full path it replaces: its buffer sums are the left fold
+    of its records in branch order, the objective computed before
+    canonicalizing equals `objective_of` on the reference canonical
+    assignment, float for float, and the decision accepts exactly when
+    that path would, with the same incumbent.  A leaf whose estimate
+    fails the incumbent decides nothing; one that passes decides itself
+    first, and its state is back as it was once its images are done."""
     real_leaf = _Search._leaf
+    real_decide = _Search._decide
     real_objective = MipModel.objective_from
     from_leaf = []
     modes = set()
-    on_objective = []  # leaves rejected by their objective alone
+    on_objective = []  # decisions rejected by their objective alone
+    decided = []  # the states decided at the running leaf
+    images = []  # per leaf that passes its estimate, the images decided
 
     def recorded(model, recs, walk):
         obj = real_objective(model, recs, walk)
         from_leaf.append(obj)
         return obj
 
+    def state(sh):
+        return sh.choice_rec[:], {I: chain[:] for I, chain in sh.chains.items()}
+
     def full_path(sh):
-        """The leaf as it was: canonicalize, then evaluate and compare."""
+        """The decision as it was: canonicalize, then evaluate and compare."""
         m, inc = sh.m, sh.inc
-        if not sh.balance:
-            est = sh.static_sum + sh.wt * sh.t_cur
-        else:
-            est = abs(m.weights.w_t * (sh.dl_sum + sh.t_cur)
-                      - m.weights.w_c * sh.comp_sum)
-        if est > inc.obj + EPS_PRUNE:
-            return None, False
         menu_sel = sh._derive_menus()
         if m.menus and menu_sel is None:
             return None, False
@@ -1047,10 +1051,15 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
         return obj, (obj, key, x, menu_sel) if accept else False
 
     def checked(sh):
+        decided.append(state(sh))
+        lhs = [0.0] * sh.ncons  # the decided leaf's own fold, in branch order
+        for fi in sh.order:
+            lhs = [a + b for a, b in zip(lhs, sh.choice_rec[fi].row)]
+        assert repr(sh.con_lhs) == repr(lhs)
         ref_obj, ref_verdict = full_path(sh)
         from_leaf.clear()
         entered = sh.canonicalized
-        accepted = real_leaf(sh)
+        accepted = real_decide(sh)
         if ref_obj is None:
             assert from_leaf == []
         else:
@@ -1066,8 +1075,29 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
         modes.add((sh.m.weights.mode, bool(sh.m.menus)))
         return accepted
 
+    def leaf(sh):
+        m = sh.m
+        if not sh.balance:
+            est = sh.static_sum + sh.wt * sh.t_cur
+        else:
+            est = abs(m.weights.w_t * (sh.dl_sum + sh.t_cur)
+                      - m.weights.w_c * sh.comp_sum)
+        passes = not est > sh.inc.obj + EPS_PRUNE
+        before = state(sh)
+        con_lhs = sh.con_lhs
+        decided.clear()
+        accepted = real_leaf(sh)
+        assert state(sh) == before and sh.con_lhs is con_lhs
+        if passes:
+            assert decided[0] == before
+            images.append(len(decided) - 1)
+        else:
+            assert decided == [] and not accepted
+        return accepted
+
     monkeypatch.setattr(MipModel, "objective_from", recorded)
-    monkeypatch.setattr(_Search, "_leaf", checked)
+    monkeypatch.setattr(_Search, "_decide", checked)
+    monkeypatch.setattr(_Search, "_leaf", leaf)
     canonicalized = {}
     solve(build_model(factorize(SUITE_LAYERS["tiny"]), simba))
     sol = solve(build_model(factorize(SUITE_LAYERS["conv28"]), simba))
@@ -1086,10 +1116,12 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
     assert {"combined", "traffic", "balance"} <= {mode for mode, _ in modes}
     assert {menus for _, menus in modes} == {False, True}
     assert on_objective
-    # leaves that entered `canonical_assignment`, early exits included, of
-    # all the leaves (last round of the stride-2 layer)
+    assert any(images) and not all(images)
+    # all the leaves, and the decisions, of leaves and of images, that
+    # entered `canonical_assignment`, early exits included (last round of
+    # the stride-2 layer)
     assert canonicalized == {
-        "conv28": (266, 231),
+        "conv28": (215, 231),
         "stride2-3x3-14": (41, 41),
     }
 
@@ -1107,3 +1139,99 @@ def test_t_sums_matches_reference(simba):
             assert model._t_sums(x) == reference_t_sums(model, x)
             checked += 1
     assert checked > 1000
+
+
+def swapped_dims(model):
+    """The transpositions `_Search._swaps` finds, each as its dimensions'
+    names and its number of factor pairs."""
+    sh = _Search(model, TOLERANCE, _Incumbent(), math.inf)
+    name = lambda fi: DIM_NAMES[model.factors[fi].j]
+    return [(name(pairs[0][0]) + name(pairs[0][1]), len(pairs)) for pairs in sh._swaps()]
+
+
+def test_swaps_come_from_the_model(simba):
+    """conv28 (3x3, 28x28) transposes R with S and P with Q; a 1x1 layer
+    with P = Q only P with Q, and a layer with R != S and P != Q nothing.
+    A halo round's capacity pads sit in the rhs, not in the rows, so the
+    padded model keeps its transpositions; a spatial limit that lets P map
+    spatially and not Q makes their records differ, and drops P with Q."""
+    conv28 = factorize(SUITE_LAYERS["conv28"])
+    assert swapped_dims(build_model(conv28, simba)) == [("RS", 1), ("PQ", 3)]
+    one_by_one = factorize(LayerDims(1, 1, 28, 28, 64, 128, 1, stride=2),
+                           PaddingPolicy(max_prime=7))
+    assert swapped_dims(build_model(one_by_one, simba)) == [("PQ", 3)]
+    assert swapped_dims(build_model(factorize(LayerDims(3, 5, 7, 14, 8, 4, 3)),
+                                    simba)) == []
+
+    stride2 = LayerDims(3, 3, 14, 14, 32, 64, 1, stride=2)
+    result = solve_layer(factorize(stride2, PaddingPolicy(max_prime=7)), simba)
+    assert result.rounds == 2 and result.pads
+    assert swapped_dims(result.model) == [("RS", 1), ("PQ", 2)]
+
+    at = next(I for I, level in enumerate(simba.levels) if level.spatial_fanout > 1)
+    levels = list(simba.levels)
+    levels[at] = dataclasses.replace(levels[at], allowed_spatial_dims=frozenset({0, 1, 2, 4, 5, 6}))
+    no_q = dataclasses.replace(simba, levels=tuple(levels))
+    assert swapped_dims(build_model(conv28, no_q)) == [("RS", 1)]
+
+
+def test_square_instances_match_the_oracle():
+    """Small instances drawn square, R = S or P = Q or both, with and
+    without partition menus under a binding budget: the branch-and-bound
+    with its transposition cuts and leaf images gives the exhaustive
+    oracle's answer bit for bit, in every objective mode."""
+    checked = {False: 0, True: 0}
+    modes = set()
+    for seed in range(300):
+        for menus in (False, True):
+            model = (binding_partition_instance(seed, draw=square_instance) if menus
+                     else square_instance(seed))
+            if model is None:
+                continue
+            assert _Search(model, TOLERANCE, _Incumbent(), math.inf).images, seed
+            assert _answer(solve(model)) == _answer(exhaustive_solve(model)), (seed, menus)
+            checked[menus] += 1
+            modes.add(model.weights.mode)
+    assert checked[False] > 80 and checked[True] > 40, checked
+    assert modes == {"combined", "util", "comp", "traffic", "balance"}
+
+
+def test_images_reach_the_answer_the_cut_removes(simba):
+    """This util-mode layer's answer is a leaf the P<->Q cut removes: Q's
+    3 sits above P's 3, and Q's 3 is the later of the cut's first pair.
+    Its image under P<->Q, which the cut keeps, adds the same terms in
+    another order and lands an ulp higher.  Only the images decided at the
+    kept leaf report the answer."""
+    model = build_model(factorize(LayerDims(3, 3, 6, 6, 1, 64, 1)), simba,
+                        ObjectiveWeights(mode="util"))
+    sh = _Search(model, TOLERANCE, _Incumbent(), math.inf)
+    ([(first, later)], _pairs, sigma), = [
+        image for image in sh.images
+        if {model.factors[fi].j for fi in image[2]} == {DIM_NAMES.index("P"),
+                                                        DIM_NAMES.index("Q")}]
+    assert sh.prev_same[later] == first
+    sol = solve(model)
+    x = sol.x_assignment
+
+    def rep(assignment, fi):
+        I, _z, k = assignment[fi]
+        return model.coef[fi][(I, k)].rep
+
+    assert rep(x, later) > rep(x, first)
+    image = {sigma.get(fi, fi): place for fi, place in x.items()}
+    assert rep(image, later) <= rep(image, first)
+    assert not model.constraint_violations(image)
+    assert sol.objective_value == model.objective_of(x) < model.objective_of(image)
+    assert repr(sol.objective_value) == "-38.26466250649041"
+
+
+@pytest.mark.slow
+def test_res3_3x3_takes_two_rounds(simba):
+    """ResNet-50's res3 3x3 layer (3 3 28 28 128 128): the first round's
+    answer fails the halo check, so the pipeline re-solves once.  A first
+    round that reported another member of the answer's orbit, one ulp
+    higher, passed the check and stopped after one round at 0.00703."""
+    result = solve_layer(factorize(LayerDims(3, 3, 28, 28, 128, 128, 1)), simba)
+    assert result.rounds == 2
+    assert result.solution.status == "optimal"
+    assert round(result.solution.objective_value, 5) == 1.00703
