@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from . import costmodel, schedule as sched_mod
 from .arch import (
@@ -285,10 +285,10 @@ def solve_layer(
         left = deadline - time.perf_counter()
         if not left > 0:
             solution = Solution("timeout", None, None, None, SolveStats())
-            return PipelineResult(solution, None, None, model, pads, rounds, stats)
+            return PipelineResult(solution, None, None, model, pads, rounds,
+                                  stats.then(solution.stats))
         solution = solve(model, replace(opts, time_limit_s=left))
-        stats = SolveStats(*(a + b for a, b in
-                             zip(astuple(stats), astuple(solution.stats))))
+        stats = stats.then(solution.stats)
         if solution.status != "optimal":
             return PipelineResult(solution, None, None, model, pads, rounds, stats)
         sched = decode(solution, pf, arch)
@@ -358,9 +358,13 @@ def _status_exit(solution: Solution) -> int:
 def _report_solve(result: PipelineResult, label: str = "") -> None:
     """A pipeline's status, from its last solve round, and its search
     statistics summed over the rounds on stderr, each line prefixed with
-    `label`."""
+    `label`.  On timeout the status line also gives the last round's best
+    open bound and its gap to the incumbent."""
     stats = result.stats
-    print(f"{label}status {result.solution.status}", file=sys.stderr)
+    status = result.solution.status
+    if status == "timeout":
+        status += f" bound {stats.bound:.9f} gap {stats.gap:.9f}"
+    print(f"{label}status {status}", file=sys.stderr)
     print(
         f"{label}nodes {stats.nodes} leaves {stats.leaves} "
         f"wall {stats.wall_time_s:.3f}s rounds {result.rounds}",
@@ -579,7 +583,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
 
 
 def _parse_weights(text: str, mode: str) -> ObjectiveWeights:
-    parts = [float(x) for x in text.split(",")]
+    parts = _parse_grid(text, "--weights")
     if len(parts) != 3:
         raise ConfigError("--weights needs wU,wC,wT")
     try:
@@ -588,8 +592,12 @@ def _parse_weights(text: str, mode: str) -> ObjectiveWeights:
         raise ConfigError(str(exc)) from None
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
+    """The comma-separated numbers of `flag`'s value `text`."""
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigError(f"{flag} needs comma-separated numbers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -656,9 +664,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         max_prime=args.max_prime if args.max_prime else None,
         halo=not args.no_halo,
         sweep_grid=(
-            _parse_grid(args.sweep_wu),
-            _parse_grid(args.sweep_wc),
-            _parse_grid(args.sweep_wt),
+            _parse_grid(args.sweep_wu, "--sweep-wu"),
+            _parse_grid(args.sweep_wc, "--sweep-wc"),
+            _parse_grid(args.sweep_wt, "--sweep-wt"),
         ),
         enumerate_limit=args.limit,
     )

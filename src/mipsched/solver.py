@@ -79,10 +79,10 @@ included.
 
 A partition model's byte budget is propagated into the capacity bounds,
 as activity-based bound propagation does with a linear row (Savelsbergh
-1994; Achterberg 2007).  As a node's children are built, `_menu_floors`
-records each menu's floor, its least admissible entry at the node's
-buffer sums (`_derive_menus` starts from the leaf's floors), and the
-floors' byte total; menu i's rhs there, `rhs_at[pos]`, is that of the
+1994; Achterberg 2007).  Each node carries its menu floors, each menu's
+least admissible entry at the node's buffer sums (`_floors`;
+`_derive_menus` starts from the leaf's floors), and the floors' byte
+total; menu i's rhs there, `rhs_at[pos]` (`_menu_rhs`), is that of the
 largest entry whose bytes fit in the budget beside every other menu's
 floor.  It is exact: weights are never negative and float addition is
 monotone, so at every leaf below the node each floor is at least the
@@ -97,7 +97,10 @@ builds of the multipliers and the knapsack tables.  The per-child menu
 check starts from the node's floors and re-prices only the menus a
 child's record touches; every other menu reads 0.0 in its row, and
 byte sums are integers, so each child is decided as a full re-bisect
-would decide it.
+would decide it.  `_apply` derives a child's floors from its parent's
+the same way, and the rhs is a function of the floors, kept once per
+distinct floors; so a node's floors and rhs are those of a fresh
+bisect of its own sums, however the search reached it.
 
 A node's work is kept to what its own child changes: the traffic walk's
 chain profile is kept per depth and rebuilt only below a chained child,
@@ -107,26 +110,43 @@ trigger flags of the walk are tabulated once per solve.
 A node's state is a function of its path.  `_apply` saves the node's
 buffer sums `con_lhs`, its objective sums, its traffic and its chain
 profile on `saved` and gives the child its own, each sum the parent's
-plus the child's record; `_undo` puts the saved ones back.  Nothing is
-subtracted, so each sum is the left fold, in branch order, of the records
-on the path, bit for bit, whatever was searched before: the dive leaves
-the root as it found it, and the proof starts there with no reset.  The
-path's records and chains are changed in place; references and integers
-restore exactly.
+plus the child's record, and its menu floors; `_undo` puts the saved
+ones back.  Nothing is subtracted, so each sum is the left fold, in
+branch order, of the records on the path, bit for bit, whatever was
+searched before: the dive leaves the root as it found it, and the proof
+starts there with no reset.  The path's records and chains are changed
+in place; references and integers restore exactly.  So the search can
+leave a node and come back to it by applying its path again.
 
-A solve runs one depth-first search twice: a dive that stops at the
-first accepted leaf, then, after one Polyak rebuild of the multipliers
-against that incumbent, the proof from the root.  The proof adds the
-knapsack bound at those multipliers, the Lagrangian-penalized bound.  It
-only skips children, never reorders.
+A solve runs in two phases.  The dive is a depth-first search in bound
+order that stops at the first accepted leaf.  Then, after one Polyak
+rebuild of the multipliers against that incumbent, the proof runs from
+the root and adds the knapsack bound at those multipliers, the
+Lagrangian-penalized bound.  The proof is a best-bound search with
+plunging (Linderoth & Savelsbergh 1999; Achterberg 2007, as in SCIP):
+every child that survives the bounds is an open node keyed by its
+tightest bound, the search dives into a node's first surviving child, in
+bound order, while that child's key stays within `PLUNGE` of the gap
+between the least open key and the incumbent, and otherwise jumps to the
+least open key, deeper first on ties.  A jump walks `_undo` up to the
+common prefix of the two paths and `_apply` down; since every node's
+state, its rhs included, is a function of its path, a node is bounded as
+it would be had the search come straight down to it.  Once the open list
+holds `MAX_OPEN` nodes, each node taken from it has its subtree searched
+depth-first, so memory stays bounded.  On a timeout the least open key
+is a lower bound on the optimum, reported with its gap to the incumbent
+in `SolveStats`.
 
 The answer depends neither on the search order nor on which incumbent
 comes first: a leaf replaces the incumbent only on a strictly smaller
 `(objective, lex_key)` of its canonical assignment, and every prune is
 admissible up to `EPS_PRUNE`, so no tie is pruned and the result is the
-minimum over leaf classes.  The exceptions are a timeout, and a leaf
-within ulps of a capacity: `_children` sums capacity use in branch order,
-and an image's fold runs in another order than its leaf's.
+minimum over leaf classes.  An open node pruned when it is taken from
+the open list is pruned on its exact key, the bound a fresh evaluation
+at its parent would give, against the incumbent of that moment.  The
+exceptions are a timeout, and a leaf within ulps of a capacity:
+`_children` sums capacity use in branch order, and an image's fold runs
+in another order than its leaf's.
 
 Reported assignments are canonicalized to the lexicographically smallest
 member of their class, so results are bit-stable across runs.  A leaf is
@@ -160,6 +180,7 @@ independent optimality oracle for desk-scale instances.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import time
@@ -173,6 +194,14 @@ EPS_PRUNE = 1e-9
 TOLERANCE = 1e-6  # capacity slack granted to every constraint check
 EXHAUSTIVE_SPACE_LIMIT = 10_000_000
 LAGRANGIAN_ITERS = 240  # subgradient steps per multiplier build
+# the proof plunges into a child whose bound lies within this fraction of
+# the gap between the best open bound and the incumbent; SCIP's default
+# for the same quotient (Achterberg 2007)
+PLUNGE = 0.25
+# open nodes the proof keeps at most; past it, each node it takes from the
+# open list has its subtree searched depth-first, in memory bounded by the
+# depth, and the list only shrinks
+MAX_OPEN = 100_000
 
 
 class SpaceTooLarge(ValueError):
@@ -205,6 +234,20 @@ class SolveStats:
     wall_time_s: float = 0.0
     # leaves and their images that entered `canonical_assignment`
     canonicalized: int = 0
+    # where the search stopped: the least bound of the open nodes, at most
+    # the incumbent's objective (-inf before the proof expands the root,
+    # the objective itself once it is proven), and the incumbent's
+    # objective minus it (inf without an incumbent)
+    bound: float = -INF
+    gap: float = INF
+
+    def then(self, later: "SolveStats") -> "SolveStats":
+        """The statistics of this solve followed by `later`: counts and
+        times summed, the bound and gap of `later`, the last to stop."""
+        return SolveStats(
+            self.nodes + later.nodes, self.leaves + later.leaves,
+            self.wall_time_s + later.wall_time_s,
+            self.canonicalized + later.canonicalized, later.bound, later.gap)
 
 
 @dataclass
@@ -385,22 +428,22 @@ class _Incumbent:
 
 class _Search:
     """One solve: the model-derived tables, built from the class records
-    of `MipModel.classes`, and the depth-first search state over the
-    collapsed space.  One instance runs both phases, the dive and the
-    proof, through `dfs`; only `_build_lagrangian` and the penalized
-    `_build_knapsack` update the tables, between them."""
+    of `MipModel.classes`, and the search state over the collapsed space,
+    a function of the current path.  One instance runs both phases, the
+    dive (`dfs`) and the proof (`prove`); only `_build_lagrangian` and the
+    penalized `_build_knapsack` update the tables, between them."""
 
     # slotted: the search reads these attributes on every node
     __slots__ = (
         "m", "tol", "inc", "deadline", "stopped", "nodes", "leaves",
         "canonicalized", "order", "lg", "trig", "members",
         "prev_same", "partner", "images", "run_rem", "run_need", "wt",
-        "balance", "ncons", "con_rhs", "cap", "menu_fit", "menu_of", "rhs_at",
+        "balance", "ncons", "con_rhs", "cap", "menu_fit", "menu_items", "rhs_at",
         "cls_of", "classes", "costs", "suffix_min", "kn_at",
         "lam_active", "lagr_suffix", "pen_at", "suffix_comp_lo",
         "suffix_comp_hi", "suffix_traf_lo", "traf_hi_const", "choice_rec",
         "chains", "con_lhs", "static_sum", "comp_sum", "dl_sum", "t_cur",
-        "profile", "saved",
+        "profile", "floors", "saved", "rhs_memo",
     )
 
     def __init__(self, model: MipModel, tol: float, incumbent: _Incumbent,
@@ -431,7 +474,7 @@ class _Search:
         con_of_menu = {c.menu: ci for ci, c in enumerate(m.check_cons)
                        if c.menu is not None}
         self.menu_fit = []
-        self.menu_of: list[int | None] = [None] * self.ncons
+        menu_of: dict[int, int] = {}
         for mi, menu in enumerate(m.menus):
             ci = con_of_menu[mi]
             pad = m.check_cons[ci].pad
@@ -440,10 +483,12 @@ class _Search:
                 [ent.nbytes for ent in menu.entries] + [m.budget_bytes + 1],
                 [ent.e - pad for ent in menu.entries],
             ))
-            self.menu_of[ci] = mi
+            menu_of[ci] = mi
         # per depth, the rhs the bounds read there: `con_rhs` itself on a
-        # model without menus, else set by `_menu_floors`
+        # model without menus, else `_menu_rhs` of the node's floors, which
+        # `_children` keeps once per distinct floors in `rhs_memo`
         self.rhs_at = [self.con_rhs] * (F + 1)
+        self.rhs_memo: dict[tuple[int, ...], list[float]] = {}
         # per depth, rows of the penalized knapsack bound; `solve` builds
         # them after the dive
         self.pen_at: list[list[tuple]] = [[] for _ in range(F + 1)]
@@ -474,6 +519,13 @@ class _Search:
         # so a table built over the class records equals one built over
         # every collapsed choice, float for float.
         self.classes = m.classes
+        # per class record, (ci, add, menu, pad, fits, sizes) for each menu
+        # constraint ci it adds to, the menu's fields from `menu_fit`
+        self.menu_items = {
+            rec: tuple((ci, add, menu_of[ci], *self.menu_fit[menu_of[ci]][1:4])
+                       for ci, add in rec.items if ci in menu_of)
+            for recs in self.classes for rec in recs
+        } if m.menus else {}
 
         # per factor, the factor whose record's rep bounds its own: the
         # previous member of its identical run, and for the later factor
@@ -558,6 +610,12 @@ class _Search:
         # the chain profile of `_chain_profile`, or None until a child needs
         # it; only a chained child changes the chains
         self.profile = None
+        # the menu floors as a tuple and their byte total (`_floors`), or
+        # None on a model without menus
+        self.floors = None
+        if self.menu_fit:
+            floors, total = self._floors()
+            self.floors = (tuple(floors), total)
         self.saved: list[tuple] = []
 
     # -- tables --------------------------------------------------------
@@ -738,7 +796,10 @@ class _Search:
     def _build_lagrangian(self, upper: float | None = None):
         """Projected subgradient ascent on the capacity-relaxed dual at the
         root; the resulting fixed multipliers give a cheap per-node bound.
-        With a known incumbent value, Polyak steps are used."""
+        With a known incumbent value, Polyak steps are used.  Members of an
+        identical class have equal records, so each step prices a class
+        once and adds its best cost and usage to each member in factor
+        order: every float is the sum it was when each factor was priced."""
         F = self.m.F
         ncons = self.ncons
         con_rhs = self.con_rhs
@@ -747,26 +808,32 @@ class _Search:
         best_lam = list(lam)
         best_val = -INF
         if F and finite:
-            per_factor = [
-                [(cost, [(ci, w) for ci, w in rec.items
-                         if not math.isinf(con_rhs[ci])])
-                 for rec, cost in zip(recs, costs)]
-                for recs, costs in zip(self.classes, self.costs)
-            ]
+            # per identical class, its first member's records and costs
+            per_class = {}
+            for fi, (recs, costs) in enumerate(zip(self.classes, self.costs)):
+                if self.cls_of[fi] not in per_class:
+                    per_class[self.cls_of[fi]] = [
+                        (cost, [(ci, w) for ci, w in rec.items
+                                if not math.isinf(con_rhs[ci])])
+                        for rec, cost in zip(recs, costs)]
             scale = max(abs(x) for x in [min(costs) for costs in self.costs] + [1.0])
             beta = 1.2
             stall = 0
             for it in range(LAGRANGIAN_ITERS):
                 val = 0.0
                 usage = [0.0] * ncons
-                for fi in range(F):
+                priced = {}
+                for cls, options in per_class.items():
                     bc, bw = INF, ()
-                    for cost, ws in per_factor[fi]:
+                    for cost, ws in options:
                         t = cost
                         for ci, w in ws:
                             t += lam[ci] * w
                         if t < bc:
                             bc, bw = t, ws
+                    priced[cls] = bc, bw
+                for cls in self.cls_of:
+                    bc, bw = priced[cls]
                     val += bc
                     for ci, w in bw:
                         usage[ci] += w
@@ -894,20 +961,15 @@ class _Search:
             total += sizes[ei]
         return floors, total
 
-    def _menu_floors(self, pos: int) -> tuple[list[int], int]:
-        """The node's menu floors and their byte total (`_floors`).
-        Within the budget it also sets `rhs_at[pos]`: menu i's rhs is that
-        of the largest entry whose bytes fit beside every other menu's
-        floor.  Over the budget every child fails the menu check, so no
-        bound reads that depth."""
-        floors, total = self._floors()
+    def _menu_rhs(self, floors: list[int], total: int) -> list[float]:
+        """The rhs the bounds read at a node within the budget, given its
+        menu floors and their byte total: menu i's rhs is that of the
+        largest entry whose bytes fit beside every other menu's floor."""
         room = self.m.budget_bytes - total
-        if room >= 0:
-            rhs = self.con_rhs[:]
-            for (ci, _pad, _fits, sizes, rhs_of), ei in zip(self.menu_fit, floors):
-                rhs[ci] = rhs_of[bisect_right(sizes, room + sizes[ei]) - 1]
-            self.rhs_at[pos] = rhs
-        return floors, total
+        rhs = self.con_rhs[:]
+        for (ci, _pad, _fits, sizes, rhs_of), ei in zip(self.menu_fit, floors):
+            rhs[ci] = rhs_of[bisect_right(sizes, room + sizes[ei]) - 1]
+        return rhs
 
     def _menu_bytes(self, rec: ChoiceCoef, floors: list[int], total: int) -> int:
         """The byte total of the menu floors with `rec` added to the node's
@@ -919,14 +981,9 @@ class _Search:
         was accepted on.  The sum is of integers, so it is exact in any
         order."""
         con_lhs = self.con_lhs
-        menu_fit = self.menu_fit
-        menu_of = self.menu_of
-        for ci, add in rec.items:
-            mi = menu_of[ci]
-            if mi is not None:
-                _ci, pad, fits, sizes, _rhs_of = menu_fit[mi]
-                ei = bisect_left(fits, (con_lhs[ci] + add) + pad)
-                total += sizes[ei] - sizes[floors[mi]]
+        for ci, add, mi, pad, fits, sizes in self.menu_items[rec]:
+            ei = bisect_left(fits, (con_lhs[ci] + add) + pad)
+            total += sizes[ei] - sizes[floors[mi]]
         return total
 
     def _lagr_bound(self, base: float, pos: int, row: list[float]) -> float:
@@ -994,14 +1051,17 @@ class _Search:
                     return b
         return best
 
-    def _prunes(self, pos: int, child) -> bool:
-        """Test of a child against the incumbent as it stands when the
-        child's turn comes; never reorders the children."""
+    def _bound(self, pos: int, child) -> float:
+        """The child's tightest bound: its node bound, raised by the
+        penalized knapsack bound once `pen_at` exists.  Above the
+        incumbent's threshold, `inc.obj + EPS_PRUNE`, it is only some
+        value past that threshold (the caller prunes); at or below it, it
+        is the exact max, so comparing it with a later, lower threshold is
+        the same test as evaluating it again there."""
         thresh = self.inc.obj + EPS_PRUNE
-        if child[0] > thresh:
-            return True
-        if not self.pen_at[pos + 1]:
-            return False
+        b = child[0]
+        if b > thresh or not self.pen_at[pos + 1]:
+            return b
         rec, t_after = child[4], child[5]
         base = self.static_sum + rec.static + self.wt * t_after
         row = rec.row
@@ -1011,8 +1071,7 @@ class _Search:
         refund = 0.0
         for ci, lam in self.lam_active:
             refund += lam * (rhs[ci] - con_lhs[ci] - row[ci] + tol)
-        return self._kn_bound(self.pen_at, base, pos, row, thresh, thresh,
-                              refund) > thresh
+        return self._kn_bound(self.pen_at, base, pos, row, b, thresh, refund)
 
     def _children(self, pos: int):
         """Children at depth `pos` in search order, each (bound, level,
@@ -1044,7 +1103,12 @@ class _Search:
         rem = self.run_rem[fi]
         menu_fit = self.menu_fit
         if menu_fit:
-            floors, floor_total = self._menu_floors(pos)
+            floors, floor_total = self.floors
+            if floor_total <= m.budget_bytes:
+                rhs = self.rhs_memo.get(floors)
+                if rhs is None:
+                    rhs = self.rhs_memo[floors] = self._menu_rhs(floors, floor_total)
+                self.rhs_at[pos] = rhs
         out = []
         for rec, need in zip(self.classes[fi], self.run_need[fi]):
             if limit is not None and rec.rep > limit:
@@ -1132,11 +1196,14 @@ class _Search:
 
     def _apply(self, pos, child):
         """Descend into `child`: save the node's state and set the child's,
-        each sum its parent's plus the child's record."""
+        each sum its parent's plus the child's record.  The child's menu
+        floors are its parent's with the menus its record touches
+        bisected again on the child's own sums, as `_menu_bytes` bisects
+        them, so they equal a fresh `_floors` of the child bit for bit."""
         _b, I, _k, q, rec, t_after = child
         fi = self.order[pos]
         self.saved.append((self.con_lhs, self.static_sum, self.comp_sum,
-                           self.dl_sum, self.t_cur, self.profile))
+                           self.dl_sum, self.t_cur, self.floors, self.profile))
         con_lhs = self.con_lhs[:]
         for ci, add in rec.items:
             con_lhs[ci] += add
@@ -1149,12 +1216,24 @@ class _Search:
         if q >= 0:
             self.chains[I].insert(q, fi)
             self.profile = None
+        if self.floors is not None:
+            floors, total = self.floors
+            moved = None
+            for ci, _add, mi, pad, fits, sizes in self.menu_items[rec]:
+                ei = bisect_left(fits, con_lhs[ci] + pad)
+                if ei != floors[mi]:
+                    if moved is None:
+                        moved = list(floors)
+                    total += sizes[ei] - sizes[floors[mi]]
+                    moved[mi] = ei
+            if moved is not None:
+                self.floors = (tuple(moved), total)
 
     def _undo(self, pos, child):
         """Return from `child` to the node `_apply` saved."""
         _b, I, _k, q, _rec, _t_after = child
         (self.con_lhs, self.static_sum, self.comp_sum, self.dl_sum,
-         self.t_cur, self.profile) = self.saved.pop()
+         self.t_cur, self.floors, self.profile) = self.saved.pop()
         self.choice_rec[self.order[pos]] = None
         if q >= 0:
             del self.chains[I][q]
@@ -1263,19 +1342,21 @@ class _Search:
         return True
 
     def dfs(self, pos: int, dive: bool = False) -> bool:
-        """Depth-first search, in bound order, over the children that
-        survive `_prunes`; True once it stops: at the deadline, or with
-        `dive` at the first leaf the incumbent accepts.  Until an incumbent
-        exists `_prunes` skips nothing (its threshold is infinite and
-        `pen_at` is still empty), so `dfs(0, dive=True)` is a plain
-        bound-order dive."""
+        """Depth-first search in bound order, backtracking locally, over
+        the children whose `_bound` stays at or below the incumbent's
+        threshold as each one's turn comes; True once it stops: at the
+        deadline, or with `dive` at the first leaf the incumbent accepts.
+        Until an incumbent exists nothing is pruned (the threshold is
+        infinite), so `dfs(0, dive=True)` is a plain bound-order dive.
+        `prove` also searches a node's subtree with it once the open list
+        is full."""
         if self.timed_out():
             return True
         self.nodes += 1
         if pos == self.m.F:
             return self._leaf() and dive
         for child in self._children(pos):
-            if self._prunes(pos, child):
+            if self._bound(pos, child) > self.inc.obj + EPS_PRUNE:
                 continue
             self._apply(pos, child)
             stop = self.dfs(pos + 1, dive)
@@ -1283,6 +1364,93 @@ class _Search:
             if stop:
                 return True
         return False
+
+    def prove(self) -> float:
+        """Best-bound search with plunging from the root, to the end of
+        the tree or the deadline; returns the least bound of the nodes
+        still open when it stops, at most the incumbent's objective, or
+        that objective once nothing is open.
+
+        An open node is a child not yet entered, kept in a heap as its
+        parent node and its child tuple, keyed by the child's `_bound`;
+        ties go to the deeper node, then the newer one.  A node is a
+        (depth, parent node, child) tuple, so an entry is O(1) and a path
+        is a chain of parent links.  Entering a node expands it: its children that
+        `_bound` leaves at or below the threshold are opened, and the
+        search plunges into the first of them, the least node bound,
+        while its key is at most `best + PLUNGE * (inc.obj - best)`, where
+        `best` is the least key open.  Otherwise, and below a leaf, it
+        jumps to the heap's best entry: `_undo` up to the common prefix of
+        the two paths, then `_apply` down to the entry's parent and into
+        its child.  The key is the exact bound a fresh `_bound` would
+        compare with the threshold there, so an entry above the threshold
+        is dropped without the walk, and once the heap's best is above it
+        the proof is done.  With `MAX_OPEN` entries open, a node is
+        searched by `dfs` instead of expanded, and adds none."""
+        F = self.m.F
+        inc = self.inc
+        children, bound, apply = self._children, self._bound, self._apply
+        heap: list[tuple] = []
+        push, pop = heapq.heappush, heapq.heappop
+        seq = itertools.count()
+        path = [(0, None, None)]  # the nodes from the root to the current one
+        key = -INF  # the current node's key
+        while True:
+            node = path[-1]
+            pos = node[0]
+            first = None
+            if len(heap) >= MAX_OPEN:
+                if self.dfs(pos):
+                    break
+            elif self.timed_out():
+                break
+            elif pos == F:
+                self.nodes += 1
+                self._leaf()
+            else:
+                self.nodes += 1
+                thresh = inc.obj + EPS_PRUNE
+                for child in children(pos):
+                    b = bound(pos, child)
+                    if b > thresh:
+                        continue
+                    if first is None:
+                        first, first_key = child, b
+                    else:
+                        push(heap, (b, -pos - 1, -next(seq), node, child))
+            if first is not None:
+                best = heap[0][0] if heap else first_key
+                if first_key <= best or first_key <= best + PLUNGE * (inc.obj - best):
+                    key = first_key
+                    apply(pos, first)
+                    path.append((pos + 1, node, first))
+                    continue
+                push(heap, (first_key, -pos - 1, -next(seq), node, first))
+            if not heap or heap[0][0] > inc.obj + EPS_PRUNE:
+                heap.clear()
+                key = INF
+                break
+            key, _depth, _seq, parent, child = pop(heap)
+            self._goto(path, parent)
+            apply(parent[0], child)
+            path.append((parent[0] + 1, parent, child))
+        self._goto(path, path[0])
+        return min(heap[0][0] if heap else INF, key, inc.obj)
+
+    def _goto(self, path: list[tuple], target: tuple):
+        """Move the search state from the last node of `path` to `target`:
+        `_undo` up to their deepest common node, then `_apply` down."""
+        down = []
+        while target[0] >= len(path) or path[target[0]] is not target:
+            down.append(target)
+            target = target[1]
+        while len(path) > target[0] + 1:
+            depth, _parent, child = path.pop()
+            self._undo(depth - 1, child)
+        for node in reversed(down):
+            depth, _parent, child = node
+            self._apply(depth - 1, child)
+            path.append(node)
 
 
 def solve(model: MipModel, opts: SolverOptions = SolverOptions()) -> Solution:
@@ -1298,10 +1466,11 @@ def solve(model: MipModel, opts: SolverOptions = SolverOptions()) -> Solution:
         for ci, value in search.lam_active:
             lam[ci] = value
         search.pen_at = search._build_knapsack(lam)
-    search.dfs(0)
+    bound = search.prove()
 
+    gap = inc.obj - bound if inc.x is not None else INF
     stats = SolveStats(search.nodes, search.leaves, time.perf_counter() - t0,
-                       search.canonicalized)
+                       search.canonicalized, bound, gap)
     if inc.x is None:
         if search.stopped:
             return Solution("timeout", None, None, None, stats)

@@ -174,9 +174,25 @@ class TestSolveCommand:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_timeout_reports_bound_and_gap(self, conv28_layer, capsys):
+        """A solve stopped by --time-limit exits 4 with nothing on stdout,
+        and its status line on stderr gives the best open bound and the
+        gap to the incumbent: conv28 under the comp objective holds an
+        incumbent within half a second but does not prove it."""
+        code = main(["solve", "--layer", conv28_layer, "--obj", "comp",
+                     "--time-limit", "0.5"])
+        assert code == EXIT_TIMEOUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        line = err.splitlines()[0]
+        m = re.fullmatch(r"status timeout bound (\S+) gap (\S+)", line)
+        assert m, line
+        bound, gap = float(m[1]), float(m[2])
+        assert math.isfinite(bound) and 0.0 <= gap < math.inf
+
     def test_stats_sum_the_halo_rounds(self, tmp_path, capsys):
         """The stderr statistics of a solve that needs a second halo round
-        are the totals of both rounds: 341 + 472 nodes, 50 + 41 leaves;
+        are the totals of both rounds: 326 + 472 nodes, 48 + 41 leaves;
         stdout is the benchmark's recorded output for this layer."""
         p = tmp_path / "s2.layer"
         p.write_text("[layer]\nR=3\nS=3\nP=14\nQ=14\nC=32\nK=64\nN=1\nStride=2\n")
@@ -184,7 +200,7 @@ class TestSolveCommand:
         out, err = capsys.readouterr()
         lines = err.splitlines()
         assert lines[0] == "status optimal"
-        assert re.fullmatch(r"nodes 813 leaves 91 wall \d+\.\d{3}s rounds 2",
+        assert re.fullmatch(r"nodes 798 leaves 89 wall \d+\.\d{3}s rounds 2",
                             lines[1]), lines[1]
         expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
         digest = hashlib.sha256(out.encode()).hexdigest()
@@ -382,10 +398,10 @@ class TestPartitionCommand:
         out, err = capsys.readouterr()
         lines = err.splitlines()
         assert lines[0] == "baseline status optimal"
-        assert re.fullmatch(r"baseline nodes 2099 leaves 215 wall \d+\.\d{3}s rounds 1",
+        assert re.fullmatch(r"baseline nodes 833 leaves 64 wall \d+\.\d{3}s rounds 1",
                             lines[1]), lines[1]
         assert lines[2] == "partition status optimal"
-        assert re.fullmatch(r"partition nodes 154 leaves 21 wall \d+\.\d{3}s rounds 1",
+        assert re.fullmatch(r"partition nodes 134 leaves 19 wall \d+\.\d{3}s rounds 1",
                             lines[3]), lines[3]
         assert len(lines) == 4
         expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
@@ -468,6 +484,21 @@ class TestSweepCommand:
 
 
 class TestObjectiveWeights:
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["solve", "--weights", "a,1,1"], "--weights", "'a,1,1'"),
+        (["sweep", "--sweep-wt", ""], "--sweep-wt", "''"),
+        (["sweep", "--sweep-wu", "1,,2"], "--sweep-wu", "'1,,2'"),
+    ])
+    def test_unparsable_number_names_its_flag(self, argv, flag, value,
+                                              tiny_layer, capsys):
+        """A value that is not a comma-separated list of numbers is an
+        argument error that names the flag and the value given."""
+        code = main([*argv, "--layer", tiny_layer])
+        assert code == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {flag} needs comma-separated numbers, got {value}\n"
+
     @pytest.mark.parametrize("weights", ["1,1,nan", "nan,1,1", "1,inf,1", "-1,1,1"])
     def test_bad_weight_rejected(self, weights, tiny_layer, capsys):
         """A NaN or infinite weight is refused like a negative one, as an

@@ -112,6 +112,46 @@ def test_timeout_returns_incumbent(simba):
             assert sol.x_assignment is not None
         if sol.x_assignment is not None:
             assert model.constraint_violations(sol.x_assignment, sol.menu_selection) == []
+            assert -math.inf < sol.stats.bound <= sol.objective_value
+            assert sol.stats.gap == sol.objective_value - sol.stats.bound
+        else:  # stopped before the proof expanded the root
+            assert (sol.stats.bound, sol.stats.gap) == (-math.inf, math.inf)
+
+
+def test_timeout_bound_is_a_lower_bound(monkeypatch):
+    """A search stopped after a given number of nodes reports as its
+    bound a lower bound on the optimum, at most the incumbent's objective,
+    and the gap between the two; a finished proof reports the optimum
+    itself with no gap.  Checked against the exhaustive oracle at several
+    stopping points of each search."""
+    real = _Search.timed_out
+    stop = [math.inf]
+
+    def timed_out(sh):
+        if sh.nodes >= stop[0]:
+            sh.stopped = True
+        return real(sh)
+
+    monkeypatch.setattr(_Search, "timed_out", timed_out)
+    stopped = 0
+    for seed in range(120):
+        model = random_instance(seed, max_space=60_000)
+        if model is None:
+            continue
+        oracle = exhaustive_solve(model)
+        stop[0] = math.inf
+        full = solve(model)
+        if full.status == "optimal":
+            assert (full.stats.bound, full.stats.gap) == (full.objective_value, 0.0)
+        for frac in (0.25, 0.5, 0.75):
+            stop[0] = int(full.stats.nodes * frac)
+            sol = solve(model)
+            if sol.status != "timeout" or sol.x_assignment is None:
+                continue
+            assert sol.stats.bound <= oracle.objective_value <= sol.objective_value, seed
+            assert sol.stats.gap == sol.objective_value - sol.stats.bound
+            stopped += sol.stats.bound > -math.inf
+    assert stopped > 20, stopped
 
 
 def test_space_guard():
@@ -368,14 +408,14 @@ def test_search_counts_pinned(simba):
                         sol.stats.nodes, sol.stats.leaves)
     assert counts == {
         "tiny": (10, 2),
-        "conv28": (2_099, 215),
-        "deep512": (1_648, 13),
-        "wide256": (11_660, 419),
-        "conv28-partition": (154, 21),
-        "deep512-partition": (5_031, 36),
+        "conv28": (833, 64),
+        "deep512": (1_456, 8),
+        "wide256": (2_649, 51),
+        "conv28-partition": (134, 19),
+        "deep512-partition": (5_148, 36),
         "fc-partition": (1_662, 21),
         "stride2-3x3-14": (2, 472, 41),
-        "stride2-1x1-28": (2, 13_825, 4_179),
+        "stride2-1x1-28": (2, 12_561, 3_627),
         82: ("combined", False, 68, 37),
         101: ("combined", True, 8, 3),
         22: ("traffic", True, 37, 25),
@@ -447,8 +487,9 @@ def assert_rows_match(table, ref_table):
 
 def test_knapsack_bounds_match_reference(simba, monkeypatch):
     """Every knapsack bound a solve evaluates, in `_node_bound` and in
-    `_prunes`, against the frozen reference of the two separate bounds.
-    The penalized bound is bit-identical, and so are its tables, whole-tail
+    `_bound`, against the frozen reference of the two separate bounds.
+    The penalized bound, a max that starts from the child's node bound, is
+    bit-identical, and so are its tables, whole-tail
     marks included (`assert_rows_match`).  The plain bound agrees within
     1e-12 (the reference skips a constraint whose capacity covers its
     tail's whole hull weight; the evaluator computes that term, equal to
@@ -479,7 +520,7 @@ def test_knapsack_bounds_match_reference(simba, monkeypatch):
             ref_table = reference_for("penalized", table,
                                       reference_penalized_knapsack, sh)
             assert_rows_match(table, ref_table)
-            ref = reference_penalized_bound(sh, ref_table, base, pos, row, thresh)
+            ref = reference_penalized_bound(sh, ref_table, base, pos, row, best)
             # the evaluator stops at the first term past `thresh`; without
             # the stop it is the reference's max, float for float
             assert real(sh, table, base, pos, row, best, math.inf, refund) == ref
@@ -644,6 +685,90 @@ def test_search_state_is_a_function_of_the_path(simba, monkeypatch):
     assert {"combined", "traffic", "balance"} <= set(calls), calls
 
 
+def partition_models(simba):
+    """Benchmark partition models and a sample of ones whose budget binds."""
+    for dims in (SUITE_LAYERS["conv28"], SUITE_LAYERS["deep512"], FC_LAYER):
+        yield build_model(factorize(dims), simba,
+                          partition=PartitionSpec(budget_bytes=306367))
+    for seed in range(150):
+        model = binding_partition_instance(seed)
+        if model is not None:
+            yield model
+
+
+def test_menu_floors_and_rhs_follow_the_path(simba, monkeypatch):
+    """At every `_children` call, of the dive and of the proof's plunges
+    and jumps, the node's menu floors and their byte total equal a fresh
+    `_floors` of its buffer sums, and the rhs its children's bounds read,
+    `rhs_at[pos]`, equals `_menu_rhs` of them, bit for bit.  Some of those
+    nodes are reached where `rhs_at[pos]` held another node's rhs, a
+    sibling's or a cousin's, so the refresh decides the bounds there."""
+    real_children = _Search._children
+    counts = {"calls": 0, "refreshed": 0}
+
+    def children(sh, pos):
+        held = sh.rhs_at[pos]
+        out = real_children(sh, pos)
+        floors, total = sh._floors()
+        assert sh.floors == (tuple(floors), total)
+        if total <= sh.m.budget_bytes:
+            fresh = sh._menu_rhs(tuple(floors), total)
+            assert repr(sh.rhs_at[pos]) == repr(fresh)
+            counts["refreshed"] += held != fresh
+        counts["calls"] += 1
+        return out
+
+    monkeypatch.setattr(_Search, "_children", children)
+    for model in partition_models(simba):
+        solve(model)
+    assert counts["refreshed"] > 100, counts
+
+
+def test_proof_jumps(simba, monkeypatch):
+    """The proof leaves its plunge for the best open node: on conv28 and
+    on wide256 some `_goto` of the proof moves the search off its path to
+    a node other than the root."""
+    real_goto = _Search._goto
+    jumps = []
+
+    def goto(sh, path, target):
+        if target is not path[0] and target is not path[-1]:
+            jumps[-1] += 1
+        return real_goto(sh, path, target)
+
+    monkeypatch.setattr(_Search, "_goto", goto)
+    for name in ("conv28", "wide256"):
+        jumps.append(0)
+        assert solve(build_model(factorize(SUITE_LAYERS[name]), simba)).status == "optimal"
+    assert all(jumps), jumps
+
+
+def test_full_open_list_searches_depth_first(simba, monkeypatch):
+    """Once the proof's open list holds `MAX_OPEN` nodes, the nodes it
+    takes from it are searched depth-first, and the answers stay those of
+    the uncapped search: on conv28, a partition model and the oracle
+    models, with the cap at 3."""
+    cases = [build_model(factorize(SUITE_LAYERS["conv28"]), simba),
+             build_model(factorize(SUITE_LAYERS["conv28"]), simba,
+                         partition=PartitionSpec(budget_bytes=306367))]
+    cases += [random_instance(seed, max_space=60_000) for seed in range(100)]
+    cases = [model for model in cases if model is not None]
+    expected = [_answer(solve(model)) for model in cases]
+    real_dfs = _Search.dfs
+    fallbacks = []
+
+    def dfs(sh, pos, dive=False):
+        if not dive and pos == len(sh.saved):
+            fallbacks.append(pos)
+        return real_dfs(sh, pos, dive)
+
+    monkeypatch.setattr(mipsched.solver, "MAX_OPEN", 3)
+    monkeypatch.setattr(_Search, "dfs", dfs)
+    for model, answer in zip(cases, expected):
+        assert _answer(solve(model)) == answer
+    assert len(fallbacks) > 50, len(fallbacks)
+
+
 def test_derive_menus_matches_reference(simba, monkeypatch):
     """At every leaf that derives its menus, the selection is the
     reference scan's (`helpers.reference_derive_menus`), on partition
@@ -685,7 +810,8 @@ def test_derive_menus_matches_reference(simba, monkeypatch):
             continue
         sh = _Search(model, TOLERANCE, _Incumbent(), math.inf)
         for _ in range(10):
-            sh.con_lhs = [rng.uniform(0.0, rhs + 1.0) if sh.menu_of[ci] is not None
+            menu_cons = {ci for ci, *_rest in sh.menu_fit}
+            sh.con_lhs = [rng.uniform(0.0, rhs + 1.0) if ci in menu_cons
                           else 0.0 for ci, rhs in enumerate(sh.con_rhs)]
             sh._derive_menus()
     assert seen["none"], seen
@@ -842,8 +968,9 @@ def tightened_rhs_excess(model) -> tuple[int, int]:
     added in branch order, pass every capacity check, and whose menus'
     least admissible entries fit the budget; ranks and chains add nothing
     to the sums, so they are left out, and so are the symmetry breaking
-    and every prune.  Each prefix's rhs is `_Search._menu_floors` at the
-    prefix's sums; a prefix over the budget counts as an rhs of -inf."""
+    and every prune.  Each prefix's rhs is `_Search._menu_rhs` of the
+    floors at the prefix's sums; a prefix over the budget counts as an rhs
+    of -inf."""
     sh = _Search(model, TOLERANCE, _Incumbent(), math.inf)
     m = sh.m
     menu_cons = [(ci, c.pad, m.menus[c.menu].entries)
@@ -866,8 +993,9 @@ def tightened_rhs_excess(model) -> tuple[int, int]:
                 counts[1] += sum(lhs[ci] > tight[ci] + TOLERANCE for ci, _p, _e in menu_cons)
             return
         sh.con_lhs = lhs
-        _floors, total = sh._menu_floors(pos)
-        rhs = sh.rhs_at[pos] if total <= m.budget_bytes else [-math.inf] * sh.ncons
+        floors, total = sh._floors()
+        rhs = (sh._menu_rhs(tuple(floors), total) if total <= m.budget_bytes
+               else [-math.inf] * sh.ncons)
         tight = [min(a, b) for a, b in zip(tight, rhs)]
         for rec in sh.classes[sh.order[pos]]:
             nxt = [a + b for a, b in zip(lhs, rec.row)]
@@ -886,20 +1014,16 @@ def test_tightened_rhs_is_sound(monkeypatch):
     has teeth: an rhs one menu entry tighter is passed by some leaf.  The
     tightening moves the node count of a few models only; these searches
     are a handful of nodes each."""
-    real = _Search._menu_floors
+    real = _Search._menu_rhs
 
-    def loose(sh, pos):
-        out = real(sh, pos)
-        sh.rhs_at[pos] = sh.con_rhs
-        return out
+    def loose(sh, floors, total):
+        return sh.con_rhs
 
-    def one_entry_tighter(sh, pos):
-        out = real(sh, pos)
-        if out[1] <= sh.m.budget_bytes:
-            rhs = sh.rhs_at[pos]
-            for ci, _pad, _fits, _sizes, rhs_of in sh.menu_fit:
-                rhs[ci] = rhs_of[max(rhs_of.index(rhs[ci]) - 1, 0)]
-        return out
+    def one_entry_tighter(sh, floors, total):
+        rhs = real(sh, floors, total)
+        for ci, _pad, _fits, _sizes, rhs_of in sh.menu_fit:
+            rhs[ci] = rhs_of[max(rhs_of.index(rhs[ci]) - 1, 0)]
+        return rhs
 
     models = moved = leaves = tighter_excess = 0
     for seed in range(700):
@@ -913,9 +1037,9 @@ def test_tightened_rhs_is_sound(monkeypatch):
         assert excess == 0, seed
         leaves += n
         with monkeypatch.context() as mp:
-            mp.setattr(_Search, "_menu_floors", loose)
+            mp.setattr(_Search, "_menu_rhs", loose)
             moved += solve(model).stats.nodes != sol.stats.nodes
-            mp.setattr(_Search, "_menu_floors", one_entry_tighter)
+            mp.setattr(_Search, "_menu_rhs", one_entry_tighter)
             tighter_excess += tightened_rhs_excess(model)[1]
     assert models > 150 and leaves > models
     assert moved >= 2, moved
@@ -1121,7 +1245,7 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
     # entered `canonical_assignment`, early exits included (last round of
     # the stride-2 layer)
     assert canonicalized == {
-        "conv28": (215, 231),
+        "conv28": (64, 64),
         "stride2-3x3-14": (41, 41),
     }
 
