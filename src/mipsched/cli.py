@@ -472,22 +472,18 @@ def cmd_partition(cfg: RunConfig) -> int:
     arch, layers = _load_inputs(cfg)
     dims = layers[0]
     pf = factorize(dims, PaddingPolicy(max_prime=cfg.max_prime))
-    try:
-        fixed = solve_layer(pf, arch, cfg.weights, cfg.solver, halo=cfg.halo,
-                            deadline=deadline)
-        _report_solve(fixed, "baseline ")
-        part = solve_layer(
-            pf,
-            arch,
-            cfg.weights,
-            cfg.solver,
-            partition=PartitionSpec(budget_bytes=cfg.budget),
-            halo=cfg.halo,
-            deadline=deadline,
-        )
-    except FormulationError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    fixed = solve_layer(pf, arch, cfg.weights, cfg.solver, halo=cfg.halo,
+                        deadline=deadline)
+    _report_solve(fixed, "baseline ")
+    part = solve_layer(
+        pf,
+        arch,
+        cfg.weights,
+        cfg.solver,
+        partition=PartitionSpec(budget_bytes=cfg.budget),
+        halo=cfg.halo,
+        deadline=deadline,
+    )
     _report_solve(part, "partition ")
     if part.solution.status != "optimal":
         return _status_exit(part.solution)

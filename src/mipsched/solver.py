@@ -82,13 +82,13 @@ as activity-based bound propagation does with a linear row (Savelsbergh
 1994; Achterberg 2007).  Each node carries its menu floors, each menu's
 least admissible entry at the node's buffer sums (`_floors`;
 `_derive_menus` starts from the leaf's floors), and the floors' byte
-total; menu i's rhs there, `rhs_at[pos]` (`_menu_rhs`), is that of the
-largest entry whose bytes fit in the budget beside every other menu's
-floor.  It is exact: weights are never negative and float addition is
-monotone, so at every leaf below the node each floor is at least the
-node's, an accepted leaf selects for menu i an entry within that
-allowance, and so its sum satisfies `lhs_i + pad <= e + tol` for that
-entry, the relation the loosest rhs encodes for the last entry.  The
+total; menu i's rhs there, in the node's `rhs` (`_menu_rhs`), is that
+of the largest entry whose bytes fit in the budget beside every other
+menu's floor.  It is exact: weights are never negative and float
+addition is monotone, so at every leaf below the node each floor is at
+least the node's, an accepted leaf selects for menu i an entry within
+that allowance, and so its sum satisfies `lhs_i + pad <= e + tol` for
+that entry, the relation the loosest rhs encodes for the last entry.  The
 Lagrangian bound and both knapsack bounds read the node's rhs; on a
 model without menus it is `con_rhs` itself.  The loosest rhs stays in
 the feasibility checks (the capacity check, the run lookahead,
@@ -98,9 +98,7 @@ check starts from the node's floors and re-prices only the menus a
 child's record touches; every other menu reads 0.0 in its row, and
 byte sums are integers, so each child is decided as a full re-bisect
 would decide it.  `_apply` derives a child's floors from its parent's
-the same way, and the rhs is a function of the floors, kept once per
-distinct floors; so a node's floors and rhs are those of a fresh
-bisect of its own sums, however the search reached it.
+the same way, and its rhs from its floors, once per distinct floors.
 
 A node's work is kept to what its own child changes: the traffic walk's
 chain profile is kept per depth and rebuilt only below a chained child,
@@ -108,9 +106,9 @@ whose insertion is the one change to the chains, and the per-level
 trigger flags of the walk are tabulated once per solve.
 
 A node's state is a function of its path.  `_apply` saves the node's
-buffer sums `con_lhs`, its objective sums, its traffic and its chain
-profile on `saved` and gives the child its own, each sum the parent's
-plus the child's record, and its menu floors; `_undo` puts the saved
+buffer sums `con_lhs`, its objective sums, its traffic, its menu floors,
+its rhs and its chain profile on `saved` and gives the child its own,
+each sum the parent's plus the child's record; `_undo` puts the saved
 ones back.  Nothing is subtracted, so each sum is the left fold, in
 branch order, of the records on the path, bit for bit, whatever was
 searched before: the dive leaves the root as it found it, and the proof
@@ -119,34 +117,33 @@ in place; references and integers restore exactly.  So the search can
 leave a node and come back to it by applying its path again.
 
 A solve runs in two phases.  The dive is a depth-first search in bound
-order that stops at the first accepted leaf.  Then, after one Polyak
-rebuild of the multipliers against that incumbent, the proof runs from
-the root and adds the knapsack bound at those multipliers, the
-Lagrangian-penalized bound.  The proof is a best-bound search with
-plunging (Linderoth & Savelsbergh 1999; Achterberg 2007, as in SCIP):
-every child that survives the bounds is an open node keyed by its
-tightest bound, the search dives into a node's first surviving child, in
-bound order, while that child's key stays within `PLUNGE` of the gap
-between the least open key and the incumbent, and otherwise jumps to the
-least open key, deeper first on ties.  A jump walks `_undo` up to the
-common prefix of the two paths and `_apply` down; since every node's
-state, its rhs included, is a function of its path, a node is bounded as
-it would be had the search come straight down to it.  Once the open list
-holds `MAX_OPEN` nodes, each node taken from it has its subtree searched
-depth-first, so memory stays bounded.  On a timeout the least open key
-is a lower bound on the optimum, reported with its gap to the incumbent
-in `SolveStats`.
+order that stops at the first accepted leaf.  Then `tighten` rebuilds
+the multipliers once by Polyak steps against that incumbent, and every
+child bound adds the knapsack bound at them, the Lagrangian-penalized
+bound.  The proof is a best-bound search with plunging (Linderoth &
+Savelsbergh 1999; Achterberg 2007, as in SCIP): every child that
+survives its bound is an open node keyed by it, the search dives into a
+node's child of least bound while that bound stays within `PLUNGE` of
+the gap between the least open key and the incumbent, and otherwise
+jumps to the least open key, deeper first on ties.  A jump walks `_undo`
+up to the common prefix of the two paths and `_apply` down, so a node is
+bounded as it would be had the search come straight down to it.  Once
+the open list holds `MAX_OPEN` nodes, each node taken from it has its
+subtree searched depth-first, so memory stays bounded.  On a timeout
+the least open key is a lower bound on the optimum, reported with its
+gap to the incumbent in `SolveStats`.
 
 The answer depends neither on the search order nor on which incumbent
 comes first: a leaf replaces the incumbent only on a strictly smaller
 `(objective, lex_key)` of its canonical assignment, and every prune is
 admissible up to `EPS_PRUNE`, so no tie is pruned and the result is the
-minimum over leaf classes.  An open node pruned when it is taken from
-the open list is pruned on its exact key, the bound a fresh evaluation
-at its parent would give, against the incumbent of that moment.  The
-exceptions are a timeout, and a leaf within ulps of a capacity:
-`_children` sums capacity use in branch order, and an image's fold runs
-in another order than its leaf's.
+minimum over leaf classes.  A child's bound is computed once, when its
+parent is expanded; an open node is pruned, when it is taken, on that
+stored bound, which is the one a fresh `_node_bound` at its parent would
+give against the incumbent of that moment.  The exceptions are a
+timeout, and a leaf within ulps of a capacity: `_children` sums
+capacity use in branch order, and an image's fold runs in another order
+than its leaf's.
 
 Reported assignments are canonicalized to the lexicographically smallest
 member of their class, so results are bit-stable across runs.  A leaf is
@@ -429,28 +426,25 @@ class _Incumbent:
 class _Search:
     """One solve: the model-derived tables, built from the class records
     of `MipModel.classes`, and the search state over the collapsed space,
-    a function of the current path.  One instance runs both phases, the
-    dive (`dfs`) and the proof (`prove`); only `_build_lagrangian` and the
-    penalized `_build_knapsack` update the tables, between them."""
+    a function of the current path.  One instance runs the dive (`dfs`),
+    `tighten`, which alone updates the tables, and the proof (`prove`).
+    Balance mode is `_BalanceSearch`, with its own bound and tables."""
 
     # slotted: the search reads these attributes on every node
     __slots__ = (
-        "m", "tol", "inc", "deadline", "stopped", "nodes", "leaves",
+        "m", "inc", "deadline", "stopped", "nodes", "leaves",
         "canonicalized", "order", "lg", "trig", "members",
         "prev_same", "partner", "images", "run_rem", "run_need", "wt",
-        "balance", "ncons", "con_rhs", "cap", "menu_fit", "menu_items", "rhs_at",
+        "ncons", "con_rhs", "cap", "menu_fit", "menu_items",
         "cls_of", "classes", "costs", "suffix_min", "kn_at",
-        "lam_active", "lagr_suffix", "pen_at", "suffix_comp_lo",
-        "suffix_comp_hi", "suffix_traf_lo", "traf_hi_const", "choice_rec",
+        "lam_active", "lagr_suffix", "pen_at", "choice_rec",
         "chains", "con_lhs", "static_sum", "comp_sum", "dl_sum", "t_cur",
-        "profile", "floors", "saved", "rhs_memo",
+        "profile", "floors", "rhs", "saved", "rhs_memo",
     )
 
-    def __init__(self, model: MipModel, tol: float, incumbent: _Incumbent,
-                 deadline: float):
+    def __init__(self, model: MipModel, incumbent: _Incumbent, deadline: float):
         m = self.m = model
         F = m.F
-        self.tol = tol
         self.inc = incumbent
         self.deadline = deadline
         self.stopped = False
@@ -458,11 +452,10 @@ class _Search:
         self.leaves = 0
         self.canonicalized = 0
         self.wt = m.weights.effective()[2]
-        self.balance = m.weights.mode == "balance"
 
         self.ncons = len(m.check_cons)
         self.con_rhs = [c.rhs for c in m.check_cons]
-        self.cap = [rhs + tol for rhs in self.con_rhs]
+        self.cap = [rhs + TOLERANCE for rhs in self.con_rhs]
         # per menu: its buffer constraint, that constraint's pad, each
         # entry's exponent plus the tolerance, each entry's bytes with
         # budget + 1 appended for "no entry holds the sum", and each entry's
@@ -479,19 +472,13 @@ class _Search:
             ci = con_of_menu[mi]
             pad = m.check_cons[ci].pad
             self.menu_fit.append((
-                ci, pad, [ent.e + tol for ent in menu.entries],
+                ci, pad, [ent.e + TOLERANCE for ent in menu.entries],
                 [ent.nbytes for ent in menu.entries] + [m.budget_bytes + 1],
                 [ent.e - pad for ent in menu.entries],
             ))
             menu_of[ci] = mi
-        # per depth, the rhs the bounds read there: `con_rhs` itself on a
-        # model without menus, else `_menu_rhs` of the node's floors, which
-        # `_children` keeps once per distinct floors in `rhs_memo`
-        self.rhs_at = [self.con_rhs] * (F + 1)
-        self.rhs_memo: dict[tuple[int, ...], list[float]] = {}
-        # per depth, rows of the penalized knapsack bound; `solve` builds
-        # them after the dive
-        self.pen_at: list[list[tuple]] = [[] for _ in range(F + 1)]
+        # `_menu_rhs` per distinct menu floors that `_apply` has derived
+        self.rhs_memo: dict[tuple, list[float]] = {}
 
         self.order = self._branch_order()
 
@@ -579,27 +566,7 @@ class _Search:
                 self.run_need[fi].append(
                     tuple((ci, w) for ci, w in enumerate(least) if w > 0.0))
             rest.append(fi)
-        if self.balance:
-            self.suffix_comp_lo = self._suffix(
-                [min(rec.comp for rec in recs) for recs in self.classes])
-            self.suffix_comp_hi = self._suffix(
-                [max(rec.comp for rec in recs) for recs in self.classes])
-            self.suffix_traf_lo = self._suffix(
-                [min(rec.dl + rec.self_t for rec in recs) for recs in self.classes])
-            total_lg = sum(f.lg for f in m.factors)
-            self.traf_hi_const = (
-                sum(max(rec.dl for rec in recs) for recs in self.classes)
-                + 3.0 * total_lg
-            )
-            self.lam_active = []
-        else:
-            # per class, full cost (static plus guaranteed self-trigger
-            # traffic)
-            self.costs = [[rec.static + self.wt * rec.self_t for rec in recs]
-                          for recs in self.classes]
-            self.suffix_min = self._suffix([min(costs) for costs in self.costs])
-            self.kn_at = self._build_knapsack([0.0] * self.ncons)
-            self._build_lagrangian()
+        self._build_bounds()
 
         # the search state at the root; `_apply` saves the node's on `saved`
         self.choice_rec: list[ChoiceCoef | None] = [None] * F
@@ -611,14 +578,29 @@ class _Search:
         # it; only a chained child changes the chains
         self.profile = None
         # the menu floors as a tuple and their byte total (`_floors`), or
-        # None on a model without menus
+        # None on a model without menus; and the rhs the bounds read,
+        # `_menu_rhs` of the floors, or `con_rhs` itself without menus
         self.floors = None
+        self.rhs = self.con_rhs
         if self.menu_fit:
             floors, total = self._floors()
             self.floors = (tuple(floors), total)
+            self.rhs = self._menu_rhs(floors, total)
         self.saved: list[tuple] = []
 
     # -- tables --------------------------------------------------------
+
+    def _build_bounds(self):
+        """The tables of `_node_bound`: per class, its full costs (static
+        plus guaranteed self-trigger traffic), their per-depth least sum,
+        the plain knapsack rows, the root multipliers, and the penalized
+        rows, empty until `tighten` builds them."""
+        self.costs = [[rec.static + self.wt * rec.self_t for rec in recs]
+                      for recs in self.classes]
+        self.suffix_min = self._suffix([min(costs) for costs in self.costs])
+        self.kn_at = self._build_knapsack([0.0] * self.ncons)
+        self._build_lagrangian()
+        self.pen_at: list[list[tuple]] = [[] for _ in range(self.m.F + 1)]
 
     def _branch_order(self) -> list[int]:
         """The static branch order, factor indices by depth: largest
@@ -873,30 +855,17 @@ class _Search:
             lagr_min.append(best)
         self.lagr_suffix = self._suffix(lagr_min)
 
-    def _root_witness(self) -> tuple[str, ...] | None:
-        """Best-effort irreducible cause when no feasible leaf exists, each
-        constraint named once.  It scans each class's dense row: a capacity
-        pad above the capacity makes rhs < 0, and then a zero contribution
-        already violates."""
-        m = self.m
-        names: dict[str, None] = {}  # ordered set
-        for recs in self.classes:
-            blocking = set()
-            any_ok = False
-            for rec in recs:
-                bad = [m.check_cons[ci].name
-                       for ci, add in enumerate(rec.row) if add > self.cap[ci]]
-                if bad:
-                    blocking.update(bad)
-                else:
-                    any_ok = True
-            if not any_ok:
-                names.update(dict.fromkeys(sorted(blocking)))
-        if m.menus:
-            floor_bytes = sum(menu.entries[0].nbytes for menu in m.menus)
-            if floor_bytes > m.budget_bytes:
-                names["budget"] = None
-        return tuple(names) or None
+    def tighten(self):
+        """Between the dive and the proof: one Polyak rebuild of the
+        multipliers against the dive's incumbent, if it found one, and the
+        penalized knapsack rows at those multipliers, which `_node_bound`
+        adds from then on."""
+        if self.inc.x is not None:
+            self._build_lagrangian(upper=self.inc.obj)
+        lam = [0.0] * self.ncons
+        for ci, value in self.lam_active:
+            lam[ci] = value
+        self.pen_at = self._build_knapsack(lam)
 
     # -- helpers -------------------------------------------------------
 
@@ -971,16 +940,17 @@ class _Search:
             rhs[ci] = rhs_of[bisect_right(sizes, room + sizes[ei]) - 1]
         return rhs
 
-    def _menu_bytes(self, rec: ChoiceCoef, floors: list[int], total: int) -> int:
+    def _menu_bytes(self, rec: ChoiceCoef) -> int:
         """The byte total of the menu floors with `rec` added to the node's
-        buffer sums, given the node's `floors` and their `total`: only the
-        menus `rec` touches are re-priced, since every other one reads a
-        0.0 in its row and keeps its floor.  Each floor is bisected on the
+        buffer sums, from the node's `floors`: only the menus `rec`
+        touches are re-priced, since every other one reads a 0.0 in its
+        row and keeps its floor.  Each floor is bisected on the
         child's own buffer sum, `(con_lhs + add) + pad` as the child's
         `_floors` evaluates it, so a leaf reads the floors its last child
         was accepted on.  The sum is of integers, so it is exact in any
         order."""
         con_lhs = self.con_lhs
+        floors, total = self.floors
         for ci, add, mi, pad, fits, sizes in self.menu_items[rec]:
             ei = bisect_left(fits, (con_lhs[ci] + add) + pad)
             total += sizes[ei] - sizes[floors[mi]]
@@ -991,11 +961,10 @@ class _Search:
         against the node's rhs, each with the tolerance the capacity check
         grants."""
         b = base + self.lagr_suffix[pos + 1]
-        rhs = self.rhs_at[pos]
+        rhs = self.rhs
         con_lhs = self.con_lhs
-        tol = self.tol
         for ci, lam in self.lam_active:
-            b -= lam * (rhs[ci] - con_lhs[ci] - row[ci] + tol)
+            b -= lam * (rhs[ci] - con_lhs[ci] - row[ci] + TOLERANCE)
         return b
 
     def _kn_bound(self, table: list[list[tuple]], base: float, pos: int,
@@ -1004,13 +973,13 @@ class _Search:
         """max(best, max over the rows of `table` at the tail of depth
         `pos` of the knapsack bound); returns once that max exceeds
         `thresh` (the caller prunes).  Constraint i stays explicit with the
-        child's slack against the node's rhs, `rhs_at[pos]`, plus the
-        tolerance, every other constraint j is priced
-        at its multiplier lambda_j (the table's costs) and `refund` gives
-        back lambda_j times its slack.  For the plain table (`kn_at`,
-        lambda = 0) the refund is 0.  With the tolerance every completion
-        the capacity check admits is covered, and by LP duality each term is
-        at least the Lagrangian bound at the same multipliers.
+        child's slack against the node's `rhs`, plus the tolerance, every
+        other constraint j is priced at its multiplier lambda_j (the
+        table's costs) and `refund` gives back lambda_j times its slack.
+        For the plain table (`kn_at`, lambda = 0) the refund is 0.  With
+        the tolerance every completion the capacity check admits is
+        covered, and by LP duality each term is at least the Lagrangian
+        bound at the same multipliers.
 
         On a row with a gain table (a whole tail) the knapsack's capacity
         is the slack rounded down.  Every weight in that tail is a whole
@@ -1022,10 +991,9 @@ class _Search:
         unrounded slack; there it only cancels lambda_i times the slack,
         and is no capacity."""
         con_lhs = self.con_lhs
-        rhs = self.rhs_at[pos]
-        tol = self.tol
+        rhs = self.rhs
         for ci, lam_i, gains, cost0, cw, cg, dens in table[pos + 1]:
-            slack = rhs[ci] - con_lhs[ci] - row[ci] + tol
+            slack = rhs[ci] - con_lhs[ci] - row[ci] + TOLERANCE
             upper = base + cost0 - (refund - lam_i * slack)
             if upper <= best:
                 continue  # the knapsack gain is >= 0: cannot raise the max
@@ -1051,28 +1019,6 @@ class _Search:
                     return b
         return best
 
-    def _bound(self, pos: int, child) -> float:
-        """The child's tightest bound: its node bound, raised by the
-        penalized knapsack bound once `pen_at` exists.  Above the
-        incumbent's threshold, `inc.obj + EPS_PRUNE`, it is only some
-        value past that threshold (the caller prunes); at or below it, it
-        is the exact max, so comparing it with a later, lower threshold is
-        the same test as evaluating it again there."""
-        thresh = self.inc.obj + EPS_PRUNE
-        b = child[0]
-        if b > thresh or not self.pen_at[pos + 1]:
-            return b
-        rec, t_after = child[4], child[5]
-        base = self.static_sum + rec.static + self.wt * t_after
-        row = rec.row
-        con_lhs = self.con_lhs
-        rhs = self.rhs_at[pos]
-        tol = self.tol
-        refund = 0.0
-        for ci, lam in self.lam_active:
-            refund += lam * (rhs[ci] - con_lhs[ci] - row[ci] + tol)
-        return self._kn_bound(self.pen_at, base, pos, row, b, thresh, refund)
-
     def _children(self, pos: int):
         """Children at depth `pos` in search order, each (bound, level,
         mapping, chain position or -1, class record, traffic after); no two
@@ -1092,7 +1038,6 @@ class _Search:
         the incumbent evolves the same way, and every other prune decision
         and child order is unchanged.  Adding w one step at a time, not
         `run_rem * w` at once, keeps this exact on non-integer weights."""
-        m = self.m
         fi = self.order[pos]
         prev = self.prev_same[fi]
         prev_rec = None if prev is None else self.choice_rec[prev]
@@ -1102,13 +1047,6 @@ class _Search:
         cap = self.cap
         rem = self.run_rem[fi]
         menu_fit = self.menu_fit
-        if menu_fit:
-            floors, floor_total = self.floors
-            if floor_total <= m.budget_bytes:
-                rhs = self.rhs_memo.get(floors)
-                if rhs is None:
-                    rhs = self.rhs_memo[floors] = self._menu_rhs(floors, floor_total)
-                self.rhs_at[pos] = rhs
         out = []
         for rec, need in zip(self.classes[fi], self.run_need[fi]):
             if limit is not None and rec.rep > limit:
@@ -1129,7 +1067,7 @@ class _Search:
                     break
             if not ok:
                 continue
-            if menu_fit and self._menu_bytes(rec, floors, floor_total) > m.budget_bytes:
+            if menu_fit and self._menu_bytes(rec) > self.m.budget_bytes:
                 continue
             if rec.chained:
                 profile = self.profile
@@ -1160,38 +1098,34 @@ class _Search:
         return out
 
     def _node_bound(self, pos, rec, t_after) -> float | None:
-        """Admissible lower bound for the child, or None when prunable."""
-        inc_obj = self.inc.obj
-        if not self.balance:
-            base = self.static_sum + rec.static + self.wt * t_after
-            thresh = inc_obj + EPS_PRUNE
-            b = base + self.suffix_min[pos + 1]
-            if b > thresh:
-                return None
-            b2 = self._lagr_bound(base, pos, rec.row)
-            if b2 > b:
-                b = b2
-                if b > thresh:
-                    return None
-            b = self._kn_bound(self.kn_at, base, pos, rec.row, b, thresh, 0.0)
-            if b > thresh:
-                return None
-            return b
-        m = self.m
-        comp_lo = self.comp_sum + rec.comp + self.suffix_comp_lo[pos + 1]
-        comp_hi = self.comp_sum + rec.comp + self.suffix_comp_hi[pos + 1]
-        traf_lo = self.dl_sum + rec.dl + t_after + self.suffix_traf_lo[pos + 1]
-        traf_hi = self.traf_hi_const
-        a_lo, a_hi = m.weights.w_t * traf_lo, m.weights.w_t * traf_hi
-        b_lo, b_hi = m.weights.w_c * comp_lo, m.weights.w_c * comp_hi
-        if a_lo > b_hi:
-            b = a_lo - b_hi
-        elif b_lo > a_hi:
-            b = b_lo - a_hi
-        else:
-            b = 0.0
-        if b > inc_obj + EPS_PRUNE:
+        """The child's bound, the max of the per-factor, Lagrangian and
+        plain knapsack bounds and, once `tighten` has built `pen_at`, the
+        penalized one; None past the threshold `inc.obj + EPS_PRUNE`.
+        Within it the max is exact, so comparing it with a later, lower
+        threshold is the same test as evaluating it again there."""
+        base = self.static_sum + rec.static + self.wt * t_after
+        thresh = self.inc.obj + EPS_PRUNE
+        row = rec.row
+        b = base + self.suffix_min[pos + 1]
+        if b > thresh:
             return None
+        b2 = self._lagr_bound(base, pos, row)
+        if b2 > b:
+            b = b2
+            if b > thresh:
+                return None
+        b = self._kn_bound(self.kn_at, base, pos, row, b, thresh, 0.0)
+        if b > thresh:
+            return None
+        if self.pen_at[pos + 1]:
+            con_lhs = self.con_lhs
+            rhs = self.rhs
+            refund = 0.0
+            for ci, lam in self.lam_active:
+                refund += lam * (rhs[ci] - con_lhs[ci] - row[ci] + TOLERANCE)
+            b = self._kn_bound(self.pen_at, base, pos, row, b, thresh, refund)
+            if b > thresh:
+                return None
         return b
 
     def _apply(self, pos, child):
@@ -1199,11 +1133,13 @@ class _Search:
         each sum its parent's plus the child's record.  The child's menu
         floors are its parent's with the menus its record touches
         bisected again on the child's own sums, as `_menu_bytes` bisects
-        them, so they equal a fresh `_floors` of the child bit for bit."""
+        them, so they equal a fresh `_floors` of the child bit for bit, and
+        its rhs is `_menu_rhs` of them, kept once per distinct floors."""
         _b, I, _k, q, rec, t_after = child
         fi = self.order[pos]
         self.saved.append((self.con_lhs, self.static_sum, self.comp_sum,
-                           self.dl_sum, self.t_cur, self.floors, self.profile))
+                           self.dl_sum, self.t_cur, self.floors, self.rhs,
+                           self.profile))
         con_lhs = self.con_lhs[:]
         for ci, add in rec.items:
             con_lhs[ci] += add
@@ -1227,13 +1163,16 @@ class _Search:
                     total += sizes[ei] - sizes[floors[mi]]
                     moved[mi] = ei
             if moved is not None:
-                self.floors = (tuple(moved), total)
+                floors = self.floors = (tuple(moved), total)
+                self.rhs = self.rhs_memo.get(floors)
+                if self.rhs is None:
+                    self.rhs = self.rhs_memo[floors] = self._menu_rhs(moved, total)
 
     def _undo(self, pos, child):
         """Return from `child` to the node `_apply` saved."""
         _b, I, _k, q, _rec, _t_after = child
         (self.con_lhs, self.static_sum, self.comp_sum, self.dl_sum,
-         self.t_cur, self.floors, self.profile) = self.saved.pop()
+         self.t_cur, self.floors, self.rhs, self.profile) = self.saved.pop()
         self.choice_rec[self.order[pos]] = None
         if q >= 0:
             del self.chains[I][q]
@@ -1263,20 +1202,16 @@ class _Search:
         are its images that fail a transposition's cut; True when one of
         them is accepted."""
         self.leaves += 1
-        m = self.m
-        if not self.balance:
-            est = self.static_sum + self.wt * self.t_cur
-        else:
-            est = abs(
-                m.weights.w_t * (self.dl_sum + self.t_cur)
-                - m.weights.w_c * self.comp_sum
-            )
-        if est > self.inc.obj + EPS_PRUNE:
+        if self._leaf_estimate() > self.inc.obj + EPS_PRUNE:
             return False
         accepted = self._decide()
         if self.images:
             accepted = self._decide_images() or accepted
         return accepted
+
+    def _leaf_estimate(self) -> float:
+        """A lower bound on the leaf's objective from the search state."""
+        return self.static_sum + self.wt * self.t_cur
 
     def _decide_images(self) -> bool:
         """Decide the leaf's images that fail a cut, those under the group
@@ -1336,14 +1271,14 @@ class _Search:
         key = m.lex_key(x, menu_sel)
         if not inc.beats(obj, key):
             return False
-        if m.constraint_violations(x, menu_sel, self.tol):
+        if m.constraint_violations(x, menu_sel, TOLERANCE):
             return False  # defensive: never accept an infeasible leaf
         inc.offer(obj, key, x, menu_sel)
         return True
 
     def dfs(self, pos: int, dive: bool = False) -> bool:
         """Depth-first search in bound order, backtracking locally, over
-        the children whose `_bound` stays at or below the incumbent's
+        the children whose bound stays at or below the incumbent's
         threshold as each one's turn comes; True once it stops: at the
         deadline, or with `dive` at the first leaf the incumbent accepts.
         Until an incumbent exists nothing is pruned (the threshold is
@@ -1356,7 +1291,7 @@ class _Search:
         if pos == self.m.F:
             return self._leaf() and dive
         for child in self._children(pos):
-            if self._bound(pos, child) > self.inc.obj + EPS_PRUNE:
+            if child[0] > self.inc.obj + EPS_PRUNE:
                 continue
             self._apply(pos, child)
             stop = self.dfs(pos + 1, dive)
@@ -1372,24 +1307,24 @@ class _Search:
         that objective once nothing is open.
 
         An open node is a child not yet entered, kept in a heap as its
-        parent node and its child tuple, keyed by the child's `_bound`;
-        ties go to the deeper node, then the newer one.  A node is a
-        (depth, parent node, child) tuple, so an entry is O(1) and a path
-        is a chain of parent links.  Entering a node expands it: its children that
-        `_bound` leaves at or below the threshold are opened, and the
-        search plunges into the first of them, the least node bound,
-        while its key is at most `best + PLUNGE * (inc.obj - best)`, where
-        `best` is the least key open.  Otherwise, and below a leaf, it
-        jumps to the heap's best entry: `_undo` up to the common prefix of
-        the two paths, then `_apply` down to the entry's parent and into
-        its child.  The key is the exact bound a fresh `_bound` would
+        parent node and its child tuple, keyed by the child's bound; ties
+        go to the deeper node, then the newer one.  A node is a (depth,
+        parent node, child) tuple, so an entry is O(1) and a path is a
+        chain of parent links.  Entering a node expands it: each of its
+        children, all within the threshold, is opened, and the search
+        plunges into the first of them, the least bound, while its key is
+        at most `best + PLUNGE * (inc.obj - best)`, where `best` is the
+        least key open.  Otherwise, and below a leaf, it jumps to the
+        heap's best entry: `_undo` up to the common prefix of the two
+        paths, then `_apply` down to the entry's parent and into its
+        child.  The key is the exact bound a fresh `_node_bound` would
         compare with the threshold there, so an entry above the threshold
         is dropped without the walk, and once the heap's best is above it
         the proof is done.  With `MAX_OPEN` entries open, a node is
         searched by `dfs` instead of expanded, and adds none."""
         F = self.m.F
         inc = self.inc
-        children, bound, apply = self._children, self._bound, self._apply
+        children, apply = self._children, self._apply
         heap: list[tuple] = []
         push, pop = heapq.heappush, heapq.heappop
         seq = itertools.count()
@@ -1409,16 +1344,13 @@ class _Search:
                 self._leaf()
             else:
                 self.nodes += 1
-                thresh = inc.obj + EPS_PRUNE
                 for child in children(pos):
-                    b = bound(pos, child)
-                    if b > thresh:
-                        continue
                     if first is None:
-                        first, first_key = child, b
+                        first = child
                     else:
-                        push(heap, (b, -pos - 1, -next(seq), node, child))
+                        push(heap, (child[0], -pos - 1, -next(seq), node, child))
             if first is not None:
+                first_key = first[0]
                 best = heap[0][0] if heap else first_key
                 if first_key <= best or first_key <= best + PLUNGE * (inc.obj - best):
                     key = first_key
@@ -1453,19 +1385,86 @@ class _Search:
             path.append(node)
 
 
+class _BalanceSearch(_Search):
+    """A solve in balance mode, whose objective |w_t * traffic - w_c *
+    comp| has no costs to relax: its only bound is the interval one over
+    per-depth suffix tables of the least and largest compute and traffic,
+    so `tighten` has nothing to build."""
+
+    __slots__ = ("suffix_comp_lo", "suffix_comp_hi", "suffix_traf_lo",
+                 "traf_hi_const")
+
+    def _build_bounds(self):
+        self.suffix_comp_lo = self._suffix(
+            [min(rec.comp for rec in recs) for recs in self.classes])
+        self.suffix_comp_hi = self._suffix(
+            [max(rec.comp for rec in recs) for recs in self.classes])
+        self.suffix_traf_lo = self._suffix(
+            [min(rec.dl + rec.self_t for rec in recs) for recs in self.classes])
+        total_lg = sum(f.lg for f in self.m.factors)
+        self.traf_hi_const = (
+            sum(max(rec.dl for rec in recs) for recs in self.classes)
+            + 3.0 * total_lg
+        )
+
+    def tighten(self):
+        pass
+
+    def _node_bound(self, pos, rec, t_after) -> float | None:
+        w = self.m.weights
+        comp_lo = self.comp_sum + rec.comp + self.suffix_comp_lo[pos + 1]
+        comp_hi = self.comp_sum + rec.comp + self.suffix_comp_hi[pos + 1]
+        traf_lo = self.dl_sum + rec.dl + t_after + self.suffix_traf_lo[pos + 1]
+        a_lo, a_hi = w.w_t * traf_lo, w.w_t * self.traf_hi_const
+        b_lo, b_hi = w.w_c * comp_lo, w.w_c * comp_hi
+        if a_lo > b_hi:
+            b = a_lo - b_hi
+        elif b_lo > a_hi:
+            b = b_lo - a_hi
+        else:
+            b = 0.0
+        if b > self.inc.obj + EPS_PRUNE:
+            return None
+        return b
+
+    def _leaf_estimate(self) -> float:
+        w = self.m.weights
+        return abs(w.w_t * (self.dl_sum + self.t_cur) - w.w_c * self.comp_sum)
+
+
+def _root_witness(m: MipModel) -> tuple[str, ...] | None:
+    """Best-effort irreducible cause when no feasible leaf exists, each
+    constraint named once.  It scans each class's dense row: a capacity
+    pad above the capacity makes rhs < 0, and then a zero contribution
+    already violates."""
+    names: dict[str, None] = {}  # ordered set
+    for recs in m.classes:
+        blocking = set()
+        any_ok = False
+        for rec in recs:
+            bad = [c.name for c, add in zip(m.check_cons, rec.row)
+                   if add > c.rhs + TOLERANCE]
+            if bad:
+                blocking.update(bad)
+            else:
+                any_ok = True
+        if not any_ok:
+            names.update(dict.fromkeys(sorted(blocking)))
+    if m.menus:
+        floor_bytes = sum(menu.entries[0].nbytes for menu in m.menus)
+        if floor_bytes > m.budget_bytes:
+            names["budget"] = None
+    return tuple(names) or None
+
+
 def solve(model: MipModel, opts: SolverOptions = SolverOptions()) -> Solution:
     """Proven-optimal solve with the deterministic branch-and-bound."""
     t0 = time.perf_counter()
     inc = _Incumbent()
-    search = _Search(model, TOLERANCE, inc, t0 + opts.time_limit_s)
+    cls = _BalanceSearch if model.weights.mode == "balance" else _Search
+    search = cls(model, inc, t0 + opts.time_limit_s)
     search.dfs(0, dive=True)
-    if not search.balance:
-        if inc.x is not None:  # Polyak steps against the dive's incumbent
-            search._build_lagrangian(upper=inc.obj)
-        lam = [0.0] * search.ncons
-        for ci, value in search.lam_active:
-            lam[ci] = value
-        search.pen_at = search._build_knapsack(lam)
+    search.tighten()
     bound = search.prove()
 
     gap = inc.obj - bound if inc.x is not None else INF
@@ -1475,7 +1474,7 @@ def solve(model: MipModel, opts: SolverOptions = SolverOptions()) -> Solution:
         if search.stopped:
             return Solution("timeout", None, None, None, stats)
         return Solution(
-            "infeasible", None, None, None, stats, witness=search._root_witness()
+            "infeasible", None, None, None, stats, witness=_root_witness(model)
         )
     status = "timeout" if search.stopped else "optimal"
     return Solution(status, inc.obj, inc.x, inc.menu, stats)

@@ -23,7 +23,7 @@ from mipsched.formulation import (
     build_model,
 )
 from mipsched.schedule import CostReport, Loop, Schedule, ScheduleViolation
-from mipsched.solver import SpaceTooLarge, assignment_space_size
+from mipsched.solver import TOLERANCE, SpaceTooLarge, assignment_space_size
 from mipsched.workload import DIM_INDEX, DIM_NAMES, LayerDims, PaddingPolicy, factorize
 
 J = DIM_INDEX
@@ -790,7 +790,7 @@ def reference_enumerate_all(pf, arch, limit=1_000_000, halo=True):
 # constraint down to a whole number where every class record of the
 # unassigned tail weighs a whole number on it.  `sh` is the solver's
 # `_Search`; besides its model-derived fields, the bounds read the node's
-# buffer sums `con_lhs` and its rhs `rhs_at[pos]`.
+# buffer sums `con_lhs` and its rhs `rhs`.
 # ----------------------------------------------------------------------
 
 
@@ -931,7 +931,7 @@ def reference_plain_bound(sh, kn_at, base, pos, row, threshold):
     constraint whose capacity covers its tail's hull weight is skipped."""
     best = -math.inf
     for ci, whole, w_suffix, cost0, segs in kn_at[pos + 1]:
-        capacity = sh.rhs_at[pos][ci] - sh.con_lhs[ci] - row[ci] + sh.tol
+        capacity = sh.rhs[ci] - sh.con_lhs[ci] - row[ci] + TOLERANCE
         if whole:
             capacity = math.floor(capacity)
         if capacity >= w_suffix:
@@ -966,17 +966,16 @@ def reference_kn_gain(cw, cg, dens, capacity):
 
 def reference_penalized_bound(sh, pen_at, base, pos, row, threshold):
     """max(threshold, max over constraints i of the Lagrangian-penalized
-    knapsack bound), every slack with the tolerance `sh.tol`; the
+    knapsack bound), every slack with the tolerance `TOLERANCE`; the
     knapsack's capacity is that slack, rounded down on a whole tail, while
     the refund keeps the slack as it is."""
-    tol = sh.tol
-    rhs = sh.rhs_at[pos]
+    rhs = sh.rhs
     refund = 0.0
     for ci, lam in sh.lam_active:
-        refund += lam * (rhs[ci] - sh.con_lhs[ci] - row[ci] + tol)
+        refund += lam * (rhs[ci] - sh.con_lhs[ci] - row[ci] + TOLERANCE)
     best = threshold
     for ci, lam_i, whole, cost0, cw, cg, dens in pen_at[pos + 1]:
-        slack = rhs[ci] - sh.con_lhs[ci] - row[ci] + tol
+        slack = rhs[ci] - sh.con_lhs[ci] - row[ci] + TOLERANCE
         upper = base + cost0 - (refund - lam_i * slack)
         if upper <= best:
             continue

@@ -398,7 +398,7 @@ class TestPartitionCommand:
         out, err = capsys.readouterr()
         lines = err.splitlines()
         assert lines[0] == "baseline status optimal"
-        assert re.fullmatch(r"baseline nodes 833 leaves 64 wall \d+\.\d{3}s rounds 1",
+        assert re.fullmatch(r"baseline nodes 831 leaves 64 wall \d+\.\d{3}s rounds 1",
                             lines[1]), lines[1]
         assert lines[2] == "partition status optimal"
         assert re.fullmatch(r"partition nodes 134 leaves 19 wall \d+\.\d{3}s rounds 1",

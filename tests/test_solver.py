@@ -34,6 +34,7 @@ from mipsched.solver import (
     TOLERANCE,
     SolverOptions,
     SpaceTooLarge,
+    _BalanceSearch,
     _Incumbent,
     _Search,
     assignment_space_size,
@@ -46,6 +47,12 @@ from mipsched.workload import DIM_NAMES, LayerDims, PaddingPolicy, factorize
 
 # the benchmark's fully connected layer: 1x1, C1024 K1000, batch 16
 FC_LAYER = LayerDims(1, 1, 1, 1, 1024, 1000, 16)
+
+
+def new_search(model):
+    """The search `solve` runs on `model`, at its root, before the dive."""
+    cls = _BalanceSearch if model.weights.mode == "balance" else _Search
+    return cls(model, _Incumbent(), math.inf)
 
 
 def small_model(mode="combined"):
@@ -259,14 +266,15 @@ def pen_models(simba):
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-6])
-def test_penalized_bound_dominates_lagrangian(simba, tol):
+def test_penalized_bound_dominates_lagrangian(simba, monkeypatch, tol):
     """At every root child, the Lagrangian-penalized knapsack bound is a
     number and, by LP duality, at least the Lagrangian bound at the same
     multipliers; both grant each slack the same tolerance."""
+    monkeypatch.setattr(mipsched.solver, "TOLERANCE", tol)
     checked = 0
     for name, model in pen_models(simba):
         assert model is not None and model.weights.mode != "balance", name
-        search = _Search(model, tol, _Incumbent(), math.inf)
+        search = new_search(model)
         dense = [0.0] * search.ncons
         for ci, value in search.lam_active:
             dense[ci] = value
@@ -276,7 +284,7 @@ def test_penalized_bound_dominates_lagrangian(simba, tol):
         fi = search.order[0]
         for child in search._children(0):
             _b, I, k, _q, choice, t_after = child
-            slacks = [search.rhs_at[0][ci] - choice.row[ci] + tol
+            slacks = [search.rhs[ci] - choice.row[ci] + tol
                       for ci in range(search.ncons)]
             if min(slacks, default=0.0) < 0.0:
                 continue
@@ -408,9 +416,9 @@ def test_search_counts_pinned(simba):
                         sol.stats.nodes, sol.stats.leaves)
     assert counts == {
         "tiny": (10, 2),
-        "conv28": (833, 64),
+        "conv28": (831, 64),
         "deep512": (1_456, 8),
-        "wide256": (2_649, 51),
+        "wide256": (2_548, 51),
         "conv28-partition": (134, 19),
         "deep512-partition": (5_148, 36),
         "fc-partition": (1_662, 21),
@@ -436,9 +444,9 @@ def test_bound_tables_pinned(simba):
     }
     digests = {}
     for name, model in models.items():
-        search = _Search(model, 1e-6, _Incumbent(), math.inf)
+        search = new_search(model)
         assert not hasattr(search, "__dict__")  # __slots__ keeps attribute reads fast
-        if search.balance:
+        if isinstance(search, _BalanceSearch):
             tables = (search.suffix_comp_lo, search.suffix_comp_hi,
                       search.suffix_traf_lo, search.traf_hi_const)
         else:
@@ -486,8 +494,8 @@ def assert_rows_match(table, ref_table):
 
 
 def test_knapsack_bounds_match_reference(simba, monkeypatch):
-    """Every knapsack bound a solve evaluates, in `_node_bound` and in
-    `_bound`, against the frozen reference of the two separate bounds.
+    """Every knapsack bound a solve evaluates in `_node_bound`, plain and
+    penalized, against the frozen reference of the two separate bounds.
     The penalized bound, a max that starts from the child's node bound, is
     bit-identical, and so are its tables, whole-tail
     marks included (`assert_rows_match`).  The plain bound agrees within
@@ -504,7 +512,7 @@ def test_knapsack_bounds_match_reference(simba, monkeypatch):
     def cuts_fraction(sh, pos, row, ci, whole, tail_w):
         """The reference rounds this row's capacity down below both the
         slack and the tail's weight, so the rounding moves its gain."""
-        slack = sh.rhs_at[pos][ci] - sh.con_lhs[ci] - row[ci] + sh.tol
+        slack = sh.rhs[ci] - sh.con_lhs[ci] - row[ci] + TOLERANCE
         return whole and 0.0 < slack and math.floor(slack) < min(slack, tail_w)
 
     def reference_for(kind, table, build, sh):
@@ -555,12 +563,13 @@ def test_knapsack_bounds_match_reference(simba, monkeypatch):
     assert all(calls[kind] > conv28_calls[kind] for kind in calls), calls
 
 
-def test_gain_tables_are_exact(simba):
+def test_gain_tables_are_exact(simba, monkeypatch):
     """Every entry of every whole-tail row's gain table, in the plain and
     the penalized tables, is the bisect path's gain at that whole
     capacity, bit for bit; and `_kn_bound` on such a row is the bisect
     path at the rounded-down slack, just below, at and between whole
-    slacks and past the table's end."""
+    slacks and past the table's end.  The tables do not read the
+    tolerance; the stub searches grant none, so a slack is exactly s."""
     models = {
         "conv28": build_model(factorize(SUITE_LAYERS["conv28"]), simba),
         "conv28-partition": build_model(factorize(SUITE_LAYERS["conv28"]), simba,
@@ -571,8 +580,9 @@ def test_gain_tables_are_exact(simba):
         if model is not None and model.weights.mode != "balance":
             models[seed] = model
     tables = entries = 0
-    for name, model in models.items():
-        search = _Search(model, TOLERANCE, _Incumbent(), math.inf)
+    searches = {name: new_search(model) for name, model in models.items()}
+    monkeypatch.setattr(mipsched.solver, "TOLERANCE", 0.0)
+    for name, search in searches.items():
         lam = [0.0] * search.ncons
         for ci, value in search.lam_active:
             lam[ci] = value
@@ -590,7 +600,7 @@ def test_gain_tables_are_exact(simba):
                     n = len(gains)
                     slacks = [x for k in range(n + 1) for x in (k - 1e-12, k, k + 0.5)]
                     for s in slacks + [n + 3]:
-                        stub = types.SimpleNamespace(rhs_at=[[s]], con_lhs=[0.0], tol=0.0)
+                        stub = types.SimpleNamespace(rhs=[s], con_lhs=[0.0])
                         b = _Search._kn_bound(stub, one, 0.0, -1, [0.0], -math.inf,
                                               math.inf, 0.0)
                         upper = 0.0 + cost0 - (0.0 - lam_i * s)
@@ -700,28 +710,29 @@ def test_menu_floors_and_rhs_follow_the_path(simba, monkeypatch):
     """At every `_children` call, of the dive and of the proof's plunges
     and jumps, the node's menu floors and their byte total equal a fresh
     `_floors` of its buffer sums, and the rhs its children's bounds read,
-    `rhs_at[pos]`, equals `_menu_rhs` of them, bit for bit.  Some of those
-    nodes are reached where `rhs_at[pos]` held another node's rhs, a
-    sibling's or a cousin's, so the refresh decides the bounds there."""
+    `rhs`, equals `_menu_rhs` of them, bit for bit.  The rhs moves: more
+    than 100 nodes read another rhs than the call before them did."""
     real_children = _Search._children
-    counts = {"calls": 0, "refreshed": 0}
+    counts = {"calls": 0, "moved": 0}
+    last = [None]  # the rhs the previous call read
 
     def children(sh, pos):
-        held = sh.rhs_at[pos]
         out = real_children(sh, pos)
         floors, total = sh._floors()
         assert sh.floors == (tuple(floors), total)
         if total <= sh.m.budget_bytes:
             fresh = sh._menu_rhs(tuple(floors), total)
-            assert repr(sh.rhs_at[pos]) == repr(fresh)
-            counts["refreshed"] += held != fresh
+            assert repr(sh.rhs) == repr(fresh)
+        counts["moved"] += last[0] is not None and sh.rhs != last[0]
+        last[0] = sh.rhs
         counts["calls"] += 1
         return out
 
     monkeypatch.setattr(_Search, "_children", children)
     for model in partition_models(simba):
+        last[0] = None
         solve(model)
-    assert counts["refreshed"] > 100, counts
+    assert counts["moved"] > 100, counts
 
 
 def test_proof_jumps(simba, monkeypatch):
@@ -769,6 +780,73 @@ def test_full_open_list_searches_depth_first(simba, monkeypatch):
     assert len(fallbacks) > 50, len(fallbacks)
 
 
+def test_stored_bound_decides_as_a_fresh_one(simba, monkeypatch):
+    """A child's bound is computed once, at its parent's expansion, and an
+    open node is pruned on it when it is taken: a heap pop, a plunge, or
+    a `dfs` sibling's turn.  At each take a fresh `_node_bound` at its
+    parent, against the incumbent of that moment, prunes it exactly when
+    the stored `child[0]` exceeds `inc.obj + EPS_PRUNE`, and otherwise
+    equals it.  The default open list checks pops and plunges; a cap of 3
+    sends the proof to `dfs`, where siblings are pruned at their turn.
+    Some takes come after the incumbent improved since the expansion."""
+    real_children = _Search._children
+    real_apply = _Search._apply
+    real_goto = _Search._goto
+    seen = {"taken": 0, "popped": 0, "pruned": 0, "later": 0}
+    expanded_at = {}  # id of a child -> (the child, inc.obj at its expansion)
+    walking = [False, False]  # inside `_goto`; the next apply takes a pop
+
+    def check(sh, pos, child):
+        fresh = sh._node_bound(pos, child[4], child[5])
+        pruned = child[0] > sh.inc.obj + EPS_PRUNE
+        assert (fresh is None) == pruned, (fresh, child[0], sh.inc.obj)
+        assert pruned or fresh == child[0]
+        seen["later"] += sh.inc.obj < expanded_at[id(child)][1]
+        return pruned
+
+    def children(sh, pos):
+        out = real_children(sh, pos)
+        for child in out:
+            expanded_at[id(child)] = (child, sh.inc.obj)
+        for child in out:  # each is checked as `dfs` or `prove` reaches it
+            if check(sh, pos, child):
+                seen["pruned"] += 1
+            yield child
+
+    def apply(sh, pos, child):
+        if not walking[0]:
+            assert not check(sh, pos, child)
+            seen["taken"] += 1
+            seen["popped"] += walking[1]
+            walking[1] = False
+        return real_apply(sh, pos, child)
+
+    def goto(sh, path, target):
+        walking[0] = True
+        real_goto(sh, path, target)
+        walking[:] = [False, True]
+
+    cases = [build_model(factorize(SUITE_LAYERS[name]), simba)
+             for name in ("conv28", "wide256")]
+    cases.append(build_model(factorize(SUITE_LAYERS["conv28"]), simba,
+                             partition=PartitionSpec(budget_bytes=306367)))
+    cases += [random_instance(seed, max_space=60_000) for seed in range(100)]
+    cases = [model for model in cases if model is not None]
+    assert "balance" in {model.weights.mode for model in cases}
+    expected = [_answer(solve(model)) for model in cases]
+    monkeypatch.setattr(_Search, "_children", children)
+    monkeypatch.setattr(_Search, "_apply", apply)
+    monkeypatch.setattr(_Search, "_goto", goto)
+    for cap in (mipsched.solver.MAX_OPEN, 3):
+        monkeypatch.setattr(mipsched.solver, "MAX_OPEN", cap)
+        for model, answer in zip(cases, expected):
+            walking[1] = False
+            assert _answer(solve(model)) == answer
+            expanded_at.clear()
+    assert seen["taken"] > seen["popped"] > 1000 and seen["later"] > 100, seen
+    assert seen["pruned"] > 20, seen
+
+
 def test_derive_menus_matches_reference(simba, monkeypatch):
     """At every leaf that derives its menus, the selection is the
     reference scan's (`helpers.reference_derive_menus`), on partition
@@ -808,7 +886,7 @@ def test_derive_menus_matches_reference(simba, monkeypatch):
         model = binding_partition_instance(seed)
         if model is None:
             continue
-        sh = _Search(model, TOLERANCE, _Incumbent(), math.inf)
+        sh = new_search(model)
         for _ in range(10):
             menu_cons = {ci for ci, *_rest in sh.menu_fit}
             sh.con_lhs = [rng.uniform(0.0, rhs + 1.0) if ci in menu_cons
@@ -853,7 +931,7 @@ def test_whole_tail_rounding_keeps_oracle_identity():
         model = random_instance(seed, max_space=60_000)
         if model is None or model.weights.mode == "balance":
             continue  # balance mode builds no knapsack bound
-        search = _Search(model, TOLERANCE, _Incumbent(), math.inf)
+        search = new_search(model)
         if any(whole for rows in reference_plain_knapsack(search)
                for _ci, whole, *_rest in rows):
             models[seed] = model
@@ -904,18 +982,19 @@ def test_run_lookahead_cuts_only_leafless_children(simba, monkeypatch):
     one that passes the rep limit and the capacity check but never
     reaches the menu or the node bound."""
     real_children = _Search._children
-    real_bound = _Search._node_bound
     real_menu = _Search._menu_bytes
     reached = []  # rows that got past the filters in this `_children` call
     cuts = []
 
-    def bound(sh, pos, rec, t_after):
-        reached.append(rec.row)
-        return real_bound(sh, pos, rec, t_after)
+    def reaching(real_bound):
+        def bound(sh, pos, rec, t_after):
+            reached.append(rec.row)
+            return real_bound(sh, pos, rec, t_after)
+        return bound
 
-    def menu(sh, rec, floors, total):
+    def menu(sh, rec):
         reached.append(rec.row)
-        return real_menu(sh, rec, floors, total)
+        return real_menu(sh, rec)
 
     def children(sh, pos):
         reached.clear()
@@ -935,7 +1014,8 @@ def test_run_lookahead_cuts_only_leafless_children(simba, monkeypatch):
         return out
 
     monkeypatch.setattr(_Search, "_children", children)
-    monkeypatch.setattr(_Search, "_node_bound", bound)
+    for cls in (_Search, _BalanceSearch):  # each runs its own `_node_bound`
+        monkeypatch.setattr(cls, "_node_bound", reaching(cls._node_bound))
     monkeypatch.setattr(_Search, "_menu_bytes", menu)
     counts = {}
     solve(build_model(factorize(SUITE_LAYERS["conv28"]), simba))
@@ -971,7 +1051,7 @@ def tightened_rhs_excess(model) -> tuple[int, int]:
     and every prune.  Each prefix's rhs is `_Search._menu_rhs` of the
     floors at the prefix's sums; a prefix over the budget counts as an rhs
     of -inf."""
-    sh = _Search(model, TOLERANCE, _Incumbent(), math.inf)
+    sh = new_search(model)
     m = sh.m
     menu_cons = [(ci, c.pad, m.menus[c.menu].entries)
                  for ci, c in enumerate(m.check_cons) if c.menu is not None]
@@ -1046,7 +1126,7 @@ def test_tightened_rhs_is_sound(monkeypatch):
     assert tighter_excess > 0
 
 
-def test_run_lookahead_keeps_an_exact_fit():
+def test_run_lookahead_keeps_an_exact_fit(monkeypatch):
     """The optimum fills the 8-element input buffer of the middle level
     with C's run of three 2s, so the lookahead at the first 2 reaches the
     capacity exactly; the answer is the exhaustive oracle's.  With no
@@ -1064,7 +1144,8 @@ def test_run_lookahead_keeps_an_exact_fit():
 
     ci = next(ci for ci, c in enumerate(model.check_cons) if c.name == "buffer[L1/IA]")
     assert model.check_cons[ci].rhs == 3.0
-    sh = _Search(model, 0.0, _Incumbent(), math.inf)
+    monkeypatch.setattr(mipsched.solver, "TOLERANCE", 0.0)
+    sh = new_search(model)
     assert sh.cap[ci] == 3.0
     pos = next(pos for pos, fi in enumerate(sh.order) if sh.run_rem[fi] == 2)
     for p in range(pos):  # assign K's 3 ahead of the run
@@ -1171,7 +1252,7 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
         obj = m.objective_of(x, menu_sel)
         key = m.lex_key(x, menu_sel)
         accept = (inc.beats(obj, key)
-                  and not m.constraint_violations(x, menu_sel, sh.tol))
+                  and not m.constraint_violations(x, menu_sel, TOLERANCE))
         return obj, (obj, key, x, menu_sel) if accept else False
 
     def checked(sh):
@@ -1201,7 +1282,7 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
 
     def leaf(sh):
         m = sh.m
-        if not sh.balance:
+        if m.weights.mode != "balance":
             est = sh.static_sum + sh.wt * sh.t_cur
         else:
             est = abs(m.weights.w_t * (sh.dl_sum + sh.t_cur)
@@ -1268,7 +1349,7 @@ def test_t_sums_matches_reference(simba):
 def swapped_dims(model):
     """The transpositions `_Search._swaps` finds, each as its dimensions'
     names and its number of factor pairs."""
-    sh = _Search(model, TOLERANCE, _Incumbent(), math.inf)
+    sh = new_search(model)
     name = lambda fi: DIM_NAMES[model.factors[fi].j]
     return [(name(pairs[0][0]) + name(pairs[0][1]), len(pairs)) for pairs in sh._swaps()]
 
@@ -1312,7 +1393,7 @@ def test_square_instances_match_the_oracle():
                      else square_instance(seed))
             if model is None:
                 continue
-            assert _Search(model, TOLERANCE, _Incumbent(), math.inf).images, seed
+            assert new_search(model).images, seed
             assert _answer(solve(model)) == _answer(exhaustive_solve(model)), (seed, menus)
             checked[menus] += 1
             modes.add(model.weights.mode)
@@ -1328,7 +1409,7 @@ def test_images_reach_the_answer_the_cut_removes(simba):
     kept leaf report the answer."""
     model = build_model(factorize(LayerDims(3, 3, 6, 6, 1, 64, 1)), simba,
                         ObjectiveWeights(mode="util"))
-    sh = _Search(model, TOLERANCE, _Incumbent(), math.inf)
+    sh = new_search(model)
     ([(first, later)], _pairs, sigma), = [
         image for image in sh.images
         if {model.factors[fi].j for fi in image[2]} == {DIM_NAMES.index("P"),
