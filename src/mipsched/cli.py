@@ -102,21 +102,28 @@ class RunConfig:
 
 
 def parse_sections(text: str, path: str) -> list[tuple[str, dict[str, str], int]]:
-    """Parse `[section]` / `key=value` text into ordered sections."""
+    """Parse `[section]` / `key=value` text into ordered sections.  A key
+    appears at most once in a section, in any case: `Stride` and `stride`
+    are one key."""
     sections: list[tuple[str, dict[str, str], int]] = []
     current: dict[str, str] | None = None
+    seen: dict[str, int] = {}  # the current section's keys, lowercased: line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = {}
+            seen = {}
             sections.append((line[1:-1].strip().lower(), current, lineno))
         elif "=" in line:
             if current is None:
                 raise ConfigError(f"{path}:{lineno}: key outside any [section]")
-            key, value = line.split("=", 1)
-            current[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            first = seen.setdefault(key.lower(), lineno)
+            if first != lineno:
+                raise ConfigError(f"{path}:{lineno}: key {key} repeats line {first}")
+            current[key] = value
         else:
             raise ConfigError(f"{path}:{lineno}: expected [section] or key=value")
     return sections

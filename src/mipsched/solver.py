@@ -27,55 +27,56 @@ check does, so none cuts a completion that check admits; the rounding
 relies on it, since a float slack can fall an ulp short of the whole
 number it stands for.
 
-Identical factors are symmetry-broken: in branch order each member of an
-identical class, a run, takes a class whose `rep` is at or below the
-previous member's.  `_children` propagates that order into the capacity
-check, in the spirit of orbitopal fixing (Kaibel, Peinhardt & Pfetsch
-2011): a child is dropped when the rest of its run, each member at its
-lightest allowed weight, cannot fit.  Every completion of such a child
-fails a capacity check, so the cut subtree holds no leaf; the leaves,
-their order, the incumbent's trajectory and the answer stay as they were,
-and only nodes fall.
-
-Transpositions of dimensions are broken as well, in the spirit of
+Interchangeable factors are symmetry-broken, in the spirit of
 isomorphism pruning and orbital branching (Margot 2002; Ostrowski,
-Linderoth, Rossi & Smriglio 2011).  `_Search._swaps` finds them in the
-model: two dimensions transpose when the k-th factor of each, in branch
-order, has the same log-factor, traffic triggers and class records, field
-for field, for every k.  Then trading the pairs' records moves no row,
-objective term or chain trigger.  A square layer (R = S, P = Q) on an
-arch that treats the two alike has R with S and P with Q; unequal rows,
-spatial limits or pads make some pair differ, and nothing is cut.  Each
-dimension joins at most one transposition, so they commute and no one
-moves another's factors.  Each gets one lex-leader cut: the later factor
-of its first pair takes the earlier one as its `prev_same`, the rule of
-identical runs, so its record's `rep` is at or below the earlier's.
-A leaf's image under a set of transpositions trades the records and
-chain places of their pairs.  The pairs keep branch order within each
-prime, so an image keeps the record order of every identical run and
-the chain order of its members: it is a leaf of the uncut search.
-Applying to a leaf L' the set g of transpositions whose cut it fails
-gives L = g(L'), which meets every cut and takes records of different
-rep in the first pair of each member of g; and g(L) = L'.  So `_leaf`
-decides each leaf that passes its estimate, then its images under each
-g whose every first pair differs in rep there: these are the leaves of
-the uncut search that fail a cut, each decided at exactly one leaf.  An
-image is decided as the uncut search decides that leaf: its own fold of
-the buffer sums in branch order against the capacities, its own
-`_derive_menus`, `objective_from` in factor order,
-`canonical_assignment` and `lex_key`, through the same `beats`.
+Linderoth, Rossi & Smriglio 2011).  Two factors mirror each other
+(`_Search._mirrored`) when they have the same log-factor, traffic
+triggers and class records, field for field: then trading their records
+and chain places moves no row, objective term or chain trigger.
+Identical factors (one dimension, one prime) mirror each other, and so
+do, on an arch that treats the dimensions alike, R's 3 and S's 3 of a
+3x3 layer, P's 2s and Q's 2s whether or not P = Q, or N's 2s and P's.
+Unequal rows or spatial limits keep two dimensions apart; pads sit in
+the rhs and do not.  A mirror class is a union of identical classes.  In
+branch order each member of a mirror class, a run, takes a class whose
+`rep` is at or below the previous member's, and a chained member whose
+previous member holds the same chain level goes in after it.
+`_children` propagates that order into the capacity check, in the spirit
+of orbitopal fixing (Kaibel, Peinhardt & Pfetsch 2011): a child is
+dropped when the rest of its run, each member at its lightest allowed
+weight, cannot fit.  Every completion of such a child fails a capacity
+check, so the cut subtree holds no leaf, and only nodes fall.
+
+The uncut search breaks identical runs only; `canonical_assignment`
+maps every order of an identical class to one assignment.  A member's
+slot is its record and, if chained, its chain level and place.  A leaf
+of the uncut search is one of the cut search when every run's slots are
+sorted in branch order: reps non-increasing, chain places increasing.
+Its images deal the same slots to the run's identical classes in other
+shares: each class takes a sub-multiset of the class's size, its members
+in branch order, so an image keeps the record order of every identical
+run and the chain order of its members, and is a leaf of the uncut
+search.  Sorting each run's slots maps every leaf of the uncut search to
+exactly one kept leaf, of which it is the leaf itself or one image.  So
+`_leaf` decides each leaf that passes its estimate, then its images
+under every combination of its runs' shares but its own
+(`_Search._slot_maps`), each as the uncut search decides that leaf: its
+records mapped by index from its sources', its own fold of the buffer
+sums in branch order against the capacities, its own `_derive_menus`,
+`objective_from` in factor order, `canonical_assignment` and `lex_key`,
+through the same `beats`.
 
 So the answer is still the least `(objective, lex_key)` over all leaves
 of the uncut search.  Every decided image is one of them, decided as that
 search decides it.  The least one, L*, is L0 or one of its decided
-images, for L0 = g(L*) as above.  A bound or estimate that rejects L0
-exceeds `inc.obj + EPS_PRUNE` while bounding L0's objective from below.
-L0's objective differs from L*'s only in summation order, by about
-F·u·Σ|terms|, far below `EPS_PRUNE`, and the incumbent is a leaf's
-objective, so at least L*'s; no bound or estimate rejects L0.  L0 is
-reached and offers L*.  The argument reads nothing but admissible bounds
-and summation order, so it holds in every objective mode, balance
-included.
+images, for L0 the leaf whose mirror slots are L*'s sorted.  A bound or
+estimate that rejects L0 exceeds `inc.obj + EPS_PRUNE` while bounding
+L0's objective from below.  L0's objective differs from L*'s only in
+summation order, by about F·u·Σ|terms|, far below `EPS_PRUNE`, and the
+incumbent is a leaf's objective, so at least L*'s; no bound or estimate
+rejects L0.  L0 is reached and offers L*.  The argument reads nothing
+but admissible bounds and summation order, so it holds in every
+objective mode, balance included.
 
 A partition model's byte budget is propagated into the capacity bounds,
 as activity-based bound propagation does with a linear row (Savelsbergh
@@ -183,6 +184,7 @@ import math
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import gt
 
 from .formulation import ChoiceCoef, MipModel
 
@@ -434,7 +436,8 @@ class _Search:
     __slots__ = (
         "m", "inc", "deadline", "stopped", "nodes", "leaves",
         "canonicalized", "order", "lg", "trig", "members",
-        "prev_same", "partner", "images", "run_rem", "run_need", "wt",
+        "mirror_of", "prev_same", "mirrors", "rec_index", "run_rem",
+        "run_need", "wt",
         "ncons", "con_rhs", "cap", "menu_fit", "menu_items",
         "cls_of", "classes", "costs", "suffix_min", "kn_at",
         "lam_active", "lagr_suffix", "pen_at", "choice_rec",
@@ -514,40 +517,26 @@ class _Search:
             for recs in self.classes for rec in recs
         } if m.menus else {}
 
-        # per factor, the factor whose record's rep bounds its own: the
-        # previous member of its identical run, and for the later factor
-        # of a transposition's first pair, the earlier one (the lex-leader
-        # cut).  `images` holds, per non-identity element of the group the
-        # transpositions generate, the (earlier, later) first pair of each
-        # of its transpositions, its factor pairs and its factor map;
-        # `partner` maps each record of a paired factor to its partner's.
+        # per factor, its mirror class (`_mirror_classes`), and the previous
+        # member of its mirror run, whose record's rep bounds its own.
+        # `mirrors` holds, per mirror class that spans two identical
+        # classes or more, its run and the memo of `_slot_maps`;
+        # `rec_index` maps each record of its members to its index in the
+        # member's class list.
+        self.mirror_of = self._mirror_classes()
         self.prev_same: list[int | None] = [None] * F
-        last: dict[int, int] = {}
+        runs: dict[int, list[int]] = {}
         for fi in self.order:
-            cls = m.factors[fi].cls
-            self.prev_same[fi] = last.get(cls)
-            last[cls] = fi
-        self.partner: dict[ChoiceCoef, ChoiceCoef] = {}
-        depth = {fi: pos for pos, fi in enumerate(self.order)}
-        swaps = [(sorted(pairs[0], key=depth.__getitem__), pairs)
-                 for pairs in self._swaps()]
-        for (first, later), pairs in swaps:
-            self.prev_same[later] = first
-            for fa, fb in pairs:
-                for ra, rb in zip(self.classes[fa], self.classes[fb]):
-                    self.partner[ra], self.partner[rb] = rb, ra
-        self.images = []
-        for n in range(1, len(swaps) + 1):
-            for group in itertools.combinations(swaps, n):
-                pairs = [pair for _head, swap in group for pair in swap]
-                sigma = {}
-                for fa, fb in pairs:
-                    sigma[fa], sigma[fb] = fb, fa
-                heads = [head for head, _swap in group]
-                self.images.append((heads, pairs, sigma))
+            run = runs.setdefault(self.mirror_of[fi], [])
+            self.prev_same[fi] = run[-1] if run else None
+            run.append(fi)
+        self.mirrors = [(run, {}) for run in runs.values()
+                        if len({self.cls_of[fi] for fi in run}) > 1]
+        self.rec_index = {rec: i for run, _memo in self.mirrors for fi in run
+                          for i, rec in enumerate(self.classes[fi])}
 
         # the run lookahead of `_children`: per factor, how many members of
-        # its identical class follow it in the branch order, and per class
+        # its mirror class follow it in the branch order, and per class
         # record r (parallel to `classes[fi]`), the (ci, w) pairs where w,
         # the least weight on ci of any record with rep <= r.rep of any of
         # those members, is positive
@@ -555,9 +544,9 @@ class _Search:
         self.run_need: list[list[tuple]] = [[] for _ in range(F)]
         after: dict[int, list[int]] = {}
         for fi in reversed(self.order):
-            rest = after.setdefault(m.factors[fi].cls, [])
+            rest = after.setdefault(self.mirror_of[fi], [])
             self.run_rem[fi] = len(rest)
-            # identical members have equal records: keep each (rep, row) once
+            # mirrored members have equal records: keep each (rep, row) once
             pool = {(r.rep, tuple(r.row)) for gi in rest for r in self.classes[gi]}
             for rec in self.classes[fi]:
                 rows = [row for rep, row in pool if rep <= rec.rep]
@@ -606,8 +595,8 @@ class _Search:
         """The static branch order, factor indices by depth: largest
         log-factor first, bigger identical classes ahead on ties (filling
         capacity early tightens the relaxation bounds sooner).  Every
-        table and the symmetry breaking of identical runs are derived
-        from it; any permutation gives the same answer (see the module
+        table and the symmetry breaking of mirror runs are derived from
+        it; any permutation gives the same answer (see the module
         docstring), only the node counts move."""
         factors = self.m.factors
         cls_size: dict[int, int] = {}
@@ -621,26 +610,20 @@ class _Search:
         )
         return sorted(range(len(factors)), key=key)
 
-    def _swaps(self) -> list[list[tuple[int, int]]]:
-        """The transpositions of the model, each as its factor pairs in
-        branch order.  Dimensions a and b transpose when they have equally
-        many factors and the k-th of a in the branch order mirrors the
-        k-th of b for every k (`_mirrored`).  Each dimension joins at most
-        one transposition, the first in dimension order, so the
-        transpositions commute and no one moves another's factors."""
-        dims: dict[int, list[int]] = {}
-        for fi in self.order:
-            dims.setdefault(self.m.factors[fi].j, []).append(fi)
-        swaps = []
-        taken: set[int] = set()
-        for a, b in itertools.combinations(sorted(dims), 2):
-            pairs = list(zip(dims[a], dims[b]))
-            if (a in taken or b in taken or len(dims[a]) != len(dims[b])
-                    or not all(self._mirrored(fa, fb) for fa, fb in pairs)):
-                continue
-            taken.update((a, b))
-            swaps.append(pairs)
-        return swaps
+    def _mirror_classes(self) -> list[int]:
+        """Per factor, its mirror class, numbered by first factor: the
+        factors it mirrors (`_mirrored`), an equivalence.  Identical
+        factors mirror each other, so a mirror class is a union of
+        identical classes."""
+        heads: list[int] = []  # the first factor of each mirror class
+        out = []
+        for fi in range(self.m.F):
+            mc = next((mc for mc, head in enumerate(heads)
+                       if self._mirrored(head, fi)), len(heads))
+            if mc == len(heads):
+                heads.append(fi)
+            out.append(mc)
+        return out
 
     def _mirrored(self, fa: int, fb: int) -> bool:
         """Whether factors fa and fb are alike to the search: the same
@@ -1077,11 +1060,11 @@ class _Search:
                 chain = self.chains[I]
                 lo_q = 0
                 if prev_rec is not None and prev_rec.cc == rec.cc:
-                    # identical member already in this chain: insert
-                    # outward (a transposition partner finds none)
-                    cls_of = self.cls_of
+                    # the previous member of the mirror run is already in
+                    # this chain: insert outward
+                    mirror_of = self.mirror_of
                     for qpos in range(len(chain) - 1, -1, -1):
-                        if cls_of[chain[qpos]] == cls_of[fi]:
+                        if mirror_of[chain[qpos]] == mirror_of[fi]:
                             lo_q = qpos + 1
                             break
                 for q in range(lo_q, len(chain) + 1):
@@ -1199,13 +1182,13 @@ class _Search:
 
     def _leaf(self) -> bool:
         """A leaf whose estimate passes the incumbent is decided, and so
-        are its images that fail a transposition's cut; True when one of
+        are its images, the leaves its mirror runs cut; True when one of
         them is accepted."""
         self.leaves += 1
         if self._leaf_estimate() > self.inc.obj + EPS_PRUNE:
             return False
         accepted = self._decide()
-        if self.images:
+        if self.mirrors:
             accepted = self._decide_images() or accepted
         return accepted
 
@@ -1213,34 +1196,94 @@ class _Search:
         """A lower bound on the leaf's objective from the search state."""
         return self.static_sum + self.wt * self.t_cur
 
+    def _slot_maps(self, run: list[int], pattern: tuple[bool, ...]) -> list[tuple]:
+        """The images of a leaf whose mirror run `run` has slot `pattern`:
+        per slot but the last, whether the next one is equal to it, the
+        same record and unchained.  Equal slots form blocks.  An image
+        labels each slot with the identical class that takes it, each
+        class as often as it has members, the labels of a block in
+        ascending order; the leaf's own labelling is left out.  Each image
+        is its (member, source, member's depth) triples: the k-th member
+        of a class takes the record and chain place of the source, the
+        k-th slot the class's label marks, when that slot lies in another
+        block than the member's own."""
+        n = len(run)
+        labels = [self.cls_of[fi] for fi in run]
+        block = [0] * n
+        for i in range(1, n):
+            block[i] = block[i - 1] + (not pattern[i - 1])
+        kept = [c for _block, c in sorted(zip(block, labels))]
+        ids = sorted(set(labels))
+        out = []
+
+        def deal(lab: list[int]):
+            i = len(lab)
+            if i < n:
+                for c in ids:
+                    if (lab.count(c) < labels.count(c)
+                            and not (i and block[i] == block[i - 1] and c < lab[-1])):
+                        deal(lab + [c])
+            elif lab != kept:
+                out.append([
+                    (run[m], run[s], self.order.index(run[m])) for c in ids
+                    for m, s in zip([m for m in range(n) if labels[m] == c],
+                                    [s for s in range(n) if lab[s] == c])
+                    if block[m] != block[s]])
+
+        deal([])
+        return out
+
     def _decide_images(self) -> bool:
-        """Decide the leaf's images that fail a cut, those under the group
-        elements whose every transposition's first pair takes records of
-        different rep here, as the search decides each such leaf: the
-        image's records and chains, each factor's swapped for its
-        partner's, and its own branch-order fold of the buffer sums,
-        checked against the capacities, are set as the search state for
-        `_decide`, then the leaf's are put back.  The weights are never
-        negative, so the fold's last sums are at least every prefix's, and
-        one check of them is every check on the image's path."""
+        """Decide the leaf's images under every combination of its mirror
+        runs' `_slot_maps` but the leaf's own, as the search decides each
+        such leaf: the image's records, each member's source record mapped
+        to the member's own by index, its chains, each source's place
+        taken by its member, and its own branch-order fold of the buffer
+        sums, checked against the capacities, are set as the search state
+        for `_decide`, then the leaf's are put back.  The fold starts from
+        the sums `saved` at the first depth whose row the image changes,
+        the fold of a prefix of rows the image shares, so it equals a full
+        fold bit for bit; with no row changed it is the leaf's own.  The
+        weights are never negative, so the fold's last sums are at least
+        every prefix's, and one check of them is every check on the
+        image's path."""
         recs, chains, lhs = self.choice_rec, self.chains, self.con_lhs
-        partner = self.partner
-        cap = self.cap
+        per_run = []
+        for run, memo in self.mirrors:
+            pattern = tuple(not recs[a].chained and recs[a].rep == recs[b].rep
+                            for a, b in zip(run, run[1:]))
+            maps = memo.get(pattern)
+            if maps is None:
+                maps = memo[pattern] = self._slot_maps(run, pattern)
+            if maps:
+                per_run.append([None, *maps])
+        classes, rec_index, cap = self.classes, self.rec_index, self.cap
+        order, saved = self.order, self.saved
         accepted = False
-        for heads, pairs, sigma in self.images:
-            if any(recs[later].rep == recs[first].rep for first, later in heads):
-                continue  # another leaf decides this image, or it is one
+        # the first combination takes no image of any run: the leaf itself
+        for combo in itertools.islice(itertools.product(*per_run), 1, None):
             img = recs[:]
-            for fa, fb in pairs:
-                img[fa], img[fb] = partner[recs[fb]], partner[recs[fa]]
-            img_chains = {I: [sigma.get(fi, fi) for fi in chain]
-                          for I, chain in chains.items()}
-            img_lhs = [0.0] * self.ncons
-            for fi in self.order:
-                for ci, add in img[fi].items:
-                    img_lhs[ci] += add
-            if any(t > c for t, c in zip(img_lhs, cap)):
+            sigma = {}
+            start = len(order)
+            for moves in combo:
+                for fi, src, depth in moves or ():
+                    rec = img[fi] = classes[fi][rec_index[recs[src]]]
+                    if depth < start and rec.row != recs[fi].row:
+                        start = depth
+                    if rec.chained:
+                        sigma[src] = fi
+            img_lhs = lhs
+            if start < len(order):
+                img_lhs = saved[start][0][:]
+                for fi in order[start:]:
+                    for ci, add in img[fi].items:
+                        img_lhs[ci] += add
+            if any(map(gt, img_lhs, cap)):
                 continue
+            img_chains = chains
+            if sigma:
+                img_chains = {I: [sigma.get(fi, fi) for fi in chain]
+                              for I, chain in chains.items()}
             self.choice_rec, self.chains, self.con_lhs = img, img_chains, img_lhs
             accepted = self._decide() or accepted
         self.choice_rec, self.chains, self.con_lhs = recs, chains, lhs

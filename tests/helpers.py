@@ -62,6 +62,23 @@ def square_instance(seed: int, max_space: int = 60_000):
     return _random_target_model(rng, seed, layer, max_space)
 
 
+def mirror_instance(seed: int, max_space: int = 60_000):
+    """A small instance whose mirrored dimensions have unequal factor
+    counts: P != Q sharing a prime, or N sharing its 2s with P or Q, on
+    `random_instance`'s kind of target and weights; None when it exceeds
+    the space budget."""
+    rng = random.Random(seed)
+    dims = [1] * 7
+    if rng.random() < 0.5:
+        dims[2], dims[3] = rng.choice([(2, 4), (4, 2), (3, 9), (9, 3), (4, 6), (6, 4)])
+    else:
+        dims[6], dims[rng.choice([2, 3])] = rng.choice([(2, 4), (4, 2), (4, 6), (2, 8)])
+    if rng.random() < 0.3:
+        dims[rng.choice([0, 4, 5])] = rng.choice([2, 3])
+    layer = LayerDims(*dims, stride=rng.choice([1, 1, 2]))
+    return _random_target_model(rng, seed, layer, max_space)
+
+
 def _random_target_model(rng, seed, layer, max_space):
     """`layer` on a target, weights and optional budget drawn from `rng`,
     or None when the model cannot be built or exceeds `max_space`."""

@@ -154,6 +154,29 @@ class TestParsing:
             parse_sections("R=3\n", "x.cfg")
         assert "x.cfg:1" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [("R=3\nS=3\nR=5\n", "x.layer:4: key R repeats line 2"),
+         ("Stride=2\nstride=1\n", "x.layer:3: key stride repeats line 2")],
+        ids=["same-key", "other-case"],
+    )
+    def test_repeated_key_is_an_error(self, body, message):
+        """A key given twice in one section names its line and the first
+        one's, whatever the case of either; the same key in another
+        section is no repeat."""
+        with pytest.raises(ConfigError) as err:
+            parse_sections("[layer]\n" + body, "x.layer")
+        assert str(err.value) == message
+        sections = parse_sections("[level]\nname=a\n[level]\nname=b\n", "x.arch")
+        assert [body for _name, body, _line in sections] == [{"name": "a"}, {"name": "b"}]
+
+    def test_repeated_layer_key_exits_parse(self, tmp_path, capsys):
+        p = tmp_path / "twice.layer"
+        p.write_text(TINY_LAYER.replace("Stride=1", "Stride=1\nstride=2"))
+        assert main(["solve", "--layer", str(p)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"error: {p}:" in err and "key stride repeats line" in err
+
 
 class TestSolveCommand:
     def test_solve_writes_schedule_and_report(self, tiny_layer, tmp_path, capsys):
@@ -192,7 +215,7 @@ class TestSolveCommand:
 
     def test_stats_sum_the_halo_rounds(self, tmp_path, capsys):
         """The stderr statistics of a solve that needs a second halo round
-        are the totals of both rounds: 326 + 472 nodes, 48 + 41 leaves;
+        are the totals of both rounds: 290 + 456 nodes, 30 + 25 leaves;
         stdout is the benchmark's recorded output for this layer."""
         p = tmp_path / "s2.layer"
         p.write_text("[layer]\nR=3\nS=3\nP=14\nQ=14\nC=32\nK=64\nN=1\nStride=2\n")
@@ -200,7 +223,7 @@ class TestSolveCommand:
         out, err = capsys.readouterr()
         lines = err.splitlines()
         assert lines[0] == "status optimal"
-        assert re.fullmatch(r"nodes 798 leaves 89 wall \d+\.\d{3}s rounds 2",
+        assert re.fullmatch(r"nodes 746 leaves 55 wall \d+\.\d{3}s rounds 2",
                             lines[1]), lines[1]
         expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
         digest = hashlib.sha256(out.encode()).hexdigest()
@@ -398,10 +421,10 @@ class TestPartitionCommand:
         out, err = capsys.readouterr()
         lines = err.splitlines()
         assert lines[0] == "baseline status optimal"
-        assert re.fullmatch(r"baseline nodes 831 leaves 64 wall \d+\.\d{3}s rounds 1",
+        assert re.fullmatch(r"baseline nodes 484 leaves 25 wall \d+\.\d{3}s rounds 1",
                             lines[1]), lines[1]
         assert lines[2] == "partition status optimal"
-        assert re.fullmatch(r"partition nodes 134 leaves 19 wall \d+\.\d{3}s rounds 1",
+        assert re.fullmatch(r"partition nodes 103 leaves 11 wall \d+\.\d{3}s rounds 1",
                             lines[3]), lines[3]
         assert len(lines) == 4
         expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())

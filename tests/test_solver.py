@@ -14,6 +14,7 @@ from helpers import (
     SUITE_LAYERS,
     binding_partition_instance,
     highs_objective,
+    mirror_instance,
     random_instance,
     reference_canonical_assignment,
     reference_derive_menus,
@@ -416,15 +417,15 @@ def test_search_counts_pinned(simba):
                         sol.stats.nodes, sol.stats.leaves)
     assert counts == {
         "tiny": (10, 2),
-        "conv28": (831, 64),
+        "conv28": (484, 25),
         "deep512": (1_456, 8),
-        "wide256": (2_548, 51),
-        "conv28-partition": (134, 19),
-        "deep512-partition": (5_148, 36),
+        "wide256": (2_524, 39),
+        "conv28-partition": (103, 11),
+        "deep512-partition": (5_034, 36),
         "fc-partition": (1_662, 21),
-        "stride2-3x3-14": (2, 472, 41),
-        "stride2-1x1-28": (2, 12_561, 3_627),
-        82: ("combined", False, 68, 37),
+        "stride2-3x3-14": (2, 456, 25),
+        "stride2-1x1-28": (2, 5_676, 778),
+        82: ("combined", False, 38, 13),
         101: ("combined", True, 8, 3),
         22: ("traffic", True, 37, 25),
         214: ("balance", False, 59, 28),
@@ -434,7 +435,8 @@ def test_search_counts_pinned(simba):
 
 def test_bound_tables_pinned(simba):
     """sha256 of the repr of the bound tables on fixed models, so a change
-    to how they are built cannot move a single float unnoticed."""
+    to how they are built cannot move a single float unnoticed; and the
+    symmetry breaking's `prev_same`, which no bound reads, as a list."""
     models = {
         "conv28": build_model(factorize(SUITE_LAYERS["conv28"]), simba),
         "conv28-partition": build_model(factorize(SUITE_LAYERS["conv28"]), simba,
@@ -443,8 +445,10 @@ def test_bound_tables_pinned(simba):
         214: random_instance(214, max_space=60_000),  # balance
     }
     digests = {}
+    prev_same = {}
     for name, model in models.items():
         search = new_search(model)
+        prev_same[name] = search.prev_same
         assert not hasattr(search, "__dict__")  # __slots__ keeps attribute reads fast
         if isinstance(search, _BalanceSearch):
             tables = (search.suffix_comp_lo, search.suffix_comp_hi,
@@ -454,21 +458,26 @@ def test_bound_tables_pinned(simba):
             for ci, value in search.lam_active:
                 lam[ci] = value
             search.pen_at = search._build_knapsack(lam)
-            tables = (search.order, search.prev_same, search.suffix_min,
-                      search.lam_active, search.lagr_suffix, search.kn_at,
-                      search.pen_at)
+            tables = (search.order, search.suffix_min, search.lam_active,
+                      search.lagr_suffix, search.kn_at, search.pen_at)
         digests[name] = hashlib.sha256(repr(tables).encode()).hexdigest()
     assert models[214].weights.mode == "balance"
     assert digests == {
         "conv28":
-            "188bac0359754ea8fb6d2f13cbb17200347eebc12edd2eae6d5de5fc223497b8",
+            "2635fd4f47499df893594e6ee3cee5feb189008508af99eaafc27d929c965de6",
         "conv28-partition":
-            "dbd25d9f9866a9f78efe0c4543c8db2f03c7bcfdd7df7488011941ef1c4b8993",
+            "a737d3e0d3cefc374b98d53e4c963e9c73ab107753fc359b17236770f000d7f7",
         22:
-            "ec5cec057221a6342ced1efbf4fc27dacd1576ca0bbb730b7c1a52a7f1cdc670",
+            "e6d7202c8e46a4d6b3d153aaedf39b56131c7efa6068767aa2d3c3225c95e8e8",
         214:
             "2b8c6e22772fad26729c2799703adeb780f0f4645930156886ab4a9f3631b5ed",
     }
+    # conv28 is R3 S3, P 2 2 7, Q 2 2 7, C 2 2 2, K 2 2, N 3 in factor
+    # order: Q's first 2 (factor 5) follows P's last (3), Q's 7 (7) P's 7
+    # (4) and S's 3 (1) R's 3 (0)
+    conv28 = [None, 0, None, 2, None, 3, 5, 4, None, 8, 9, None, 11, None]
+    assert prev_same == {"conv28": conv28, "conv28-partition": conv28,
+                         22: [None, None, None], 214: [None, None, 1, None]}
 
 
 def reference_gain_table(cw, cg, dens):
@@ -950,14 +959,13 @@ def test_whole_tail_rounding_keeps_oracle_identity():
 
 
 def run_completion_fits(sh, pos, rec) -> bool:
-    """Whether the members of the child's identical run that follow depth
+    """Whether the members of the child's mirror run that follow depth
     `pos` can take records of non-increasing rep, at or below `rec.rep`,
     whose weights, added one at a time from the child's `con_lhs`, pass
     every capacity check.  Brute force over the run's completions, each
     (member, rep limit, sums) state tried once."""
-    m = sh.m
-    cls = m.factors[sh.order[pos]].cls
-    rest = [g for g in sh.order[pos + 1:] if m.factors[g].cls == cls]
+    mc = sh.mirror_of[sh.order[pos]]
+    rest = [g for g in sh.order[pos + 1:] if sh.mirror_of[g] == mc]
     tried = set()
 
     def fits(k, limit, sums):
@@ -977,7 +985,7 @@ def run_completion_fits(sh, pos, rec) -> bool:
 
 def test_run_lookahead_cuts_only_leafless_children(simba, monkeypatch):
     """Every child the run lookahead drops has no completion of its
-    identical run that passes the capacity checks: the records of the
+    mirror run that passes the capacity checks: the records of the
     remaining members are enumerated by brute force.  A dropped child is
     one that passes the rep limit and the capacity check but never
     reaches the menu or the node bound."""
@@ -1326,8 +1334,8 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
     # entered `canonical_assignment`, early exits included (last round of
     # the stride-2 layer)
     assert canonicalized == {
-        "conv28": (64, 64),
-        "stride2-3x3-14": (41, 41),
+        "conv28": (25, 66),
+        "stride2-3x3-14": (25, 41),
     }
 
 
@@ -1346,45 +1354,53 @@ def test_t_sums_matches_reference(simba):
     assert checked > 1000
 
 
-def swapped_dims(model):
-    """The transpositions `_Search._swaps` finds, each as its dimensions'
-    names and its number of factor pairs."""
+def mirror_runs(model) -> list[str]:
+    """The mirror runs of `_Search` that span two identical classes or
+    more, each as its factors' dimensions and primes in branch order."""
     sh = new_search(model)
-    name = lambda fi: DIM_NAMES[model.factors[fi].j]
-    return [(name(pairs[0][0]) + name(pairs[0][1]), len(pairs)) for pairs in sh._swaps()]
+    name = lambda fi: DIM_NAMES[model.factors[fi].j] + str(model.factors[fi].prime)
+    return sorted(" ".join(map(name, run)) for run, _memo in sh.mirrors)
 
 
-def test_swaps_come_from_the_model(simba):
-    """conv28 (3x3, 28x28) transposes R with S and P with Q; a 1x1 layer
-    with P = Q only P with Q, and a layer with R != S and P != Q nothing.
-    A halo round's capacity pads sit in the rhs, not in the rows, so the
-    padded model keeps its transpositions; a spatial limit that lets P map
-    spatially and not Q makes their records differ, and drops P with Q."""
+def test_mirror_classes_come_from_the_model(simba):
+    """conv28 (3x3, 28x28) mirrors R's 3 with S's, P's 7 with Q's and P's
+    2s with Q's; N's 2s join P's and Q's where the arch treats the three
+    alike, and so do dimensions whose factorizations differ.  A layer with
+    R != S and P != Q and no shared prime has none.  A halo round's
+    capacity pads sit in the rhs, not in the rows, so the padded model
+    keeps its classes; a spatial limit that lets P map spatially and not
+    Q makes their records differ, and keeps P and Q apart."""
     conv28 = factorize(SUITE_LAYERS["conv28"])
-    assert swapped_dims(build_model(conv28, simba)) == [("RS", 1), ("PQ", 3)]
-    one_by_one = factorize(LayerDims(1, 1, 28, 28, 64, 128, 1, stride=2),
-                           PaddingPolicy(max_prime=7))
-    assert swapped_dims(build_model(one_by_one, simba)) == [("PQ", 3)]
-    assert swapped_dims(build_model(factorize(LayerDims(3, 5, 7, 14, 8, 4, 3)),
-                                    simba)) == []
+    assert mirror_runs(build_model(conv28, simba)) == ["P2 P2 Q2 Q2", "P7 Q7", "R3 S3"]
+    five = factorize(LayerDims(1, 1, 4, 2, 2, 2, 4))
+    assert mirror_runs(build_model(five, simba)) == ["P2 P2 N2 N2 Q2"]
+    uneven = factorize(LayerDims(3, 3, 28, 14, 8, 4, 3))
+    assert mirror_runs(build_model(uneven, simba)) == ["P2 P2 Q2", "P7 Q7", "R3 S3"]
+    assert mirror_runs(build_model(factorize(LayerDims(3, 5, 7, 25, 8, 4, 3)),
+                                   simba)) == []
 
     stride2 = LayerDims(3, 3, 14, 14, 32, 64, 1, stride=2)
     result = solve_layer(factorize(stride2, PaddingPolicy(max_prime=7)), simba)
     assert result.rounds == 2 and result.pads
-    assert swapped_dims(result.model) == [("RS", 1), ("PQ", 2)]
+    assert mirror_runs(result.model) == ["P2 Q2", "P7 Q7", "R3 S3"]
 
     at = next(I for I, level in enumerate(simba.levels) if level.spatial_fanout > 1)
     levels = list(simba.levels)
     levels[at] = dataclasses.replace(levels[at], allowed_spatial_dims=frozenset({0, 1, 2, 4, 5, 6}))
     no_q = dataclasses.replace(simba, levels=tuple(levels))
-    assert swapped_dims(build_model(conv28, no_q)) == [("RS", 1)]
+    assert mirror_runs(build_model(conv28, no_q)) == ["R3 S3"]
+
+
+def spans_two_identical_classes(model) -> bool:
+    sh = new_search(model)
+    return any(len({sh.cls_of[fi] for fi in run}) > 1 for run, _memo in sh.mirrors)
 
 
 def test_square_instances_match_the_oracle():
     """Small instances drawn square, R = S or P = Q or both, with and
     without partition menus under a binding budget: the branch-and-bound
-    with its transposition cuts and leaf images gives the exhaustive
-    oracle's answer bit for bit, in every objective mode."""
+    with its mirror runs and leaf images gives the exhaustive oracle's
+    answer bit for bit, in every objective mode."""
     checked = {False: 0, True: 0}
     modes = set()
     for seed in range(300):
@@ -1393,7 +1409,7 @@ def test_square_instances_match_the_oracle():
                      else square_instance(seed))
             if model is None:
                 continue
-            assert new_search(model).images, seed
+            assert spans_two_identical_classes(model), seed
             assert _answer(solve(model)) == _answer(exhaustive_solve(model)), (seed, menus)
             checked[menus] += 1
             modes.add(model.weights.mode)
@@ -1401,32 +1417,78 @@ def test_square_instances_match_the_oracle():
     assert modes == {"combined", "util", "comp", "traffic", "balance"}
 
 
-def test_images_reach_the_answer_the_cut_removes(simba):
-    """This util-mode layer's answer is a leaf the P<->Q cut removes: Q's
-    3 sits above P's 3, and Q's 3 is the later of the cut's first pair.
-    Its image under P<->Q, which the cut keeps, adds the same terms in
-    another order and lands an ulp higher.  Only the images decided at the
-    kept leaf report the answer."""
+def test_unequal_mirror_classes_match_the_oracle():
+    """Small instances whose mirror classes join identical classes of
+    unequal sizes, P != Q sharing a prime or N sharing its 2s with P or
+    Q, with and without partition menus under a binding budget: the
+    branch-and-bound gives the exhaustive oracle's answer bit for bit, in
+    every objective mode."""
+    checked = {False: 0, True: 0}
+    modes = set()
+    for seed in range(300):
+        for menus in (False, True):
+            model = (binding_partition_instance(seed, draw=mirror_instance) if menus
+                     else mirror_instance(seed))
+            if model is None:
+                continue
+            sh = new_search(model)
+            sizes = [{sum(sh.cls_of[g] == sh.cls_of[fi] for g in run) for fi in run}
+                     for run, _memo in sh.mirrors]
+            assert any(len(counts) > 1 for counts in sizes), seed
+            assert _answer(solve(model)) == _answer(exhaustive_solve(model)), (seed, menus)
+            checked[menus] += 1
+            modes.add((model.weights.mode, menus))
+    assert checked[False] > 150 and checked[True] > 40, checked
+    assert modes == {(mode, menus) for mode in ("combined", "util", "comp", "traffic", "balance")
+                     for menus in (False, True)}
+
+
+def test_images_reach_the_answer_the_cut_removes(simba, monkeypatch):
+    """This util-mode layer's answer is a leaf its mirror runs cut: Q's 3
+    sits above P's 3 and follows it in their run.  The kept leaf, with
+    the two 3s' places traded, adds the same terms in another order and
+    lands an ulp higher.  The answer is accepted only as an image decided
+    at that leaf."""
     model = build_model(factorize(LayerDims(3, 3, 6, 6, 1, 64, 1)), simba,
                         ObjectiveWeights(mode="util"))
     sh = new_search(model)
-    ([(first, later)], _pairs, sigma), = [
-        image for image in sh.images
-        if {model.factors[fi].j for fi in image[2]} == {DIM_NAMES.index("P"),
-                                                        DIM_NAMES.index("Q")}]
+    threes = {(DIM_NAMES.index("P"), 3), (DIM_NAMES.index("Q"), 3)}
+    (first, later), = [run for run, _memo in sh.mirrors
+                       if {(model.factors[fi].j, model.factors[fi].prime)
+                           for fi in run} == threes]
     assert sh.prev_same[later] == first
+    real_images, real_decide = _Search._decide_images, _Search._decide
+    inside = []
+    accepted = []  # per accepted decision, whether it decided an image
+
+    def images(sh):
+        inside.append(True)
+        try:
+            return real_images(sh)
+        finally:
+            inside.pop()
+
+    def decide(sh):
+        ok = real_decide(sh)
+        if ok:
+            accepted.append(bool(inside))
+        return ok
+
+    monkeypatch.setattr(_Search, "_decide_images", images)
+    monkeypatch.setattr(_Search, "_decide", decide)
     sol = solve(model)
     x = sol.x_assignment
+    assert accepted[-1]
 
     def rep(assignment, fi):
         I, _z, k = assignment[fi]
         return model.coef[fi][(I, k)].rep
 
     assert rep(x, later) > rep(x, first)
-    image = {sigma.get(fi, fi): place for fi, place in x.items()}
-    assert rep(image, later) <= rep(image, first)
-    assert not model.constraint_violations(image)
-    assert sol.objective_value == model.objective_of(x) < model.objective_of(image)
+    kept = {**x, first: x[later], later: x[first]}
+    assert rep(kept, later) <= rep(kept, first)
+    assert not model.constraint_violations(kept)
+    assert sol.objective_value == model.objective_of(x) < model.objective_of(kept)
     assert repr(sol.objective_value) == "-38.26466250649041"
 
 
