@@ -101,21 +101,28 @@ class RunConfig:
 # ----------------------------------------------------------------------
 
 
-def parse_sections(text: str, path: str) -> list[tuple[str, dict[str, str], int]]:
+def parse_sections(text: str, path: str,
+                   once: tuple[str, ...] = ()) -> list[tuple[str, dict[str, str], int]]:
     """Parse `[section]` / `key=value` text into ordered sections.  A key
     appears at most once in a section, in any case: `Stride` and `stride`
-    are one key."""
+    are one key; and a section named in `once` appears at most once."""
     sections: list[tuple[str, dict[str, str], int]] = []
     current: dict[str, str] | None = None
     seen: dict[str, int] = {}  # the current section's keys, lowercased: line
+    opened: dict[str, int] = {}  # the sections of `once` met so far: line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip().lower()
+            if name in once:
+                first = opened.setdefault(name, lineno)
+                if first != lineno:
+                    raise ConfigError(f"{path}:{lineno}: [{name}] repeats line {first}")
             current = {}
             seen = {}
-            sections.append((line[1:-1].strip().lower(), current, lineno))
+            sections.append((name, current, lineno))
         elif "=" in line:
             if current is None:
                 raise ConfigError(f"{path}:{lineno}: key outside any [section]")
@@ -131,14 +138,10 @@ def parse_sections(text: str, path: str) -> list[tuple[str, dict[str, str], int]
 
 def load_layer(path: str) -> LayerDims:
     with open(path, "r", encoding="utf-8") as fh:
-        sections = parse_sections(fh.read(), path)
-    layer = None
-    for name, body, lineno in sections:
-        if name == "layer":
-            layer = (body, lineno)
-    if layer is None:
+        sections = parse_sections(fh.read(), path, once=("layer",))
+    body = next((body for name, body, _line in sections if name == "layer"), None)
+    if body is None:
         raise ConfigError(f"{path}: missing [layer] section")
-    body, lineno = layer
     vals = {}
     for key in DIM_NAMES:
         if key not in body:
@@ -165,7 +168,7 @@ def _parse_capacity(text: str) -> float:
 
 def load_arch(path: str) -> ArchSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        sections = parse_sections(fh.read(), path)
+        sections = parse_sections(fh.read(), path, once=("arch", "matrix_a", "matrix_b"))
     meta: dict[str, str] = {}
     levels: list[MemLevel] = []
     a_rows: dict[str, str] = {}
@@ -519,7 +522,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     arch, layers = _load_inputs(cfg)
     dims = layers[0]
     pf = factorize(dims, PaddingPolicy(max_prime=cfg.max_prime))
-    # every grid point's weights are checked before anything is printed
+    # every grid point's weights are checked, and every point solved,
+    # before anything is printed
     try:
         grid = [ObjectiveWeights(wu, wc, wt, mode=cfg.weights.mode)
                 for wu in cfg.sweep_grid[0]
@@ -527,7 +531,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 for wt in cfg.sweep_grid[2]]
     except FormulationError as exc:
         raise ConfigError(str(exc)) from None
-    print("w_u w_c w_t objective latency_cycles")
     best = None  # index of the first row with the least latency
     rows = []
     for weights in grid:
@@ -540,6 +543,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                      result.solution.objective_value, latency))
         if best is None or latency < rows[best][4]:
             best = len(rows) - 1
+    print("w_u w_c w_t objective latency_cycles")
     for i, row in enumerate(rows):
         mark = " best" if i == best else ""
         print(f"{row[0]:g} {row[1]:g} {row[2]:g} {row[3]:.9f} {row[4]}{mark}")

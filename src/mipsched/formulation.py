@@ -50,8 +50,12 @@ class ObjectiveWeights:
         if not all(0 <= w < math.inf for w in (self.w_u, self.w_c, self.w_t)):
             # NaN fails every comparison, so it is rejected here too
             raise FormulationError("objective weights must be finite and non-negative")
-        if self.mode == "combined" and max(self.w_u, self.w_c, self.w_t) <= 0:
-            raise FormulationError("combined mode needs at least one positive weight")
+        # the weights the mode reads; with all of them zero every schedule
+        # ties at 0, and no bound can prune before the time limit
+        read = {"util": ("w_u",), "comp": ("w_c",), "traffic": ("w_t",),
+                "balance": ("w_c", "w_t")}.get(self.mode, ("w_u", "w_c", "w_t"))
+        if max(getattr(self, name) for name in read) <= 0:
+            raise FormulationError(f"{self.mode} mode needs a positive {' or '.join(read)}")
 
     def effective(self) -> tuple[float, float, float]:
         """(w_u, w_c, w_t) actually applied for the linear modes."""
@@ -803,8 +807,29 @@ def build_model(
     bounds; the solve pipeline uses it to re-solve when the exact
     validator finds halo-inflated input tiles that the linear model
     cannot see.
+
+    Raises a plain ValueError when the weights overflow the objective: a
+    record's coefficient, or the largest |objective| a schedule can reach,
+    is not finite.  That bound is each factor's largest |coefficient|,
+    summed, plus w_t times the traffic walk's most, 3 * sum(lg) (the walk
+    bound of the solver's balance search); in balance mode it is its two
+    terms, weighted traffic and weighted compute, each at its most.
     """
-    return MipModel(pf, arch, weights, partition, capacity_pads)
+    model = MipModel(pf, arch, weights, partition, capacity_pads)
+    walk = 3.0 * sum(f.lg for f in model.factors)
+    if weights.mode == "balance":
+        reach = [weights.w_t * (sum(max(rec.dl for rec in recs)
+                                    for recs in model.classes) + walk),
+                 weights.w_c * sum(max(rec.comp for rec in recs)
+                                   for recs in model.classes)]
+    else:
+        reach = [rec.static for recs in model.classes for rec in recs]
+        reach.append(sum(max(abs(rec.static) for rec in recs) for recs in model.classes)
+                     + weights.effective()[2] * walk)
+    if not all(map(math.isfinite, reach)):
+        raise ValueError(f"objective weights {weights.w_u:g},{weights.w_c:g},"
+                         f"{weights.w_t:g} overflow the {weights.mode} objective")
+    return model
 
 
 def compose_objective(

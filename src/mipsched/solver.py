@@ -37,13 +37,14 @@ Identical factors (one dimension, one prime) mirror each other, and so
 do, on an arch that treats the dimensions alike, R's 3 and S's 3 of a
 3x3 layer, P's 2s and Q's 2s whether or not P = Q, or N's 2s and P's.
 Unequal rows or spatial limits keep two dimensions apart; pads sit in
-the rhs and do not.  A mirror class is a union of identical classes.  In
-branch order each member of a mirror class, a run, takes a class whose
-`rep` is at or below the previous member's, and a chained member whose
-previous member holds the same chain level goes in after it.
-`_children` propagates that order into the capacity check, in the spirit
-of orbitopal fixing (Kaibel, Peinhardt & Pfetsch 2011): a child is
-dropped when the rest of its run, each member at its lightest allowed
+the rhs and do not.  A mirror class is a union of identical classes, and
+`_Search._branch_order` keeps each one contiguous: its members, a run,
+take consecutive depths.  In branch order each member of a run takes a
+class whose `rep` is at or below the previous member's, and a chained
+member whose previous member holds the same chain level goes in after
+it.  `_children` propagates that order into the capacity check, in the
+spirit of orbitopal fixing (Kaibel, Peinhardt & Pfetsch 2011): a child
+is dropped when the rest of its run, each member at its lightest allowed
 weight, cannot fit.  Every completion of such a child fails a capacity
 check, so the cut subtree holds no leaf, and only nodes fall.
 
@@ -60,9 +61,14 @@ search.  Sorting each run's slots maps every leaf of the uncut search to
 exactly one kept leaf, of which it is the leaf itself or one image.  So
 `_leaf` decides each leaf that passes its estimate, then its images
 under every combination of its runs' shares but its own
-(`_Search._slot_maps`), each as the uncut search decides that leaf: its
-records mapped by index from its sources', its own fold of the buffer
-sums in branch order against the capacities, its own `_derive_menus`,
+(`_Search._slot_maps`), each as the uncut search decides that leaf.  An
+image re-deals a run's slots over the run's own depths, which are
+consecutive, and every row entry of a member is 0.0 or the run's one
+log-factor; so at each depth the image's branch-order fold of the
+buffer sums adds the same value as its leaf's, and its sums are the
+leaf's bit for bit.  Its capacity verdict and `_derive_menus` are then
+the leaf's as well, and `_leaf` derives the menus once for all of them.
+Each image takes its sources' records and chain places, and gets its own
 `objective_from` in factor order, `canonical_assignment` and `lex_key`,
 through the same `beats`.
 
@@ -143,8 +149,10 @@ parent is expanded; an open node is pruned, when it is taken, on that
 stored bound, which is the one a fresh `_node_bound` at its parent would
 give against the incumbent of that moment.  The exceptions are a
 timeout, and a leaf within ulps of a capacity: `_children` sums
-capacity use in branch order, and an image's fold runs in another order
-than its leaf's.
+capacity use in branch order, so another branch order may decide it the
+other way.  An image is no exception: the branch order keeps every
+mirror run contiguous, so the leaf's sums it is decided on are its own
+branch-order fold.
 
 Reported assignments are canonicalized to the lexicographically smallest
 member of their class, so results are bit-stable across runs.  A leaf is
@@ -183,8 +191,8 @@ import itertools
 import math
 import time
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from operator import gt
 
 from .formulation import ChoiceCoef, MipModel
 
@@ -436,8 +444,7 @@ class _Search:
     __slots__ = (
         "m", "inc", "deadline", "stopped", "nodes", "leaves",
         "canonicalized", "order", "lg", "trig", "members",
-        "mirror_of", "prev_same", "mirrors", "rec_index", "run_rem",
-        "run_need", "wt",
+        "mirror_of", "prev_same", "mirrors", "run_rem", "run_need", "wt",
         "ncons", "con_rhs", "cap", "menu_fit", "menu_items",
         "cls_of", "classes", "costs", "suffix_min", "kn_at",
         "lam_active", "lagr_suffix", "pen_at", "choice_rec",
@@ -483,8 +490,6 @@ class _Search:
         # `_menu_rhs` per distinct menu floors that `_apply` has derived
         self.rhs_memo: dict[tuple, list[float]] = {}
 
-        self.order = self._branch_order()
-
         # canonical_assignment's tables: factor -> identical class, and
         # identical class -> its factors in factor order
         self.cls_of = [f.cls for f in m.factors]
@@ -517,13 +522,13 @@ class _Search:
             for recs in self.classes for rec in recs
         } if m.menus else {}
 
-        # per factor, its mirror class (`_mirror_classes`), and the previous
-        # member of its mirror run, whose record's rep bounds its own.
-        # `mirrors` holds, per mirror class that spans two identical
-        # classes or more, its run and the memo of `_slot_maps`;
-        # `rec_index` maps each record of its members to its index in the
-        # member's class list.
+        # per factor, its mirror class (`_mirror_classes`), which the branch
+        # order keeps contiguous, and the previous member of its mirror run,
+        # whose record's rep bounds its own.  `mirrors` holds, per mirror
+        # class that spans two identical classes or more, its run and the
+        # memo of `_slot_maps`.
         self.mirror_of = self._mirror_classes()
+        self.order = self._branch_order()
         self.prev_same: list[int | None] = [None] * F
         runs: dict[int, list[int]] = {}
         for fi in self.order:
@@ -532,8 +537,6 @@ class _Search:
             run.append(fi)
         self.mirrors = [(run, {}) for run in runs.values()
                         if len({self.cls_of[fi] for fi in run}) > 1]
-        self.rec_index = {rec: i for run, _memo in self.mirrors for fi in run
-                          for i, rec in enumerate(self.classes[fi])}
 
         # the run lookahead of `_children`: per factor, how many members of
         # its mirror class follow it in the branch order, and per class
@@ -593,18 +596,25 @@ class _Search:
 
     def _branch_order(self) -> list[int]:
         """The static branch order, factor indices by depth: largest
-        log-factor first, bigger identical classes ahead on ties (filling
-        capacity early tightens the relaxation bounds sooner).  Every
-        table and the symmetry breaking of mirror runs are derived from
-        it; any permutation gives the same answer (see the module
-        docstring), only the node counts move."""
-        factors = self.m.factors
-        cls_size: dict[int, int] = {}
-        for f in factors:
-            cls_size[f.cls] = cls_size.get(f.cls, 0) + 1
+        log-factor first, then mirror classes whole, the one with the
+        biggest identical class ahead (filling capacity early tightens the
+        relaxation bounds sooner), and within a mirror class its bigger
+        identical classes first.  Every table and the symmetry breaking of
+        mirror runs are derived from it.  Every member of a mirror class
+        has the same log-factor, so the key keeps each mirror run
+        contiguous, the invariant that decides an image on its leaf's
+        buffer sums (see the module docstring); any order that keeps it
+        gives the same answer, only the node counts move."""
+        factors, mirror_of = self.m.factors, self.mirror_of
+        cls_size = Counter(self.cls_of)
+        widest: dict[int, int] = {}
+        for fi, mc in enumerate(mirror_of):
+            widest[mc] = max(widest.get(mc, 0), cls_size[self.cls_of[fi]])
         key = lambda fi: (
             -factors[fi].lg,
-            -cls_size[factors[fi].cls],
+            -widest[mirror_of[fi]],
+            mirror_of[fi],
+            -cls_size[self.cls_of[fi]],
             factors[fi].j,
             factors[fi].n,
         )
@@ -628,10 +638,10 @@ class _Search:
     def _mirrored(self, fa: int, fb: int) -> bool:
         """Whether factors fa and fb are alike to the search: the same
         log-factor and traffic triggers at every level, and class records
-        that match one for one in every field the search reads, all but
-        the factor they belong to."""
+        that match one for one in every field the search reads (`rep` is
+        `max(cc)`), so one may stand in for the other's record itself."""
         def fields(rec):
-            return (rec.I, rec.k, rec.rep, rec.row, rec.static, rec.comp,
+            return (rec.I, rec.k, rec.cc, rec.row, rec.static, rec.comp,
                     rec.dl, rec.self_t, rec.chained)
 
         return (self.lg[fa] == self.lg[fb]
@@ -1182,14 +1192,19 @@ class _Search:
 
     def _leaf(self) -> bool:
         """A leaf whose estimate passes the incumbent is decided, and so
-        are its images, the leaves its mirror runs cut; True when one of
-        them is accepted."""
+        are its images, the leaves its mirror runs cut, all on the leaf's
+        menus; True when one of them is accepted."""
         self.leaves += 1
         if self._leaf_estimate() > self.inc.obj + EPS_PRUNE:
             return False
-        accepted = self._decide()
+        menu_sel = self._derive_menus()
+        # fires only when F = 0 (an all-ones layer), where no child priced
+        # the menus
+        if self.m.menus and menu_sel is None:
+            return False
+        accepted = self._decide(menu_sel)
         if self.mirrors:
-            accepted = self._decide_images() or accepted
+            accepted = self._decide_images(menu_sel) or accepted
         return accepted
 
     def _leaf_estimate(self) -> float:
@@ -1203,10 +1218,10 @@ class _Search:
         labels each slot with the identical class that takes it, each
         class as often as it has members, the labels of a block in
         ascending order; the leaf's own labelling is left out.  Each image
-        is its (member, source, member's depth) triples: the k-th member
-        of a class takes the record and chain place of the source, the
-        k-th slot the class's label marks, when that slot lies in another
-        block than the member's own."""
+        is its (member, source) pairs: the k-th member of a class takes
+        the record and chain place of the source, the k-th slot the
+        class's label marks, when that slot lies in another block than the
+        member's own."""
         n = len(run)
         labels = [self.cls_of[fi] for fi in run]
         block = [0] * n
@@ -1225,7 +1240,7 @@ class _Search:
                         deal(lab + [c])
             elif lab != kept:
                 out.append([
-                    (run[m], run[s], self.order.index(run[m])) for c in ids
+                    (run[m], run[s]) for c in ids
                     for m, s in zip([m for m in range(n) if labels[m] == c],
                                     [s for s in range(n) if lab[s] == c])
                     if block[m] != block[s]])
@@ -1233,21 +1248,19 @@ class _Search:
         deal([])
         return out
 
-    def _decide_images(self) -> bool:
+    def _decide_images(self, menu_sel: tuple[int, ...] | None) -> bool:
         """Decide the leaf's images under every combination of its mirror
         runs' `_slot_maps` but the leaf's own, as the search decides each
-        such leaf: the image's records, each member's source record mapped
-        to the member's own by index, its chains, each source's place
-        taken by its member, and its own branch-order fold of the buffer
-        sums, checked against the capacities, are set as the search state
-        for `_decide`, then the leaf's are put back.  The fold starts from
-        the sums `saved` at the first depth whose row the image changes,
-        the fold of a prefix of rows the image shares, so it equals a full
-        fold bit for bit; with no row changed it is the leaf's own.  The
-        weights are never negative, so the fold's last sums are at least
-        every prefix's, and one check of them is every check on the
-        image's path."""
-        recs, chains, lhs = self.choice_rec, self.chains, self.con_lhs
+        such leaf: the image's records, each member taking its source's,
+        and its chains, each source's place taken by its member, are set
+        as the search state for `_decide`, then the leaf's are put back.
+        An image deals each run's slots over the run's own depths, which
+        the branch order keeps contiguous, and a member's row holds 0.0
+        or the run's one log-factor on every constraint; so its
+        branch-order fold of the buffer sums adds the same values as its
+        leaf's at every depth, and its sums, capacity verdict and menus
+        are the leaf's, bit for bit."""
+        recs, chains = self.choice_rec, self.chains
         per_run = []
         for run, memo in self.mirrors:
             pattern = tuple(not recs[a].chained and recs[a].rep == recs[b].rep
@@ -1257,48 +1270,30 @@ class _Search:
                 maps = memo[pattern] = self._slot_maps(run, pattern)
             if maps:
                 per_run.append([None, *maps])
-        classes, rec_index, cap = self.classes, self.rec_index, self.cap
-        order, saved = self.order, self.saved
         accepted = False
         # the first combination takes no image of any run: the leaf itself
         for combo in itertools.islice(itertools.product(*per_run), 1, None):
             img = recs[:]
             sigma = {}
-            start = len(order)
             for moves in combo:
-                for fi, src, depth in moves or ():
-                    rec = img[fi] = classes[fi][rec_index[recs[src]]]
-                    if depth < start and rec.row != recs[fi].row:
-                        start = depth
+                for fi, src in moves or ():
+                    rec = img[fi] = recs[src]
                     if rec.chained:
                         sigma[src] = fi
-            img_lhs = lhs
-            if start < len(order):
-                img_lhs = saved[start][0][:]
-                for fi in order[start:]:
-                    for ci, add in img[fi].items:
-                        img_lhs[ci] += add
-            if any(map(gt, img_lhs, cap)):
-                continue
             img_chains = chains
             if sigma:
                 img_chains = {I: [sigma.get(fi, fi) for fi in chain]
                               for I, chain in chains.items()}
-            self.choice_rec, self.chains, self.con_lhs = img, img_chains, img_lhs
-            accepted = self._decide() or accepted
-        self.choice_rec, self.chains, self.con_lhs = recs, chains, lhs
+            self.choice_rec, self.chains = img, img_chains
+            accepted = self._decide(menu_sel) or accepted
+        self.choice_rec, self.chains = recs, chains
         return accepted
 
-    def _decide(self) -> bool:
-        """Offer the leaf the search state holds to the incumbent: its
-        menus, its exact objective, then its canonical assignment's key;
-        True when the incumbent takes it."""
+    def _decide(self, menu_sel: tuple[int, ...] | None) -> bool:
+        """Offer the leaf the search state holds, with its menus
+        `menu_sel`, to the incumbent: its exact objective, then its
+        canonical assignment's key; True when the incumbent takes it."""
         m = self.m
-        menu_sel = self._derive_menus()
-        # fires only when F = 0 (an all-ones layer), where no child priced
-        # the menus, or for an image whose own fold needs a larger entry
-        if m.menus and menu_sel is None:
-            return False
         inc = self.inc
         walk = [(I, m.factors[fi]) for I, chain in self.chains.items()
                 for fi in chain]

@@ -170,6 +170,40 @@ class TestParsing:
         sections = parse_sections("[level]\nname=a\n[level]\nname=b\n", "x.arch")
         assert [body for _name, body, _line in sections] == [{"name": "a"}, {"name": "b"}]
 
+    def test_repeated_layer_section_is_an_error(self, tmp_path):
+        """A layer file holds one [layer]: a second one, which used to
+        replace the first, names its line and the first one's."""
+        p = tmp_path / "two.layer"
+        p.write_text(TINY_LAYER + TINY_LAYER.replace("K=4", "K=2"))
+        with pytest.raises(ConfigError) as err:
+            load_layer(str(p))
+        assert str(err.value) == f"{p}:10: [layer] repeats line 1"
+
+    @pytest.mark.parametrize("extra, message", [
+        ("[arch]\nbandwidth=16\n", ":14: [arch] repeats line 1"),
+        ("[matrix_a]\nR=1,0,1\n[matrix_a]\nS=1,0,1\n", ":16: [matrix_a] repeats line 14"),
+        ("[matrix_b]\nBuf=1,1,0\n[MATRIX_B]\nMem=1,1,1\n", ":16: [matrix_b] repeats line 14"),
+    ], ids=["arch", "matrix_a", "matrix_b"])
+    def test_repeated_arch_section_is_an_error(self, extra, message, tmp_path):
+        """An arch file holds at most one [arch], [matrix_a] and
+        [matrix_b], in any case; a second one no longer replaces the keys
+        it names.  [level] repeats, one section per level."""
+        p = tmp_path / "twice.arch"
+        p.write_text(TOY_ARCH + extra)
+        with pytest.raises(ConfigError) as err:
+            load_arch(str(p))
+        assert str(err.value) == f"{p}{message}"
+        p.write_text(TOY_ARCH + "[level]\nname=Far\ncapacity=inf,inf,inf\n")
+        assert load_arch(str(p)).num_levels == 3
+
+    def test_repeated_layer_section_exits_parse(self, tmp_path, capsys):
+        p = tmp_path / "two.layer"
+        p.write_text(TINY_LAYER + TINY_LAYER.replace("K=4", "K=2"))
+        assert main(["solve", "--layer", str(p)]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {p}:10: [layer] repeats line 1\n"
+
     def test_repeated_layer_key_exits_parse(self, tmp_path, capsys):
         p = tmp_path / "twice.layer"
         p.write_text(TINY_LAYER.replace("Stride=1", "Stride=1\nstride=2"))
@@ -532,6 +566,38 @@ class TestObjectiveWeights:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: objective weights must be finite")
+
+    @pytest.mark.parametrize("obj, weights", [
+        ("util", "0,1,1"), ("comp", "1,0,1"), ("traffic", "1,1,0"), ("balance", "1,0,0"),
+    ])
+    def test_zero_weight_mode_rejected(self, obj, weights, tiny_layer, capsys):
+        """A mode whose weights are all zero ties every schedule at 0 and
+        used to run out the whole time limit; it is an argument error,
+        and for `sweep` before the header is printed."""
+        for argv in (["solve", f"--weights={weights}"],
+                     ["sweep", *(f"--sweep-{w}={v}" for w, v
+                                 in zip(("wu", "wc", "wt"), weights.split(",")))]):
+            code = main([*argv, "--layer", tiny_layer, "--obj", obj, "--time-limit", "5"])
+            assert code == EXIT_PARSE
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: {obj} mode needs a positive")
+
+    def test_overflowing_weights_rejected(self, tiny_layer, capsys):
+        """Weights whose objective overflows (an infinite coefficient, or
+        -inf + inf in one) are refused before the solve, with nothing on
+        stdout, a sweep's header included: they used to report `bound nan
+        gap nan` once the time limit ran out.  Large weights that stay
+        finite still solve."""
+        for argv in (["solve", "--weights=1e308,1e308,1e308"],
+                     ["sweep", "--sweep-wt=1,1e308", "--sweep-wu=1e308"]):
+            code = main([*argv, "--layer", tiny_layer, "--time-limit", "10"])
+            assert code == EXIT_PARSE
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: objective weights")
+        assert main(["solve", "--layer", tiny_layer, "--weights=1e300,1,1"]) == EXIT_OK
+        assert capsys.readouterr().err.startswith("status optimal")
 
 
 ENUM_SMALL_LAYER = "[layer]\nR=3\nS=1\nP=2\nQ=1\nC=2\nK=2\nN=1\nStride=1\n"

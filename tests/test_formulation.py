@@ -326,6 +326,16 @@ class TestComposeObjective:
     def test_weight_validation(self):
         with pytest.raises(FormulationError):
             ObjectiveWeights(0, 0, 0, mode="combined")
+        # a mode whose weights are all zero ties every schedule at 0
+        for mode, weights in (("util", (0, 1, 1)), ("comp", (1, 0, 1)),
+                              ("traffic", (1, 1, 0)), ("balance", (1, 0, 0))):
+            with pytest.raises(FormulationError, match=f"^{mode} mode needs a positive"):
+                ObjectiveWeights(*weights, mode=mode)
+        # one weight the mode reads is enough, whatever the others are
+        for mode, weights in (("util", (1, 0, 0)), ("comp", (0, 1, 0)),
+                              ("traffic", (0, 0, 1)), ("balance", (0, 0, 1)),
+                              ("balance", (0, 1, 0)), ("combined", (0, 0, 1))):
+            ObjectiveWeights(*weights, mode=mode)
         with pytest.raises(FormulationError):
             ObjectiveWeights(-1, 1, 1)
         with pytest.raises(FormulationError):
