@@ -5,14 +5,23 @@ Shows how different layers prefer different on-chip memory splits under
 the same total budget, and what the co-optimization buys relative to the
 fixed baseline partition.
 
-Usage: python scripts/partition_study.py [--budget BYTES]
+Usage: python scripts/partition_study.py [--budget BYTES] [--time-limit S]
+
+Exits 4 when a solve stops at the time limit and 3 when one is
+infeasible, as `mipsched` does; the layer's line then names the solve.
 """
 
 import argparse
 import sys
 
 from mipsched.arch import TENSOR_NAMES, default_simba_arch
-from mipsched.cli import baseline_total_bytes, solve_layer
+from mipsched.cli import (
+    EXIT_INFEASIBLE,
+    EXIT_OK,
+    EXIT_TIMEOUT,
+    baseline_total_bytes,
+    solve_layer,
+)
 from mipsched.formulation import ObjectiveWeights, PartitionSpec
 from mipsched.solver import SolverOptions
 from mipsched.workload import LayerDims, factorize
@@ -35,6 +44,7 @@ def main() -> int:
     budget = args.budget or baseline_total_bytes(arch)
     print(f"budget {budget} B (baseline total {baseline_total_bytes(arch)} B)")
 
+    statuses = set()
     for name, dims in SUITE.items():
         pf = factorize(dims)
         opts = SolverOptions(time_limit_s=args.time_limit)
@@ -48,6 +58,7 @@ def main() -> int:
         if failed:
             print(f"{name}: " + ", ".join(f"{label} solve {status}"
                                           for label, status in failed))
+            statuses.update(status for _label, status in failed)
             continue
         model = part.model
         picks = []
@@ -62,7 +73,11 @@ def main() -> int:
               f"{part.solution.objective_value:.4f}, {total} B used, "
               f"nodes {fixed.stats.nodes} -> {part.stats.nodes}")
         print("  " + " ".join(picks))
-    return 0
+    if "timeout" in statuses:
+        return EXIT_TIMEOUT
+    if "infeasible" in statuses:
+        return EXIT_INFEASIBLE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

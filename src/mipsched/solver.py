@@ -100,12 +100,43 @@ Lagrangian bound and both knapsack bounds read the node's rhs; on a
 model without menus it is `con_rhs` itself.  The loosest rhs stays in
 the feasibility checks (the capacity check, the run lookahead,
 `_derive_menus` and `MipModel.constraint_violations`) and in the root
-builds of the multipliers and the knapsack tables.  The per-child menu
-check starts from the node's floors and re-prices only the menus a
-child's record touches; every other menu reads 0.0 in its row, and
-byte sums are integers, so each child is decided as a full re-bisect
-would decide it.  `_apply` derives a child's floors from its parent's
-the same way, and its rhs from its floors, once per distinct floors.
+build of the knapsack tables.  The per-child menu check starts from the
+node's floors and re-prices only the menus a child's record touches;
+every other menu reads 0.0 in its row, and byte sums are integers, so
+each child is decided as a full re-bisect would decide it.  `_apply`
+derives a child's floors from its parent's the same way, and its rhs
+from its floors, once per distinct floors.
+
+The budget ties the menus together, and the bounds price it across
+them at once, as a multiple-choice knapsack inside the Lagrangian
+relaxation (Sinha & Zoltners 1979; Fisher 1981).  At multipliers
+lambda the Lagrangian bound subtracts lambda_i times menu i's rhs for
+each menu row, and at the node's rhs each menu takes the whole byte
+slack as if it were alone.  J(floors), the most the sum over the menus
+of lambda_i times the rhs of one entry each can be, every entry at or
+above its floor and their bytes within the budget, bounds what any leaf
+below the node subtracts, and so does the old sum; the bound reads the
+less, through its cut, what the old sum exceeds J by (`_menu_state`).
+J is the knapsack's LP relaxation: each menu's (bytes, rhs) points are
+concave, rhs being the log of a size linear in bytes, and `_budget_fill`
+takes the increments of their hulls densest first, the last in part.
+An LP optimum is at least the integer one, so the bound stays
+admissible.  A penalized bound keeps row i explicit, and its refund
+prices every other row.  For a menu row i the refund's menu part is
+bounded by J-i(floors), the same LP over the other menus with i held at
+its floor: i's knapsack cost only falls as its rhs grows, so the node's
+rhs bounds it from below; the other menus' bytes are at most the budget
+less i's floor's, so their sum is at most J-i; and the two minima add up
+to a lower bound.  J over every menu is no bound there, since i's own
+share of it is already in i's knapsack.  A row that is no menu row
+takes the Lagrangian cut.  The cuts, like the rhs, are a function of
+the floors and the multipliers, kept once per distinct floors and
+carried in the path state; `tighten`, which moves the multipliers,
+derives them again.  The root's multipliers see the budget too: each
+step of `_build_lagrangian` prices a menu row at its menu's rhs in the
+LP selection at that step's multipliers, from the root's floors, with a
+menu at a zero multiplier at its floor.  Any multipliers give
+admissible bounds, so this changes only which ones are found.
 
 A node's work is kept to what its own child changes: the traffic walk's
 chain profile is kept per depth and rebuilt only below a chained child,
@@ -114,14 +145,15 @@ trigger flags of the walk are tabulated once per solve.
 
 A node's state is a function of its path.  `_apply` saves the node's
 buffer sums `con_lhs`, its objective sums, its traffic, its menu floors,
-its rhs and its chain profile on `saved` and gives the child its own,
-each sum the parent's plus the child's record; `_undo` puts the saved
-ones back.  Nothing is subtracted, so each sum is the left fold, in
-branch order, of the records on the path, bit for bit, whatever was
-searched before: the dive leaves the root as it found it, and the proof
-starts there with no reset.  The path's records and chains are changed
-in place; references and integers restore exactly.  So the search can
-leave a node and come back to it by applying its path again.
+its rhs and budget cuts and its chain profile on `saved` and gives the
+child its own, each sum the parent's plus the child's record; `_undo`
+puts the saved ones back.  Nothing is subtracted, so each sum is the
+left fold, in branch order, of the records on the path, bit for bit,
+whatever was searched before: the dive leaves the root as it found it,
+and the proof starts there with no reset.  The path's records and
+chains are changed in place; references and integers restore exactly.
+So the search can leave a node and come back to it by applying its path
+again.
 
 A solve runs in two phases.  The dive is a depth-first search in bound
 order that stops at the first accepted leaf.  Then `tighten` rebuilds
@@ -213,6 +245,25 @@ MAX_OPEN = 100_000
 
 class SpaceTooLarge(ValueError):
     pass
+
+
+def _upper_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """The vertices of the upper concave hull of `points`, anchored at the
+    first: the rest ascend in their first coordinate, and one no higher
+    than the last vertex kept is dominated.  The slope between vertices
+    strictly falls."""
+    hull = [points[0]]
+    for w, g in points[1:]:
+        if g <= hull[-1][1]:
+            continue  # dominated by a lighter point
+        hull.append((w, g))
+        while len(hull) >= 3:
+            (w1, g1), (w2, g2), (w3, g3) = hull[-3:]
+            if (g2 - g1) * (w3 - w2) <= (g3 - g2) * (w2 - w1):
+                hull.pop(-2)
+            else:
+                break
+    return hull
 
 
 @dataclass
@@ -445,11 +496,12 @@ class _Search:
         "m", "inc", "deadline", "stopped", "nodes", "leaves",
         "canonicalized", "order", "lg", "trig", "members",
         "mirror_of", "prev_same", "mirrors", "run_rem", "run_need", "wt",
-        "ncons", "con_rhs", "cap", "menu_fit", "menu_items",
+        "ncons", "con_rhs", "cap", "menu_fit", "menu_hulls", "menu_items",
         "cls_of", "classes", "costs", "suffix_min", "kn_at",
         "lam_active", "lagr_suffix", "pen_at", "choice_rec",
         "chains", "con_lhs", "static_sum", "comp_sum", "dl_sum", "t_cur",
-        "profile", "floors", "rhs", "saved", "rhs_memo",
+        "profile", "floors", "rhs", "lagr_cut", "pen_cut", "no_cut",
+        "saved", "menu_memo",
     )
 
     def __init__(self, model: MipModel, incumbent: _Incumbent, deadline: float):
@@ -473,7 +525,8 @@ class _Search:
         # finds the smallest entry that holds a sum, the first with
         # `e + tol >= sum`, and bisect_right on the bytes the largest entry
         # within a byte allowance.  The last entry's rhs is `con_rhs`, the
-        # same expression in `MipModel`.
+        # same expression in `MipModel`.  Per menu, `menu_hulls` keeps its
+        # `_menu_hull` at each floor asked for.
         con_of_menu = {c.menu: ci for ci, c in enumerate(m.check_cons)
                        if c.menu is not None}
         self.menu_fit = []
@@ -487,8 +540,10 @@ class _Search:
                 [ent.e - pad for ent in menu.entries],
             ))
             menu_of[ci] = mi
-        # `_menu_rhs` per distinct menu floors that `_apply` has derived
-        self.rhs_memo: dict[tuple, list[float]] = {}
+        self.menu_hulls: list[dict[int, tuple]] = [{} for _ in m.menus]
+        # `_menu_state` per distinct menu floors that `_apply` has derived
+        # at the current multipliers
+        self.menu_memo: dict[tuple, tuple] = {}
 
         # canonical_assignment's tables: factor -> identical class, and
         # identical class -> its factors in factor order
@@ -558,7 +613,6 @@ class _Search:
                 self.run_need[fi].append(
                     tuple((ci, w) for ci, w in enumerate(least) if w > 0.0))
             rest.append(fi)
-        self._build_bounds()
 
         # the search state at the root; `_apply` saves the node's on `saved`
         self.choice_rec: list[ChoiceCoef | None] = [None] * F
@@ -570,15 +624,21 @@ class _Search:
         # it; only a chained child changes the chains
         self.profile = None
         # the menu floors as a tuple and their byte total (`_floors`), or
-        # None on a model without menus; and the rhs the bounds read,
-        # `_menu_rhs` of the floors, or `con_rhs` itself without menus
+        # None on a model without menus; the root's are read by the
+        # multipliers' build
         self.floors = None
-        self.rhs = self.con_rhs
         if self.menu_fit:
             floors, total = self._floors()
             self.floors = (tuple(floors), total)
-            self.rhs = self._menu_rhs(floors, total)
         self.saved: list[tuple] = []
+        self._build_bounds()
+        # what the bounds read of the floors (`_menu_state`): the rhs, and
+        # the budget's cut of the Lagrangian bound and of each penalized
+        # row; without menus `con_rhs` itself and no cut
+        self.no_cut = [0.0] * self.ncons
+        self.rhs, self.lagr_cut, self.pen_cut = self.con_rhs, 0.0, self.no_cut
+        if self.floors is not None:
+            self.rhs, self.lagr_cut, self.pen_cut = self._menu_state(*self.floors)
 
     # -- tables --------------------------------------------------------
 
@@ -716,17 +776,7 @@ class _Search:
                 if gains:
                     # concave gain frontier anchored at (0, 0): increasing
                     # gain, decreasing incremental density
-                    hull: list[tuple[float, float]] = [(0.0, 0.0)]
-                    for w, g in gains:
-                        if g <= hull[-1][1]:
-                            continue  # dominated by a lighter point
-                        hull.append((w, g))
-                        while len(hull) >= 3:
-                            (w1, g1), (w2, g2), (w3, g3) = hull[-3:]
-                            if (g2 - g1) * (w3 - w2) <= (g3 - g2) * (w2 - w1):
-                                hull.pop(-2)
-                            else:
-                                break
+                    hull = _upper_hull([(0.0, 0.0), *gains])
                     for (pw, pg), (w, g) in zip(hull, hull[1:]):
                         segs.append(((g - pg) / (w - pw), w - pw))
                         seg_w_row[fi] += w - pw
@@ -735,20 +785,20 @@ class _Search:
             if total_w <= 0.0:
                 continue  # no choice weighs on it: nothing to relax
             cost0_suffix = self._suffix(cost0_row)
-            # per depth, the unassigned tail's density-sorted segment pool
-            # and whether the tail is whole
+            # per depth, the unassigned tail's segment pool as (-density,
+            # depth, weight), sorted densest first, and whether the tail is
+            # whole
             rows: list[tuple | None] = [None] * (F + 1)
             pool: list[tuple[float, int, float]] = []
             whole = True
             for idx in range(F - 1, 0, -1):
                 whole = whole and all(float(rec.row[ci]).is_integer()
                                       for rec in self.classes[self.order[idx]])
-                pool = sorted(
-                    pool + [(d, idx, w) for d, w in per_factor_segs[self.order[idx]]],
-                    key=lambda s: (-s[0], s[1], s[2]),
-                )
+                pool += [(-d, idx, w) for d, w in per_factor_segs[self.order[idx]]]
+                pool.sort()
                 cw, cg, dens = [0.0], [0.0], []
-                for density, _i, dw in pool:
+                for neg, _i, dw in pool:
+                    density = -neg
                     cw.append(cw[-1] + dw)
                     cg.append(cg[-1] + density * dw)
                     dens.append(density)
@@ -771,34 +821,42 @@ class _Search:
     def _build_lagrangian(self, upper: float | None = None):
         """Projected subgradient ascent on the capacity-relaxed dual at the
         root; the resulting fixed multipliers give a cheap per-node bound.
-        With a known incumbent value, Polyak steps are used.  Members of an
-        identical class have equal records, so each step prices a class
+        With a known incumbent value, Polyak steps are used.  Members of a
+        mirror class have equal records, so each step prices a mirror class
         once and adds its best cost and usage to each member in factor
-        order: every float is the sum it was when each factor was priced."""
+        order: every float is the sum it was when each factor was priced.
+        On a model with menus the budget stays in the relaxation: a step
+        prices each menu row at its menu's rhs in the LP selection of the
+        budget's knapsack at that step's multipliers (`_budget_rhs`), and
+        both the dual value and the subgradient read it there."""
         F = self.m.F
         ncons = self.ncons
         con_rhs = self.con_rhs
         finite = [ci for ci in range(ncons) if not math.isinf(con_rhs[ci])]
+        # past the budget at the root no child fits, and there is no
+        # selection to price
+        budgeted = self.floors is not None and self.floors[1] <= self.m.budget_bytes
         lam = [0.0] * ncons
         best_lam = list(lam)
         best_val = -INF
         if F and finite:
-            # per identical class, its first member's records and costs
+            # per mirror class, in number order, its first member's records
+            # and costs
+            mirror_of = self.mirror_of
             per_class = {}
-            for fi, (recs, costs) in enumerate(zip(self.classes, self.costs)):
-                if self.cls_of[fi] not in per_class:
-                    per_class[self.cls_of[fi]] = [
+            for fi, mc in enumerate(mirror_of):
+                if mc not in per_class:
+                    per_class[mc] = [
                         (cost, [(ci, w) for ci, w in rec.items
                                 if not math.isinf(con_rhs[ci])])
-                        for rec, cost in zip(recs, costs)]
+                        for rec, cost in zip(self.classes[fi], self.costs[fi])]
+            per_class = list(per_class.values())
             scale = max(abs(x) for x in [min(costs) for costs in self.costs] + [1.0])
             beta = 1.2
             stall = 0
             for it in range(LAGRANGIAN_ITERS):
-                val = 0.0
-                usage = [0.0] * ncons
-                priced = {}
-                for cls, options in per_class.items():
+                priced = []
+                for options in per_class:
                     bc, bw = INF, ()
                     for cost, ws in options:
                         t = cost
@@ -806,14 +864,17 @@ class _Search:
                             t += lam[ci] * w
                         if t < bc:
                             bc, bw = t, ws
-                    priced[cls] = bc, bw
-                for cls in self.cls_of:
-                    bc, bw = priced[cls]
+                    priced.append((bc, bw))
+                val = 0.0
+                usage = [0.0] * ncons
+                for mc in mirror_of:
+                    bc, bw = priced[mc]
                     val += bc
                     for ci, w in bw:
                         usage[ci] += w
+                rhs = self._budget_rhs(lam) if budgeted else con_rhs
                 for ci in finite:
-                    val -= lam[ci] * con_rhs[ci]
+                    val -= lam[ci] * rhs[ci]
                 if val > best_val + 1e-12:
                     best_val = val
                     best_lam = list(lam)
@@ -825,16 +886,17 @@ class _Search:
                         stall = 0
                         if beta < 1e-3:
                             break
-                g = [usage[ci] - con_rhs[ci] for ci in finite]
-                norm2 = sum(x * x for x in g)
+                g = [usage[ci] - rhs[ci] for ci in finite]
+                norm2 = sum([x * x for x in g])
                 if norm2 <= 1e-18:
                     break
                 if upper is not None and upper > val:
                     step = beta * (upper - val) / norm2
                 else:
                     step = 0.4 * scale / ((1.0 + 0.15 * it) * math.sqrt(norm2))
-                for gi, ci in enumerate(finite):
-                    lam[ci] = max(0.0, lam[ci] + step * g[gi])
+                for ci, gi in zip(finite, g):
+                    x = lam[ci] + step * gi
+                    lam[ci] = x if x > 0.0 else 0.0
         self.lam_active = [(ci, l) for ci, l in enumerate(best_lam) if l > 1e-12]
         lagr_min = []
         for recs, costs in zip(self.classes, self.costs):
@@ -850,15 +912,21 @@ class _Search:
 
     def tighten(self):
         """Between the dive and the proof: one Polyak rebuild of the
-        multipliers against the dive's incumbent, if it found one, and the
+        multipliers against the dive's incumbent, if it found one, the
         penalized knapsack rows at those multipliers, which `_node_bound`
-        adds from then on."""
+        adds from then on, and the root's budget cuts at them, the
+        penalized rows' included."""
         if self.inc.x is not None:
             self._build_lagrangian(upper=self.inc.obj)
         lam = [0.0] * self.ncons
         for ci, value in self.lam_active:
             lam[ci] = value
         self.pen_at = self._build_knapsack(lam)
+        if self.floors is not None:
+            # the search is at the root; each state below it is derived
+            # again at the new multipliers
+            self.menu_memo.clear()
+            self.rhs, self.lagr_cut, self.pen_cut = self._menu_state(*self.floors)
 
     # -- helpers -------------------------------------------------------
 
@@ -933,6 +1001,124 @@ class _Search:
             rhs[ci] = rhs_of[bisect_right(sizes, room + sizes[ei]) - 1]
         return rhs
 
+    def _hull_items(self, floors, lam: list[float], room: int) -> tuple:
+        """The budget's knapsack over the menus whose row has a positive
+        multiplier in `lam`, from their floors up, in `room` bytes: their
+        `menu_hulls` increments as (bytes, rhs, menu), the order of the
+        increments least dense first (density: the multiplier times the
+        rhs per byte), or none when all of them fit, per menu its whole
+        hull's (bytes, rhs), which is (0, 0.0) at a zero multiplier, so
+        such a menu stays at its floor, and the bytes of every hull past
+        the room."""
+        dens, incs = [], []
+        whole = [(0, 0.0)] * len(self.menu_fit)
+        spare = -room
+        for mi, fit in enumerate(self.menu_fit):
+            lam_i = lam[fit[0]]
+            if lam_i:
+                hull = self.menu_hulls[mi].get(floors[mi])
+                if hull is None:
+                    hull = self._menu_hull(mi, floors[mi])
+                slopes, steps, whole[mi] = hull
+                dens += [lam_i * s for s in slopes]
+                incs += steps
+                spare += whole[mi][0]
+        order = sorted(range(len(incs)), key=dens.__getitem__) if spare > 0 else []
+        return order, incs, whole, spare
+
+    def _menu_hull(self, mi: int, k: int) -> tuple:
+        """Menu `mi`'s share of the budget's knapsack at floor k, kept in
+        `menu_hulls`: the concave hull of its (bytes, rhs) points from entry
+        k up, as the rhs per byte of its increments, steepest first, the
+        increments as (bytes, rhs, menu), and the whole hull's (bytes,
+        rhs)."""
+        _ci, _pad, _fits, sizes, rhs_of = self.menu_fit[mi]
+        hull = _upper_hull(list(zip(sizes[k:-1], rhs_of[k:])))
+        steps = [(b - pb, r - pr, mi) for (pb, pr), (b, r) in zip(hull, hull[1:])]
+        out = self.menu_hulls[mi][k] = (
+            [dr / db for db, dr, _mi in steps], steps,
+            (hull[-1][0] - hull[0][0], hull[-1][1] - hull[0][1]))
+        return out
+
+    def _budget_fill(self, items: tuple, skip: int | None = None) -> list[float]:
+        """The LP relaxation of the multiple-choice knapsack of the
+        `_hull_items` `items` (Sinha & Zoltners 1979), menu `skip` left at
+        its floor: per menu, the rhs it gains over its floor.  The LP takes
+        the increments densest first; each menu's are concave, so it takes
+        them in their order, and the first that does not fit fills the room
+        with its fraction.  This pass finds the same from the other end: it
+        takes every hull whole and gives back the least dense increments
+        first, until the rest fits."""
+        order, incs, whole, spare = items
+        up = [gain for _nbytes, gain in whole]
+        if skip is not None:
+            spare -= whole[skip][0]
+            up[skip] = 0.0
+        if spare > 0:
+            for j in order:
+                db, dr, mi = incs[j]
+                if mi == skip:
+                    continue
+                spare -= db
+                if spare > 0:
+                    up[mi] -= dr
+                else:  # the LP keeps the fraction -spare / db of it
+                    up[mi] -= dr * (db + spare) / db
+                    break
+        return up
+
+    def _budget_rhs(self, lam: list[float]) -> list[float]:
+        """`con_rhs` with each menu row at its menu's rhs in the budget's
+        LP selection at the multipliers `lam`, from the root's floors: the
+        rhs one step of `_build_lagrangian` prices."""
+        floors, total = self.floors
+        items = self._hull_items(floors, lam, self.m.budget_bytes - total)
+        up = self._budget_fill(items)
+        rhs = self.con_rhs[:]
+        for (ci, _pad, _fits, _sizes, rhs_of), ei, u in zip(self.menu_fit, floors, up):
+            rhs[ci] = rhs_of[ei] + u
+        return rhs
+
+    def _menu_state(self, floors, total: int) -> tuple:
+        """What the bounds read at a node with menu floors `floors` of
+        `total` bytes: the rhs (`_menu_rhs`), the Lagrangian bound's budget
+        cut, and per constraint the penalized bound's, at the multipliers
+        `lam_active`.  The cut of a bound is its sum over the menu rows of
+        lambda_i times the node's rhs less the budget's LP maximum of that
+        sum over entries at or above the floors, where that is the less
+        (`_budget_fill`); the penalized row of menu i takes the maximum
+        over the other menus, i at its floor, since its own rhs stays in
+        its knapsack.  The penalized cuts are None until `tighten` has
+        built the penalized rows."""
+        rhs = self._menu_rhs(floors, total)
+        if total > self.m.budget_bytes:
+            return rhs, 0.0, self.no_cut  # no child fits: nothing to bound
+        lam = [0.0] * self.ncons
+        for ci, value in self.lam_active:
+            lam[ci] = value
+        items = self._hull_items(floors, lam, self.m.budget_bytes - total)
+        if not items[1]:
+            return rhs, 0.0, self.no_cut  # no menu is priced
+        lam_m = [lam[fit[0]] for fit in self.menu_fit]
+        # per menu, lambda_i times what the node's rhs adds to its floor's
+        extra = [lam_i * (rhs[ci] - rhs_of[ei])
+                 for lam_i, (ci, _pad, _fits, _sizes, rhs_of), ei
+                 in zip(lam_m, self.menu_fit, floors)]
+
+        def cut(skip):
+            up = self._budget_fill(items, skip)
+            over = sum(e for mi, e in enumerate(extra) if mi != skip)
+            return max(0.0, over - sum(l * u for l, u in zip(lam_m, up)))
+
+        lagr_cut = cut(None)
+        if not any(self.pen_at):
+            return rhs, lagr_cut, None  # no penalized rows until `tighten`
+        pen_cut = [lagr_cut] * self.ncons
+        for mi, fit in enumerate(self.menu_fit):
+            if lam_m[mi]:
+                pen_cut[fit[0]] = cut(mi)
+        return rhs, lagr_cut, pen_cut
+
     def _menu_bytes(self, rec: ChoiceCoef) -> int:
         """The byte total of the menu floors with `rec` added to the node's
         buffer sums, from the node's `floors`: only the menus `rec`
@@ -952,8 +1138,11 @@ class _Search:
     def _lagr_bound(self, base: float, pos: int, row: list[float]) -> float:
         """Root Lagrangian relaxation evaluated with the current slacks
         against the node's rhs, each with the tolerance the capacity check
-        grants."""
-        b = base + self.lagr_suffix[pos + 1]
+        grants, plus the node's budget cut (`_menu_state`): the sum over
+        the menu rows of lambda_i times the rhs is at most J(floors), the
+        budget's LP maximum of it, where that is below the sum at the
+        node's rhs."""
+        b = base + self.lagr_suffix[pos + 1] + self.lagr_cut
         rhs = self.rhs
         con_lhs = self.con_lhs
         for ci, lam in self.lam_active:
@@ -962,17 +1151,19 @@ class _Search:
 
     def _kn_bound(self, table: list[list[tuple]], base: float, pos: int,
                   row: list[float], best: float, thresh: float,
-                  refund: float) -> float:
+                  refund: float, cut: list[float]) -> float:
         """max(best, max over the rows of `table` at the tail of depth
         `pos` of the knapsack bound); returns once that max exceeds
         `thresh` (the caller prunes).  Constraint i stays explicit with the
         child's slack against the node's `rhs`, plus the tolerance, every
         other constraint j is priced at its multiplier lambda_j (the
-        table's costs) and `refund` gives back lambda_j times its slack.
-        For the plain table (`kn_at`, lambda = 0) the refund is 0.  With
-        the tolerance every completion the capacity check admits is
-        covered, and by LP duality each term is at least the Lagrangian
-        bound at the same multipliers.
+        table's costs) and `refund` gives back lambda_j times its slack,
+        less `cut[i]`, the budget's cut of row i (`_menu_state`): on a
+        menu row, from J-i(floors), the LP maximum over the other menus.
+        For the plain table (`kn_at`, lambda = 0) the refund and the cuts
+        are 0.  With the tolerance every completion the capacity check
+        admits is covered, and by LP duality each term is at least the
+        Lagrangian bound at the same multipliers and the same cut.
 
         On a row with a gain table (a whole tail) the knapsack's capacity
         is the slack rounded down.  Every weight in that tail is a whole
@@ -987,7 +1178,7 @@ class _Search:
         rhs = self.rhs
         for ci, lam_i, gains, cost0, cw, cg, dens in table[pos + 1]:
             slack = rhs[ci] - con_lhs[ci] - row[ci] + TOLERANCE
-            upper = base + cost0 - (refund - lam_i * slack)
+            upper = base + cost0 - (refund - lam_i * slack - cut[ci])
             if upper <= best:
                 continue  # the knapsack gain is >= 0: cannot raise the max
             if gains is not None:
@@ -1107,7 +1298,7 @@ class _Search:
             b = b2
             if b > thresh:
                 return None
-        b = self._kn_bound(self.kn_at, base, pos, row, b, thresh, 0.0)
+        b = self._kn_bound(self.kn_at, base, pos, row, b, thresh, 0.0, self.no_cut)
         if b > thresh:
             return None
         if self.pen_at[pos + 1]:
@@ -1116,7 +1307,8 @@ class _Search:
             refund = 0.0
             for ci, lam in self.lam_active:
                 refund += lam * (rhs[ci] - con_lhs[ci] - row[ci] + TOLERANCE)
-            b = self._kn_bound(self.pen_at, base, pos, row, b, thresh, refund)
+            b = self._kn_bound(self.pen_at, base, pos, row, b, thresh, refund,
+                               self.pen_cut)
             if b > thresh:
                 return None
         return b
@@ -1132,7 +1324,7 @@ class _Search:
         fi = self.order[pos]
         self.saved.append((self.con_lhs, self.static_sum, self.comp_sum,
                            self.dl_sum, self.t_cur, self.floors, self.rhs,
-                           self.profile))
+                           self.lagr_cut, self.pen_cut, self.profile))
         con_lhs = self.con_lhs[:]
         for ci, add in rec.items:
             con_lhs[ci] += add
@@ -1157,15 +1349,17 @@ class _Search:
                     moved[mi] = ei
             if moved is not None:
                 floors = self.floors = (tuple(moved), total)
-                self.rhs = self.rhs_memo.get(floors)
-                if self.rhs is None:
-                    self.rhs = self.rhs_memo[floors] = self._menu_rhs(moved, total)
+                state = self.menu_memo.get(floors)
+                if state is None:
+                    state = self.menu_memo[floors] = self._menu_state(moved, total)
+                self.rhs, self.lagr_cut, self.pen_cut = state
 
     def _undo(self, pos, child):
         """Return from `child` to the node `_apply` saved."""
         _b, I, _k, q, _rec, _t_after = child
-        (self.con_lhs, self.static_sum, self.comp_sum, self.dl_sum,
-         self.t_cur, self.floors, self.rhs, self.profile) = self.saved.pop()
+        (self.con_lhs, self.static_sum, self.comp_sum, self.dl_sum, self.t_cur,
+         self.floors, self.rhs, self.lagr_cut, self.pen_cut,
+         self.profile) = self.saved.pop()
         self.choice_rec[self.order[pos]] = None
         if q >= 0:
             del self.chains[I][q]
@@ -1433,6 +1627,7 @@ class _BalanceSearch(_Search):
                  "traf_hi_const")
 
     def _build_bounds(self):
+        self.lam_active = []  # no multipliers: the menu states carry no cut
         self.suffix_comp_lo = self._suffix(
             [min(rec.comp for rec in recs) for recs in self.classes])
         self.suffix_comp_hi = self._suffix(

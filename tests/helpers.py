@@ -985,7 +985,10 @@ def reference_penalized_bound(sh, pen_at, base, pos, row, threshold):
     """max(threshold, max over constraints i of the Lagrangian-penalized
     knapsack bound), every slack with the tolerance `TOLERANCE`; the
     knapsack's capacity is that slack, rounded down on a whole tail, while
-    the refund keeps the slack as it is."""
+    the refund keeps the slack as it is, less the node's budget cut of
+    row i, `sh.pen_cut[i]` (0.0 on a model without menus; the cuts
+    themselves are checked against a brute force by
+    `test_budget_cuts_are_admissible`)."""
     rhs = sh.rhs
     refund = 0.0
     for ci, lam in sh.lam_active:
@@ -993,7 +996,7 @@ def reference_penalized_bound(sh, pen_at, base, pos, row, threshold):
     best = threshold
     for ci, lam_i, whole, cost0, cw, cg, dens in pen_at[pos + 1]:
         slack = rhs[ci] - sh.con_lhs[ci] - row[ci] + TOLERANCE
-        upper = base + cost0 - (refund - lam_i * slack)
+        upper = base + cost0 - (refund - lam_i * slack - sh.pen_cut[ci])
         if upper <= best:
             continue
         capacity = math.floor(slack) if whole else slack

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 import types
@@ -270,18 +271,31 @@ def pen_models(simba):
 def test_penalized_bound_dominates_lagrangian(simba, monkeypatch, tol):
     """At every root child, the Lagrangian-penalized knapsack bound is a
     number and, by LP duality, at least the Lagrangian bound at the same
-    multipliers; both grant each slack the same tolerance."""
+    multipliers; both grant each slack the same tolerance.  The duality
+    holds row by row where both bounds read the same budget cut.  On a
+    model with menus they read different ones: the Lagrangian bound the
+    cut of J, over every menu, and the row of menu i that of J-i, over
+    the others, which need not be the smaller.  So the penalized bound
+    with the Lagrangian cut on every row dominates everywhere, and the
+    penalized bound itself wherever its rows read that cut or one of them
+    is not a menu row, which reads it.  The partition models at the
+    benchmark's budget have positive cuts at the root."""
     monkeypatch.setattr(mipsched.solver, "TOLERANCE", tol)
-    checked = 0
-    for name, model in pen_models(simba):
+    models = list(pen_models(simba))
+    for name, dims in (("deep512", SUITE_LAYERS["deep512"]), ("fc", FC_LAYER)):
+        models.append((f"{name}-partition", build_model(
+            factorize(dims), simba, partition=PartitionSpec(budget_bytes=306367))))
+    checked = cut = 0
+    for name, model in models:
         assert model is not None and model.weights.mode != "balance", name
         search = new_search(model)
-        dense = [0.0] * search.ncons
-        for ci, value in search.lam_active:
-            dense[ci] = value
-        search.pen_at = search._build_knapsack(dense)
+        search.tighten()  # no incumbent: the penalized rows at the root's multipliers
         if not search.pen_at[1]:
             continue  # no finite constraint carries weight, or F = 1
+        same = [search.lagr_cut] * search.ncons
+        menu_rows = {ci for ci, *_rest in search.menu_fit}
+        dominates = (search.pen_cut == same
+                     or any(row[0] not in menu_rows for row in search.pen_at[1]))
         fi = search.order[0]
         for child in search._children(0):
             _b, I, k, _q, choice, t_after = child
@@ -292,12 +306,17 @@ def test_penalized_bound_dominates_lagrangian(simba, monkeypatch, tol):
             base = model.coef[fi][(I, k)].static + search.wt * t_after
             refund = sum(lam * slacks[ci] for ci, lam in search.lam_active)
             pen = search._kn_bound(search.pen_at, base, 0, choice.row, -math.inf,
-                                   math.inf, refund)
+                                   math.inf, refund, search.pen_cut)
+            pen_same = search._kn_bound(search.pen_at, base, 0, choice.row, -math.inf,
+                                        math.inf, refund, same)
             lagr = search._lagr_bound(base, 0, choice.row)
             assert not math.isnan(pen), name
-            assert pen >= lagr - 1e-9, (name, choice.cc, pen, lagr)
+            assert pen_same >= lagr - 1e-9, (name, choice.cc, pen_same, lagr)
+            if dominates:
+                assert pen >= lagr - 1e-9, (name, choice.cc, pen, lagr)
             checked += 1
-    assert checked > 0
+            cut += search.lagr_cut > 0.0
+    assert checked > 0 and cut > 0, (checked, cut)
 
 
 def test_penalized_bound_keeps_oracle_identity(simba):
@@ -314,13 +333,16 @@ def test_penalized_bound_keeps_oracle_identity(simba):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", ["conv28-fixed", "conv28-partition", "deep512-partition",
-                                  "fc-partition", "stride2-3x3-14-padded"])
+                                  "deep512-partition-150000", "fc-partition",
+                                  "stride2-3x3-14-padded"])
 def test_matches_highs(simba, name):
     """Models past the exhaustive oracle: HiGHS on the raw MIP checks the
     branch-and-bound's optimum independently.  conv28 has 14 factors; the
     stride-2 layer's final halo round solves 17 factors under capacity
     pads.  The partition models take the benchmark's budget, where the
-    budget-tightened rhs cuts deep512's search by more than half."""
+    budget-tightened rhs cuts deep512's search by more than half, and
+    deep512 also a tight one, where the budget's cuts of the bounds cut
+    the most."""
     pytest.importorskip("scipy.optimize")
     if name == "stride2-3x3-14-padded":
         stride2 = LayerDims(3, 3, 14, 14, 32, 64, 1, stride=2)
@@ -328,9 +350,10 @@ def test_matches_highs(simba, name):
         assert result.rounds == 2 and result.pads
         model, sol = result.model, result.solution
     else:
-        layer, kind = name.split("-")
+        layer, kind, *budget = name.split("-")
         dims = FC_LAYER if layer == "fc" else SUITE_LAYERS[layer]
-        partition = PartitionSpec(budget_bytes=306367) if kind == "partition" else None
+        budget = int(budget[0]) if budget else 306367
+        partition = PartitionSpec(budget_bytes=budget) if kind == "partition" else None
         model = build_model(factorize(dims), simba, partition=partition)
         sol = solve(model)
     assert sol.status == "optimal"
@@ -347,17 +370,17 @@ def test_branch_order_does_not_change_the_answer(simba, monkeypatch):
     """Seeded permutations of `_Search._branch_order` give the default
     order's answer, bit for bit: on the oracle models, where that is also
     the exhaustive oracle's, and on conv28.  Only the node counts move.
-    The oracle models take any permutation; conv28 takes permutations of
-    its identical runs as blocks, since orders that split a run can cost
-    it millions of nodes."""
+    Each permutation moves the default order's mirror runs as blocks, so
+    every run stays contiguous: the exactness of deciding an image on its
+    leaf's buffer sums rests on that invariant, and the solver's answer is
+    claimed for the orders that keep it, not for every permutation."""
     default = _Search._branch_order
 
-    def shuffled(rng, blocks):
+    def shuffled(rng):
         def order(self):
             runs = {}
             for fi in default(self):
-                key = self.m.factors[fi].cls if blocks else fi
-                runs.setdefault(key, []).append(fi)
+                runs.setdefault(self.mirror_of[fi], []).append(fi)
             runs = list(runs.values())
             rng.shuffle(runs)
             return [fi for run in runs for fi in run]
@@ -366,7 +389,7 @@ def test_branch_order_does_not_change_the_answer(simba, monkeypatch):
     cases = [(f"seed{seed}", random_instance(seed, max_space=60_000), 2)
              for seed in range(200)]
     cases.append(("conv28", build_model(factorize(SUITE_LAYERS["conv28"]), simba), 2))
-    checked = 0
+    checked = moved = 0
     for name, model, perms in cases:
         if model is None:
             continue
@@ -376,15 +399,16 @@ def test_branch_order_does_not_change_the_answer(simba, monkeypatch):
             assert _answer(base) == _answer(exhaustive_solve(model)), name
         nodes = set()
         for p in range(perms):
-            order = shuffled(random.Random(p), blocks=name == "conv28")
+            order = shuffled(random.Random(p))
             monkeypatch.setattr(_Search, "_branch_order", order)
             sol = solve(model)
             assert _answer(sol) == _answer(base), (name, p)
             nodes.add(sol.stats.nodes)
             checked += 1
+        moved += bool(nodes - {base.stats.nodes})
         if name == "conv28":
             assert nodes - {base.stats.nodes}, "no permutation moved the search"
-    assert checked > 150
+    assert checked > 150 and moved > 20, (checked, moved)
 
 
 def test_search_counts_pinned(simba):
@@ -421,8 +445,8 @@ def test_search_counts_pinned(simba):
         "deep512": (1_456, 8),
         "wide256": (2_524, 39),
         "conv28-partition": (103, 11),
-        "deep512-partition": (5_034, 36),
-        "fc-partition": (1_662, 21),
+        "deep512-partition": (2_213, 36),
+        "fc-partition": (566, 21),
         "stride2-3x3-14": (2, 456, 25),
         "stride2-1x1-28": (2, 5_676, 778),
         82: ("combined", False, 38, 13),
@@ -435,8 +459,10 @@ def test_search_counts_pinned(simba):
 
 def test_bound_tables_pinned(simba):
     """sha256 of the repr of the bound tables on fixed models, so a change
-    to how they are built cannot move a single float unnoticed; and the
-    symmetry breaking's `prev_same`, which no bound reads, as a list."""
+    to how they are built cannot move a single float unnoticed, and of the
+    budget's on the models with menus: each menu's `_menu_hull` at the
+    root's floor and the root's rhs and Lagrangian cut; and the symmetry
+    breaking's `prev_same`, which no bound reads, as a list."""
     models = {
         "conv28": build_model(factorize(SUITE_LAYERS["conv28"]), simba),
         "conv28-partition": build_model(factorize(SUITE_LAYERS["conv28"]), simba,
@@ -445,10 +471,15 @@ def test_bound_tables_pinned(simba):
         214: random_instance(214, max_space=60_000),  # balance
     }
     digests = {}
+    budget_digests = {}
     prev_same = {}
     for name, model in models.items():
         search = new_search(model)
         prev_same[name] = search.prev_same
+        if search.menu_fit:
+            hulls = [search._menu_hull(mi, k) for mi, k in enumerate(search.floors[0])]
+            budget = (hulls, search.rhs, search.lagr_cut)
+            budget_digests[name] = hashlib.sha256(repr(budget).encode()).hexdigest()
         assert not hasattr(search, "__dict__")  # __slots__ keeps attribute reads fast
         if isinstance(search, _BalanceSearch):
             tables = (search.suffix_comp_lo, search.suffix_comp_hi,
@@ -466,11 +497,17 @@ def test_bound_tables_pinned(simba):
         "conv28":
             "2635fd4f47499df893594e6ee3cee5feb189008508af99eaafc27d929c965de6",
         "conv28-partition":
-            "a737d3e0d3cefc374b98d53e4c963e9c73ab107753fc359b17236770f000d7f7",
+            "b91339450c5b0a61ea6e6dbdea7ed6ce206444f1af72697de32b1f0ea83a74e0",
         22:
             "e6d7202c8e46a4d6b3d153aaedf39b56131c7efa6068767aa2d3c3225c95e8e8",
         214:
             "2b8c6e22772fad26729c2799703adeb780f0f4645930156886ab4a9f3631b5ed",
+    }
+    assert budget_digests == {
+        "conv28-partition":
+            "cdc50d252f0912742f96a79418c0c1116c62e9b11b20284ae7fbad3af2c73266",
+        22:
+            "6af46961649ff5d94b78ba1b5bad33a05da660052385d4f95211b10bf114da98",
     }
     # conv28 is R3 S3, P 2 2 7, Q 2 2 7, C 2 2 2, K 2 2, N 3 in factor
     # order: Q's first 2 (factor 5) follows P's last (3), Q's 7 (7) P's 7
@@ -530,23 +567,26 @@ def test_knapsack_bounds_match_reference(simba, monkeypatch):
             held = refs[kind] = (table, build(sh))
         return held[1]
 
-    def checked(sh, table, base, pos, row, best, thresh, refund):
-        b = real(sh, table, base, pos, row, best, thresh, refund)
+    def checked(sh, table, base, pos, row, best, thresh, refund, budget_cut):
+        b = real(sh, table, base, pos, row, best, thresh, refund, budget_cut)
         cut = sh.inc.obj + EPS_PRUNE
         if table is sh.pen_at:
+            assert budget_cut is sh.pen_cut
             ref_table = reference_for("penalized", table,
                                       reference_penalized_knapsack, sh)
             assert_rows_match(table, ref_table)
             ref = reference_penalized_bound(sh, ref_table, base, pos, row, best)
             # the evaluator stops at the first term past `thresh`; without
             # the stop it is the reference's max, float for float
-            assert real(sh, table, base, pos, row, best, math.inf, refund) == ref
+            assert real(sh, table, base, pos, row, best, math.inf, refund,
+                        budget_cut) == ref
             calls["penalized"] += 1
             rounded["penalized"] += any(
                 cuts_fraction(sh, pos, row, ci, whole, cw[-1])
                 for ci, _lam, whole, _c0, cw, _cg, _d in ref_table[pos + 1])
         else:
             assert table is sh.kn_at and refund == 0.0
+            assert not any(budget_cut)
             ref_table = reference_for("plain", table, reference_plain_knapsack, sh)
             ref = max(best,
                       reference_plain_bound(sh, ref_table, base, pos, row, thresh))
@@ -611,7 +651,7 @@ def test_gain_tables_are_exact(simba, monkeypatch):
                     for s in slacks + [n + 3]:
                         stub = types.SimpleNamespace(rhs=[s], con_lhs=[0.0])
                         b = _Search._kn_bound(stub, one, 0.0, -1, [0.0], -math.inf,
-                                              math.inf, 0.0)
+                                              math.inf, 0.0, [0.0])
                         upper = 0.0 + cost0 - (0.0 - lam_i * s)
                         gain = reference_kn_gain(cw, cg, dens, math.floor(s))
                         assert repr(b) == repr(upper - gain), (name, s)
@@ -1134,6 +1174,107 @@ def test_tightened_rhs_is_sound(monkeypatch):
     assert tighter_excess > 0
 
 
+def budget_max(sh, floors, lam_m, skip=None) -> float:
+    """The integer maximum, by brute force over the menus' entries, of the
+    sum over the menus but `skip` of lambda_i times the rhs of menu i's
+    entry: each entry at or above its floor in `floors`, `skip` at its
+    floor, and their bytes within the budget."""
+    m = sh.m
+    choices = []
+    for mi, (menu, floor) in enumerate(zip(m.menus, floors)):
+        pad = m.check_cons[sh.menu_fit[mi][0]].pad
+        entries = menu.entries[floor:floor + 1] if mi == skip else menu.entries[floor:]
+        choices.append([(ent.nbytes, lam_m[mi] * (ent.e - pad)) for ent in entries])
+    best = -math.inf
+    for pick in itertools.product(*choices):
+        if sum(nbytes for nbytes, _v in pick) <= m.budget_bytes:
+            best = max(best, sum(v for mi, (_b, v) in enumerate(pick) if mi != skip))
+    return best
+
+
+def assert_budget_cuts_admissible(sh, state, lam_m, memo) -> tuple[int, int]:
+    """Check a node's `_menu_state` `state`, at menu multipliers `lam_m`,
+    against `budget_max`, kept in `memo` for the model `sh` solves;
+    returns (1 if the Lagrangian cut is positive, the count of positive
+    cuts of menu rows)."""
+    rhs, lagr_cut, pen_cut = state
+    floors = sh.floors[0]
+    menu_cis = [ci for ci, *_rest in sh.menu_fit]
+    total = sum(lam_i * rhs[ci] for lam_i, ci in zip(lam_m, menu_cis))
+    positive = 0
+    for mi in (None, *range(len(floors))):
+        if mi is not None and (not lam_m[mi] or pen_cut is None):
+            continue
+        key = (floors, lam_m, mi)
+        if key not in memo:
+            memo[key] = budget_max(sh, floors, lam_m, mi)
+        if mi is None:
+            bound, cut = total - memo[key], lagr_cut
+        else:
+            ci = menu_cis[mi]
+            bound, cut = total - lam_m[mi] * rhs[ci] - memo[key], pen_cut[ci]
+            positive += cut > 0.0
+        assert cut <= max(0.0, bound) + 1e-9, (mi, cut, bound)
+    if pen_cut is not None:
+        active = {ci for lam_i, ci in zip(lam_m, menu_cis) if lam_i}
+        assert all(cut == lagr_cut for ci, cut in enumerate(pen_cut)
+                   if ci not in active)
+    return int(lagr_cut > 0.0), positive
+
+
+def test_budget_cuts_are_admissible(monkeypatch):
+    """At every node a solve expands, the budget's cut of the Lagrangian
+    bound is at most the node's sum over the menu rows of lambda_i times
+    its rhs less the integer maximum of that sum over the menu selections
+    at or above the node's floors within the budget (`budget_max`), or 0
+    where that maximum is no less; and the cut of the penalized row of
+    menu i at most the same with i held at its floor and left out of the
+    sum.  So the LP maxima J and J-i the cuts come from are at least the
+    integer ones, and every other row takes the Lagrangian cut.  Checked
+    on partition models whose budget binds, menus of 4 to 32 elements, at
+    the solve's multipliers, where menu rows are rarely priced, and at
+    drawn positive multipliers on every menu row, where the menus compete
+    for the budget and the cuts are positive."""
+    real = _Search._children
+    seen = {"nodes": 0, "cut": 0, "pen": 0}
+    memo = {}
+    rng = random.Random(5)
+    solving = [None]  # the model the memo holds maxima for
+
+    def children(sh, pos):
+        if sh.m is not solving[0]:
+            memo.clear()
+            solving[0] = sh.m
+        lam = [0.0] * sh.ncons
+        for ci, value in sh.lam_active:
+            lam[ci] = value
+        menu_cis = [ci for ci, *_rest in sh.menu_fit]
+        lam_m = tuple(lam[ci] for ci in menu_cis)
+        state = (sh.rhs, sh.lagr_cut, sh.pen_cut)
+        assert_budget_cuts_admissible(sh, state, lam_m, memo)
+        if isinstance(sh, _BalanceSearch):
+            return real(sh, pos)  # balance mode prices nothing
+        drawn = tuple(rng.choice([0.25, 0.5, 1.0, 2.0]) for _ in lam_m)
+        held = sh.lam_active
+        sh.lam_active = sorted(
+            [(ci, lam_i) for ci, lam_i in held if ci not in menu_cis]
+            + [(ci, lam_i) for ci, lam_i in zip(menu_cis, drawn)])
+        state = sh._menu_state(*sh.floors)
+        sh.lam_active = held
+        cut, pen = assert_budget_cuts_admissible(sh, state, drawn, memo)
+        seen["nodes"] += 1
+        seen["cut"] += cut
+        seen["pen"] += pen
+        return real(sh, pos)
+
+    monkeypatch.setattr(_Search, "_children", children)
+    for seed in range(400):
+        model = binding_partition_instance(seed)
+        if model is not None:
+            solve(model)
+    assert seen["nodes"] > 200 and seen["cut"] > 50 and seen["pen"] > 50, seen
+
+
 def test_run_lookahead_keeps_an_exact_fit(monkeypatch):
     """The optimum fills the 8-element input buffer of the middle level
     with C's run of three 2s, so the lookahead at the first 2 reaches the
@@ -1171,6 +1312,22 @@ def test_negative_rhs_is_infeasible_for_both_solvers():
     model = build_model(pf, toy_two_level(), capacity_pads={(0, 0): 7.0})
     con = next(c for c in model.check_cons if c.name == "buffer[Buf/W]")
     assert con.rhs < 0.0
+    sol = solve(model)
+    assert sol.status == exhaustive_solve(model).status == "infeasible"
+    assert sol.witness == ("buffer[Buf/W]",)
+
+
+def test_menu_past_its_pad_is_infeasible_for_both_solvers():
+    """On a partition model whose pad is above every entry of a buffer's
+    menu, no entry holds even an empty buffer, so the root's floors are
+    past the budget and no child fits: both solvers report the model
+    infeasible, and the budget's multipliers and cuts have no selection
+    to price."""
+    pf = factorize(LayerDims(1, 1, 2, 1, 3, 2, 1))
+    model = build_model(pf, toy_two_level(), capacity_pads={(0, 0): 9.0},
+                        partition=PartitionSpec(budget_bytes=192, e_min=2))
+    menu = model.menus[0]
+    assert model.check_cons[0].pad > menu.entries[-1].e
     sol = solve(model)
     assert sol.status == exhaustive_solve(model).status == "infeasible"
     assert sol.witness == ("buffer[Buf/W]",)
