@@ -24,14 +24,8 @@ from mipsched.cli import (
 )
 from mipsched.formulation import ObjectiveWeights, PartitionSpec
 from mipsched.solver import SolverOptions
-from mipsched.workload import LayerDims, factorize
-
-SUITE = {
-    "tiny": LayerDims(3, 1, 1, 1, 1, 4, 3),
-    "conv28": LayerDims(3, 3, 28, 28, 8, 4, 3),
-    "wide256": LayerDims(3, 3, 14, 14, 256, 256, 1),
-    "deep512": LayerDims(3, 3, 7, 7, 512, 512, 1),
-}
+from mipsched.workload import factorize
+from run_suite import SUITE
 
 
 def main() -> int:

@@ -3,6 +3,9 @@
 one-shot schedules against the seeded random baseline.
 
 Usage: python scripts/run_suite.py [--time-limit S] [--seed N]
+
+Exits 4 when a solve stops at the time limit and 3 when one is
+infeasible, as `mipsched` does; the layer's line then names the status.
 """
 
 import argparse
@@ -11,7 +14,7 @@ import sys
 import time
 
 from mipsched.arch import default_simba_arch
-from mipsched.cli import solve_layer
+from mipsched.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_TIMEOUT, solve_layer
 from mipsched.formulation import ObjectiveWeights
 from mipsched.schedule import render
 from mipsched.search import SearchConfig, random_search
@@ -35,6 +38,7 @@ def main() -> int:
 
     print("layer factors objective latency random_latency ratio solve_s")
     ratios = []
+    statuses = set()
     for name, dims in SUITE.items():
         pf = factorize(dims)
         t0 = time.perf_counter()
@@ -47,6 +51,7 @@ def main() -> int:
         dt = time.perf_counter() - t0
         if result.solution.status != "optimal":
             print(f"{name} - {result.solution.status} - - - {dt:.1f}")
+            statuses.add(result.solution.status)
             continue
         _best, rep, _stats = random_search(
             pf,
@@ -65,7 +70,11 @@ def main() -> int:
     if ratios:
         geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
         print(f"geomean random/solver latency ratio: {geomean:.3f}")
-    return 0
+    if "timeout" in statuses:
+        return EXIT_TIMEOUT
+    if "infeasible" in statuses:
+        return EXIT_INFEASIBLE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

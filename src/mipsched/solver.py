@@ -48,41 +48,45 @@ is dropped when the rest of its run, each member at its lightest allowed
 weight, cannot fit.  Every completion of such a child fails a capacity
 check, so the cut subtree holds no leaf, and only nodes fall.
 
-The uncut search breaks identical runs only; `canonical_assignment`
-maps every order of an identical class to one assignment.  A member's
-slot is its record and, if chained, its chain level and place.  A leaf
-of the uncut search is one of the cut search when every run's slots are
-sorted in branch order: reps non-increasing, chain places increasing.
-Its images deal the same slots to the run's identical classes in other
+The uncut search breaks identical runs only; `canonical_assignment` maps
+every order of an identical class to one assignment.  A member's slot is
+its record and, if chained, its chain level and place.  A leaf of the
+uncut search is one of the cut search when every run's slots are sorted
+in branch order: reps non-increasing, chain places increasing.  Its
+images deal the same slots to the run's identical classes in other
 shares: each class takes a sub-multiset of the class's size, its members
 in branch order, so an image keeps the record order of every identical
 run and the chain order of its members, and is a leaf of the uncut
 search.  Sorting each run's slots maps every leaf of the uncut search to
 exactly one kept leaf, of which it is the leaf itself or one image.  So
-`_leaf` decides each leaf that passes its estimate, then its images
-under every combination of its runs' shares but its own
-(`_Search._slot_maps`), each as the uncut search decides that leaf.  An
-image re-deals a run's slots over the run's own depths, which are
-consecutive, and every row entry of a member is 0.0 or the run's one
-log-factor; so at each depth the image's branch-order fold of the
-buffer sums adds the same value as its leaf's, and its sums are the
-leaf's bit for bit.  Its capacity verdict and `_derive_menus` are then
-the leaf's as well, and `_leaf` derives the menus once for all of them.
-Each image takes its sources' records and chain places, and gets its own
-`objective_from` in factor order, `canonical_assignment` and `lex_key`,
-through the same `beats`.
+`_leaf` decides each leaf it enters, then its images under every
+combination of its runs' shares but its own (`_Search._slot_maps`), each
+as the uncut search decides that leaf.  An image re-deals a run's slots
+over the run's own depths, which are consecutive, and every row entry of
+a member is 0.0 or the run's one log-factor; so at each depth the
+image's branch-order fold of the buffer sums adds the same value as its
+leaf's, and its sums are the leaf's bit for bit.  Its capacity verdict
+and `_derive_menus` are then the leaf's as well, and `_leaf` derives the
+menus once for all of them.  Each image takes its sources' records and
+chain places, which `_decide` takes as they are, with no change to the
+search state, and gets its own `objective_from` in factor order,
+`canonical_assignment` and `lex_key`, through the same `beats`.
 
 So the answer is still the least `(objective, lex_key)` over all leaves
 of the uncut search.  Every decided image is one of them, decided as that
 search decides it.  The least one, L*, is L0 or one of its decided
-images, for L0 the leaf whose mirror slots are L*'s sorted.  A bound or
-estimate that rejects L0 exceeds `inc.obj + EPS_PRUNE` while bounding
-L0's objective from below.  L0's objective differs from L*'s only in
+images, for L0 the leaf whose mirror slots are L*'s sorted.  A bound
+that rejects L0 exceeds `inc.obj + EPS_PRUNE` while bounding L0's
+objective from below.  L0's objective differs from L*'s only in
 summation order, by about F·u·Σ|terms|, far below `EPS_PRUNE`, and the
-incumbent is a leaf's objective, so at least L*'s; no bound or estimate
-rejects L0.  L0 is reached and offers L*.  The argument reads nothing
-but admissible bounds and summation order, so it holds in every
-objective mode, balance included.
+incumbent is a leaf's objective, so at least L*'s; no bound rejects
+L0.  A leaf needs no estimate of its own: the bound of its last child,
+which it passed against the incumbent it is entered under, is at least
+its static sum plus its weighted traffic, the most the search state
+tells of its objective (in balance mode, that objective itself).  L0 is
+reached and offers L*.  The argument reads nothing but admissible
+bounds and summation order, so it holds in every objective mode,
+balance included.
 
 A partition model's byte budget is propagated into the capacity bounds,
 as activity-based bound propagation does with a linear row (Savelsbergh
@@ -100,12 +104,13 @@ Lagrangian bound and both knapsack bounds read the node's rhs; on a
 model without menus it is `con_rhs` itself.  The loosest rhs stays in
 the feasibility checks (the capacity check, the run lookahead,
 `_derive_menus` and `MipModel.constraint_violations`) and in the root
-build of the knapsack tables.  The per-child menu check starts from the
-node's floors and re-prices only the menus a child's record touches;
-every other menu reads 0.0 in its row, and byte sums are integers, so
-each child is decided as a full re-bisect would decide it.  `_apply`
-derives a child's floors from its parent's the same way, and its rhs
-from its floors, once per distinct floors.
+build of the knapsack tables.  A child's floors (`_child_floors`) start
+from the node's and re-price only the menus its record touches; every
+other menu reads 0.0 in its row, and byte sums are integers, so they
+are a full re-bisect's, bit for bit.  `_children` drops a child whose
+floors pass the budget, `_apply` gives the child them, and its rhs
+from them, once per distinct floors, and a leaf's `_derive_menus` reads
+them.
 
 The budget ties the menus together, and the bounds price it across
 them at once, as a multiple-choice knapsack inside the Lagrangian
@@ -156,21 +161,25 @@ So the search can leave a node and come back to it by applying its path
 again.
 
 A solve runs in two phases.  The dive is a depth-first search in bound
-order that stops at the first accepted leaf.  Then `tighten` rebuilds
-the multipliers once by Polyak steps against that incumbent, and every
-child bound adds the knapsack bound at them, the Lagrangian-penalized
-bound.  The proof is a best-bound search with plunging (Linderoth &
-Savelsbergh 1999; Achterberg 2007, as in SCIP): every child that
-survives its bound is an open node keyed by it, the search dives into a
-node's child of least bound while that bound stays within `PLUNGE` of
-the gap between the least open key and the incumbent, and otherwise
-jumps to the least open key, deeper first on ties.  A jump walks `_undo`
-up to the common prefix of the two paths and `_apply` down, so a node is
-bounded as it would be had the search come straight down to it.  Once
-the open list holds `MAX_OPEN` nodes, each node taken from it has its
-subtree searched depth-first, so memory stays bounded.  On a timeout
-the least open key is a lower bound on the optimum, reported with its
-gap to the incumbent in `SolveStats`.
+order that stops at the first accepted leaf; one that ends without any,
+and not at the deadline, had nothing to prune against and has searched
+the whole tree, so the model is infeasible and the solve ends there, as
+it does when the deadline stops the dive, which then holds no incumbent
+and reports a bound of -inf.  Then `tighten` rebuilds the multipliers
+once by Polyak steps against that incumbent, and every child bound adds
+the knapsack bound at them, the Lagrangian-penalized bound.  The proof
+is a best-bound search with plunging (Linderoth & Savelsbergh 1999;
+Achterberg 2007, as in SCIP): every child that survives its bound is an
+open node keyed by it, the search dives into a node's child of least
+bound while that bound stays within `PLUNGE` of the gap between the
+least open key and the incumbent, and otherwise jumps to the least open
+key, deeper first on ties.  A jump walks `_undo` up to the common prefix
+of the two paths and `_apply` down, so a node is bounded as it would be
+had the search come straight down to it.  Once the open list holds
+`MAX_OPEN` nodes, each node taken from it has its subtree searched
+depth-first, so memory stays bounded.  On a timeout the least open key is
+a lower bound on the optimum, reported with its gap to the incumbent in
+`SolveStats`.
 
 The answer depends neither on the search order nor on which incumbent
 comes first: a leaf replaces the incumbent only on a strictly smaller
@@ -498,7 +507,7 @@ class _Search:
         "mirror_of", "prev_same", "mirrors", "run_rem", "run_need", "wt",
         "ncons", "con_rhs", "cap", "menu_fit", "menu_hulls", "menu_items",
         "cls_of", "classes", "costs", "suffix_min", "kn_at",
-        "lam_active", "lagr_suffix", "pen_at", "choice_rec",
+        "lam", "lam_active", "lagr_suffix", "pen_at", "choice_rec",
         "chains", "con_lhs", "static_sum", "comp_sum", "dl_sum", "t_cur",
         "profile", "floors", "rhs", "lagr_cut", "pen_cut", "no_cut",
         "saved", "menu_memo",
@@ -584,35 +593,33 @@ class _Search:
         # memo of `_slot_maps`.
         self.mirror_of = self._mirror_classes()
         self.order = self._branch_order()
-        self.prev_same: list[int | None] = [None] * F
         runs: dict[int, list[int]] = {}
         for fi in self.order:
-            run = runs.setdefault(self.mirror_of[fi], [])
-            self.prev_same[fi] = run[-1] if run else None
-            run.append(fi)
+            runs.setdefault(self.mirror_of[fi], []).append(fi)
         self.mirrors = [(run, {}) for run in runs.values()
                         if len({self.cls_of[fi] for fi in run}) > 1]
 
         # the run lookahead of `_children`: per factor, how many members of
-        # its mirror class follow it in the branch order, and per class
-        # record r (parallel to `classes[fi]`), the (ci, w) pairs where w,
-        # the least weight on ci of any record with rep <= r.rep of any of
-        # those members, is positive
+        # its mirror run follow it in the branch order, and per class record
+        # r (parallel to `classes[fi]`), the (ci, w) pairs where w, the
+        # least weight on ci of any of those members' records with rep <=
+        # r.rep, is positive.  Members of a run have equal records
+        # (`_mirrored`), so the table is built once per run from its first
+        # member's; its last member has none to follow.
+        self.prev_same: list[int | None] = [None] * F
         self.run_rem = [0] * F
         self.run_need: list[list[tuple]] = [[] for _ in range(F)]
-        after: dict[int, list[int]] = {}
-        for fi in reversed(self.order):
-            rest = after.setdefault(self.mirror_of[fi], [])
-            self.run_rem[fi] = len(rest)
-            # mirrored members have equal records: keep each (rep, row) once
-            pool = {(r.rep, tuple(r.row)) for gi in rest for r in self.classes[gi]}
-            for rec in self.classes[fi]:
-                rows = [row for rep, row in pool if rep <= rec.rep]
-                least = [min((row[ci] for row in rows), default=0.0)
-                         for ci in range(self.ncons)]
-                self.run_need[fi].append(
-                    tuple((ci, w) for ci, w in enumerate(least) if w > 0.0))
-            rest.append(fi)
+        for run in runs.values():
+            recs = self.classes[run[0]]
+            need = []
+            for rec in recs:
+                rows = [r.row for r in recs if r.rep <= rec.rep]
+                need.append(tuple((ci, w) for ci, w in enumerate(map(min, zip(*rows)))
+                                  if w > 0.0))
+            for i, fi in enumerate(run):
+                self.prev_same[fi] = run[i - 1] if i else None
+                self.run_rem[fi] = len(run) - 1 - i
+                self.run_need[fi] = need if self.run_rem[fi] else [()] * len(recs)
 
         # the search state at the root; `_apply` saves the node's on `saved`
         self.choice_rec: list[ChoiceCoef | None] = [None] * F
@@ -626,10 +633,7 @@ class _Search:
         # the menu floors as a tuple and their byte total (`_floors`), or
         # None on a model without menus; the root's are read by the
         # multipliers' build
-        self.floors = None
-        if self.menu_fit:
-            floors, total = self._floors()
-            self.floors = (tuple(floors), total)
+        self.floors = self._floors() if self.menu_fit else None
         self.saved: list[tuple] = []
         self._build_bounds()
         # what the bounds read of the floors (`_menu_state`): the rhs, and
@@ -897,14 +901,17 @@ class _Search:
                 for ci, gi in zip(finite, g):
                     x = lam[ci] + step * gi
                     lam[ci] = x if x > 0.0 else 0.0
-        self.lam_active = [(ci, l) for ci, l in enumerate(best_lam) if l > 1e-12]
+        # the multipliers every bound reads, one below 1e-12 as 0.0: dense,
+        # and the positive ones as (ci, lambda) pairs
+        lam = self.lam = [l if l > 1e-12 else 0.0 for l in best_lam]
+        self.lam_active = [(ci, l) for ci, l in enumerate(lam) if l]
         lagr_min = []
         for recs, costs in zip(self.classes, self.costs):
             best = INF
             for rec, t in zip(recs, costs):
                 for ci, w in rec.items:
-                    if best_lam[ci]:
-                        t += best_lam[ci] * w
+                    if lam[ci]:
+                        t += lam[ci] * w
                 if t < best:
                     best = t
             lagr_min.append(best)
@@ -918,10 +925,7 @@ class _Search:
         penalized rows' included."""
         if self.inc.x is not None:
             self._build_lagrangian(upper=self.inc.obj)
-        lam = [0.0] * self.ncons
-        for ci, value in self.lam_active:
-            lam[ci] = value
-        self.pen_at = self._build_knapsack(lam)
+        self.pen_at = self._build_knapsack(self.lam)
         if self.floors is not None:
             # the search is at the root; each state below it is derived
             # again at the new multipliers
@@ -978,7 +982,7 @@ class _Search:
                 d += lg + (cum[upto] - cum[p])
         return d
 
-    def _floors(self) -> tuple[list[int], int]:
+    def _floors(self) -> tuple[tuple[int, ...], int]:
         """The menu floors, each menu's least admissible entry at the
         current buffer sums, and their byte total; a menu no entry holds
         counts budget + 1 bytes."""
@@ -989,7 +993,7 @@ class _Search:
             ei = bisect_left(fits, con_lhs[ci] + pad)
             floors.append(ei)
             total += sizes[ei]
-        return floors, total
+        return tuple(floors), total
 
     def _menu_rhs(self, floors: list[int], total: int) -> list[float]:
         """The rhs the bounds read at a node within the budget, given its
@@ -1083,7 +1087,7 @@ class _Search:
         """What the bounds read at a node with menu floors `floors` of
         `total` bytes: the rhs (`_menu_rhs`), the Lagrangian bound's budget
         cut, and per constraint the penalized bound's, at the multipliers
-        `lam_active`.  The cut of a bound is its sum over the menu rows of
+        `lam`.  The cut of a bound is its sum over the menu rows of
         lambda_i times the node's rhs less the budget's LP maximum of that
         sum over entries at or above the floors, where that is the less
         (`_budget_fill`); the penalized row of menu i takes the maximum
@@ -1093,9 +1097,7 @@ class _Search:
         rhs = self._menu_rhs(floors, total)
         if total > self.m.budget_bytes:
             return rhs, 0.0, self.no_cut  # no child fits: nothing to bound
-        lam = [0.0] * self.ncons
-        for ci, value in self.lam_active:
-            lam[ci] = value
+        lam = self.lam
         items = self._hull_items(floors, lam, self.m.budget_bytes - total)
         if not items[1]:
             return rhs, 0.0, self.no_cut  # no menu is priced
@@ -1119,21 +1121,26 @@ class _Search:
                 pen_cut[fit[0]] = cut(mi)
         return rhs, lagr_cut, pen_cut
 
-    def _menu_bytes(self, rec: ChoiceCoef) -> int:
-        """The byte total of the menu floors with `rec` added to the node's
-        buffer sums, from the node's `floors`: only the menus `rec`
-        touches are re-priced, since every other one reads a 0.0 in its
-        row and keeps its floor.  Each floor is bisected on the
-        child's own buffer sum, `(con_lhs + add) + pad` as the child's
-        `_floors` evaluates it, so a leaf reads the floors its last child
-        was accepted on.  The sum is of integers, so it is exact in any
-        order."""
+    def _child_floors(self, rec: ChoiceCoef) -> tuple:
+        """The menu floors and their byte total with `rec` added to the
+        node's buffer sums, from the node's `floors`: the node's own
+        `floors` object when no menu moves.  Only the menus `rec` touches
+        are re-priced, since every other one reads a 0.0 in its row and
+        keeps its floor.  Each floor is bisected on the child's own buffer
+        sum, `(con_lhs + add) + pad` as the child's `_floors` evaluates it,
+        so the child's floors equal a fresh `_floors` of it bit for bit.
+        The total is of integers, so it is exact in any order."""
         con_lhs = self.con_lhs
         floors, total = self.floors
+        moved = None
         for ci, add, mi, pad, fits, sizes in self.menu_items[rec]:
             ei = bisect_left(fits, (con_lhs[ci] + add) + pad)
-            total += sizes[ei] - sizes[floors[mi]]
-        return total
+            if ei != floors[mi]:
+                if moved is None:
+                    moved = list(floors)
+                moved[mi] = ei
+                total += sizes[ei] - sizes[floors[mi]]
+        return self.floors if moved is None else (tuple(moved), total)
 
     def _lagr_bound(self, base: float, pos: int, row: list[float]) -> float:
         """Root Lagrangian relaxation evaluated with the current slacks
@@ -1251,7 +1258,7 @@ class _Search:
                     break
             if not ok:
                 continue
-            if menu_fit and self._menu_bytes(rec) > self.m.budget_bytes:
+            if menu_fit and self._child_floors(rec)[1] > self.m.budget_bytes:
                 continue
             if rec.chained:
                 profile = self.profile
@@ -1316,15 +1323,21 @@ class _Search:
     def _apply(self, pos, child):
         """Descend into `child`: save the node's state and set the child's,
         each sum its parent's plus the child's record.  The child's menu
-        floors are its parent's with the menus its record touches
-        bisected again on the child's own sums, as `_menu_bytes` bisects
-        them, so they equal a fresh `_floors` of the child bit for bit, and
-        its rhs is `_menu_rhs` of them, kept once per distinct floors."""
+        floors are `_child_floors`, and its bounds' menu state is
+        `_menu_state` of them, kept once per distinct floors."""
         _b, I, _k, q, rec, t_after = child
         fi = self.order[pos]
         self.saved.append((self.con_lhs, self.static_sum, self.comp_sum,
                            self.dl_sum, self.t_cur, self.floors, self.rhs,
                            self.lagr_cut, self.pen_cut, self.profile))
+        if self.floors is not None:
+            floors = self._child_floors(rec)
+            if floors is not self.floors:
+                self.floors = floors
+                state = self.menu_memo.get(floors)
+                if state is None:
+                    state = self.menu_memo[floors] = self._menu_state(*floors)
+                self.rhs, self.lagr_cut, self.pen_cut = state
         con_lhs = self.con_lhs[:]
         for ci, add in rec.items:
             con_lhs[ci] += add
@@ -1337,22 +1350,6 @@ class _Search:
         if q >= 0:
             self.chains[I].insert(q, fi)
             self.profile = None
-        if self.floors is not None:
-            floors, total = self.floors
-            moved = None
-            for ci, _add, mi, pad, fits, sizes in self.menu_items[rec]:
-                ei = bisect_left(fits, con_lhs[ci] + pad)
-                if ei != floors[mi]:
-                    if moved is None:
-                        moved = list(floors)
-                    total += sizes[ei] - sizes[floors[mi]]
-                    moved[mi] = ei
-            if moved is not None:
-                floors = self.floors = (tuple(moved), total)
-                state = self.menu_memo.get(floors)
-                if state is None:
-                    state = self.menu_memo[floors] = self._menu_state(moved, total)
-                self.rhs, self.lagr_cut, self.pen_cut = state
 
     def _undo(self, pos, child):
         """Return from `child` to the node `_apply` saved."""
@@ -1365,15 +1362,15 @@ class _Search:
             del self.chains[I][q]
 
     def _derive_menus(self) -> tuple[int, ...] | None:
-        """The leaf's menu selection: menu by menu, the largest entry whose
-        bytes fit beside the entries chosen so far and the floors of the
-        menus still to come; None when the floors alone, a menu no entry
-        holds at budget + 1 bytes, exceed the budget.  `room` is the budget
-        left beside those; sizes ascend, so `top` is at or above the floor,
-        and the sentinel never fits."""
+        """The leaf's menu selection, from its `floors`: menu by menu, the
+        largest entry whose bytes fit beside the entries chosen so far and
+        the floors of the menus still to come; None when the floors alone,
+        a menu no entry holds at budget + 1 bytes, exceed the budget.
+        `room` is the budget left beside those; sizes ascend, so `top` is
+        at or above the floor, and the sentinel never fits."""
         if not self.m.menus:
             return None
-        floors, total = self._floors()
+        floors, total = self.floors
         room = self.m.budget_bytes - total
         if room < 0:
             return None
@@ -1385,25 +1382,22 @@ class _Search:
         return tuple(sel)
 
     def _leaf(self) -> bool:
-        """A leaf whose estimate passes the incumbent is decided, and so
-        are its images, the leaves its mirror runs cut, all on the leaf's
-        menus; True when one of them is accepted."""
+        """Decide the leaf, and its images, the leaves its mirror runs cut,
+        all on the leaf's menus; True when one of them is accepted.  No
+        estimate gates it: the leaf's last child passed its bound, at
+        least the leaf's static sum plus its weighted traffic (in balance
+        mode the leaf's exact objective), against the incumbent it is
+        entered under."""
         self.leaves += 1
-        if self._leaf_estimate() > self.inc.obj + EPS_PRUNE:
-            return False
         menu_sel = self._derive_menus()
         # fires only when F = 0 (an all-ones layer), where no child priced
         # the menus
         if self.m.menus and menu_sel is None:
             return False
-        accepted = self._decide(menu_sel)
+        accepted = self._decide(self.choice_rec, self.chains, menu_sel)
         if self.mirrors:
             accepted = self._decide_images(menu_sel) or accepted
         return accepted
-
-    def _leaf_estimate(self) -> float:
-        """A lower bound on the leaf's objective from the search state."""
-        return self.static_sum + self.wt * self.t_cur
 
     def _slot_maps(self, run: list[int], pattern: tuple[bool, ...]) -> list[tuple]:
         """The images of a leaf whose mirror run `run` has slot `pattern`:
@@ -1445,12 +1439,11 @@ class _Search:
     def _decide_images(self, menu_sel: tuple[int, ...] | None) -> bool:
         """Decide the leaf's images under every combination of its mirror
         runs' `_slot_maps` but the leaf's own, as the search decides each
-        such leaf: the image's records, each member taking its source's,
-        and its chains, each source's place taken by its member, are set
-        as the search state for `_decide`, then the leaf's are put back.
-        An image deals each run's slots over the run's own depths, which
-        the branch order keeps contiguous, and a member's row holds 0.0
-        or the run's one log-factor on every constraint; so its
+        such leaf: `_decide` takes the image's records, each member taking
+        its source's, and its chains, each source's place taken by its
+        member.  An image deals each run's slots over the run's own
+        depths, which the branch order keeps contiguous, and a member's row
+        holds 0.0 or the run's one log-factor on every constraint; so its
         branch-order fold of the buffer sums adds the same values as its
         leaf's at every depth, and its sums, capacity verdict and menus
         are the leaf's, bit for bit."""
@@ -1478,25 +1471,24 @@ class _Search:
             if sigma:
                 img_chains = {I: [sigma.get(fi, fi) for fi in chain]
                               for I, chain in chains.items()}
-            self.choice_rec, self.chains = img, img_chains
-            accepted = self._decide(menu_sel) or accepted
-        self.choice_rec, self.chains = recs, chains
+            accepted = self._decide(img, img_chains, menu_sel) or accepted
         return accepted
 
-    def _decide(self, menu_sel: tuple[int, ...] | None) -> bool:
-        """Offer the leaf the search state holds, with its menus
-        `menu_sel`, to the incumbent: its exact objective, then its
-        canonical assignment's key; True when the incumbent takes it."""
+    def _decide(self, recs: list[ChoiceCoef], chains: dict[int, list[int]],
+                menu_sel: tuple[int, ...] | None) -> bool:
+        """Offer the leaf of class records `recs` and chains `chains`, with
+        its menus `menu_sel`, to the incumbent: its exact objective, then
+        its canonical assignment's key; True when the incumbent takes it."""
         m = self.m
         inc = self.inc
-        walk = [(I, m.factors[fi]) for I, chain in self.chains.items()
+        walk = [(I, m.factors[fi]) for I, chain in chains.items()
                 for fi in chain]
-        obj = m.objective_from(self.choice_rec, walk)
+        obj = m.objective_from(recs, walk)
         if obj > inc.obj:
             return False
         self.canonicalized += 1
-        choice_cls = [rec.cc for rec in self.choice_rec]
-        x = canonical_assignment(m, choice_cls, self.chains, self,
+        choice_cls = [rec.cc for rec in recs]
+        x = canonical_assignment(m, choice_cls, chains, self,
                                  inc.key if obj == inc.obj else None)
         if x is None:
             return False
@@ -1621,13 +1613,14 @@ class _BalanceSearch(_Search):
     """A solve in balance mode, whose objective |w_t * traffic - w_c *
     comp| has no costs to relax: its only bound is the interval one over
     per-depth suffix tables of the least and largest compute and traffic,
-    so `tighten` has nothing to build."""
+    exact at a leaf, so `tighten` has nothing to build."""
 
     __slots__ = ("suffix_comp_lo", "suffix_comp_hi", "suffix_traf_lo",
                  "traf_hi_const")
 
     def _build_bounds(self):
-        self.lam_active = []  # no multipliers: the menu states carry no cut
+        # no multipliers: the menu states carry no cut
+        self.lam, self.lam_active = [0.0] * self.ncons, []
         self.suffix_comp_lo = self._suffix(
             [min(rec.comp for rec in recs) for recs in self.classes])
         self.suffix_comp_hi = self._suffix(
@@ -1650,7 +1643,10 @@ class _BalanceSearch(_Search):
         traf_lo = self.dl_sum + rec.dl + t_after + self.suffix_traf_lo[pos + 1]
         a_lo, a_hi = w.w_t * traf_lo, w.w_t * self.traf_hi_const
         b_lo, b_hi = w.w_c * comp_lo, w.w_c * comp_hi
-        if a_lo > b_hi:
+        if pos + 1 == self.m.F:
+            # a leaf: no tail, and its traffic is known, not `traf_hi_const`
+            b = abs(a_lo - b_lo)
+        elif a_lo > b_hi:
             b = a_lo - b_hi
         elif b_lo > a_hi:
             b = b_lo - a_hi
@@ -1659,10 +1655,6 @@ class _BalanceSearch(_Search):
         if b > self.inc.obj + EPS_PRUNE:
             return None
         return b
-
-    def _leaf_estimate(self) -> float:
-        w = self.m.weights
-        return abs(w.w_t * (self.dl_sum + self.t_cur) - w.w_c * self.comp_sum)
 
 
 def _root_witness(m: MipModel) -> tuple[str, ...] | None:
@@ -1690,15 +1682,30 @@ def _root_witness(m: MipModel) -> tuple[str, ...] | None:
     return tuple(names) or None
 
 
+def _violated_by_all(m: MipModel) -> bool:
+    """Whether a constraint no assignment satisfies stands out on its own:
+    contributions are never negative, so a non-menu constraint whose rhs
+    is below 0 is violated by every assignment, even one adding nothing."""
+    return any(c.menu is None and 0.0 > c.rhs + TOLERANCE for c in m.check_cons)
+
+
 def solve(model: MipModel, opts: SolverOptions = SolverOptions()) -> Solution:
     """Proven-optimal solve with the deterministic branch-and-bound."""
     t0 = time.perf_counter()
+    if _violated_by_all(model):
+        stats = SolveStats(wall_time_s=time.perf_counter() - t0, bound=INF)
+        return Solution("infeasible", None, None, None, stats,
+                        witness=_root_witness(model))
     inc = _Incumbent()
     cls = _BalanceSearch if model.weights.mode == "balance" else _Search
     search = cls(model, inc, t0 + opts.time_limit_s)
     search.dfs(0, dive=True)
-    search.tighten()
-    bound = search.prove()
+    # the dive ends at its first accepted leaf or at the deadline; one that
+    # ends at neither has searched the whole tree, with nothing to bound it
+    bound = -INF if search.stopped else INF
+    if inc.x is not None:
+        search.tighten()
+        bound = search.prove()
 
     gap = inc.obj - bound if inc.x is not None else INF
     stats = SolveStats(search.nodes, search.leaves, time.perf_counter() - t0,
@@ -1800,9 +1807,7 @@ def exhaustive_solve(
                 del x[fi]
                 occupied.discard((I, z))
 
-    # contributions are never negative, so a non-menu constraint whose rhs
-    # is below 0 is violated by every assignment, even one adding nothing
-    if not any(c.menu is None and 0.0 > c.rhs + tol for c in m.check_cons):
+    if not _violated_by_all(m):
         rec(0, [0.0] * ncons)
     stats.wall_time_s = time.perf_counter() - t0
     if best_x is None:

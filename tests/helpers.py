@@ -818,6 +818,37 @@ def _reference_suffix(sh, values):
     return out
 
 
+def reference_run_lookahead(sh):
+    """The run lookahead's tables, `(prev_same, run_rem, run_need)`, built
+    factor by factor in reverse branch order: each factor's previous member
+    of its mirror run, the members that follow it, and per class record r
+    the (ci, w) pairs where w, the least weight on ci over the records with
+    rep <= r.rep of every member that follows, is positive (0.0 when none
+    follows)."""
+    F = sh.m.F
+    prev_same = [None] * F
+    before = {}
+    for fi in sh.order:
+        run = before.setdefault(sh.mirror_of[fi], [])
+        prev_same[fi] = run[-1] if run else None
+        run.append(fi)
+    run_rem = [0] * F
+    run_need = [[] for _ in range(F)]
+    after = {}
+    for fi in reversed(sh.order):
+        rest = after.setdefault(sh.mirror_of[fi], [])
+        run_rem[fi] = len(rest)
+        pool = {(r.rep, tuple(r.row)) for gi in rest for r in sh.classes[gi]}
+        for rec in sh.classes[fi]:
+            rows = [row for rep, row in pool if rep <= rec.rep]
+            least = [min((row[ci] for row in rows), default=0.0)
+                     for ci in range(sh.ncons)]
+            run_need[fi].append(
+                tuple((ci, w) for ci, w in enumerate(least) if w > 0.0))
+        rest.append(fi)
+    return prev_same, run_rem, run_need
+
+
 def reference_whole_tails(model, order, ci):
     """Per depth, whether every class record of every factor that `order`
     leaves unassigned there weighs a whole number on constraint `ci`."""

@@ -36,3 +36,11 @@ def test_partition_study_exits_4_on_a_timeout():
     proc = run_script("partition_study.py", "--time-limit", "1e-6")
     assert proc.returncode == 4, (proc.stdout, proc.stderr)
     assert "partition solve timeout" in proc.stdout
+
+
+def test_run_suite_exits_4_on_a_timeout():
+    """The suite, like the study, names a solve stopped by the time limit
+    and exits 4 (`EXIT_TIMEOUT`)."""
+    proc = run_script("run_suite.py", "--time-limit", "1e-6")
+    assert proc.returncode == 4, (proc.stdout, proc.stderr)
+    assert "tiny - timeout" in proc.stdout

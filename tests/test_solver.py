@@ -24,6 +24,7 @@ from helpers import (
     reference_penalized_knapsack,
     reference_plain_bound,
     reference_plain_knapsack,
+    reference_run_lookahead,
     reference_t_sums,
     square_instance,
     toy_two_level,
@@ -453,7 +454,7 @@ def test_search_counts_pinned(simba):
         101: ("combined", True, 8, 3),
         22: ("traffic", True, 37, 25),
         214: ("balance", False, 59, 28),
-        245: ("balance", True, 21, 15),
+        245: ("balance", True, 9, 3),
     }
 
 
@@ -485,10 +486,7 @@ def test_bound_tables_pinned(simba):
             tables = (search.suffix_comp_lo, search.suffix_comp_hi,
                       search.suffix_traf_lo, search.traf_hi_const)
         else:
-            lam = [0.0] * search.ncons
-            for ci, value in search.lam_active:
-                lam[ci] = value
-            search.pen_at = search._build_knapsack(lam)
+            search.pen_at = search._build_knapsack(search.lam)
             tables = (search.order, search.suffix_min, search.lam_active,
                       search.lagr_suffix, search.kn_at, search.pen_at)
         digests[name] = hashlib.sha256(repr(tables).encode()).hexdigest()
@@ -632,10 +630,7 @@ def test_gain_tables_are_exact(simba, monkeypatch):
     searches = {name: new_search(model) for name, model in models.items()}
     monkeypatch.setattr(mipsched.solver, "TOLERANCE", 0.0)
     for name, search in searches.items():
-        lam = [0.0] * search.ncons
-        for ci, value in search.lam_active:
-            lam[ci] = value
-        search.pen_at = search._build_knapsack(lam)
+        search.pen_at = search._build_knapsack(search.lam)
         for table in (search.kn_at, search.pen_at):
             for rows in table:
                 for _ci, lam_i, gains, cost0, cw, cg, dens in rows:
@@ -940,6 +935,7 @@ def test_derive_menus_matches_reference(simba, monkeypatch):
             menu_cons = {ci for ci, *_rest in sh.menu_fit}
             sh.con_lhs = [rng.uniform(0.0, rhs + 1.0) if ci in menu_cons
                           else 0.0 for ci, rhs in enumerate(sh.con_rhs)]
+            sh.floors = sh._floors()
             sh._derive_menus()
     assert seen["none"], seen
 
@@ -1030,7 +1026,7 @@ def test_run_lookahead_cuts_only_leafless_children(simba, monkeypatch):
     one that passes the rep limit and the capacity check but never
     reaches the menu or the node bound."""
     real_children = _Search._children
-    real_menu = _Search._menu_bytes
+    real_floors = _Search._child_floors
     reached = []  # rows that got past the filters in this `_children` call
     cuts = []
 
@@ -1040,9 +1036,9 @@ def test_run_lookahead_cuts_only_leafless_children(simba, monkeypatch):
             return real_bound(sh, pos, rec, t_after)
         return bound
 
-    def menu(sh, rec):
+    def floors(sh, rec):
         reached.append(rec.row)
-        return real_menu(sh, rec)
+        return real_floors(sh, rec)
 
     def children(sh, pos):
         reached.clear()
@@ -1064,7 +1060,7 @@ def test_run_lookahead_cuts_only_leafless_children(simba, monkeypatch):
     monkeypatch.setattr(_Search, "_children", children)
     for cls in (_Search, _BalanceSearch):  # each runs its own `_node_bound`
         monkeypatch.setattr(cls, "_node_bound", reaching(cls._node_bound))
-    monkeypatch.setattr(_Search, "_menu_bytes", menu)
+    monkeypatch.setattr(_Search, "_child_floors", floors)
     counts = {}
     solve(build_model(factorize(SUITE_LAYERS["conv28"]), simba))
     counts["conv28"] = len(cuts)
@@ -1245,22 +1241,19 @@ def test_budget_cuts_are_admissible(monkeypatch):
         if sh.m is not solving[0]:
             memo.clear()
             solving[0] = sh.m
-        lam = [0.0] * sh.ncons
-        for ci, value in sh.lam_active:
-            lam[ci] = value
         menu_cis = [ci for ci, *_rest in sh.menu_fit]
-        lam_m = tuple(lam[ci] for ci in menu_cis)
+        lam_m = tuple(sh.lam[ci] for ci in menu_cis)
         state = (sh.rhs, sh.lagr_cut, sh.pen_cut)
         assert_budget_cuts_admissible(sh, state, lam_m, memo)
         if isinstance(sh, _BalanceSearch):
             return real(sh, pos)  # balance mode prices nothing
         drawn = tuple(rng.choice([0.25, 0.5, 1.0, 2.0]) for _ in lam_m)
-        held = sh.lam_active
-        sh.lam_active = sorted(
-            [(ci, lam_i) for ci, lam_i in held if ci not in menu_cis]
-            + [(ci, lam_i) for ci, lam_i in zip(menu_cis, drawn)])
+        held = sh.lam
+        sh.lam = held[:]
+        for ci, lam_i in zip(menu_cis, drawn):
+            sh.lam[ci] = lam_i
         state = sh._menu_state(*sh.floors)
-        sh.lam_active = held
+        sh.lam = held
         cut, pen = assert_budget_cuts_admissible(sh, state, drawn, memo)
         seen["nodes"] += 1
         seen["cut"] += cut
@@ -1303,6 +1296,95 @@ def test_run_lookahead_keeps_an_exact_fit(monkeypatch):
     assert at_l0 and all(rec.row[ci] == 1.0 for rec in at_l0)
     kept = [child[4] for child in sh._children(pos)]
     assert all(rec in kept for rec in at_l0)
+
+
+def benchmark_models(simba):
+    """The models of the benchmark's solver ops: the suite layers, the
+    partition layers at its budget, and every round of its stride-2
+    layers."""
+    models = [build_model(factorize(SUITE_LAYERS[name]), simba)
+              for name in ("tiny", "conv28", "deep512", "wide256")]
+    models += list(partition_models(simba))[:3]
+    models.append(build_model(factorize(FC_LAYER), simba))
+    for dims in ((3, 3, 28, 28, 64, 64, 1), (3, 3, 14, 14, 32, 64, 1),
+                 (1, 1, 28, 28, 64, 128, 1)):
+        pf = factorize(LayerDims(*dims, stride=2), PaddingPolicy(max_prime=7))
+        result = solve_layer(pf, simba)
+        assert result.rounds == 2
+        models += [build_model(pf, simba), result.model]
+    return models
+
+
+def test_run_lookahead_matches_reference(simba):
+    """The run lookahead's tables, built once per mirror run from its
+    first member's records, equal the reference's build factor by factor
+    in reverse branch order (`helpers.reference_run_lookahead`), bit for
+    bit: on the oracle draws of seeds 0-199 and on the benchmark's solver
+    models."""
+    models = [model for draw in (random_instance, mirror_instance,
+                                 binding_partition_instance)
+              for model in map(draw, range(200)) if model is not None]
+    models += benchmark_models(simba)
+    runs = 0
+    for model in models:
+        sh = new_search(model)
+        assert (repr((sh.prev_same, sh.run_rem, sh.run_need))
+                == repr(reference_run_lookahead(sh)))
+        runs += any(sh.run_rem)
+    assert len(models) > 250 and runs > 150, (len(models), runs)
+
+
+def test_every_leaf_entered_passes_the_incumbent(simba, monkeypatch):
+    """A leaf is decided with no estimate to gate it: every leaf a search
+    enters has its static sum plus its weighted traffic, a lower bound on
+    its objective, within `inc.obj + EPS_PRUNE`, and in balance mode its
+    exact objective from the search state.  Its last child's bound was at
+    least that against the same incumbent.  Checked on the benchmark's
+    solver models and the oracle draws, with the open list at its default
+    and capped at 3, where the proof searches depth-first."""
+    real_leaf = _Search._leaf
+    seen = {"held": 0, "balance": 0}
+
+    def leaf(sh):
+        if isinstance(sh, _BalanceSearch):
+            w = sh.m.weights
+            est = abs(w.w_t * (sh.dl_sum + sh.t_cur) - w.w_c * sh.comp_sum)
+            seen["balance"] += 1
+        else:
+            est = sh.static_sum + sh.wt * sh.t_cur
+        assert est <= sh.inc.obj + EPS_PRUNE, (est, sh.inc.obj)
+        seen["held"] += sh.inc.x is not None
+        return real_leaf(sh)
+
+    models = benchmark_models(simba)
+    models += [model for model in map(random_instance, range(200)) if model is not None]
+    monkeypatch.setattr(_Search, "_leaf", leaf)
+    for cap in (mipsched.solver.MAX_OPEN, 3):
+        monkeypatch.setattr(mipsched.solver, "MAX_OPEN", cap)
+        for model in models:
+            solve(model)
+    assert seen["held"] > 5000 and seen["balance"] > 100, seen
+
+
+def test_infeasible_models_are_searched_at_most_once(simba):
+    """A pad above its buffer's capacity leaves a constraint with rhs < 0,
+    which every assignment violates, so `solve` reports the model
+    infeasible without a search, where a search of each of these two
+    takes tens of thousands of nodes to find no leaf.  A dive that ends
+    without a leaf has searched the whole tree, so the proof does not
+    search it again: the conv28 partition at a budget of 191 B, which no
+    floors fit, takes the dive's one node."""
+    for pads, witness in (({(0, 0): 40.0}, "buffer[Register/W]"),
+                          ({(4, 1): 40.0}, "buffer[GlobalBuf/IA]")):
+        sol = solve(build_model(factorize(LayerDims(3, 1, 4, 1, 2, 4, 1)), simba,
+                                capacity_pads=pads))
+        assert (sol.status, sol.witness) == ("infeasible", (witness,))
+        assert (sol.stats.nodes, sol.stats.leaves) == (0, 0)
+        assert (sol.stats.bound, sol.stats.gap) == (math.inf, math.inf)
+    model = build_model(factorize(SUITE_LAYERS["conv28"]), simba,
+                        partition=PartitionSpec(budget_bytes=191))
+    sol = solve(model)
+    assert (sol.status, sol.witness, sol.stats.nodes) == ("infeasible", ("budget",), 1)
 
 
 def test_negative_rhs_is_infeasible_for_both_solvers():
@@ -1386,9 +1468,9 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
     of its records in branch order, the objective computed before
     canonicalizing equals `objective_of` on the reference canonical
     assignment, float for float, and the decision accepts exactly when
-    that path would, with the same incumbent.  A leaf whose estimate
-    fails the incumbent decides nothing; one that passes decides itself
-    first, and its state is back as it was once its images are done."""
+    that path would, with the same incumbent.  Every leaf decides itself
+    first, from the search state, and that state is as it was once its
+    images are done."""
     real_leaf = _Search._leaf
     real_decide = _Search._decide
     real_objective = MipModel.objective_from
@@ -1396,41 +1478,40 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
     modes = set()
     on_objective = []  # decisions rejected by their objective alone
     decided = []  # the states decided at the running leaf
-    images = []  # per leaf that passes its estimate, the images decided
+    images = []  # per leaf, the images decided
 
     def recorded(model, recs, walk):
         obj = real_objective(model, recs, walk)
         from_leaf.append(obj)
         return obj
 
-    def state(sh):
-        return sh.choice_rec[:], {I: chain[:] for I, chain in sh.chains.items()}
+    def state(recs, chains):
+        return recs[:], {I: chain[:] for I, chain in chains.items()}
 
-    def full_path(sh):
+    def full_path(sh, recs, chains):
         """The decision as it was: canonicalize, then evaluate and compare."""
         m, inc = sh.m, sh.inc
         menu_sel = sh._derive_menus()
         if m.menus and menu_sel is None:
             return None, False
-        x = reference_canonical_assignment(
-            m, [rec.cc for rec in sh.choice_rec], sh.chains)
+        x = reference_canonical_assignment(m, [rec.cc for rec in recs], chains)
         obj = m.objective_of(x, menu_sel)
         key = m.lex_key(x, menu_sel)
         accept = (inc.beats(obj, key)
                   and not m.constraint_violations(x, menu_sel, TOLERANCE))
         return obj, (obj, key, x, menu_sel) if accept else False
 
-    def checked(sh, menu_sel):
-        decided.append(state(sh))
+    def checked(sh, recs, chains, menu_sel):
+        decided.append(state(recs, chains))
         lhs = [0.0] * sh.ncons  # the decided leaf's own fold, in branch order
         for fi in sh.order:
-            lhs = [a + b for a, b in zip(lhs, sh.choice_rec[fi].row)]
+            lhs = [a + b for a, b in zip(lhs, recs[fi].row)]
         assert repr(sh.con_lhs) == repr(lhs)
         assert menu_sel == sh._derive_menus()
-        ref_obj, ref_verdict = full_path(sh)
+        ref_obj, ref_verdict = full_path(sh, recs, chains)
         from_leaf.clear()
         entered = sh.canonicalized
-        accepted = real_decide(sh, menu_sel)
+        accepted = real_decide(sh, recs, chains, menu_sel)
         if ref_obj is None:
             assert from_leaf == []
         else:
@@ -1447,23 +1528,13 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
         return accepted
 
     def leaf(sh):
-        m = sh.m
-        if m.weights.mode != "balance":
-            est = sh.static_sum + sh.wt * sh.t_cur
-        else:
-            est = abs(m.weights.w_t * (sh.dl_sum + sh.t_cur)
-                      - m.weights.w_c * sh.comp_sum)
-        passes = not est > sh.inc.obj + EPS_PRUNE
-        before = state(sh)
+        before = state(sh.choice_rec, sh.chains)
         con_lhs = sh.con_lhs
         decided.clear()
         accepted = real_leaf(sh)
-        assert state(sh) == before and sh.con_lhs is con_lhs
-        if passes:
-            assert decided[0] == before
-            images.append(len(decided) - 1)
-        else:
-            assert decided == [] and not accepted
+        assert state(sh.choice_rec, sh.chains) == before and sh.con_lhs is con_lhs
+        assert decided[0] == before
+        images.append(len(decided) - 1)
         return accepted
 
     monkeypatch.setattr(MipModel, "objective_from", recorded)
@@ -1656,8 +1727,8 @@ def test_images_reach_the_answer_the_cut_removes(simba, monkeypatch):
         finally:
             inside.pop()
 
-    def decide(sh, menu_sel):
-        ok = real_decide(sh, menu_sel)
+    def decide(sh, recs, chains, menu_sel):
+        ok = real_decide(sh, recs, chains, menu_sel)
         if ok:
             accepted.append(bool(inside))
         return ok
