@@ -612,36 +612,38 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mipsched",
         description="One-shot loop-nest scheduler for spatial accelerators",
     )
+    # every command takes the same options, built once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--arch", help="architecture file (default: built-in baseline)")
+    common.add_argument(
+        "--layer",
+        action="append",
+        default=[],
+        help="layer file; repeatable for compare",
+    )
+    common.add_argument("--schedule", help="schedule file (evaluate)")
+    common.add_argument(
+        "--obj",
+        default="combined",
+        choices=["util", "comp", "traffic", "combined", "balance"],
+    )
+    common.add_argument("--weights", default="1,1,1", help="wU,wC,wT")
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--samples", type=int, default=20_000)
+    common.add_argument("--valid-target", type=int, default=5)
+    common.add_argument("--metric", default="latency", choices=["latency", "traffic", "compute"])
+    common.add_argument("--budget", type=int, help="partition budget in bytes")
+    common.add_argument("--time-limit", type=float, default=300.0)
+    common.add_argument("--out", help="output schedule path")
+    common.add_argument("--max-prime", type=int, default=7, help="padding threshold; 0 disables")
+    common.add_argument("--no-halo", action="store_true", help="validate without input halo")
+    common.add_argument("--limit", type=int, default=1_000_000, help="enumeration guard")
+    common.add_argument("--sweep-wu", default="1", help="comma grid for w_U (sweep)")
+    common.add_argument("--sweep-wc", default="1", help="comma grid for w_C (sweep)")
+    common.add_argument("--sweep-wt", default="1", help="comma grid for w_T (sweep)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("solve", "evaluate", "compare", "partition", "sweep", "enumerate"):
-        p = sub.add_parser(name)
-        p.add_argument("--arch", help="architecture file (default: built-in baseline)")
-        p.add_argument(
-            "--layer",
-            action="append",
-            default=[],
-            help="layer file; repeatable for compare",
-        )
-        p.add_argument("--schedule", help="schedule file (evaluate)")
-        p.add_argument(
-            "--obj",
-            default="combined",
-            choices=["util", "comp", "traffic", "combined", "balance"],
-        )
-        p.add_argument("--weights", default="1,1,1", help="wU,wC,wT")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=20_000)
-        p.add_argument("--valid-target", type=int, default=5)
-        p.add_argument("--metric", default="latency", choices=["latency", "traffic", "compute"])
-        p.add_argument("--budget", type=int, help="partition budget in bytes")
-        p.add_argument("--time-limit", type=float, default=300.0)
-        p.add_argument("--out", help="output schedule path")
-        p.add_argument("--max-prime", type=int, default=7, help="padding threshold; 0 disables")
-        p.add_argument("--no-halo", action="store_true", help="validate without input halo")
-        p.add_argument("--limit", type=int, default=1_000_000, help="enumeration guard")
-        p.add_argument("--sweep-wu", default="1", help="comma grid for w_U (sweep)")
-        p.add_argument("--sweep-wc", default="1", help="comma grid for w_C (sweep)")
-        p.add_argument("--sweep-wt", default="1", help="comma grid for w_T (sweep)")
+        sub.add_parser(name, parents=[common])
     return parser
 
 
@@ -651,6 +653,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("--limit must be >= 1")
     if args.budget is not None and args.budget < 1:
         raise ConfigError("--budget must be >= 1")
+    if not args.time_limit > 0:  # also rejects NaN
+        raise ConfigError(f"--time-limit must be positive, got {args.time_limit:g}")
+    if args.max_prime < 0 or args.max_prime == 1:
+        raise ConfigError(f"--max-prime must be 0 (off) or >= 2, got {args.max_prime}")
+    if args.valid_target < 1:
+        raise ConfigError(f"--valid-target must be >= 1, got {args.valid_target}")
+    if args.samples < args.valid_target:
+        raise ConfigError(f"--samples must be >= --valid-target ({args.valid_target}), "
+                          f"got {args.samples}")
     solver_opts = SolverOptions(time_limit_s=args.time_limit)
     search = SearchConfig(
         samples=args.samples,

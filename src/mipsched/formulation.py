@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .arch import ArchSpec, NUM_TENSORS, TENSOR_NAMES, log2_capacity
 from .workload import DIM_NAMES, PrimeFactorization
@@ -182,6 +184,7 @@ class MipModel:
         self.weights = weights
         self.partition = partition
         self.pads = dict(capacity_pads or {})
+        self.w_t = weights.effective()[2]  # the linear modes' traffic weight
 
         self.H = arch.num_levels
         self.noc = arch.noc_level
@@ -395,26 +398,43 @@ class MipModel:
                     total += f.lg
         return per_v, total
 
+    def chain_traffic(self, chains: dict[int, list[int]]) -> float:
+        """The traffic walk's total (`_walk_t_sums`) over the solver's
+        `chains`: per level at or above the NoC, in level order, its
+        temporal factors in rank order."""
+        return self._walk_t_sums([(I, self.factors[fi]) for I, chain in chains.items()
+                                  for fi in chain])[1]
+
+    def objective_folds(self, recs: list[ChoiceCoef]) -> list[list[float]]:
+        """The values each of the objective's sums adds up, one per factor
+        in factor order: the records' static objective, or in balance mode
+        their compute and their below-NoC traffic.  `objective_from` folds
+        each from 0.0, left to right."""
+        if self.weights.mode == "balance":
+            return [[rec.comp for rec in recs], [rec.dl for rec in recs]]
+        return [[rec.static for rec in recs]]
+
+    def objective_close(self, sums: list[float], traffic: float) -> float:
+        """The objective from the left folds `sums` of `objective_folds`
+        and the traffic walk's total `traffic` (`_walk_t_sums`), which a
+        linear mode with no traffic weight does not read."""
+        if self.weights.mode == "balance":
+            comp, traf = sums
+            traf += traffic
+            return abs(self.weights.w_t * traf - self.weights.w_c * comp)
+        obj = sums[0]
+        if self.w_t != 0.0:
+            obj += self.w_t * traffic
+        return obj
+
     def objective_from(self, recs: list[ChoiceCoef],
                        walk: list[tuple[int, Factor]]) -> float:
         """Objective from each factor's choice record, in factor order, and
         the occupied temporal walk; `objective_of` and the solver's leaf
-        both compute it here, so they agree float for float."""
-        if self.weights.mode == "balance":
-            comp = 0.0
-            traf = 0.0
-            for rec in recs:
-                comp += rec.comp
-                traf += rec.dl
-            traf += self._walk_t_sums(walk)[1]
-            return abs(self.weights.w_t * traf - self.weights.w_c * comp)
-        obj = 0.0
-        for rec in recs:
-            obj += rec.static
-        w_t = self.weights.effective()[2]
-        if w_t != 0.0:
-            obj += w_t * self._walk_t_sums(walk)[1]
-        return obj
+        both compute it from `objective_folds` and `objective_close`, so
+        they agree float for float."""
+        sums = [reduce(add, vals, 0.0) for vals in self.objective_folds(recs)]
+        return self.objective_close(sums, self._walk_t_sums(walk)[1])
 
     def objective_of(
         self,

@@ -68,9 +68,28 @@ image's branch-order fold of the buffer sums adds the same value as its
 leaf's, and its sums are the leaf's bit for bit.  Its capacity verdict
 and `_derive_menus` are then the leaf's as well, and `_leaf` derives the
 menus once for all of them.  Each image takes its sources' records and
-chain places, which `_decide` takes as they are, with no change to the
-search state, and gets its own `objective_from` in factor order,
-`canonical_assignment` and `lex_key`, through the same `beats`.
+chain places, with no change to the search state, and is decided from
+its leaf (`_Search._decide_images`), each of its values as the uncut
+search would compute it:
+
+- Its objective is `MipModel.objective_from`'s.  Mirrored factors share
+  their log-factor and their triggers at every level, and the traffic
+  walk reads nothing else of a factor, so the image's walk total is its
+  leaf's, bit for bit, and is walked once per leaf.  The objective's
+  sums (`objective_folds`) are left folds in factor order; up to the
+  image's first moved factor they add the leaf's values, so they equal
+  the leaf's prefix sums there, and each resumes from its prefix sum over
+  the image's own values.
+- Its key is `lex_key` of its `canonical_assignment`.  The pass pins each
+  factor from the pins before it and the slots of the factor's identical
+  class alone (and the chain lengths, which an image shares).  Identical
+  classes are contiguous in factor order, so before r, the first factor
+  of any identical class the image re-deals, every class holds the
+  leaf's slots and the image's pins are its leaf's: its pass resumes from
+  the leaf's first r pins, made for the leaf as far as its images need
+  them, and compares their key entries with the incumbent's at once.
+- An image above the incumbent's objective is rejected on it, with no
+  slots, chains or walk built; the rest go through the same `beats`.
 
 So the answer is still the least `(objective, lex_key)` over all leaves
 of the uncut search.  Every decided image is one of them, decided as that
@@ -197,14 +216,15 @@ branch-order fold.
 
 Reported assignments are canonicalized to the lexicographically smallest
 member of their class, so results are bit-stable across runs.  A leaf is
-decided from its exact objective before that: `MipModel.objective_from`
-sums each factor's class record in factor order and adds the traffic
-walk over the chains in (level, chain position) order.  Every member of
-a choice class has the same coefficients, and canonical ranks rise with
-chain position on each level, so this value needs no rank and equals
-`objective_of` of the canonical assignment bit for bit.  A leaf above
-the incumbent's objective is rejected as it stands; one that ties it
-exactly is canonicalized against the incumbent's key and stops at the
+decided from its exact objective before that, computed as
+`MipModel.objective_from` computes it: each factor's class record summed
+in factor order (`objective_folds`) and the traffic walk over the chains
+in (level, chain position) order added (`objective_close`).  Every member
+of a choice class has the same coefficients, and canonical ranks rise
+with chain position on each level, so this value needs no rank and
+equals `objective_of` of the canonical assignment bit for bit.  A leaf
+above the incumbent's objective is rejected as it stands; one that ties
+it exactly is canonicalized against the incumbent's key and stops at the
 first factor where the keys differ; only a better leaf, or the first,
 takes the full pass.  The compares are exact, with no tolerance:
 rounding in the last ulp decides real ties.
@@ -234,6 +254,8 @@ import time
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, itemgetter
 
 from .formulation import ChoiceCoef, MipModel
 
@@ -299,7 +321,8 @@ class SolveStats:
     nodes: int = 0
     leaves: int = 0
     wall_time_s: float = 0.0
-    # leaves and their images that entered `canonical_assignment`
+    # leaves and their images decided on their canonical key: those at or
+    # below the incumbent's objective (`_Search._offer`)
     canonicalized: int = 0
     # where the search stopped: the least bound of the open nodes, at most
     # the incumbent's objective (-inf before the proof expands the root,
@@ -374,19 +397,25 @@ def _zmax(st: _LevelState, pos: int | None, Z: int) -> int:
 
 def canonical_assignment(
     model: MipModel,
-    choice_cls: list[tuple[tuple[int, int], ...]],
+    slots: list[tuple],
     chains: dict[int, list[int]],
     sh: "_Search",
     bound_key: tuple[int, ...] | None = None,
+    prefix: tuple | None = None,
+    took: list | None = None,
+    stop: int | None = None,
 ) -> dict[int, tuple[int, int, int]] | None:
     """Lexicographically smallest raw assignment realizing a leaf class.
 
     A leaf fixes, per factor, a class of interchangeable (level, mapping)
     options, plus the relative order of temporal factors at levels >= the
-    NoC boundary.  Identical factors may be permuted, option levels and
-    rank slots shifted freely within the class; this picks, factor by
-    declared order, the placement with the highest (level, rank, mapping)
-    that keeps the remainder completable (a later one-hot position is a
+    NoC boundary: `slots` gives each factor's choice class and, if it is
+    chained, its place in its level's chain (else None), and `chains`
+    each level's chain, read for its length.
+    Identical factors may be permuted, option levels and rank slots
+    shifted freely within the class; this picks, factor by declared
+    order, the placement with the highest (level, rank, mapping) that
+    keeps the remainder completable (a later one-hot position is a
     lexicographically smaller vector), and pins it for good.
 
     Why one forward pass with no undo is exact: the model has `Z == F`
@@ -420,34 +449,51 @@ def canonical_assignment(
     soon as the leaf's key is the larger, and stops comparing once it is
     the smaller.  The pins never change, so this is the full pass cut
     short.
+
+    The pin of factor fi reads only the pins before it and the entries of
+    fi's identical class, the multiset of its members' slots.  Identical
+    classes are contiguous in factor order, so when r is the first factor
+    of its class, two leaves with the same chain lengths whose factors
+    before r hold the same slots pin the same placements there.
+    `prefix`, `(r, base, places, base_key)`, is the other leaf's pass up
+    to such an r or beyond: its pins, the chain place each pin took (which
+    a pass appends to `took` when given) and their key entries.  The pass
+    takes its first r pins as they are, compares their key entries with
+    `bound_key` at once, and goes on from factor r.  A pass given `stop`
+    pins the factors before it only: the first pins of the full pass, as
+    a `prefix` needs them.
     """
     Z = model.Z
     cls_of = sh.cls_of
     members = sh.members
     choice_index = model.choice_index
-    chain_pos: dict[int, int] = {}
-    for lst in chains.values():
-        for pos, fi in enumerate(lst):
-            chain_pos[fi] = pos
-
-    # per identical class, one entry per distinct placement (options
-    # tuple, chain position or None): [factors of the class still holding
-    # it, top option (level, mapping), pos]
+    # per identical class, its `_entries`, built when the pass first needs
+    # them, and per level its `_LevelState`, made when the pass first
+    # reaches it
     remaining: dict[int, dict[tuple, list]] = {}
-    states = [_LevelState(len(chains.get(I, ()))) for I in range(model.H)]
+    states: list[_LevelState | None] = [None] * model.H
     out: dict[int, tuple[int, int, int]] = {}
-    for fi in range(model.F):
+    start = 0
+    if prefix is not None:
+        start, base, places, base_key = prefix
+        if bound_key is not None:
+            head, bound = base_key[:start], bound_key[:start]
+            if head != bound:
+                if head > bound:
+                    return None
+                bound_key = None
+        for fi in range(start):
+            I, z, _k = base[fi]
+            st = states[I]
+            if st is None:
+                st = states[I] = _LevelState(len(chains.get(I, ())))
+            st.used.add(z)
+            if places[fi] is not None:
+                st.chain_pins[places[fi]] = z
+    for fi in range(start, model.F if stop is None else stop):
         rem = remaining.get(cls_of[fi])
         if rem is None:
-            rem = remaining[cls_of[fi]] = {}
-            for gi in members[cls_of[fi]]:
-                options = choice_cls[gi]
-                pos = chain_pos.get(gi)
-                ent = rem.get((options, pos))
-                if ent is None:
-                    rem[(options, pos)] = [1, max(options), pos]
-                else:
-                    ent[0] += 1
+            rem = remaining[cls_of[fi]] = _entries(slots, members[cls_of[fi]])
         best = best_ent = None
         for ent in rem.values():
             count, (I, k), pos = ent
@@ -455,6 +501,8 @@ def canonical_assignment(
             if not count or (best is not None and I < best[0]):
                 continue
             st = states[I]
+            if st is None:
+                st = states[I] = _LevelState(len(chains.get(I, ())))
             z = _zmax(st, pos, Z) if st.chain_len else Z - 1 - len(st.used)
             if best is None or (I, z, k) > best:
                 best, best_ent = (I, z, k), ent
@@ -468,10 +516,29 @@ def canonical_assignment(
         best_ent[0] -= 1
         I, z, _k = best
         pos = best_ent[2]
+        if took is not None:
+            took.append(pos)
         states[I].used.add(z)
         if pos is not None:
             states[I].chain_pins[pos] = z
+    if start:
+        return {**base, **out}  # the prefix's pins, then the pass's own
     return out
+
+
+def _entries(slots: list[tuple], members: list[int]) -> dict[tuple, list]:
+    """An identical class's entries in `canonical_assignment`, one per
+    distinct slot of its `members`: [members still holding it, top option
+    (level, mapping), chain position or None]."""
+    rem: dict[tuple, list] = {}
+    for gi in members:
+        slot = slots[gi]
+        ent = rem.get(slot)
+        if ent is None:
+            rem[slot] = [1, max(slot[0]), slot[1]]
+        else:
+            ent[0] += 1
+    return rem
 
 
 # ----------------------------------------------------------------------
@@ -493,6 +560,36 @@ class _Incumbent:
         self.obj, self.key, self.x, self.menu = obj, key, x, menu
 
 
+class _Leaf:
+    """A leaf as `_Search._decide` decides it and its images: its class
+    records, chains and menus, the objective's folds with their prefix
+    sums (`pres[k][i]` the fold of the first i values) and the traffic
+    walk's total; once one of them is canonicalized, its slots, per factor
+    its choice class and chain place or None; and, once an image needs
+    them, the first pins of its canonical pass (`_Search._leaf_pins`)."""
+
+    __slots__ = ("recs", "chains", "menu_sel", "folds", "pres", "traffic",
+                 "_slots", "pins")
+
+    def __init__(self, recs, chains, menu_sel, m: MipModel):
+        self.recs = recs
+        self.chains = chains
+        self.menu_sel = menu_sel
+        self.folds = m.objective_folds(recs)
+        self.pres = [list(itertools.accumulate(vals, add, initial=0.0))
+                     for vals in self.folds]
+        self.traffic = m.chain_traffic(chains)
+        self._slots = self.pins = None
+
+    @property
+    def slots(self) -> list[tuple]:
+        if self._slots is None:
+            chain_pos = {fi: pos for chain in self.chains.values()
+                         for pos, fi in enumerate(chain)}
+            self._slots = [(rec.cc, chain_pos.get(fi)) for fi, rec in enumerate(self.recs)]
+        return self._slots
+
+
 class _Search:
     """One solve: the model-derived tables, built from the class records
     of `MipModel.classes`, and the search state over the collapsed space,
@@ -504,7 +601,8 @@ class _Search:
     __slots__ = (
         "m", "inc", "deadline", "stopped", "nodes", "leaves",
         "canonicalized", "order", "lg", "trig", "members",
-        "mirror_of", "prev_same", "mirrors", "run_rem", "run_need", "wt",
+        "mirror_of", "prev_same", "mirrors", "run_pairs", "image_memo",
+        "run_rem", "run_need",
         "ncons", "con_rhs", "cap", "menu_fit", "menu_hulls", "menu_items",
         "cls_of", "classes", "costs", "suffix_min", "kn_at",
         "lam", "lam_active", "lagr_suffix", "pen_at", "choice_rec",
@@ -522,7 +620,6 @@ class _Search:
         self.nodes = 0
         self.leaves = 0
         self.canonicalized = 0
-        self.wt = m.weights.effective()[2]
 
         self.ncons = len(m.check_cons)
         self.con_rhs = [c.rhs for c in m.check_cons]
@@ -555,11 +652,14 @@ class _Search:
         self.menu_memo: dict[tuple, tuple] = {}
 
         # canonical_assignment's tables: factor -> identical class, and
-        # identical class -> its factors in factor order
+        # identical class -> its factors in factor order, which are
+        # contiguous (`factorize` lists each dimension's primes in order;
+        # an image's canonical pass relies on it, `_offer`)
         self.cls_of = [f.cls for f in m.factors]
         self.members: dict[int, list[int]] = {}
         for fi, cls in enumerate(self.cls_of):
             self.members.setdefault(cls, []).append(fi)
+        assert all(ms[-1] - ms[0] == len(ms) - 1 for ms in self.members.values())
 
         # the traffic walk's tables: per factor its log-factor, and per
         # level and factor whether the factor triggers each tensor there
@@ -588,16 +688,19 @@ class _Search:
 
         # per factor, its mirror class (`_mirror_classes`), which the branch
         # order keeps contiguous, and the previous member of its mirror run,
-        # whose record's rep bounds its own.  `mirrors` holds, per mirror
-        # class that spans two identical classes or more, its run and the
-        # memo of `_slot_maps`.
+        # whose record's rep bounds its own.  `mirrors` holds the run of
+        # each mirror class that spans two identical classes or more,
+        # `run_pairs` their consecutive members, and `image_memo` a leaf's
+        # images (`_images`) per slot pattern of those pairs.
         self.mirror_of = self._mirror_classes()
         self.order = self._branch_order()
         runs: dict[int, list[int]] = {}
         for fi in self.order:
             runs.setdefault(self.mirror_of[fi], []).append(fi)
-        self.mirrors = [(run, {}) for run in runs.values()
+        self.mirrors = [run for run in runs.values()
                         if len({self.cls_of[fi] for fi in run}) > 1]
+        self.run_pairs = [pair for run in self.mirrors for pair in zip(run, run[1:])]
+        self.image_memo: dict[tuple, list[tuple]] = {}
 
         # the run lookahead of `_children`: per factor, how many members of
         # its mirror run follow it in the branch order, and per class record
@@ -651,7 +754,7 @@ class _Search:
         plus guaranteed self-trigger traffic), their per-depth least sum,
         the plain knapsack rows, the root multipliers, and the penalized
         rows, empty until `tighten` builds them."""
-        self.costs = [[rec.static + self.wt * rec.self_t for rec in recs]
+        self.costs = [[rec.static + self.m.w_t * rec.self_t for rec in recs]
                       for recs in self.classes]
         self.suffix_min = self._suffix([min(costs) for costs in self.costs])
         self.kn_at = self._build_knapsack([0.0] * self.ncons)
@@ -1294,7 +1397,7 @@ class _Search:
         penalized one; None past the threshold `inc.obj + EPS_PRUNE`.
         Within it the max is exact, so comparing it with a later, lower
         threshold is the same test as evaluating it again there."""
-        base = self.static_sum + rec.static + self.wt * t_after
+        base = self.static_sum + rec.static + self.m.w_t * t_after
         thresh = self.inc.obj + EPS_PRUNE
         row = rec.row
         b = base + self.suffix_min[pos + 1]
@@ -1394,9 +1497,22 @@ class _Search:
         # the menus
         if self.m.menus and menu_sel is None:
             return False
-        accepted = self._decide(self.choice_rec, self.chains, menu_sel)
+        return self._decide(self.choice_rec, self.chains, menu_sel)
+
+    def _decide(self, recs: list[ChoiceCoef], chains: dict[int, list[int]],
+                menu_sel: tuple[int, ...] | None) -> bool:
+        """Offer the leaf of class records `recs` and chains `chains`, with
+        its menus `menu_sel`, to the incumbent, then its images
+        (`_decide_images`); True when the incumbent takes one of them.  The
+        leaf's objective is `MipModel.objective_from`'s, from the same
+        folds (`objective_folds`, kept as prefix sums for the images) and
+        the same traffic walk over its chains (`chain_traffic`)."""
+        m = self.m
+        leaf = _Leaf(recs, chains, menu_sel, m)
+        obj = m.objective_close([pre[-1] for pre in leaf.pres], leaf.traffic)
+        accepted = obj <= self.inc.obj and self._offer(leaf, obj)
         if self.mirrors:
-            accepted = self._decide_images(menu_sel) or accepted
+            accepted = self._decide_images(leaf) or accepted
         return accepted
 
     def _slot_maps(self, run: list[int], pattern: tuple[bool, ...]) -> list[tuple]:
@@ -1406,8 +1522,8 @@ class _Search:
         labels each slot with the identical class that takes it, each
         class as often as it has members, the labels of a block in
         ascending order; the leaf's own labelling is left out.  Each image
-        is its (member, source) pairs: the k-th member of a class takes
-        the record and chain place of the source, the k-th slot the
+        is its moves, (member, source) pairs: the k-th member of a class
+        takes the record and chain place of the source, the k-th slot the
         class's label marks, when that slot lies in another block than the
         member's own."""
         n = len(run)
@@ -1436,69 +1552,116 @@ class _Search:
         deal([])
         return out
 
-    def _decide_images(self, menu_sel: tuple[int, ...] | None) -> bool:
-        """Decide the leaf's images under every combination of its mirror
-        runs' `_slot_maps` but the leaf's own, as the search decides each
-        such leaf: `_decide` takes the image's records, each member taking
-        its source's, and its chains, each source's place taken by its
-        member.  An image deals each run's slots over the run's own
-        depths, which the branch order keeps contiguous, and a member's row
-        holds 0.0 or the run's one log-factor on every constraint; so its
-        branch-order fold of the buffer sums adds the same values as its
-        leaf's at every depth, and its sums, capacity verdict and menus
-        are the leaf's, bit for bit."""
-        recs, chains = self.choice_rec, self.chains
-        per_run = []
-        for run, memo in self.mirrors:
-            pattern = tuple(not recs[a].chained and recs[a].rep == recs[b].rep
-                            for a, b in zip(run, run[1:]))
-            maps = memo.get(pattern)
-            if maps is None:
-                maps = memo[pattern] = self._slot_maps(run, pattern)
-            if maps:
-                per_run.append([None, *maps])
-        accepted = False
-        # the first combination takes no image of any run: the leaf itself
+    def _images(self, recs: list[ChoiceCoef]) -> list[tuple]:
+        """The images of the leaf of records `recs`: one per combination of
+        its mirror runs' `_slot_maps` but the leaf's own, in the order of
+        `itertools.product` over the runs, kept in `image_memo` per slot
+        pattern.  Each is (r, first, gather): r, the first factor of any
+        identical class with a move, before which every factor holds the
+        leaf's slot; `first`, its first moved factor; and `gather`, which
+        reads the image's values from `first` on, each member's its
+        source's, off a list of the leaf's, one per factor."""
+        pattern = tuple([not recs[a].chained and recs[a].rep == recs[b].rep
+                         for a, b in self.run_pairs])
+        images = self.image_memo.get(pattern)
+        if images is not None:
+            return images
+        per_run, at = [], 0
+        for run in self.mirrors:
+            per_run.append([None, *self._slot_maps(run, pattern[at:at + len(run) - 1])])
+            at += len(run) - 1
+        first_of = [self.members[cls][0] for cls in self.cls_of]
+        images = self.image_memo[pattern] = []
         for combo in itertools.islice(itertools.product(*per_run), 1, None):
-            img = recs[:]
-            sigma = {}
-            for moves in combo:
-                for fi, src in moves or ():
-                    rec = img[fi] = recs[src]
-                    if rec.chained:
-                        sigma[src] = fi
-            img_chains = chains
-            if sigma:
-                img_chains = {I: [sigma.get(fi, fi) for fi in chain]
-                              for I, chain in chains.items()}
-            accepted = self._decide(img, img_chains, menu_sel) or accepted
+            moves = [move for maps in combo if maps for move in maps]
+            first = min(fi for fi, _src in moves)
+            index = list(range(first, self.m.F))
+            for fi, src in moves:
+                index[fi - first] = src
+            images.append((min(first_of[fi] for fi, _src in moves), first, _gather(index)))
+        return images
+
+    def _decide_images(self, leaf: "_Leaf") -> bool:
+        """Decide the leaf's images (`_images`) as the search decides each
+        such leaf, each member taking its source's record and chain place.
+        An image deals each run's slots over the run's own depths, which
+        the branch order keeps contiguous, and a member's row holds 0.0 or
+        the run's one log-factor on every constraint; so its branch-order
+        fold of the buffer sums adds the same values as its leaf's at every
+        depth, and its sums, capacity verdict and menus are the leaf's, bit
+        for bit.  Its objective comes from the leaf's (`_image_objectives`),
+        and only an image at or below the incumbent's objective gets its
+        slots, for `_offer`: the leaf's, each member's from its source."""
+        images = self._images(leaf.recs)
+        if not images:
+            return False
+        inc = self.inc
+        accepted = False
+        for obj, image in zip(self._image_objectives(leaf, images), images):
+            if obj <= inc.obj:
+                accepted = self._offer(leaf, obj, image) or accepted
         return accepted
 
-    def _decide(self, recs: list[ChoiceCoef], chains: dict[int, list[int]],
-                menu_sel: tuple[int, ...] | None) -> bool:
-        """Offer the leaf of class records `recs` and chains `chains`, with
-        its menus `menu_sel`, to the incumbent: its exact objective, then
-        its canonical assignment's key; True when the incumbent takes it."""
+    def _image_objectives(self, leaf: "_Leaf", images: list[tuple]) -> list[float]:
+        """Each image's exact objective.  Mirrored factors share their
+        log-factor and their triggers at every level, and the traffic walk
+        reads nothing else of a factor, so an image's walk total is the
+        leaf's, bit for bit.  Its sums (`objective_folds`) add the leaf's
+        values up to its first moved factor, in factor order, and so equal
+        the leaf's prefix sums there; each resumes from them over the
+        image's values from that factor on."""
+        close = self.m.objective_close
+        folds, pres, traffic = leaf.folds, leaf.pres, leaf.traffic
+        if len(folds) == 1:  # outside balance mode: no inner list per image
+            (vals,), (pre,) = folds, pres
+            return [close([reduce(add, gather(vals), pre[first])], traffic)
+                    for _r, first, gather in images]
+        return [close([reduce(add, gather(vals), pre[first])
+                       for vals, pre in zip(folds, pres)], traffic)
+                for _r, first, gather in images]
+
+    def _offer(self, leaf: "_Leaf", obj: float, image: tuple | None = None) -> bool:
+        """Offer `leaf`, or its image `image` (`_images`), at objective
+        `obj`, at most the incumbent's, to the incumbent: its canonical
+        assignment's key decides a tie.  r, the first factor of any
+        identical class the image re-deals, is the first factor of its
+        class, and identical classes are contiguous in factor order; so
+        every factor before r holds the leaf's slot, and the image's
+        canonical pass takes the leaf's first r pins (`_leaf_pins`) and
+        goes on from r over the image's slots, the leaf's with each
+        member's taken from its source.  True when the incumbent takes it."""
         m = self.m
         inc = self.inc
-        walk = [(I, m.factors[fi]) for I, chain in chains.items()
-                for fi in chain]
-        obj = m.objective_from(recs, walk)
-        if obj > inc.obj:
-            return False
         self.canonicalized += 1
-        choice_cls = [rec.cc for rec in recs]
-        x = canonical_assignment(m, choice_cls, chains, self,
-                                 inc.key if obj == inc.obj else None)
+        bound = inc.key if obj == inc.obj else None
+        slots = leaf.slots
+        prefix = None
+        if image is not None:
+            r, first, gather = image
+            if r:
+                if leaf.pins is None or len(leaf.pins[1]) < r:
+                    leaf.pins = self._leaf_pins(leaf, r)
+                prefix = (r, *leaf.pins)
+            slots = [*slots[:first], *gather(slots)]
+        x = canonical_assignment(m, slots, leaf.chains, self, bound, prefix)
         if x is None:
             return False
-        key = m.lex_key(x, menu_sel)
+        key = m.lex_key(x, leaf.menu_sel)
         if not inc.beats(obj, key):
             return False
-        if m.constraint_violations(x, menu_sel, TOLERANCE):
+        if m.constraint_violations(x, leaf.menu_sel, TOLERANCE):
             return False  # defensive: never accept an infeasible leaf
-        inc.offer(obj, key, x, menu_sel)
+        inc.offer(obj, key, x, leaf.menu_sel)
         return True
+
+    def _leaf_pins(self, leaf: "_Leaf", r: int) -> tuple:
+        """The leaf's canonical pass up to factor r, as
+        `canonical_assignment`'s `prefix` reads it: the pins, the chain
+        place each took and their key entries."""
+        m = self.m
+        took: list = []
+        base = canonical_assignment(m, leaf.slots, leaf.chains, self, took=took, stop=r)
+        return base, took, tuple(-m.choice_index[fi][base[fi]] for fi in range(r))
 
     def dfs(self, pos: int, dive: bool = False) -> bool:
         """Depth-first search in bound order, backtracking locally, over
@@ -1655,6 +1818,15 @@ class _BalanceSearch(_Search):
         if b > self.inc.obj + EPS_PRUNE:
             return None
         return b
+
+
+def _gather(index: list[int]):
+    """A function of a list that returns its items at `index`, in order,
+    as a tuple: `operator.itemgetter`, which returns a lone item bare and
+    takes no empty index."""
+    if len(index) < 2:
+        return lambda values: tuple([values[i] for i in index])
+    return itemgetter(*index)
 
 
 def _root_witness(m: MipModel) -> tuple[str, ...] | None:

@@ -212,6 +212,24 @@ class TestParsing:
         assert f"error: {p}:" in err and "key stride repeats line" in err
 
 
+def help_options(command: str, capsys) -> list[str]:
+    """The options `mipsched <command> -h` lists, in order."""
+    with pytest.raises(SystemExit):
+        main([command, "-h"])
+    text = capsys.readouterr().out
+    return re.findall(r"^  (-[-\w]+)", text.split("\noptions:\n", 1)[1], re.M)
+
+
+def test_every_command_lists_the_same_options(capsys):
+    """Every command's `-h` lists the same options, in the same order."""
+    listed = {command: help_options(command, capsys)
+              for command in ("solve", "evaluate", "compare", "partition", "sweep",
+                              "enumerate")}
+    assert listed["solve"][:4] == ["-h", "--arch", "--layer", "--schedule"]
+    assert len(listed["solve"]) == 19
+    assert all(options == listed["solve"] for options in listed.values()), listed
+
+
 class TestSolveCommand:
     def test_solve_writes_schedule_and_report(self, tiny_layer, tmp_path, capsys):
         out = tmp_path / "tiny.sched"
@@ -319,6 +337,28 @@ class TestSolveCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and "--budget" in err
+
+    @pytest.mark.parametrize("args, message", [
+        (["--time-limit", "0"], "--time-limit must be positive, got 0"),
+        (["--time-limit", "-1"], "--time-limit must be positive, got -1"),
+        (["--time-limit", "nan"], "--time-limit must be positive, got nan"),
+        (["--max-prime", "1"], "--max-prime must be 0 (off) or >= 2, got 1"),
+        (["--max-prime", "-3"], "--max-prime must be 0 (off) or >= 2, got -3"),
+        (["--valid-target", "0"], "--valid-target must be >= 1, got 0"),
+        (["--samples", "0"], "--samples must be >= --valid-target (5), got 0"),
+        (["--samples", "4", "--valid-target", "8"],
+         "--samples must be >= --valid-target (8), got 4"),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_out_of_range_value_names_its_flag(self, command, args, message,
+                                               tiny_layer, capsys):
+        """A value out of its flag's range is a usage error that names the
+        flag and the value given, before any layer is read."""
+        code = main([command, *args, "--layer", tiny_layer])
+        assert code == EXIT_PARSE == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_tiny_budget_partition_infeasible(self, tiny_layer, capsys):
         code = main(["partition", "--layer", tiny_layer, "--budget", "1"])

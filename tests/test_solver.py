@@ -32,6 +32,7 @@ from helpers import (
 from mipsched.arch import ArchSpec, MemLevel, MemTensorMatrix
 from mipsched.cli import solve_layer
 from mipsched.formulation import MipModel, ObjectiveWeights, PartitionSpec, build_model
+from mipsched.schedule import render
 from mipsched.solver import (
     EPS_PRUNE,
     TOLERANCE,
@@ -304,7 +305,7 @@ def test_penalized_bound_dominates_lagrangian(simba, monkeypatch, tol):
                       for ci in range(search.ncons)]
             if min(slacks, default=0.0) < 0.0:
                 continue
-            base = model.coef[fi][(I, k)].static + search.wt * t_after
+            base = model.coef[fi][(I, k)].static + model.w_t * t_after
             refund = sum(lam * slacks[ci] for ci, lam in search.lam_active)
             pen = search._kn_bound(search.pen_at, base, 0, choice.row, -math.inf,
                                    math.inf, refund, search.pen_cut)
@@ -456,6 +457,20 @@ def test_search_counts_pinned(simba):
         214: ("balance", False, 59, 28),
         245: ("balance", True, 9, 3),
     }
+
+
+def test_batch_layer_pinned(simba):
+    """ResNet-50's res2 3x3 layer at batch 2: N's 2 shares a mirror run
+    with P's and Q's 2s, so most of its leaves' decisions are images.  Its
+    rounds, nodes and leaves, summed over the halo rounds, and its
+    rendered schedule are pinned."""
+    result = solve_layer(factorize(LayerDims(3, 3, 56, 56, 64, 64, 2),
+                                   PaddingPolicy(max_prime=7)), simba)
+    stats = result.stats
+    assert (result.rounds, stats.nodes, stats.leaves) == (2, 46_297, 4_211)
+    assert result.solution.objective_value == 4.229419688230415
+    digest = hashlib.sha256(render(result.schedule).encode()).hexdigest()
+    assert digest == "9e1fca3ea08097754604a5786e652121c352ae87257d7616481218fc08a5e6ae"
 
 
 def test_bound_tables_pinned(simba):
@@ -1351,7 +1366,7 @@ def test_every_leaf_entered_passes_the_incumbent(simba, monkeypatch):
             est = abs(w.w_t * (sh.dl_sum + sh.t_cur) - w.w_c * sh.comp_sum)
             seen["balance"] += 1
         else:
-            est = sh.static_sum + sh.wt * sh.t_cur
+            est = sh.static_sum + sh.m.w_t * sh.t_cur
         assert est <= sh.inc.obj + EPS_PRUNE, (est, sh.inc.obj)
         seen["held"] += sh.inc.x is not None
         return real_leaf(sh)
@@ -1415,18 +1430,59 @@ def test_menu_past_its_pad_is_infeasible_for_both_solvers():
     assert sol.witness == ("buffer[Buf/W]",)
 
 
+def slot_leaf(sh, slots, chains):
+    """The choice classes and chains of the leaf whose slots (per factor
+    its choice class and chain place or None) are `slots`, its chains as
+    long as `chains`: a chained factor sits in the chain of its record's
+    level."""
+    choice_cls = [cc for cc, _pos in slots]
+    out = {I: [None] * len(chain) for I, chain in chains.items()}
+    for fi, (cc, pos) in enumerate(slots):
+        if pos is not None:
+            out[next(rec.I for rec in sh.classes[fi] if rec.cc == cc)][pos] = fi
+    return choice_cls, out
+
+
+def image_moves(image, F):
+    """The (member, source) moves of an image of `_Search._images`."""
+    _r, first, gather = image
+    return [(fi, src) for fi, src in enumerate(gather(range(F)), first) if fi != src]
+
+
+def image_of(recs, chains, moves):
+    """The records and chains of the image whose moves are `moves`: each
+    member takes its source's record and, if chained, its chain place."""
+    img = recs[:]
+    sigma = {}
+    for fi, src in moves:
+        rec = img[fi] = recs[src]
+        if rec.chained:
+            sigma[src] = fi
+    return img, {I: [sigma.get(fi, fi) for fi in chain] for I, chain in chains.items()}
+
+
 def test_canonical_assignment_matches_reference(simba, monkeypatch):
-    """Every leaf canonicalized during a solve gets exactly the assignment
-    of the reference that tries every rank of every level.  A pass given
-    the incumbent's key returns None only for a leaf whose reference
-    assignment does not beat the incumbent."""
+    """Every canonical pass of a solve, of a leaf or of one of its images,
+    a pass that resumes from its leaf's first pins included, gets exactly
+    the assignment of the reference that tries every rank of every level,
+    given the slots alone.  A pass given the incumbent's key returns None
+    only for a leaf whose reference assignment does not beat the
+    incumbent; a resumed one compares its first pins' entries with that
+    key at once, returning None when they are the larger and going on
+    unbounded when they are the smaller."""
     real = mipsched.solver.canonical_assignment
     leaves = []
     early = []
+    resumed = []
+    stopped = []
 
-    def checked(model, choice_cls, chains, sh, bound_key=None):
-        x = real(model, choice_cls, chains, sh, bound_key)
-        ref = reference_canonical_assignment(model, choice_cls, chains)
+    def checked(model, slots, chains, sh, bound_key=None, prefix=None, took=None,
+                stop=None):
+        x = real(model, slots, chains, sh, bound_key, prefix, took, stop)
+        ref = reference_canonical_assignment(model, *slot_leaf(sh, slots, chains))
+        if stop is not None:  # the first pins only, as a prefix
+            ref = {fi: ref[fi] for fi in range(stop)}
+            stopped.append(stop)
         if x is None:
             assert bound_key is not None and bound_key is sh.inc.key
             menu_sel = sh._derive_menus()
@@ -1435,7 +1491,16 @@ def test_canonical_assignment_matches_reference(simba, monkeypatch):
             early.append(1)
         else:
             assert x == ref
+        if prefix is not None:
+            # an incumbent whose key is just above, or just below, the
+            # leaf's first r entries, and below every later entry
+            r, _base, _places, base_key = prefix
+            for step, want in ((1, ref), (-1, None)):
+                bound = (*base_key[:r - 1], base_key[r - 1] + step,
+                         *[-len(model.choice_index[0]) - 1] * (model.F - r))
+                assert real(model, slots, chains, sh, bound, prefix) == want
         leaves.append(bool(model.menus))
+        resumed.append(prefix is not None)
         return x
 
     monkeypatch.setattr(mipsched.solver, "canonical_assignment", checked)
@@ -1460,71 +1525,106 @@ def test_canonical_assignment_matches_reference(simba, monkeypatch):
     assert all(b > a for a, b in zip([0] + steps, steps)), counts
     assert any(leaves) and not all(leaves)  # with and without menus
     assert early  # the early exit ran
+    assert any(resumed) and not all(resumed) and stopped
 
 
 def test_leaf_decision_matches_full_path(simba, monkeypatch):
     """Every decision of a solve, of a leaf or of one of its images,
-    against the full path it replaces: its buffer sums are the left fold
-    of its records in branch order, the objective computed before
-    canonicalizing equals `objective_of` on the reference canonical
-    assignment, float for float, and the decision accepts exactly when
-    that path would, with the same incumbent.  Every leaf decides itself
-    first, from the search state, and that state is as it was once its
-    images are done."""
+    against the full path it replaces, each image's records and chains
+    built from its moves: its buffer sums are the left fold of its
+    records in branch order; its objective, from the leaf's folds and
+    traffic term, resumed from the leaf's prefix sums for an image, equals
+    `objective_of` on its reference canonical assignment, float for
+    float; every canonical pass, resumed or not, keys it as a fresh full
+    pass does; and, deciding the leaf and then its images in order
+    against the incumbent each meets, it is offered and accepted exactly
+    when that path would accept it, and leaves the same incumbent.  The
+    leaf decides itself first, from the search state, and that state, its
+    buffer sums' list included, is as it was once its images are done;
+    some leaves have images and some have none.  Checked on tiny, conv28 with and
+    without menus, both rounds of the stride-2 3x3-14 layer, and the
+    `random_instance` (seeds 0-399) and `mirror_instance` (0-199) draws,
+    with and without menus, over all five objective modes and chained
+    mirror runs."""
     real_leaf = _Search._leaf
     real_decide = _Search._decide
-    real_objective = MipModel.objective_from
-    from_leaf = []
-    modes = set()
-    on_objective = []  # decisions rejected by their objective alone
+    real_offer = _Search._offer
+    real_close = MipModel.objective_close
+    real_canon = mipsched.solver.canonical_assignment
+    closed = []  # every objective `objective_close` gives, in order
+    offered = []  # (objective, accepted) of every offer, in order
+    seen = {"modes": set(), "images": 0, "chained": 0, "resumed": 0, "early": 0,
+            "on_objective": 0}
     decided = []  # the states decided at the running leaf
-    images = []  # per leaf, the images decided
+    images = []  # per leaf, its images
 
-    def recorded(model, recs, walk):
-        obj = real_objective(model, recs, walk)
-        from_leaf.append(obj)
+    def recorded_close(model, sums, traffic):
+        obj = real_close(model, sums, traffic)
+        closed.append(obj)
         return obj
+
+    def offer(sh, leaf, obj, image=None):
+        accepted = real_offer(sh, leaf, obj, image)
+        offered.append((obj, accepted))
+        return accepted
+
+    def canon(model, slots, chains, sh, bound_key=None, prefix=None, took=None,
+              stop=None):
+        x = real_canon(model, slots, chains, sh, bound_key, prefix, took, stop)
+        fresh = real_canon(model, slots, chains, sh)
+        n = model.F if stop is None else stop
+        key = [-model.choice_index[fi][fresh[fi]] for fi in range(n)]
+        if x is None:
+            assert key > list(bound_key[:n])
+            seen["early"] += 1
+        else:
+            assert [-model.choice_index[fi][x[fi]] for fi in range(n)] == key
+        seen["resumed"] += prefix is not None
+        return x
 
     def state(recs, chains):
         return recs[:], {I: chain[:] for I, chain in chains.items()}
 
-    def full_path(sh, recs, chains):
-        """The decision as it was: canonicalize, then evaluate and compare."""
+    def decide(sh, recs, chains, menu_sel):
+        before = state(recs, chains)
+        decided.append(before)
+        con_lhs = sh.con_lhs
         m, inc = sh.m, sh.inc
-        menu_sel = sh._derive_menus()
-        if m.menus and menu_sel is None:
-            return None, False
-        x = reference_canonical_assignment(m, [rec.cc for rec in recs], chains)
-        obj = m.objective_of(x, menu_sel)
-        key = m.lex_key(x, menu_sel)
-        accept = (inc.beats(obj, key)
-                  and not m.constraint_violations(x, menu_sel, TOLERANCE))
-        return obj, (obj, key, x, menu_sel) if accept else False
-
-    def checked(sh, recs, chains, menu_sel):
-        decided.append(state(recs, chains))
-        lhs = [0.0] * sh.ncons  # the decided leaf's own fold, in branch order
-        for fi in sh.order:
-            lhs = [a + b for a, b in zip(lhs, recs[fi].row)]
-        assert repr(sh.con_lhs) == repr(lhs)
         assert menu_sel == sh._derive_menus()
-        ref_obj, ref_verdict = full_path(sh, recs, chains)
-        from_leaf.clear()
-        entered = sh.canonicalized
+        images = sh._images(recs) if sh.mirrors else []
+        # the full path of the leaf and of each image, in decision order,
+        # against a copy of the incumbent
+        sim = _Incumbent()
+        sim.offer(inc.obj, inc.key, inc.x, inc.menu)
+        refs, expect = [], []
+        for moves in [[]] + [image_moves(image, m.F) for image in images]:
+            img, img_chains = image_of(recs, chains, moves)
+            lhs = [0.0] * sh.ncons  # its own fold, in branch order
+            for fi in sh.order:
+                lhs = [a + b for a, b in zip(lhs, img[fi].row)]
+            assert repr(sh.con_lhs) == repr(lhs)
+            x = reference_canonical_assignment(m, [rec.cc for rec in img], img_chains)
+            obj = m.objective_of(x, menu_sel)
+            refs.append(obj)
+            seen["on_objective"] += obj > sim.obj
+            if obj <= sim.obj:
+                key = m.lex_key(x, menu_sel)
+                ok = (sim.beats(obj, key)
+                      and not m.constraint_violations(x, menu_sel, TOLERANCE))
+                expect.append((obj, ok))
+                if ok:
+                    sim.offer(obj, key, x, menu_sel)
+            seen["chained"] += any(recs[src].chained for _fi, src in moves)
+        closed.clear()
+        offered.clear()
         accepted = real_decide(sh, recs, chains, menu_sel)
-        if ref_obj is None:
-            assert from_leaf == []
-        else:
-            assert from_leaf == [ref_obj]
-            if sh.canonicalized == entered:
-                on_objective.append(ref_obj)
-        if ref_verdict:
-            assert accepted
-            inc = sh.inc
-            assert (inc.obj, inc.key, inc.x, inc.menu) == ref_verdict
-        else:
-            assert not accepted
-        modes.add((sh.m.weights.mode, bool(sh.m.menus)))
+        assert state(recs, chains) == before and sh.con_lhs is con_lhs
+        assert list(map(repr, closed)) == list(map(repr, refs))
+        assert offered == expect
+        assert accepted == any(ok for _obj, ok in expect)
+        assert (inc.obj, inc.key, inc.x, inc.menu) == (sim.obj, sim.key, sim.x, sim.menu)
+        seen["modes"].add((m.weights.mode, bool(m.menus)))
+        seen["images"] += len(images)
         return accepted
 
     def leaf(sh):
@@ -1533,12 +1633,15 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
         decided.clear()
         accepted = real_leaf(sh)
         assert state(sh.choice_rec, sh.chains) == before and sh.con_lhs is con_lhs
-        assert decided[0] == before
-        images.append(len(decided) - 1)
+        if decided:  # a leaf with no menu that holds its sums is not decided
+            assert decided == [before]
+            images.append(len(sh._images(sh.choice_rec)) if sh.mirrors else 0)
         return accepted
 
-    monkeypatch.setattr(MipModel, "objective_from", recorded)
-    monkeypatch.setattr(_Search, "_decide", checked)
+    monkeypatch.setattr(MipModel, "objective_close", recorded_close)
+    monkeypatch.setattr(mipsched.solver, "canonical_assignment", canon)
+    monkeypatch.setattr(_Search, "_offer", offer)
+    monkeypatch.setattr(_Search, "_decide", decide)
     monkeypatch.setattr(_Search, "_leaf", leaf)
     canonicalized = {}
     solve(build_model(factorize(SUITE_LAYERS["tiny"]), simba))
@@ -1551,17 +1654,20 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
     assert result.rounds == 2
     stats = result.solution.stats
     canonicalized["stride2-3x3-14"] = (stats.leaves, stats.canonicalized)
-    for seed in range(400):
-        model = random_instance(seed, max_space=60_000)
-        if model is not None:
-            solve(model)
-    assert {"combined", "traffic", "balance"} <= {mode for mode, _ in modes}
-    assert {menus for _, menus in modes} == {False, True}
-    assert on_objective
+    for draw, seeds in ((random_instance, range(400)), (mirror_instance, range(200))):
+        for seed in seeds:
+            for model in (draw(seed, 60_000), binding_partition_instance(seed, draw=draw)):
+                if model is not None:
+                    solve(model)
+    modes = ("combined", "util", "comp", "traffic", "balance")
+    assert seen["modes"] == {(mode, menus) for mode in modes for menus in (False, True)}
+    assert seen["images"] > 2000 and seen["chained"] > 1000, seen
+    assert seen["resumed"] > 200 and seen["early"] > 1000, seen
+    assert seen["on_objective"] > 10, seen
     assert any(images) and not all(images)
-    # all the leaves, and the decisions, of leaves and of images, that
-    # entered `canonical_assignment`, early exits included (last round of
-    # the stride-2 layer)
+    # all the leaves, and the decisions, of leaves and of images, offered
+    # on their canonical key, early exits included (last round of the
+    # stride-2 layer)
     assert canonicalized == {
         "conv28": (25, 66),
         "stride2-3x3-14": (25, 41),
@@ -1588,7 +1694,7 @@ def mirror_runs(model) -> list[str]:
     more, each as its factors' dimensions and primes in branch order."""
     sh = new_search(model)
     name = lambda fi: DIM_NAMES[model.factors[fi].j] + str(model.factors[fi].prime)
-    return sorted(" ".join(map(name, run)) for run, _memo in sh.mirrors)
+    return sorted(" ".join(map(name, run)) for run in sh.mirrors)
 
 
 def test_mirror_classes_come_from_the_model(simba):
@@ -1652,7 +1758,7 @@ def test_branch_order_keeps_mirror_runs_contiguous(simba):
 
 def spans_two_identical_classes(model) -> bool:
     sh = new_search(model)
-    return any(len({sh.cls_of[fi] for fi in run}) > 1 for run, _memo in sh.mirrors)
+    return any(len({sh.cls_of[fi] for fi in run}) > 1 for run in sh.mirrors)
 
 
 def test_square_instances_match_the_oracle():
@@ -1692,7 +1798,7 @@ def test_unequal_mirror_classes_match_the_oracle():
                 continue
             sh = new_search(model)
             sizes = [{sum(sh.cls_of[g] == sh.cls_of[fi] for g in run) for fi in run}
-                     for run, _memo in sh.mirrors]
+                     for run in sh.mirrors]
             assert any(len(counts) > 1 for counts in sizes), seed
             assert _answer(solve(model)) == _answer(exhaustive_solve(model)), (seed, menus)
             checked[menus] += 1
@@ -1712,29 +1818,20 @@ def test_images_reach_the_answer_the_cut_removes(simba, monkeypatch):
                         ObjectiveWeights(mode="util"))
     sh = new_search(model)
     threes = {(DIM_NAMES.index("P"), 3), (DIM_NAMES.index("Q"), 3)}
-    (first, later), = [run for run, _memo in sh.mirrors
+    (first, later), = [run for run in sh.mirrors
                        if {(model.factors[fi].j, model.factors[fi].prime)
                            for fi in run} == threes]
     assert sh.prev_same[later] == first
-    real_images, real_decide = _Search._decide_images, _Search._decide
-    inside = []
+    real_offer = _Search._offer
     accepted = []  # per accepted decision, whether it decided an image
 
-    def images(sh, menu_sel):
-        inside.append(True)
-        try:
-            return real_images(sh, menu_sel)
-        finally:
-            inside.pop()
-
-    def decide(sh, recs, chains, menu_sel):
-        ok = real_decide(sh, recs, chains, menu_sel)
+    def offer(sh, leaf, obj, image=None):
+        ok = real_offer(sh, leaf, obj, image)
         if ok:
-            accepted.append(bool(inside))
+            accepted.append(image is not None)
         return ok
 
-    monkeypatch.setattr(_Search, "_decide_images", images)
-    monkeypatch.setattr(_Search, "_decide", decide)
+    monkeypatch.setattr(_Search, "_offer", offer)
     sol = solve(model)
     x = sol.x_assignment
     assert accepted[-1]
