@@ -188,6 +188,16 @@ class ArchSpec:
         return self._on_chip_pairs
 
     @cached_property
+    def shared_capacities(self) -> tuple[tuple[int, float, tuple[int, ...]], ...]:
+        """(level, shared bytes, tensors stored there) for every level with
+        a shared capacity; computed once per arch."""
+        return tuple(
+            (i, shared, tuple(v for v in range(NUM_TENSORS) if self.B.stores(i, v)))
+            for i, shared in enumerate(self.shared_capacity_bytes)
+            if shared is not None
+        )
+
+    @cached_property
     def finite_capacities(self) -> tuple[tuple[int, int, int], ...]:
         """(level, tensor, capacity in elements) for every on-chip pair
         whose capacity is finite; computed once per arch."""

@@ -556,11 +556,13 @@ def cmd_enumerate(cfg: RunConfig) -> int:
 
     One depth-first walk over the (level, mapping) assignments carries
     their tile rows and spatial products, checks after each placed factor
-    only what the placement changed, and cuts a partial assignment once a
-    capacity or fanout check fails; --no-halo sizes input tiles there
-    without the halo window, as `validate` does.  The loop orders of a
-    valid assignment are counted by formula, never built: a level's count
-    is the multinomial len(loops)! / prod(mult!).  The metric reads an
+    only what the placement changed (the fanout of its level if it is
+    spatial, and the capacities above it of the tensors whose tiles read
+    its dimension), and cuts a partial assignment once a capacity or
+    fanout check fails; --no-halo sizes input tiles there without the
+    halo window, as `validate` does.  The loop orders of a valid
+    assignment are counted, never built: the walk carries each level's
+    count, the multinomial len(loops)! / prod(mult!).  The metric reads an
     order only through the temporal loops of the levels at and above the
     NoC level, so one order per class of orders sharing those is scored,
     the class's first in enumeration order.  Enumeration order is
@@ -619,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--layer",
         action="append",
         default=[],
-        help="layer file; repeatable for compare",
+        help="layer file; compare takes several",
     )
     common.add_argument("--schedule", help="schedule file (evaluate)")
     common.add_argument(
@@ -657,6 +659,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"--time-limit must be positive, got {args.time_limit:g}")
     if args.max_prime < 0 or args.max_prime == 1:
         raise ConfigError(f"--max-prime must be 0 (off) or >= 2, got {args.max_prime}")
+    if args.command != "compare" and len(args.layer) > 1:
+        raise ConfigError(f"--layer given {len(args.layer)} times; "
+                          f"{args.command} takes one (compare takes many)")
     if args.valid_target < 1:
         raise ConfigError(f"--valid-target must be >= 1, got {args.valid_target}")
     if args.samples < args.valid_target:

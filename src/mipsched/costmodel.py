@@ -82,6 +82,13 @@ def row_tile(row: tuple[int, ...], arch: ArchSpec, v: int, stride: int, halo: bo
     return t
 
 
+def tile_dims(arch: ArchSpec, v: int, halo: bool) -> tuple[int, ...]:
+    """The dimensions whose row entries `row_tile` reads for tensor v."""
+    if halo and v == IA:
+        return (_R, _S, _P, _Q, _C, _N)
+    return arch.A.dims_of(v)
+
+
 def tile_elements(
     schedule: "Schedule", arch: ArchSpec, level: int, v: int, halo: bool = False
 ) -> int:

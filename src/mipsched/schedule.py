@@ -192,11 +192,11 @@ def validate(schedule: Schedule, arch: ArchSpec, halo: bool = True) -> list[Sche
 
 
 def tile_violations(
-    rows, spatial, arch: ArchSpec, stride: int, halo: bool, lo: int = 0, levels=None
+    rows, spatial, arch: ArchSpec, stride: int, halo: bool, levels=None, checks=None
 ) -> list[ScheduleViolation]:
     """The checks of `validate` that read only tile rows and spatial
-    products, at levels `lo` and outward: each level's spatial fanout,
-    then each finite per-tensor capacity, then each shared capacity.
+    products: each level's spatial fanout, then each finite per-tensor
+    capacity, then each shared capacity.
 
     `rows[I]` is level I's row of the prefix-product table
     (`costmodel.tile_table`) and `spatial[I]` its spatial product.  Both
@@ -205,11 +205,14 @@ def tile_violations(
     a check fails it at every completion.  Given the loops per level,
     `levels`, a spatial loop on a dimension its level may not map
     spatially is flagged after that level's fanout, which keeps
-    `validate`'s violations in level order.
+    `validate`'s violations in level order.  Given `checks`, from
+    `placement_checks`, only those run.
     """
+    if checks is None:
+        checks = (range(arch.num_levels), arch.finite_capacities, arch.shared_capacities)
+    fanouts, capacities, shared_capacities = checks
     out: list[ScheduleViolation] = []
-    H = arch.num_levels
-    for I in range(lo, H):
+    for I in fanouts:
         lvl = arch.levels[I]
         if spatial[I] > lvl.spatial_fanout:
             out.append(
@@ -231,9 +234,7 @@ def tile_violations(
                     )
                 )
 
-    for I, v, cap in arch.finite_capacities:
-        if I < lo:
-            continue
+    for I, v, cap in capacities:
         tile = costmodel.row_tile(rows[I], arch, v, stride, halo)
         if tile > cap:
             out.append(
@@ -244,13 +245,10 @@ def tile_violations(
                 )
             )
 
-    for I, shared in enumerate(arch.shared_capacity_bytes):
-        if I < lo or shared is None:
-            continue
+    for I, shared, tensors in shared_capacities:
         used = sum(
             costmodel.row_tile(rows[I], arch, v, stride, halo) * arch.precision_bytes[v]
-            for v in range(NUM_TENSORS)
-            if arch.B.stores(I, v)
+            for v in tensors
         )
         if used > shared:
             out.append(
@@ -261,6 +259,25 @@ def tile_violations(
                 )
             )
     return out
+
+
+def placement_checks(arch: ArchSpec, halo: bool, j: int, level: int, spatial: bool):
+    """The checks of `tile_violations` whose verdict placing a loop on
+    dimension j at `level` can change, as its `checks`: the level's fanout
+    if the loop is spatial, and above the level the finite and shared
+    capacities of every tensor whose tile reads j
+    (`costmodel.tile_dims`).  The placement multiplies only row entries
+    j above its level and, if spatial, its level's spatial product, so
+    every other check keeps its verdict: where all checks passed before
+    the placement, these decide whether all pass after it."""
+    reads = {
+        v for v in range(NUM_TENSORS) if j in costmodel.tile_dims(arch, v, halo)
+    }
+    return (
+        (level,) if spatial else (),
+        [c for c in arch.finite_capacities if c[0] > level and c[1] in reads],
+        [c for c in arch.shared_capacities if c[0] > level and reads.intersection(c[2])],
+    )
 
 
 def evaluate(schedule: Schedule, arch: ArchSpec) -> CostReport:

@@ -7,23 +7,28 @@ PRNG derived from (seed, i), so results are reproducible and independent
 of any sharding of the draw range.
 
 Enumeration is one depth-first walk over the (level, mapping)
-assignments, `valid_assignments`.  It places the prime factors in
-order, each at every level and binding in turn, and carries the loops
-per level, the tile rows (the prefix products of `costmodel.tile_table`:
-placing a factor multiplies the rows of the levels above its own,
-removing it divides them back, exactly), each level's spatial product
+assignments (`_walk`; `valid_assignments` yields its assignments).  It
+places the prime factors in order, each at every level and binding in
+turn, and carries per level the loops, the tile row (the prefix
+products of `costmodel.tile_table`: placing a factor multiplies the rows
+of the levels above its own, removing it divides them back, exactly),
+the spatial product, the distinct-order count and a loop-sequence code,
 and the temporal product.  After each placement it runs
-`schedule.tile_violations`, the capacity, shared-capacity and fanout
-checks of `validate`, on the levels the placement changed.  Tiles, halo
-windows (P_t - 1) * stride + R_t and spatial products only grow as
-factors are placed, so a failed check fails at every completion: the
-walk cuts the subtree there, and yields the same assignments in the same
-order as validating each whole assignment would.  `validate`'s two
-other checks need no counterpart: the walk places every factor of the
-factorization exactly once, so each dimension's product is its padded
-bound, and it offers a spatial binding only where the level's
-`spatial_allowed` holds.  No check reads loop order, so the verdict
-holds for every order of an assignment.
+`schedule.tile_violations` on only what the placement changed
+(`schedule.placement_checks`, one table per walk): the fanout of the
+placement's level if the loop is spatial, and the finite and shared
+capacities above it of the tensors whose tiles read the placed
+dimension.  The parent passed every check and the placement leaves every
+other tile and spatial product as it was, so these decide as the full
+checks of `validate` would.  Tiles, halo windows (P_t - 1) * stride + R_t
+and spatial products only grow as factors are placed, so a failed check
+fails at every completion: the walk cuts the subtree there, and yields
+the same assignments in the same order as validating each whole
+assignment would.  `validate`'s two other checks need no counterpart:
+the walk places every factor of the factorization exactly once, so each
+dimension's product is its padded bound, and it offers a spatial binding
+only where the level's `spatial_allowed` holds.  No check reads loop
+order, so the verdict holds for every order of an assignment.
 
 `enumerate_all` yields every distinct loop order of each valid
 assignment as a schedule.  `enumerate_best`, the exhaustive baseline
@@ -31,9 +36,14 @@ behind the `enumerate` command, gets the same count and the same first
 best without building those orders, scoring from the walk's NoC-level
 tile row and temporal product:
 
-* Count: a level's loops have `order_count` distinct orders, the
-  multinomial len! / prod(mult!), and an assignment has the product of
-  its levels' counts.
+* Count: a level's loops have len! / prod(mult!) distinct orders, the
+  multinomial over the multiplicities of identical loops, and an
+  assignment has the product of its levels' counts.  The walk carries
+  each level's count: a loop that makes its multiplicity m at a level of
+  L loops multiplies the count by (L + 1) / m, exactly.  Identical
+  factors are consecutive in factor order and placed at non-decreasing
+  (level, binding), so m is one more than the run of identical
+  predecessors placed alike.
 * Classes: an order moves the metric only through
   `costmodel.noc_iterations`, which reads only the temporal loops of the
   levels at and above the NoC level, in order.  Orders of such a level
@@ -48,7 +58,11 @@ tile row and temporal product:
   the NoC level, the NoC level's tile row and the compute cycles, so
   assignments that share these, their NoC key, score every combination
   alike.  Each key is scored once, for its least value and the first
-  combination that reaches it.
+  combination that reaches it.  The key holds each upper level's code,
+  its loop codes (one small integer per distinct loop) as the digits of
+  one integer, so no key hashes a `Loop`.  A combination's NoC iteration
+  counts read only the upper levels, so they are counted once per
+  upper levels' codes, for every key that shares them.
 * First minimum: `enumerate_all`'s order is lexicographic in the
   per-level order indices (`itertools.product`, innermost level
   slowest), so a scan with strict `<` keeps the smallest index tuple of
@@ -67,14 +81,15 @@ import itertools
 import math
 import operator
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 from . import costmodel
 from .arch import ArchSpec
 from .formulation import SPATIAL, TEMPORAL
-from .schedule import CostReport, Loop, Schedule, evaluate, tile_violations, validate
+from .schedule import (
+    CostReport, Loop, Schedule, evaluate, placement_checks, tile_violations, validate,
+)
 from .solver import SpaceTooLarge
 from .workload import NUM_DIMS, PrimeFactorization, total_factor_count
 
@@ -197,23 +212,132 @@ def _distinct_orders(items: tuple) -> Iterator[tuple]:
             yield (head,) + tail
 
 
-def order_count(loops: tuple[Loop, ...]) -> int:
-    """Distinct orders of one level's loops: the multinomial
-    len(loops)! / prod(mult!) over the multiplicities of identical loops."""
-    count = math.factorial(len(loops))
-    for mult in Counter(loops).values():
-        count //= math.factorial(mult)
-    return count
-
-
 def _class_orders(loops: tuple[Loop, ...]) -> tuple[tuple[Loop, ...], ...]:
     """The first distinct order of each class of one level's orders that
     share their temporal subsequence, in order of first appearance; the
-    level's own order comes first."""
-    reps = {}
-    for order in _distinct_orders(loops):
-        reps.setdefault(tuple(l for l in order if not l.spatial), order)
-    return tuple(reps.values())
+    level's own order comes first.
+
+    `_distinct_orders` takes equal loops in their own order and lists
+    the orders lexicographically by the positions they take.  So a
+    class's first order takes, at each step, the earlier of the next
+    spatial loop and the class's next temporal loop, and the classes
+    appear in the order `_distinct_orders` lists their temporal
+    subsequences.
+    """
+    ids = [loops.index(loop) for loop in loops]  # equal loops, equal ids
+    spatial = [i for i, loop in enumerate(loops) if loop.spatial]
+    temporal = [i for i, loop in enumerate(loops) if not loop.spatial]
+    copies: dict[int, list[int]] = {}  # per id, its temporal positions
+    for i in temporal:
+        copies.setdefault(ids[i], []).append(i)
+    reps = []
+    for temporal_ids in _distinct_orders(tuple(ids[i] for i in temporal)):
+        left = {x: iter(positions) for x, positions in copies.items()}
+        order = []
+        s = 0
+        for x in temporal_ids:
+            pos = next(left[x])
+            while s < len(spatial) and spatial[s] < pos:
+                order.append(spatial[s])
+                s += 1
+            order.append(pos)
+        order += spatial[s:]
+        reps.append(tuple(loops[i] for i in order))
+    return tuple(reps)
+
+
+def _walk(pf: PrimeFactorization, arch: ArchSpec, limit: int, halo: bool):
+    """The enumeration walk (see the module docstring): an iterator over
+    the valid (level, mapping) assignments in walk order, each as the
+    walk's state `(loops, rows, cycles, counts, codes)`: per level its
+    loops in factor order, tile row, distinct-order count and loop-sequence
+    code, and the compute cycles.  The lists change as the walk goes on:
+    read them before drawing the next assignment.  The space guard and
+    the root's checks run on the call."""
+    flat = pf.flat()
+    F = len(flat)
+    H = arch.num_levels
+    Z = max(1, F)
+    space = 1
+    for j, n, prime, _lg in flat:
+        per = 0
+        for I in range(H):
+            per += Z * (2 if arch.levels[I].spatial_allowed(j) else 1)
+        space *= max(per, 1)
+    if space > limit:
+        raise SpaceTooLarge(f"assignment space {space} exceeds limit {limit}")
+
+    stride = pf.dims.stride
+    loops: list[list[Loop]] = [[] for _ in range(H)]
+    rows = [[1] * NUM_DIMS for _ in range(H)]
+    spatial = [1] * H
+    counts = [1] * H
+    codes = [0] * H
+    above = [rows[I + 1 :] for I in range(H)]
+    # per factor, its placements in walk order: the rank of its (level,
+    # binding), the loop it adds with that loop's code (one Loop and one
+    # code per distinct loop) and the checks it can change
+    distinct: dict[tuple[int, int, int], tuple[Loop, int]] = {}
+    options = []
+    for j, _n, prime, _lg in flat:
+        opts = []
+        for I in range(H):
+            for k in (TEMPORAL, SPATIAL):
+                if k == SPATIAL and not arch.levels[I].spatial_allowed(j):
+                    continue
+                loop, code = distinct.setdefault(
+                    (j, prime, k), (Loop(j, prime, k == SPATIAL), len(distinct) + 1)
+                )
+                check = placement_checks(arch, halo, j, I, k == SPATIAL)
+                opts.append((2 * I + k, I, k == SPATIAL, loop, code, check))
+        options.append(opts)
+    # a level's code is its loop codes in base `base`, innermost most
+    # significant
+    base = len(distinct) + 1
+    # identical factors (same dimension and prime) take non-decreasing
+    # (level, binding), ranked 2 * level + binding: one assignment per
+    # multiset.  They are consecutive in factor order, so a loop's
+    # multiplicity at its level is one more than the run of its identical
+    # predecessors placed alike.
+    same_next = [
+        fi + 1 < F and flat[fi][0::2] == flat[fi + 1][0::2] for fi in range(F)
+    ]
+
+    def walk(fi: int, low: int, run: int, cycles: int):
+        j, _n, prime, _lg = flat[fi]
+        last = fi + 1 == F
+        same = same_next[fi]
+        for rank, I, is_spatial, loop, code, check in options[fi]:
+            if rank < low:
+                continue
+            mult = run + 1 if rank == low else 1
+            level = loops[I]
+            level.append(loop)
+            count, level_code = counts[I], codes[I]
+            counts[I] = count * len(level) // mult
+            codes[I] = level_code * base + code
+            for row in above[I]:
+                row[j] *= prime
+            if is_spatial:
+                spatial[I] *= prime
+                c = cycles
+            else:
+                c = cycles * prime
+            if not tile_violations(rows, spatial, arch, stride, halo, checks=check):
+                if last:
+                    yield loops, rows, c, counts, codes
+                else:
+                    yield from walk(fi + 1, rank if same else -1, mult, c)
+            if is_spatial:
+                spatial[I] //= prime
+            for row in above[I]:
+                row[j] //= prime
+            counts[I], codes[I] = count, level_code
+            level.pop()
+
+    if tile_violations(rows, spatial, arch, stride, halo):
+        return iter(())
+    return walk(0, -1, 0, 1) if F else iter([(loops, rows, 1, counts, codes)])
 
 
 def valid_assignments(
@@ -231,70 +355,8 @@ def valid_assignments(
     `rows[I]` the tile row of level I (`costmodel.tile_table`), are the
     walk's own state: read them before drawing the next assignment.
     """
-    flat = pf.flat()
-    F = len(flat)
-    H = arch.num_levels
-    Z = max(1, F)
-    space = 1
-    for j, n, prime, _lg in flat:
-        per = 0
-        for I in range(H):
-            per += Z * (2 if arch.levels[I].spatial_allowed(j) else 1)
-        space *= max(per, 1)
-    if space > limit:
-        raise SpaceTooLarge(f"assignment space {space} exceeds limit {limit}")
-
-    stride = pf.dims.stride
-    per_level: list[list[Loop]] = [[] for _ in range(H)]
-    rows = [[1] * NUM_DIMS for _ in range(H)]
-    spatial = [1] * H
-    # per factor, its placements in walk order: (level, binding) and the
-    # loop it adds, one Loop object per distinct loop
-    loops = {}
-    options = []
-    for j, n, prime, _lg in flat:
-        options.append([
-            ((I, k), loops.setdefault((j, prime, k), Loop(j, prime, k == SPATIAL)))
-            for I in range(H)
-            for k in (TEMPORAL, SPATIAL)
-            if k == TEMPORAL or arch.levels[I].spatial_allowed(j)
-        ])
-    # identical factors (same dimension and prime) take non-decreasing
-    # (level, binding): one assignment per multiset.  (0, 0) is below
-    # every placement.
-    same_next = [
-        fi + 1 < F and flat[fi][0::2] == flat[fi + 1][0::2] for fi in range(F)
-    ]
-
-    def walk(fi: int, low: tuple[int, int], cycles: int):
-        if fi == F:
-            yield tuple(map(tuple, per_level)), rows, cycles
-            return
-        j, _n, prime, _lg = flat[fi]
-        for opt, loop in options[fi]:
-            if opt < low:
-                continue
-            I, k = opt
-            nxt = opt if same_next[fi] else (0, 0)
-            per_level[I].append(loop)
-            above = rows[I + 1 :]
-            for row in above:
-                row[j] *= prime
-            # a temporal loop changes only the rows above its level; a
-            # spatial one also its level's spatial product
-            if k == SPATIAL:
-                spatial[I] *= prime
-                if not tile_violations(rows, spatial, arch, stride, halo, lo=I):
-                    yield from walk(fi + 1, nxt, cycles)
-                spatial[I] //= prime
-            elif not tile_violations(rows, spatial, arch, stride, halo, lo=I + 1):
-                yield from walk(fi + 1, nxt, cycles * prime)
-            for row in above:
-                row[j] //= prime
-            per_level[I].pop()
-
-    if not tile_violations(rows, spatial, arch, stride, halo):
-        yield from walk(0, (0, 0), 1)
+    for loops, rows, cycles, _counts, _codes in _walk(pf, arch, limit, halo):
+        yield tuple(map(tuple, loops)), rows, cycles
 
 
 def enumerate_all(
@@ -319,32 +381,29 @@ def enumerate_all(
 
 def order_scorer(
     levels: Levels, rows, cycles: int, arch: ArchSpec, metric: str
-) -> Callable[[Levels], int]:
+) -> Callable[[list[int]], int]:
     """`metric_value` of any loop order of the assignment with loops
     `levels`, tile rows `rows` (`rows[I]` level I's) and compute cycles
-    `cycles`, as a function of that order's levels.
+    `cycles`, as a function of that order's NoC iteration counts
+    (`costmodel.noc_iterations` of its levels).
 
     Only the NoC iteration counts depend on loop order (see `costmodel`),
-    so each order costs one `costmodel.noc_iterations` call on top of the
-    assignment's order-free compute cycles and elements per NoC
-    iteration (`costmodel.transfer_terms`); compute cycles do not depend
-    on it at all.
+    so each order costs only those on top of the assignment's
+    order-free compute cycles and elements per NoC iteration
+    (`costmodel.transfer_terms`); compute cycles do not depend on it at
+    all.
     """
     if metric == "compute":
-        return lambda levels: cycles
+        return lambda iters: cycles
     noc = arch.noc_level
     sizes, link = costmodel.transfer_terms(levels[noc], rows[noc], arch)
     # elements per NoC iteration: everything in a total but its count
     per_iter = list(map(operator.mul, sizes, link))
-
-    def totals(levels: Levels) -> list[int]:
-        iters = costmodel.noc_iterations(levels, arch)
-        return list(map(operator.mul, per_iter, iters))
-
     if metric == "traffic":
-        return lambda levels: sum(totals(levels))
+        return lambda iters: sum(map(operator.mul, per_iter, iters))
     if metric == "latency":
-        return lambda levels: costmodel.bytes_and_latency(cycles, totals(levels), arch)[1]
+        return lambda iters: costmodel.bytes_and_latency(
+            cycles, list(map(operator.mul, per_iter, iters)), arch)[1]
     raise ValueError(f"unknown metric {metric!r}")
 
 
@@ -357,49 +416,55 @@ def enumerate_best(
 ) -> tuple[int, tuple[int, Schedule] | None]:
     """The number of schedules `enumerate_all` yields, and the first of
     them with the least `metric_value` with that value (None when there
-    is none).  Per valid assignment the orders are counted by formula and
-    only one order per class is scored, once per NoC key (see the module
-    docstring), from the walk's own tile row and compute cycles; only the
-    winner becomes a `Schedule`.
+    is none).  Per valid assignment the orders are counted from the
+    walk's per-level counts and only one order per class is scored, once
+    per NoC key (see the module docstring), from the walk's own tile row
+    and compute cycles; only the winner becomes a `Schedule`.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
+    H = arch.num_levels
     # no order moves compute cycles: there every level keeps its own order
-    scored_from = arch.num_levels if metric == "compute" else arch.noc_level
-    # per loop sequence, computed once per scan; a level with fewer than
-    # two loops has one order, so it is not even looked up
-    count_of = functools.cache(order_count)
-    reps_of = functools.cache(_class_orders)
+    scored_from = H if metric == "compute" else arch.noc_level
+    # per level code, that level's class representatives
+    reps_of: dict[int, tuple[tuple[Loop, ...], ...]] = {}
+    # per code of the upper levels, each combination of their
+    # representatives with its NoC iteration counts, which read nothing else
+    iters_of: dict[tuple, list[tuple[Levels, list[int]]]] = {}
     # per NoC key, the least value over the representatives and the first
     # combination of them that reaches it
     least_of: dict[tuple, tuple[int, Levels]] = {}
     count = 0
     best = None  # (value, levels)
-    for levels, rows, cycles in valid_assignments(pf, arch, limit, halo):
-        n = 1
-        for loops in levels:
-            if len(loops) > 1:
-                n *= count_of(loops)
-        count += n
-        upper = levels[scored_from:]
-        if not upper:  # compute: one order, the assignment's own
-            value, combo = cycles, ()
-        else:
-            key = (upper, tuple(rows[scored_from]), cycles)
-            least = least_of.get(key)
-            if least is None:
-                score = order_scorer(levels, rows, cycles, arch, metric)
+    for loops, rows, cycles, counts, codes in _walk(pf, arch, limit, halo):
+        count += math.prod(counts)
+        if scored_from == H:  # compute: one order, the assignment's own
+            if best is None or cycles < best[0]:
+                best = (cycles, tuple(map(tuple, loops)))
+            continue
+        key = (*codes[scored_from:], *rows[scored_from], cycles)
+        least = least_of.get(key)
+        if least is None:
+            levels = tuple(map(tuple, loops))
+            upper = key[: H - scored_from]
+            if upper not in iters_of:
                 lower = levels[:scored_from]
-                for combo in itertools.product(
-                        *[reps_of(loops) if len(loops) > 1 else (loops,)
-                          for loops in upper]):
-                    value = score(lower + combo)
-                    if least is None or value < least[0]:
-                        least = (value, combo)
-                least_of[key] = least
-            value, combo = least
+                for code, level in zip(upper, levels[scored_from:]):
+                    if code not in reps_of:
+                        reps_of[code] = _class_orders(level)
+                iters_of[upper] = [
+                    (combo, costmodel.noc_iterations(lower + combo, arch))
+                    for combo in itertools.product(*map(reps_of.get, upper))
+                ]
+            score = order_scorer(levels, rows, cycles, arch, metric)
+            for combo, iters in iters_of[upper]:
+                value = score(iters)
+                if least is None or value < least[0]:
+                    least = (value, combo)
+            least_of[key] = least
+        value, combo = least
         if best is None or value < best[0]:
-            best = (value, levels[:scored_from] + combo)
+            best = (value, tuple(map(tuple, loops[:scored_from])) + combo)
     if best is None:
         return count, None
     value, levels = best

@@ -3,6 +3,7 @@
 import math
 import random
 from bisect import bisect_left
+from collections import Counter
 
 from mipsched import costmodel
 from mipsched.arch import (
@@ -758,6 +759,15 @@ def reference_first_order(pf, arch, assignment):
         layer=pf.dims,
         arch_name=arch.name,
     )
+
+
+def order_count(loops) -> int:
+    """Distinct orders of one level's loops: the multinomial
+    len(loops)! / prod(mult!) over the multiplicities of identical loops."""
+    count = math.factorial(len(loops))
+    for mult in Counter(loops).values():
+        count //= math.factorial(mult)
+    return count
 
 
 def reference_enumerate_all(pf, arch, limit=1_000_000, halo=True):

@@ -338,6 +338,18 @@ class TestSolveCommand:
         assert out == ""
         assert err.startswith("error: ") and "--budget" in err
 
+    @pytest.mark.parametrize("command", ["solve", "partition", "sweep", "enumerate"])
+    def test_second_layer_is_a_usage_error(self, command, tiny_layer, capsys):
+        """Every command but compare reads one layer: a second --layer is a
+        usage error that names the flag, before any layer is read."""
+        code = main([command, "--budget", "1000", "--layer", tiny_layer,
+                     "--layer", "missing.layer"])
+        assert code == EXIT_PARSE == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: --layer given 2 times; {command} takes one "
+                       "(compare takes many)\n")
+
     @pytest.mark.parametrize("args, message", [
         (["--time-limit", "0"], "--time-limit must be positive, got 0"),
         (["--time-limit", "-1"], "--time-limit must be positive, got -1"),

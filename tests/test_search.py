@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
 import math
+import random
 
 import pytest
 
 from helpers import (
+    order_count,
     reference_assignments,
     reference_enumerate_all,
     reference_evaluate,
@@ -13,7 +16,7 @@ from helpers import (
     toy_two_level,
 )
 from mipsched import search
-from mipsched.costmodel import compute_cycles
+from mipsched.costmodel import compute_cycles, noc_iterations
 from mipsched.formulation import ObjectiveWeights, build_model
 from mipsched.schedule import Loop, encode, tile_violations, validate
 from mipsched.search import (
@@ -23,7 +26,6 @@ from mipsched.search import (
     enumerate_all,
     enumerate_best,
     metric_value,
-    order_count,
     order_scorer,
     random_search,
     valid_assignments,
@@ -229,7 +231,8 @@ def test_enumerate_scores_match_reference(simba, arch_name, dims, stride):
         orders += 1
         ref = reference_evaluate(sched, arch)
         for metric, score in scorers.items():
-            assert score(sched.levels) == metric_value(ref, metric), (sched.levels, metric)
+            iters = noc_iterations(sched.levels, arch)
+            assert score(iters) == metric_value(ref, metric), (sched.levels, metric)
         moved |= metric_value(ref, "traffic") != first_traffic
     assert next(firsts, None) is None
     assert orders > 0
@@ -353,3 +356,79 @@ def test_enumerate_best_without_a_valid_schedule():
     pf = factorize(LayerDims(1, 1, 2, 1, 1, 2, 1))
     assert next(valid_assignments(pf, arch), None) is None
     assert enumerate_best(pf, arch, "latency") == (0, None)
+
+
+def _walk_instances():
+    """Seeded random layers of at most five factors, at stride 1 and 2, on
+    the toy architectures, one of them with a shared capacity and a level
+    that maps only C and K spatially; and the all-ones layer on each."""
+    shared = toy_three_level(shared=24.0)
+    restricted = dataclasses.replace(shared, levels=(
+        dataclasses.replace(shared.levels[0], allowed_spatial_dims=frozenset({4, 5})),
+        *shared.levels[1:],
+    ))
+    archs = [toy_two_level(fanout=4, cap=16.0), shared, restricted, tight_ia_arch()]
+    out = [(arch, LayerDims(1, 1, 1, 1, 1, 1, 1)) for arch in archs]
+    rng = random.Random(0)
+    while len(out) < 40:
+        dims = [1] * 7
+        for j in rng.sample(range(7), k=rng.randint(1, 3)):
+            dims[j] = rng.choice([2, 3, 4, 6])
+        layer = LayerDims(*dims, stride=rng.choice([1, 2]))
+        if len(factorize(layer).flat()) <= 5:
+            out.append((archs[len(out) % len(archs)], layer))
+    return out
+
+
+@pytest.mark.parametrize("halo", [True, False])
+def test_walk_carries_counts_codes_and_exact_checks(monkeypatch, halo):
+    """At every node the walk's restricted check (`placement_checks`)
+    decides as the full `tile_violations` does, and at every yielded
+    assignment each level's carried count is its `order_count` and its
+    code stands for its loop sequence and no other."""
+    verdicts = []
+
+    def full_alongside(rows, spatial, arch, stride, halo, levels=None, checks=None):
+        got = tile_violations(rows, spatial, arch, stride, halo, levels, checks)
+        if checks is not None:
+            full = tile_violations(rows, spatial, arch, stride, halo)
+            assert (not got) == (not full)
+            verdicts.append(not full)
+        return got
+
+    monkeypatch.setattr(search, "tile_violations", full_alongside)
+    strides = set()
+    for arch, layer in _walk_instances():
+        pf = factorize(layer)
+        strides.add(layer.stride)
+        level_of, code_of = {}, {}
+        walked = 0
+        for loops, rows, cycles, counts, codes in search._walk(pf, arch, 10**12, halo):
+            walked += 1
+            levels = tuple(map(tuple, loops))
+            assert counts == [order_count(level) for level in levels]
+            for code, level in zip(codes, levels):
+                assert level_of.setdefault(code, level) == level
+                assert code_of.setdefault(level, code) == code
+        assert walked == sum(1 for _ in valid_assignments(pf, arch, 10**12, halo))
+    assert strides == {1, 2}
+    assert True in verdicts and False in verdicts
+
+
+def _reference_class_orders(loops):
+    """The definition: the first distinct order of each class of orders
+    sharing their temporal subsequence, in order of first appearance."""
+    reps = {}
+    for order in search._distinct_orders(loops):
+        reps.setdefault(tuple(l for l in order if not l.spatial), order)
+    return tuple(reps.values())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_class_orders_match_their_definition(seed):
+    rng = random.Random(seed)
+    pool = [Loop(0, 3, False), Loop(0, 3, True), Loop(2, 2, False), Loop(2, 2, True),
+            Loop(5, 2, False), Loop(4, 2, True), Loop(4, 2, False)]
+    for _ in range(200):
+        loops = tuple(rng.choice(pool[:rng.randint(1, 7)]) for _ in range(rng.randint(0, 6)))
+        assert search._class_orders(loops) == _reference_class_orders(loops), loops
