@@ -659,6 +659,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"--time-limit must be positive, got {args.time_limit:g}")
     if args.max_prime < 0 or args.max_prime == 1:
         raise ConfigError(f"--max-prime must be 0 (off) or >= 2, got {args.max_prime}")
+    if args.command == "evaluate" and args.layer:
+        raise ConfigError("--layer given; evaluate reads no layer (it takes --schedule)")
     if args.command != "compare" and len(args.layer) > 1:
         raise ConfigError(f"--layer given {len(args.layer)} times; "
                           f"{args.command} takes one (compare takes many)")

@@ -209,24 +209,32 @@ class MipModel:
     # ------------------------------------------------------------------
 
     def _build_choices(self):
+        """Per factor, its raw choices, their index and its collapsed
+        (level, mapping) choices.  They read only the factor's dimension,
+        so the factors of one dimension share one set of them."""
         arch = self.arch
         self.choices: list[list[tuple[int, int, int]]] = []
         self.choice_index: list[dict[tuple[int, int, int], int]] = []
         self.collapsed: list[list[tuple[int, int]]] = []
+        per_dim: dict[int, tuple] = {}
         for f in self.factors:
-            ch = []
-            coll = []
-            for I in range(self.H):
-                spatial_ok = arch.levels[I].spatial_allowed(f.j)
-                for z in range(self.Z):
+            built = per_dim.get(f.j)
+            if built is None:
+                ch = []
+                coll = []
+                for I in range(self.H):
+                    spatial_ok = arch.levels[I].spatial_allowed(f.j)
+                    for z in range(self.Z):
+                        if spatial_ok:
+                            ch.append((I, z, SPATIAL))
+                        ch.append((I, z, TEMPORAL))
                     if spatial_ok:
-                        ch.append((I, z, SPATIAL))
-                    ch.append((I, z, TEMPORAL))
-                if spatial_ok:
-                    coll.append((I, SPATIAL))
-                coll.append((I, TEMPORAL))
+                        coll.append((I, SPATIAL))
+                    coll.append((I, TEMPORAL))
+                built = per_dim[f.j] = (ch, {c: i for i, c in enumerate(ch)}, coll)
+            ch, index, coll = built
             self.choices.append(ch)
-            self.choice_index.append({c: i for i, c in enumerate(ch)})
+            self.choice_index.append(index)
             self.collapsed.append(coll)
 
         self.g_positions: list[tuple[int, int]] = [
@@ -314,51 +322,62 @@ class MipModel:
         every constraint, and no permutation-order semantics (temporal
         at/above the NoC is always its own class).  The search branches
         once per class; the reported assignment picks the concrete level
-        during canonicalization."""
+        during canonicalization.  A record reads only its factor's
+        dimension and log-factor, so the members of an identical class
+        share one `coef` dict and one `classes` list, built for the first."""
+        self.coef: list[dict[tuple[int, int], ChoiceCoef]] = []
+        self.classes: list[list[ChoiceCoef]] = []
+        per_cls: dict[int, tuple] = {}
+        for fi, f in enumerate(self.factors):
+            built = per_cls.get(f.cls)
+            if built is None:
+                built = per_cls[f.cls] = self._factor_coefficients(f, self.collapsed[fi])
+            self.coef.append(built[0])
+            self.classes.append(built[1])
+
+    def _factor_coefficients(self, f: Factor, collapsed: list[tuple[int, int]]):
+        """Factor f's records, keyed by (level, mapping), and its class
+        records, each class's first member, in order of first appearance."""
         arch = self.arch
         w_u, w_c, w_t = self.weights.effective()
         pairs = arch.on_chip_pairs()
-        self.coef: list[dict[tuple[int, int], ChoiceCoef]] = []
-        self.classes: list[list[ChoiceCoef]] = []
-        for fi, f in enumerate(self.factors):
-            rel = [arch.A.related(f.j, v) for v in range(NUM_TENSORS)]
-            relcount = sum(rel)
-            coef = {}
-            groups: dict[tuple, list[ChoiceCoef]] = {}
-            for I, k in self.collapsed[fi]:
-                u = f.lg * sum(1 for (Ic, v) in pairs if Ic > I and rel[v])
-                c = f.lg if k == TEMPORAL else 0.0
-                lifted = I < self.noc or (I == self.noc and k == SPATIAL)
-                per_v = tuple(f.lg if lifted and rel[v] else 0.0
-                              for v in range(NUM_TENSORS))
-                d = f.lg * relcount if lifted else 0.0
-                chained = k == TEMPORAL and I >= self.noc
-                s = 0.0
-                if chained:
-                    s = f.lg * sum(
-                        1
-                        for v in range(NUM_TENSORS)
-                        if rel[v] and arch.B.stores(I, v)
-                    )
-                row = [
-                    f.lg
-                    if (con.kind == "buffer" and rel[con.tensor] and I < con.level)
-                    or (con.kind == "spatial" and I == con.level and k == SPATIAL)
-                    else 0.0
-                    for con in self.check_cons
-                ]
-                rec = coef[(I, k)] = ChoiceCoef(
-                    I, k, u, c, per_v, d, s, -w_u * u + w_c * c + w_t * d, row, chained
+        rel = [arch.A.related(f.j, v) for v in range(NUM_TENSORS)]
+        relcount = sum(rel)
+        coef = {}
+        groups: dict[tuple, list[ChoiceCoef]] = {}
+        for I, k in collapsed:
+            u = f.lg * sum(1 for (Ic, v) in pairs if Ic > I and rel[v])
+            c = f.lg if k == TEMPORAL else 0.0
+            lifted = I < self.noc or (I == self.noc and k == SPATIAL)
+            per_v = tuple(f.lg if lifted and rel[v] else 0.0
+                          for v in range(NUM_TENSORS))
+            d = f.lg * relcount if lifted else 0.0
+            chained = k == TEMPORAL and I >= self.noc
+            s = 0.0
+            if chained:
+                s = f.lg * sum(
+                    1
+                    for v in range(NUM_TENSORS)
+                    if rel[v] and arch.B.stores(I, v)
                 )
-                sig = ("chain", I) if chained else ("free", k, u, c, per_v, tuple(row))
-                groups.setdefault(sig, []).append(rec)
-            for members in groups.values():
-                cc = tuple((rec.I, rec.k) for rec in members)
-                for rec in members:
-                    rec.cc = cc
-                    rec.rep = max(cc)
-            self.coef.append(coef)
-            self.classes.append([members[0] for members in groups.values()])
+            row = [
+                f.lg
+                if (con.kind == "buffer" and rel[con.tensor] and I < con.level)
+                or (con.kind == "spatial" and I == con.level and k == SPATIAL)
+                else 0.0
+                for con in self.check_cons
+            ]
+            rec = coef[(I, k)] = ChoiceCoef(
+                I, k, u, c, per_v, d, s, -w_u * u + w_c * c + w_t * d, row, chained
+            )
+            sig = ("chain", I) if chained else ("free", k, u, c, per_v, tuple(row))
+            groups.setdefault(sig, []).append(rec)
+        for members in groups.values():
+            cc = tuple((rec.I, rec.k) for rec in members)
+            for rec in members:
+                rec.cc = cc
+                rec.rep = max(cc)
+        return coef, [members[0] for members in groups.values()]
 
     # ------------------------------------------------------------------
     # canonical evaluation (shared by both solvers and the tests)

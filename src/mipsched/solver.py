@@ -237,7 +237,18 @@ pinned.  One
 `_Search` owns a solve's bound tables and search state; every table is
 built from those records.  `_Search._branch_order` builds the static
 branch order, and `_Search._suffix` is the one place it is summed into
-a per-depth table.  The leaf re-check
+a per-depth table.  A solve's set-up is built once per class of alike
+factors and shared by its members: the model's records once per
+identical class (`MipModel._build_coefficients`), and the search's
+costs, knapsack hulls and Lagrangian minima once per mirror class, from
+its first member.  It is exact: the members' records are equal field
+for field (`_Search._mirrored`), and `_suffix` adds each factor's
+mirror-class value in branch order, the values and order it added when
+each factor had its own.  The knapsack rows' cumulative sums are kept
+from one depth to the next and extended only past the first sorted
+position that the new depth's segments take, so every entry is the same
+sum of the same values in the same order (`_Search._build_knapsack`).
+The leaf re-check
 and `exhaustive_solve` read each concrete choice's own record, never its
 class's, so a grouping error cannot hide from them.
 
@@ -251,7 +262,7 @@ import heapq
 import itertools
 import math
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -364,11 +375,13 @@ class _LevelState:
 
     def __init__(self, chain_len: int):
         self.used: set[int] = set()
-        self.chain_pins: dict[int, int] = {}
+        # (chain position, rank) of each pin, sorted: the pins increase in
+        # both
+        self.chain_pins: list[tuple[int, int]] = []
         self.chain_len = chain_len
 
 
-def _zmax(st: _LevelState, pos: int | None, Z: int) -> int:
+def _zmax(st: _LevelState, pos: int | None, Z: int) -> int | None:
     """Highest rank a placement can take on a level with a chain while the
     level stays embeddable (the gap rule).
 
@@ -381,18 +394,34 @@ def _zmax(st: _LevelState, pos: int | None, Z: int) -> int:
     chain position before the next pin.  A placement outside the chain
     takes the highest free rank of the topmost gap whose free ranks
     outnumber its unpinned positions; `canonical_assignment` shows one
-    always exists."""
-    bounds = [(-1, -1), *sorted(st.chain_pins.items()), (st.chain_len, Z)]
-    for gap in range(len(bounds) - 1, 0, -1):
-        p0, z0 = bounds[gap - 1]
-        p1, z1 = bounds[gap]
-        if pos is not None and not p0 < pos < p1:
-            continue
-        free = [z for z in range(z1 - 1, z0, -1) if z not in st.used]
-        if pos is not None:
-            return free[p1 - pos - 1]
-        if len(free) > p1 - p0 - 1:
-            return free[0]
+    always exists.  Each gap is scanned down from its top only until the
+    free rank it needs."""
+    pins, used = st.chain_pins, st.used
+    if pos is not None:
+        gap = bisect_left(pins, (pos,))
+        p1, z1 = pins[gap] if gap < len(pins) else (st.chain_len, Z)
+        z0 = pins[gap - 1][1] if gap else -1
+        need = p1 - pos
+        for z in range(z1 - 1, z0, -1):
+            if z not in used:
+                need -= 1
+                if not need:
+                    return z
+        return None
+    p1, z1 = st.chain_len, Z
+    for gap in range(len(pins), -1, -1):
+        p0, z0 = pins[gap - 1] if gap else (-1, -1)
+        need = p1 - p0
+        top = None
+        for z in range(z1 - 1, z0, -1):
+            if z not in used:
+                if top is None:
+                    top = z
+                need -= 1
+                if not need:
+                    return top
+        p1, z1 = p0, z0
+    return None
 
 
 def canonical_assignment(
@@ -489,7 +518,7 @@ def canonical_assignment(
                 st = states[I] = _LevelState(len(chains.get(I, ())))
             st.used.add(z)
             if places[fi] is not None:
-                st.chain_pins[places[fi]] = z
+                insort(st.chain_pins, (places[fi], z))
     for fi in range(start, model.F if stop is None else stop):
         rem = remaining.get(cls_of[fi])
         if rem is None:
@@ -520,7 +549,7 @@ def canonical_assignment(
             took.append(pos)
         states[I].used.add(z)
         if pos is not None:
-            states[I].chain_pins[pos] = z
+            insort(states[I].chain_pins, (pos, z))
     if start:
         return {**base, **out}  # the prefix's pins, then the pass's own
     return out
@@ -601,7 +630,7 @@ class _Search:
     __slots__ = (
         "m", "inc", "deadline", "stopped", "nodes", "leaves",
         "canonicalized", "order", "lg", "trig", "members",
-        "mirror_of", "prev_same", "mirrors", "run_pairs", "image_memo",
+        "mirror_of", "heads", "prev_same", "mirrors", "run_pairs", "image_memo",
         "run_rem", "run_need",
         "ncons", "con_rhs", "cap", "menu_fit", "menu_hulls", "menu_items",
         "cls_of", "classes", "costs", "suffix_min", "kn_at",
@@ -664,14 +693,15 @@ class _Search:
         # the traffic walk's tables: per factor its log-factor, and per
         # level and factor whether the factor triggers each tensor there
         # (the level stores the tensor and the factor's dimension is
-        # related to it)
+        # related to it), built once per level and dimension
         A, B = m.arch.A, m.arch.B
         self.lg = [f.lg for f in m.factors]
-        self.trig = [
-            [tuple(B.stores(I, v) and A.related(f.j, v) for v in range(3))
-             for f in m.factors]
-            for I in range(m.H)
-        ]
+        dims = {f.j for f in m.factors}
+        self.trig = []
+        for I in range(m.H):
+            per_dim = {j: tuple(B.stores(I, v) and A.related(j, v) for v in range(3))
+                       for j in dims}
+            self.trig.append([per_dim[f.j] for f in m.factors])
 
         # Every member of a choice class has the same coefficients and
         # constraint row, and classes come in order of first appearance,
@@ -679,20 +709,23 @@ class _Search:
         # every collapsed choice, float for float.
         self.classes = m.classes
         # per class record, (ci, add, menu, pad, fits, sizes) for each menu
-        # constraint ci it adds to, the menu's fields from `menu_fit`
+        # constraint ci it adds to, the menu's fields from `menu_fit`; the
+        # members of an identical class share their records
         self.menu_items = {
             rec: tuple((ci, add, menu_of[ci], *self.menu_fit[menu_of[ci]][1:4])
                        for ci, add in rec.items if ci in menu_of)
-            for recs in self.classes for rec in recs
+            for ms in self.members.values() for rec in self.classes[ms[0]]
         } if m.menus else {}
 
         # per factor, its mirror class (`_mirror_classes`), which the branch
-        # order keeps contiguous, and the previous member of its mirror run,
+        # order keeps contiguous, per mirror class its first factor, whose
+        # records the tables built once per mirror class read, and per
+        # factor the previous member of its mirror run,
         # whose record's rep bounds its own.  `mirrors` holds the run of
         # each mirror class that spans two identical classes or more,
         # `run_pairs` their consecutive members, and `image_memo` a leaf's
         # images (`_images`) per slot pattern of those pairs.
-        self.mirror_of = self._mirror_classes()
+        self.mirror_of, self.heads = self._mirror_classes()
         self.order = self._branch_order()
         runs: dict[int, list[int]] = {}
         for fi in self.order:
@@ -750,12 +783,14 @@ class _Search:
     # -- tables --------------------------------------------------------
 
     def _build_bounds(self):
-        """The tables of `_node_bound`: per class, its full costs (static
-        plus guaranteed self-trigger traffic), their per-depth least sum,
-        the plain knapsack rows, the root multipliers, and the penalized
-        rows, empty until `tighten` builds them."""
-        self.costs = [[rec.static + self.m.w_t * rec.self_t for rec in recs]
-                      for recs in self.classes]
+        """The tables of `_node_bound`: per mirror class, its first
+        member's class costs (static plus guaranteed self-trigger traffic),
+        their per-depth least sum, the plain knapsack rows, the root
+        multipliers, and the penalized rows, empty until `tighten` builds
+        them."""
+        w_t = self.m.w_t
+        self.costs = [[rec.static + w_t * rec.self_t for rec in self.classes[fi]]
+                      for fi in self.heads]
         self.suffix_min = self._suffix([min(costs) for costs in self.costs])
         self.kn_at = self._build_knapsack([0.0] * self.ncons)
         self._build_lagrangian()
@@ -787,12 +822,12 @@ class _Search:
         )
         return sorted(range(len(factors)), key=key)
 
-    def _mirror_classes(self) -> list[int]:
+    def _mirror_classes(self) -> tuple[list[int], list[int]]:
         """Per factor, its mirror class, numbered by first factor: the
-        factors it mirrors (`_mirrored`), an equivalence.  Identical
-        factors mirror each other, so a mirror class is a union of
-        identical classes."""
-        heads: list[int] = []  # the first factor of each mirror class
+        factors it mirrors (`_mirrored`), an equivalence; and per mirror
+        class, its first factor.  Identical factors mirror each other, so
+        a mirror class is a union of identical classes."""
+        heads: list[int] = []
         out = []
         for fi in range(self.m.F):
             mc = next((mc for mc, head in enumerate(heads)
@@ -800,7 +835,7 @@ class _Search:
             if mc == len(heads):
                 heads.append(fi)
             out.append(mc)
-        return out
+        return out, heads
 
     def _mirrored(self, fa: int, fb: int) -> bool:
         """Whether factors fa and fb are alike to the search: the same
@@ -817,12 +852,16 @@ class _Search:
                 == list(map(fields, self.classes[fb])))
 
     def _suffix(self, values: list[float]) -> list[float]:
-        """Per depth, the sum of `values[fi]` over the factors the branch
-        order leaves unassigned there; the one place that order enters a
-        summed table."""
+        """Per depth, the sum over the factors the branch order leaves
+        unassigned there of the value of each one's mirror class in
+        `values`, one per mirror class; the one place that order enters a
+        summed table.  A member's value is built once, from its mirror
+        class's first member, whose records equal its own field for field
+        (`_mirrored`)."""
+        order, mirror_of = self.order, self.mirror_of
         out = [0.0] * (self.m.F + 1)
         for idx in range(self.m.F - 1, -1, -1):
-            out[idx] = out[idx + 1] + values[self.order[idx]]
+            out[idx] = out[idx + 1] + values[mirror_of[order[idx]]]
         return out
 
     def _build_knapsack(self, lam: list[float]) -> list[list[tuple]]:
@@ -840,30 +879,44 @@ class _Search:
         number on constraint i; then `_kn_bound` rounds the capacity down,
         so it only ever reads the gain at a whole capacity, and the table
         holds that gain for each capacity k = 0 .. ceil(cw[-1]) - 1, each
-        from the same bisect and expression as a fractional capacity.
+        from the same segment and expression as a fractional capacity.
         Depths are walked from F - 1 down, so once one factor fails, every
         shallower row fails.  A child at depth pos reads the rows of its
         tail, pos + 1.  At depth F the tail is empty and the bound is at
         most the child's own bound, so that depth keeps no rows; nor does
-        depth 0, which no child reads."""
+        depth 0, which no child reads.
+
+        Every factor's share is built once per mirror class, from its
+        first member: its cheapest zero-weight cost, hull segments, their
+        weight and wholeness read only its records and costs, which equal
+        every member's field for field (`_mirrored`).  Each depth adds one
+        factor's segments to the pool, sorted by (-density, depth, weight);
+        its depth is the least in the pool, so the pool's entries before
+        the first position a new segment takes keep their order, and the
+        cumulative sums up to there are the previous depth's, the same
+        values added in the same order.  They are kept, copied, and
+        extended from that position only."""
         F = self.m.F
+        mirror_of = self.mirror_of
+        heads = self.heads
         priced = [
             [cost + sum(lam[ci] * add for ci, add in rec.items)
-             for rec, cost in zip(recs, costs)]
-            for recs, costs in zip(self.classes, self.costs)
+             for rec, cost in zip(self.classes[fi], costs)]
+            for fi, costs in zip(heads, self.costs)
         ]
         tables = {}
         for ci in range(self.ncons):
             if math.isinf(self.con_rhs[ci]):
                 continue  # 0 * inf is NaN, and the constraint never binds
             lam_i = lam[ci]
-            cost0_row = []
-            seg_w_row = [0.0] * F
-            per_factor_segs: list[list[tuple[float, float]]] = []
-            for fi in range(F):
+            # per mirror class: cheapest zero-weight cost, hull segments as
+            # (density, weight), their total weight, and wholeness
+            cost0_of, segs_of, seg_w_of, whole_of = [], [], [], []
+            for fi, costs in zip(heads, priced):
+                recs = self.classes[fi]
                 pts = []
                 zero_costs = []
-                for rec, cost in zip(self.classes[fi], priced[fi]):
+                for rec, cost in zip(recs, costs):
                     w = rec.row[ci]
                     if lam_i:
                         cost -= lam_i * w
@@ -872,7 +925,6 @@ class _Search:
                     else:
                         zero_costs.append(cost)
                 c0 = min(zero_costs)
-                cost0_row.append(c0)
                 dedup: dict[float, float] = {}
                 for w, cost in pts:
                     g = c0 - cost
@@ -880,40 +932,54 @@ class _Search:
                         dedup[w] = g
                 gains = sorted(dedup.items())
                 segs: list[tuple[float, float]] = []
+                seg_w = 0.0
                 if gains:
                     # concave gain frontier anchored at (0, 0): increasing
                     # gain, decreasing incremental density
                     hull = _upper_hull([(0.0, 0.0), *gains])
                     for (pw, pg), (w, g) in zip(hull, hull[1:]):
                         segs.append(((g - pg) / (w - pw), w - pw))
-                        seg_w_row[fi] += w - pw
-                per_factor_segs.append(segs)
-            total_w = self._suffix(seg_w_row)[0]
+                        seg_w += w - pw
+                cost0_of.append(c0)
+                segs_of.append(segs)
+                seg_w_of.append(seg_w)
+                whole_of.append(all(float(rec.row[ci]).is_integer() for rec in recs))
+            total_w = self._suffix(seg_w_of)[0]
             if total_w <= 0.0:
                 continue  # no choice weighs on it: nothing to relax
-            cost0_suffix = self._suffix(cost0_row)
+            cost0_suffix = self._suffix(cost0_of)
             # per depth, the unassigned tail's segment pool as (-density,
-            # depth, weight), sorted densest first, and whether the tail is
-            # whole
+            # depth, weight), sorted densest first, its cumulative weights,
+            # gains and densities, and whether the tail is whole
             rows: list[tuple | None] = [None] * (F + 1)
             pool: list[tuple[float, int, float]] = []
+            cw, cg, dens = [0.0], [0.0], []
             whole = True
+            gains = None
             for idx in range(F - 1, 0, -1):
-                whole = whole and all(float(rec.row[ci]).is_integer()
-                                      for rec in self.classes[self.order[idx]])
-                pool += [(-d, idx, w) for d, w in per_factor_segs[self.order[idx]]]
-                pool.sort()
-                cw, cg, dens = [0.0], [0.0], []
-                for neg, _i, dw in pool:
-                    density = -neg
-                    cw.append(cw[-1] + dw)
-                    cg.append(cg[-1] + density * dw)
-                    dens.append(density)
-                gains = None
-                if whole:
+                mc = mirror_of[self.order[idx]]
+                whole = whole and whole_of[mc]
+                new = [(-d, idx, w) for d, w in segs_of[mc]]
+                if new:
+                    at = bisect_left(pool, min(new))
+                    pool += new
+                    pool.sort()
+                    cw, cg, dens = cw[:at + 1], cg[:at + 1], dens[:at]
+                    for neg, _i, dw in pool[at:]:
+                        density = -neg
+                        cw.append(cw[-1] + dw)
+                        cg.append(cg[-1] + density * dw)
+                        dens.append(density)
+                if not whole:
+                    gains = None
+                elif new or gains is None:  # else cw and its table are kept
+                    # capacity k's segment is bisect_left(cw, k, 1) - 1;
+                    # k ascends, so it is walked forward instead
                     gains = []
+                    j = 0
                     for k in range(math.ceil(cw[-1])):
-                        j = bisect_left(cw, k, 1) - 1
+                        while cw[j + 1] < k:
+                            j += 1
                         gains.append(cg[j] + dens[j] * (k - cw[j]))
                 rows[idx] = (ci, lam_i, gains, cost0_suffix[idx], cw, cg, dens)
             tables[ci] = (self.con_rhs[ci] / total_w, rows)
@@ -950,14 +1016,10 @@ class _Search:
             # per mirror class, in number order, its first member's records
             # and costs
             mirror_of = self.mirror_of
-            per_class = {}
-            for fi, mc in enumerate(mirror_of):
-                if mc not in per_class:
-                    per_class[mc] = [
-                        (cost, [(ci, w) for ci, w in rec.items
-                                if not math.isinf(con_rhs[ci])])
-                        for rec, cost in zip(self.classes[fi], self.costs[fi])]
-            per_class = list(per_class.values())
+            per_class = [
+                [(cost, [(ci, w) for ci, w in rec.items if not math.isinf(con_rhs[ci])])
+                 for rec, cost in zip(self.classes[fi], costs)]
+                for fi, costs in zip(self.heads, self.costs)]
             scale = max(abs(x) for x in [min(costs) for costs in self.costs] + [1.0])
             beta = 1.2
             stall = 0
@@ -1008,10 +1070,10 @@ class _Search:
         # and the positive ones as (ci, lambda) pairs
         lam = self.lam = [l if l > 1e-12 else 0.0 for l in best_lam]
         self.lam_active = [(ci, l) for ci, l in enumerate(lam) if l]
-        lagr_min = []
-        for recs, costs in zip(self.classes, self.costs):
+        lagr_min = []  # per mirror class, from its first member
+        for fi, costs in zip(self.heads, self.costs):
             best = INF
-            for rec, t in zip(recs, costs):
+            for rec, t in zip(self.classes[fi], costs):
                 for ci, w in rec.items:
                     if lam[ci]:
                         t += lam[ci] * w
@@ -1784,12 +1846,13 @@ class _BalanceSearch(_Search):
     def _build_bounds(self):
         # no multipliers: the menu states carry no cut
         self.lam, self.lam_active = [0.0] * self.ncons, []
+        per_class = [self.classes[fi] for fi in self.heads]
         self.suffix_comp_lo = self._suffix(
-            [min(rec.comp for rec in recs) for recs in self.classes])
+            [min(rec.comp for rec in recs) for recs in per_class])
         self.suffix_comp_hi = self._suffix(
-            [max(rec.comp for rec in recs) for recs in self.classes])
+            [max(rec.comp for rec in recs) for recs in per_class])
         self.suffix_traf_lo = self._suffix(
-            [min(rec.dl + rec.self_t for rec in recs) for recs in self.classes])
+            [min(rec.dl + rec.self_t for rec in recs) for recs in per_class])
         total_lg = sum(f.lg for f in self.m.factors)
         self.traf_hi_const = (
             sum(max(rec.dl for rec in recs) for recs in self.classes)

@@ -24,7 +24,7 @@ from mipsched.formulation import (
     build_model,
 )
 from mipsched.schedule import CostReport, Loop, Schedule, ScheduleViolation
-from mipsched.solver import TOLERANCE, SpaceTooLarge, assignment_space_size
+from mipsched.solver import TOLERANCE, SpaceTooLarge, _upper_hull, assignment_space_size
 from mipsched.workload import DIM_INDEX, DIM_NAMES, LayerDims, PaddingPolicy, factorize
 
 J = DIM_INDEX
@@ -353,6 +353,22 @@ def reference_zmax(st: _RefLevelState, pos, Z: int, fixed: bool):
     return None
 
 
+def reference_listed_zmax(st, pos, Z: int):
+    """`solver._zmax` as it listed every gap's free ranks: `st.chain_pins`
+    maps each pinned chain position to its rank."""
+    bounds = [(-1, -1), *sorted(st.chain_pins.items()), (st.chain_len, Z)]
+    for gap in range(len(bounds) - 1, 0, -1):
+        p0, z0 = bounds[gap - 1]
+        p1, z1 = bounds[gap]
+        if pos is not None and not p0 < pos < p1:
+            continue
+        free = [z for z in range(z1 - 1, z0, -1) if z not in st.used]
+        if pos is not None:
+            return free[p1 - pos - 1]
+        if len(free) > p1 - p0 - 1:
+            return free[0]
+
+
 def reference_canonical_assignment(model, choice_cls, chains):
     """Lexicographically smallest raw assignment of a leaf class, found by
     trying every rank of every level with `reference_zmax`."""
@@ -538,6 +554,54 @@ def reference_choice_coefficients(model):
             row = [contrib[fi].get((I, k), 0.0) for contrib in contribs]
             coefs[(I, k)] = terms + (row,)
     return out
+
+
+def reference_factor_coefficients(model):
+    """`MipModel`'s records and class records as it built them factor by
+    factor, each factor from its own: per factor, (level, mapping) -> the
+    record's fields (`I`, `k`, `util`, `comp`, `dl_v`, `dl`, `self_t`,
+    `static`, `row`, `items`, `chained`, `cc`, `rep`), and its classes'
+    (level, mapping) in order of first appearance."""
+    arch = model.arch
+    w_u, w_c, w_t = model.weights.effective()
+    pairs = arch.on_chip_pairs()
+    coefs, classes = [], []
+    for fi, f in enumerate(model.factors):
+        rel = [arch.A.related(f.j, v) for v in range(NUM_TENSORS)]
+        relcount = sum(rel)
+        fields = {}
+        groups = {}
+        for I, k in model.collapsed[fi]:
+            u = f.lg * sum(1 for (Ic, v) in pairs if Ic > I and rel[v])
+            c = f.lg if k == TEMPORAL else 0.0
+            lifted = I < model.noc or (I == model.noc and k == SPATIAL)
+            per_v = tuple(f.lg if lifted and rel[v] else 0.0
+                          for v in range(NUM_TENSORS))
+            d = f.lg * relcount if lifted else 0.0
+            chained = k == TEMPORAL and I >= model.noc
+            s = 0.0
+            if chained:
+                s = f.lg * sum(1 for v in range(NUM_TENSORS)
+                               if rel[v] and arch.B.stores(I, v))
+            row = [
+                f.lg
+                if (con.kind == "buffer" and rel[con.tensor] and I < con.level)
+                or (con.kind == "spatial" and I == con.level and k == SPATIAL)
+                else 0.0
+                for con in model.check_cons
+            ]
+            fields[(I, k)] = [I, k, u, c, per_v, d, s, -w_u * u + w_c * c + w_t * d, row,
+                              tuple((ci, add) for ci, add in enumerate(row) if add),
+                              chained]
+            sig = ("chain", I) if chained else ("free", k, u, c, per_v, tuple(row))
+            groups.setdefault(sig, []).append((I, k))
+        for members in groups.values():
+            cc = tuple(members)
+            for ck in members:
+                fields[ck] += [cc, max(cc)]
+        coefs.append({ck: tuple(rec) for ck, rec in fields.items()})
+        classes.append([members[0] for members in groups.values()])
+    return coefs, classes
 
 
 # ----------------------------------------------------------------------
@@ -941,11 +1005,108 @@ def reference_build_knapsack(sh, costs, lam):
     return tables, order
 
 
+def reference_factor_bounds(sh):
+    """The search's costs, `suffix_min` and `lagr_suffix` at its
+    multipliers `sh.lam`, built factor by factor from each factor's own
+    records."""
+    costs = [[rec.static + sh.m.w_t * rec.self_t for rec in recs] for recs in sh.classes]
+    lagr_min = []
+    for recs, factor_costs in zip(sh.classes, costs):
+        best = math.inf
+        for rec, t in zip(recs, factor_costs):
+            for ci, w in rec.items:
+                if sh.lam[ci]:
+                    t += sh.lam[ci] * w
+            best = min(best, t)
+        lagr_min.append(best)
+    return (costs, _reference_suffix(sh, [min(c) for c in costs]),
+            _reference_suffix(sh, lagr_min))
+
+
+def reference_factor_knapsack(sh, lam):
+    """`_Search._build_knapsack(lam)` as it was built factor by factor:
+    every factor's hull from its own records, and at every depth the
+    pool sorted and its cumulative sums rebuilt from the start, each
+    whole capacity's segment found by a bisect."""
+    F = sh.m.F
+    priced = [
+        [cost + sum(lam[ci] * add for ci, add in rec.items)
+         for rec, cost in zip(recs, costs)]
+        for recs, costs in zip(sh.classes, reference_factor_bounds(sh)[0])
+    ]
+    tables = {}
+    for ci in range(sh.ncons):
+        if math.isinf(sh.con_rhs[ci]):
+            continue
+        lam_i = lam[ci]
+        cost0_row = []
+        seg_w_row = [0.0] * F
+        per_factor_segs = []
+        for fi in range(F):
+            pts = []
+            zero_costs = []
+            for rec, cost in zip(sh.classes[fi], priced[fi]):
+                w = rec.row[ci]
+                if lam_i:
+                    cost -= lam_i * w
+                if w > 0.0:
+                    pts.append((w, cost))
+                else:
+                    zero_costs.append(cost)
+            c0 = min(zero_costs)
+            cost0_row.append(c0)
+            dedup = {}
+            for w, cost in pts:
+                g = c0 - cost
+                if g > 0.0 and g > dedup.get(w, 0.0):
+                    dedup[w] = g
+            gains = sorted(dedup.items())
+            segs = []
+            if gains:
+                hull = _upper_hull([(0.0, 0.0), *gains])
+                for (pw, pg), (w, g) in zip(hull, hull[1:]):
+                    segs.append(((g - pg) / (w - pw), w - pw))
+                    seg_w_row[fi] += w - pw
+            per_factor_segs.append(segs)
+        total_w = _reference_suffix(sh, seg_w_row)[0]
+        if total_w <= 0.0:
+            continue
+        cost0_suffix = _reference_suffix(sh, cost0_row)
+        rows = [None] * (F + 1)
+        pool = []
+        whole = True
+        for idx in range(F - 1, 0, -1):
+            whole = whole and all(float(rec.row[ci]).is_integer()
+                                  for rec in sh.classes[sh.order[idx]])
+            pool += [(-d, idx, w) for d, w in per_factor_segs[sh.order[idx]]]
+            pool.sort()
+            cw, cg, dens = [0.0], [0.0], []
+            for neg, _i, dw in pool:
+                density = -neg
+                cw.append(cw[-1] + dw)
+                cg.append(cg[-1] + density * dw)
+                dens.append(density)
+            gains = None
+            if whole:
+                gains = []
+                for k in range(math.ceil(cw[-1])):
+                    j = bisect_left(cw, k, 1) - 1
+                    gains.append(cg[j] + dens[j] * (k - cw[j]))
+            rows[idx] = (ci, lam_i, gains, cost0_suffix[idx], cw, cg, dens)
+        tables[ci] = (sh.con_rhs[ci] / total_w, rows)
+    order = sorted(tables, key=lambda ci: tables[ci][0])
+    kn_at = [[] for _ in range(F + 1)]
+    for nxt in range(1, F):
+        kn_at[nxt] = [tables[ci][1][nxt] for ci in order]
+    return kn_at
+
+
 def reference_plain_knapsack(sh):
     """Per depth, (i, whole tail, tail hull weight, tail cost0, hull
     segments) for each constraint that carries weight, tightest first, at
     zero multipliers."""
-    tabs, order = reference_build_knapsack(sh, sh.costs, [0.0] * sh.ncons)
+    tabs, order = reference_build_knapsack(sh, reference_factor_bounds(sh)[0],
+                                           [0.0] * sh.ncons)
     return [[(ci, tabs[ci][3][nxt], tabs[ci][0][nxt], tabs[ci][1][nxt],
               tabs[ci][2][nxt])
              for ci in order]
@@ -963,7 +1124,7 @@ def reference_penalized_knapsack(sh):
     priced = [
         [cost + sum(lam[ci] * add for ci, add in rec.items)
          for rec, cost in zip(recs, costs)]
-        for recs, costs in zip(sh.classes, sh.costs)
+        for recs, costs in zip(sh.classes, reference_factor_bounds(sh)[0])
     ]
     tabs, order = reference_build_knapsack(sh, priced, lam)
     pen_at = [[] for _ in range(sh.m.F + 1)]

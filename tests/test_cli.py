@@ -350,6 +350,18 @@ class TestSolveCommand:
         assert err == (f"error: --layer given 2 times; {command} takes one "
                        "(compare takes many)\n")
 
+    @pytest.mark.parametrize("layers", [["missing.layer"], ["a.layer", "b.layer"]])
+    def test_evaluate_with_a_layer_is_a_usage_error(self, layers, tmp_path, capsys):
+        """evaluate reads its schedule only: any --layer is a usage error
+        that names the flag, before any file is opened."""
+        argv = ["evaluate", "--schedule", str(tmp_path / "missing.sched")]
+        for layer in layers:
+            argv += ["--layer", str(tmp_path / layer)]
+        assert main(argv) == EXIT_PARSE == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --layer given; evaluate reads no layer (it takes --schedule)\n"
+
     @pytest.mark.parametrize("args, message", [
         (["--time-limit", "0"], "--time-limit must be positive, got 0"),
         (["--time-limit", "-1"], "--time-limit must be positive, got -1"),

@@ -9,6 +9,7 @@ from helpers import (
     random_instance,
     reference_choice_coefficients,
     reference_conv28_schedule,
+    reference_factor_coefficients,
     toy_two_level,
 )
 from mipsched.arch import ArchSpec, MemLevel, MemTensorMatrix
@@ -454,3 +455,37 @@ def test_choice_coefficients_match_reference(simba):
                 assert (repr((rep.util, rep.comp, rep.dl_v, rep.row))
                         == repr((rec.util, rec.comp, rec.dl_v, rec.row))), (name, fi, ck)
             assert model.classes[fi] == list(firsts.values()), name
+
+
+def record_fields(rec):
+    return (rec.I, rec.k, rec.util, rec.comp, rec.dl_v, rec.dl, rec.self_t,
+            rec.static, rec.row, rec.items, rec.chained, rec.cc, rec.rep)
+
+
+def test_alike_factors_share_one_build(simba):
+    """The factors of one identical class share one `coef` dict and one
+    `classes` list, and the factors of one dimension one `choices` list,
+    `choice_index` dict and `collapsed` list; and every record equals the
+    factor's own build (`helpers.reference_factor_coefficients`), field
+    for field, as do its classes' (level, mapping) and its choices."""
+    shared = 0
+    for name, model in coef_models(simba):
+        ref_coef, ref_classes = reference_factor_coefficients(model)
+        first_of_cls, first_of_dim = {}, {}
+        for fi, f in enumerate(model.factors):
+            head = first_of_cls.setdefault(f.cls, fi)
+            assert model.coef[fi] is model.coef[head], (name, fi)
+            assert model.classes[fi] is model.classes[head], (name, fi)
+            shared += head != fi
+            dim_head = first_of_dim.setdefault(f.j, fi)
+            for table in (model.choices, model.choice_index, model.collapsed):
+                assert table[fi] is table[dim_head], (name, fi)
+            got = {ck: record_fields(rec) for ck, rec in model.coef[fi].items()}
+            assert repr(got) == repr(ref_coef[fi]), (name, fi)
+            assert [(rec.I, rec.k) for rec in model.classes[fi]] == ref_classes[fi]
+            ch = [(I, z, k) for I in range(model.H) for z in range(model.Z)
+                  for k in (SPATIAL, TEMPORAL)
+                  if k == TEMPORAL or (I, SPATIAL) in model.collapsed[fi]]
+            assert model.choices[fi] == ch, (name, fi)
+            assert model.choice_index[fi] == {c: i for i, c in enumerate(ch)}
+    assert shared > 100, shared

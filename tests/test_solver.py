@@ -19,7 +19,10 @@ from helpers import (
     random_instance,
     reference_canonical_assignment,
     reference_derive_menus,
+    reference_factor_bounds,
+    reference_factor_knapsack,
     reference_kn_gain,
+    reference_listed_zmax,
     reference_penalized_bound,
     reference_penalized_knapsack,
     reference_plain_bound,
@@ -40,7 +43,9 @@ from mipsched.solver import (
     SpaceTooLarge,
     _BalanceSearch,
     _Incumbent,
+    _LevelState,
     _Search,
+    _zmax,
     assignment_space_size,
     dump_lp,
     exhaustive_solve,
@@ -1328,6 +1333,64 @@ def benchmark_models(simba):
         assert result.rounds == 2
         models += [build_model(pf, simba), result.model]
     return models
+
+
+def test_mirror_class_tables_match_the_factor_build(simba):
+    """The bound tables built once per mirror class equal the factor by
+    factor build, by repr: each factor's mirror class's costs, and
+    `suffix_min` and `lagr_suffix` (`helpers.reference_factor_bounds`)
+    at the root and after `tighten`; and the knapsack rows
+    (`helpers.reference_factor_knapsack`, which re-sorts the pool and
+    re-sums it from the start at every depth) at lam = 0 and at
+    `tighten`'s multipliers.  On the benchmark's solver models, the
+    padded stride-2 ones of both rounds among them, and the seeded draws
+    of `random_instance` outside balance mode."""
+    models = benchmark_models(simba)
+    models += [model for model in map(random_instance, range(200))
+               if model is not None and model.weights.mode != "balance"]
+    priced = 0
+    for model in models:
+        sh = new_search(model)
+        costs = [sh.costs[mc] for mc in sh.mirror_of]
+        assert repr((costs, sh.suffix_min, sh.lagr_suffix)) == repr(
+            reference_factor_bounds(sh))
+        assert repr(sh.kn_at) == repr(reference_factor_knapsack(sh, [0.0] * sh.ncons))
+        sh.dfs(0, dive=True)
+        if sh.inc.x is not None:
+            sh.tighten()
+            assert repr(sh.lagr_suffix) == repr(reference_factor_bounds(sh)[2])
+            assert repr(sh.pen_at) == repr(reference_factor_knapsack(sh, sh.lam))
+            priced += bool(sh.lam_active) and any(sh.pen_at)
+    assert len(models) > 100 and priced > 40, (len(models), priced)
+
+
+def test_zmax_matches_the_listing_reference():
+    """`_zmax` over sorted pins, each gap scanned down only to the rank it
+    needs, returns what listing every gap's free ranks returned
+    (`helpers.reference_listed_zmax`), on seeded random embeddable level
+    states: for a placement outside the chain and at every unpinned
+    chain position."""
+    rng = random.Random(31)
+    found = 0
+    for _ in range(3000):
+        Z = rng.randint(1, 12)
+        chain_len = rng.randint(1, Z)
+        # an embedding of the chain; the unpinned chain ranks stay free
+        ranks = sorted(rng.sample(range(Z), chain_len))
+        pinned = sorted(rng.sample(range(chain_len), rng.randint(0, chain_len)))
+        others = [z for z in range(Z) if z not in ranks]
+        used = {ranks[p] for p in pinned} | set(
+            rng.sample(others, rng.randint(0, len(others))))
+        st = _LevelState(chain_len)
+        st.used = used
+        st.chain_pins = [(p, ranks[p]) for p in pinned]
+        ref = types.SimpleNamespace(used=used, chain_len=chain_len,
+                                    chain_pins={p: ranks[p] for p in pinned})
+        for pos in [None, *(p for p in range(chain_len) if p not in pinned)]:
+            z = _zmax(st, pos, Z)
+            assert z == reference_listed_zmax(ref, pos, Z), (Z, st.chain_pins, used, pos)
+            found += z is not None
+    assert found > 5000, found
 
 
 def test_run_lookahead_matches_reference(simba):
