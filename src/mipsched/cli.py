@@ -15,6 +15,7 @@ enumerate assignment space above --limit, with nothing on stdout),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -101,13 +102,29 @@ class RunConfig:
 # ----------------------------------------------------------------------
 
 
-def parse_sections(text: str, path: str,
-                   once: tuple[str, ...] = ()) -> list[tuple[str, dict[str, str], int]]:
-    """Parse `[section]` / `key=value` text into ordered sections.  A key
-    appears at most once in a section, in any case: `Stride` and `stride`
-    are one key; and a section named in `once` appears at most once."""
+# the keys of each section a layer or arch file may hold, lowercased;
+# None where the keys are a matrix's rows, named by dimension or level
+_LAYER_KEYS = {"layer": frozenset(d.lower() for d in DIM_NAMES) | {"stride"}}
+_ARCH_KEYS = {
+    "arch": frozenset({"name", "precision", "bandwidth"}),
+    "level": frozenset({"name", "capacity", "fanout", "noc"}),
+    "matrix_a": None,
+    "matrix_b": None,
+}
+
+
+def parse_sections(text: str, path: str, keys: dict[str, frozenset[str] | None],
+                   once: tuple[str, ...] = (),
+                   ) -> list[tuple[str, dict[str, str], int]]:
+    """Parse `[section]` / `key=value` text into ordered sections.  A
+    section `keys` does not name is an error; so is a key outside its
+    section's set, which is stored lowercased, and a key given twice in
+    one section, in any case: `Stride` and `stride` are one key.  A
+    section whose set is None holds matrix rows, kept as written.  A
+    section named in `once` appears at most once."""
     sections: list[tuple[str, dict[str, str], int]] = []
     current: dict[str, str] | None = None
+    allowed: frozenset[str] | None = None  # the current section's keys
     seen: dict[str, int] = {}  # the current section's keys, lowercased: line
     opened: dict[str, int] = {}  # the sections of `once` met so far: line
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -116,6 +133,9 @@ def parse_sections(text: str, path: str,
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
+            if name not in keys:
+                raise ConfigError(f"{path}:{lineno}: unknown section [{name}]")
+            allowed = keys[name]
             if name in once:
                 first = opened.setdefault(name, lineno)
                 if first != lineno:
@@ -127,9 +147,14 @@ def parse_sections(text: str, path: str,
             if current is None:
                 raise ConfigError(f"{path}:{lineno}: key outside any [section]")
             key, value = (part.strip() for part in line.split("=", 1))
-            first = seen.setdefault(key.lower(), lineno)
+            low = key.lower()
+            first = seen.setdefault(low, lineno)
             if first != lineno:
                 raise ConfigError(f"{path}:{lineno}: key {key} repeats line {first}")
+            if allowed is not None:
+                if low not in allowed:
+                    raise ConfigError(f"{path}:{lineno}: unknown key {key} in [{name}]")
+                key = low
             current[key] = value
         else:
             raise ConfigError(f"{path}:{lineno}: expected [section] or key=value")
@@ -138,20 +163,21 @@ def parse_sections(text: str, path: str,
 
 def load_layer(path: str) -> LayerDims:
     with open(path, "r", encoding="utf-8") as fh:
-        sections = parse_sections(fh.read(), path, once=("layer",))
+        sections = parse_sections(fh.read(), path, _LAYER_KEYS, once=("layer",))
     body = next((body for name, body, _line in sections if name == "layer"), None)
     if body is None:
         raise ConfigError(f"{path}: missing [layer] section")
     vals = {}
     for key in DIM_NAMES:
-        if key not in body:
+        text = body.get(key.lower())
+        if text is None:
             raise ConfigError(f"{path}: [layer] missing key {key}")
         try:
-            vals[key] = int(body[key])
+            vals[key] = int(text)
         except ValueError:
             raise ConfigError(f"{path}: {key} must be an integer") from None
     try:
-        stride = int(body.get("Stride", body.get("stride", "1")))
+        stride = int(body.get("stride", "1"))
     except ValueError:
         raise ConfigError(f"{path}: Stride must be an integer") from None
     try:
@@ -168,7 +194,8 @@ def _parse_capacity(text: str) -> float:
 
 def load_arch(path: str) -> ArchSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        sections = parse_sections(fh.read(), path, once=("arch", "matrix_a", "matrix_b"))
+        sections = parse_sections(fh.read(), path, _ARCH_KEYS,
+                                  once=("arch", "matrix_a", "matrix_b"))
     meta: dict[str, str] = {}
     levels: list[MemLevel] = []
     a_rows: dict[str, str] = {}
@@ -382,13 +409,19 @@ def _report_solve(result: PipelineResult, label: str = "") -> None:
     )
 
 
-def _load_inputs(cfg: RunConfig):
+def _load_arch(cfg: RunConfig) -> ArchSpec:
     arch = default_simba_arch() if cfg.arch_path is None else load_arch(cfg.arch_path)
     problems = validate_arch(arch)
     if problems:
         raise ConfigError("; ".join(str(p) for p in problems))
-    layers = [load_layer(p) for p in cfg.layer_paths]
-    return arch, layers
+    return arch
+
+
+def _load_factorized(cfg: RunConfig) -> tuple[ArchSpec, PrimeFactorization]:
+    """The arch and the factorized layer of a command that takes one layer."""
+    arch = _load_arch(cfg)
+    layer = load_layer(cfg.layer_paths[0])
+    return arch, factorize(layer, PaddingPolicy(max_prime=cfg.max_prime))
 
 
 def _write_schedule(path: str, schedule) -> int:
@@ -402,9 +435,7 @@ def _write_schedule(path: str, schedule) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    arch, layers = _load_inputs(cfg)
-    dims = layers[0]
-    pf = factorize(dims, PaddingPolicy(max_prime=cfg.max_prime))
+    arch, pf = _load_factorized(cfg)
     partition = (
         PartitionSpec(budget_bytes=cfg.budget) if cfg.budget is not None else None
     )
@@ -424,7 +455,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    arch, _layers = _load_inputs(cfg)
+    arch = _load_arch(cfg)
     with open(cfg.schedule_path, "rb") as fh:
         sched = sched_mod.parse(fh.read())
     violations = validate(sched, arch, halo=cfg.halo)
@@ -440,7 +471,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     deadline = time.perf_counter() + cfg.solver.time_limit_s  # for the whole command
-    arch, layers = _load_inputs(cfg)
+    arch = _load_arch(cfg)
+    layers = [load_layer(p) for p in cfg.layer_paths]
     print("layer solver_metric random_metric ratio draws valid")
     ratios = []
     code = EXIT_OK
@@ -479,9 +511,7 @@ def cmd_partition(cfg: RunConfig) -> int:
     deadline = time.perf_counter() + cfg.solver.time_limit_s  # for both solves
     if cfg.budget is None:
         raise ConfigError("partition needs --budget")
-    arch, layers = _load_inputs(cfg)
-    dims = layers[0]
-    pf = factorize(dims, PaddingPolicy(max_prime=cfg.max_prime))
+    arch, pf = _load_factorized(cfg)
     fixed = solve_layer(pf, arch, cfg.weights, cfg.solver, halo=cfg.halo,
                         deadline=deadline)
     _report_solve(fixed, "baseline ")
@@ -519,9 +549,7 @@ def cmd_partition(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     deadline = time.perf_counter() + cfg.solver.time_limit_s  # for the whole grid
-    arch, layers = _load_inputs(cfg)
-    dims = layers[0]
-    pf = factorize(dims, PaddingPolicy(max_prime=cfg.max_prime))
+    arch, pf = _load_factorized(cfg)
     # every grid point's weights are checked, and every point solved,
     # before anything is printed
     try:
@@ -571,9 +599,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     and the scan over the representatives finds the same one.  A
     `Schedule` is built only for the winner, to render.
     """
-    arch, layers = _load_inputs(cfg)
-    dims = layers[0]
-    pf = factorize(dims, PaddingPolicy(max_prime=cfg.max_prime))
+    arch, pf = _load_factorized(cfg)
     metric = cfg.search.metric
     count, best = enumerate_best(
         pf, arch, metric, limit=cfg.enumerate_limit, halo=cfg.halo
@@ -697,19 +723,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+# the parser of `main`, built on its first call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
-        needs_layer = args.command in (
-            "solve",
-            "compare",
-            "partition",
-            "sweep",
-            "enumerate",
-        )
-        if needs_layer and not cfg.layer_paths:
+        if args.command != "evaluate" and not cfg.layer_paths:
             print("error: --layer is required", file=sys.stderr)
             return EXIT_PARSE
         if args.command == "evaluate" and not cfg.schedule_path:

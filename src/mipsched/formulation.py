@@ -455,11 +455,7 @@ class MipModel:
         sums = [reduce(add, vals, 0.0) for vals in self.objective_folds(recs)]
         return self.objective_close(sums, self._walk_t_sums(walk)[1])
 
-    def objective_of(
-        self,
-        x_assign: dict[int, tuple[int, int, int]],
-        menu_sel: tuple[int, ...] | None = None,
-    ) -> float:
+    def objective_of(self, x_assign: dict[int, tuple[int, int, int]]) -> float:
         """Objective value of a complete assignment (canonical term order)."""
         recs = []
         for fi in range(self.F):

@@ -59,18 +59,19 @@ in branch order, so an image keeps the record order of every identical
 run and the chain order of its members, and is a leaf of the uncut
 search.  Sorting each run's slots maps every leaf of the uncut search to
 exactly one kept leaf, of which it is the leaf itself or one image.  So
-`_leaf` decides each leaf it enters, then its images under every
-combination of its runs' shares but its own (`_Search._slot_maps`), each
-as the uncut search decides that leaf.  An image re-deals a run's slots
-over the run's own depths, which are consecutive, and every row entry of
-a member is 0.0 or the run's one log-factor; so at each depth the
-image's branch-order fold of the buffer sums adds the same value as its
-leaf's, and its sums are the leaf's bit for bit.  Its capacity verdict
-and `_derive_menus` are then the leaf's as well, and `_leaf` derives the
-menus once for all of them.  Each image takes its sources' records and
-chain places, with no change to the search state, and is decided from
-its leaf (`_Search._decide_images`), each of its values as the uncut
-search would compute it:
+`_leaf` decides each leaf it enters as its own first image, then its
+images under every combination of its runs' shares but its own
+(`_Search._slot_maps`), each as the uncut search decides that leaf.  An
+image re-deals a run's slots over the run's own depths, which are
+consecutive, and every row entry of a member is 0.0 or the run's one
+log-factor; so at each depth the image's branch-order fold of the buffer
+sums adds the same value as its leaf's, and its sums are the leaf's bit
+for bit.  Its capacity verdict and `_derive_menus` are then the leaf's as
+well, and `_leaf` derives the menus once for all of them.  Each image
+takes its sources' records and chain places, with no change to the
+search state, and is decided from its leaf in one loop
+(`_Search._decide`), each of its values as the uncut search would
+compute it:
 
 - Its objective is `MipModel.objective_from`'s.  Mirrored factors share
   their log-factor and their triggers at every level, and the traffic
@@ -79,17 +80,12 @@ search would compute it:
   sums (`objective_folds`) are left folds in factor order; up to the
   image's first moved factor they add the leaf's values, so they equal
   the leaf's prefix sums there, and each resumes from its prefix sum over
-  the image's own values.
-- Its key is `lex_key` of its `canonical_assignment`.  The pass pins each
-  factor from the pins before it and the slots of the factor's identical
-  class alone (and the chain lengths, which an image shares).  Identical
-  classes are contiguous in factor order, so before r, the first factor
-  of any identical class the image re-deals, every class holds the
-  leaf's slots and the image's pins are its leaf's: its pass resumes from
-  the leaf's first r pins, made for the leaf as far as its images need
-  them, and compares their key entries with the incumbent's at once.
+  the image's own values.  The leaf, which moves no factor, takes its
+  whole prefix sums.
+- Its key is `lex_key` of its `canonical_assignment`, one pass from
+  factor 0 over the image's slots.
 - An image above the incumbent's objective is rejected on it, with no
-  slots, chains or walk built; the rest go through the same `beats`.
+  slots built and no pass run; the rest go through the same `beats`.
 
 So the answer is still the least `(objective, lex_key)` over all leaves
 of the uncut search.  Every decided image is one of them, decided as that
@@ -430,9 +426,6 @@ def canonical_assignment(
     chains: dict[int, list[int]],
     sh: "_Search",
     bound_key: tuple[int, ...] | None = None,
-    prefix: tuple | None = None,
-    took: list | None = None,
-    stop: int | None = None,
 ) -> dict[int, tuple[int, int, int]] | None:
     """Lexicographically smallest raw assignment realizing a leaf class.
 
@@ -478,19 +471,6 @@ def canonical_assignment(
     soon as the leaf's key is the larger, and stops comparing once it is
     the smaller.  The pins never change, so this is the full pass cut
     short.
-
-    The pin of factor fi reads only the pins before it and the entries of
-    fi's identical class, the multiset of its members' slots.  Identical
-    classes are contiguous in factor order, so when r is the first factor
-    of its class, two leaves with the same chain lengths whose factors
-    before r hold the same slots pin the same placements there.
-    `prefix`, `(r, base, places, base_key)`, is the other leaf's pass up
-    to such an r or beyond: its pins, the chain place each pin took (which
-    a pass appends to `took` when given) and their key entries.  The pass
-    takes its first r pins as they are, compares their key entries with
-    `bound_key` at once, and goes on from factor r.  A pass given `stop`
-    pins the factors before it only: the first pins of the full pass, as
-    a `prefix` needs them.
     """
     Z = model.Z
     cls_of = sh.cls_of
@@ -502,24 +482,7 @@ def canonical_assignment(
     remaining: dict[int, dict[tuple, list]] = {}
     states: list[_LevelState | None] = [None] * model.H
     out: dict[int, tuple[int, int, int]] = {}
-    start = 0
-    if prefix is not None:
-        start, base, places, base_key = prefix
-        if bound_key is not None:
-            head, bound = base_key[:start], bound_key[:start]
-            if head != bound:
-                if head > bound:
-                    return None
-                bound_key = None
-        for fi in range(start):
-            I, z, _k = base[fi]
-            st = states[I]
-            if st is None:
-                st = states[I] = _LevelState(len(chains.get(I, ())))
-            st.used.add(z)
-            if places[fi] is not None:
-                insort(st.chain_pins, (places[fi], z))
-    for fi in range(start, model.F if stop is None else stop):
+    for fi in range(model.F):
         rem = remaining.get(cls_of[fi])
         if rem is None:
             rem = remaining[cls_of[fi]] = _entries(slots, members[cls_of[fi]])
@@ -545,13 +508,9 @@ def canonical_assignment(
         best_ent[0] -= 1
         I, z, _k = best
         pos = best_ent[2]
-        if took is not None:
-            took.append(pos)
         states[I].used.add(z)
         if pos is not None:
             insort(states[I].chain_pins, (pos, z))
-    if start:
-        return {**base, **out}  # the prefix's pins, then the pass's own
     return out
 
 
@@ -593,12 +552,10 @@ class _Leaf:
     """A leaf as `_Search._decide` decides it and its images: its class
     records, chains and menus, the objective's folds with their prefix
     sums (`pres[k][i]` the fold of the first i values) and the traffic
-    walk's total; once one of them is canonicalized, its slots, per factor
-    its choice class and chain place or None; and, once an image needs
-    them, the first pins of its canonical pass (`_Search._leaf_pins`)."""
+    walk's total; and, once one of its images is canonicalized, its slots,
+    per factor its choice class and chain place or None."""
 
-    __slots__ = ("recs", "chains", "menu_sel", "folds", "pres", "traffic",
-                 "_slots", "pins")
+    __slots__ = ("recs", "chains", "menu_sel", "folds", "pres", "traffic", "_slots")
 
     def __init__(self, recs, chains, menu_sel, m: MipModel):
         self.recs = recs
@@ -608,7 +565,7 @@ class _Leaf:
         self.pres = [list(itertools.accumulate(vals, add, initial=0.0))
                      for vals in self.folds]
         self.traffic = m.chain_traffic(chains)
-        self._slots = self.pins = None
+        self._slots = None
 
     @property
     def slots(self) -> list[tuple]:
@@ -681,14 +638,11 @@ class _Search:
         self.menu_memo: dict[tuple, tuple] = {}
 
         # canonical_assignment's tables: factor -> identical class, and
-        # identical class -> its factors in factor order, which are
-        # contiguous (`factorize` lists each dimension's primes in order;
-        # an image's canonical pass relies on it, `_offer`)
+        # identical class -> its factors in factor order
         self.cls_of = [f.cls for f in m.factors]
         self.members: dict[int, list[int]] = {}
         for fi, cls in enumerate(self.cls_of):
             self.members.setdefault(cls, []).append(fi)
-        assert all(ms[-1] - ms[0] == len(ms) - 1 for ms in self.members.values())
 
         # the traffic walk's tables: per factor its log-factor, and per
         # level and factor whether the factor triggers each tensor there
@@ -1563,18 +1517,24 @@ class _Search:
 
     def _decide(self, recs: list[ChoiceCoef], chains: dict[int, list[int]],
                 menu_sel: tuple[int, ...] | None) -> bool:
-        """Offer the leaf of class records `recs` and chains `chains`, with
-        its menus `menu_sel`, to the incumbent, then its images
-        (`_decide_images`); True when the incumbent takes one of them.  The
-        leaf's objective is `MipModel.objective_from`'s, from the same
-        folds (`objective_folds`, kept as prefix sums for the images) and
-        the same traffic walk over its chains (`chain_traffic`)."""
-        m = self.m
-        leaf = _Leaf(recs, chains, menu_sel, m)
-        obj = m.objective_close([pre[-1] for pre in leaf.pres], leaf.traffic)
-        accepted = obj <= self.inc.obj and self._offer(leaf, obj)
-        if self.mirrors:
-            accepted = self._decide_images(leaf) or accepted
+        """Decide the leaf of class records `recs` and chains `chains`, with
+        its menus `menu_sel`, and its images (`_images`, the leaf itself
+        first), each as the search decides such a leaf, each member taking
+        its source's record and chain place; True when the incumbent takes
+        one of them.  An image deals each run's slots over the run's own
+        depths, which the branch order keeps contiguous, and a member's row
+        holds 0.0 or the run's one log-factor on every constraint; so its
+        branch-order fold of the buffer sums adds the same values as its
+        leaf's at every depth, and its sums, capacity verdict and menus are
+        the leaf's, bit for bit.  Its objective comes from the leaf's folds
+        and traffic walk (`_image_objectives`), and only an image at or
+        below the incumbent's objective is offered (`_offer`)."""
+        leaf = _Leaf(recs, chains, menu_sel, self.m)
+        images = self._images(recs)
+        accepted = False
+        for obj, image in zip(self._image_objectives(leaf, images), images):
+            if obj <= self.inc.obj:
+                accepted = self._offer(leaf, obj, image) or accepted
         return accepted
 
     def _slot_maps(self, run: list[int], pattern: tuple[bool, ...]) -> list[tuple]:
@@ -1615,12 +1575,11 @@ class _Search:
         return out
 
     def _images(self, recs: list[ChoiceCoef]) -> list[tuple]:
-        """The images of the leaf of records `recs`: one per combination of
-        its mirror runs' `_slot_maps` but the leaf's own, in the order of
-        `itertools.product` over the runs, kept in `image_memo` per slot
-        pattern.  Each is (r, first, gather): r, the first factor of any
-        identical class with a move, before which every factor holds the
-        leaf's slot; `first`, its first moved factor; and `gather`, which
+        """The images of the leaf of records `recs`: the leaf itself, then
+        one per combination of its mirror runs' `_slot_maps` but the leaf's
+        own, in the order of `itertools.product` over the runs, kept in
+        `image_memo` per slot pattern.  Each is (first, gather): `first`,
+        its first moved factor, F for the leaf itself; and `gather`, which
         reads the image's values from `first` on, each member's its
         source's, off a list of the leaf's, one per factor."""
         pattern = tuple([not recs[a].chained and recs[a].rep == recs[b].rep
@@ -1632,80 +1591,49 @@ class _Search:
         for run in self.mirrors:
             per_run.append([None, *self._slot_maps(run, pattern[at:at + len(run) - 1])])
             at += len(run) - 1
-        first_of = [self.members[cls][0] for cls in self.cls_of]
-        images = self.image_memo[pattern] = []
+        images = self.image_memo[pattern] = [(self.m.F, _gather([]))]
         for combo in itertools.islice(itertools.product(*per_run), 1, None):
             moves = [move for maps in combo if maps for move in maps]
             first = min(fi for fi, _src in moves)
             index = list(range(first, self.m.F))
             for fi, src in moves:
                 index[fi - first] = src
-            images.append((min(first_of[fi] for fi, _src in moves), first, _gather(index)))
+            images.append((first, _gather(index)))
         return images
 
-    def _decide_images(self, leaf: "_Leaf") -> bool:
-        """Decide the leaf's images (`_images`) as the search decides each
-        such leaf, each member taking its source's record and chain place.
-        An image deals each run's slots over the run's own depths, which
-        the branch order keeps contiguous, and a member's row holds 0.0 or
-        the run's one log-factor on every constraint; so its branch-order
-        fold of the buffer sums adds the same values as its leaf's at every
-        depth, and its sums, capacity verdict and menus are the leaf's, bit
-        for bit.  Its objective comes from the leaf's (`_image_objectives`),
-        and only an image at or below the incumbent's objective gets its
-        slots, for `_offer`: the leaf's, each member's from its source."""
-        images = self._images(leaf.recs)
-        if not images:
-            return False
-        inc = self.inc
-        accepted = False
-        for obj, image in zip(self._image_objectives(leaf, images), images):
-            if obj <= inc.obj:
-                accepted = self._offer(leaf, obj, image) or accepted
-        return accepted
-
     def _image_objectives(self, leaf: "_Leaf", images: list[tuple]) -> list[float]:
-        """Each image's exact objective.  Mirrored factors share their
-        log-factor and their triggers at every level, and the traffic walk
-        reads nothing else of a factor, so an image's walk total is the
-        leaf's, bit for bit.  Its sums (`objective_folds`) add the leaf's
-        values up to its first moved factor, in factor order, and so equal
-        the leaf's prefix sums there; each resumes from them over the
-        image's values from that factor on."""
+        """Each image's exact objective, `MipModel.objective_from`'s.
+        Mirrored factors share their log-factor and their triggers at every
+        level, and the traffic walk reads nothing else of a factor, so an
+        image's walk total is the leaf's, bit for bit.  Its sums
+        (`objective_folds`) add the leaf's values up to its first moved
+        factor, in factor order, and so equal the leaf's prefix sums there;
+        each resumes from them over the image's values from that factor on.
+        The leaf itself moves none: its sums are the leaf's whole folds."""
         close = self.m.objective_close
         folds, pres, traffic = leaf.folds, leaf.pres, leaf.traffic
         if len(folds) == 1:  # outside balance mode: no inner list per image
             (vals,), (pre,) = folds, pres
             return [close([reduce(add, gather(vals), pre[first])], traffic)
-                    for _r, first, gather in images]
+                    for first, gather in images]
         return [close([reduce(add, gather(vals), pre[first])
                        for vals, pre in zip(folds, pres)], traffic)
-                for _r, first, gather in images]
+                for first, gather in images]
 
-    def _offer(self, leaf: "_Leaf", obj: float, image: tuple | None = None) -> bool:
-        """Offer `leaf`, or its image `image` (`_images`), at objective
-        `obj`, at most the incumbent's, to the incumbent: its canonical
-        assignment's key decides a tie.  r, the first factor of any
-        identical class the image re-deals, is the first factor of its
-        class, and identical classes are contiguous in factor order; so
-        every factor before r holds the leaf's slot, and the image's
-        canonical pass takes the leaf's first r pins (`_leaf_pins`) and
-        goes on from r over the image's slots, the leaf's with each
-        member's taken from its source.  True when the incumbent takes it."""
+    def _offer(self, leaf: "_Leaf", obj: float, image: tuple) -> bool:
+        """Offer the image `image` (`_images`) of `leaf` at objective `obj`,
+        at most the incumbent's, to the incumbent: the key of its canonical
+        assignment, from the image's slots, the leaf's with each member's
+        taken from its source, decides a tie.  True when the incumbent
+        takes it."""
         m = self.m
         inc = self.inc
         self.canonicalized += 1
         bound = inc.key if obj == inc.obj else None
+        first, gather = image
         slots = leaf.slots
-        prefix = None
-        if image is not None:
-            r, first, gather = image
-            if r:
-                if leaf.pins is None or len(leaf.pins[1]) < r:
-                    leaf.pins = self._leaf_pins(leaf, r)
-                prefix = (r, *leaf.pins)
-            slots = [*slots[:first], *gather(slots)]
-        x = canonical_assignment(m, slots, leaf.chains, self, bound, prefix)
+        x = canonical_assignment(m, [*slots[:first], *gather(slots)], leaf.chains, self,
+                                 bound)
         if x is None:
             return False
         key = m.lex_key(x, leaf.menu_sel)
@@ -1715,15 +1643,6 @@ class _Search:
             return False  # defensive: never accept an infeasible leaf
         inc.offer(obj, key, x, leaf.menu_sel)
         return True
-
-    def _leaf_pins(self, leaf: "_Leaf", r: int) -> tuple:
-        """The leaf's canonical pass up to factor r, as
-        `canonical_assignment`'s `prefix` reads it: the pins, the chain
-        place each took and their key entries."""
-        m = self.m
-        took: list = []
-        base = canonical_assignment(m, leaf.slots, leaf.chains, self, took=took, stop=r)
-        return base, took, tuple(-m.choice_index[fi][base[fi]] for fi in range(r))
 
     def dfs(self, pos: int, dive: bool = False) -> bool:
         """Depth-first search in bound order, backtracking locally, over
@@ -1998,7 +1917,7 @@ def exhaustive_solve(
     def leaf(menu_sel):
         nonlocal best_obj, best_key, best_x, best_menu
         stats.leaves += 1
-        obj = m.objective_of(x, menu_sel)
+        obj = m.objective_of(x)
         key = m.lex_key(x, menu_sel)
         if best_x is None or (obj, key) < (best_obj, best_key):
             best_obj, best_key, best_x, best_menu = obj, key, dict(x), menu_sel

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the layer suite is `scripts/run_suite.py`'s (`helpers.SUITE_LAYERS`)
+sys.path.insert(0, str(Path(__file__).parent.parent / "scripts"))
 
 from mipsched.arch import default_simba_arch
 

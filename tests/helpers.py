@@ -26,15 +26,9 @@ from mipsched.formulation import (
 from mipsched.schedule import CostReport, Loop, Schedule, ScheduleViolation
 from mipsched.solver import TOLERANCE, SpaceTooLarge, _upper_hull, assignment_space_size
 from mipsched.workload import DIM_INDEX, DIM_NAMES, LayerDims, PaddingPolicy, factorize
+from run_suite import SUITE as SUITE_LAYERS
 
 J = DIM_INDEX
-
-SUITE_LAYERS = {
-    "tiny": LayerDims(3, 1, 1, 1, 1, 4, 3),
-    "conv28": LayerDims(3, 3, 28, 28, 8, 4, 3),
-    "wide256": LayerDims(3, 3, 14, 14, 256, 256, 1),
-    "deep512": LayerDims(3, 3, 7, 7, 512, 512, 1),
-}
 
 
 def random_instance(seed: int, max_space: int = 250_000):

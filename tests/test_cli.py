@@ -13,6 +13,8 @@ from mipsched.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_TIMEOUT,
+    _ARCH_KEYS,
+    _LAYER_KEYS,
     ConfigError,
     baseline_total_bytes,
     load_arch,
@@ -151,7 +153,7 @@ class TestParsing:
 
     def test_sections_report_line(self):
         with pytest.raises(ConfigError) as err:
-            parse_sections("R=3\n", "x.cfg")
+            parse_sections("R=3\n", "x.cfg", _LAYER_KEYS)
         assert "x.cfg:1" in str(err.value)
 
     @pytest.mark.parametrize(
@@ -165,9 +167,10 @@ class TestParsing:
         one's, whatever the case of either; the same key in another
         section is no repeat."""
         with pytest.raises(ConfigError) as err:
-            parse_sections("[layer]\n" + body, "x.layer")
+            parse_sections("[layer]\n" + body, "x.layer", _LAYER_KEYS)
         assert str(err.value) == message
-        sections = parse_sections("[level]\nname=a\n[level]\nname=b\n", "x.arch")
+        sections = parse_sections("[level]\nname=a\n[level]\nname=b\n", "x.arch",
+                                  _ARCH_KEYS)
         assert [body for _name, body, _line in sections] == [{"name": "a"}, {"name": "b"}]
 
     def test_repeated_layer_section_is_an_error(self, tmp_path):
@@ -210,6 +213,52 @@ class TestParsing:
         assert main(["solve", "--layer", str(p)]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert f"error: {p}:" in err and "key stride repeats line" in err
+
+    def test_keys_match_in_any_case(self, tight_ia, tmp_path, capsys):
+        """Layer and arch keys match in any case: `STRIDE=2` solves the
+        stride-2 layer, stdout for stdout, and an arch file whose keys are
+        capitalized is the same arch."""
+        p = tmp_path / "upper.layer"
+        p.write_text("[layer]\nR=3\nS=3\nP=14\nQ=14\nC=32\nK=64\nN=1\nSTRIDE=2\n")
+        assert main(["solve", "--layer", str(p)]) == EXIT_OK
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+        assert digest == expected["stride2/3x3-14-c32-k64"]["sha256"]
+        arch, _layer = tight_ia
+        upper = tmp_path / "upper.arch"
+        upper.write_text(re.sub(r"^(\w+)=", lambda m: m[1].capitalize() + "=", TIGHT_IA_ARCH,
+                                flags=re.M))
+        assert "Fanout=4" in upper.read_text()
+        assert load_arch(str(upper)) == load_arch(arch)
+
+    @pytest.mark.parametrize("suffix, text, message", [
+        (".layer", TINY_LAYER.replace("Stride=1", "Strde=2"), ":9: unknown key Strde in [layer]"),
+        (".arch", TOY_ARCH.replace("fanout=4", "fanuot=16"), ":8: unknown key fanuot in [level]"),
+        (".arch", TOY_ARCH.replace("[level]\nname=Mem", "[levle]\nname=Mem"),
+         ":10: unknown section [levle]"),
+    ], ids=["layer-key", "level-key", "section"])
+    def test_unknown_key_or_section_exits_parse(self, suffix, text, message, tiny_layer,
+                                                tmp_path, capsys):
+        """A key or section outside a file's documented set, which used to
+        be read as absent (a misspelled stride solved as stride 1, a
+        misspelled fanout as fanout 1), is an error at its line."""
+        p = tmp_path / f"typo{suffix}"
+        p.write_text(text)
+        argv = ["solve", "--layer", str(p)] if suffix == ".layer" else [
+            "solve", "--layer", tiny_layer, "--arch", str(p)]
+        assert main(argv) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {p}{message}\n"
+
+
+def test_second_main_call_still_needs_its_layer(tiny_layer, capsys):
+    """`main` builds its parser once per process, and one call's --layer
+    does not carry over: a second call without it is still an error."""
+    assert main(["solve", "--layer", tiny_layer]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["solve"]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: --layer is required\n"
 
 
 def help_options(command: str, capsys) -> list[str]:

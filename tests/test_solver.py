@@ -1508,7 +1508,7 @@ def slot_leaf(sh, slots, chains):
 
 def image_moves(image, F):
     """The (member, source) moves of an image of `_Search._images`."""
-    _r, first, gather = image
+    first, gather = image
     return [(fi, src) for fi, src in enumerate(gather(range(F)), first) if fi != src]
 
 
@@ -1526,44 +1526,39 @@ def image_of(recs, chains, moves):
 
 def test_canonical_assignment_matches_reference(simba, monkeypatch):
     """Every canonical pass of a solve, of a leaf or of one of its images,
-    a pass that resumes from its leaf's first pins included, gets exactly
-    the assignment of the reference that tries every rank of every level,
-    given the slots alone.  A pass given the incumbent's key returns None
-    only for a leaf whose reference assignment does not beat the
-    incumbent; a resumed one compares its first pins' entries with that
-    key at once, returning None when they are the larger and going on
-    unbounded when they are the smaller."""
+    gets exactly the assignment of the reference that tries every rank of
+    every level, given the slots alone.  A pass given the incumbent's key
+    returns None only for a leaf whose reference assignment does not beat
+    the incumbent; given a key that is just above, or just below, its own
+    in one entry and below it in every later one, it compares each pin's
+    entry as it is made, returning None when the pass's key is the larger
+    and going on unbounded once it is the smaller."""
     real = mipsched.solver.canonical_assignment
     leaves = []
     early = []
-    resumed = []
-    stopped = []
 
-    def checked(model, slots, chains, sh, bound_key=None, prefix=None, took=None,
-                stop=None):
-        x = real(model, slots, chains, sh, bound_key, prefix, took, stop)
+    def checked(model, slots, chains, sh, bound_key=None):
+        x = real(model, slots, chains, sh, bound_key)
         ref = reference_canonical_assignment(model, *slot_leaf(sh, slots, chains))
-        if stop is not None:  # the first pins only, as a prefix
-            ref = {fi: ref[fi] for fi in range(stop)}
-            stopped.append(stop)
         if x is None:
             assert bound_key is not None and bound_key is sh.inc.key
             menu_sel = sh._derive_menus()
-            ref_obj = model.objective_of(ref, menu_sel)
+            ref_obj = model.objective_of(ref)
             assert not sh.inc.beats(ref_obj, model.lex_key(ref, menu_sel))
             early.append(1)
         else:
             assert x == ref
-        if prefix is not None:
+        if model.F:
             # an incumbent whose key is just above, or just below, the
-            # leaf's first r entries, and below every later entry
-            r, _base, _places, base_key = prefix
+            # leaf's at entry r - 1, and below every later entry; r runs
+            # over the factors from pass to pass
+            key = [-model.choice_index[fi][ref[fi]] for fi in range(model.F)]
+            r = 1 + len(leaves) % model.F
             for step, want in ((1, ref), (-1, None)):
-                bound = (*base_key[:r - 1], base_key[r - 1] + step,
+                bound = (*key[:r - 1], key[r - 1] + step,
                          *[-len(model.choice_index[0]) - 1] * (model.F - r))
-                assert real(model, slots, chains, sh, bound, prefix) == want
+                assert real(model, slots, chains, sh, bound) == want
         leaves.append(bool(model.menus))
-        resumed.append(prefix is not None)
         return x
 
     monkeypatch.setattr(mipsched.solver, "canonical_assignment", checked)
@@ -1588,7 +1583,6 @@ def test_canonical_assignment_matches_reference(simba, monkeypatch):
     assert all(b > a for a, b in zip([0] + steps, steps)), counts
     assert any(leaves) and not all(leaves)  # with and without menus
     assert early  # the early exit ran
-    assert any(resumed) and not all(resumed) and stopped
 
 
 def test_leaf_decision_matches_full_path(simba, monkeypatch):
@@ -1598,13 +1592,16 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
     records in branch order; its objective, from the leaf's folds and
     traffic term, resumed from the leaf's prefix sums for an image, equals
     `objective_of` on its reference canonical assignment, float for
-    float; every canonical pass, resumed or not, keys it as a fresh full
-    pass does; and, deciding the leaf and then its images in order
-    against the incumbent each meets, it is offered and accepted exactly
-    when that path would accept it, and leaves the same incumbent.  The
-    leaf decides itself first, from the search state, and that state, its
-    buffer sums' list included, is as it was once its images are done;
-    some leaves have images and some have none.  Checked on tiny, conv28 with and
+    float; every canonical pass given the incumbent's key keys it as an
+    unbounded pass does, or stops where its key is the larger; and,
+    deciding the leaf and then its images in order against the incumbent
+    each meets, the same image is offered and accepted exactly when that
+    path would accept it, and leaves the same incumbent.  The leaf is its
+    own first image, with no move, offered first and at its own
+    objective, `objective_from` of its records and chains, bit for bit;
+    it decides itself from the search state, and that state, its buffer
+    sums' list included, is as it was once its images are done; some
+    leaves have images and some have none.  Checked on tiny, conv28 with and
     without menus, both rounds of the stride-2 3x3-14 layer, and the
     `random_instance` (seeds 0-399) and `mirror_instance` (0-199) draws,
     with and without menus, over all five objective modes and chained
@@ -1615,9 +1612,8 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
     real_close = MipModel.objective_close
     real_canon = mipsched.solver.canonical_assignment
     closed = []  # every objective `objective_close` gives, in order
-    offered = []  # (objective, accepted) of every offer, in order
-    seen = {"modes": set(), "images": 0, "chained": 0, "resumed": 0, "early": 0,
-            "on_objective": 0}
+    offered = []  # (objective, accepted, image) of every offer, in order
+    seen = {"modes": set(), "images": 0, "chained": 0, "early": 0, "on_objective": 0}
     decided = []  # the states decided at the running leaf
     images = []  # per leaf, its images
 
@@ -1626,23 +1622,20 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
         closed.append(obj)
         return obj
 
-    def offer(sh, leaf, obj, image=None):
+    def offer(sh, leaf, obj, image):
         accepted = real_offer(sh, leaf, obj, image)
-        offered.append((obj, accepted))
+        offered.append((obj, accepted, image))
         return accepted
 
-    def canon(model, slots, chains, sh, bound_key=None, prefix=None, took=None,
-              stop=None):
-        x = real_canon(model, slots, chains, sh, bound_key, prefix, took, stop)
+    def canon(model, slots, chains, sh, bound_key=None):
+        x = real_canon(model, slots, chains, sh, bound_key)
         fresh = real_canon(model, slots, chains, sh)
-        n = model.F if stop is None else stop
-        key = [-model.choice_index[fi][fresh[fi]] for fi in range(n)]
+        key = [-model.choice_index[fi][fresh[fi]] for fi in range(model.F)]
         if x is None:
-            assert key > list(bound_key[:n])
+            assert key > list(bound_key[:model.F])
             seen["early"] += 1
         else:
-            assert [-model.choice_index[fi][x[fi]] for fi in range(n)] == key
-        seen["resumed"] += prefix is not None
+            assert [-model.choice_index[fi][x[fi]] for fi in range(model.F)] == key
         return x
 
     def state(recs, chains):
@@ -1653,41 +1646,49 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
         decided.append(before)
         con_lhs = sh.con_lhs
         m, inc = sh.m, sh.inc
+        inc_obj = inc.obj
         assert menu_sel == sh._derive_menus()
-        images = sh._images(recs) if sh.mirrors else []
+        images = sh._images(recs)
+        assert images[0][0] == m.F and image_moves(images[0], m.F) == []
         # the full path of the leaf and of each image, in decision order,
         # against a copy of the incumbent
         sim = _Incumbent()
         sim.offer(inc.obj, inc.key, inc.x, inc.menu)
         refs, expect = [], []
-        for moves in [[]] + [image_moves(image, m.F) for image in images]:
+        for image in images:
+            moves = image_moves(image, m.F)
             img, img_chains = image_of(recs, chains, moves)
             lhs = [0.0] * sh.ncons  # its own fold, in branch order
             for fi in sh.order:
                 lhs = [a + b for a, b in zip(lhs, img[fi].row)]
             assert repr(sh.con_lhs) == repr(lhs)
             x = reference_canonical_assignment(m, [rec.cc for rec in img], img_chains)
-            obj = m.objective_of(x, menu_sel)
+            obj = m.objective_of(x)
             refs.append(obj)
             seen["on_objective"] += obj > sim.obj
             if obj <= sim.obj:
                 key = m.lex_key(x, menu_sel)
                 ok = (sim.beats(obj, key)
                       and not m.constraint_violations(x, menu_sel, TOLERANCE))
-                expect.append((obj, ok))
+                expect.append((obj, ok, image))
                 if ok:
                     sim.offer(obj, key, x, menu_sel)
             seen["chained"] += any(recs[src].chained for _fi, src in moves)
+        walk = [(I, m.factors[fi]) for I, chain in chains.items() for fi in chain]
+        leaf_obj = m.objective_from(recs, walk)
         closed.clear()
         offered.clear()
         accepted = real_decide(sh, recs, chains, menu_sel)
         assert state(recs, chains) == before and sh.con_lhs is con_lhs
         assert list(map(repr, closed)) == list(map(repr, refs))
+        assert repr(closed[0]) == repr(leaf_obj)
         assert offered == expect
-        assert accepted == any(ok for _obj, ok in expect)
+        if refs[0] <= inc_obj:  # the leaf itself is offered, and first
+            assert offered[0][2] is images[0]
+        assert accepted == any(ok for _obj, ok, _image in expect)
         assert (inc.obj, inc.key, inc.x, inc.menu) == (sim.obj, sim.key, sim.x, sim.menu)
         seen["modes"].add((m.weights.mode, bool(m.menus)))
-        seen["images"] += len(images)
+        seen["images"] += len(images) - 1
         return accepted
 
     def leaf(sh):
@@ -1698,7 +1699,7 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
         assert state(sh.choice_rec, sh.chains) == before and sh.con_lhs is con_lhs
         if decided:  # a leaf with no menu that holds its sums is not decided
             assert decided == [before]
-            images.append(len(sh._images(sh.choice_rec)) if sh.mirrors else 0)
+            images.append(len(sh._images(sh.choice_rec)) - 1)
         return accepted
 
     monkeypatch.setattr(MipModel, "objective_close", recorded_close)
@@ -1725,7 +1726,7 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
     modes = ("combined", "util", "comp", "traffic", "balance")
     assert seen["modes"] == {(mode, menus) for mode in modes for menus in (False, True)}
     assert seen["images"] > 2000 and seen["chained"] > 1000, seen
-    assert seen["resumed"] > 200 and seen["early"] > 1000, seen
+    assert seen["early"] > 1000, seen
     assert seen["on_objective"] > 10, seen
     assert any(images) and not all(images)
     # all the leaves, and the decisions, of leaves and of images, offered
@@ -1888,10 +1889,10 @@ def test_images_reach_the_answer_the_cut_removes(simba, monkeypatch):
     real_offer = _Search._offer
     accepted = []  # per accepted decision, whether it decided an image
 
-    def offer(sh, leaf, obj, image=None):
+    def offer(sh, leaf, obj, image):
         ok = real_offer(sh, leaf, obj, image)
         if ok:
-            accepted.append(image is not None)
+            accepted.append(image[0] < sh.m.F)  # the leaf itself moves no factor
         return ok
 
     monkeypatch.setattr(_Search, "_offer", offer)
