@@ -133,25 +133,14 @@ class MemLevel:
 
 @dataclass(frozen=True)
 class ArchSpec:
-    """Full accelerator description consumed by the formulation.
-
-    ``shared_capacity_bytes`` optionally gives a per-level joint byte
-    budget over all tensors stored there; it is enforced only by the
-    exact schedule validator (the MIP uses per-tensor slices, which keep
-    the log-domain constraints linear).
-    """
+    """Full accelerator description consumed by the formulation."""
 
     levels: tuple[MemLevel, ...]
     A: TensorDimMatrix = DEFAULT_A
     B: MemTensorMatrix = SIMBA_B
     precision_bytes: tuple[int, int, int] = (1, 1, 3)
     noc_bandwidth: float = 8.0
-    shared_capacity_bytes: tuple[float | None, ...] = ()
     name: str = "arch"
-
-    def __post_init__(self):
-        if not self.shared_capacity_bytes:
-            object.__setattr__(self, "shared_capacity_bytes", (None,) * len(self.levels))
 
     @property
     def num_levels(self) -> int:
@@ -186,16 +175,6 @@ class ArchSpec:
         """(level, tensor) pairs below the outermost level with B = 1;
         computed once per arch."""
         return self._on_chip_pairs
-
-    @cached_property
-    def shared_capacities(self) -> tuple[tuple[int, float, tuple[int, ...]], ...]:
-        """(level, shared bytes, tensors stored there) for every level with
-        a shared capacity; computed once per arch."""
-        return tuple(
-            (i, shared, tuple(v for v in range(NUM_TENSORS) if self.B.stores(i, v)))
-            for i, shared in enumerate(self.shared_capacity_bytes)
-            if shared is not None
-        )
 
     @cached_property
     def finite_capacities(self) -> tuple[tuple[int, int, int], ...]:

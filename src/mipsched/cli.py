@@ -233,28 +233,24 @@ def load_arch(path: str) -> ArchSpec:
             raise ConfigError(f"{path}: expected three comma-separated integers: {text}")
         return parts
 
-    def matrix(cls, section: str, rows: list):
+    def matrix(cls, section: str, given: dict[str, str], names):
+        """The matrix of one row per name, each named exactly once."""
+        for key in given:
+            if key not in names:
+                raise ConfigError(f"{path}: [{section}] unknown row {key}")
+        rows = []
+        for row in names:
+            if row not in given:
+                raise ConfigError(f"{path}: [{section}] missing row {row}")
+            rows.append(triple(given[row]))
         try:
             return cls(rows=tuple(rows))
         except ValueError as exc:
             raise ConfigError(f"{path}: [{section}] {exc}") from None
 
-    if a_rows:
-        rows = []
-        for dim in DIM_NAMES:
-            if dim not in a_rows:
-                raise ConfigError(f"{path}: [matrix_a] missing row {dim}")
-            rows.append(triple(a_rows[dim]))
-        A = matrix(TensorDimMatrix, "matrix_a", rows)
-    else:
-        A = DEFAULT_A
+    A = matrix(TensorDimMatrix, "matrix_a", a_rows, DIM_NAMES) if a_rows else DEFAULT_A
     if b_rows:
-        rows = []
-        for lvl in levels:
-            if lvl.name not in b_rows:
-                raise ConfigError(f"{path}: [matrix_b] missing row {lvl.name}")
-            rows.append(triple(b_rows[lvl.name]))
-        B = matrix(MemTensorMatrix, "matrix_b", rows)
+        B = matrix(MemTensorMatrix, "matrix_b", b_rows, [lvl.name for lvl in levels])
     elif len(levels) == len(SIMBA_B.rows):
         B = SIMBA_B
     else:

@@ -196,7 +196,7 @@ def tile_violations(
 ) -> list[ScheduleViolation]:
     """The checks of `validate` that read only tile rows and spatial
     products: each level's spatial fanout, then each finite per-tensor
-    capacity, then each shared capacity.
+    capacity.
 
     `rows[I]` is level I's row of the prefix-product table
     (`costmodel.tile_table`) and `spatial[I]` its spatial product.  Both
@@ -209,8 +209,8 @@ def tile_violations(
     `placement_checks`, only those run.
     """
     if checks is None:
-        checks = (range(arch.num_levels), arch.finite_capacities, arch.shared_capacities)
-    fanouts, capacities, shared_capacities = checks
+        checks = (range(arch.num_levels), arch.finite_capacities)
+    fanouts, capacities = checks
     out: list[ScheduleViolation] = []
     for I in fanouts:
         lvl = arch.levels[I]
@@ -244,30 +244,15 @@ def tile_violations(
                     f"tile {tile} elements > capacity {cap}",
                 )
             )
-
-    for I, shared, tensors in shared_capacities:
-        used = sum(
-            costmodel.row_tile(rows[I], arch, v, stride, halo) * arch.precision_bytes[v]
-            for v in tensors
-        )
-        if used > shared:
-            out.append(
-                ScheduleViolation(
-                    "shared-capacity",
-                    arch.levels[I].name,
-                    f"tiles use {used} B > shared {int(shared)} B",
-                )
-            )
     return out
 
 
 def placement_checks(arch: ArchSpec, halo: bool, j: int, level: int, spatial: bool):
     """The checks of `tile_violations` whose verdict placing a loop on
     dimension j at `level` can change, as its `checks`: the level's fanout
-    if the loop is spatial, and above the level the finite and shared
-    capacities of every tensor whose tile reads j
-    (`costmodel.tile_dims`).  The placement multiplies only row entries
-    j above its level and, if spatial, its level's spatial product, so
+    if the loop is spatial, and above the level the finite capacity of
+    every tensor whose tile reads j (`costmodel.tile_dims`).  The
+    placement multiplies only row entries j above its level and, if spatial, its level's spatial product, so
     every other check keeps its verdict: where all checks passed before
     the placement, these decide whether all pass after it."""
     reads = {
@@ -276,7 +261,6 @@ def placement_checks(arch: ArchSpec, halo: bool, j: int, level: int, spatial: bo
     return (
         (level,) if spatial else (),
         [c for c in arch.finite_capacities if c[0] > level and c[1] in reads],
-        [c for c in arch.shared_capacities if c[0] > level and reads.intersection(c[2])],
     )
 
 

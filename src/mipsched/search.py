@@ -16,11 +16,11 @@ the spatial product, the distinct-order count and a loop-sequence code,
 and the temporal product.  After each placement it runs
 `schedule.tile_violations` on only what the placement changed
 (`schedule.placement_checks`, one table per walk): the fanout of the
-placement's level if the loop is spatial, and the finite and shared
-capacities above it of the tensors whose tiles read the placed
-dimension.  The parent passed every check and the placement leaves every
-other tile and spatial product as it was, so these decide as the full
-checks of `validate` would.  Tiles, halo windows (P_t - 1) * stride + R_t
+placement's level if the loop is spatial, and the finite capacities
+above it of the tensors whose tiles read the placed dimension.  The
+parent passed every check and the placement leaves every other tile and
+spatial product as it was, so these decide as the full checks of
+`validate` would.  Tiles, halo windows (P_t - 1) * stride + R_t
 and spatial products only grow as factors are placed, so a failed check
 fails at every completion: the walk cuts the subtree there, and yields
 the same assignments in the same order as validating each whole

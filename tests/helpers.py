@@ -160,7 +160,7 @@ def toy_two_level(fanout: int = 4, cap: float = 64.0) -> ArchSpec:
     )
 
 
-def toy_three_level(shared: float | None = None) -> ArchSpec:
+def toy_three_level() -> ArchSpec:
     """Register, NoC-boundary buffer and backing store, with small buffers
     and a fanout of 2, so that most random draws are invalid."""
     return ArchSpec(
@@ -171,7 +171,6 @@ def toy_three_level(shared: float | None = None) -> ArchSpec:
         ),
         B=MemTensorMatrix(rows=((1, 1, 1), (1, 1, 1), (1, 1, 1))),
         precision_bytes=(1, 1, 1),
-        shared_capacity_bytes=(None, shared, None),
         name="toy3",
     )
 
@@ -713,22 +712,6 @@ def reference_validate(schedule, arch, halo=True):
                     "capacity",
                     f"{arch.levels[I].name}/{TENSOR_NAMES[v]}",
                     f"tile {tile} elements > capacity {int(cap)}",
-                )
-            )
-    for I, shared in enumerate(arch.shared_capacity_bytes):
-        if shared is None:
-            continue
-        used = sum(
-            reference_tile_elements(schedule, arch, I, v, halo=halo) * arch.precision_bytes[v]
-            for v in range(NUM_TENSORS)
-            if arch.B.stores(I, v)
-        )
-        if used > shared:
-            out.append(
-                ScheduleViolation(
-                    "shared-capacity",
-                    arch.levels[I].name,
-                    f"tiles use {used} B > shared {int(shared)} B",
                 )
             )
     return out

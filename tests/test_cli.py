@@ -65,6 +65,8 @@ name=Mem
 capacity=inf,inf,inf
 fanout=1
 """
+# the built-in dimension-to-tensor rows, as an arch file's [matrix_a]
+MATRIX_A = "[matrix_a]\nR=1,0,0\nS=1,0,0\nP=0,1,1\nQ=0,1,1\nC=1,1,0\nK=1,0,1\nN=0,1,1\n"
 
 
 @pytest.fixture
@@ -247,6 +249,26 @@ class TestParsing:
         argv = ["solve", "--layer", str(p)] if suffix == ".layer" else [
             "solve", "--layer", tiny_layer, "--arch", str(p)]
         assert main(argv) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {p}{message}\n"
+
+    @pytest.mark.parametrize("rows, extra, message", [
+        ("[matrix_b]\nBuf=1,1,1\nMem=1,1,1\n", "Bfu=0,0,0\n", ": [matrix_b] unknown row Bfu"),
+        (MATRIX_A, "X=1,1,1\n", ": [matrix_a] unknown row X"),
+        (MATRIX_A, "r=1,1,1\n", ":22: key r repeats line 15"),
+    ], ids=["level-row", "dim-row", "lowercase-dim-row"])
+    def test_unknown_matrix_row_exits_parse(self, rows, extra, message, tiny_layer,
+                                            tmp_path, capsys):
+        """A matrix row that names no level or no dimension, which used to
+        be dropped without a word, is an error naming file, section and
+        row; the matrix without it solves."""
+        p = tmp_path / "rows.arch"
+        p.write_text(TOY_ARCH + rows)
+        assert main(["solve", "--layer", tiny_layer, "--arch", str(p)]) == EXIT_OK
+        capsys.readouterr()
+        p.write_text(TOY_ARCH + rows + extra)
+        assert main(["solve", "--layer", tiny_layer, "--arch", str(p)]) == EXIT_PARSE
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {p}{message}\n"

@@ -207,12 +207,3 @@ def test_one_pass_matches_reference(simba):
     assert 0 < valid < total / 2
     assert halo_wider > total / 2
     assert {"capacity", "spatial-overflow", "dimension-underflow"} <= kinds
-
-
-def test_shared_capacity_matches_reference():
-    """A level's joint byte budget is summed from the same table."""
-    valid, _halo_wider, kinds = _check_against_reference(
-        toy_three_level(shared=48.0), LayerDims(3, 3, 4, 4, 2, 2, 1, stride=2), 600
-    )
-    assert valid > 0
-    assert "shared-capacity" in kinds

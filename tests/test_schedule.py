@@ -192,33 +192,6 @@ class TestValidate:
         v = validate(sched, simba, halo=True)
         assert any(x.kind == "capacity" and "InputBuf" in x.where for x in v)
 
-    def test_shared_capacity_mode(self):
-        import math
-
-        from mipsched.arch import ArchSpec, MemLevel, MemTensorMatrix
-
-        arch = ArchSpec(
-            levels=(
-                MemLevel("PE", (1.0, 1.0, 3.0), is_noc_boundary=True),
-                MemLevel("Buf", (64.0, 64.0, 0.0)),
-                MemLevel("Mem", (math.inf,) * 3),
-            ),
-            B=MemTensorMatrix(rows=((1, 1, 1), (1, 1, 0), (1, 1, 1))),
-            shared_capacity_bytes=(None, 96, None),
-            name="shared",
-        )
-        # a 64-channel tile inside: each per-tensor slice holds 64 elements,
-        # but weights plus inputs jointly need 128 B against the 96 B pool
-        sched = Schedule(
-            levels=((Loop(J["C"], 64, False),), (), ()),
-            level_names=("PE", "Buf", "Mem"),
-            layer=LayerDims(1, 1, 1, 1, 64, 1, 1),
-            arch_name="shared",
-        )
-        v = validate(sched, arch)
-        assert not any(x.kind == "capacity" and "Buf" in x.where for x in v)
-        assert any(x.kind == "shared-capacity" for x in v)
-
 
 class TestRender:
     def test_golden_four_factor(self):

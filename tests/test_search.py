@@ -311,7 +311,6 @@ WALK_CASES = pytest.mark.parametrize(
     "arch,dims,stride",
     [
         pytest.param(toy_two_level(fanout=4, cap=4.0), (1, 1, 2, 1, 2, 4, 1), 1, id="capacity"),
-        pytest.param(toy_three_level(shared=24.0), (3, 1, 2, 1, 2, 2, 1), 2, id="shared"),
         pytest.param(toy_two_level(fanout=2, cap=64.0), (1, 1, 4, 1, 1, 2, 1), 1, id="fanout"),
         pytest.param(tight_ia_arch(), (3, 1, 4, 1, 2, 2, 1), 2, id="halo-s2"),
     ],
@@ -360,14 +359,14 @@ def test_enumerate_best_without_a_valid_schedule():
 
 def _walk_instances():
     """Seeded random layers of at most five factors, at stride 1 and 2, on
-    the toy architectures, one of them with a shared capacity and a level
-    that maps only C and K spatially; and the all-ones layer on each."""
-    shared = toy_three_level(shared=24.0)
-    restricted = dataclasses.replace(shared, levels=(
-        dataclasses.replace(shared.levels[0], allowed_spatial_dims=frozenset({4, 5})),
-        *shared.levels[1:],
+    the toy architectures, one of them with a level that maps only C and K
+    spatially; and the all-ones layer on each."""
+    toy3 = toy_three_level()
+    restricted = dataclasses.replace(toy3, levels=(
+        dataclasses.replace(toy3.levels[0], allowed_spatial_dims=frozenset({4, 5})),
+        *toy3.levels[1:],
     ))
-    archs = [toy_two_level(fanout=4, cap=16.0), shared, restricted, tight_ia_arch()]
+    archs = [toy_two_level(fanout=4, cap=16.0), toy3, restricted, tight_ia_arch()]
     out = [(arch, LayerDims(1, 1, 1, 1, 1, 1, 1)) for arch in archs]
     rng = random.Random(0)
     while len(out) < 40:

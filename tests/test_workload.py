@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -93,6 +94,19 @@ def test_log2_cache_agrees(bounds):
     for j in range(7):
         for n, p in enumerate(pf.factors[j]):
             assert math.isclose(pf.log2_factors[j][n], math.log2(p), rel_tol=1e-12)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=4000), min_size=7, max_size=7),
+       st.sampled_from([2, 3, 5, 7, 11, None]))
+@settings(max_examples=100, deadline=None)
+def test_identical_factors_are_contiguous(bounds, max_prime):
+    """Factors of one dimension and prime sit next to each other in factor
+    order: the enumeration walk's `same_next` and its order-count
+    multiplicity read them as one run."""
+    pf = factorize(LayerDims(*bounds), PaddingPolicy(max_prime=max_prime))
+    pairs = [(j, prime) for j, _n, prime, _lg in pf.flat()]
+    runs = [key for key, _run in itertools.groupby(pairs)]
+    assert len(runs) == len(set(pairs))
 
 
 def test_flat_order_and_overhead():
