@@ -547,7 +547,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     deadline = time.perf_counter() + cfg.solver.time_limit_s  # for the whole grid
     arch, pf = _load_factorized(cfg)
     # every grid point's weights are checked, and every point solved,
-    # before anything is printed
+    # before anything is printed on stdout; stderr reports each point's
+    # solve as it ends, prefixed with its weights
     try:
         grid = [ObjectiveWeights(wu, wc, wt, mode=cfg.weights.mode)
                 for wu in cfg.sweep_grid[0]
@@ -560,6 +561,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for weights in grid:
         result = solve_layer(pf, arch, weights, cfg.solver, halo=cfg.halo,
                              deadline=deadline)
+        _report_solve(result, f"{weights.w_u:g},{weights.w_c:g},{weights.w_t:g} ")
         if result.solution.status != "optimal":
             return _status_exit(result.solution)
         latency = result.report.latency_cycles
@@ -624,9 +626,9 @@ def _parse_weights(text: str, mode: str) -> ObjectiveWeights:
 
 
 def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
-    """The comma-separated numbers of `flag`'s value `text`."""
+    """The comma-separated numbers of `flag`'s value `text`, -0 read as 0."""
     try:
-        return tuple(float(x) for x in text.split(","))
+        return tuple(float(x) + 0.0 for x in text.split(","))
     except ValueError:
         raise ConfigError(f"{flag} needs comma-separated numbers, got {text!r}") from None
 

@@ -955,7 +955,19 @@ class _Search:
         On a model with menus the budget stays in the relaxation: a step
         prices each menu row at its menu's rhs in the LP selection of the
         budget's knapsack at that step's multipliers (`_budget_rhs`), and
-        both the dual value and the subgradient read it there."""
+        both the dual value and the subgradient read it there.
+
+        A step computes only what can change, every float as a full step
+        does.  Rows and multipliers are non-negative and float + and * are
+        monotone, so a price, the left fold of a record's cost and terms in
+        row order, is at least the cost, and at least the price of an
+        earlier record that dominates it (costs no more, and weighs no more
+        on each row it weighs on): that record, dropped once per build, is
+        never the first strict minimum, and a record costing no less than
+        the best price so far is not priced.  The usage, and without a
+        budget g and its norm, are kept per pick vector.  A zero multiplier
+        adds no rhs term and stays 0.0 unless its g entry is positive
+        (every step is positive)."""
         F = self.m.F
         ncons = self.ncons
         con_rhs = self.con_rhs
@@ -968,36 +980,56 @@ class _Search:
         best_val = -INF
         if F and finite:
             # per mirror class, in number order, its first member's records
-            # and costs
+            # as (cost, rows with a finite rhs, position), less each one that
+            # an earlier one dominates
             mirror_of = self.mirror_of
-            per_class = [
-                [(cost, [(ci, w) for ci, w in rec.items if not math.isinf(con_rhs[ci])])
-                 for rec, cost in zip(self.classes[fi], costs)]
-                for fi, costs in zip(self.heads, self.costs)]
+            per_class = []
+            for fi, costs in zip(self.heads, self.costs):
+                options = []
+                for rec, cost in zip(self.classes[fi], costs):
+                    ws = [(ci, w) for ci, w in rec.items if not math.isinf(con_rhs[ci])]
+                    weights = dict(ws)
+                    if not any(c <= cost and all(weights.get(ci, -INF) >= w for ci, w in kept)
+                               for c, kept, _k in options):
+                        options.append((cost, ws, len(options)))
+                per_class.append(options)
             scale = max(abs(x) for x in [min(costs) for costs in self.costs] + [1.0])
             beta = 1.2
             stall = 0
+            seen: dict[tuple, tuple] = {}  # pick vector -> (usage, g, norm2) at `con_rhs`
             for it in range(LAGRANGIAN_ITERS):
-                priced = []
+                prices, picks = [], []
                 for options in per_class:
-                    bc, bw = INF, ()
-                    for cost, ws in options:
-                        t = cost
-                        for ci, w in ws:
-                            t += lam[ci] * w
-                        if t < bc:
-                            bc, bw = t, ws
-                    priced.append((bc, bw))
+                    bc, bk = INF, 0
+                    for cost, ws, k in options:
+                        if cost < bc:
+                            t = cost
+                            for ci, w in ws:
+                                t += lam[ci] * w
+                            if t < bc:
+                                bc, bk = t, k
+                    prices.append(bc)
+                    picks.append(bk)
                 val = 0.0
-                usage = [0.0] * ncons
                 for mc in mirror_of:
-                    bc, bw = priced[mc]
-                    val += bc
-                    for ci, w in bw:
-                        usage[ci] += w
+                    val += prices[mc]
+                key = tuple(picks)
+                hit = seen.get(key)
+                if hit is None:
+                    usage = [0.0] * ncons
+                    for mc in mirror_of:
+                        for ci, w in per_class[mc][picks[mc]][1]:
+                            usage[ci] += w
+                    g = [usage[ci] - con_rhs[ci] for ci in finite]
+                    hit = seen[key] = usage, g, sum([x * x for x in g])
+                usage, g, norm2 = hit
                 rhs = self._budget_rhs(lam) if budgeted else con_rhs
+                if budgeted:  # the rhs moves with the multipliers
+                    g = [usage[ci] - rhs[ci] for ci in finite]
+                    norm2 = sum([x * x for x in g])
                 for ci in finite:
-                    val -= lam[ci] * rhs[ci]
+                    if lam[ci]:
+                        val -= lam[ci] * rhs[ci]
                 if val > best_val + 1e-12:
                     best_val = val
                     best_lam = list(lam)
@@ -1009,8 +1041,6 @@ class _Search:
                         stall = 0
                         if beta < 1e-3:
                             break
-                g = [usage[ci] - rhs[ci] for ci in finite]
-                norm2 = sum([x * x for x in g])
                 if norm2 <= 1e-18:
                     break
                 if upper is not None and upper > val:
@@ -1018,8 +1048,10 @@ class _Search:
                 else:
                     step = 0.4 * scale / ((1.0 + 0.15 * it) * math.sqrt(norm2))
                 for ci, gi in zip(finite, g):
-                    x = lam[ci] + step * gi
-                    lam[ci] = x if x > 0.0 else 0.0
+                    x = lam[ci]
+                    if x or gi > 0.0:
+                        x += step * gi
+                        lam[ci] = x if x > 0.0 else 0.0
         # the multipliers every bound reads, one below 1e-12 as 0.0: dense,
         # and the positive ones as (ci, lambda) pairs
         lam = self.lam = [l if l > 1e-12 else 0.0 for l in best_lam]

@@ -24,7 +24,13 @@ from mipsched.formulation import (
     build_model,
 )
 from mipsched.schedule import CostReport, Loop, Schedule, ScheduleViolation
-from mipsched.solver import TOLERANCE, SpaceTooLarge, _upper_hull, assignment_space_size
+from mipsched.solver import (
+    LAGRANGIAN_ITERS,
+    TOLERANCE,
+    SpaceTooLarge,
+    _upper_hull,
+    assignment_space_size,
+)
 from mipsched.workload import DIM_INDEX, DIM_NAMES, LayerDims, PaddingPolicy, factorize
 from run_suite import SUITE as SUITE_LAYERS
 
@@ -907,6 +913,92 @@ def reference_whole_tails(model, order, ci):
     return [all(float(rec.row[ci]).is_integer()
                 for fi in order[idx:] for rec in model.classes[fi])
             for idx in range(F + 1)]
+
+
+def reference_lagrangian(sh, upper=None):
+    """`_Search._build_lagrangian` without its shortcuts: every record of
+    every mirror class priced, the usage summed and the subgradient formed
+    at every step, and every multiplier term added and updated.  Sets
+    `lam`, `lam_active` and `lagr_suffix` on `sh`."""
+    F = sh.m.F
+    ncons = sh.ncons
+    con_rhs = sh.con_rhs
+    finite = [ci for ci in range(ncons) if not math.isinf(con_rhs[ci])]
+    # past the budget at the root no child fits, and there is no
+    # selection to price
+    budgeted = sh.floors is not None and sh.floors[1] <= sh.m.budget_bytes
+    lam = [0.0] * ncons
+    best_lam = list(lam)
+    best_val = -math.inf
+    if F and finite:
+        # per mirror class, in number order, its first member's records
+        # and costs
+        mirror_of = sh.mirror_of
+        per_class = [
+            [(cost, [(ci, w) for ci, w in rec.items if not math.isinf(con_rhs[ci])])
+             for rec, cost in zip(sh.classes[fi], costs)]
+            for fi, costs in zip(sh.heads, sh.costs)]
+        scale = max(abs(x) for x in [min(costs) for costs in sh.costs] + [1.0])
+        beta = 1.2
+        stall = 0
+        for it in range(LAGRANGIAN_ITERS):
+            priced = []
+            for options in per_class:
+                bc, bw = math.inf, ()
+                for cost, ws in options:
+                    t = cost
+                    for ci, w in ws:
+                        t += lam[ci] * w
+                    if t < bc:
+                        bc, bw = t, ws
+                priced.append((bc, bw))
+            val = 0.0
+            usage = [0.0] * ncons
+            for mc in mirror_of:
+                bc, bw = priced[mc]
+                val += bc
+                for ci, w in bw:
+                    usage[ci] += w
+            rhs = sh._budget_rhs(lam) if budgeted else con_rhs
+            for ci in finite:
+                val -= lam[ci] * rhs[ci]
+            if val > best_val + 1e-12:
+                best_val = val
+                best_lam = list(lam)
+                stall = 0
+            else:
+                stall += 1
+                if stall >= 10:
+                    beta *= 0.6
+                    stall = 0
+                    if beta < 1e-3:
+                        break
+            g = [usage[ci] - rhs[ci] for ci in finite]
+            norm2 = sum([x * x for x in g])
+            if norm2 <= 1e-18:
+                break
+            if upper is not None and upper > val:
+                step = beta * (upper - val) / norm2
+            else:
+                step = 0.4 * scale / ((1.0 + 0.15 * it) * math.sqrt(norm2))
+            for ci, gi in zip(finite, g):
+                x = lam[ci] + step * gi
+                lam[ci] = x if x > 0.0 else 0.0
+    # the multipliers every bound reads, one below 1e-12 as 0.0: dense,
+    # and the positive ones as (ci, lambda) pairs
+    lam = sh.lam = [l if l > 1e-12 else 0.0 for l in best_lam]
+    sh.lam_active = [(ci, l) for ci, l in enumerate(lam) if l]
+    lagr_min = []  # per mirror class, from its first member
+    for fi, costs in zip(sh.heads, sh.costs):
+        best = math.inf
+        for rec, t in zip(sh.classes[fi], costs):
+            for ci, w in rec.items:
+                if lam[ci]:
+                    t += lam[ci] * w
+            if t < best:
+                best = t
+        lagr_min.append(best)
+    sh.lagr_suffix = sh._suffix(lagr_min)
 
 
 def reference_build_knapsack(sh, costs, lam):

@@ -1,6 +1,7 @@
 """Every benchmark op, run in-process as the benchmark runs it, exits 0,
-prints the stdout the benchmark recorded, and searches the nodes, leaves
-and halo rounds pinned here, one stderr line per solve report."""
+prints the stdout the benchmark recorded, writes the `--out` schedule
+pinned here, and searches the nodes, leaves and halo rounds pinned here,
+one stderr line per solve report."""
 
 import contextlib
 import hashlib
@@ -44,29 +45,58 @@ COUNTS = {
     "partition/conv28": [(484, 25, 1), (103, 11, 1)],
     "partition/deep512": [(1_456, 8, 1), (2_213, 36, 1)],
     "partition/fc": [(526, 54, 1), (566, 21, 1)],
-    "sweep/conv28": [],
-    "sweep/fc": [],
+    "sweep/conv28": [(338, 17, 1), (484, 25, 1), (217, 9, 1), (217, 9, 1)],
+    "sweep/fc": [(387, 14, 1), (526, 54, 1), (310, 10, 1), (339, 34, 1)],
     "enumerate/r3s1p2": [],
     "enumerate/r3s1p2-c2": [],
+}
+# per op that writes a schedule, the sha256 of its `--out` file
+OUT_SHA256 = {
+    "suite/tiny":
+        "5d27de96396a3667f74cbbea2ac05144de83418957689e64152f945237c1ce13",
+    "suite/tiny.T":
+        "a3cc5285d59f811073ca6c3c162132b77adb833cf0d8fb75c7d55f0e5bf1d474",
+    "suite/conv28":
+        "47d05801b868942701ba33e4a0762ce12f4c9d1822c568a998de8e6e9f99cb2a",
+    "suite/deep512":
+        "e06eaa283c4747936e0295b04d947722ad9075b13701b5713ef4087c1b5210ae",
+    "suite/wide256":
+        "4e89ab5334e71800a41260d3e130dd8093eeffeec2d15f0724b951c8b94c55d6",
+    "stride2/3x3-28-c64-k64":
+        "56413850fe971fde2fae38354f5349be9f97df835063810906073d975917e27c",
+    "stride2/3x3-14-c32-k64":
+        "12b32172926a30614cbd8e4441a15577b574d5954514ae8bbb3b8699df9f971d",
+    "stride2/1x1-28-c64-k128":
+        "8f0eadb6688b2c20865150edf42ffd5c1e9ffbc5e03c0aef7fd730670ed64a2f",
+    "partition/conv28":
+        "3835d903cb965b91a678614eb8cacd160e13ed336ad5b31dd77b60981da865d5",
+    "partition/deep512":
+        "86548e8cf347250426125d4c7152406eec38c378bd503f105ed9866b85e33e9f",
+    "partition/fc":
+        "ab91c68f7d8afd9cd29e11c5733460e2fa7e67dede0233355204c35f42d65a72",
 }
 REPORT = re.compile(r"nodes (\d+) leaves (\d+) .*rounds (\d+)$")
 
 
 def test_every_op_is_pinned():
     assert sorted(op.name for op in OPS) == sorted(COUNTS)
+    assert sorted(op.name for op in OPS if op.writes_schedule) == sorted(OUT_SHA256)
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.name)
 def test_op_output_and_counts(op, tmp_path):
     layer = tmp_path / "op.layer"
     layer.write_text(op.layer_text())
-    argv = op.argv(str(layer), str(tmp_path / "op.sched"))
+    sched = tmp_path / "op.sched"
+    argv = op.argv(str(layer), str(sched))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code == 0, err.getvalue()
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digest == EXPECTED[op.name]["sha256"]
+    written = hashlib.sha256(sched.read_bytes()).hexdigest() if sched.exists() else None
+    assert written == OUT_SHA256.get(op.name)
     reports = [tuple(map(int, match.groups()))
                for match in map(REPORT.search, err.getvalue().splitlines()) if match]
     assert reports == COUNTS[op.name]

@@ -17,6 +17,8 @@ from mipsched.cli import (
     _LAYER_KEYS,
     ConfigError,
     baseline_total_bytes,
+    build_parser,
+    config_from_args,
     load_arch,
     load_layer,
     main,
@@ -652,6 +654,31 @@ class TestSweepCommand:
         best = min(int(r.split()[4]) for r in rows)
         default_row = [r for r in rows if r.startswith("1 1 1")][0]
         assert best <= int(default_row.split()[4])
+
+    def test_each_point_reported_on_stderr(self, tiny_layer, capsys):
+        """Each grid point's status and search line go to stderr as its
+        solve ends, prefixed with its weights; stdout keeps only the
+        table."""
+        code = main(["sweep", "--layer", tiny_layer, "--sweep-wt", "0,1"])
+        assert code == EXIT_OK
+        out, err = capsys.readouterr()
+        assert [line.split(" ", 2)[:2] for line in err.splitlines()] == [
+            ["1,1,0", "status"], ["1,1,0", "nodes"],
+            ["1,1,1", "status"], ["1,1,1", "nodes"]]
+        assert "status" not in out and "nodes" not in out
+
+    def test_negative_zero_weight_is_zero(self, tiny_layer, capsys):
+        """`-0` in a grid or in --weights is the weight 0: a sweep prints
+        the table `0` gives, where it used to print `-0`, and the parsed
+        weight carries no sign."""
+        tables = []
+        for grid in ("-0,1", "0,1"):
+            code = main(["sweep", "--layer", tiny_layer, f"--sweep-wt={grid}"])
+            assert code == EXIT_OK
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1] and "\n1 1 0 " in tables[0]
+        args = build_parser().parse_args(["solve", "--weights=1,1,-0"])
+        assert math.copysign(1.0, config_from_args(args).weights.w_t) == 1.0
 
     def test_duplicate_grid_value_marks_one_best(self, tiny_layer, capsys):
         """Two grid points with the same weights tie on latency; only the

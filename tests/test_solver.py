@@ -22,6 +22,7 @@ from helpers import (
     reference_factor_bounds,
     reference_factor_knapsack,
     reference_kn_gain,
+    reference_lagrangian,
     reference_listed_zmax,
     reference_penalized_bound,
     reference_penalized_knapsack,
@@ -482,7 +483,10 @@ def test_bound_tables_pinned(simba):
     """sha256 of the repr of the bound tables on fixed models, so a change
     to how they are built cannot move a single float unnoticed, and of the
     budget's on the models with menus: each menu's `_menu_hull` at the
-    root's floor and the root's rhs and Lagrangian cut; and the symmetry
+    root's floor and the root's rhs and Lagrangian cut; of what `tighten`
+    builds after the dive outside balance mode: the incumbent's objective,
+    the Polyak rebuild's multipliers and `lagr_suffix`, the penalized rows
+    and the root's rhs and cuts at those multipliers; and the symmetry
     breaking's `prev_same`, which no bound reads, as a list."""
     models = {
         "conv28": build_model(factorize(SUITE_LAYERS["conv28"]), simba),
@@ -493,6 +497,7 @@ def test_bound_tables_pinned(simba):
     }
     digests = {}
     budget_digests = {}
+    polyak_digests = {}
     prev_same = {}
     for name, model in models.items():
         search = new_search(model)
@@ -509,6 +514,15 @@ def test_bound_tables_pinned(simba):
             search.pen_at = search._build_knapsack(search.lam)
             tables = (search.order, search.suffix_min, search.lam_active,
                       search.lagr_suffix, search.kn_at, search.pen_at)
+            # the Polyak rebuild against the dive's incumbent, and what
+            # `tighten` derives at its multipliers
+            search = new_search(model)
+            search.dfs(0, dive=True)
+            assert search.inc.x is not None
+            search.tighten()
+            rebuilt = (search.inc.obj, search.lam_active, search.lagr_suffix,
+                       search.pen_at, search.rhs, search.lagr_cut, search.pen_cut)
+            polyak_digests[name] = hashlib.sha256(repr(rebuilt).encode()).hexdigest()
         digests[name] = hashlib.sha256(repr(tables).encode()).hexdigest()
     assert models[214].weights.mode == "balance"
     assert digests == {
@@ -526,6 +540,15 @@ def test_bound_tables_pinned(simba):
             "cdc50d252f0912742f96a79418c0c1116c62e9b11b20284ae7fbad3af2c73266",
         22:
             "6af46961649ff5d94b78ba1b5bad33a05da660052385d4f95211b10bf114da98",
+    }
+    # the balance model (214) has no multipliers to rebuild
+    assert polyak_digests == {
+        "conv28":
+            "7666a90adb39f2cb92362f9a185512ddf82db4f2d27afe2440a5414373425474",
+        "conv28-partition":
+            "68aae34a59a6ee5d836644feaa1cde26e6d15904c6e18614a95dd3b705fbc2a2",
+        22:
+            "b61a7deff9dba69e0be3ca183ccb1e7a148e2a7f776092b4f05ded19b67e6d1c",
     }
     # conv28 is R3 S3, P 2 2 7, Q 2 2 7, C 2 2 2, K 2 2, N 3 in factor
     # order: Q's first 2 (factor 5) follows P's last (3), Q's 7 (7) P's 7
@@ -1362,6 +1385,40 @@ def test_mirror_class_tables_match_the_factor_build(simba):
             assert repr(sh.pen_at) == repr(reference_factor_knapsack(sh, sh.lam))
             priced += bool(sh.lam_active) and any(sh.pen_at)
     assert len(models) > 100 and priced > 40, (len(models), priced)
+
+
+class _ReferenceSearch(_Search):
+    """`_Search` whose multipliers come from `helpers.reference_lagrangian`."""
+
+    __slots__ = ()
+    _build_lagrangian = reference_lagrangian
+
+
+def test_lagrangian_matches_the_reference(simba):
+    """The subgradient loop, which drops dominated records, keeps the
+    subgradient per pick vector and skips the terms that add 0.0, moves no
+    float against `helpers.reference_lagrangian`, which does every step in
+    full: by repr, `lam`, `lam_active` and `lagr_suffix` at the root, and
+    after the dive and `tighten` (the Polyak rebuild against the dive's
+    incumbent) the same and the rhs and the penalized cuts at those
+    multipliers.  On the benchmark's solver models and the seeded draws of
+    `random_instance` and `square_instance` outside balance mode."""
+    models = benchmark_models(simba)
+    models += [model for draw in (random_instance, square_instance)
+               for model in map(draw, range(400))
+               if model is not None and model.weights.mode != "balance"]
+    state = lambda sh: repr((sh.lam, sh.lam_active, sh.lagr_suffix))
+    rebuilt = budgeted = 0
+    for model in models:
+        sh, ref = (cls(model, _Incumbent(), math.inf) for cls in (_Search, _ReferenceSearch))
+        assert state(sh) == state(ref)
+        for search in (sh, ref):
+            search.dfs(0, dive=True)
+            search.tighten()
+        assert state(sh) + repr((sh.rhs, sh.pen_cut)) == state(ref) + repr((ref.rhs, ref.pen_cut))
+        rebuilt += sh.inc.x is not None and bool(sh.lam_active)
+        budgeted += sh.floors is not None and sh.floors[1] <= model.budget_bytes
+    assert len(models) > 300 and rebuilt > 100 and budgeted > 25, (len(models), rebuilt, budgeted)
 
 
 def test_zmax_matches_the_listing_reference():
