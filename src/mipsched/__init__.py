@@ -12,9 +12,11 @@ outside the command's own path: `MipModel.raw`, `MipModel.raw_values`,
 `MipModel.check_raw` and `MipModel.term_values` (the raw MIP view that
 external solvers such as HiGHS are checked against); `exhaustive_solve`
 and `assignment_space_size` (the exhaustive oracle); `dump_lp` (the
-model as an LP file); `encode` (a schedule back to its assignment, read
-by `perfbench/record.py`); and `enumerate_all`, `SolverOptions.threads`
-and the `cli` functions that `perfbench/tracer.py` wraps (the benchmark).
+model as an LP file); `encode` (a schedule, hand-written or drawn, back
+to its assignment, so the model's terms and rows can be checked against
+the cost model and the validator on the same schedule); and
+`enumerate_all`, `SolverOptions.threads` and the `cli` functions that
+`perfbench/tracer.py` wraps (the benchmark).
 """
 
 from .arch import (
@@ -35,7 +37,6 @@ from .formulation import (
     ObjectiveWeights,
     PartitionSpec,
     build_model,
-    compose_objective,
 )
 from .schedule import (
     CostReport,

@@ -163,7 +163,9 @@ class ArchSpec:
         return cap // self.precision_bytes[v]
 
     @cached_property
-    def _on_chip_pairs(self) -> tuple[tuple[int, int], ...]:
+    def on_chip_pairs(self) -> tuple[tuple[int, int], ...]:
+        """(level, tensor) pairs below the outermost level with B = 1;
+        computed once per arch."""
         return tuple(
             (i, v)
             for i in range(self.num_levels - 1)
@@ -171,17 +173,12 @@ class ArchSpec:
             if self.B.stores(i, v)
         )
 
-    def on_chip_pairs(self) -> tuple[tuple[int, int], ...]:
-        """(level, tensor) pairs below the outermost level with B = 1;
-        computed once per arch."""
-        return self._on_chip_pairs
-
     @cached_property
     def finite_capacities(self) -> tuple[tuple[int, int, int], ...]:
         """(level, tensor, capacity in elements) for every on-chip pair
         whose capacity is finite; computed once per arch."""
         out = []
-        for i, v in self._on_chip_pairs:
+        for i, v in self.on_chip_pairs:
             cap = self.capacity_elements(i, v)
             if not math.isinf(cap):
                 out.append((i, v, int(cap)))
@@ -230,81 +227,56 @@ def default_simba_arch() -> ArchSpec:
 
 
 @dataclass(frozen=True)
-class ArchViolation:
+class Violation:
+    """A failed invariant of an arch or a schedule; a capacity violation
+    also carries the (level, tensor) indices of the slice `where` names."""
+
     kind: str
     where: str
     detail: str
+    slice: tuple[int, int] | None = None
 
     def __str__(self) -> str:
         return f"{self.kind} at {self.where}: {self.detail}"
 
 
-def validate_arch(arch: ArchSpec) -> list[ArchViolation]:
+def validate_arch(arch: ArchSpec) -> list[Violation]:
     """Check all architecture invariants; returns violations (empty = ok)."""
-    out: list[ArchViolation] = []
     if arch.B.num_levels != arch.num_levels:
-        out.append(
-            ArchViolation(
-                "level-count-mismatch",
-                arch.name,
-                f"{arch.num_levels} levels but B has {arch.B.num_levels} rows",
-            )
-        )
-        return out
+        return [Violation("level-count-mismatch", arch.name,
+                          f"{arch.num_levels} levels but B has {arch.B.num_levels} rows")]
+    out: list[Violation] = []
+    # level names key the [matrix_b] rows and the schedule files
+    for i, lvl in enumerate(arch.levels):
+        if any(other.name == lvl.name for other in arch.levels[:i]):
+            out.append(Violation("level-name", lvl.name, f"level {i} repeats an earlier name"))
 
     noc_levels = [i for i, lvl in enumerate(arch.levels) if lvl.is_noc_boundary]
     if len(noc_levels) != 1:
-        out.append(
-            ArchViolation(
-                "noc-boundary",
-                arch.name,
-                f"expected exactly one NoC boundary, found {len(noc_levels)}",
-            )
-        )
+        out.append(Violation("noc-boundary", arch.name,
+                             f"expected exactly one NoC boundary, found {len(noc_levels)}"))
 
     outer = arch.num_levels - 1
-    for v in range(NUM_TENSORS):
+    outer_lvl = arch.levels[outer]
+    for v, tensor in enumerate(TENSOR_NAMES):
         if not arch.B.stores(outer, v):
-            out.append(
-                ArchViolation(
-                    "backing-store",
-                    arch.levels[outer].name,
-                    f"outermost level must store {TENSOR_NAMES[v]}",
-                )
-            )
-        elif not math.isinf(arch.levels[outer].capacity_bytes[v]):
-            out.append(
-                ArchViolation(
-                    "backing-store",
-                    arch.levels[outer].name,
-                    f"outermost capacity for {TENSOR_NAMES[v]} must be unbounded",
-                )
-            )
+            out.append(Violation("backing-store", outer_lvl.name,
+                                 f"outermost level must store {tensor}"))
+        elif not math.isinf(outer_lvl.capacity_bytes[v]):
+            out.append(Violation("backing-store", outer_lvl.name,
+                                 f"outermost capacity for {tensor} must be unbounded"))
         if not any(arch.B.stores(i, v) for i in range(outer)):
-            out.append(
-                ArchViolation(
-                    "orphan-tensor",
-                    arch.name,
-                    f"{TENSOR_NAMES[v]} has no on-chip level",
-                )
-            )
+            out.append(Violation("orphan-tensor", arch.name, f"{tensor} has no on-chip level"))
 
     for i, lvl in enumerate(arch.levels):
-        for v in range(NUM_TENSORS):
-            if arch.B.stores(i, v) and not arch.levels[i].capacity_bytes[v] > 0:
-                out.append(
-                    ArchViolation(
-                        "capacity",
-                        f"{lvl.name}/{TENSOR_NAMES[v]}",
-                        "storable tensor needs positive capacity",
-                    )
-                )
+        for v, tensor in enumerate(TENSOR_NAMES):
+            if arch.B.stores(i, v) and not lvl.capacity_bytes[v] > 0:
+                out.append(Violation("capacity", f"{lvl.name}/{tensor}",
+                                     "storable tensor needs positive capacity", (i, v)))
 
     for v, prec in enumerate(arch.precision_bytes):
         if prec < 1:
-            out.append(
-                ArchViolation("precision", TENSOR_NAMES[v], f"precision {prec} < 1 byte")
-            )
+            out.append(Violation("precision", TENSOR_NAMES[v], f"precision {prec} < 1 byte"))
     if not arch.noc_bandwidth > 0:  # also flags NaN
-        out.append(ArchViolation("bandwidth", arch.name, "NoC bandwidth must be positive"))
+        out.append(Violation("bandwidth", arch.name, "NoC bandwidth must be positive"))
     return out

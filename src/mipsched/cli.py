@@ -7,9 +7,9 @@ statistics go to stderr so stdout is byte-deterministic for fixed inputs
 and seed.  Exit codes: 0 optimal, 2 parse/validation error, 3
 infeasible (also when a solved schedule still fails exact validation:
 a non-capacity violation, or capacity ones left after the last halo
-re-solve round), 4 limit reached (the --time-limit timeout, or an
-enumerate assignment space above --limit, with nothing on stdout),
-5 I/O error.
+re-solve round), 4 limit reached (the --time-limit timeout, which
+bounds the whole command, or an enumerate assignment space above
+--limit; enumerate prints nothing then), 5 I/O error.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .schedule import CostReport, Schedule, decode, evaluate, render, serialize,
 from .search import (
     NoValidScheduleError,
     SearchConfig,
+    SearchTimeout,
     enumerate_best,
     metric_value,
     random_search,
@@ -324,7 +325,7 @@ def solve_layer(
         stats = stats.then(solution.stats)
         if solution.status != "optimal":
             return PipelineResult(solution, None, None, model, pads, rounds, stats)
-        sched = decode(solution, pf, arch)
+        sched = decode(solution.x_assignment, pf, arch)
         check_arch = arch
         if partition is not None:
             check_arch = arch_with_partition(arch, model, solution)
@@ -340,11 +341,7 @@ def solve_layer(
                 + "; ".join(str(v) for v in violations)
             )
         for v in capacity:
-            level_name, _, tensor_name = v.where.rpartition("/")
-            level = next(
-                i for i, lvl in enumerate(check_arch.levels) if lvl.name == level_name
-            )
-            tensor = TENSOR_NAMES.index(tensor_name)
+            level, tensor = v.slice
             halo_tile = costmodel.tile_elements(sched, check_arch, level, tensor, halo=True)
             plain_tile = costmodel.tile_elements(sched, check_arch, level, tensor, halo=False)
             cap = check_arch.capacity_elements(level, tensor)
@@ -483,7 +480,8 @@ def cmd_compare(cfg: RunConfig) -> int:
             continue
         solver_metric = metric_value(result.report, cfg.search.metric)
         try:
-            _best, rep, stats = random_search(pf, arch, cfg.search, halo=cfg.halo)
+            _best, rep, stats = random_search(pf, arch, cfg.search, halo=cfg.halo,
+                                              deadline=deadline)
             random_metric = metric_value(rep, cfg.search.metric)
             ratio = random_metric / solver_metric if solver_metric else math.inf
             ratios.append(ratio)
@@ -493,6 +491,9 @@ def cmd_compare(cfg: RunConfig) -> int:
             )
         except NoValidScheduleError:
             print(f"{name} {solver_metric} none - {cfg.search.samples} 0")
+        except SearchTimeout as exc:
+            print(f"{name} {solver_metric} timeout - {exc.stats.draws} {exc.stats.valid}")
+            code = EXIT_TIMEOUT
         print(
             f"{name}: solver {result.stats.wall_time_s:.3f}s",
             file=sys.stderr,
@@ -595,12 +596,14 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     lexicographic in the per-level order indices, so the first minimum
     of a strict-`<` scan over every order sits at class-first indices,
     and the scan over the representatives finds the same one.  A
-    `Schedule` is built only for the winner, to render.
+    `Schedule` is built only for the winner, to render.  At the
+    --time-limit deadline it stops with nothing on stdout, as past --limit.
     """
+    deadline = time.perf_counter() + cfg.solver.time_limit_s
     arch, pf = _load_factorized(cfg)
     metric = cfg.search.metric
     count, best = enumerate_best(
-        pf, arch, metric, limit=cfg.enumerate_limit, halo=cfg.halo
+        pf, arch, metric, limit=cfg.enumerate_limit, halo=cfg.halo, deadline=deadline
     )
     print(f"valid_schedules {count}")
     if best is not None:
@@ -753,7 +756,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except SpaceTooLarge as exc:
+    except (SpaceTooLarge, SearchTimeout) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TIMEOUT
     except (ConfigError, sched_mod.ScheduleParseError, ValueError) as exc:

@@ -32,6 +32,8 @@ MAP_NAMES = ("s", "t")
 
 MODES = ("util", "comp", "traffic", "combined", "balance")
 
+TOLERANCE = 1e-6  # capacity slack granted to every constraint check
+
 
 class FormulationError(ValueError):
     pass
@@ -244,7 +246,7 @@ class MipModel:
     def _build_check_constraints(self):
         arch = self.arch
         cons: list[CheckCon] = []
-        for I, v in arch.on_chip_pairs():
+        for I, v in arch.on_chip_pairs:
             cap = log2_capacity(arch, I, v)
             pad = self.pads.get((I, v), 0.0)
             if math.isinf(cap) and self.partition is None:
@@ -276,7 +278,7 @@ class MipModel:
         arch = self.arch
         self.budget_bytes = spec.budget_bytes
         menu_of: dict[tuple[int, int], int] = {}
-        for I, v in arch.on_chip_pairs():
+        for I, v in arch.on_chip_pairs:
             baseline = arch.capacity_elements(I, v)
             if math.isinf(baseline):
                 continue
@@ -340,7 +342,7 @@ class MipModel:
         records, each class's first member, in order of first appearance."""
         arch = self.arch
         w_u, w_c, w_t = self.weights.effective()
-        pairs = arch.on_chip_pairs()
+        pairs = arch.on_chip_pairs
         rel = [arch.A.related(f.j, v) for v in range(NUM_TENSORS)]
         relcount = sum(rel)
         coef = {}
@@ -383,15 +385,6 @@ class MipModel:
     # canonical evaluation (shared by both solvers and the tests)
     # ------------------------------------------------------------------
 
-    def _t_sums(self, x_assign: dict[int, tuple[int, int, int]]):
-        """Traffic iteration sums, scanning tensors then positions.
-
-        Returns (per-tensor T log-sums, combined sum in canonical order).
-        Only occupied positions add to the sums, so the scan walks them in
-        `g_positions` order (level, then rank) and skips the empty ones.
-        """
-        return self._walk_t_sums(self._temporal_walk(x_assign))
-
     def _temporal_walk(self, x_assign: dict[int, tuple[int, int, int]]):
         """(level, factor) of each temporal factor at or above the NoC, in
         (level, rank) order."""
@@ -402,7 +395,9 @@ class MipModel:
         return [(I, self.factors[occ[(I, z)]]) for I, z in sorted(occ)]
 
     def _walk_t_sums(self, walk: list[tuple[int, Factor]]):
-        """`_t_sums` over an occupied temporal walk in (level, rank) order."""
+        """Traffic iteration sums over an occupied temporal walk in (level,
+        rank) order, scanning tensors then positions: (per-tensor T
+        log-sums, combined sum in canonical order)."""
         related = self.arch.A.rows  # `A.related(j, v)` is rows[j][v] == 1
         stores = self.arch.B.rows  # `B.stores(I, v)` is rows[I][v] == 1
         per_v = [0.0, 0.0, 0.0]
@@ -480,7 +475,7 @@ class MipModel:
             else:
                 for v in range(NUM_TENSORS):
                     lift[v] += per_v[v]
-        t_v, _ = self._t_sums(x_assign)
+        t_v, _ = self._walk_t_sums(self._temporal_walk(x_assign))
         out = {"util": util, "comp": comp}
         for v, name in enumerate(TENSOR_NAMES):
             out[f"D_{name}"] = d[v]
@@ -507,9 +502,9 @@ class MipModel:
         self,
         x_assign: dict[int, tuple[int, int, int]],
         menu_sel: tuple[int, ...] | None = None,
-        tol: float = 1e-6,
     ) -> list[str]:
-        """Re-check every capacity/spatial/budget constraint independently."""
+        """Re-check every capacity/spatial/budget constraint independently,
+        granting each capacity and spatial row `TOLERANCE`."""
         bad = []
         slots_seen: dict[tuple[int, int], int] = {}
         recs = []
@@ -528,7 +523,7 @@ class MipModel:
                 if menu_sel is None:
                     raise ValueError("partition model needs a menu selection")
                 rhs = self.menus[con.menu].entries[menu_sel[con.menu]].e - con.pad
-            if lhs > rhs + tol:
+            if lhs > rhs + TOLERANCE:
                 bad.append(f"{con.name}: {lhs:.9f} > {rhs:.9f}")
         if self.menus:
             total = sum(
@@ -583,16 +578,17 @@ class MipModel:
             vals[raw.d_id] = abs(self.weights.w_t * traf - self.weights.w_c * comp)
         return vals
 
-    def check_raw(self, vals: list[float], tol: float = 1e-6) -> list[str]:
-        """Violated raw constraints for a full variable vector."""
+    def check_raw(self, vals: list[float]) -> list[str]:
+        """Violated raw constraints for a full variable vector, each
+        within `TOLERANCE`."""
         bad = []
         for con in self.raw().constraints:
             lhs = sum(vals[vid] * c for vid, c in con.terms)
-            if con.sense == "<=" and lhs > con.rhs + tol:
+            if con.sense == "<=" and lhs > con.rhs + TOLERANCE:
                 bad.append(con.name)
-            elif con.sense == ">=" and lhs < con.rhs - tol:
+            elif con.sense == ">=" and lhs < con.rhs - TOLERANCE:
                 bad.append(con.name)
-            elif con.sense == "==" and abs(lhs - con.rhs) > tol:
+            elif con.sense == "==" and abs(lhs - con.rhs) > TOLERANCE:
                 bad.append(con.name)
         return bad
 
@@ -786,7 +782,6 @@ def _build_raw(m: MipModel) -> RawModel:
             for fi, f in enumerate(m.factors):
                 traf_expr[p_id[(v, gi, fi)]] = f.lg
 
-    parts = {"util": util_expr, "comp": comp_expr, "traffic": traf_expr}
     if m.weights.mode == "balance":
         objective = {d_id: 1.0}
         bal = {}
@@ -813,7 +808,13 @@ def _build_raw(m: MipModel) -> RawModel:
             )
         )
     else:
-        objective = compose_objective(m.weights, parts)
+        # traffic and compute enter positively, utilization negated
+        w_u, w_c, w_t = m.weights.effective()
+        objective = {vid: 0.0 - w_u * c for vid, c in util_expr.items()}  # no -0.0
+        for w, expr in ((w_c, comp_expr), (w_t, traf_expr)):
+            if w:
+                for vid, c in expr.items():
+                    objective[vid] = objective.get(vid, 0.0) + w * c
 
     return RawModel(
         var_names=names,
@@ -865,27 +866,4 @@ def build_model(
         raise ValueError(f"objective weights {weights.w_u:g},{weights.w_c:g},"
                          f"{weights.w_t:g} overflow the {weights.mode} objective")
     return model
-
-
-def compose_objective(
-    weights: ObjectiveWeights, parts: dict[str, dict[int, float]]
-) -> dict[int, float]:
-    """Combine utilization/compute/traffic term expressions into one
-    minimized linear objective: traffic and compute enter positively,
-    utilization negated.  Balance mode is not a linear combination (it
-    minimizes an absolute difference through an auxiliary variable) and
-    is assembled during the model build instead."""
-    if weights.mode == "balance":
-        raise FormulationError("balance mode composes via an auxiliary variable")
-    w_u, w_c, w_t = weights.effective()
-    objective: dict[int, float] = {}
-    for vid, c in parts.get("util", {}).items():
-        objective[vid] = objective.get(vid, 0.0) - w_u * c
-    if w_c:
-        for vid, c in parts.get("comp", {}).items():
-            objective[vid] = objective.get(vid, 0.0) + w_c * c
-    if w_t:
-        for vid, c in parts.get("traffic", {}).items():
-            objective[vid] = objective.get(vid, 0.0) + w_t * c
-    return objective
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import costmodel
-from .arch import ArchSpec, NUM_TENSORS, TENSOR_NAMES
+from .arch import ArchSpec, NUM_TENSORS, TENSOR_NAMES, Violation
 from .formulation import SPATIAL, TEMPORAL
 from .workload import DIM_INDEX, DIM_NAMES, LayerDims, PrimeFactorization, prime_factors
 
@@ -61,16 +61,6 @@ class Schedule:
 
 
 @dataclass(frozen=True)
-class ScheduleViolation:
-    kind: str
-    where: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{self.kind} at {self.where}: {self.detail}"
-
-
-@dataclass(frozen=True)
 class CostReport:
     utilization: tuple[tuple[int | None, ...], ...]  # [level][tensor] elements
     compute_cycles: int
@@ -97,10 +87,12 @@ class CostReport:
         return "\n".join(lines) + "\n"
 
 
-def decode(solution, pf: PrimeFactorization, arch: ArchSpec) -> Schedule:
-    """Turn a solver assignment into a loop nest, one loop per factor."""
+def decode(x: dict[int, tuple[int, int, int]], pf: PrimeFactorization,
+           arch: ArchSpec) -> Schedule:
+    """Turn an assignment, factor index -> (level, rank, binding), into a
+    loop nest, one loop per factor; each level's loops in rank order, a
+    tie by factor order."""
     flat = pf.flat()
-    x = solution.x_assignment
     if x is None or len(x) != len(flat):
         raise MalformedSolutionError(
             f"assignment covers {0 if x is None else len(x)} of {len(flat)} factors"
@@ -113,8 +105,7 @@ def decode(solution, pf: PrimeFactorization, arch: ArchSpec) -> Schedule:
             raise MalformedSolutionError(f"factor {DIM_NAMES[j]}{n} unassigned") from None
         per_level[I].append((z, fi, Loop(j, prime, k == SPATIAL)))
     levels = tuple(
-        tuple(loop for _z, _fi, loop in sorted(entries, key=lambda e: (e[0], e[1])))
-        for entries in per_level
+        tuple(loop for _z, _fi, loop in sorted(entries)) for entries in per_level
     )
     return Schedule(
         levels=levels,
@@ -155,35 +146,24 @@ def encode(schedule: Schedule, pf: PrimeFactorization) -> dict[int, tuple[int, i
     return assign
 
 
-def validate(schedule: Schedule, arch: ArchSpec, halo: bool = True) -> list[ScheduleViolation]:
+def validate(schedule: Schedule, arch: ArchSpec, halo: bool = True) -> list[Violation]:
     """Exact integer re-check of every schedule invariant.
 
     Halo mode (default) sizes input tiles with the stride/kernel window,
     which is stricter than the plain product the linear model uses.
     """
-    out: list[ScheduleViolation] = []
     if len(schedule.levels) != arch.num_levels:
-        out.append(
-            ScheduleViolation(
-                "level-count",
-                schedule.arch_name,
-                f"schedule has {len(schedule.levels)} levels, arch {arch.num_levels}",
-            )
-        )
-        return out
+        return [Violation("level-count", schedule.arch_name,
+                          f"schedule has {len(schedule.levels)} levels, arch {arch.num_levels}")]
 
+    out: list[Violation] = []
     rows = schedule.tiles
     full = rows[-1]
     for j, bound in enumerate(schedule.layer.as_tuple()):
         prod = full[j]
         if prod < bound:
-            out.append(
-                ScheduleViolation(
-                    "dimension-underflow",
-                    DIM_NAMES[j],
-                    f"loop product {prod} < bound {bound}",
-                )
-            )
+            out.append(Violation("dimension-underflow", DIM_NAMES[j],
+                                 f"loop product {prod} < bound {bound}"))
     spatial = [costmodel.spatial_product(schedule, I) for I in range(arch.num_levels)]
     out += tile_violations(
         rows, spatial, arch, schedule.layer.stride, halo, levels=schedule.levels
@@ -193,7 +173,7 @@ def validate(schedule: Schedule, arch: ArchSpec, halo: bool = True) -> list[Sche
 
 def tile_violations(
     rows, spatial, arch: ArchSpec, stride: int, halo: bool, levels=None, checks=None
-) -> list[ScheduleViolation]:
+) -> list[Violation]:
     """The checks of `validate` that read only tile rows and spatial
     products: each level's spatial fanout, then each finite per-tensor
     capacity.
@@ -211,39 +191,25 @@ def tile_violations(
     if checks is None:
         checks = (range(arch.num_levels), arch.finite_capacities)
     fanouts, capacities = checks
-    out: list[ScheduleViolation] = []
+    out: list[Violation] = []
     for I in fanouts:
         lvl = arch.levels[I]
         if spatial[I] > lvl.spatial_fanout:
-            out.append(
-                ScheduleViolation(
-                    "spatial-overflow",
-                    lvl.name,
-                    f"spatial product {spatial[I]} > fanout {lvl.spatial_fanout}",
-                )
-            )
+            out.append(Violation("spatial-overflow", lvl.name,
+                                 f"spatial product {spatial[I]} > fanout {lvl.spatial_fanout}"))
         if levels is None:
             continue
         for loop in levels[I]:
             if loop.spatial and not lvl.spatial_allowed(loop.dim):
-                out.append(
-                    ScheduleViolation(
-                        "spatial-dim",
-                        lvl.name,
-                        f"dimension {DIM_NAMES[loop.dim]} may not map spatially here",
-                    )
-                )
+                out.append(Violation(
+                    "spatial-dim", lvl.name,
+                    f"dimension {DIM_NAMES[loop.dim]} may not map spatially here"))
 
     for I, v, cap in capacities:
         tile = costmodel.row_tile(rows[I], arch, v, stride, halo)
         if tile > cap:
-            out.append(
-                ScheduleViolation(
-                    "capacity",
-                    f"{arch.levels[I].name}/{TENSOR_NAMES[v]}",
-                    f"tile {tile} elements > capacity {cap}",
-                )
-            )
+            out.append(Violation("capacity", f"{arch.levels[I].name}/{TENSOR_NAMES[v]}",
+                                 f"tile {tile} elements > capacity {cap}", (I, v)))
     return out
 
 
@@ -399,7 +365,7 @@ def parse(data: bytes | str) -> Schedule:
             fields = (1, 2, 3, 4, 5, 6, 7, 9)
             vals = [_int(tok, i, "layer bound", lineno, raw) for i in fields]
             try:
-                layer = LayerDims.from_tuple(vals[:7], stride=vals[7])
+                layer = LayerDims(*vals[:7], stride=vals[7])
             except ValueError as exc:  # names the first value below 1
                 bad = next(i for i, v in zip(fields, vals) if v < 1)
                 _fail(str(exc), lineno, raw, bad)

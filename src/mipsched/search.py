@@ -81,6 +81,7 @@ import itertools
 import math
 import operator
 import random
+import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
@@ -88,7 +89,7 @@ from . import costmodel
 from .arch import ArchSpec
 from .formulation import SPATIAL, TEMPORAL
 from .schedule import (
-    CostReport, Loop, Schedule, evaluate, placement_checks, tile_violations, validate,
+    CostReport, Loop, Schedule, decode, evaluate, placement_checks, tile_violations, validate,
 )
 from .solver import SpaceTooLarge
 from .workload import NUM_DIMS, PrimeFactorization, total_factor_count
@@ -103,6 +104,14 @@ _M64 = (1 << 64) - 1
 
 class NoValidScheduleError(RuntimeError):
     pass
+
+
+class SearchTimeout(RuntimeError):
+    """The search reached its deadline; `stats` holds what it drew."""
+
+    def __init__(self, message: str, stats: "SearchStats | None" = None):
+        super().__init__(message)
+        self.stats = stats
 
 
 @dataclass(frozen=True)
@@ -139,33 +148,26 @@ def metric_value(report: CostReport, metric: str) -> int:
 
 def draw_schedule(pf: PrimeFactorization, arch: ArchSpec, seed: int, i: int) -> Schedule:
     """The raw configuration of draw `i` under `seed`: a level, a rank and
-    a binding per factor from the draw's own PRNG, loops ordered by rank
-    (collisions by factor order).  It need not validate."""
+    a binding per factor from the draw's own PRNG, decoded.  It need not
+    validate."""
     rng = random.Random(((seed & _M64) * _MIX + i + 1) & _M64)
     H = arch.num_levels
     Z = max(1, total_factor_count(pf))
-    per_level: list[list[tuple[int, int, Loop]]] = [[] for _ in range(H)]
-    for fi, (j, n, prime, _lg) in enumerate(pf.flat()):
+    x = {}
+    for fi, (j, _n, _prime, _lg) in enumerate(pf.flat()):
         I = rng.randrange(H)
         z = rng.randrange(Z)
         if arch.levels[I].spatial_allowed(j):
             k = rng.choice((SPATIAL, TEMPORAL))
         else:
             k = TEMPORAL
-        per_level[I].append((z, fi, Loop(j, prime, k == SPATIAL)))
-    levels = tuple(
-        tuple(loop for _z, _fi, loop in sorted(entries)) for entries in per_level
-    )
-    return Schedule(
-        levels=levels,
-        level_names=tuple(lvl.name for lvl in arch.levels),
-        layer=pf.dims,
-        arch_name=arch.name,
-    )
+        x[fi] = (I, z, k)
+    return decode(x, pf, arch)
 
 
 def random_search(
-    pf: PrimeFactorization, arch: ArchSpec, cfg: SearchConfig, halo: bool = True
+    pf: PrimeFactorization, arch: ArchSpec, cfg: SearchConfig, halo: bool = True,
+    deadline: float = math.inf,
 ) -> tuple[Schedule, CostReport, SearchStats]:
     """Best of up to cfg.valid_target valid schedules from uniform draws.
 
@@ -173,11 +175,15 @@ def random_search(
     collisions are resolved by deterministic order, every other
     infeasibility is rejected by the exact validator (input tiles sized
     with their halo window unless `halo` is off).  Raises
-    NoValidScheduleError when cfg.samples draws produce nothing valid.
+    NoValidScheduleError when cfg.samples draws produce nothing valid,
+    and SearchTimeout when a draw would start past `deadline`, a
+    `time.perf_counter()` value.
     """
     stats = SearchStats()
     best = None  # (metric, draw index, schedule, report)
     for i in range(cfg.samples):
+        if time.perf_counter() > deadline:
+            raise SearchTimeout(f"deadline reached after {i} draws", stats)
         stats.draws = i + 1
         sched = draw_schedule(pf, arch, cfg.seed, i)
         if validate(sched, arch, halo=halo):
@@ -246,14 +252,17 @@ def _class_orders(loops: tuple[Loop, ...]) -> tuple[tuple[Loop, ...], ...]:
     return tuple(reps)
 
 
-def _walk(pf: PrimeFactorization, arch: ArchSpec, limit: int, halo: bool):
+def _walk(pf: PrimeFactorization, arch: ArchSpec, limit: int, halo: bool,
+          deadline: float = math.inf):
     """The enumeration walk (see the module docstring): an iterator over
     the valid (level, mapping) assignments in walk order, each as the
     walk's state `(loops, rows, cycles, counts, codes)`: per level its
     loops in factor order, tile row, distinct-order count and loop-sequence
     code, and the compute cycles.  The lists change as the walk goes on:
     read them before drawing the next assignment.  The space guard and
-    the root's checks run on the call."""
+    the root's checks run on the call.  Past `deadline`, a
+    `time.perf_counter()` value, it raises SearchTimeout: the clock is
+    read once per partial assignment it extends, not per assignment."""
     flat = pf.flat()
     F = len(flat)
     H = arch.num_levels
@@ -304,6 +313,8 @@ def _walk(pf: PrimeFactorization, arch: ArchSpec, limit: int, halo: bool):
     ]
 
     def walk(fi: int, low: int, run: int, cycles: int):
+        if time.perf_counter() > deadline:
+            raise SearchTimeout("enumeration reached its deadline")
         j, _n, prime, _lg = flat[fi]
         last = fi + 1 == F
         same = same_next[fi]
@@ -413,13 +424,15 @@ def enumerate_best(
     metric: str,
     limit: int = 1_000_000,
     halo: bool = True,
+    deadline: float = math.inf,
 ) -> tuple[int, tuple[int, Schedule] | None]:
     """The number of schedules `enumerate_all` yields, and the first of
     them with the least `metric_value` with that value (None when there
     is none).  Per valid assignment the orders are counted from the
     walk's per-level counts and only one order per class is scored, once
     per NoC key (see the module docstring), from the walk's own tile row
-    and compute cycles; only the winner becomes a `Schedule`.
+    and compute cycles; only the winner becomes a `Schedule`.  Past
+    `deadline` the walk raises SearchTimeout.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -436,7 +449,7 @@ def enumerate_best(
     least_of: dict[tuple, tuple[int, Levels]] = {}
     count = 0
     best = None  # (value, levels)
-    for loops, rows, cycles, counts, codes in _walk(pf, arch, limit, halo):
+    for loops, rows, cycles, counts, codes in _walk(pf, arch, limit, halo, deadline):
         count += math.prod(counts)
         if scored_from == H:  # compute: one order, the assignment's own
             if best is None or cycles < best[0]:

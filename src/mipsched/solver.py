@@ -264,11 +264,10 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add, itemgetter
 
-from .formulation import ChoiceCoef, MipModel
+from .formulation import TOLERANCE, ChoiceCoef, MipModel
 
 INF = math.inf
 EPS_PRUNE = 1e-9
-TOLERANCE = 1e-6  # capacity slack granted to every constraint check
 EXHAUSTIVE_SPACE_LIMIT = 10_000_000
 LAGRANGIAN_ITERS = 240  # subgradient steps per multiplier build
 # the proof plunges into a child whose bound lies within this fraction of
@@ -1671,7 +1670,7 @@ class _Search:
         key = m.lex_key(x, leaf.menu_sel)
         if not inc.beats(obj, key):
             return False
-        if m.constraint_violations(x, leaf.menu_sel, TOLERANCE):
+        if m.constraint_violations(x, leaf.menu_sel):
             return False  # defensive: never accept an infeasible leaf
         inc.offer(obj, key, x, leaf.menu_sel)
         return True

@@ -44,10 +44,6 @@ class LayerDims:
     def as_tuple(self) -> tuple[int, ...]:
         return (self.r, self.s, self.p, self.q, self.c, self.k, self.n)
 
-    @classmethod
-    def from_tuple(cls, bounds, stride: int = 1) -> "LayerDims":
-        return cls(*bounds, stride=stride)
-
     def __str__(self) -> str:
         body = " ".join(f"{name}={v}" for name, v in zip(DIM_NAMES, self.as_tuple()))
         return f"{body} stride={self.stride}"

@@ -13,6 +13,7 @@ from mipsched.arch import (
     ArchSpec,
     MemLevel,
     MemTensorMatrix,
+    Violation,
     default_simba_arch,
     log2_capacity,
 )
@@ -23,7 +24,7 @@ from mipsched.formulation import (
     PartitionSpec,
     build_model,
 )
-from mipsched.schedule import CostReport, Loop, Schedule, ScheduleViolation
+from mipsched.schedule import CostReport, Loop, Schedule
 from mipsched.solver import (
     LAGRANGIAN_ITERS,
     TOLERANCE,
@@ -492,7 +493,7 @@ def reference_choice_coefficients(model):
     constraint a per-factor dict of the choices it holds."""
     arch = model.arch
     w_u, w_c, w_t = model.weights.effective()
-    pairs = arch.on_chip_pairs()
+    pairs = arch.on_chip_pairs
     out = []
     for fi, f in enumerate(model.factors):
         rel = [arch.A.related(f.j, v) for v in range(NUM_TENSORS)]
@@ -563,7 +564,7 @@ def reference_factor_coefficients(model):
     (level, mapping) in order of first appearance."""
     arch = model.arch
     w_u, w_c, w_t = model.weights.effective()
-    pairs = arch.on_chip_pairs()
+    pairs = arch.on_chip_pairs
     coefs, classes = [], []
     for fi, f in enumerate(model.factors):
         rel = [arch.A.related(f.j, v) for v in range(NUM_TENSORS)]
@@ -670,7 +671,7 @@ def reference_validate(schedule, arch, halo=True):
     out = []
     if len(schedule.levels) != arch.num_levels:
         out.append(
-            ScheduleViolation(
+            Violation(
                 "level-count",
                 schedule.arch_name,
                 f"schedule has {len(schedule.levels)} levels, arch {arch.num_levels}",
@@ -681,7 +682,7 @@ def reference_validate(schedule, arch, halo=True):
         prod = reference_dim_tile(schedule, j, len(schedule.levels))
         if prod < bound:
             out.append(
-                ScheduleViolation(
+                Violation(
                     "dimension-underflow", DIM_NAMES[j], f"loop product {prod} < bound {bound}"
                 )
             )
@@ -692,7 +693,7 @@ def reference_validate(schedule, arch, halo=True):
                 sp *= loop.bound
         if sp > lvl.spatial_fanout:
             out.append(
-                ScheduleViolation(
+                Violation(
                     "spatial-overflow",
                     lvl.name,
                     f"spatial product {sp} > fanout {lvl.spatial_fanout}",
@@ -701,23 +702,24 @@ def reference_validate(schedule, arch, halo=True):
         for loop in schedule.levels[I]:
             if loop.spatial and not lvl.spatial_allowed(loop.dim):
                 out.append(
-                    ScheduleViolation(
+                    Violation(
                         "spatial-dim",
                         lvl.name,
                         f"dimension {DIM_NAMES[loop.dim]} may not map spatially here",
                     )
                 )
-    for I, v in arch.on_chip_pairs():
+    for I, v in arch.on_chip_pairs:
         cap = arch.capacity_elements(I, v)
         if math.isinf(cap):
             continue
         tile = reference_tile_elements(schedule, arch, I, v, halo=halo)
         if tile > cap:
             out.append(
-                ScheduleViolation(
+                Violation(
                     "capacity",
                     f"{arch.levels[I].name}/{TENSOR_NAMES[v]}",
                     f"tile {tile} elements > capacity {int(cap)}",
+                    (I, v),
                 )
             )
     return out

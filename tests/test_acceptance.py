@@ -66,7 +66,7 @@ def test_03_log_product_duality(simba, solved_suite):
         traffic = traffic_terms(result.schedule, simba)
         pairs = [(terms["comp"], compute_cycles(result.schedule))]
         util = 1
-        for I, v in simba.on_chip_pairs():
+        for I, v in simba.on_chip_pairs:
             util *= tile_elements(result.schedule, simba, I, v, halo=False)
         pairs.append((terms["util"], util))
         for v, tname in enumerate(("W", "IA", "OA")):
@@ -249,7 +249,7 @@ def test_10_determinism(simba):
     outputs = []
     for _ in range(3):
         sol = solve(model, SolverOptions(time_limit_s=120))
-        sched = decode(sol, pf, simba)
+        sched = decode(sol.x_assignment, pf, simba)
         outputs.append((sol.status, sol.objective_value, sol.x_assignment, serialize(sched)))
     assert outputs[0] == outputs[1] == outputs[2]
     runs = {

@@ -140,6 +140,15 @@ def test_storable_without_capacity_flagged():
     assert any(v.kind == "capacity" and "OA" in v.where for v in problems)
 
 
+def test_repeated_level_name_flagged(simba):
+    """Level names key the [matrix_b] rows and the schedule files, so a
+    name that two levels share is ambiguous."""
+    levels = list(simba.levels)
+    levels[3] = dataclasses.replace(levels[3], name="AccumBuf")
+    arch = dataclasses.replace(simba, levels=tuple(levels))
+    assert [(v.kind, v.where) for v in validate_arch(arch)] == [("level-name", "AccumBuf")]
+
+
 @pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan])
 def test_nonpositive_bandwidth_flagged(simba, bandwidth):
     arch = dataclasses.replace(simba, noc_bandwidth=bandwidth)

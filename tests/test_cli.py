@@ -391,6 +391,25 @@ class TestSolveCommand:
         assert main(["solve", "--layer", tiny_layer, "--arch", str(p)]) == EXIT_PARSE
         assert f"error: {p}: {message}" in capsys.readouterr().err
 
+    def test_repeated_level_name_exits_parse(self, tmp_path, capsys):
+        """The baseline arch as a file, with level 3 named like level 1:
+        level names key the [matrix_b] rows and the schedule files, so
+        the file is rejected before the stride-2 layer is solved."""
+        levels = [("Register", "64,64,64", "fanout=64\n"), ("AccumBuf", "0,0,3072", ""),
+                  ("WeightBuf", "32768,0,0", ""), ("AccumBuf", "0,8192,0", ""),
+                  ("GlobalBuf", "131072,131072,0", "fanout=16\nnoc=true\n"),
+                  ("DRAM", "inf,inf,inf", "")]
+        arch = tmp_path / "twin.arch"
+        arch.write_text("[arch]\nname=twin\n" + "".join(
+            f"[level]\nname={name}\ncapacity={caps}\n{extra}" for name, caps, extra in levels))
+        layer = tmp_path / "s2.layer"
+        layer.write_text("[layer]\nR=3\nS=3\nP=28\nQ=28\nC=64\nK=64\nN=1\nStride=2\n")
+        code = main(["solve", "--arch", str(arch), "--layer", str(layer)])
+        assert code == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: level-name at AccumBuf: level 3 repeats an earlier name\n"
+
     def test_zero_budget_partition_infeasible(self, tiny_layer, capsys):
         code = main(["solve", "--layer", tiny_layer, "--budget", "1"])
         assert code == EXIT_INFEASIBLE
@@ -487,9 +506,9 @@ class TestSolveCommand:
 
     def test_invalid_schedule_exits_infeasible(self, tiny_layer, monkeypatch, capsys):
         import mipsched.cli
-        from mipsched.schedule import ScheduleViolation
+        from mipsched.arch import Violation
 
-        bad = ScheduleViolation("spatial", "GlobalBuf", "fanout exceeded")
+        bad = Violation("spatial", "GlobalBuf", "fanout exceeded")
         monkeypatch.setattr(mipsched.cli, "validate", lambda *a, **kw: [bad])
         assert main(["solve", "--layer", tiny_layer]) == EXIT_INFEASIBLE
         err = capsys.readouterr().err
@@ -548,6 +567,21 @@ class TestCompareCommand:
         ratio = float(row.split()[3])
         assert ratio >= 0.0
 
+
+    def test_time_limit_bounds_the_random_search(self, tiny_layer, capsys):
+        """--time-limit bounds the random baseline too: it stops drawing at
+        the command's deadline, its row reads `timeout` with the draws made
+        and found valid so far, and the command exits 4."""
+        t0 = time.perf_counter()
+        code = main(["compare", "--layer", tiny_layer, "--time-limit", "0.5",
+                     "--samples", "100000000", "--valid-target", "100000000"])
+        elapsed = time.perf_counter() - t0
+        assert code == EXIT_TIMEOUT
+        header, row = capsys.readouterr().out.splitlines()
+        name, solver_metric, status, ratio, draws, valid = row.split()
+        assert (name, status, ratio) == ("tiny", "timeout", "-")
+        assert int(solver_metric) > 0 and 0 < int(valid) <= int(draws) < 100_000_000
+        assert elapsed < 2.5
 
     def test_compare_no_halo_random_baseline(self, tight_ia, capsys):
         """compare --no-halo validates the random baseline's draws without
@@ -858,6 +892,23 @@ class TestEnumerateCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: assignment space ")
+
+    def test_time_limit_bounds_the_enumeration(self, tmp_path, capsys):
+        """An enumeration still running at the --time-limit deadline stops
+        there: exit 4, the error on stderr, nothing on stdout, as past
+        --limit.  This layer's full run counts 10,468,080 schedules in
+        several seconds."""
+        p = tmp_path / "e.layer"
+        p.write_text("[layer]\nR=3\nS=1\nP=2\nQ=2\nC=4\nK=4\nN=1\n")
+        t0 = time.perf_counter()
+        code = main(["enumerate", "--limit", str(10**13), "--time-limit", "0.5",
+                     "--layer", str(p)])
+        elapsed = time.perf_counter() - t0
+        assert code == EXIT_TIMEOUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: enumeration reached its deadline\n"
+        assert elapsed < 2.5
 
     @pytest.mark.parametrize("limit", ["0", "-3"])
     def test_limit_below_one_is_a_usage_error(self, limit, tmp_path, capsys):

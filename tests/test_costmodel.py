@@ -13,7 +13,7 @@ from helpers import (
     toy_three_level,
     toy_two_level,
 )
-from mipsched.arch import IA, NUM_TENSORS, OA, W, ArchSpec, MemLevel, MemTensorMatrix
+from mipsched.arch import IA, NUM_TENSORS, OA, TENSOR_NAMES, W, ArchSpec, MemLevel, MemTensorMatrix
 from mipsched.costmodel import compute_cycles, tile_elements, traffic_terms, transfer_terms
 from mipsched.formulation import build_model
 from mipsched.schedule import Loop, Schedule, encode, evaluate, validate
@@ -139,7 +139,7 @@ def test_log_product_duality(simba, seed):
         assert math.isclose(terms[f"T_{names[v]}"], math.log2(t.iterations), rel_tol=1e-9, abs_tol=1e-9)
     assert math.isclose(terms["comp"], math.log2(compute_cycles(sched)), rel_tol=1e-9, abs_tol=1e-9)
     util = 0.0
-    for I, v in simba.on_chip_pairs():
+    for I, v in simba.on_chip_pairs:
         util += math.log2(tile_elements(sched, simba, I, v, halo=False))
     assert math.isclose(terms["util"], util, rel_tol=1e-9, abs_tol=1e-9)
 
@@ -172,7 +172,7 @@ def _check_against_reference(arch, layer, draws):
             assert sched.dim_product(j) == reference_dim_tile(sched, j, arch.num_levels)
         halo_wider += any(
             tile_elements(sched, arch, I, IA, halo=True) > tile_elements(sched, arch, I, IA)
-            for I, v in arch.on_chip_pairs()
+            for I, v in arch.on_chip_pairs
             if v == IA
         )
         for s in (sched, short):
@@ -180,6 +180,10 @@ def _check_against_reference(arch, layer, draws):
                 got = validate(s, arch, halo=halo)
                 assert got == reference_validate(s, arch, halo=halo)
                 kinds.update(x.kind for x in got)
+                for x in got:  # a capacity violation's indices name its slice
+                    if x.kind == "capacity":
+                        I, v = x.slice
+                        assert x.where == f"{arch.levels[I].name}/{TENSOR_NAMES[v]}"
             assert evaluate(s, arch) == reference_evaluate(s, arch)
         valid += not validate(sched, arch)
     return valid, halo_wider, kinds

@@ -226,11 +226,17 @@ class TestRawModel:
         assert x_vars == 4 * 4 * (6 + spatial_levels)
 
     def test_solver_solution_satisfies_raw_model(self, simba):
+        """The solver's answer satisfies the raw model, and the raw
+        objective there is `objective_of` it, under the default weights
+        and under unequal ones."""
         pf = tiny_pf()
-        model = build_model(pf, simba)
-        sol = solve(model)
-        vals = model.raw_values(sol.x_assignment, sol.menu_selection)
-        assert model.check_raw(vals) == []
+        for weights in (ObjectiveWeights(), ObjectiveWeights(2, 0.5, 1.5)):
+            model = build_model(pf, simba, weights)
+            sol = solve(model)
+            vals = model.raw_values(sol.x_assignment, sol.menu_selection)
+            assert model.check_raw(vals) == []
+            raw_obj = sum(vals[vid] * c for vid, c in model.raw().objective.items())
+            assert math.isclose(raw_obj, model.objective_of(sol.x_assignment), rel_tol=1e-12)
 
     def test_linearization_exact_by_enumeration(self):
         arch = toy_two_level(fanout=2, cap=64.0)
@@ -267,19 +273,6 @@ class TestRawModel:
 
 
 class TestComposeObjective:
-    def test_compose_matches_built_objective(self, simba):
-        from mipsched.formulation import compose_objective
-
-        model = build_model(tiny_pf(), simba, ObjectiveWeights(2, 0.5, 1.5))
-        raw = model.raw()
-        assert compose_objective(model.weights, raw.term_exprs) == raw.objective
-
-    def test_compose_rejects_balance(self):
-        from mipsched.formulation import compose_objective
-
-        with pytest.raises(FormulationError):
-            compose_objective(ObjectiveWeights(mode="balance"), {})
-
     def test_partition_vars_view(self):
         arch = TestPartition().two_buffer_arch()
         pf = factorize(LayerDims(1, 1, 1, 1, 4, 4, 1))

@@ -1,13 +1,14 @@
 """End-to-end solve pipeline: decode, validation, capacity tightening."""
 
+import dataclasses
 import math
 
-from mipsched.arch import ArchSpec, MemLevel, MemTensorMatrix
+from mipsched.arch import TENSOR_NAMES, ArchSpec, MemLevel, MemTensorMatrix
 from mipsched.cli import solve_layer
-from mipsched.formulation import ObjectiveWeights
+from mipsched.formulation import ObjectiveWeights, build_model
 from mipsched.schedule import decode, encode, validate
 from mipsched.search import draw_schedule
-from mipsched.solver import Solution, SolveStats, SolverOptions
+from mipsched.solver import SolverOptions, solve
 from mipsched.workload import LayerDims, factorize
 
 
@@ -56,7 +57,7 @@ def test_suite_layers_decode_encode_identity(simba):
     for i in range(40):
         sched = draw_schedule(pf, simba, 77, i)
         x = encode(sched, pf)
-        again = decode(Solution("optimal", 0.0, x, None, SolveStats()), pf, simba)
+        again = decode(x, pf, simba)
         assert again == sched
 
 
@@ -70,3 +71,45 @@ def test_repeated_cli_solves_print_identical_stdout(tmp_path, capsys):
     assert main(["solve", "--layer", str(layer)]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+# the stride-2 layers of the benchmark, each solved in two halo rounds
+STRIDE2_LAYERS = (
+    LayerDims(3, 3, 28, 28, 64, 64, 1, stride=2),
+    LayerDims(3, 3, 14, 14, 32, 64, 1, stride=2),
+    LayerDims(1, 1, 28, 28, 64, 128, 1, stride=2),
+)
+
+
+def test_capacity_violations_name_their_slice(simba):
+    """The round-1 schedule of each stride-2 layer overflows some buffer
+    slice; every capacity violation's (level, tensor) indices name the
+    slice its `where` names."""
+    seen = 0
+    for dims in STRIDE2_LAYERS:
+        pf = factorize(dims)
+        sol = solve(build_model(pf, simba))
+        violations = validate(decode(sol.x_assignment, pf, simba), simba, halo=True)
+        assert violations and all(v.kind == "capacity" for v in violations)
+        for v in violations:
+            level, tensor = v.slice
+            assert v.where == f"{simba.levels[level].name}/{TENSOR_NAMES[tensor]}"
+            seen += 1
+    assert seen >= len(STRIDE2_LAYERS)
+
+
+def test_halo_loop_reads_slices_by_index(simba):
+    """An arch whose levels 1 and 3 share a name (through the Python API;
+    an arch file is rejected) solves the stride-2 layer as the arch with
+    unique names does: the halo loop pads the overflowed slice by its
+    indices, not by looking its name up."""
+    levels = list(simba.levels)
+    levels[3] = dataclasses.replace(levels[3], name="AccumBuf")
+    twin = dataclasses.replace(simba, levels=tuple(levels))
+    pf = factorize(STRIDE2_LAYERS[0])
+    results = [solve_layer(pf, arch, opts=SolverOptions(time_limit_s=60))
+               for arch in (simba, twin)]
+    for result in results:
+        assert result.solution.status == "optimal"
+        assert (result.rounds, result.stats.nodes) == (2, 5_219)
+    assert results[0].solution.x_assignment == results[1].solution.x_assignment

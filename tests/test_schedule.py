@@ -25,14 +25,10 @@ from mipsched.schedule import (
     serialize,
     validate,
 )
-from mipsched.solver import Solution, SolveStats, solve
+from mipsched.solver import solve
 from mipsched.workload import DIM_NAMES, LayerDims, factorize
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def fake_solution(x):
-    return Solution("optimal", 0.0, x, None, SolveStats())
 
 
 class TestDecode:
@@ -47,7 +43,7 @@ class TestDecode:
             2: (4, 2, SPATIAL),  # outer K tile spatial
             3: (4, 1, TEMPORAL),  # N temporal, lowest rank of the level
         }
-        sched = decode(fake_solution(x), pf, arch)
+        sched = decode(x, pf, arch)
         gb = sched.levels[4]
         assert [(DIM_NAMES[l.dim], l.bound, l.spatial) for l in gb] == [
             ("N", 3, False),
@@ -59,21 +55,21 @@ class TestDecode:
 
     def test_all_unit_layer_decodes_empty(self, simba):
         pf = factorize(LayerDims(1, 1, 1, 1, 1, 1, 1))
-        sched = decode(fake_solution({}), pf, simba)
+        sched = decode({}, pf, simba)
         assert all(not loops for loops in sched.levels)
 
     def test_missing_factor_rejected(self, simba):
         pf = factorize(LayerDims(3, 1, 1, 1, 1, 4, 3))
         with pytest.raises(MalformedSolutionError):
-            decode(fake_solution({0: (0, 0, TEMPORAL)}), pf, simba)
+            decode({0: (0, 0, TEMPORAL)}, pf, simba)
 
     def test_decode_encode_round_trip(self, simba):
         pf = factorize(LayerDims(3, 3, 28, 28, 8, 4, 3))
         model = build_model(pf, simba)
         sol = solve(model)
-        sched = decode(sol, pf, simba)
+        sched = decode(sol.x_assignment, pf, simba)
         x = encode(sched, pf)
-        again = decode(fake_solution(x), pf, simba)
+        again = decode(x, pf, simba)
         assert again == sched
 
     def test_encode_splits_composite_bounds(self, simba):
@@ -204,7 +200,7 @@ class TestRender:
 
     def test_empty_schedule_is_comment_skeleton(self, simba):
         pf = factorize(LayerDims(1, 1, 1, 1, 1, 1, 1))
-        sched = decode(fake_solution({}), pf, simba)
+        sched = decode({}, pf, simba)
         text = render(sched)
         body = [l for l in text.splitlines() if not l.startswith("//")]
         assert body == []
@@ -214,7 +210,7 @@ class TestRender:
         pf = factorize(LayerDims(1, 1, 1, 1, 1, 13, 1))
         model = build_model(pf, simba)
         sol = solve(model)
-        sched = decode(sol, pf, simba)
+        sched = decode(sol.x_assignment, pf, simba)
         text = render(sched)
         assert "// padded" in text
 

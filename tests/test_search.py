@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -6,6 +7,7 @@ import random
 import pytest
 
 from helpers import (
+    SUITE_LAYERS,
     order_count,
     reference_assignments,
     reference_enumerate_all,
@@ -18,7 +20,7 @@ from helpers import (
 from mipsched import search
 from mipsched.costmodel import compute_cycles, noc_iterations
 from mipsched.formulation import ObjectiveWeights, build_model
-from mipsched.schedule import Loop, encode, tile_violations, validate
+from mipsched.schedule import Loop, encode, serialize, tile_violations, validate
 from mipsched.search import (
     METRICS,
     NoValidScheduleError,
@@ -27,11 +29,28 @@ from mipsched.search import (
     enumerate_best,
     metric_value,
     order_scorer,
+    draw_schedule,
     random_search,
     valid_assignments,
 )
 from mipsched.solver import SpaceTooLarge, solve
 from mipsched.workload import LayerDims, factorize
+
+
+def test_draws_pinned(simba):
+    """Draws 0-199 of seeds 0, 11 and 77 on four layers, serialized, hash
+    to a pinned digest: a draw is a function of its seed and index, and
+    its schedule is the one `decode` builds from the drawn assignment."""
+    digest = hashlib.sha256()
+    layers = [SUITE_LAYERS["tiny"], SUITE_LAYERS["conv28"], SUITE_LAYERS["wide256"],
+              LayerDims(1, 1, 1, 1, 1, 1, 1)]
+    for dims in layers:
+        pf = factorize(dims)
+        for seed in (0, 11, 77):
+            for i in range(200):
+                digest.update(serialize(draw_schedule(pf, simba, seed, i)))
+    assert digest.hexdigest() == (
+        "4e4c42c794ccac937b0e38887a1143bbbccb0ed4192a45364a49559162da4675")
 
 
 def test_config_validation():

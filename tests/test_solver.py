@@ -1726,7 +1726,7 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
             if obj <= sim.obj:
                 key = m.lex_key(x, menu_sel)
                 ok = (sim.beats(obj, key)
-                      and not m.constraint_violations(x, menu_sel, TOLERANCE))
+                      and not m.constraint_violations(x, menu_sel))
                 expect.append((obj, ok, image))
                 if ok:
                     sim.offer(obj, key, x, menu_sel)
@@ -1805,7 +1805,8 @@ def test_t_sums_matches_reference(simba):
     for model in models:
         for _ in range(20):
             x = {fi: rng.choice(model.choices[fi]) for fi in range(model.F)}
-            assert model._t_sums(x) == reference_t_sums(model, x)
+            walk = model._temporal_walk(x)
+            assert model._walk_t_sums(walk) == reference_t_sums(model, x)
             checked += 1
     assert checked > 1000
 
