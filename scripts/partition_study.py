@@ -9,6 +9,8 @@ Usage: python scripts/partition_study.py [--budget BYTES] [--time-limit S]
 
 Exits 4 when a solve stops at the time limit and 3 when one is
 infeasible, as `mipsched` does; the layer's line then names the solve.
+A budget below 1 byte or a time limit that is not positive is an
+argument error (exit 2).
 """
 
 import argparse
@@ -33,9 +35,13 @@ def main() -> int:
     ap.add_argument("--budget", type=int, default=None, help="bytes (default: baseline total)")
     ap.add_argument("--time-limit", type=float, default=200.0)
     args = ap.parse_args()
+    if args.budget is not None and args.budget < 1:
+        ap.error("--budget must be >= 1")
+    if not args.time_limit > 0:  # also rejects NaN
+        ap.error(f"--time-limit must be positive, got {args.time_limit:g}")
 
     arch = default_simba_arch()
-    budget = args.budget or baseline_total_bytes(arch)
+    budget = baseline_total_bytes(arch) if args.budget is None else args.budget
     print(f"budget {budget} B (baseline total {baseline_total_bytes(arch)} B)")
 
     statuses = set()

@@ -6,6 +6,7 @@ Usage: python scripts/run_suite.py [--time-limit S] [--seed N]
 
 Exits 4 when a solve stops at the time limit and 3 when one is
 infeasible, as `mipsched` does; the layer's line then names the status.
+A time limit that is not positive is an argument error (exit 2).
 """
 
 import argparse
@@ -35,6 +36,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--show-schedules", action="store_true")
     args = ap.parse_args()
+    if not args.time_limit > 0:  # also rejects NaN
+        ap.error(f"--time-limit must be positive, got {args.time_limit:g}")
 
     print("layer factors objective latency random_latency ratio solve_s")
     ratios = []

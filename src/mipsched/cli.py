@@ -35,6 +35,7 @@ from .arch import (
     validate_arch,
 )
 from .formulation import (
+    MODES,
     FormulationError,
     MipModel,
     ObjectiveWeights,
@@ -651,11 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="layer file; compare takes several",
     )
     common.add_argument("--schedule", help="schedule file (evaluate)")
-    common.add_argument(
-        "--obj",
-        default="combined",
-        choices=["util", "comp", "traffic", "combined", "balance"],
-    )
+    common.add_argument("--obj", default="combined", choices=MODES)
     common.add_argument("--weights", default="1,1,1", help="wU,wC,wT")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--samples", type=int, default=20_000)

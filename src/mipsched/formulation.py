@@ -30,7 +30,7 @@ from .workload import DIM_NAMES, PrimeFactorization
 SPATIAL, TEMPORAL = 0, 1
 MAP_NAMES = ("s", "t")
 
-MODES = ("util", "comp", "traffic", "combined", "balance")
+MODES = ("util", "comp", "traffic", "combined")
 
 TOLERANCE = 1e-6  # capacity slack granted to every constraint check
 
@@ -56,8 +56,8 @@ class ObjectiveWeights:
             raise FormulationError("objective weights must be finite and non-negative")
         # the weights the mode reads; with all of them zero every schedule
         # ties at 0, and no bound can prune before the time limit
-        read = {"util": ("w_u",), "comp": ("w_c",), "traffic": ("w_t",),
-                "balance": ("w_c", "w_t")}.get(self.mode, ("w_u", "w_c", "w_t"))
+        read = {"util": ("w_u",), "comp": ("w_c",),
+                "traffic": ("w_t",)}.get(self.mode, ("w_u", "w_c", "w_t"))
         if max(getattr(self, name) for name in read) <= 0:
             raise FormulationError(f"{self.mode} mode needs a positive {' or '.join(read)}")
 
@@ -169,8 +169,7 @@ class MipModel:
     Variable order (fixes the lexicographic tie-break): allocation
     variables factor-major (level asc, rank asc, spatial before
     temporal), then partition selectors (level asc, tensor asc, exponent
-    asc), then traffic indicators, then their linearization products,
-    then the balance auxiliary.
+    asc), then traffic indicators, then their linearization products.
     """
 
     def __init__(
@@ -419,24 +418,12 @@ class MipModel:
         return self._walk_t_sums([(I, self.factors[fi]) for I, chain in chains.items()
                                   for fi in chain])[1]
 
-    def objective_folds(self, recs: list[ChoiceCoef]) -> list[list[float]]:
-        """The values each of the objective's sums adds up, one per factor
-        in factor order: the records' static objective, or in balance mode
-        their compute and their below-NoC traffic.  `objective_from` folds
-        each from 0.0, left to right."""
-        if self.weights.mode == "balance":
-            return [[rec.comp for rec in recs], [rec.dl for rec in recs]]
-        return [[rec.static for rec in recs]]
-
-    def objective_close(self, sums: list[float], traffic: float) -> float:
-        """The objective from the left folds `sums` of `objective_folds`
-        and the traffic walk's total `traffic` (`_walk_t_sums`), which a
-        linear mode with no traffic weight does not read."""
-        if self.weights.mode == "balance":
-            comp, traf = sums
-            traf += traffic
-            return abs(self.weights.w_t * traf - self.weights.w_c * comp)
-        obj = sums[0]
+    def objective_close(self, static_sum: float, traffic: float) -> float:
+        """The objective from `static_sum`, the records' static objective
+        folded left from 0.0 in factor order, and the traffic walk's total
+        `traffic` (`_walk_t_sums`), which a mode with no traffic weight
+        does not read."""
+        obj = static_sum
         if self.w_t != 0.0:
             obj += self.w_t * traffic
         return obj
@@ -445,10 +432,10 @@ class MipModel:
                        walk: list[tuple[int, Factor]]) -> float:
         """Objective from each factor's choice record, in factor order, and
         the occupied temporal walk; `objective_of` and the solver's leaf
-        both compute it from `objective_folds` and `objective_close`, so
-        they agree float for float."""
-        sums = [reduce(add, vals, 0.0) for vals in self.objective_folds(recs)]
-        return self.objective_close(sums, self._walk_t_sums(walk)[1])
+        both close it with `objective_close`, so they agree float for
+        float."""
+        static_sum = reduce(add, [rec.static for rec in recs], 0.0)
+        return self.objective_close(static_sum, self._walk_t_sums(walk)[1])
 
     def objective_of(self, x_assign: dict[int, tuple[int, int, int]]) -> float:
         """Objective value of a complete assignment (canonical term order)."""
@@ -572,10 +559,6 @@ class MipModel:
                 vals[raw.y_id[(v, gi)]] = y
                 if fi is not None and y:
                     vals[raw.p_id[(v, gi, fi)]] = 1.0
-        if raw.d_id is not None:
-            comp = sum(vals[vid] * c for vid, c in raw.term_exprs["comp"].items())
-            traf = sum(vals[vid] * c for vid, c in raw.term_exprs["traffic"].items())
-            vals[raw.d_id] = abs(self.weights.w_t * traf - self.weights.w_c * comp)
         return vals
 
     def check_raw(self, vals: list[float]) -> list[str]:
@@ -603,8 +586,6 @@ class RawModel:
     menu_id_base: list[int]
     y_id: dict[tuple[int, int], int]
     p_id: dict[tuple[int, int, int], int]
-    d_id: int | None
-    term_exprs: dict[str, dict[int, float]]
 
 
 def _build_raw(m: MipModel) -> RawModel:
@@ -641,9 +622,6 @@ def _build_raw(m: MipModel) -> RawModel:
                 p_id[(v, gi, fi)] = add_var(
                     f"P_{TENSOR_NAMES[v]}_g{gi}_{DIM_NAMES[f.j]}{f.n}", "prod"
                 )
-    d_id = None
-    if m.weights.mode == "balance":
-        d_id = add_var("D_balance", "aux")
 
     cons: list[RawConstraint] = []
 
@@ -782,39 +760,13 @@ def _build_raw(m: MipModel) -> RawModel:
             for fi, f in enumerate(m.factors):
                 traf_expr[p_id[(v, gi, fi)]] = f.lg
 
-    if m.weights.mode == "balance":
-        objective = {d_id: 1.0}
-        bal = {}
-        for vid, c in traf_expr.items():
-            bal[vid] = bal.get(vid, 0.0) + m.weights.w_t * c
-        for vid, c in comp_expr.items():
-            bal[vid] = bal.get(vid, 0.0) - m.weights.w_c * c
-        cons.append(
-            RawConstraint(
-                "balance+",
-                "balance",
-                ((d_id, 1.0),) + tuple((vid, -c) for vid, c in bal.items()),
-                ">=",
-                0.0,
-            )
-        )
-        cons.append(
-            RawConstraint(
-                "balance-",
-                "balance",
-                ((d_id, 1.0),) + tuple((vid, c) for vid, c in bal.items()),
-                ">=",
-                0.0,
-            )
-        )
-    else:
-        # traffic and compute enter positively, utilization negated
-        w_u, w_c, w_t = m.weights.effective()
-        objective = {vid: 0.0 - w_u * c for vid, c in util_expr.items()}  # no -0.0
-        for w, expr in ((w_c, comp_expr), (w_t, traf_expr)):
-            if w:
-                for vid, c in expr.items():
-                    objective[vid] = objective.get(vid, 0.0) + w * c
+    # traffic and compute enter positively, utilization negated
+    w_u, w_c, w_t = m.weights.effective()
+    objective = {vid: 0.0 - w_u * c for vid, c in util_expr.items()}  # no -0.0
+    for w, expr in ((w_c, comp_expr), (w_t, traf_expr)):
+        if w:
+            for vid, c in expr.items():
+                objective[vid] = objective.get(vid, 0.0) + w * c
 
     return RawModel(
         var_names=names,
@@ -825,8 +777,6 @@ def _build_raw(m: MipModel) -> RawModel:
         menu_id_base=menu_id_base,
         y_id=y_id,
         p_id=p_id,
-        d_id=d_id,
-        term_exprs={"util": util_expr, "comp": comp_expr, "traffic": traf_expr},
     )
 
 
@@ -847,21 +797,14 @@ def build_model(
     Raises a plain ValueError when the weights overflow the objective: a
     record's coefficient, or the largest |objective| a schedule can reach,
     is not finite.  That bound is each factor's largest |coefficient|,
-    summed, plus w_t times the traffic walk's most, 3 * sum(lg) (the walk
-    bound of the solver's balance search); in balance mode it is its two
-    terms, weighted traffic and weighted compute, each at its most.
+    summed, plus w_t times the traffic walk's most, 3 * sum(lg): each of
+    the three tensors' walk sums at most every factor's lg.
     """
     model = MipModel(pf, arch, weights, partition, capacity_pads)
     walk = 3.0 * sum(f.lg for f in model.factors)
-    if weights.mode == "balance":
-        reach = [weights.w_t * (sum(max(rec.dl for rec in recs)
-                                    for recs in model.classes) + walk),
-                 weights.w_c * sum(max(rec.comp for rec in recs)
-                                   for recs in model.classes)]
-    else:
-        reach = [rec.static for recs in model.classes for rec in recs]
-        reach.append(sum(max(abs(rec.static) for rec in recs) for recs in model.classes)
-                     + weights.effective()[2] * walk)
+    reach = [rec.static for recs in model.classes for rec in recs]
+    reach.append(sum(max(abs(rec.static) for rec in recs) for recs in model.classes)
+                 + weights.effective()[2] * walk)
     if not all(map(math.isfinite, reach)):
         raise ValueError(f"objective weights {weights.w_u:g},{weights.w_c:g},"
                          f"{weights.w_t:g} overflow the {weights.mode} objective")

@@ -77,11 +77,10 @@ compute it:
   their log-factor and their triggers at every level, and the traffic
   walk reads nothing else of a factor, so the image's walk total is its
   leaf's, bit for bit, and is walked once per leaf.  The objective's
-  sums (`objective_folds`) are left folds in factor order; up to the
-  image's first moved factor they add the leaf's values, so they equal
-  the leaf's prefix sums there, and each resumes from its prefix sum over
-  the image's own values.  The leaf, which moves no factor, takes its
-  whole prefix sums.
+  static sum is a left fold in factor order; up to the image's first
+  moved factor it adds the leaf's values, so it equals the leaf's prefix
+  sum there, and it resumes from that prefix sum over the image's own
+  values.  The leaf, which moves no factor, takes its whole prefix sum.
 - Its key is `lex_key` of its `canonical_assignment`, one pass from
   factor 0 over the image's slots.
 - An image above the incumbent's objective is rejected on it, with no
@@ -98,10 +97,9 @@ incumbent is a leaf's objective, so at least L*'s; no bound rejects
 L0.  A leaf needs no estimate of its own: the bound of its last child,
 which it passed against the incumbent it is entered under, is at least
 its static sum plus its weighted traffic, the most the search state
-tells of its objective (in balance mode, that objective itself).  L0 is
-reached and offers L*.  The argument reads nothing but admissible
-bounds and summation order, so it holds in every objective mode,
-balance included.
+tells of its objective.  L0 is reached and offers L*.  The argument
+reads nothing but admissible bounds and summation order, so it holds in
+every objective mode.
 
 A partition model's byte budget is propagated into the capacity bounds,
 as activity-based bound propagation does with a linear row (Savelsbergh
@@ -213,16 +211,16 @@ branch-order fold.
 Reported assignments are canonicalized to the lexicographically smallest
 member of their class, so results are bit-stable across runs.  A leaf is
 decided from its exact objective before that, computed as
-`MipModel.objective_from` computes it: each factor's class record summed
-in factor order (`objective_folds`) and the traffic walk over the chains
-in (level, chain position) order added (`objective_close`).  Every member
-of a choice class has the same coefficients, and canonical ranks rise
-with chain position on each level, so this value needs no rank and
-equals `objective_of` of the canonical assignment bit for bit.  A leaf
-above the incumbent's objective is rejected as it stands; one that ties
-it exactly is canonicalized against the incumbent's key and stops at the
-first factor where the keys differ; only a better leaf, or the first,
-takes the full pass.  The compares are exact, with no tolerance:
+`MipModel.objective_from` computes it: each factor's class record's
+static objective summed in factor order and the traffic walk over the
+chains in (level, chain position) order added (`objective_close`).
+Every member of a choice class has the same coefficients, and canonical
+ranks rise with chain position on each level, so this value needs no
+rank and equals `objective_of` of the canonical assignment bit for bit.
+A leaf above the incumbent's objective is rejected as it stands; one
+that ties it exactly is canonicalized against the incumbent's key and
+stops at the first factor where the keys differ; only a better leaf, or
+the first, takes the full pass.  The compares are exact, with no tolerance:
 rounding in the last ulp decides real ties.
 
 The search branches over the model's choice classes, `MipModel.classes`;
@@ -549,20 +547,19 @@ class _Incumbent:
 
 class _Leaf:
     """A leaf as `_Search._decide` decides it and its images: its class
-    records, chains and menus, the objective's folds with their prefix
-    sums (`pres[k][i]` the fold of the first i values) and the traffic
+    records, chains and menus, the records' static objectives with their
+    prefix sums (`pres[i]` the left fold of the first i) and the traffic
     walk's total; and, once one of its images is canonicalized, its slots,
     per factor its choice class and chain place or None."""
 
-    __slots__ = ("recs", "chains", "menu_sel", "folds", "pres", "traffic", "_slots")
+    __slots__ = ("recs", "chains", "menu_sel", "statics", "pres", "traffic", "_slots")
 
     def __init__(self, recs, chains, menu_sel, m: MipModel):
         self.recs = recs
         self.chains = chains
         self.menu_sel = menu_sel
-        self.folds = m.objective_folds(recs)
-        self.pres = [list(itertools.accumulate(vals, add, initial=0.0))
-                     for vals in self.folds]
+        self.statics = [rec.static for rec in recs]
+        self.pres = list(itertools.accumulate(self.statics, add, initial=0.0))
         self.traffic = m.chain_traffic(chains)
         self._slots = None
 
@@ -579,8 +576,7 @@ class _Search:
     """One solve: the model-derived tables, built from the class records
     of `MipModel.classes`, and the search state over the collapsed space,
     a function of the current path.  One instance runs the dive (`dfs`),
-    `tighten`, which alone updates the tables, and the proof (`prove`).
-    Balance mode is `_BalanceSearch`, with its own bound and tables."""
+    `tighten`, which alone updates the tables, and the proof (`prove`)."""
 
     # slotted: the search reads these attributes on every node
     __slots__ = (
@@ -591,7 +587,7 @@ class _Search:
         "ncons", "con_rhs", "cap", "menu_fit", "menu_hulls", "menu_items",
         "cls_of", "classes", "costs", "suffix_min", "kn_at",
         "lam", "lam_active", "lagr_suffix", "pen_at", "choice_rec",
-        "chains", "con_lhs", "static_sum", "comp_sum", "dl_sum", "t_cur",
+        "chains", "con_lhs", "static_sum", "t_cur",
         "profile", "floors", "rhs", "lagr_cut", "pen_cut", "no_cut",
         "saved", "menu_memo",
     )
@@ -714,7 +710,7 @@ class _Search:
         self.choice_rec: list[ChoiceCoef | None] = [None] * F
         self.chains: dict[int, list[int]] = {I: [] for I in range(m.noc, m.H)}
         self.con_lhs = [0.0] * self.ncons
-        self.static_sum = self.comp_sum = self.dl_sum = 0.0
+        self.static_sum = 0.0
         self.t_cur = 0.0
         # the chain profile of `_chain_profile`, or None until a child needs
         # it; only a chained child changes the chains
@@ -1477,9 +1473,8 @@ class _Search:
         `_menu_state` of them, kept once per distinct floors."""
         _b, I, _k, q, rec, t_after = child
         fi = self.order[pos]
-        self.saved.append((self.con_lhs, self.static_sum, self.comp_sum,
-                           self.dl_sum, self.t_cur, self.floors, self.rhs,
-                           self.lagr_cut, self.pen_cut, self.profile))
+        self.saved.append((self.con_lhs, self.static_sum, self.t_cur, self.floors,
+                           self.rhs, self.lagr_cut, self.pen_cut, self.profile))
         if self.floors is not None:
             floors = self._child_floors(rec)
             if floors is not self.floors:
@@ -1493,8 +1488,6 @@ class _Search:
             con_lhs[ci] += add
         self.con_lhs = con_lhs
         self.static_sum += rec.static
-        self.comp_sum += rec.comp
-        self.dl_sum += rec.dl
         self.t_cur = t_after
         self.choice_rec[fi] = rec
         if q >= 0:
@@ -1504,9 +1497,8 @@ class _Search:
     def _undo(self, pos, child):
         """Return from `child` to the node `_apply` saved."""
         _b, I, _k, q, _rec, _t_after = child
-        (self.con_lhs, self.static_sum, self.comp_sum, self.dl_sum, self.t_cur,
-         self.floors, self.rhs, self.lagr_cut, self.pen_cut,
-         self.profile) = self.saved.pop()
+        (self.con_lhs, self.static_sum, self.t_cur, self.floors, self.rhs,
+         self.lagr_cut, self.pen_cut, self.profile) = self.saved.pop()
         self.choice_rec[self.order[pos]] = None
         if q >= 0:
             del self.chains[I][q]
@@ -1535,9 +1527,8 @@ class _Search:
         """Decide the leaf, and its images, the leaves its mirror runs cut,
         all on the leaf's menus; True when one of them is accepted.  No
         estimate gates it: the leaf's last child passed its bound, at
-        least the leaf's static sum plus its weighted traffic (in balance
-        mode the leaf's exact objective), against the incumbent it is
-        entered under."""
+        least the leaf's static sum plus its weighted traffic, against the
+        incumbent it is entered under."""
         self.leaves += 1
         menu_sel = self._derive_menus()
         # fires only when F = 0 (an all-ones layer), where no child priced
@@ -1557,9 +1548,9 @@ class _Search:
         holds 0.0 or the run's one log-factor on every constraint; so its
         branch-order fold of the buffer sums adds the same values as its
         leaf's at every depth, and its sums, capacity verdict and menus are
-        the leaf's, bit for bit.  Its objective comes from the leaf's folds
-        and traffic walk (`_image_objectives`), and only an image at or
-        below the incumbent's objective is offered (`_offer`)."""
+        the leaf's, bit for bit.  Its objective comes from the leaf's static
+        prefix sums and traffic walk (`_image_objectives`), and only an
+        image at or below the incumbent's objective is offered (`_offer`)."""
         leaf = _Leaf(recs, chains, menu_sel, self.m)
         images = self._images(recs)
         accepted = False
@@ -1636,19 +1627,14 @@ class _Search:
         """Each image's exact objective, `MipModel.objective_from`'s.
         Mirrored factors share their log-factor and their triggers at every
         level, and the traffic walk reads nothing else of a factor, so an
-        image's walk total is the leaf's, bit for bit.  Its sums
-        (`objective_folds`) add the leaf's values up to its first moved
-        factor, in factor order, and so equal the leaf's prefix sums there;
-        each resumes from them over the image's values from that factor on.
-        The leaf itself moves none: its sums are the leaf's whole folds."""
+        image's walk total is the leaf's, bit for bit.  Its static sum adds
+        the leaf's values up to its first moved factor, in factor order, and
+        so equals the leaf's prefix sum there; it resumes from it over the
+        image's values from that factor on.  The leaf itself moves none: its
+        sum is the leaf's whole fold."""
         close = self.m.objective_close
-        folds, pres, traffic = leaf.folds, leaf.pres, leaf.traffic
-        if len(folds) == 1:  # outside balance mode: no inner list per image
-            (vals,), (pre,) = folds, pres
-            return [close([reduce(add, gather(vals), pre[first])], traffic)
-                    for first, gather in images]
-        return [close([reduce(add, gather(vals), pre[first])
-                       for vals, pre in zip(folds, pres)], traffic)
+        statics, pre, traffic = leaf.statics, leaf.pres, leaf.traffic
+        return [close(reduce(add, gather(statics), pre[first]), traffic)
                 for first, gather in images]
 
     def _offer(self, leaf: "_Leaf", obj: float, image: tuple) -> bool:
@@ -1784,55 +1770,6 @@ class _Search:
             path.append(node)
 
 
-class _BalanceSearch(_Search):
-    """A solve in balance mode, whose objective |w_t * traffic - w_c *
-    comp| has no costs to relax: its only bound is the interval one over
-    per-depth suffix tables of the least and largest compute and traffic,
-    exact at a leaf, so `tighten` has nothing to build."""
-
-    __slots__ = ("suffix_comp_lo", "suffix_comp_hi", "suffix_traf_lo",
-                 "traf_hi_const")
-
-    def _build_bounds(self):
-        # no multipliers: the menu states carry no cut
-        self.lam, self.lam_active = [0.0] * self.ncons, []
-        per_class = [self.classes[fi] for fi in self.heads]
-        self.suffix_comp_lo = self._suffix(
-            [min(rec.comp for rec in recs) for recs in per_class])
-        self.suffix_comp_hi = self._suffix(
-            [max(rec.comp for rec in recs) for recs in per_class])
-        self.suffix_traf_lo = self._suffix(
-            [min(rec.dl + rec.self_t for rec in recs) for recs in per_class])
-        total_lg = sum(f.lg for f in self.m.factors)
-        self.traf_hi_const = (
-            sum(max(rec.dl for rec in recs) for recs in self.classes)
-            + 3.0 * total_lg
-        )
-
-    def tighten(self):
-        pass
-
-    def _node_bound(self, pos, rec, t_after) -> float | None:
-        w = self.m.weights
-        comp_lo = self.comp_sum + rec.comp + self.suffix_comp_lo[pos + 1]
-        comp_hi = self.comp_sum + rec.comp + self.suffix_comp_hi[pos + 1]
-        traf_lo = self.dl_sum + rec.dl + t_after + self.suffix_traf_lo[pos + 1]
-        a_lo, a_hi = w.w_t * traf_lo, w.w_t * self.traf_hi_const
-        b_lo, b_hi = w.w_c * comp_lo, w.w_c * comp_hi
-        if pos + 1 == self.m.F:
-            # a leaf: no tail, and its traffic is known, not `traf_hi_const`
-            b = abs(a_lo - b_lo)
-        elif a_lo > b_hi:
-            b = a_lo - b_hi
-        elif b_lo > a_hi:
-            b = b_lo - a_hi
-        else:
-            b = 0.0
-        if b > self.inc.obj + EPS_PRUNE:
-            return None
-        return b
-
-
 def _gather(index: list[int]):
     """A function of a list that returns its items at `index`, in order,
     as a tuple: `operator.itemgetter`, which returns a lone item bare and
@@ -1882,8 +1819,7 @@ def solve(model: MipModel, opts: SolverOptions = SolverOptions()) -> Solution:
         return Solution("infeasible", None, None, None, stats,
                         witness=_root_witness(model))
     inc = _Incumbent()
-    cls = _BalanceSearch if model.weights.mode == "balance" else _Search
-    search = cls(model, inc, t0 + opts.time_limit_s)
+    search = _Search(model, inc, t0 + opts.time_limit_s)
     search.dfs(0, dive=True)
     # the dive ends at its first accepted leaf or at the deadline; one that
     # ends at neither has searched the whole tree, with nothing to bound it
@@ -2030,8 +1966,5 @@ def dump_lp(model: MipModel) -> str:
         lines.append("Binary")
         for name in binaries:
             lines.append(f" {name}")
-    if raw.d_id is not None:
-        lines.append("Bounds")
-        lines.append(f" 0 <= {raw.var_names[raw.d_id]}")
     lines.append("End")
     return "\n".join(lines) + "\n"

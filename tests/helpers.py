@@ -108,7 +108,7 @@ def _random_target_model(rng, seed, layer, max_space):
         precision_bytes=(1, 1, rng.choice([1, 3])),
         name=f"rand{seed}",
     )
-    mode = rng.choice(["combined", "combined", "util", "comp", "traffic", "balance"])
+    mode = rng.choice(["combined", "combined", "util", "comp", "traffic", "combined"])
     weights = ObjectiveWeights(
         rng.choice([0.5, 1, 2]), rng.choice([0.5, 1, 2]), rng.choice([0.5, 1, 2]), mode=mode
     )
@@ -279,7 +279,6 @@ def highs_objective(model, time_limit_s: float = 300.0) -> float | None:
         c,
         constraints=LinearConstraint(A, lo, hi),
         integrality=binary.astype(int),
-        # the balance-mode auxiliary variable is continuous in [0, inf)
         bounds=Bounds(np.zeros(n), np.where(binary, 1.0, np.inf)),
         options={"time_limit": time_limit_s, "mip_rel_gap": 0.0},
     )

@@ -25,6 +25,7 @@ from mipsched.cli import (
     parse_sections,
 )
 from helpers import reference_enumerate_all, tight_ia_arch
+from mipsched.formulation import FormulationError, ObjectiveWeights
 from mipsched.schedule import parse as parse_schedule
 from mipsched.search import SearchConfig, random_search
 from mipsched.workload import factorize
@@ -764,7 +765,7 @@ class TestObjectiveWeights:
         assert err.startswith("error: objective weights must be finite")
 
     @pytest.mark.parametrize("obj, weights", [
-        ("util", "0,1,1"), ("comp", "1,0,1"), ("traffic", "1,1,0"), ("balance", "1,0,0"),
+        ("util", "0,1,1"), ("comp", "1,0,1"), ("traffic", "1,1,0"),
     ])
     def test_zero_weight_mode_rejected(self, obj, weights, tiny_layer, capsys):
         """A mode whose weights are all zero ties every schedule at 0 and
@@ -778,6 +779,19 @@ class TestObjectiveWeights:
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith(f"error: {obj} mode needs a positive")
+
+    def test_balance_mode_rejected(self, tiny_layer, capsys):
+        """`--obj balance`, the |w_t * traffic - w_c * comp| mode the paper
+        does not have, is gone: argparse rejects the choice with exit 2 and
+        nothing on stdout, and the model refuses the mode."""
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--layer", tiny_layer, "--obj", "balance"])
+        assert exc.value.code == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --obj: invalid choice: 'balance'" in err
+        with pytest.raises(FormulationError, match="^unknown objective mode 'balance'"):
+            ObjectiveWeights(mode="balance")
 
     def test_overflowing_weights_rejected(self, tiny_layer, capsys):
         """Weights whose objective overflows (an infinite coefficient, or

@@ -308,28 +308,20 @@ class TestComposeObjective:
         expect = -t["util"] + t["comp"] + t["traffic"]
         assert math.isclose(model.objective_of(x), expect, rel_tol=1e-9)
 
-    def test_balance_mode_absolute_difference(self):
-        arch = toy_two_level(fanout=2, cap=16.0)
-        pf = factorize(LayerDims(1, 1, 2, 1, 3, 2, 1))
-        model = build_model(pf, arch, ObjectiveWeights(1, 1, 1, mode="balance"))
-        sol = solve(model)
-        assert sol.objective_value >= 0.0
-        t = model.term_values(sol.x_assignment)
-        assert math.isclose(sol.objective_value, abs(t["traffic"] - t["comp"]), rel_tol=1e-9)
-
     def test_weight_validation(self):
         with pytest.raises(FormulationError):
             ObjectiveWeights(0, 0, 0, mode="combined")
         # a mode whose weights are all zero ties every schedule at 0
         for mode, weights in (("util", (0, 1, 1)), ("comp", (1, 0, 1)),
-                              ("traffic", (1, 1, 0)), ("balance", (1, 0, 0))):
+                              ("traffic", (1, 1, 0))):
             with pytest.raises(FormulationError, match=f"^{mode} mode needs a positive"):
                 ObjectiveWeights(*weights, mode=mode)
         # one weight the mode reads is enough, whatever the others are
         for mode, weights in (("util", (1, 0, 0)), ("comp", (0, 1, 0)),
-                              ("traffic", (0, 0, 1)), ("balance", (0, 0, 1)),
-                              ("balance", (0, 1, 0)), ("combined", (0, 0, 1))):
+                              ("traffic", (0, 0, 1)), ("combined", (0, 0, 1))):
             ObjectiveWeights(*weights, mode=mode)
+        with pytest.raises(FormulationError, match="^unknown objective mode 'balance'"):
+            ObjectiveWeights(mode="balance")
         with pytest.raises(FormulationError):
             ObjectiveWeights(-1, 1, 1)
         with pytest.raises(FormulationError):
@@ -415,7 +407,7 @@ def coef_models(simba):
     conv28 = factorize(SUITE_LAYERS["conv28"])
     for name, dims in SUITE_LAYERS.items():
         yield name, build_model(factorize(dims), simba)
-    for mode in ("util", "comp", "traffic", "balance"):
+    for mode in ("util", "comp", "traffic"):
         yield f"conv28-{mode}", build_model(conv28, simba, ObjectiveWeights(mode=mode))
     yield "conv28-partition", build_model(
         conv28, simba, partition=PartitionSpec(budget_bytes=306367)

@@ -42,7 +42,6 @@ from mipsched.solver import (
     TOLERANCE,
     SolverOptions,
     SpaceTooLarge,
-    _BalanceSearch,
     _Incumbent,
     _LevelState,
     _Search,
@@ -61,13 +60,12 @@ FC_LAYER = LayerDims(1, 1, 1, 1, 1024, 1000, 16)
 
 def new_search(model):
     """The search `solve` runs on `model`, at its root, before the dive."""
-    cls = _BalanceSearch if model.weights.mode == "balance" else _Search
-    return cls(model, _Incumbent(), math.inf)
+    return _Search(model, _Incumbent(), math.inf)
 
 
-def small_model(mode="combined"):
+def small_model():
     pf = factorize(LayerDims(1, 1, 2, 1, 3, 2, 1))
-    return build_model(pf, toy_two_level(), ObjectiveWeights(mode=mode))
+    return build_model(pf, toy_two_level())
 
 
 def test_single_factor_optimum_matches_oracle():
@@ -200,14 +198,6 @@ def test_dump_lp_structure():
     assert a == text  # deterministic bytes
 
 
-def test_balance_mode_oracle():
-    model = small_model(mode="balance")
-    sol = solve(model)
-    oracle = exhaustive_solve(model)
-    assert sol.objective_value == oracle.objective_value
-    assert sol.x_assignment == oracle.x_assignment
-
-
 @pytest.mark.parametrize(
     "weights",
     [ObjectiveWeights(1, 1, 0), ObjectiveWeights(1, 0, 1), ObjectiveWeights(2, 0.5, 1)],
@@ -248,8 +238,7 @@ def test_oracle_equivalence_property(seed):
         assert sol.menu_selection == oracle.menu_selection
 
 
-# random instances with partition menus (19-326) and without (345-394),
-# none in balance mode, where the penalized bound is not built
+# random instances with partition menus (19-326) and without (345-394)
 PEN_SEEDS = [19, 22, 42, 59, 101, 167, 283, 303, 326, 345, 369, 377, 384, 393]
 
 
@@ -295,7 +284,7 @@ def test_penalized_bound_dominates_lagrangian(simba, monkeypatch, tol):
             factorize(dims), simba, partition=PartitionSpec(budget_bytes=306367))))
     checked = cut = 0
     for name, model in models:
-        assert model is not None and model.weights.mode != "balance", name
+        assert model is not None, name
         search = new_search(model)
         search.tighten()  # no incumbent: the penalized rows at the root's multipliers
         if not search.pen_at[1]:
@@ -440,7 +429,7 @@ def test_search_counts_pinned(simba):
     result = solve_layer(factorize(stride2, PaddingPolicy(max_prime=7)), simba)
     stats = result.solution.stats
     counts["stride2-1x1-28"] = (result.rounds, stats.nodes, stats.leaves)
-    # combined; combined with menus; traffic with menus; balance; balance
+    # combined; combined with menus; traffic with menus; combined; combined
     # with menus
     for seed in (82, 101, 22, 214, 245):
         model = random_instance(seed, max_space=60_000)
@@ -460,8 +449,8 @@ def test_search_counts_pinned(simba):
         82: ("combined", False, 38, 13),
         101: ("combined", True, 8, 3),
         22: ("traffic", True, 37, 25),
-        214: ("balance", False, 59, 28),
-        245: ("balance", True, 9, 3),
+        214: ("combined", False, 44, 13),
+        245: ("combined", True, 6, 2),
     }
 
 
@@ -484,7 +473,7 @@ def test_bound_tables_pinned(simba):
     to how they are built cannot move a single float unnoticed, and of the
     budget's on the models with menus: each menu's `_menu_hull` at the
     root's floor and the root's rhs and Lagrangian cut; of what `tighten`
-    builds after the dive outside balance mode: the incumbent's objective,
+    builds after the dive: the incumbent's objective,
     the Polyak rebuild's multipliers and `lagr_suffix`, the penalized rows
     and the root's rhs and cuts at those multipliers; and the symmetry
     breaking's `prev_same`, which no bound reads, as a list."""
@@ -493,7 +482,6 @@ def test_bound_tables_pinned(simba):
         "conv28-partition": build_model(factorize(SUITE_LAYERS["conv28"]), simba,
                                         partition=PartitionSpec(budget_bytes=306367)),
         22: random_instance(22, max_space=60_000),  # traffic with menus
-        214: random_instance(214, max_space=60_000),  # balance
     }
     digests = {}
     budget_digests = {}
@@ -507,24 +495,19 @@ def test_bound_tables_pinned(simba):
             budget = (hulls, search.rhs, search.lagr_cut)
             budget_digests[name] = hashlib.sha256(repr(budget).encode()).hexdigest()
         assert not hasattr(search, "__dict__")  # __slots__ keeps attribute reads fast
-        if isinstance(search, _BalanceSearch):
-            tables = (search.suffix_comp_lo, search.suffix_comp_hi,
-                      search.suffix_traf_lo, search.traf_hi_const)
-        else:
-            search.pen_at = search._build_knapsack(search.lam)
-            tables = (search.order, search.suffix_min, search.lam_active,
-                      search.lagr_suffix, search.kn_at, search.pen_at)
-            # the Polyak rebuild against the dive's incumbent, and what
-            # `tighten` derives at its multipliers
-            search = new_search(model)
-            search.dfs(0, dive=True)
-            assert search.inc.x is not None
-            search.tighten()
-            rebuilt = (search.inc.obj, search.lam_active, search.lagr_suffix,
-                       search.pen_at, search.rhs, search.lagr_cut, search.pen_cut)
-            polyak_digests[name] = hashlib.sha256(repr(rebuilt).encode()).hexdigest()
+        search.pen_at = search._build_knapsack(search.lam)
+        tables = (search.order, search.suffix_min, search.lam_active,
+                  search.lagr_suffix, search.kn_at, search.pen_at)
+        # the Polyak rebuild against the dive's incumbent, and what
+        # `tighten` derives at its multipliers
+        search = new_search(model)
+        search.dfs(0, dive=True)
+        assert search.inc.x is not None
+        search.tighten()
+        rebuilt = (search.inc.obj, search.lam_active, search.lagr_suffix,
+                   search.pen_at, search.rhs, search.lagr_cut, search.pen_cut)
+        polyak_digests[name] = hashlib.sha256(repr(rebuilt).encode()).hexdigest()
         digests[name] = hashlib.sha256(repr(tables).encode()).hexdigest()
-    assert models[214].weights.mode == "balance"
     assert digests == {
         "conv28":
             "2635fd4f47499df893594e6ee3cee5feb189008508af99eaafc27d929c965de6",
@@ -532,8 +515,6 @@ def test_bound_tables_pinned(simba):
             "b91339450c5b0a61ea6e6dbdea7ed6ce206444f1af72697de32b1f0ea83a74e0",
         22:
             "e6d7202c8e46a4d6b3d153aaedf39b56131c7efa6068767aa2d3c3225c95e8e8",
-        214:
-            "2b8c6e22772fad26729c2799703adeb780f0f4645930156886ab4a9f3631b5ed",
     }
     assert budget_digests == {
         "conv28-partition":
@@ -541,7 +522,6 @@ def test_bound_tables_pinned(simba):
         22:
             "6af46961649ff5d94b78ba1b5bad33a05da660052385d4f95211b10bf114da98",
     }
-    # the balance model (214) has no multipliers to rebuild
     assert polyak_digests == {
         "conv28":
             "7666a90adb39f2cb92362f9a185512ddf82db4f2d27afe2440a5414373425474",
@@ -555,7 +535,10 @@ def test_bound_tables_pinned(simba):
     # (4) and S's 3 (1) R's 3 (0)
     conv28 = [None, 0, None, 2, None, 3, 5, 4, None, 8, 9, None, 11, None]
     assert prev_same == {"conv28": conv28, "conv28-partition": conv28,
-                         22: [None, None, None], 214: [None, None, 1, None]}
+                         22: [None, None, None]}
+    # seed 214's factor 2 follows factor 1 in their run
+    assert new_search(random_instance(214, max_space=60_000)).prev_same == [
+        None, None, 1, None]
 
 
 def reference_gain_table(cw, cg, dens):
@@ -667,7 +650,7 @@ def test_gain_tables_are_exact(simba, monkeypatch):
     }
     for seed in range(400):
         model = random_instance(seed, max_space=60_000)
-        if model is not None and model.weights.mode != "balance":
+        if model is not None:
             models[seed] = model
     tables = entries = 0
     searches = {name: new_search(model) for name, model in models.items()}
@@ -728,7 +711,7 @@ def test_cached_chain_profile_is_exact(simba, monkeypatch):
     assert result.rounds == 2
     for seed in range(400):
         model = random_instance(seed, max_space=60_000)
-        if model is not None and model.weights.mode != "balance":
+        if model is not None:
             solve(model)
     assert 0 < counts["inherited"] < counts["calls"], counts
 
@@ -736,8 +719,8 @@ def test_cached_chain_profile_is_exact(simba, monkeypatch):
 def test_search_state_is_a_function_of_the_path(simba, monkeypatch):
     """At every `_children` call the node's sums are the left folds, from
     0.0 in branch order, of the class records on its path, bit for bit:
-    `con_lhs` of their rows, and `static_sum`, `comp_sum` and `dl_sum` of
-    their own terms.  So no dive, sibling or earlier subtree moves a
+    `con_lhs` of their rows, and `static_sum` of their static
+    objectives.  So no dive, sibling or earlier subtree moves a
     bound.  After a solve the search is back at its root exactly: nothing
     saved, every buffer sum 0.0."""
     real_children = _Search._children
@@ -749,14 +732,12 @@ def test_search_state_is_a_function_of_the_path(simba, monkeypatch):
             searches.append(sh)
         path = [sh.choice_rec[fi] for fi in sh.order[:pos]]
         lhs = [0.0] * sh.ncons
-        static = comp = dl = 0.0
+        static = 0.0
         for rec in path:
             lhs = [a + b for a, b in zip(lhs, rec.row)]
             static += rec.static
-            comp += rec.comp
-            dl += rec.dl
         assert repr(sh.con_lhs) == repr(lhs), pos
-        assert repr((sh.static_sum, sh.comp_sum, sh.dl_sum)) == repr((static, comp, dl))
+        assert repr(sh.static_sum) == repr(static)
         assert len(sh.saved) == pos
         calls[sh.m.weights.mode] = calls.get(sh.m.weights.mode, 0) + 1
         return real_children(sh, pos)
@@ -779,7 +760,7 @@ def test_search_state_is_a_function_of_the_path(simba, monkeypatch):
         if model is not None:
             solved(model)
     assert len(searches) > 100
-    assert {"combined", "traffic", "balance"} <= set(calls), calls
+    assert {"combined", "traffic"} <= set(calls), calls
 
 
 def partition_models(simba):
@@ -919,7 +900,6 @@ def test_stored_bound_decides_as_a_fresh_one(simba, monkeypatch):
                              partition=PartitionSpec(budget_bytes=306367)))
     cases += [random_instance(seed, max_space=60_000) for seed in range(100)]
     cases = [model for model in cases if model is not None]
-    assert "balance" in {model.weights.mode for model in cases}
     expected = [_answer(solve(model)) for model in cases]
     monkeypatch.setattr(_Search, "_children", children)
     monkeypatch.setattr(_Search, "_apply", apply)
@@ -1017,8 +997,8 @@ def test_whole_tail_rounding_keeps_oracle_identity():
     models = {"exact-fill": fill}
     for seed in range(400):
         model = random_instance(seed, max_space=60_000)
-        if model is None or model.weights.mode == "balance":
-            continue  # balance mode builds no knapsack bound
+        if model is None:
+            continue
         search = new_search(model)
         if any(whole for rows in reference_plain_knapsack(search)
                for _ci, whole, *_rest in rows):
@@ -1101,8 +1081,7 @@ def test_run_lookahead_cuts_only_leafless_children(simba, monkeypatch):
         return out
 
     monkeypatch.setattr(_Search, "_children", children)
-    for cls in (_Search, _BalanceSearch):  # each runs its own `_node_bound`
-        monkeypatch.setattr(cls, "_node_bound", reaching(cls._node_bound))
+    monkeypatch.setattr(_Search, "_node_bound", reaching(_Search._node_bound))
     monkeypatch.setattr(_Search, "_child_floors", floors)
     counts = {}
     solve(build_model(factorize(SUITE_LAYERS["conv28"]), simba))
@@ -1288,8 +1267,6 @@ def test_budget_cuts_are_admissible(monkeypatch):
         lam_m = tuple(sh.lam[ci] for ci in menu_cis)
         state = (sh.rhs, sh.lagr_cut, sh.pen_cut)
         assert_budget_cuts_admissible(sh, state, lam_m, memo)
-        if isinstance(sh, _BalanceSearch):
-            return real(sh, pos)  # balance mode prices nothing
         drawn = tuple(rng.choice([0.25, 0.5, 1.0, 2.0]) for _ in lam_m)
         held = sh.lam
         sh.lam = held[:]
@@ -1367,10 +1344,9 @@ def test_mirror_class_tables_match_the_factor_build(simba):
     re-sums it from the start at every depth) at lam = 0 and at
     `tighten`'s multipliers.  On the benchmark's solver models, the
     padded stride-2 ones of both rounds among them, and the seeded draws
-    of `random_instance` outside balance mode."""
+    of `random_instance`."""
     models = benchmark_models(simba)
-    models += [model for model in map(random_instance, range(200))
-               if model is not None and model.weights.mode != "balance"]
+    models += [model for model in map(random_instance, range(200)) if model is not None]
     priced = 0
     for model in models:
         sh = new_search(model)
@@ -1402,11 +1378,10 @@ def test_lagrangian_matches_the_reference(simba):
     after the dive and `tighten` (the Polyak rebuild against the dive's
     incumbent) the same and the rhs and the penalized cuts at those
     multipliers.  On the benchmark's solver models and the seeded draws of
-    `random_instance` and `square_instance` outside balance mode."""
+    `random_instance` and `square_instance`."""
     models = benchmark_models(simba)
     models += [model for draw in (random_instance, square_instance)
-               for model in map(draw, range(400))
-               if model is not None and model.weights.mode != "balance"]
+               for model in map(draw, range(400)) if model is not None]
     state = lambda sh: repr((sh.lam, sh.lam_active, sh.lagr_suffix))
     rebuilt = budgeted = 0
     for model in models:
@@ -1472,21 +1447,15 @@ def test_run_lookahead_matches_reference(simba):
 def test_every_leaf_entered_passes_the_incumbent(simba, monkeypatch):
     """A leaf is decided with no estimate to gate it: every leaf a search
     enters has its static sum plus its weighted traffic, a lower bound on
-    its objective, within `inc.obj + EPS_PRUNE`, and in balance mode its
-    exact objective from the search state.  Its last child's bound was at
-    least that against the same incumbent.  Checked on the benchmark's
+    its objective, within `inc.obj + EPS_PRUNE`.  Its last child's bound
+    was at least that against the same incumbent.  Checked on the benchmark's
     solver models and the oracle draws, with the open list at its default
     and capped at 3, where the proof searches depth-first."""
     real_leaf = _Search._leaf
-    seen = {"held": 0, "balance": 0}
+    seen = {"held": 0}
 
     def leaf(sh):
-        if isinstance(sh, _BalanceSearch):
-            w = sh.m.weights
-            est = abs(w.w_t * (sh.dl_sum + sh.t_cur) - w.w_c * sh.comp_sum)
-            seen["balance"] += 1
-        else:
-            est = sh.static_sum + sh.m.w_t * sh.t_cur
+        est = sh.static_sum + sh.m.w_t * sh.t_cur
         assert est <= sh.inc.obj + EPS_PRUNE, (est, sh.inc.obj)
         seen["held"] += sh.inc.x is not None
         return real_leaf(sh)
@@ -1498,7 +1467,7 @@ def test_every_leaf_entered_passes_the_incumbent(simba, monkeypatch):
         monkeypatch.setattr(mipsched.solver, "MAX_OPEN", cap)
         for model in models:
             solve(model)
-    assert seen["held"] > 5000 and seen["balance"] > 100, seen
+    assert seen["held"] > 5000, seen
 
 
 def test_infeasible_models_are_searched_at_most_once(simba):
@@ -1780,7 +1749,7 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
             for model in (draw(seed, 60_000), binding_partition_instance(seed, draw=draw)):
                 if model is not None:
                     solve(model)
-    modes = ("combined", "util", "comp", "traffic", "balance")
+    modes = ("combined", "util", "comp", "traffic")
     assert seen["modes"] == {(mode, menus) for mode in modes for menus in (False, True)}
     assert seen["images"] > 2000 and seen["chained"] > 1000, seen
     assert seen["early"] > 1000, seen
@@ -1901,7 +1870,7 @@ def test_square_instances_match_the_oracle():
             checked[menus] += 1
             modes.add(model.weights.mode)
     assert checked[False] > 80 and checked[True] > 40, checked
-    assert modes == {"combined", "util", "comp", "traffic", "balance"}
+    assert modes == {"combined", "util", "comp", "traffic"}
 
 
 def test_unequal_mirror_classes_match_the_oracle():
@@ -1926,7 +1895,7 @@ def test_unequal_mirror_classes_match_the_oracle():
             checked[menus] += 1
             modes.add((model.weights.mode, menus))
     assert checked[False] > 150 and checked[True] > 40, checked
-    assert modes == {(mode, menus) for mode in ("combined", "util", "comp", "traffic", "balance")
+    assert modes == {(mode, menus) for mode in ("combined", "util", "comp", "traffic")
                      for menus in (False, True)}
 
 
