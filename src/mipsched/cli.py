@@ -586,7 +586,8 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     their tile rows and spatial products, checks after each placed factor
     only what the placement changed (the fanout of its level if it is
     spatial, and the capacities above it of the tensors whose tiles read
-    its dimension), and cuts a partial assignment once a capacity or
+    its dimension, compiled once per dimension, level and binding), and
+    cuts a partial assignment once a capacity or
     fanout check fails; --no-halo sizes input tiles there without the
     halo window, as `validate` does.  The loop orders of a valid
     assignment are counted, never built: the walk carries each level's

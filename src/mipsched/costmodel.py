@@ -11,37 +11,42 @@ dimension, the product of that dimension's loop bounds at levels
 strictly inside I, and row H (one past the outermost level) holds the
 full products.  One pass over the loops builds it, and a tile of tensor
 v inside level I is then the product of row I's entries over the
-dimensions related to v (`row_tile`), or the halo window built from the
-same row.  Loop order within a level does not enter the table, so every
-loop order of one (level, mapping) assignment shares it.  The
-enumeration walk (`search.valid_assignments`) carries the same table
-instead of building it: placing a factor at a level multiplies that
-dimension's entry in every row above the level, and removing it divides
-the entry back.
+dimensions related to v (`row_tile`, or `tile_reader` for a function
+of the row alone), or the halo window built from the same row.  Loop
+order within a level does not enter the table, so every loop order of
+one (level, mapping) assignment shares it.  The
+enumeration walk (`search.valid_assignments`) carries the rows of the
+same table that its capacity checks read instead of building them:
+placing a factor at a level multiplies that dimension's entry in every
+such row above the level, and removing it divides the entry back.  It
+reads each of them with a `tile_reader` built once per walk.
 
 The model splits along the same line.  Tiles, compute cycles and the
 NoC terms of `transfer_terms` (transfer sizes and link multipliers) are
 order-free: one evaluation serves every loop order of an assignment.
 Only `noc_iterations`, the temporal transfer counts, depends on order,
 so scoring another order of the same assignment needs just that and
-`bytes_and_latency`, the one latency formula.  `noc_iterations` reads
-only the temporal loops of the levels at and above the NoC level, in
-order: orders that differ only below the NoC level, or only in where
-the spatial loops sit, score alike.  So
+`bytes_and_latency`, the one latency formula, in which compute cycles
+enter only as the larger of them and the transfer cycles.
+`noc_iterations` reads only the temporal loops of the levels at and
+above the NoC level, in order: orders that differ only below the NoC
+level, or only in where the spatial loops sit, score alike.  So
 `search.enumerate_best` scores one order of each such class, the first
 in enumeration order, from the walk's NoC-level row and loops
-(`transfer_terms` takes those, not a schedule), and still finds the
-first best order of a scan over all of them.  All arithmetic is on
-Python integers, so every value is exact up to the final division by
-the (possibly fractional) NoC bandwidth.
+(`transfer_terms` takes those, not a schedule), its transfer part once
+for every assignment with the same loops at and above the NoC level,
+and still finds the first best order of a scan over all of them.  All
+arithmetic is on Python integers, so every value is exact up to the
+final division by the (possibly fractional) NoC bandwidth.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .arch import ArchSpec, IA, NUM_TENSORS
 from .workload import DIM_INDEX, NUM_DIMS
@@ -65,21 +70,42 @@ def tile_table(levels: "tuple[tuple[Loop, ...], ...]") -> tuple[tuple[int, ...],
     return tuple(rows)
 
 
-def row_tile(row: tuple[int, ...], arch: ArchSpec, v: int, stride: int, halo: bool) -> int:
+def tile_reader(arch: ArchSpec, v: int, stride: int, halo: bool) -> Callable[[Sequence[int]], int]:
+    """`row_tile` of tensor v as a function of the row alone, with the same
+    formulas.  The enumeration walk builds one reader per capacity it
+    checks and reads its own rows with it.  A reader reads only the
+    entries of `tile_dims`, and never falls as one of them grows."""
+    if halo and v == IA:
+        return functools.partial(_halo_window, stride)
+    return functools.partial(_product, arch.A.dims_of(v))
+
+
+def row_tile(row: Sequence[int], arch: ArchSpec, v: int, stride: int, halo: bool) -> int:
     """Elements of tensor v for the per-dimension tiles in `row`.
 
     Plain mode multiplies the related dimension tiles (what the linear
-    model sees).  Halo mode sizes the input-activation window physically:
-    width (P_t - 1) * stride + R_t, height likewise from Q and S.
+    model sees).  Halo mode sizes the input-activation window physically
+    (`_halo_window`).
     """
     if halo and v == IA:
-        width = (row[_P] - 1) * stride + row[_R]
-        height = (row[_Q] - 1) * stride + row[_S]
-        return width * height * row[_C] * row[_N]
+        return _halo_window(stride, row)
+    return _product(arch.A.dims_of(v), row)
+
+
+def _product(dims: tuple[int, ...], row: Sequence[int]) -> int:
+    """The product of the entries `dims` of `row`: a plain tile."""
     t = 1
-    for j in arch.A.dims_of(v):
+    for j in dims:
         t *= row[j]
     return t
+
+
+def _halo_window(stride: int, row: Sequence[int]) -> int:
+    """Elements of the input-activation window of the tiles in `row`:
+    width (P_t - 1) * stride + R_t, height likewise from Q and S."""
+    width = (row[_P] - 1) * stride + row[_R]
+    height = (row[_Q] - 1) * stride + row[_S]
+    return width * height * row[_C] * row[_N]
 
 
 def tile_dims(arch: ArchSpec, v: int, halo: bool) -> tuple[int, ...]:

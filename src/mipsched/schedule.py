@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from . import costmodel
 from .arch import ArchSpec, NUM_TENSORS, TENSOR_NAMES, Violation
@@ -172,7 +173,7 @@ def validate(schedule: Schedule, arch: ArchSpec, halo: bool = True) -> list[Viol
 
 
 def tile_violations(
-    rows, spatial, arch: ArchSpec, stride: int, halo: bool, levels=None, checks=None
+    rows, spatial, arch: ArchSpec, stride: int, halo: bool, levels=None
 ) -> list[Violation]:
     """The checks of `validate` that read only tile rows and spatial
     products: each level's spatial fanout, then each finite per-tensor
@@ -185,15 +186,10 @@ def tile_violations(
     a check fails it at every completion.  Given the loops per level,
     `levels`, a spatial loop on a dimension its level may not map
     spatially is flagged after that level's fanout, which keeps
-    `validate`'s violations in level order.  Given `checks`, from
-    `placement_checks`, only those run.
+    `validate`'s violations in level order.
     """
-    if checks is None:
-        checks = (range(arch.num_levels), arch.finite_capacities)
-    fanouts, capacities = checks
     out: list[Violation] = []
-    for I in fanouts:
-        lvl = arch.levels[I]
+    for I, lvl in enumerate(arch.levels):
         if spatial[I] > lvl.spatial_fanout:
             out.append(Violation("spatial-overflow", lvl.name,
                                  f"spatial product {spatial[I]} > fanout {lvl.spatial_fanout}"))
@@ -205,7 +201,7 @@ def tile_violations(
                     "spatial-dim", lvl.name,
                     f"dimension {DIM_NAMES[loop.dim]} may not map spatially here"))
 
-    for I, v, cap in capacities:
+    for I, v, cap in arch.finite_capacities:
         tile = costmodel.row_tile(rows[I], arch, v, stride, halo)
         if tile > cap:
             out.append(Violation("capacity", f"{arch.levels[I].name}/{TENSOR_NAMES[v]}",
@@ -213,21 +209,48 @@ def tile_violations(
     return out
 
 
-def placement_checks(arch: ArchSpec, halo: bool, j: int, level: int, spatial: bool):
+def live_capacities(arch: ArchSpec, halo: bool, stride: int, full) -> list[tuple[int, int, int]]:
+    """The `arch.finite_capacities` that some tile can exceed on the way to
+    the row `full`, the whole factorization's products: rows only grow
+    towards `full` as loops are placed, and tiles with them, so a capacity
+    that the tile of `full` meets is never exceeded."""
+    return [
+        (I, v, cap) for I, v, cap in arch.finite_capacities
+        if costmodel.row_tile(full, arch, v, stride, halo) > cap
+    ]
+
+
+def placement_checks(
+    arch: ArchSpec, halo: bool, stride: int, capacities, rows, spatial,
+    j: int, level: int, is_spatial: bool,
+) -> Callable[[], bool]:
     """The checks of `tile_violations` whose verdict placing a loop on
-    dimension j at `level` can change, as its `checks`: the level's fanout
-    if the loop is spatial, and above the level the finite capacity of
-    every tensor whose tile reads j (`costmodel.tile_dims`).  The
-    placement multiplies only row entries j above its level and, if spatial, its level's spatial product, so
+    dimension j at `level` can change, compiled against a walk's own
+    `rows` and `spatial` lists (as `tile_violations` reads them): the
+    level's fanout bound if the loop is spatial, and above the level each
+    of `capacities` (`live_capacities`) whose tensor's tile reads j
+    (`costmodel.tile_dims`), with that level's row and the tensor's
+    `costmodel.tile_reader`.  The placement multiplies only row entries j
+    above its level and, if spatial, its level's spatial product, so
     every other check keeps its verdict: where all checks passed before
-    the placement, these decide whether all pass after it."""
-    reads = {
-        v for v in range(NUM_TENSORS) if j in costmodel.tile_dims(arch, v, halo)
-    }
-    return (
-        (level,) if spatial else (),
-        [c for c in arch.finite_capacities if c[0] > level and c[1] in reads],
+    the placement, the returned function, called after it, says whether
+    all pass."""
+    fanout = arch.levels[level].spatial_fanout if is_spatial else None
+    reads = tuple(
+        (rows[I], costmodel.tile_reader(arch, v, stride, halo), cap)
+        for I, v, cap in capacities
+        if I > level and j in costmodel.tile_dims(arch, v, halo)
     )
+
+    def passes() -> bool:
+        if fanout is not None and spatial[level] > fanout:
+            return False
+        for row, tile, cap in reads:
+            if tile(row) > cap:
+                return False
+        return True
+
+    return passes
 
 
 def evaluate(schedule: Schedule, arch: ArchSpec) -> CostReport:

@@ -9,22 +9,27 @@ of any sharding of the draw range.
 Enumeration is one depth-first walk over the (level, mapping)
 assignments (`_walk`; `valid_assignments` yields its assignments).  It
 places the prime factors in order, each at every level and binding in
-turn, and carries per level the loops, the tile row (the prefix
-products of `costmodel.tile_table`: placing a factor multiplies the rows
-of the levels above its own, removing it divides them back, exactly),
-the spatial product, the distinct-order count and a loop-sequence code,
-and the temporal product.  After each placement it runs
-`schedule.tile_violations` on only what the placement changed
-(`schedule.placement_checks`, one table per walk): the fanout of the
-placement's level if the loop is spatial, and the finite capacities
-above it of the tensors whose tiles read the placed dimension.  The
-parent passed every check and the placement leaves every other tile and
-spatial product as it was, so these decide as the full checks of
+turn, and carries per level the loops, the spatial product, the
+distinct-order count and a loop-sequence code, the temporal product,
+and the tile rows that its checks read (rows of `costmodel.tile_table`:
+placing a factor multiplies the rows of the levels above its own,
+removing it divides them back, exactly).  After each placement it
+calls that placement's compiled check (`schedule.placement_checks`, one per
+dimension, level and binding, built once per walk against the walk's own
+rows and spatial products), which reads only what the placement changed:
+the fanout of the placement's level if the loop is spatial, and the
+finite capacities above it of the tensors whose tiles read the placed
+dimension, each through a `costmodel.tile_reader` of its level's row.
+The parent passed every check and the placement leaves every other tile
+and spatial product as it was, so these decide as the full checks of
 `validate` would.  Tiles, halo windows (P_t - 1) * stride + R_t
 and spatial products only grow as factors are placed, so a failed check
 fails at every completion: the walk cuts the subtree there, and yields
 the same assignments in the same order as validating each whole
-assignment would.  `validate`'s two other checks need no counterpart:
+assignment would.  By the same growth, a capacity that the tile of the
+whole factorization's products meets is never exceeded: it gets no
+check (`schedule.live_capacities`), and a row that no check reads is
+not carried.  `validate`'s two other checks need no counterpart:
 the walk places every factor of the factorization exactly once, so each
 dimension's product is its padded bound, and it offers a spatial binding
 only where the level's `spatial_allowed` holds.  No check reads loop
@@ -33,8 +38,8 @@ order, so the verdict holds for every order of an assignment.
 `enumerate_all` yields every distinct loop order of each valid
 assignment as a schedule.  `enumerate_best`, the exhaustive baseline
 behind the `enumerate` command, gets the same count and the same first
-best without building those orders, scoring from the walk's NoC-level
-tile row and temporal product:
+best without building those orders, scoring from the walk's loops and
+compute cycles:
 
 * Count: a level's loops have len! / prod(mult!) distinct orders, the
   multinomial over the multiplicities of identical loops, and an
@@ -43,7 +48,8 @@ tile row and temporal product:
   L loops multiplies the count by (L + 1) / m, exactly.  Identical
   factors are consecutive in factor order and placed at non-decreasing
   (level, binding), so m is one more than the run of identical
-  predecessors placed alike.
+  predecessors placed alike.  It carries the product too, dividing out
+  the level's old count and multiplying in its new one.
 * Classes: an order moves the metric only through
   `costmodel.noc_iterations`, which reads only the temporal loops of the
   levels at and above the NoC level, in order.  Orders of such a level
@@ -52,17 +58,29 @@ tile row and temporal product:
   product of each upper level's class representatives, the first order
   of each class (`_class_orders`), with every lower level at its own
   order (under `compute` no order moves the value, so every level keeps
-  its own).  `order_scorer` takes the order-free terms, the walk's
-  temporal product and `costmodel.transfer_terms`.
-* NoC keys: a combination's value reads only the levels at and above
-  the NoC level, the NoC level's tile row and the compute cycles, so
-  assignments that share these, their NoC key, score every combination
-  alike.  Each key is scored once, for its least value and the first
-  combination that reaches it.  The key holds each upper level's code,
-  its loop codes (one small integer per distinct loop) as the digits of
-  one integer, so no key hashes a `Loop`.  A combination's NoC iteration
-  counts read only the upper levels, so they are counted once per
-  upper levels' codes, for every key that shares them.
+  its own).
+* Split scorer: a metric reads an order through its NoC iteration
+  counts and the assignment's compute cycles, and only latency reads
+  both, as `max(cycles, transfer cycles)` (`costmodel.bytes_and_latency`).
+  So each order has an order part (`order_part`: traffic's elements,
+  latency's transfer cycles), read from the NoC level's loops, its tile
+  row and the iteration counts, and `with_cycles` makes the metric of
+  that part and the cycles.  It never falls as the part grows.
+* NoC keys: a combination's order part reads only the levels at and
+  above the NoC level and the NoC level's tile row, and the walk places
+  every factor, so that row is the whole factorization's products over
+  those of the upper levels: the upper levels' codes fix it.  Each code
+  holds its level's loop codes (one small integer per distinct loop) as
+  the digits of one integer, so no key hashes a `Loop`.  Once per upper
+  levels' codes, the walk's first assignment with them counts every
+  combination's NoC iterations and order part and keeps the combinations
+  whose part is below every earlier one's.  The upper codes and the
+  compute cycles, the NoC key, fix every combination's value, and each
+  key is scored once, for its least value and the first combination
+  that reaches it, by a strict-`<` scan of `with_cycles` over the kept
+  ones: the first combination of least value has a part below every
+  earlier one's, for an earlier one of no greater part has no greater
+  value.
 * First minimum: `enumerate_all`'s order is lexicographic in the
   per-level order indices (`itertools.product`, innermost level
   slowest), so a scan with strict `<` keeps the smallest index tuple of
@@ -89,7 +107,8 @@ from . import costmodel
 from .arch import ArchSpec
 from .formulation import SPATIAL, TEMPORAL
 from .schedule import (
-    CostReport, Loop, Schedule, decode, evaluate, placement_checks, tile_violations, validate,
+    CostReport, Loop, Schedule, decode, evaluate, live_capacities, placement_checks,
+    tile_violations, validate,
 )
 from .solver import SpaceTooLarge
 from .workload import NUM_DIMS, PrimeFactorization, total_factor_count
@@ -256,9 +275,10 @@ def _walk(pf: PrimeFactorization, arch: ArchSpec, limit: int, halo: bool,
           deadline: float = math.inf):
     """The enumeration walk (see the module docstring): an iterator over
     the valid (level, mapping) assignments in walk order, each as the
-    walk's state `(loops, rows, cycles, counts, codes)`: per level its
-    loops in factor order, tile row, distinct-order count and loop-sequence
-    code, and the compute cycles.  The lists change as the walk goes on:
+    walk's state `(loops, cycles, counts, codes, total)`: per level its
+    loops in factor order, distinct-order count and loop-sequence code,
+    the compute cycles, and the assignment's number of distinct orders,
+    the product of the counts.  The lists change as the walk goes on:
     read them before drawing the next assignment.  The space guard and
     the root's checks run on the call.  Past `deadline`, a
     `time.perf_counter()` value, it raises SearchTimeout: the clock is
@@ -282,11 +302,17 @@ def _walk(pf: PrimeFactorization, arch: ArchSpec, limit: int, halo: bool,
     spatial = [1] * H
     counts = [1] * H
     codes = [0] * H
-    above = [rows[I + 1 :] for I in range(H)]
+    capacities = live_capacities(arch, halo, stride, pf.padded)
+    # per level, the rows above it that some check reads: the walk keeps
+    # only these current
+    kept = {I for I, _v, _cap in capacities}
+    above = [[rows[K] for K in range(I + 1, H) if K in kept] for I in range(H)]
     # per factor, its placements in walk order: the rank of its (level,
     # binding), the loop it adds with that loop's code (one Loop and one
-    # code per distinct loop) and the checks it can change
+    # code per distinct loop) and the compiled check of what it can change
+    # (one per dimension, level and binding)
     distinct: dict[tuple[int, int, int], tuple[Loop, int]] = {}
+    checks = {}
     options = []
     for j, _n, prime, _lg in flat:
         opts = []
@@ -297,8 +323,10 @@ def _walk(pf: PrimeFactorization, arch: ArchSpec, limit: int, halo: bool,
                 loop, code = distinct.setdefault(
                     (j, prime, k), (Loop(j, prime, k == SPATIAL), len(distinct) + 1)
                 )
-                check = placement_checks(arch, halo, j, I, k == SPATIAL)
-                opts.append((2 * I + k, I, k == SPATIAL, loop, code, check))
+                if (j, I, k) not in checks:
+                    checks[j, I, k] = placement_checks(
+                        arch, halo, stride, capacities, rows, spatial, j, I, k == SPATIAL)
+                opts.append((2 * I + k, I, k == SPATIAL, loop, code, checks[j, I, k]))
         options.append(opts)
     # a level's code is its loop codes in base `base`, innermost most
     # significant
@@ -312,20 +340,20 @@ def _walk(pf: PrimeFactorization, arch: ArchSpec, limit: int, halo: bool,
         fi + 1 < F and flat[fi][0::2] == flat[fi + 1][0::2] for fi in range(F)
     ]
 
-    def walk(fi: int, low: int, run: int, cycles: int):
+    def walk(fi: int, low: int, run: int, cycles: int, total: int):
         if time.perf_counter() > deadline:
             raise SearchTimeout("enumeration reached its deadline")
         j, _n, prime, _lg = flat[fi]
         last = fi + 1 == F
         same = same_next[fi]
-        for rank, I, is_spatial, loop, code, check in options[fi]:
+        for rank, I, is_spatial, loop, code, passes in options[fi]:
             if rank < low:
                 continue
             mult = run + 1 if rank == low else 1
             level = loops[I]
             level.append(loop)
             count, level_code = counts[I], codes[I]
-            counts[I] = count * len(level) // mult
+            counts[I] = new = count * len(level) // mult
             codes[I] = level_code * base + code
             for row in above[I]:
                 row[j] *= prime
@@ -334,11 +362,13 @@ def _walk(pf: PrimeFactorization, arch: ArchSpec, limit: int, halo: bool,
                 c = cycles
             else:
                 c = cycles * prime
-            if not tile_violations(rows, spatial, arch, stride, halo, checks=check):
+            if passes():
+                # `count` divides `total`, so this is exact
+                t = total // count * new
                 if last:
-                    yield loops, rows, c, counts, codes
+                    yield loops, c, counts, codes, t
                 else:
-                    yield from walk(fi + 1, rank if same else -1, mult, c)
+                    yield from walk(fi + 1, rank if same else -1, mult, c, t)
             if is_spatial:
                 spatial[I] //= prime
             for row in above[I]:
@@ -348,26 +378,23 @@ def _walk(pf: PrimeFactorization, arch: ArchSpec, limit: int, halo: bool,
 
     if tile_violations(rows, spatial, arch, stride, halo):
         return iter(())
-    return walk(0, -1, 0, 1) if F else iter([(loops, rows, 1, counts, codes)])
+    return walk(0, -1, 0, 1, 1) if F else iter([(loops, 1, counts, codes, 1)])
 
 
 def valid_assignments(
     pf: PrimeFactorization, arch: ArchSpec, limit: int = 1_000_000, halo: bool = True
-) -> Iterator[tuple[Levels, list[list[int]], int]]:
+) -> Iterator[tuple[Levels, int]]:
     """Yield every valid (level, mapping) assignment once, in deterministic
-    order: its loops per level in factor order (its first loop order),
-    its tile rows and its compute cycles, from one depth-first walk that
-    cuts a partial assignment at its first failed check (see the module
-    docstring).
+    order: its loops per level in factor order (its first loop order) and
+    its compute cycles, from one depth-first walk that cuts a partial
+    assignment at its first failed check (see the module docstring).
 
     Distinct schedules differ in some loop's level, binding, or in the
     loop order within a level; permutations of identical factors are not
-    duplicated.  Guarded by the raw assignment-space size.  The rows,
-    `rows[I]` the tile row of level I (`costmodel.tile_table`), are the
-    walk's own state: read them before drawing the next assignment.
+    duplicated.  Guarded by the raw assignment-space size.
     """
-    for loops, rows, cycles, _counts, _codes in _walk(pf, arch, limit, halo):
-        yield tuple(map(tuple, loops)), rows, cycles
+    for loops, cycles, _counts, _codes, _total in _walk(pf, arch, limit, halo):
+        yield tuple(map(tuple, loops)), cycles
 
 
 def enumerate_all(
@@ -379,7 +406,7 @@ def enumerate_all(
     # distinct orders of one level's loops, listed once per loop sequence
     orders = functools.cache(lambda loops: tuple(_distinct_orders(loops)))
     level_names = tuple(lvl.name for lvl in arch.levels)
-    for levels, _rows, _cycles in valid_assignments(pf, arch, limit, halo):
+    for levels, _cycles in valid_assignments(pf, arch, limit, halo):
         first = Schedule(
             levels=levels, level_names=level_names, layer=pf.dims, arch_name=arch.name
         )
@@ -390,32 +417,37 @@ def enumerate_all(
             yield replace(first, levels=levels)
 
 
-def order_scorer(
-    levels: Levels, rows, cycles: int, arch: ArchSpec, metric: str
+def order_part(
+    loops: tuple[Loop, ...], row, arch: ArchSpec, metric: str
 ) -> Callable[[list[int]], int]:
-    """`metric_value` of any loop order of the assignment with loops
-    `levels`, tile rows `rows` (`rows[I]` level I's) and compute cycles
-    `cycles`, as a function of that order's NoC iteration counts
-    (`costmodel.noc_iterations` of its levels).
+    """The part of `metric_value` that loop order moves, for an assignment
+    whose NoC level holds `loops` under tile row `row`, as a function of
+    an order's NoC iteration counts (`costmodel.noc_iterations` of its
+    levels): traffic's elements, latency's NoC transfer cycles
+    (`costmodel.bytes_and_latency` of no compute cycles).  No order moves
+    compute.  `with_cycles` makes the metric of it.
 
     Only the NoC iteration counts depend on loop order (see `costmodel`),
-    so each order costs only those on top of the assignment's
-    order-free compute cycles and elements per NoC iteration
-    (`costmodel.transfer_terms`); compute cycles do not depend on it at
-    all.
+    so each order costs only those on top of the elements per NoC
+    iteration, which are order-free (`costmodel.transfer_terms`).
     """
-    if metric == "compute":
-        return lambda iters: cycles
-    noc = arch.noc_level
-    sizes, link = costmodel.transfer_terms(levels[noc], rows[noc], arch)
+    sizes, link = costmodel.transfer_terms(loops, row, arch)
     # elements per NoC iteration: everything in a total but its count
     per_iter = list(map(operator.mul, sizes, link))
     if metric == "traffic":
         return lambda iters: sum(map(operator.mul, per_iter, iters))
     if metric == "latency":
         return lambda iters: costmodel.bytes_and_latency(
-            cycles, list(map(operator.mul, per_iter, iters)), arch)[1]
-    raise ValueError(f"unknown metric {metric!r}")
+            0, list(map(operator.mul, per_iter, iters)), arch)[1]
+    raise ValueError(f"no loop order moves metric {metric!r}")
+
+
+def with_cycles(part: int, cycles: int, metric: str) -> int:
+    """`metric_value` of a loop order with order part `part` (`order_part`)
+    in an assignment of `cycles` compute cycles: latency is the larger of
+    the two, as transfers overlap compute (`costmodel.bytes_and_latency`),
+    and traffic is the order part.  It never falls as `part` grows."""
+    return max(cycles, part) if metric == "latency" else part
 
 
 def enumerate_best(
@@ -428,11 +460,11 @@ def enumerate_best(
 ) -> tuple[int, tuple[int, Schedule] | None]:
     """The number of schedules `enumerate_all` yields, and the first of
     them with the least `metric_value` with that value (None when there
-    is none).  Per valid assignment the orders are counted from the
-    walk's per-level counts and only one order per class is scored, once
-    per NoC key (see the module docstring), from the walk's own tile row
-    and compute cycles; only the winner becomes a `Schedule`.  Past
-    `deadline` the walk raises SearchTimeout.
+    is none).  The orders are counted by the walk, and only one order
+    per class is scored, its order part once per code of the upper levels
+    and its value once per NoC key (see the module docstring), from the
+    walk's own loops and compute cycles; only the winner becomes a
+    `Schedule`.  Past `deadline` the walk raises SearchTimeout.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -441,37 +473,38 @@ def enumerate_best(
     scored_from = H if metric == "compute" else arch.noc_level
     # per level code, that level's class representatives
     reps_of: dict[int, tuple[tuple[Loop, ...], ...]] = {}
-    # per code of the upper levels, each combination of their
-    # representatives with its NoC iteration counts, which read nothing else
-    iters_of: dict[tuple, list[tuple[Levels, list[int]]]] = {}
-    # per NoC key, the least value over the representatives and the first
-    # combination of them that reaches it
+    # per code of the upper levels (which fix the NoC row), the
+    # combinations of their representatives whose order part is below
+    # every earlier one's, with that part
+    lows_of: dict[tuple, list[tuple[int, Levels]]] = {}
+    # per NoC key, the least value and the first combination that reaches it
     least_of: dict[tuple, tuple[int, Levels]] = {}
     count = 0
     best = None  # (value, levels)
-    for loops, rows, cycles, counts, codes in _walk(pf, arch, limit, halo, deadline):
-        count += math.prod(counts)
+    for loops, cycles, _counts, codes, total in _walk(pf, arch, limit, halo, deadline):
+        count += total
         if scored_from == H:  # compute: one order, the assignment's own
             if best is None or cycles < best[0]:
                 best = (cycles, tuple(map(tuple, loops)))
             continue
-        key = (*codes[scored_from:], *rows[scored_from], cycles)
+        key = (*codes[scored_from:], cycles)
         least = least_of.get(key)
         if least is None:
-            levels = tuple(map(tuple, loops))
-            upper = key[: H - scored_from]
-            if upper not in iters_of:
-                lower = levels[:scored_from]
-                for code, level in zip(upper, levels[scored_from:]):
+            upper = key[:-1]
+            lows = lows_of.get(upper)
+            if lows is None:
+                for code, level in zip(upper, loops[scored_from:]):
                     if code not in reps_of:
-                        reps_of[code] = _class_orders(level)
-                iters_of[upper] = [
-                    (combo, costmodel.noc_iterations(lower + combo, arch))
-                    for combo in itertools.product(*map(reps_of.get, upper))
-                ]
-            score = order_scorer(levels, rows, cycles, arch, metric)
-            for combo, iters in iters_of[upper]:
-                value = score(iters)
+                        reps_of[code] = _class_orders(tuple(level))
+                row = costmodel.tile_table(loops[:scored_from])[-1]
+                part = order_part(tuple(loops[scored_from]), row, arch, metric)
+                lows = lows_of[upper] = []
+                for combo in itertools.product(*map(reps_of.get, upper)):
+                    value = part(costmodel.noc_iterations(((),) * scored_from + combo, arch))
+                    if not lows or value < lows[-1][0]:
+                        lows.append((value, combo))
+            for low, combo in lows:
+                value = with_cycles(low, cycles, metric)
                 if least is None or value < least[0]:
                     least = (value, combo)
             least_of[key] = least

@@ -962,7 +962,14 @@ class _Search:
         the best price so far is not priced.  The usage, and without a
         budget g and its norm, are kept per pick vector.  A zero multiplier
         adds no rhs term and stays 0.0 unless its g entry is positive
-        (every step is positive)."""
+        (every step is positive).
+
+        The ascent stops at a fixed point, a step that leaves every
+        multiplier bit-identical.  Every later step would price the same
+        picks at the same rhs and value, which cannot beat the best value
+        it already read, and would be no longer: beta only decays, and the
+        diminishing step shrinks with the step number.  Rounding is
+        monotone, so no multiplier would move again."""
         F = self.m.F
         ncons = self.ncons
         con_rhs = self.con_rhs
@@ -1042,11 +1049,18 @@ class _Search:
                     step = beta * (upper - val) / norm2
                 else:
                     step = 0.4 * scale / ((1.0 + 0.15 * it) * math.sqrt(norm2))
+                moved = False
                 for ci, gi in zip(finite, g):
                     x = lam[ci]
                     if x or gi > 0.0:
-                        x += step * gi
-                        lam[ci] = x if x > 0.0 else 0.0
+                        y = x + step * gi
+                        if not y > 0.0:
+                            y = 0.0
+                        if y != x:
+                            lam[ci] = y
+                            moved = True
+                if not moved:
+                    break
         # the multipliers every bound reads, one below 1e-12 as 0.0: dense,
         # and the positive ones as (ci, lambda) pairs
         lam = self.lam = [l if l > 1e-12 else 0.0 for l in best_lam]

@@ -1,4 +1,5 @@
 import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +15,13 @@ from helpers import (
     toy_two_level,
 )
 from mipsched.arch import IA, NUM_TENSORS, OA, TENSOR_NAMES, W, ArchSpec, MemLevel, MemTensorMatrix
-from mipsched.costmodel import compute_cycles, tile_elements, traffic_terms, transfer_terms
+from mipsched.costmodel import (
+    compute_cycles, row_tile, tile_dims, tile_elements, tile_reader, traffic_terms, transfer_terms,
+)
 from mipsched.formulation import build_model
 from mipsched.schedule import Loop, Schedule, encode, evaluate, validate
 from mipsched.search import draw_schedule
-from mipsched.workload import LayerDims, factorize
+from mipsched.workload import NUM_DIMS, LayerDims, factorize
 
 
 def noc_schedule(simba, loops, layer=None):
@@ -211,3 +214,35 @@ def test_one_pass_matches_reference(simba):
     assert 0 < valid < total / 2
     assert halo_wider > total / 2
     assert {"capacity", "spatial-overflow", "dimension-underflow"} <= kinds
+
+
+def test_tile_readers_match_row_tile(simba):
+    """Each tensor's `tile_reader`, halo on and off, at strides 1-3, reads
+    from a row, tuple or list, the tile that `row_tile` and the frozen
+    per-dimension rescan read from a schedule whose innermost level
+    spells that row, on seeded random rows; it reads no entry outside
+    `tile_dims` and never falls as an entry grows, which the enumeration
+    walk's compiled checks rely on."""
+    rng = random.Random(7)
+    for arch in (simba, toy_two_level(), toy_three_level()):
+        for stride in (1, 2, 3):
+            for halo in (False, True):
+                for v in range(NUM_TENSORS):
+                    read = tile_reader(arch, v, stride, halo)
+                    dims = tile_dims(arch, v, halo)
+                    for _ in range(40):
+                        row = [rng.randint(1, 9) for _ in range(NUM_DIMS)]
+                        inner = tuple(Loop(j, b, False) for j, b in enumerate(row) if b > 1)
+                        sched = Schedule(
+                            levels=(inner,) + ((),) * (arch.num_levels - 1),
+                            level_names=tuple(l.name for l in arch.levels),
+                            layer=LayerDims(1, 1, 1, 1, 1, 1, 1, stride=stride),
+                            arch_name=arch.name,
+                        )
+                        want = reference_tile_elements(sched, arch, 1, v, halo=halo)
+                        assert read(row) == read(tuple(row)) == want
+                        assert row_tile(tuple(row), arch, v, stride, halo) == want
+                        j = rng.randrange(NUM_DIMS)
+                        row[j] += rng.randint(1, 3)
+                        grown = read(row)
+                        assert grown > want if j in dims else grown == want

@@ -18,9 +18,11 @@ from helpers import (
     toy_two_level,
 )
 from mipsched import search
-from mipsched.costmodel import compute_cycles, noc_iterations
+from mipsched.costmodel import compute_cycles, noc_iterations, tile_table
 from mipsched.formulation import ObjectiveWeights, build_model
-from mipsched.schedule import Loop, encode, serialize, tile_violations, validate
+from mipsched.schedule import (
+    Loop, encode, placement_checks, serialize, tile_violations, validate,
+)
 from mipsched.search import (
     METRICS,
     NoValidScheduleError,
@@ -28,13 +30,14 @@ from mipsched.search import (
     enumerate_all,
     enumerate_best,
     metric_value,
-    order_scorer,
+    order_part,
     draw_schedule,
     random_search,
     valid_assignments,
+    with_cycles,
 )
 from mipsched.solver import SpaceTooLarge, solve
-from mipsched.workload import LayerDims, factorize
+from mipsched.workload import NUM_DIMS, LayerDims, factorize
 
 
 def test_draws_pinned(simba):
@@ -175,8 +178,10 @@ ENUMERATE_CASES = pytest.mark.parametrize(
 
 
 def _walk_verdicts(monkeypatch):
-    """The verdicts of the enumeration walk's `tile_violations` calls, in
-    call order, with every `validate` call from `search` an error."""
+    """The verdicts of the enumeration walk's checks, in call order: its
+    root's `tile_violations` call, then one call per placement of the
+    compiled checks that `placement_checks` returns; every `validate`
+    call from `search` is an error."""
     verdicts = []
 
     def counting(*args, **kwargs):
@@ -184,12 +189,43 @@ def _walk_verdicts(monkeypatch):
         verdicts.append(not got)
         return got
 
+    def compiling(*args):
+        passes = placement_checks(*args)
+
+        def recorded():
+            ok = passes()
+            verdicts.append(ok)
+            return ok
+
+        return recorded
+
     def no_validate(*args, **kwargs):
         raise AssertionError("the enumeration walk called validate")
 
     monkeypatch.setattr(search, "tile_violations", counting)
+    monkeypatch.setattr(search, "placement_checks", compiling)
     monkeypatch.setattr(search, "validate", no_validate)
     return verdicts
+
+
+def _carried_rows(monkeypatch, pf, arch, halo):
+    """Per assignment of a walk with no capacity pruned (`live_capacities`
+    patched to keep every finite one), its loops and the tile row that
+    the walk carries for each level with a finite capacity."""
+    held = [[[1] * NUM_DIMS for _ in range(arch.num_levels)]]
+
+    def holding(*args):
+        held[0] = args[4]  # the walk's own rows
+        return placement_checks(*args)
+
+    out = []
+    with monkeypatch.context() as m:
+        m.setattr(search, "live_capacities", lambda arch, *_: list(arch.finite_capacities))
+        m.setattr(search, "placement_checks", holding)
+        for loops, *_state in search._walk(pf, arch, 10**7, halo):
+            rows = {I: tuple(held[0][I]) for I, _v, _cap in arch.finite_capacities}
+            out.append((tuple(map(tuple, loops)), rows))
+    return out
 
 
 def _reference_walk(pf, arch, halo):
@@ -230,10 +266,14 @@ def test_enumerate_matches_reference(simba, monkeypatch, arch_name, dims, stride
 
 @ENUMERATE_CASES
 def test_enumerate_scores_match_reference(simba, arch_name, dims, stride):
-    """Scoring a loop order from its assignment's order-free terms and its
-    own NoC iteration counts equals a full reference evaluation of that
-    order, for every order and every metric."""
+    """Scoring a loop order by the split scorer, its order part from the
+    assignment's NoC-level loops and row and the order's own NoC
+    iteration counts, then its compute cycles, equals a full reference
+    evaluation of that order, for every order and for traffic and
+    latency; the assignment's compute cycles equal the reference's
+    compute metric, which no order moves."""
     arch = simba if arch_name == "simba" else toy_two_level(fanout=4, cap=16.0)
+    noc = arch.noc_level
     pf = factorize(LayerDims(*dims, stride=stride))
     firsts = valid_assignments(pf, arch, limit=10**7)
     first = None
@@ -242,16 +282,21 @@ def test_enumerate_scores_match_reference(simba, arch_name, dims, stride):
     for sched in enumerate_all(pf, arch, limit=10**7):
         if first is None or _assignment(sched) != _assignment(first):
             # a new assignment: enumerate_all opens it with its first order
-            levels, rows, cycles = next(firsts)
+            levels, cycles = next(firsts)
+            rows = tile_table(levels)
             first = sched
             assert sched.levels == levels
-            scorers = {m: order_scorer(levels, rows, cycles, arch, m) for m in METRICS}
+            parts = {
+                m: order_part(levels[noc], rows[noc], arch, m) for m in ("traffic", "latency")
+            }
             first_traffic = metric_value(reference_evaluate(first, arch), "traffic")
         orders += 1
         ref = reference_evaluate(sched, arch)
-        for metric, score in scorers.items():
+        for metric, part in parts.items():
             iters = noc_iterations(sched.levels, arch)
-            assert score(iters) == metric_value(ref, metric), (sched.levels, metric)
+            got = with_cycles(part(iters), cycles, metric)
+            assert got == metric_value(ref, metric), (sched.levels, metric)
+        assert cycles == metric_value(ref, "compute"), sched.levels
         moved |= metric_value(ref, "traffic") != first_traffic
     assert next(firsts, None) is None
     assert orders > 0
@@ -309,7 +354,7 @@ def test_enumerate_best_matches_brute_force(simba, monkeypatch, arch_name, dims,
     }[arch_name]
     pf = factorize(LayerDims(*dims, stride=stride))
     count, brute = _brute_best(pf, arch)
-    firsts = {levels for levels, _rows, _cycles in valid_assignments(pf, arch, limit=10**7)}
+    firsts = {levels for levels, _cycles in valid_assignments(pf, arch, limit=10**7)}
 
     verdicts = _walk_verdicts(monkeypatch)
     assert count == sum(1 for _ in enumerate_all(pf, arch, limit=10**7))
@@ -342,16 +387,13 @@ def test_walk_verdicts_match_validate(monkeypatch, arch, dims, stride, halo):
     """The walk decides each node of the assignment tree as `validate`
     decides that partial assignment, cuts below every failed node, and
     yields exactly the raw assignments `validate` passes, in order, each
-    with its tile rows and compute cycles; counts and winners equal the
-    per-order reference under the same halo mode."""
+    with its compute cycles and, with no capacity pruned, the true tile
+    row of every level with a finite capacity; counts and winners equal
+    the per-order reference under the same halo mode."""
     pf = factorize(LayerDims(*dims, stride=stride))
-    H = arch.num_levels
     visited, nodes = _reference_walk(pf, arch, halo)
     verdicts = _walk_verdicts(monkeypatch)
-    walked = [
-        (levels, tuple(map(tuple, rows)), cycles)
-        for levels, rows, cycles in valid_assignments(pf, arch, limit=10**7, halo=halo)
-    ]
+    walked = list(valid_assignments(pf, arch, limit=10**7, halo=halo))
     monkeypatch.undo()
     assert verdicts == visited
     assert len(verdicts) < nodes  # some subtree was cut
@@ -359,7 +401,10 @@ def test_walk_verdicts_match_validate(monkeypatch, arch, dims, stride, halo):
     firsts = [reference_first_order(pf, arch, a) for a in reference_assignments(pf, arch)]
     valid = [s for s in firsts if not validate(s, arch, halo=halo)]
     assert 0 < len(valid) < len(firsts)
-    assert walked == [(s.levels, s.tiles[:H], compute_cycles(s)) for s in valid]
+    assert walked == [(s.levels, compute_cycles(s)) for s in valid]
+    assert _carried_rows(monkeypatch, pf, arch, halo) == [
+        (s.levels, {I: s.tiles[I] for I, _v, _cap in arch.finite_capacities}) for s in valid
+    ]
 
     count, brute = _brute_best(pf, arch, halo)
     assert count == sum(1 for _ in enumerate_all(pf, arch, limit=10**7, halo=halo))
@@ -400,37 +445,112 @@ def _walk_instances():
 
 @pytest.mark.parametrize("halo", [True, False])
 def test_walk_carries_counts_codes_and_exact_checks(monkeypatch, halo):
-    """At every node the walk's restricted check (`placement_checks`)
-    decides as the full `tile_violations` does, and at every yielded
-    assignment each level's carried count is its `order_count` and its
-    code stands for its loop sequence and no other."""
+    """With every finite capacity live (`live_capacities` patched to prune
+    none), the walk carries the true tile row of every level that has
+    one, and at every node its compiled check (`placement_checks`)
+    decides as the full `tile_violations` does on those rows and the
+    spatial products.  The walk with the capacities `live_capacities`
+    keeps yields the same states, so a capacity it drops never fails.  At
+    every yielded assignment each level's carried count is its
+    `order_count`, the carried total is their product, and each code
+    stands for its loop sequence and no other."""
     verdicts = []
 
-    def full_alongside(rows, spatial, arch, stride, halo, levels=None, checks=None):
-        got = tile_violations(rows, spatial, arch, stride, halo, levels, checks)
-        if checks is not None:
-            full = tile_violations(rows, spatial, arch, stride, halo)
-            assert (not got) == (not full)
-            verdicts.append(not full)
-        return got
+    def full_alongside(arch, halo, stride, capacities, rows, spatial, *placement):
+        passes = placement_checks(arch, halo, stride, capacities, rows, spatial, *placement)
 
-    monkeypatch.setattr(search, "tile_violations", full_alongside)
+        def checked():
+            got = passes()
+            full = tile_violations(rows, spatial, arch, stride, halo)
+            assert got == (not full)
+            verdicts.append(got)
+            return got
+
+        return checked
+
+    def states(pf, arch):
+        return [
+            (tuple(map(tuple, loops)), cycles, tuple(counts), tuple(codes), total)
+            for loops, cycles, counts, codes, total in search._walk(pf, arch, 10**12, halo)
+        ]
+
     strides = set()
+    dropped = kept = 0
     for arch, layer in _walk_instances():
         pf = factorize(layer)
         strides.add(layer.stride)
+        live = search.live_capacities(arch, halo, layer.stride, pf.padded)
+        dropped += len(arch.finite_capacities) - len(live)
+        kept += len(live)
+        with monkeypatch.context() as m:
+            m.setattr(search, "live_capacities", lambda arch, *_: list(arch.finite_capacities))
+            m.setattr(search, "placement_checks", full_alongside)
+            checked = states(pf, arch)
+        assert checked == states(pf, arch)
+        assert _carried_rows(monkeypatch, pf, arch, halo) == [
+            (levels, {I: tile_table(levels)[I] for I, _v, _cap in arch.finite_capacities})
+            for levels, *_state in checked
+        ]
         level_of, code_of = {}, {}
-        walked = 0
-        for loops, rows, cycles, counts, codes in search._walk(pf, arch, 10**12, halo):
-            walked += 1
-            levels = tuple(map(tuple, loops))
-            assert counts == [order_count(level) for level in levels]
+        for levels, cycles, counts, codes, total in checked:
+            assert list(counts) == [order_count(level) for level in levels]
+            assert total == math.prod(counts)
             for code, level in zip(codes, levels):
                 assert level_of.setdefault(code, level) == level
                 assert code_of.setdefault(level, code) == code
-        assert walked == sum(1 for _ in valid_assignments(pf, arch, 10**12, halo))
+        assert len(checked) == sum(1 for _ in valid_assignments(pf, arch, 10**12, halo))
     assert strides == {1, 2}
     assert True in verdicts and False in verdicts
+    assert dropped > 0 and kept > 0
+
+
+def test_enumerate_work_pinned(simba, monkeypatch):
+    """The exact work of `enumerate_best` on the benchmark's enumerate
+    layer (R3 S1 P2 Q1 C4 K2 N1 on simba, halo, latency): one compiled
+    check per placement, the walk's valid assignments, one order part per
+    code of the upper levels (which also fix the NoC row), its NoC keys
+    (upper codes and compute cycles) and the `with_cycles` values that
+    score each of them once, and the schedules counted.  A change that
+    only makes this work cheaper must leave it as it is."""
+    work = dict.fromkeys(("checks", "assignments", "order parts", "values"), 0)
+    keys = set()
+    walk, part, value_of = search._walk, search.order_part, search.with_cycles
+    noc = simba.noc_level
+
+    def compiling(*args):
+        passes = placement_checks(*args)
+
+        def counted():
+            work["checks"] += 1
+            return passes()
+
+        return counted
+
+    def walking(*args):
+        for state in walk(*args):
+            work["assignments"] += 1
+            keys.add((*state[3][noc:], state[1]))
+            yield state
+
+    def parting(*args):
+        work["order parts"] += 1
+        return part(*args)
+
+    def valuing(*args):
+        work["values"] += 1
+        return value_of(*args)
+
+    monkeypatch.setattr(search, "placement_checks", compiling)
+    monkeypatch.setattr(search, "_walk", walking)
+    monkeypatch.setattr(search, "order_part", parting)
+    monkeypatch.setattr(search, "with_cycles", valuing)
+    count, (value, _sched) = enumerate_best(
+        factorize(LayerDims(3, 1, 2, 1, 4, 2, 1)), simba, "latency", limit=10**12)
+    assert (count, value) == (75_492, 5)
+    assert len(keys) == 1_587
+    assert work == {
+        "checks": 21_312, "assignments": 18_410, "order parts": 630, "values": 1_850,
+    }
 
 
 def _reference_class_orders(loops):
