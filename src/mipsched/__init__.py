@@ -11,12 +11,11 @@ Entry points besides the `mipsched` command (`cli.main`), each read
 outside the command's own path: `MipModel.raw`, `MipModel.raw_values`,
 `MipModel.check_raw` and `MipModel.term_values` (the raw MIP view that
 external solvers such as HiGHS are checked against); `exhaustive_solve`
-and `assignment_space_size` (the exhaustive oracle); `dump_lp` (the
-model as an LP file); `encode` (a schedule, hand-written or drawn, back
-to its assignment, so the model's terms and rows can be checked against
-the cost model and the validator on the same schedule); and
-`enumerate_all`, `SolverOptions.threads` and the `cli` functions that
-`perfbench/tracer.py` wraps (the benchmark).
+and `assignment_space_size` (the exhaustive oracle); `encode` (a
+schedule, hand-written or drawn, back to its assignment, so the model's
+terms and rows can be checked against the cost model and the validator
+on the same schedule); and `enumerate_all`, `SolverOptions.threads` and
+the `cli` functions that `perfbench/tracer.py` wraps (the benchmark).
 """
 
 from .arch import (
@@ -56,7 +55,6 @@ from .solver import (
     SolverOptions,
     SpaceTooLarge,
     assignment_space_size,
-    dump_lp,
     exhaustive_solve,
     solve,
 )

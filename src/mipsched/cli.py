@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
@@ -35,7 +36,6 @@ from .arch import (
     validate_arch,
 )
 from .formulation import (
-    MODES,
     FormulationError,
     MipModel,
     ObjectiveWeights,
@@ -194,6 +194,10 @@ def _parse_capacity(text: str) -> float:
     return float(text)
 
 
+# the values of a yes/no key (noc), in any case
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def load_arch(path: str) -> ArchSpec:
     with open(path, "r", encoding="utf-8") as fh:
         sections = parse_sections(fh.read(), path, _ARCH_KEYS,
@@ -208,13 +212,15 @@ def load_arch(path: str) -> ArchSpec:
         elif name == "level":
             try:
                 caps = tuple(_parse_capacity(x) for x in body["capacity"].split(","))
+                noc = body.get("noc", "false")
+                if noc.lower() not in _FLAGS:
+                    raise ValueError(f"noc must be 1/true/yes or 0/false/no, got {noc!r}")
                 levels.append(
                     MemLevel(
                         name=body.get("name", f"L{len(levels)}"),
                         capacity_bytes=caps,
                         spatial_fanout=int(body.get("fanout", "1")),
-                        is_noc_boundary=body.get("noc", "false").lower()
-                        in ("1", "true", "yes"),
+                        is_noc_boundary=_FLAGS[noc.lower()],
                     )
                 )
             except (KeyError, ValueError) as exc:
@@ -552,10 +558,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     # before anything is printed on stdout; stderr reports each point's
     # solve as it ends, prefixed with its weights
     try:
-        grid = [ObjectiveWeights(wu, wc, wt, mode=cfg.weights.mode)
-                for wu in cfg.sweep_grid[0]
-                for wc in cfg.sweep_grid[1]
-                for wt in cfg.sweep_grid[2]]
+        grid = [ObjectiveWeights(*w) for w in itertools.product(*cfg.sweep_grid)]
     except FormulationError as exc:
         raise ConfigError(str(exc)) from None
     best = None  # index of the first row with the least latency
@@ -620,12 +623,12 @@ def cmd_enumerate(cfg: RunConfig) -> int:
 # ----------------------------------------------------------------------
 
 
-def _parse_weights(text: str, mode: str) -> ObjectiveWeights:
+def _parse_weights(text: str) -> ObjectiveWeights:
     parts = _parse_grid(text, "--weights")
     if len(parts) != 3:
         raise ConfigError("--weights needs wU,wC,wT")
     try:
-        return ObjectiveWeights(*parts, mode=mode)
+        return ObjectiveWeights(*parts)
     except FormulationError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -653,7 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="layer file; compare takes several",
     )
     common.add_argument("--schedule", help="schedule file (evaluate)")
-    common.add_argument("--obj", default="combined", choices=MODES)
     common.add_argument("--weights", default="1,1,1", help="wU,wC,wT")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--samples", type=int, default=20_000)
@@ -675,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    weights = _parse_weights(args.weights, args.obj)
+    weights = _parse_weights(args.weights)
     if args.limit < 1:
         raise ConfigError("--limit must be >= 1")
     if args.budget is not None and args.budget < 1:

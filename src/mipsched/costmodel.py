@@ -15,7 +15,7 @@ dimensions related to v (`row_tile`, or `tile_reader` for a function
 of the row alone), or the halo window built from the same row.  Loop
 order within a level does not enter the table, so every loop order of
 one (level, mapping) assignment shares it.  The
-enumeration walk (`search.valid_assignments`) carries the rows of the
+enumeration walk (`search._walk`) carries the rows of the
 same table that its capacity checks read instead of building them:
 placing a factor at a level multiplies that dimension's entry in every
 such row above the level, and removing it divides the entry back.  It

@@ -13,7 +13,7 @@ The rank slot of an allocation variable enters no cost and no capacity
 term, so the model keeps every coefficient once per (factor, level,
 mapping) choice, in one `ChoiceCoef` record, and groups the records into
 the choice classes the bundled solver branches over.  The raw MIP
-(variables, constraints, objective, for dumps and brute-force
+(variables, constraints, objective, for HiGHS and brute-force
 verification) is built from the same records.
 """
 
@@ -30,8 +30,6 @@ from .workload import DIM_NAMES, PrimeFactorization
 SPATIAL, TEMPORAL = 0, 1
 MAP_NAMES = ("s", "t")
 
-MODES = ("util", "comp", "traffic", "combined")
-
 TOLERANCE = 1e-6  # capacity slack granted to every constraint check
 
 
@@ -41,35 +39,22 @@ class FormulationError(ValueError):
 
 @dataclass(frozen=True)
 class ObjectiveWeights:
-    """Weights of the utilization / compute / traffic objective terms."""
+    """Weights of the utilization / compute / traffic objective terms; a
+    single-term objective is the other two weights at 0."""
 
     w_u: float = 1.0
     w_c: float = 1.0
     w_t: float = 1.0
-    mode: str = "combined"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise FormulationError(f"unknown objective mode {self.mode!r}")
-        if not all(0 <= w < math.inf for w in (self.w_u, self.w_c, self.w_t)):
+        weights = (self.w_u, self.w_c, self.w_t)
+        if not all(0 <= w < math.inf for w in weights):
             # NaN fails every comparison, so it is rejected here too
             raise FormulationError("objective weights must be finite and non-negative")
-        # the weights the mode reads; with all of them zero every schedule
-        # ties at 0, and no bound can prune before the time limit
-        read = {"util": ("w_u",), "comp": ("w_c",),
-                "traffic": ("w_t",)}.get(self.mode, ("w_u", "w_c", "w_t"))
-        if max(getattr(self, name) for name in read) <= 0:
-            raise FormulationError(f"{self.mode} mode needs a positive {' or '.join(read)}")
-
-    def effective(self) -> tuple[float, float, float]:
-        """(w_u, w_c, w_t) actually applied for the linear modes."""
-        if self.mode == "util":
-            return (self.w_u, 0.0, 0.0)
-        if self.mode == "comp":
-            return (0.0, self.w_c, 0.0)
-        if self.mode == "traffic":
-            return (0.0, 0.0, self.w_t)
-        return (self.w_u, self.w_c, self.w_t)
+        # with every weight zero every schedule ties at 0, and no bound
+        # can prune before the time limit
+        if max(weights) <= 0:
+            raise FormulationError("objective needs a positive w_u, w_c or w_t")
 
 
 @dataclass(frozen=True)
@@ -185,7 +170,7 @@ class MipModel:
         self.weights = weights
         self.partition = partition
         self.pads = dict(capacity_pads or {})
-        self.w_t = weights.effective()[2]  # the linear modes' traffic weight
+        self.w_t = weights.w_t
 
         self.H = arch.num_levels
         self.noc = arch.noc_level
@@ -340,7 +325,7 @@ class MipModel:
         """Factor f's records, keyed by (level, mapping), and its class
         records, each class's first member, in order of first appearance."""
         arch = self.arch
-        w_u, w_c, w_t = self.weights.effective()
+        w_u, w_c, w_t = self.weights.w_u, self.weights.w_c, self.weights.w_t
         pairs = arch.on_chip_pairs
         rel = [arch.A.related(f.j, v) for v in range(NUM_TENSORS)]
         relcount = sum(rel)
@@ -421,8 +406,8 @@ class MipModel:
     def objective_close(self, static_sum: float, traffic: float) -> float:
         """The objective from `static_sum`, the records' static objective
         folded left from 0.0 in factor order, and the traffic walk's total
-        `traffic` (`_walk_t_sums`), which a mode with no traffic weight
-        does not read."""
+        `traffic` (`_walk_t_sums`), which an objective with no traffic
+        weight does not read."""
         obj = static_sum
         if self.w_t != 0.0:
             obj += self.w_t * traffic
@@ -761,7 +746,7 @@ def _build_raw(m: MipModel) -> RawModel:
                 traf_expr[p_id[(v, gi, fi)]] = f.lg
 
     # traffic and compute enter positively, utilization negated
-    w_u, w_c, w_t = m.weights.effective()
+    w_u, w_c, w_t = m.weights.w_u, m.weights.w_c, m.weights.w_t
     objective = {vid: 0.0 - w_u * c for vid, c in util_expr.items()}  # no -0.0
     for w, expr in ((w_c, comp_expr), (w_t, traf_expr)):
         if w:
@@ -804,9 +789,9 @@ def build_model(
     walk = 3.0 * sum(f.lg for f in model.factors)
     reach = [rec.static for recs in model.classes for rec in recs]
     reach.append(sum(max(abs(rec.static) for rec in recs) for recs in model.classes)
-                 + weights.effective()[2] * walk)
+                 + weights.w_t * walk)
     if not all(map(math.isfinite, reach)):
         raise ValueError(f"objective weights {weights.w_u:g},{weights.w_c:g},"
-                         f"{weights.w_t:g} overflow the {weights.mode} objective")
+                         f"{weights.w_t:g} overflow the objective")
     return model
 

@@ -7,7 +7,7 @@ PRNG derived from (seed, i), so results are reproducible and independent
 of any sharding of the draw range.
 
 Enumeration is one depth-first walk over the (level, mapping)
-assignments (`_walk`; `valid_assignments` yields its assignments).  It
+assignments (`_walk`; `enumerate_all` builds schedules from it).  It
 places the prime factors in order, each at every level and binding in
 turn, and carries per level the loops, the spatial product, the
 distinct-order count and a loop-sequence code, the temporal product,
@@ -381,32 +381,23 @@ def _walk(pf: PrimeFactorization, arch: ArchSpec, limit: int, halo: bool,
     return walk(0, -1, 0, 1, 1) if F else iter([(loops, 1, counts, codes, 1)])
 
 
-def valid_assignments(
+def enumerate_all(
     pf: PrimeFactorization, arch: ArchSpec, limit: int = 1_000_000, halo: bool = True
-) -> Iterator[tuple[Levels, int]]:
-    """Yield every valid (level, mapping) assignment once, in deterministic
-    order: its loops per level in factor order (its first loop order) and
-    its compute cycles, from one depth-first walk that cuts a partial
-    assignment at its first failed check (see the module docstring).
+) -> Iterator[Schedule]:
+    """Yield every valid schedule exactly once, in deterministic order:
+    for each valid (level, mapping) assignment of the walk (`_walk`, see
+    the module docstring), the product of its levels' distinct orders,
+    lexicographic with the innermost level slowest.
 
     Distinct schedules differ in some loop's level, binding, or in the
     loop order within a level; permutations of identical factors are not
     duplicated.  Guarded by the raw assignment-space size.
     """
-    for loops, cycles, _counts, _codes, _total in _walk(pf, arch, limit, halo):
-        yield tuple(map(tuple, loops)), cycles
-
-
-def enumerate_all(
-    pf: PrimeFactorization, arch: ArchSpec, limit: int = 1_000_000, halo: bool = True
-) -> Iterator[Schedule]:
-    """Yield every valid schedule exactly once, in deterministic order:
-    for each of `valid_assignments`, the product of its levels' distinct
-    orders, lexicographic with the innermost level slowest."""
     # distinct orders of one level's loops, listed once per loop sequence
     orders = functools.cache(lambda loops: tuple(_distinct_orders(loops)))
     level_names = tuple(lvl.name for lvl in arch.levels)
-    for levels, _cycles in valid_assignments(pf, arch, limit, halo):
+    for loops, _cycles, _counts, _codes, _total in _walk(pf, arch, limit, halo):
+        levels = tuple(map(tuple, loops))
         first = Schedule(
             levels=levels, level_names=level_names, layer=pf.dims, arch_name=arch.name
         )

@@ -98,8 +98,8 @@ L0.  A leaf needs no estimate of its own: the bound of its last child,
 which it passed against the incumbent it is entered under, is at least
 its static sum plus its weighted traffic, the most the search state
 tells of its objective.  L0 is reached and offers L*.  The argument
-reads nothing but admissible bounds and summation order, so it holds in
-every objective mode.
+reads nothing but admissible bounds and summation order, so it holds
+for every choice of objective weights.
 
 A partition model's byte budget is propagated into the capacity bounds,
 as activity-based bound propagation does with a linear row (Savelsbergh
@@ -1949,36 +1949,3 @@ def exhaustive_solve(
         return Solution("infeasible", None, None, None, stats)
     return Solution("optimal", best_obj, best_x, best_menu, stats)
 
-
-# ----------------------------------------------------------------------
-# LP-style dump
-# ----------------------------------------------------------------------
-
-
-def dump_lp(model: MipModel) -> str:
-    """Textual LP-format model for cross-checking with external solvers."""
-    raw = model.raw()
-
-    def expr(terms) -> str:
-        parts = []
-        for vid, coef in terms:
-            sign = "+" if coef >= 0 else "-"
-            parts.append(f"{sign} {abs(coef):.12g} {raw.var_names[vid]}")
-        return " ".join(parts) if parts else "0"
-
-    lines = ["Minimize", " obj: " + expr(sorted(raw.objective.items()))]
-    lines.append("Subject To")
-    for con in raw.constraints:
-        op = {"<=": "<=", ">=": ">=", "==": "="}[con.sense]
-        lines.append(f" {con.name}: {expr(con.terms)} {op} {con.rhs:.12g}")
-    binaries = [
-        raw.var_names[vid]
-        for vid, kind in enumerate(raw.var_kinds)
-        if kind in ("x", "part", "y", "prod")
-    ]
-    if binaries:
-        lines.append("Binary")
-        for name in binaries:
-            lines.append(f" {name}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

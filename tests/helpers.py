@@ -37,6 +37,15 @@ from run_suite import SUITE as SUITE_LAYERS
 
 J = DIM_INDEX
 
+OBJECTIVE_TERMS = ("util", "comp", "traffic")  # the terms of w_u, w_c, w_t
+
+
+def objective_name(weights: ObjectiveWeights) -> str:
+    """The term whose weight is the only positive one, else "combined"."""
+    terms = zip(OBJECTIVE_TERMS, (weights.w_u, weights.w_c, weights.w_t))
+    positive = [name for name, w in terms if w > 0]
+    return positive[0] if len(positive) == 1 else "combined"
+
 
 def random_instance(seed: int, max_space: int = 250_000):
     """Small solvable instance for oracle comparisons, or None if the
@@ -108,10 +117,12 @@ def _random_target_model(rng, seed, layer, max_space):
         precision_bytes=(1, 1, rng.choice([1, 3])),
         name=f"rand{seed}",
     )
-    mode = rng.choice(["combined", "combined", "util", "comp", "traffic", "combined"])
-    weights = ObjectiveWeights(
-        rng.choice([0.5, 1, 2]), rng.choice([0.5, 1, 2]), rng.choice([0.5, 1, 2]), mode=mode
-    )
+    term = rng.choice(["combined", "combined", "util", "comp", "traffic", "combined"])
+    drawn = [rng.choice([0.5, 1, 2]) for _ in OBJECTIVE_TERMS]
+    # a single-term objective keeps only its own weight
+    weights = ObjectiveWeights(*(
+        w if term in ("combined", name) else 0.0 for name, w in zip(OBJECTIVE_TERMS, drawn)
+    ))
     partition = None
     if rng.random() < 0.2:
         partition = PartitionSpec(budget_bytes=rng.choice([48, 96, 192]), e_min=2)
@@ -491,7 +502,7 @@ def reference_choice_coefficients(model):
     `ChoiceCoef` replaced: one dict per objective term, and per check
     constraint a per-factor dict of the choices it holds."""
     arch = model.arch
-    w_u, w_c, w_t = model.weights.effective()
+    w_u, w_c, w_t = model.weights.w_u, model.weights.w_c, model.weights.w_t
     pairs = arch.on_chip_pairs
     out = []
     for fi, f in enumerate(model.factors):
@@ -562,7 +573,7 @@ def reference_factor_coefficients(model):
     `static`, `row`, `items`, `chained`, `cc`, `rep`), and its classes'
     (level, mapping) in order of first appearance."""
     arch = model.arch
-    w_u, w_c, w_t = model.weights.effective()
+    w_u, w_c, w_t = model.weights.w_u, model.weights.w_c, model.weights.w_t
     pairs = arch.on_chip_pairs
     coefs, classes = [], []
     for fi, f in enumerate(model.factors):

@@ -25,7 +25,6 @@ from mipsched.cli import (
     parse_sections,
 )
 from helpers import reference_enumerate_all, tight_ia_arch
-from mipsched.formulation import FormulationError, ObjectiveWeights
 from mipsched.schedule import parse as parse_schedule
 from mipsched.search import SearchConfig, random_search
 from mipsched.workload import factorize
@@ -155,6 +154,32 @@ class TestParsing:
         p.write_text(text)
         arch = load_arch(str(p))
         assert arch.B[0] == (1, 1, 0)
+
+    @pytest.mark.parametrize("buf, mem", [("1", "0"), ("TRUE", "False"), ("Yes", "NO")])
+    def test_noc_flag_spellings(self, buf, mem, tmp_path):
+        """`noc` takes 1/true/yes and 0/false/no in any case."""
+        p = tmp_path / "flags.arch"
+        p.write_text(TOY_ARCH.replace("noc=true", f"noc={buf}") + f"noc={mem}\n")
+        assert [lvl.is_noc_boundary for lvl in load_arch(str(p)).levels] == [True, False]
+
+    @pytest.mark.parametrize("text, line, value", [
+        (TOY_ARCH + "noc=ture\n", 10, "ture"),
+        (TOY_ARCH + "noc=on\n", 10, "on"),
+        (TOY_ARCH.replace("noc=true", "noc=yes please"), 5, "yes please"),
+    ], ids=["ture", "on", "yes-please"])
+    def test_bad_noc_flag_exits_parse(self, text, line, value, tiny_layer, tmp_path,
+                                      capsys):
+        """Any other `noc` value is an error that names the file, the
+        level's line and the value: read as false, a misspelled flag on a
+        second level solved an arch the file does not describe, and on the
+        only NoC level it was reported as a missing NoC boundary."""
+        p = tmp_path / "bad.arch"
+        p.write_text(text)
+        assert main(["solve", "--layer", tiny_layer, "--arch", str(p)]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {p}:{line}: bad [level] section: "
+                       f"noc must be 1/true/yes or 0/false/no, got {value!r}\n")
 
     def test_sections_report_line(self):
         with pytest.raises(ConfigError) as err:
@@ -300,7 +325,7 @@ def test_every_command_lists_the_same_options(capsys):
               for command in ("solve", "evaluate", "compare", "partition", "sweep",
                               "enumerate")}
     assert listed["solve"][:4] == ["-h", "--arch", "--layer", "--schedule"]
-    assert len(listed["solve"]) == 19
+    assert len(listed["solve"]) == 18
     assert all(options == listed["solve"] for options in listed.values()), listed
 
 
@@ -328,7 +353,7 @@ class TestSolveCommand:
         and its status line on stderr gives the best open bound and the
         gap to the incumbent: conv28 under the comp objective holds an
         incumbent within half a second but does not prove it."""
-        code = main(["solve", "--layer", conv28_layer, "--obj", "comp",
+        code = main(["solve", "--layer", conv28_layer, "--weights", "0,1,0",
                      "--time-limit", "0.5"])
         assert code == EXIT_TIMEOUT
         out, err = capsys.readouterr()
@@ -737,7 +762,41 @@ class TestSweepCommand:
         assert err.startswith("error: objective weights must be finite and non-negative")
 
 
+# single-term objectives, the other two weights at 0, with the stdout
+# sha256, nodes, leaves and halo rounds that `--obj util|comp|traffic`
+# gave before the weights became the only spelling
+DEEP512_LAYER = "[layer]\nR=3\nS=3\nP=7\nQ=7\nC=512\nK=512\nN=1\n"
+STRIDE2_LAYER = "[layer]\nR=3\nS=3\nP=14\nQ=14\nC=32\nK=64\nN=1\nStride=2\n"
+SINGLE_TERM_SOLVES = {
+    "tiny-util": (TINY_LAYER, "1,0,0", 32, 13, 1,
+                  "3c41211cf26c4cc7db57e14046d23857c125c41cb8a05708e137b868bdc5ce6d"),
+    "tiny-comp": (TINY_LAYER, "0,1,0", 29, 11, 1,
+                  "a74961c639e9263d4e6ba1f6abcb082dffda9b91deb307fbf625bcf59d7d5910"),
+    "tiny-traffic": (TINY_LAYER, "0,0,1", 165, 48, 1,
+                     "1a1ca2ca5f83e4301ed3be0eed423723f3662679e3f570427152089706c3d3d2"),
+    "deep512-util": (DEEP512_LAYER, "1,0,0", 6_359, 951, 1,
+                     "fb1bf4c275ba6a05d863abf9c3dd26f7e008bfa71c06a0392b8020eed28924a8"),
+    "stride2-3x3-14-util": (STRIDE2_LAYER, "1,0,0", 1_362, 292, 2,
+                            "aedbcddbd2d6b50c825feb2e27529e5841b7d5038c90c8fe5ebdd19a52be36a8"),
+}
+
+
 class TestObjectiveWeights:
+    @pytest.mark.parametrize("name", SINGLE_TERM_SOLVES)
+    def test_single_term_solves_pinned(self, name, tmp_path, capsys):
+        """A single-term objective is the other weights at 0: each solves
+        to the recorded stdout, byte for byte, with the recorded search."""
+        layer, weights, nodes, leaves, rounds, digest = SINGLE_TERM_SOLVES[name]
+        p = tmp_path / "layer.layer"
+        p.write_text(layer)
+        assert main(["solve", "--layer", str(p), "--weights", weights]) == EXIT_OK
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert lines[0] == "status optimal"
+        assert re.fullmatch(rf"nodes {nodes} leaves {leaves} wall \d+\.\d{{3}}s rounds {rounds}",
+                            lines[1]), lines[1]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("argv, flag, value", [
         (["solve", "--weights", "a,1,1"], "--weights", "'a,1,1'"),
         (["sweep", "--sweep-wt", ""], "--sweep-wt", "''"),
@@ -764,34 +823,29 @@ class TestObjectiveWeights:
         assert out == ""
         assert err.startswith("error: objective weights must be finite")
 
-    @pytest.mark.parametrize("obj, weights", [
-        ("util", "0,1,1"), ("comp", "1,0,1"), ("traffic", "1,1,0"),
-    ])
-    def test_zero_weight_mode_rejected(self, obj, weights, tiny_layer, capsys):
-        """A mode whose weights are all zero ties every schedule at 0 and
-        used to run out the whole time limit; it is an argument error,
-        and for `sweep` before the header is printed."""
-        for argv in (["solve", f"--weights={weights}"],
-                     ["sweep", *(f"--sweep-{w}={v}" for w, v
-                                 in zip(("wu", "wc", "wt"), weights.split(",")))]):
-            code = main([*argv, "--layer", tiny_layer, "--obj", obj, "--time-limit", "5"])
+    def test_all_zero_weights_rejected(self, tiny_layer, capsys):
+        """Weights that are all zero tie every schedule at 0 and used to
+        run out the whole time limit; they are an argument error, and for
+        `sweep` before the header is printed, at any point of the grid."""
+        for argv in (["solve", "--weights=0,0,0"],
+                     ["sweep", "--sweep-wu=1,0", "--sweep-wc=0", "--sweep-wt=0"]):
+            code = main([*argv, "--layer", tiny_layer, "--time-limit", "5"])
             assert code == EXIT_PARSE
             out, err = capsys.readouterr()
             assert out == ""
-            assert err.startswith(f"error: {obj} mode needs a positive")
+            assert err == "error: objective needs a positive w_u, w_c or w_t\n"
 
     def test_balance_mode_rejected(self, tiny_layer, capsys):
-        """`--obj balance`, the |w_t * traffic - w_c * comp| mode the paper
-        does not have, is gone: argparse rejects the choice with exit 2 and
-        nothing on stdout, and the model refuses the mode."""
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--layer", tiny_layer, "--obj", "balance"])
-        assert exc.value.code == EXIT_PARSE
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "argument --obj: invalid choice: 'balance'" in err
-        with pytest.raises(FormulationError, match="^unknown objective mode 'balance'"):
-            ObjectiveWeights(mode="balance")
+        """`--obj` is gone, with every mode it named: the weights are the
+        whole objective (`--obj util` is `--weights 1,0,0`), and argparse
+        rejects the option with exit 2 and nothing on stdout."""
+        for obj in ("balance", "util", "combined"):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", "--layer", tiny_layer, "--obj", obj])
+            assert exc.value.code == EXIT_PARSE
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "unrecognized arguments: --obj" in err
 
     def test_overflowing_weights_rejected(self, tiny_layer, capsys):
         """Weights whose objective overflows (an infinite coefficient, or

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    OBJECTIVE_TERMS,
     SUITE_LAYERS,
     random_instance,
     reference_choice_coefficients,
@@ -285,16 +286,24 @@ class TestComposeObjective:
         assert kinds == {"menu", "budget", "buffer"}
 
     def test_single_modes_match_weighted_combined(self):
+        """A single-term objective is the other two weights at 0: with only
+        w_c positive the search finds the oracle's optimum, which is the
+        compute term of its answer, and doubling w_c doubles it exactly."""
         arch = toy_two_level(fanout=2, cap=16.0)
         pf = factorize(LayerDims(1, 1, 2, 1, 3, 2, 1))
-        comp_only = solve(build_model(pf, arch, ObjectiveWeights(mode="comp")))
-        combined = solve(build_model(pf, arch, ObjectiveWeights(0, 1, 0, mode="combined")))
-        assert comp_only.objective_value == combined.objective_value
+        model = build_model(pf, arch, ObjectiveWeights(0, 1, 0))
+        comp_only = solve(model)
+        oracle = exhaustive_solve(model)
+        assert comp_only.objective_value == oracle.objective_value
+        assert math.isclose(comp_only.objective_value,
+                            model.term_values(comp_only.x_assignment)["comp"])
+        doubled = solve(build_model(pf, arch, ObjectiveWeights(0, 2, 0)))
+        assert doubled.objective_value == 2 * comp_only.objective_value
 
     def test_util_mode_is_negated_maximization(self):
         arch = toy_two_level(fanout=2, cap=16.0)
         pf = factorize(LayerDims(1, 1, 2, 1, 3, 2, 1))
-        model = build_model(pf, arch, ObjectiveWeights(mode="util"))
+        model = build_model(pf, arch, ObjectiveWeights(1, 0, 0))
         sol = solve(model)
         assert sol.objective_value <= 0.0
         assert math.isclose(
@@ -309,23 +318,18 @@ class TestComposeObjective:
         assert math.isclose(model.objective_of(x), expect, rel_tol=1e-9)
 
     def test_weight_validation(self):
-        with pytest.raises(FormulationError):
-            ObjectiveWeights(0, 0, 0, mode="combined")
-        # a mode whose weights are all zero ties every schedule at 0
-        for mode, weights in (("util", (0, 1, 1)), ("comp", (1, 0, 1)),
-                              ("traffic", (1, 1, 0))):
-            with pytest.raises(FormulationError, match=f"^{mode} mode needs a positive"):
-                ObjectiveWeights(*weights, mode=mode)
-        # one weight the mode reads is enough, whatever the others are
-        for mode, weights in (("util", (1, 0, 0)), ("comp", (0, 1, 0)),
-                              ("traffic", (0, 0, 1)), ("combined", (0, 0, 1))):
-            ObjectiveWeights(*weights, mode=mode)
-        with pytest.raises(FormulationError, match="^unknown objective mode 'balance'"):
-            ObjectiveWeights(mode="balance")
+        # with every weight zero every schedule ties at 0
+        with pytest.raises(FormulationError,
+                           match="^objective needs a positive w_u, w_c or w_t$"):
+            ObjectiveWeights(0, 0, 0)
+        # one positive weight is enough, whatever the others are
+        for weights in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)):
+            ObjectiveWeights(*weights)
         with pytest.raises(FormulationError):
             ObjectiveWeights(-1, 1, 1)
-        with pytest.raises(FormulationError):
-            ObjectiveWeights(mode="nonsense")
+        # the three weights are the whole objective
+        with pytest.raises(TypeError):
+            ObjectiveWeights(mode="util")
 
 
 class TestPartition:
@@ -407,8 +411,8 @@ def coef_models(simba):
     conv28 = factorize(SUITE_LAYERS["conv28"])
     for name, dims in SUITE_LAYERS.items():
         yield name, build_model(factorize(dims), simba)
-    for mode in ("util", "comp", "traffic"):
-        yield f"conv28-{mode}", build_model(conv28, simba, ObjectiveWeights(mode=mode))
+    for term, weights in zip(OBJECTIVE_TERMS, ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+        yield f"conv28-{term}", build_model(conv28, simba, ObjectiveWeights(*weights))
     yield "conv28-partition", build_model(
         conv28, simba, partition=PartitionSpec(budget_bytes=306367)
     )

@@ -33,7 +33,6 @@ from mipsched.search import (
     order_part,
     draw_schedule,
     random_search,
-    valid_assignments,
     with_cycles,
 )
 from mipsched.solver import SpaceTooLarge, solve
@@ -275,7 +274,8 @@ def test_enumerate_scores_match_reference(simba, arch_name, dims, stride):
     arch = simba if arch_name == "simba" else toy_two_level(fanout=4, cap=16.0)
     noc = arch.noc_level
     pf = factorize(LayerDims(*dims, stride=stride))
-    firsts = valid_assignments(pf, arch, limit=10**7)
+    firsts = ((tuple(map(tuple, loops)), cycles)
+              for loops, cycles, *_state in search._walk(pf, arch, 10**7, True))
     first = None
     orders = 0
     moved = False  # some order's traffic differs from its first order's
@@ -354,7 +354,7 @@ def test_enumerate_best_matches_brute_force(simba, monkeypatch, arch_name, dims,
     }[arch_name]
     pf = factorize(LayerDims(*dims, stride=stride))
     count, brute = _brute_best(pf, arch)
-    firsts = {levels for levels, _cycles in valid_assignments(pf, arch, limit=10**7)}
+    firsts = {tuple(map(tuple, loops)) for loops, *_state in search._walk(pf, arch, 10**7, True)}
 
     verdicts = _walk_verdicts(monkeypatch)
     assert count == sum(1 for _ in enumerate_all(pf, arch, limit=10**7))
@@ -393,7 +393,8 @@ def test_walk_verdicts_match_validate(monkeypatch, arch, dims, stride, halo):
     pf = factorize(LayerDims(*dims, stride=stride))
     visited, nodes = _reference_walk(pf, arch, halo)
     verdicts = _walk_verdicts(monkeypatch)
-    walked = list(valid_assignments(pf, arch, limit=10**7, halo=halo))
+    walked = [(tuple(map(tuple, loops)), cycles)
+              for loops, cycles, *_state in search._walk(pf, arch, 10**7, halo)]
     monkeypatch.undo()
     assert verdicts == visited
     assert len(verdicts) < nodes  # some subtree was cut
@@ -417,7 +418,7 @@ def test_enumerate_best_without_a_valid_schedule():
     """No valid assignment: a zero count and no best."""
     arch = toy_two_level(fanout=1, cap=1.0)
     pf = factorize(LayerDims(1, 1, 2, 1, 1, 2, 1))
-    assert next(valid_assignments(pf, arch), None) is None
+    assert next(search._walk(pf, arch, 1_000_000, True), None) is None
     assert enumerate_best(pf, arch, "latency") == (0, None)
 
 
@@ -498,7 +499,7 @@ def test_walk_carries_counts_codes_and_exact_checks(monkeypatch, halo):
             for code, level in zip(codes, levels):
                 assert level_of.setdefault(code, level) == level
                 assert code_of.setdefault(level, code) == code
-        assert len(checked) == sum(1 for _ in valid_assignments(pf, arch, 10**12, halo))
+        assert len(checked) == sum(1 for _ in search._walk(pf, arch, 10**12, halo))
     assert strides == {1, 2}
     assert True in verdicts and False in verdicts
     assert dropped > 0 and kept > 0

@@ -16,6 +16,7 @@ from helpers import (
     binding_partition_instance,
     highs_objective,
     mirror_instance,
+    objective_name,
     random_instance,
     reference_canonical_assignment,
     reference_derive_menus,
@@ -47,7 +48,6 @@ from mipsched.solver import (
     _Search,
     _zmax,
     assignment_space_size,
-    dump_lp,
     exhaustive_solve,
     solve,
 )
@@ -118,7 +118,7 @@ def test_timeout_returns_incumbent(simba):
     nodes), so a 0.5 s limit always stops the search holding a feasible
     incumbent."""
     model = build_model(factorize(SUITE_LAYERS["conv28"]), simba,
-                        ObjectiveWeights(mode="comp"))
+                        ObjectiveWeights(0, 1, 0))
     # 1e-6 s has expired before the search starts
     for limit in (0.5, 1e-6):
         sol = solve(model, SolverOptions(time_limit_s=limit))
@@ -184,18 +184,6 @@ def test_options_validation():
         SolverOptions(time_limit_s=0)
     with pytest.raises(ValueError):
         SolverOptions(time_limit_s=float("nan"))
-
-
-def test_dump_lp_structure():
-    model = small_model()
-    text = dump_lp(model)
-    assert text.startswith("Minimize")
-    assert "Subject To" in text and "Binary" in text and text.endswith("End\n")
-    # variable names encode factor, level, rank, and binding
-    assert "X_P0_L0_z0_t" in text
-    assert "Y_W_g0" in text and "P_W_g0_P0" in text
-    a = dump_lp(model)
-    assert a == text  # deterministic bytes
 
 
 @pytest.mark.parametrize(
@@ -434,7 +422,7 @@ def test_search_counts_pinned(simba):
     for seed in (82, 101, 22, 214, 245):
         model = random_instance(seed, max_space=60_000)
         sol = solve(model)
-        counts[seed] = (model.weights.mode, bool(model.menus),
+        counts[seed] = (objective_name(model.weights), bool(model.menus),
                         sol.stats.nodes, sol.stats.leaves)
     assert counts == {
         "tiny": (10, 2),
@@ -739,7 +727,8 @@ def test_search_state_is_a_function_of_the_path(simba, monkeypatch):
         assert repr(sh.con_lhs) == repr(lhs), pos
         assert repr(sh.static_sum) == repr(static)
         assert len(sh.saved) == pos
-        calls[sh.m.weights.mode] = calls.get(sh.m.weights.mode, 0) + 1
+        name = objective_name(sh.m.weights)
+        calls[name] = calls.get(name, 0) + 1
         return real_children(sh, pos)
 
     def solved(model):
@@ -1713,7 +1702,7 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
             assert offered[0][2] is images[0]
         assert accepted == any(ok for _obj, ok, _image in expect)
         assert (inc.obj, inc.key, inc.x, inc.menu) == (sim.obj, sim.key, sim.x, sim.menu)
-        seen["modes"].add((m.weights.mode, bool(m.menus)))
+        seen["modes"].add((objective_name(m.weights), bool(m.menus)))
         seen["images"] += len(images) - 1
         return accepted
 
@@ -1868,7 +1857,7 @@ def test_square_instances_match_the_oracle():
             assert spans_two_identical_classes(model), seed
             assert _answer(solve(model)) == _answer(exhaustive_solve(model)), (seed, menus)
             checked[menus] += 1
-            modes.add(model.weights.mode)
+            modes.add(objective_name(model.weights))
     assert checked[False] > 80 and checked[True] > 40, checked
     assert modes == {"combined", "util", "comp", "traffic"}
 
@@ -1893,7 +1882,7 @@ def test_unequal_mirror_classes_match_the_oracle():
             assert any(len(counts) > 1 for counts in sizes), seed
             assert _answer(solve(model)) == _answer(exhaustive_solve(model)), (seed, menus)
             checked[menus] += 1
-            modes.add((model.weights.mode, menus))
+            modes.add((objective_name(model.weights), menus))
     assert checked[False] > 150 and checked[True] > 40, checked
     assert modes == {(mode, menus) for mode in ("combined", "util", "comp", "traffic")
                      for menus in (False, True)}
@@ -1906,7 +1895,7 @@ def test_images_reach_the_answer_the_cut_removes(simba, monkeypatch):
     lands an ulp higher.  The answer is accepted only as an image decided
     at that leaf."""
     model = build_model(factorize(LayerDims(3, 3, 6, 6, 1, 64, 1)), simba,
-                        ObjectiveWeights(mode="util"))
+                        ObjectiveWeights(1, 0, 0))
     sh = new_search(model)
     threes = {(DIM_NAMES.index("P"), 3), (DIM_NAMES.index("Q"), 3)}
     (first, later), = [run for run in sh.mirrors

@@ -77,7 +77,7 @@ def unused_public_names() -> list[str]:
 
 
 def test_entry_points_listed():
-    assert {"dump_lp", "exhaustive_solve", "MipModel.raw"} <= entry_points()
+    assert {"exhaustive_solve", "MipModel.raw"} <= entry_points()
 
 
 def test_every_public_name_is_used_or_an_entry_point():
