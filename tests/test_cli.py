@@ -835,6 +835,30 @@ class TestObjectiveWeights:
             assert out == ""
             assert err == "error: objective needs a positive w_u, w_c or w_t\n"
 
+    @pytest.mark.parametrize("obj, weights", [
+        ("util", "0,1,1"), ("comp", "1,0,1"), ("traffic", "1,1,0"),
+    ])
+    def test_zero_weight_mode_rejected(self, obj, weights, tiny_layer, capsys):
+        """What a single-term mode with a zero weight built (`--obj util
+        --weights 0,1,1` kept w_u alone) is the all-zero objective: an
+        argument error for `solve` and for `sweep`, before the header.  The
+        same weights given alone are a combined objective and solve."""
+        term = ("util", "comp", "traffic").index(obj)
+        kept = ",".join(w if i == term else "0" for i, w in enumerate(weights.split(",")))
+        assert kept == "0,0,0"
+        for argv in (["solve", f"--weights={kept}"],
+                     ["sweep", *(f"--sweep-{w}={v}" for w, v
+                                 in zip(("wu", "wc", "wt"), kept.split(",")))]):
+            code = main([*argv, "--layer", tiny_layer, "--time-limit", "5"])
+            assert code == EXIT_PARSE
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: objective needs a positive w_u, w_c or w_t\n"
+        assert main(["solve", "--layer", tiny_layer, f"--weights={weights}",
+                     "--time-limit", "5"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err.splitlines()[0] == "status optimal"
+
     def test_balance_mode_rejected(self, tiny_layer, capsys):
         """`--obj` is gone, with every mode it named: the weights are the
         whole objective (`--obj util` is `--weights 1,0,0`), and argparse
