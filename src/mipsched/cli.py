@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from . import costmodel, schedule as sched_mod
 from .arch import (
@@ -115,17 +116,45 @@ _ARCH_KEYS = {
 }
 
 
+class Section(dict):
+    """One section's values by key, as `parse_sections` reads them, with
+    the file, the section's name and line, and each key's line."""
+
+    def __init__(self, path: str, name: str, line: int):
+        super().__init__()
+        self.path, self.name, self.line = path, name, line
+        self.lines: dict[str, int] = {}  # per key, its line
+
+    def value(self, key: str, convert: Callable, what: str,
+              default: str | None = None, label: str | None = None):
+        """`convert` of `key`'s value, or of `default` when the section
+        does not hold the key.  A value that `convert` rejects with
+        ValueError is an error that names the file, the key's line, the
+        key (as `label`, if given) and the value, and so is a missing key
+        without a default, at the section's line."""
+        label = label or key
+        text = self.get(key, default)
+        if text is None:
+            raise ConfigError(f"{self.path}:{self.line}: [{self.name}] missing key {label}")
+        try:
+            return convert(text)
+        except ValueError:
+            raise ConfigError(f"{self.path}:{self.lines[key]}: "
+                              f"[{self.name}] {label} must be {what}, got {text!r}") from None
+
+
 def parse_sections(text: str, path: str, keys: dict[str, frozenset[str] | None],
                    once: tuple[str, ...] = (),
-                   ) -> list[tuple[str, dict[str, str], int]]:
-    """Parse `[section]` / `key=value` text into ordered sections.  A
-    section `keys` does not name is an error; so is a key outside its
-    section's set, which is stored lowercased, and a key given twice in
-    one section, in any case: `Stride` and `stride` are one key.  A
-    section whose set is None holds matrix rows, kept as written.  A
-    section named in `once` appears at most once."""
-    sections: list[tuple[str, dict[str, str], int]] = []
-    current: dict[str, str] | None = None
+                   ) -> list[tuple[str, Section, int]]:
+    """Parse `[section]` / `key=value` text into ordered sections, each as
+    its name, its `Section` and its line.  A section `keys` does not name
+    is an error; so is a key outside its section's set, which is stored
+    lowercased, and a key given twice in one section, in any case:
+    `Stride` and `stride` are one key.  A section whose set is None holds
+    matrix rows, kept as written.  A section named in `once` appears at
+    most once."""
+    sections: list[tuple[str, Section, int]] = []
+    current: Section | None = None
     allowed: frozenset[str] | None = None  # the current section's keys
     seen: dict[str, int] = {}  # the current section's keys, lowercased: line
     opened: dict[str, int] = {}  # the sections of `once` met so far: line
@@ -142,7 +171,7 @@ def parse_sections(text: str, path: str, keys: dict[str, frozenset[str] | None],
                 first = opened.setdefault(name, lineno)
                 if first != lineno:
                     raise ConfigError(f"{path}:{lineno}: [{name}] repeats line {first}")
-            current = {}
+            current = Section(path, name, lineno)
             seen = {}
             sections.append((name, current, lineno))
         elif "=" in line:
@@ -158,9 +187,18 @@ def parse_sections(text: str, path: str, keys: dict[str, frozenset[str] | None],
                     raise ConfigError(f"{path}:{lineno}: unknown key {key} in [{name}]")
                 key = low
             current[key] = value
+            current.lines[key] = lineno
         else:
             raise ConfigError(f"{path}:{lineno}: expected [section] or key=value")
     return sections
+
+
+def _count(text: str) -> int:
+    """A layer dimension, stride or fanout: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise ValueError(text)
+    return n
 
 
 def load_layer(path: str) -> LayerDims:
@@ -169,112 +207,96 @@ def load_layer(path: str) -> LayerDims:
     body = next((body for name, body, _line in sections if name == "layer"), None)
     if body is None:
         raise ConfigError(f"{path}: missing [layer] section")
-    vals = {}
-    for key in DIM_NAMES:
-        text = body.get(key.lower())
-        if text is None:
-            raise ConfigError(f"{path}: [layer] missing key {key}")
-        try:
-            vals[key] = int(text)
-        except ValueError:
-            raise ConfigError(f"{path}: {key} must be an integer") from None
-    try:
-        stride = int(body.get("stride", "1"))
-    except ValueError:
-        raise ConfigError(f"{path}: Stride must be an integer") from None
-    try:
-        return LayerDims(*[vals[k] for k in DIM_NAMES], stride=stride)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    dims = [body.value(key.lower(), _count, "an integer >= 1", label=key) for key in DIM_NAMES]
+    stride = body.value("stride", _count, "an integer >= 1", default="1", label="Stride")
+    return LayerDims(*dims, stride=stride)
 
 
-def _parse_capacity(text: str) -> float:
-    if text.strip().lower() in ("inf", "unbounded"):
-        return math.inf
-    return float(text)
+def _capacities(text: str) -> tuple[float, ...]:
+    """A level's per-tensor capacities: one number or inf (unbounded) per tensor."""
+    caps = tuple(
+        math.inf if x.strip().lower() in ("inf", "unbounded") else float(x)
+        for x in text.split(",")
+    )
+    if len(caps) != len(TENSOR_NAMES):
+        raise ValueError(text)
+    return caps
 
 
 # the values of a yes/no key (noc), in any case
 _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
+def _flag(text: str) -> bool:
+    if text.lower() not in _FLAGS:
+        raise ValueError(text)
+    return _FLAGS[text.lower()]
+
+
+def _triple(text: str) -> tuple[int, int, int]:
+    parts = tuple(int(x) for x in text.split(","))
+    if len(parts) != 3:
+        raise ValueError(text)
+    return parts
+
+
 def load_arch(path: str) -> ArchSpec:
     with open(path, "r", encoding="utf-8") as fh:
         sections = parse_sections(fh.read(), path, _ARCH_KEYS,
                                   once=("arch", "matrix_a", "matrix_b"))
-    meta: dict[str, str] = {}
+    meta = Section(path, "arch", 0)
     levels: list[MemLevel] = []
-    a_rows: dict[str, str] = {}
-    b_rows: dict[str, str] = {}
-    for name, body, lineno in sections:
+    a_rows = Section(path, "matrix_a", 0)
+    b_rows = Section(path, "matrix_b", 0)
+    for name, body, _lineno in sections:
         if name == "arch":
-            meta.update(body)
+            meta = body
         elif name == "level":
-            try:
-                caps = tuple(_parse_capacity(x) for x in body["capacity"].split(","))
-                noc = body.get("noc", "false")
-                if noc.lower() not in _FLAGS:
-                    raise ValueError(f"noc must be 1/true/yes or 0/false/no, got {noc!r}")
-                levels.append(
-                    MemLevel(
-                        name=body.get("name", f"L{len(levels)}"),
-                        capacity_bytes=caps,
-                        spatial_fanout=int(body.get("fanout", "1")),
-                        is_noc_boundary=_FLAGS[noc.lower()],
-                    )
-                )
-            except (KeyError, ValueError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad [level] section: {exc}") from None
+            levels.append(MemLevel(
+                name=body.get("name", f"L{len(levels)}"),
+                capacity_bytes=body.value(
+                    "capacity", _capacities, "three comma-separated numbers or inf"),
+                spatial_fanout=body.value("fanout", _count, "an integer >= 1", default="1"),
+                is_noc_boundary=body.value(
+                    "noc", _flag, "1/true/yes or 0/false/no", default="false"),
+            ))
         elif name == "matrix_a":
-            a_rows.update(body)
+            a_rows = body
         elif name == "matrix_b":
-            b_rows.update(body)
+            b_rows = body
     if not levels:
         raise ConfigError(f"{path}: no [level] sections")
 
-    def triple(text: str) -> tuple[int, int, int]:
-        try:
-            parts = tuple(int(x) for x in text.split(","))
-        except ValueError:
-            parts = ()
-        if len(parts) != 3:
-            raise ConfigError(f"{path}: expected three comma-separated integers: {text}")
-        return parts
-
-    def matrix(cls, section: str, given: dict[str, str], names):
+    def matrix(cls, given: Section, names):
         """The matrix of one row per name, each named exactly once."""
         for key in given:
             if key not in names:
-                raise ConfigError(f"{path}: [{section}] unknown row {key}")
+                raise ConfigError(f"{path}: [{given.name}] unknown row {key}")
         rows = []
         for row in names:
             if row not in given:
-                raise ConfigError(f"{path}: [{section}] missing row {row}")
-            rows.append(triple(given[row]))
+                raise ConfigError(f"{path}: [{given.name}] missing row {row}")
+            rows.append(given.value(row, _triple, "three comma-separated integers"))
         try:
             return cls(rows=tuple(rows))
         except ValueError as exc:
-            raise ConfigError(f"{path}: [{section}] {exc}") from None
+            raise ConfigError(f"{path}: [{given.name}] {exc}") from None
 
-    A = matrix(TensorDimMatrix, "matrix_a", a_rows, DIM_NAMES) if a_rows else DEFAULT_A
+    A = matrix(TensorDimMatrix, a_rows, DIM_NAMES) if a_rows else DEFAULT_A
     if b_rows:
-        B = matrix(MemTensorMatrix, "matrix_b", b_rows, [lvl.name for lvl in levels])
+        B = matrix(MemTensorMatrix, b_rows, [lvl.name for lvl in levels])
     elif len(levels) == len(SIMBA_B.rows):
         B = SIMBA_B
     else:
         B = MemTensorMatrix(rows=tuple((1, 1, 1) for _ in levels))
 
-    precision = triple(meta.get("precision", "1,1,3"))
-    try:
-        bandwidth = float(meta.get("bandwidth", "8"))
-    except ValueError:
-        raise ConfigError(f"{path}: bandwidth must be a number") from None
     return ArchSpec(
         levels=tuple(levels),
         A=A,
         B=B,
-        precision_bytes=precision,
-        noc_bandwidth=bandwidth,
+        precision_bytes=meta.value(
+            "precision", _triple, "three comma-separated integers", default="1,1,3"),
+        noc_bandwidth=meta.value("bandwidth", float, "a number", default="8"),
         name=meta.get("name", os.path.splitext(os.path.basename(path))[0]),
     )
 
@@ -600,8 +622,11 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     the class's first in enumeration order.  Enumeration order is
     lexicographic in the per-level order indices, so the first minimum
     of a strict-`<` scan over every order sits at class-first indices,
-    and the scan over the representatives finds the same one.  A
-    `Schedule` is built only for the winner, to render.  At the
+    and the scan over the representatives finds the same one.  An order
+    scores no less than with no transfers (its compute cycles under
+    latency, 0 under traffic), so once a best exists, an assignment whose
+    score cannot fall below it is counted and not scored.  A `Schedule`
+    is built only for the winner, to render.  At the
     --time-limit deadline it stops with nothing on stdout, as past --limit.
     """
     deadline = time.perf_counter() + cfg.solver.time_limit_s

@@ -1,11 +1,12 @@
 """Shared test utilities: small random instances and reference schedules."""
 
+import itertools
 import math
 import random
 from bisect import bisect_left
 from collections import Counter
 
-from mipsched import costmodel
+from mipsched import costmodel, search
 from mipsched.arch import (
     IA,
     NUM_TENSORS,
@@ -866,6 +867,53 @@ def reference_enumerate_all(pf, arch, limit=1_000_000, halo=True):
             if not reference_validate(sched, arch, halo=halo):
                 yield sched
 
+
+def reference_enumerate_best(pf, arch, metric, limit=1_000_000, halo=True):
+    """`search.enumerate_best` as it was before it bounded assignments:
+    every NoC key the walk reaches is scored, once, for its least value
+    and the first combination of the upper levels' class representatives
+    that reaches it.  It reads `search.order_part` and `search.with_cycles`
+    through the module, so a test can count its calls."""
+    H = arch.num_levels
+    scored_from = H if metric == "compute" else arch.noc_level
+    reps_of = {}
+    lows_of = {}
+    least_of = {}
+    count = 0
+    best = None  # (value, levels)
+    for loops, cycles, _counts, codes, total in search._walk(pf, arch, limit, halo):
+        count += total
+        if scored_from == H:
+            if best is None or cycles < best[0]:
+                best = (cycles, tuple(map(tuple, loops)))
+            continue
+        key = (*codes[scored_from:], cycles)
+        least = least_of.get(key)
+        if least is None:
+            upper = key[:-1]
+            lows = lows_of.get(upper)
+            if lows is None:
+                for code, level in zip(upper, loops[scored_from:]):
+                    if code not in reps_of:
+                        reps_of[code] = search._class_orders(tuple(level))
+                row = costmodel.tile_table(loops[:scored_from])[-1]
+                part = search.order_part(tuple(loops[scored_from]), row, arch, metric)
+                lows = lows_of[upper] = []
+                for combo in itertools.product(*map(reps_of.get, upper)):
+                    value = part(costmodel.noc_iterations(((),) * scored_from + combo, arch))
+                    if not lows or value < lows[-1][0]:
+                        lows.append((value, combo))
+            for low, combo in lows:
+                value = search.with_cycles(low, cycles, metric)
+                if least is None or value < least[0]:
+                    least = (value, combo)
+            least_of[key] = least
+        value, combo = least
+        if best is None or value < best[0]:
+            best = (value, tuple(map(tuple, loops[:scored_from])) + combo)
+    if best is None:
+        return count, None
+    return count, best
 
 # ----------------------------------------------------------------------
 # reference copies of the two knapsack bounds as they were before they

@@ -163,14 +163,14 @@ class TestParsing:
         assert [lvl.is_noc_boundary for lvl in load_arch(str(p)).levels] == [True, False]
 
     @pytest.mark.parametrize("text, line, value", [
-        (TOY_ARCH + "noc=ture\n", 10, "ture"),
-        (TOY_ARCH + "noc=on\n", 10, "on"),
-        (TOY_ARCH.replace("noc=true", "noc=yes please"), 5, "yes please"),
+        (TOY_ARCH + "noc=ture\n", 14, "ture"),
+        (TOY_ARCH + "noc=on\n", 14, "on"),
+        (TOY_ARCH.replace("noc=true", "noc=yes please"), 9, "yes please"),
     ], ids=["ture", "on", "yes-please"])
     def test_bad_noc_flag_exits_parse(self, text, line, value, tiny_layer, tmp_path,
                                       capsys):
         """Any other `noc` value is an error that names the file, the
-        level's line and the value: read as false, a misspelled flag on a
+        key's line and the value: read as false, a misspelled flag on a
         second level solved an arch the file does not describe, and on the
         only NoC level it was reported as a missing NoC boundary."""
         p = tmp_path / "bad.arch"
@@ -178,8 +178,42 @@ class TestParsing:
         assert main(["solve", "--layer", tiny_layer, "--arch", str(p)]) == EXIT_PARSE
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == (f"error: {p}:{line}: bad [level] section: "
+        assert err == (f"error: {p}:{line}: [level] "
                        f"noc must be 1/true/yes or 0/false/no, got {value!r}\n")
+
+    @pytest.mark.parametrize("kind, text, message", [
+        ("arch", TOY_ARCH.replace("fanout=4", "fanout=four"),
+         ":8: [level] fanout must be an integer >= 1, got 'four'"),
+        ("arch", TOY_ARCH.replace("fanout=4", "fanout=0"),
+         ":8: [level] fanout must be an integer >= 1, got '0'"),
+        ("arch", TOY_ARCH.replace("capacity=64,64,64", "capacity=64,big,64"),
+         ":7: [level] capacity must be three comma-separated numbers or inf, got '64,big,64'"),
+        ("arch", TOY_ARCH.replace("capacity=64,64,64", "capacity=64,64"),
+         ":7: [level] capacity must be three comma-separated numbers or inf, got '64,64'"),
+        ("arch", TOY_ARCH.replace("capacity=inf,inf,inf\n", ""),
+         ":10: [level] missing key capacity"),
+        ("layer", TINY_LAYER.replace("S=1", "S=x"),
+         ":3: [layer] S must be an integer >= 1, got 'x'"),
+        ("layer", TINY_LAYER.replace("K=4", "k=0"),
+         ":7: [layer] K must be an integer >= 1, got '0'"),
+        ("layer", TINY_LAYER.replace("N=3\n", ""), ":1: [layer] missing key N"),
+    ], ids=["fanout-word", "fanout-zero", "capacity-word", "capacity-two",
+            "capacity-missing", "layer-dim-word", "layer-dim-zero", "layer-dim-missing"])
+    def test_bad_value_names_its_line(self, kind, text, message, tiny_layer, tmp_path,
+                                      capsys):
+        """A bad layer or [level] value is an error that names the file,
+        the key's own line, the key and the value as written, and a
+        missing key names the section's line: it used to name the
+        section's line in Python's words (`invalid literal for int() with
+        base 10: 'four'`, `'capacity'`), or no line at all for a layer."""
+        p = tmp_path / f"bad.{kind}"
+        p.write_text(text)
+        argv = ["solve", "--layer", str(p)] if kind == "layer" else [
+            "solve", "--layer", tiny_layer, "--arch", str(p)]
+        assert main(argv) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {p}{message}\n"
 
     def test_sections_report_line(self):
         with pytest.raises(ConfigError) as err:
@@ -399,15 +433,16 @@ class TestSolveCommand:
         p = tmp_path / "bad.layer"
         p.write_text(TINY_LAYER.replace("Stride=1", "Stride=x"))
         assert main(["solve", "--layer", str(p)]) == EXIT_PARSE
-        assert f"error: {p}: Stride must be an integer" in capsys.readouterr().err
+        assert (f"error: {p}:9: [layer] Stride must be an integer >= 1, got 'x'"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize(
         "good, bad, message",
-        [("bandwidth=8", "bandwidth=fast", "bandwidth must be a number"),
+        [("bandwidth=8", "bandwidth=fast", ":4: [arch] bandwidth must be a number, got 'fast'"),
          ("precision=1,1,3", "precision=1,x,3",
-          "expected three comma-separated integers: 1,x,3"),
+          ":3: [arch] precision must be three comma-separated integers, got '1,x,3'"),
          ("fanout=1\n", "fanout=1\n[matrix_b]\nBuf=2,1,1\nMem=1,1,1\n",
-          "[matrix_b] bad row (2, 1, 1); entries must be 0/1 triples")],
+          ": [matrix_b] bad row (2, 1, 1); entries must be 0/1 triples")],
         ids=["bandwidth", "precision", "matrix-row"],
     )
     def test_bad_arch_value_names_file(self, tiny_layer, tmp_path, capsys,
@@ -415,7 +450,7 @@ class TestSolveCommand:
         p = tmp_path / "bad.arch"
         p.write_text(TOY_ARCH.replace(good, bad))
         assert main(["solve", "--layer", tiny_layer, "--arch", str(p)]) == EXIT_PARSE
-        assert f"error: {p}: {message}" in capsys.readouterr().err
+        assert f"error: {p}{message}" in capsys.readouterr().err
 
     def test_repeated_level_name_exits_parse(self, tmp_path, capsys):
         """The baseline arch as a file, with level 3 named like level 1:

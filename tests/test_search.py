@@ -11,6 +11,7 @@ from helpers import (
     order_count,
     reference_assignments,
     reference_enumerate_all,
+    reference_enumerate_best,
     reference_evaluate,
     reference_first_order,
     tight_ia_arch,
@@ -18,6 +19,7 @@ from helpers import (
     toy_two_level,
 )
 from mipsched import search
+from mipsched.arch import NUM_TENSORS
 from mipsched.costmodel import compute_cycles, noc_iterations, tile_table
 from mipsched.formulation import ObjectiveWeights, build_model
 from mipsched.schedule import (
@@ -511,8 +513,12 @@ def test_enumerate_work_pinned(simba, monkeypatch):
     check per placement, the walk's valid assignments, one order part per
     code of the upper levels (which also fix the NoC row), its NoC keys
     (upper codes and compute cycles) and the `with_cycles` values that
-    score each of them once, and the schedules counted.  A change that
-    only makes this work cheaper must leave it as it is."""
+    score each of them once, and the schedules counted.  The bound skips
+    every assignment whose compute cycles reach the best latency so far:
+    only the keys and upper codes that some assignment reaches below it
+    get their `with_cycles` scan and order part (630 order parts and
+    1,850 values without it).  A change that only makes this work cheaper
+    must leave it as it is."""
     work = dict.fromkeys(("checks", "assignments", "order parts", "values"), 0)
     keys = set()
     walk, part, value_of = search._walk, search.order_part, search.with_cycles
@@ -550,8 +556,89 @@ def test_enumerate_work_pinned(simba, monkeypatch):
     assert (count, value) == (75_492, 5)
     assert len(keys) == 1_587
     assert work == {
-        "checks": 21_312, "assignments": 18_410, "order parts": 630, "values": 1_850,
+        "checks": 21_312, "assignments": 18_410, "order parts": 230, "values": 357,
     }
+
+
+def _small_layer(rng, max_factors):
+    """A random layer of at most `max_factors` prime factors, each a 2 or
+    a 3."""
+    dims = [1] * NUM_DIMS
+    for _ in range(rng.randint(1, max_factors)):
+        dims[rng.randrange(NUM_DIMS)] *= rng.choice((2, 3))
+    return dims
+
+
+@pytest.mark.parametrize("arch_name, max_factors", [
+    ("simba", 5), ("toy2", 6), ("tightia", 6),
+])
+def test_bound_keeps_enumerate_best_exact(simba, monkeypatch, arch_name, max_factors):
+    """`enumerate_best`, which skips the assignments whose bound reaches
+    the best so far, finds the count, value and levels of the reference
+    that scores every NoC key (`helpers.reference_enumerate_best`), on
+    random small layers under strides 1 and 2, halo on and off, and every
+    metric; and the bound skips some key, so these cases test it."""
+    arch = {
+        "simba": simba,
+        "toy2": toy_two_level(fanout=4, cap=16.0),
+        "tightia": tight_ia_arch(),
+    }[arch_name]
+    scans = []  # per call, the `with_cycles` calls of its key scans
+    value_of = search.with_cycles
+
+    def valuing(*args):
+        scans[-1] += 1
+        return value_of(*args)
+
+    monkeypatch.setattr(search, "with_cycles", valuing)
+    rng = random.Random(arch_name)
+    skipped = 0
+    for stride, halo, _draw in itertools.product((1, 2), (True, False), range(4)):
+        pf = factorize(LayerDims(*_small_layer(rng, max_factors), stride=stride))
+        for metric in METRICS:
+            scans.append(0)
+            count, best = reference_enumerate_best(pf, arch, metric, limit=10**12, halo=halo)
+            scans.append(0)
+            got_count, got = enumerate_best(pf, arch, metric, limit=10**12, halo=halo)
+            assert got_count == count, (pf.dims, halo, metric)
+            if best is None:
+                assert got is None
+                continue
+            assert (got[0], got[1].levels) == best, (pf.dims, halo, metric)
+            # a key the bound skips is one `with_cycles` scan fewer
+            assert scans[-1] <= scans[-2]
+            skipped += scans[-1] < scans[-2]
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("arch_name", ["simba", "toy2", "tightia", "toy3"])
+def test_bound_premises_hold(simba, arch_name):
+    """The two premises of `enumerate_best`'s bound, on random NoC-level
+    loops, tile rows and iteration counts: an order part is never below
+    0, and `with_cycles` never falls as the part grows, under every
+    metric.  So `with_cycles(0, cycles)`, which `enumerate_best` reads
+    inline as the cycles under latency and 0 otherwise, is at most the
+    value of every order of an assignment."""
+    arch = {
+        "simba": simba,
+        "toy2": toy_two_level(fanout=4, cap=16.0),
+        "tightia": tight_ia_arch(),
+        "toy3": toy_three_level(),
+    }[arch_name]
+    rng = random.Random(arch_name)
+    for _ in range(300):
+        loops = tuple(Loop(rng.randrange(NUM_DIMS), rng.choice((2, 3, 5)), rng.random() < 0.3)
+                      for _ in range(rng.randint(0, 5)))
+        row = [rng.choice((1, 2, 3, 4, 6, 8)) for _ in range(NUM_DIMS)]
+        iters = [rng.choice((1, 2, 3, 4, 6, 12)) for _ in range(NUM_TENSORS)]
+        cycles = rng.randint(1, 10_000)
+        for metric in ("traffic", "latency"):
+            part = order_part(loops, row, arch, metric)(iters)
+            assert part >= 0, (loops, row, iters, metric)
+        for metric in METRICS:
+            a, b = sorted(rng.randint(0, 20_000) for _ in range(2))
+            assert with_cycles(a, cycles, metric) <= with_cycles(b, cycles, metric)
+            assert with_cycles(0, cycles, metric) == (cycles if metric == "latency" else 0)
 
 
 def _reference_class_orders(loops):
