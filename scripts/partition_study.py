@@ -15,6 +15,7 @@ argument error (exit 2).
 
 import argparse
 import sys
+import time
 
 from mipsched.arch import TENSOR_NAMES, default_simba_arch
 from mipsched.cli import (
@@ -25,7 +26,6 @@ from mipsched.cli import (
     solve_layer,
 )
 from mipsched.formulation import ObjectiveWeights, PartitionSpec
-from mipsched.solver import SolverOptions
 from mipsched.workload import factorize
 from run_suite import SUITE
 
@@ -47,11 +47,11 @@ def main() -> int:
     statuses = set()
     for name, dims in SUITE.items():
         pf = factorize(dims)
-        opts = SolverOptions(time_limit_s=args.time_limit)
-        fixed = solve_layer(pf, arch, ObjectiveWeights(), opts)
-        part = solve_layer(
-            pf, arch, ObjectiveWeights(), opts, partition=PartitionSpec(budget_bytes=budget)
-        )
+        fixed = solve_layer(pf, arch, ObjectiveWeights(),
+                            deadline=time.perf_counter() + args.time_limit)
+        part = solve_layer(pf, arch, ObjectiveWeights(),
+                           partition=PartitionSpec(budget_bytes=budget),
+                           deadline=time.perf_counter() + args.time_limit)
         failed = [(label, result.solution.status)
                   for label, result in (("fixed", fixed), ("partition", part))
                   if result.solution.status != "optimal"]

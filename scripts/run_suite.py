@@ -19,7 +19,6 @@ from mipsched.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_TIMEOUT, solve_layer
 from mipsched.formulation import ObjectiveWeights
 from mipsched.schedule import render
 from mipsched.search import SearchConfig, random_search
-from mipsched.solver import SolverOptions
 from mipsched.workload import LayerDims, factorize
 
 SUITE = {
@@ -45,12 +44,8 @@ def main() -> int:
     for name, dims in SUITE.items():
         pf = factorize(dims)
         t0 = time.perf_counter()
-        result = solve_layer(
-            pf,
-            default_simba_arch(),
-            ObjectiveWeights(),
-            SolverOptions(time_limit_s=args.time_limit),
-        )
+        result = solve_layer(pf, default_simba_arch(), ObjectiveWeights(),
+                             deadline=t0 + args.time_limit)
         dt = time.perf_counter() - t0
         if result.solution.status != "optimal":
             print(f"{name} - {result.solution.status} - - - {dt:.1f}")

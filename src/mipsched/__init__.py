@@ -8,10 +8,9 @@ partitioning under a total-capacity budget can be co-optimized in the
 same model.
 
 Entry points besides the `mipsched` command (`cli.main`), each read
-outside the command's own path: `MipModel.raw`, `MipModel.raw_values`,
-`MipModel.check_raw` and `MipModel.term_values` (the raw MIP view that
-external solvers such as HiGHS are checked against); `exhaustive_solve`
-and `assignment_space_size` (the exhaustive oracle); `encode` (a
+outside the command's own path: `MipModel.raw` (the raw MIP view that
+external solvers such as HiGHS are checked against); `MipModel.term_values`
+(each objective term's raw value, for studies of the weights); `encode` (a
 schedule, hand-written or drawn, back to its assignment, so the model's
 terms and rows can be checked against the cost model and the validator
 on the same schedule); and `enumerate_all`, `SolverOptions.threads` and
@@ -49,15 +48,14 @@ from .schedule import (
     serialize,
     validate,
 )
-from .search import NoValidScheduleError, SearchConfig, enumerate_all, random_search
-from .solver import (
-    Solution,
-    SolverOptions,
+from .search import (
+    NoValidScheduleError,
+    SearchConfig,
     SpaceTooLarge,
-    assignment_space_size,
-    exhaustive_solve,
-    solve,
+    enumerate_all,
+    random_search,
 )
+from .solver import Solution, SolverOptions, solve
 from .workload import (
     DIM_NAMES,
     LayerDims,

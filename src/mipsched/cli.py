@@ -48,11 +48,12 @@ from .search import (
     NoValidScheduleError,
     SearchConfig,
     SearchTimeout,
+    SpaceTooLarge,
     enumerate_best,
     metric_value,
     random_search,
 )
-from .solver import Solution, SolveStats, SolverOptions, SpaceTooLarge, solve
+from .solver import Solution, SolveStats, SolverOptions, solve
 from .workload import (
     DIM_NAMES,
     LayerDims,
@@ -324,33 +325,28 @@ def solve_layer(
     pf: PrimeFactorization,
     arch: ArchSpec,
     weights: ObjectiveWeights = ObjectiveWeights(),
-    opts: SolverOptions | None = None,
     partition: PartitionSpec | None = None,
     halo: bool = True,
-    deadline: float | None = None,
+    deadline: float = math.inf,
 ) -> PipelineResult:
     """Build, solve, decode, validate; re-solve with tightened capacities
     when exact validation finds window-inflated input tiles the linear
     model undercounted.
 
-    Every round's solve gets the time left before `deadline`, a
-    `time.perf_counter()` value (default: `opts.time_limit_s` from now); a
-    round that starts past it returns status timeout without solving."""
-    opts = opts or SolverOptions()
-    if deadline is None:
-        deadline = time.perf_counter() + opts.time_limit_s
+    Every round's solve stops at `deadline`, a `time.perf_counter()`
+    value; a round that starts past it returns status timeout without
+    solving."""
     pads: dict[tuple[int, int], float] = {}
     rounds = 0
     stats = SolveStats()
     while True:
         rounds += 1
         model = build_model(pf, arch, weights, partition=partition, capacity_pads=pads)
-        left = deadline - time.perf_counter()
-        if not left > 0:
+        if time.perf_counter() >= deadline:
             solution = Solution("timeout", None, None, None, SolveStats())
             return PipelineResult(solution, None, None, model, pads, rounds,
                                   stats.then(solution.stats))
-        solution = solve(model, replace(opts, time_limit_s=left))
+        solution = solve(model, deadline)
         stats = stats.then(solution.stats)
         if solution.status != "optimal":
             return PipelineResult(solution, None, None, model, pads, rounds, stats)
@@ -457,12 +453,13 @@ def _write_schedule(path: str, schedule) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
+    deadline = time.perf_counter() + cfg.solver.time_limit_s  # for every round
     arch, pf = _load_factorized(cfg)
     partition = (
         PartitionSpec(budget_bytes=cfg.budget) if cfg.budget is not None else None
     )
     result = solve_layer(
-        pf, arch, cfg.weights, cfg.solver, partition=partition, halo=cfg.halo
+        pf, arch, cfg.weights, partition=partition, halo=cfg.halo, deadline=deadline
     )
     sol = result.solution
     _report_solve(result)
@@ -501,8 +498,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     for path, dims in zip(cfg.layer_paths, layers):
         name = os.path.splitext(os.path.basename(path))[0]
         pf = factorize(dims, PaddingPolicy(max_prime=cfg.max_prime))
-        result = solve_layer(pf, arch, cfg.weights, cfg.solver, halo=cfg.halo,
-                             deadline=deadline)
+        result = solve_layer(pf, arch, cfg.weights, halo=cfg.halo, deadline=deadline)
         if result.solution.status != "optimal":
             print(f"{name} {result.solution.status} - - - -")
             code = _status_exit(result.solution)
@@ -538,14 +534,12 @@ def cmd_partition(cfg: RunConfig) -> int:
     if cfg.budget is None:
         raise ConfigError("partition needs --budget")
     arch, pf = _load_factorized(cfg)
-    fixed = solve_layer(pf, arch, cfg.weights, cfg.solver, halo=cfg.halo,
-                        deadline=deadline)
+    fixed = solve_layer(pf, arch, cfg.weights, halo=cfg.halo, deadline=deadline)
     _report_solve(fixed, "baseline ")
     part = solve_layer(
         pf,
         arch,
         cfg.weights,
-        cfg.solver,
         partition=PartitionSpec(budget_bytes=cfg.budget),
         halo=cfg.halo,
         deadline=deadline,
@@ -586,8 +580,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     best = None  # index of the first row with the least latency
     rows = []
     for weights in grid:
-        result = solve_layer(pf, arch, weights, cfg.solver, halo=cfg.halo,
-                             deadline=deadline)
+        result = solve_layer(pf, arch, weights, halo=cfg.halo, deadline=deadline)
         _report_solve(result, f"{weights.w_u:g},{weights.w_c:g},{weights.w_t:g} ")
         if result.solution.status != "optimal":
             return _status_exit(result.solution)

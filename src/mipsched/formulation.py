@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 from .arch import ArchSpec, NUM_TENSORS, TENSOR_NAMES, log2_capacity
 from .workload import DIM_NAMES, PrimeFactorization
@@ -413,23 +411,6 @@ class MipModel:
             obj += self.w_t * traffic
         return obj
 
-    def objective_from(self, recs: list[ChoiceCoef],
-                       walk: list[tuple[int, Factor]]) -> float:
-        """Objective from each factor's choice record, in factor order, and
-        the occupied temporal walk; `objective_of` and the solver's leaf
-        both close it with `objective_close`, so they agree float for
-        float."""
-        static_sum = reduce(add, [rec.static for rec in recs], 0.0)
-        return self.objective_close(static_sum, self._walk_t_sums(walk)[1])
-
-    def objective_of(self, x_assign: dict[int, tuple[int, int, int]]) -> float:
-        """Objective value of a complete assignment (canonical term order)."""
-        recs = []
-        for fi in range(self.F):
-            I, z, k = x_assign[fi]
-            recs.append(self.coef[fi][(I, k)])
-        return self.objective_from(recs, self._temporal_walk(x_assign))
-
     def term_values(self, x_assign: dict[int, tuple[int, int, int]]) -> dict[str, float]:
         """Raw (unweighted) objective term values for an assignment."""
         util = comp = 0.0
@@ -513,52 +494,6 @@ class MipModel:
         if self._raw is None:
             self._raw = _build_raw(self)
         return self._raw
-
-    def raw_values(
-        self,
-        x_assign: dict[int, tuple[int, int, int]],
-        menu_sel: tuple[int, ...] | None = None,
-    ) -> list[float]:
-        """Full variable vector for an assignment, with the indicator and
-        product variables derived minimally (their optimal completion)."""
-        raw = self.raw()
-        vals = [0.0] * len(raw.var_names)
-        for fi, (I, z, k) in x_assign.items():
-            vals[raw.x_id[(fi, I, z, k)]] = 1.0
-        if self.menus:
-            for mi, base in enumerate(raw.menu_id_base):
-                vals[base + menu_sel[mi]] = 1.0
-        occ = {}
-        for fi, (I, z, k) in x_assign.items():
-            if k == TEMPORAL and I >= self.noc:
-                occ[(I, z)] = fi
-        arch = self.arch
-        for v in range(NUM_TENSORS):
-            y = 0.0
-            for gi, (I, z) in enumerate(self.g_positions):
-                fi = occ.get((I, z))
-                if fi is not None:
-                    f = self.factors[fi]
-                    if arch.A.related(f.j, v) and arch.B.stores(I, v):
-                        y = 1.0
-                vals[raw.y_id[(v, gi)]] = y
-                if fi is not None and y:
-                    vals[raw.p_id[(v, gi, fi)]] = 1.0
-        return vals
-
-    def check_raw(self, vals: list[float]) -> list[str]:
-        """Violated raw constraints for a full variable vector, each
-        within `TOLERANCE`."""
-        bad = []
-        for con in self.raw().constraints:
-            lhs = sum(vals[vid] * c for vid, c in con.terms)
-            if con.sense == "<=" and lhs > con.rhs + TOLERANCE:
-                bad.append(con.name)
-            elif con.sense == ">=" and lhs < con.rhs - TOLERANCE:
-                bad.append(con.name)
-            elif con.sense == "==" and abs(lhs - con.rhs) > TOLERANCE:
-                bad.append(con.name)
-        return bad
 
 
 @dataclass

@@ -122,7 +122,6 @@ from .schedule import (
     CostReport, Loop, Schedule, decode, evaluate, live_capacities, placement_checks,
     tile_violations, validate,
 )
-from .solver import SpaceTooLarge
 from .workload import NUM_DIMS, PrimeFactorization, total_factor_count
 
 METRICS = ("latency", "traffic", "compute")
@@ -135,6 +134,10 @@ _M64 = (1 << 64) - 1
 
 class NoValidScheduleError(RuntimeError):
     pass
+
+
+class SpaceTooLarge(ValueError):
+    """An assignment space to enumerate is larger than its limit."""
 
 
 class SearchTimeout(RuntimeError):

@@ -73,14 +73,15 @@ search state, and is decided from its leaf in one loop
 (`_Search._decide`), each of its values as the uncut search would
 compute it:
 
-- Its objective is `MipModel.objective_from`'s.  Mirrored factors share
-  their log-factor and their triggers at every level, and the traffic
-  walk reads nothing else of a factor, so the image's walk total is its
-  leaf's, bit for bit, and is walked once per leaf.  The objective's
-  static sum is a left fold in factor order; up to the image's first
-  moved factor it adds the leaf's values, so it equals the leaf's prefix
-  sum there, and it resumes from that prefix sum over the image's own
-  values.  The leaf, which moves no factor, takes its whole prefix sum.
+- Its objective is closed by `MipModel.objective_close`, as its leaf's
+  is.  Mirrored factors share their log-factor and their triggers at
+  every level, and the traffic walk reads nothing else of a factor, so
+  the image's walk total is its leaf's, bit for bit, and is walked once
+  per leaf.  The objective's static sum is a left fold in factor order;
+  up to the image's first moved factor it adds the leaf's values, so it
+  equals the leaf's prefix sum there, and it resumes from that prefix
+  sum over the image's own values.  The leaf, which moves no factor,
+  takes its whole prefix sum.
 - Its key is `lex_key` of its `canonical_assignment`, one pass from
   factor 0 over the image's slots.
 - An image above the incumbent's objective is rejected on it, with no
@@ -210,13 +211,13 @@ branch-order fold.
 
 Reported assignments are canonicalized to the lexicographically smallest
 member of their class, so results are bit-stable across runs.  A leaf is
-decided from its exact objective before that, computed as
-`MipModel.objective_from` computes it: each factor's class record's
-static objective summed in factor order and the traffic walk over the
-chains in (level, chain position) order added (`objective_close`).
-Every member of a choice class has the same coefficients, and canonical
-ranks rise with chain position on each level, so this value needs no
-rank and equals `objective_of` of the canonical assignment bit for bit.
+decided from its exact objective before that: each factor's class
+record's static objective folded left in factor order and closed by
+`MipModel.objective_close` with the traffic walk over the chains in
+(level, chain position) order.  Every member of a choice class has the
+same coefficients, and canonical ranks rise with chain position on each
+level, so this value needs no rank and equals, bit for bit, the same
+fold and close over the canonical assignment's own records and walk.
 A leaf above the incumbent's objective is rejected as it stands; one
 that ties it exactly is canonicalized against the incumbent's key and
 stops at the first factor where the keys differ; only a better leaf, or
@@ -242,12 +243,8 @@ each factor had its own.  The knapsack rows' cumulative sums are kept
 from one depth to the next and extended only past the first sorted
 position that the new depth's segments take, so every entry is the same
 sum of the same values in the same order (`_Search._build_knapsack`).
-The leaf re-check
-and `exhaustive_solve` read each concrete choice's own record, never its
-class's, so a grouping error cannot hide from them.
-
-`exhaustive_solve` enumerates the raw assignment space and serves as the
-independent optimality oracle for desk-scale instances.
+The leaf re-check reads each concrete choice's own record, never its
+class's, so a grouping error cannot hide from it.
 """
 
 from __future__ import annotations
@@ -266,7 +263,6 @@ from .formulation import TOLERANCE, ChoiceCoef, MipModel
 
 INF = math.inf
 EPS_PRUNE = 1e-9
-EXHAUSTIVE_SPACE_LIMIT = 10_000_000
 LAGRANGIAN_ITERS = 240  # subgradient steps per multiplier build
 # the proof plunges into a child whose bound lies within this fraction of
 # the gap between the best open bound and the incumbent; SCIP's default
@@ -276,10 +272,6 @@ PLUNGE = 0.25
 # open list has its subtree searched depth-first, in memory bounded by the
 # depth, and the list only shrinks
 MAX_OPEN = 100_000
-
-
-class SpaceTooLarge(ValueError):
-    pass
 
 
 def _upper_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -303,7 +295,9 @@ def _upper_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
 
 @dataclass
 class SolverOptions:
-    """Knobs for `solve`.
+    """The command's solver settings (`cli.RunConfig.solver`): its
+    --time-limit, from which each command computes the deadline its
+    solves share.
 
     The tie-break rule is fixed: among equal-objective optima, the
     lexicographically smallest assignment vector wins.  So is the capacity
@@ -1638,7 +1632,7 @@ class _Search:
         return images
 
     def _image_objectives(self, leaf: "_Leaf", images: list[tuple]) -> list[float]:
-        """Each image's exact objective, `MipModel.objective_from`'s.
+        """Each image's exact objective, closed by `MipModel.objective_close`.
         Mirrored factors share their log-factor and their triggers at every
         level, and the traffic walk reads nothing else of a factor, so an
         image's walk total is the leaf's, bit for bit.  Its static sum adds
@@ -1825,15 +1819,17 @@ def _violated_by_all(m: MipModel) -> bool:
     return any(c.menu is None and 0.0 > c.rhs + TOLERANCE for c in m.check_cons)
 
 
-def solve(model: MipModel, opts: SolverOptions = SolverOptions()) -> Solution:
-    """Proven-optimal solve with the deterministic branch-and-bound."""
+def solve(model: MipModel, deadline: float = INF) -> Solution:
+    """Proven-optimal solve with the deterministic branch-and-bound,
+    stopped with status timeout past `deadline`, a `time.perf_counter()`
+    value."""
     t0 = time.perf_counter()
     if _violated_by_all(model):
         stats = SolveStats(wall_time_s=time.perf_counter() - t0, bound=INF)
         return Solution("infeasible", None, None, None, stats,
                         witness=_root_witness(model))
     inc = _Incumbent()
-    search = _Search(model, inc, t0 + opts.time_limit_s)
+    search = _Search(model, inc, deadline)
     search.dfs(0, dive=True)
     # the dive ends at its first accepted leaf or at the deadline; one that
     # ends at neither has searched the whole tree, with nothing to bound it
@@ -1853,99 +1849,3 @@ def solve(model: MipModel, opts: SolverOptions = SolverOptions()) -> Solution:
         )
     status = "timeout" if search.stopped else "optimal"
     return Solution(status, inc.obj, inc.x, inc.menu, stats)
-
-
-# ----------------------------------------------------------------------
-# exhaustive oracle
-# ----------------------------------------------------------------------
-
-
-def assignment_space_size(model: MipModel) -> int:
-    size = 1
-    for fi in range(model.F):
-        size *= len(model.choices[fi])
-    for menu in model.menus:
-        size *= len(menu.entries)
-    return size
-
-
-def exhaustive_solve(
-    model: MipModel, space_limit: int = EXHAUSTIVE_SPACE_LIMIT
-) -> Solution:
-    """Enumerate every assignment with the exactly-one structure, filter by
-    the constraints, and return the global optimum under the same
-    tie-break as `solve`.  Guarded by `space_limit`."""
-    size = assignment_space_size(model)
-    if size > space_limit:
-        raise SpaceTooLarge(f"assignment space {size} exceeds limit {space_limit}")
-    t0 = time.perf_counter()
-    m = model
-    tol = TOLERANCE
-    F = m.F
-    ncons = len(m.check_cons)
-    rhs = [c.rhs for c in m.check_cons]
-    pads = [c.pad for c in m.check_cons]
-    con_of_menu = {c.menu: ci for ci, c in enumerate(m.check_cons) if c.menu is not None}
-
-    best_obj = INF
-    best_key = None
-    best_x = None
-    best_menu = None
-    x: dict[int, tuple[int, int, int]] = {}
-    occupied: set[tuple[int, int]] = set()
-    stats = SolveStats()
-
-    def leaf(menu_sel):
-        nonlocal best_obj, best_key, best_x, best_menu
-        stats.leaves += 1
-        obj = m.objective_of(x)
-        key = m.lex_key(x, menu_sel)
-        if best_x is None or (obj, key) < (best_obj, best_key):
-            best_obj, best_key, best_x, best_menu = obj, key, dict(x), menu_sel
-
-    def menu_rec(lhs: list[float], mi: int, used: int, sel: list[int]):
-        if mi == len(m.menus):
-            leaf(tuple(sel))
-            return
-        ci = con_of_menu[mi]
-        for ei, ent in enumerate(m.menus[mi].entries):
-            if lhs[ci] + pads[ci] > ent.e + tol:
-                continue
-            if used + ent.nbytes > m.budget_bytes:
-                continue
-            sel.append(ei)
-            menu_rec(lhs, mi + 1, used + ent.nbytes, sel)
-            sel.pop()
-
-    def rec(fi: int, lhs: list[float]):
-        """Every completion of factors fi.. below the capacity sums `lhs`,
-        each level summing into its own copy."""
-        stats.nodes += 1
-        if fi == F:
-            if m.menus:
-                menu_rec(lhs, 0, 0, [])
-            else:
-                leaf(None)
-            return
-        for I, z, k in m.choices[fi]:
-            if (I, z) in occupied:
-                continue
-            nxt = lhs[:]
-            for ci, add in m.coef[fi][(I, k)].items:
-                nxt[ci] += add
-                if nxt[ci] > rhs[ci] + tol:
-                    break
-            else:
-                occupied.add((I, z))
-                x[fi] = (I, z, k)
-                rec(fi + 1, nxt)
-                del x[fi]
-                occupied.discard((I, z))
-
-    if not _violated_by_all(m):
-        rec(0, [0.0] * ncons)
-    stats.wall_time_s = time.perf_counter() - t0
-    if best_x is None:
-        return Solution("infeasible", None, None, None, stats)
-    return Solution("optimal", best_obj, best_x, best_menu, stats)
-

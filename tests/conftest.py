@@ -17,13 +17,12 @@ def solved_suite(simba):
     from helpers import SUITE_LAYERS
     from mipsched.cli import solve_layer
     from mipsched.formulation import ObjectiveWeights
-    from mipsched.solver import SolverOptions
     from mipsched.workload import factorize
 
     out = {}
     for name, dims in SUITE_LAYERS.items():
         pf = factorize(dims)
         t0 = time.perf_counter()
-        result = solve_layer(pf, simba, ObjectiveWeights(), SolverOptions(time_limit_s=120))
+        result = solve_layer(pf, simba, ObjectiveWeights(), deadline=t0 + 120)
         out[name] = (pf, result, time.perf_counter() - t0)
     return out

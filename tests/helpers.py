@@ -1,10 +1,15 @@
-"""Shared test utilities: small random instances and reference schedules."""
+"""Shared test utilities: small random instances, reference schedules,
+and the checks that stand outside the solver (the exhaustive oracle and
+the raw MIP view's variable vector and constraint check)."""
 
 import itertools
 import math
 import random
+import time
 from bisect import bisect_left
 from collections import Counter
+from functools import reduce
+from operator import add
 
 from mipsched import costmodel, search
 from mipsched.arch import (
@@ -21,18 +26,14 @@ from mipsched.arch import (
 from mipsched.formulation import (
     SPATIAL,
     TEMPORAL,
+    TOLERANCE,
     ObjectiveWeights,
     PartitionSpec,
     build_model,
 )
 from mipsched.schedule import CostReport, Loop, Schedule
-from mipsched.solver import (
-    LAGRANGIAN_ITERS,
-    TOLERANCE,
-    SpaceTooLarge,
-    _upper_hull,
-    assignment_space_size,
-)
+from mipsched.search import SpaceTooLarge
+from mipsched.solver import LAGRANGIAN_ITERS, Solution, SolveStats, _upper_hull
 from mipsched.workload import DIM_INDEX, DIM_NAMES, LayerDims, PaddingPolicy, factorize
 from run_suite import SUITE as SUITE_LAYERS
 
@@ -298,6 +299,168 @@ def highs_objective(model, time_limit_s: float = 300.0) -> float | None:
         return None
     x = np.where(binary, np.round(res.x), res.x)
     return float(sum(coef * x[vid] for vid, coef in raw.objective.items()))
+
+
+# ----------------------------------------------------------------------
+# the checks outside the solver: the raw MIP view's variable vector and
+# constraint check, an assignment's objective, and the exhaustive oracle.
+# None of them calls a function of `mipsched.solver`.
+# ----------------------------------------------------------------------
+
+EXHAUSTIVE_SPACE_LIMIT = 10_000_000
+
+
+def raw_values(
+    model,
+    x_assign: dict[int, tuple[int, int, int]],
+    menu_sel: tuple[int, ...] | None = None,
+) -> list[float]:
+    """Full variable vector of `model.raw()` for an assignment, with the
+    indicator and product variables derived minimally (their optimal
+    completion)."""
+    raw = model.raw()
+    vals = [0.0] * len(raw.var_names)
+    for fi, (I, z, k) in x_assign.items():
+        vals[raw.x_id[(fi, I, z, k)]] = 1.0
+    if model.menus:
+        for mi, base in enumerate(raw.menu_id_base):
+            vals[base + menu_sel[mi]] = 1.0
+    occ = {}
+    for fi, (I, z, k) in x_assign.items():
+        if k == TEMPORAL and I >= model.noc:
+            occ[(I, z)] = fi
+    arch = model.arch
+    for v in range(NUM_TENSORS):
+        y = 0.0
+        for gi, (I, z) in enumerate(model.g_positions):
+            fi = occ.get((I, z))
+            if fi is not None:
+                f = model.factors[fi]
+                if arch.A.related(f.j, v) and arch.B.stores(I, v):
+                    y = 1.0
+            vals[raw.y_id[(v, gi)]] = y
+            if fi is not None and y:
+                vals[raw.p_id[(v, gi, fi)]] = 1.0
+    return vals
+
+
+def check_raw(model, vals: list[float]) -> list[str]:
+    """Violated constraints of `model.raw()` for a full variable vector,
+    each within `TOLERANCE`."""
+    bad = []
+    for con in model.raw().constraints:
+        lhs = sum(vals[vid] * c for vid, c in con.terms)
+        if con.sense == "<=" and lhs > con.rhs + TOLERANCE:
+            bad.append(con.name)
+        elif con.sense == ">=" and lhs < con.rhs - TOLERANCE:
+            bad.append(con.name)
+        elif con.sense == "==" and abs(lhs - con.rhs) > TOLERANCE:
+            bad.append(con.name)
+    return bad
+
+
+def objective_of(model, x_assign: dict[int, tuple[int, int, int]]) -> float:
+    """Objective value of a complete assignment: each factor's record's
+    static objective folded left in factor order (`reduce`, not `sum`,
+    which compensates on Python >= 3.12), closed with the traffic walk by
+    `objective_close`, as the solver closes a leaf's, float for float."""
+    recs = []
+    for fi in range(model.F):
+        I, z, k = x_assign[fi]
+        recs.append(model.coef[fi][(I, k)])
+    static_sum = reduce(add, [rec.static for rec in recs], 0.0)
+    return model.objective_close(
+        static_sum, model._walk_t_sums(model._temporal_walk(x_assign))[1])
+
+
+def assignment_space_size(model) -> int:
+    size = 1
+    for fi in range(model.F):
+        size *= len(model.choices[fi])
+    for menu in model.menus:
+        size *= len(menu.entries)
+    return size
+
+
+def exhaustive_solve(model, space_limit: int = EXHAUSTIVE_SPACE_LIMIT) -> Solution:
+    """Enumerate every assignment with the exactly-one structure, filter by
+    the constraints, and return the global optimum under the same
+    tie-break as `solve`.  Guarded by `space_limit`."""
+    size = assignment_space_size(model)
+    if size > space_limit:
+        raise SpaceTooLarge(f"assignment space {size} exceeds limit {space_limit}")
+    t0 = time.perf_counter()
+    m = model
+    tol = TOLERANCE
+    F = m.F
+    ncons = len(m.check_cons)
+    rhs = [c.rhs for c in m.check_cons]
+    pads = [c.pad for c in m.check_cons]
+    con_of_menu = {c.menu: ci for ci, c in enumerate(m.check_cons) if c.menu is not None}
+
+    best_obj = math.inf
+    best_key = None
+    best_x = None
+    best_menu = None
+    x: dict[int, tuple[int, int, int]] = {}
+    occupied: set[tuple[int, int]] = set()
+    stats = SolveStats()
+
+    def leaf(menu_sel):
+        nonlocal best_obj, best_key, best_x, best_menu
+        stats.leaves += 1
+        obj = objective_of(m, x)
+        key = m.lex_key(x, menu_sel)
+        if best_x is None or (obj, key) < (best_obj, best_key):
+            best_obj, best_key, best_x, best_menu = obj, key, dict(x), menu_sel
+
+    def menu_rec(lhs: list[float], mi: int, used: int, sel: list[int]):
+        if mi == len(m.menus):
+            leaf(tuple(sel))
+            return
+        ci = con_of_menu[mi]
+        for ei, ent in enumerate(m.menus[mi].entries):
+            if lhs[ci] + pads[ci] > ent.e + tol:
+                continue
+            if used + ent.nbytes > m.budget_bytes:
+                continue
+            sel.append(ei)
+            menu_rec(lhs, mi + 1, used + ent.nbytes, sel)
+            sel.pop()
+
+    def rec(fi: int, lhs: list[float]):
+        """Every completion of factors fi.. below the capacity sums `lhs`,
+        each level summing into its own copy."""
+        stats.nodes += 1
+        if fi == F:
+            if m.menus:
+                menu_rec(lhs, 0, 0, [])
+            else:
+                leaf(None)
+            return
+        for I, z, k in m.choices[fi]:
+            if (I, z) in occupied:
+                continue
+            nxt = lhs[:]
+            for ci, add in m.coef[fi][(I, k)].items:
+                nxt[ci] += add
+                if nxt[ci] > rhs[ci] + tol:
+                    break
+            else:
+                occupied.add((I, z))
+                x[fi] = (I, z, k)
+                rec(fi + 1, nxt)
+                del x[fi]
+                occupied.discard((I, z))
+
+    # contributions are never negative, so a non-menu constraint whose rhs
+    # is below 0 is violated by every assignment, even one adding nothing
+    if not any(c.menu is None and 0.0 > c.rhs + tol for c in m.check_cons):
+        rec(0, [0.0] * ncons)
+    stats.wall_time_s = time.perf_counter() - t0
+    if best_x is None:
+        return Solution("infeasible", None, None, None, stats)
+    return Solution("optimal", best_obj, best_x, best_menu, stats)
 
 
 # ----------------------------------------------------------------------

@@ -9,14 +9,14 @@ import time
 
 import pytest
 
-from helpers import SUITE_LAYERS, random_instance
+from helpers import SUITE_LAYERS, exhaustive_solve, random_instance
 from mipsched.arch import ArchSpec, MemLevel, MemTensorMatrix
 from mipsched.costmodel import compute_cycles, tile_elements, traffic_terms
 from mipsched.cli import baseline_total_bytes, solve_layer
 from mipsched.formulation import ObjectiveWeights, PartitionSpec, build_model
 from mipsched.schedule import encode, evaluate, parse, render, serialize, validate
 from mipsched.search import SearchConfig, draw_schedule, random_search
-from mipsched.solver import SolverOptions, exhaustive_solve, solve
+from mipsched.solver import solve
 from mipsched.workload import LayerDims, factorize
 
 
@@ -186,8 +186,8 @@ def test_08_partition_cooptimization(simba, solved_suite):
             pf,
             simba,
             ObjectiveWeights(),
-            SolverOptions(time_limit_s=120),
             partition=PartitionSpec(budget_bytes=budget),
+            deadline=time.perf_counter() + 120,
         )
         assert part.solution.status == "optimal", name
         model = part.model
@@ -248,7 +248,7 @@ def test_10_determinism(simba):
     model = build_model(pf, simba, ObjectiveWeights())
     outputs = []
     for _ in range(3):
-        sol = solve(model, SolverOptions(time_limit_s=120))
+        sol = solve(model, time.perf_counter() + 120)
         sched = decode(sol.x_assignment, pf, simba)
         outputs.append((sol.status, sol.objective_value, sol.x_assignment, serialize(sched)))
     assert outputs[0] == outputs[1] == outputs[2]

@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 from helpers import (
     OBJECTIVE_TERMS,
     SUITE_LAYERS,
+    check_raw,
+    exhaustive_solve,
+    objective_of,
     random_instance,
+    raw_values,
     reference_choice_coefficients,
     reference_conv28_schedule,
     reference_factor_coefficients,
@@ -23,7 +27,7 @@ from mipsched.formulation import (
     build_model,
 )
 from mipsched.schedule import encode
-from mipsched.solver import exhaustive_solve, solve
+from mipsched.solver import solve
 from mipsched.workload import LayerDims, factorize
 
 
@@ -70,11 +74,11 @@ class TestAssignmentConstraints:
 
     def test_double_assignment_violates_raw(self, simba):
         model = build_model(tiny_pf(), simba)
-        vals = model.raw_values({0: (5, 0, TEMPORAL), 1: (5, 1, TEMPORAL),
-                                 2: (5, 2, TEMPORAL), 3: (5, 3, TEMPORAL)})
+        vals = raw_values(model, {0: (5, 0, TEMPORAL), 1: (5, 1, TEMPORAL),
+                                  2: (5, 2, TEMPORAL), 3: (5, 3, TEMPORAL)})
         raw = model.raw()
         vals[raw.x_id[(0, 5, 1, TEMPORAL)]] = 1.0  # factor 0 assigned twice
-        assert any(name.startswith("assign") for name in model.check_raw(vals))
+        assert any(name.startswith("assign") for name in check_raw(model, vals))
 
 
 class TestBufferConstraints:
@@ -234,10 +238,10 @@ class TestRawModel:
         for weights in (ObjectiveWeights(), ObjectiveWeights(2, 0.5, 1.5)):
             model = build_model(pf, simba, weights)
             sol = solve(model)
-            vals = model.raw_values(sol.x_assignment, sol.menu_selection)
-            assert model.check_raw(vals) == []
+            vals = raw_values(model, sol.x_assignment, sol.menu_selection)
+            assert check_raw(model, vals) == []
             raw_obj = sum(vals[vid] * c for vid, c in model.raw().objective.items())
-            assert math.isclose(raw_obj, model.objective_of(sol.x_assignment), rel_tol=1e-12)
+            assert math.isclose(raw_obj, objective_of(model, sol.x_assignment), rel_tol=1e-12)
 
     def test_linearization_exact_by_enumeration(self):
         arch = toy_two_level(fanout=2, cap=64.0)
@@ -250,9 +254,9 @@ class TestRawModel:
             if choice[0][:2] == choice[1][:2]:
                 continue  # rank collision
             x = {0: choice[0], 1: choice[1]}
-            vals = model.raw_values(x)
+            vals = raw_values(model, x)
             if not model.constraint_violations(x):
-                assert model.check_raw(vals) == []
+                assert check_raw(model, vals) == []
             for (v, gi, fi), pid in raw.p_id.items():
                 I, z = model.g_positions[gi]
                 xv = vals[raw.x_id[(fi, I, z, TEMPORAL)]]
@@ -263,7 +267,7 @@ class TestRawModel:
         pf = factorize(LayerDims(1, 1, 4, 1, 2, 4, 2))
         model = build_model(pf, simba)
         sol = solve(model)
-        vals = model.raw_values(sol.x_assignment)
+        vals = raw_values(model, sol.x_assignment)
         raw = model.raw()
         for v in range(3):
             prev = 0.0
@@ -315,7 +319,7 @@ class TestComposeObjective:
         x = {0: (0, 0, TEMPORAL), 1: (4, 0, TEMPORAL), 2: (4, 1, SPATIAL), 3: (5, 0, TEMPORAL)}
         t = model.term_values(x)
         expect = -t["util"] + t["comp"] + t["traffic"]
-        assert math.isclose(model.objective_of(x), expect, rel_tol=1e-9)
+        assert math.isclose(objective_of(model, x), expect, rel_tol=1e-9)
 
     def test_weight_validation(self):
         # with every weight zero every schedule ties at 0

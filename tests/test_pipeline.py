@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+import time
 
 from mipsched.arch import TENSOR_NAMES, ArchSpec, MemLevel, MemTensorMatrix
 from mipsched.cli import solve_layer
 from mipsched.formulation import ObjectiveWeights, build_model
 from mipsched.schedule import decode, encode, validate
 from mipsched.search import draw_schedule
-from mipsched.solver import SolverOptions, solve
+from mipsched.solver import solve
 from mipsched.workload import LayerDims, factorize
 
 
@@ -35,7 +36,7 @@ def test_tightening_loop_engages():
     # physical 92x92 window does not; the exact validator forces a re-solve
     arch = window_limited_arch()
     pf = factorize(LayerDims(3, 3, 90, 90, 1, 1, 1))
-    result = solve_layer(pf, arch, INSIDE_PULL, SolverOptions(time_limit_s=60))
+    result = solve_layer(pf, arch, INSIDE_PULL, deadline=time.perf_counter() + 60)
     assert result.solution.status == "optimal"
     assert result.rounds > 1  # first optimum held a window-inflated tile
     assert result.pads  # a capacity pad was recorded
@@ -46,7 +47,7 @@ def test_no_tightening_without_halo():
     arch = window_limited_arch()
     pf = factorize(LayerDims(3, 3, 90, 90, 1, 1, 1))
     result = solve_layer(
-        pf, arch, INSIDE_PULL, SolverOptions(time_limit_s=60), halo=False
+        pf, arch, INSIDE_PULL, halo=False, deadline=time.perf_counter() + 60
     )
     assert result.rounds == 1
     assert validate(result.schedule, arch, halo=False) == []
@@ -107,7 +108,7 @@ def test_halo_loop_reads_slices_by_index(simba):
     levels[3] = dataclasses.replace(levels[3], name="AccumBuf")
     twin = dataclasses.replace(simba, levels=tuple(levels))
     pf = factorize(STRIDE2_LAYERS[0])
-    results = [solve_layer(pf, arch, opts=SolverOptions(time_limit_s=60))
+    results = [solve_layer(pf, arch, deadline=time.perf_counter() + 60)
                for arch in (simba, twin)]
     for result in results:
         assert result.solution.status == "optimal"

@@ -3,8 +3,11 @@ import hashlib
 import itertools
 import math
 import random
+import time
 import types
 from bisect import bisect_left
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +16,13 @@ from hypothesis import strategies as st
 import mipsched.solver
 from helpers import (
     SUITE_LAYERS,
+    assignment_space_size,
     binding_partition_instance,
+    exhaustive_solve,
     highs_objective,
     mirror_instance,
     objective_name,
+    objective_of,
     random_instance,
     reference_canonical_assignment,
     reference_derive_menus,
@@ -38,17 +44,15 @@ from mipsched.arch import ArchSpec, MemLevel, MemTensorMatrix
 from mipsched.cli import solve_layer
 from mipsched.formulation import MipModel, ObjectiveWeights, PartitionSpec, build_model
 from mipsched.schedule import render
+from mipsched.search import SpaceTooLarge
 from mipsched.solver import (
     EPS_PRUNE,
     TOLERANCE,
     SolverOptions,
-    SpaceTooLarge,
     _Incumbent,
     _LevelState,
     _Search,
     _zmax,
-    assignment_space_size,
-    exhaustive_solve,
     solve,
 )
 from mipsched.workload import DIM_NAMES, LayerDims, PaddingPolicy, factorize
@@ -121,7 +125,7 @@ def test_timeout_returns_incumbent(simba):
                         ObjectiveWeights(0, 1, 0))
     # 1e-6 s has expired before the search starts
     for limit in (0.5, 1e-6):
-        sol = solve(model, SolverOptions(time_limit_s=limit))
+        sol = solve(model, time.perf_counter() + limit)
         assert sol.status == "timeout"
         if limit == 0.5:
             assert sol.x_assignment is not None
@@ -195,7 +199,7 @@ def test_weight_variants_prove_quickly(simba, weights):
     from mipsched.workload import LayerDims, factorize
 
     pf = factorize(LayerDims(3, 3, 28, 28, 8, 4, 3))
-    sol = solve(build_model(pf, simba, weights), SolverOptions(time_limit_s=30))
+    sol = solve(build_model(pf, simba, weights), time.perf_counter() + 30)
     assert sol.status == "optimal"
 
 
@@ -1558,7 +1562,7 @@ def test_canonical_assignment_matches_reference(simba, monkeypatch):
         if x is None:
             assert bound_key is not None and bound_key is sh.inc.key
             menu_sel = sh._derive_menus()
-            ref_obj = model.objective_of(ref)
+            ref_obj = objective_of(model, ref)
             assert not sh.inc.beats(ref_obj, model.lex_key(ref, menu_sel))
             early.append(1)
         else:
@@ -1613,11 +1617,11 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
     each meets, the same image is offered and accepted exactly when that
     path would accept it, and leaves the same incumbent.  The leaf is its
     own first image, with no move, offered first and at its own
-    objective, `objective_from` of its records and chains, bit for bit;
-    it decides itself from the search state, and that state, its buffer
-    sums' list included, is as it was once its images are done; some
-    leaves have images and some have none.  Checked on tiny, conv28 with and
-    without menus, both rounds of the stride-2 3x3-14 layer, and the
+    objective, its records' left fold closed by `objective_close` with
+    its chains' traffic walk, bit for bit; it decides itself from the
+    search state, and that state, its buffer sums' list included, is as
+    it was once its images are done; some leaves have images and some
+    have none.  Checked on tiny, conv28 with and without menus, both rounds of the stride-2 3x3-14 layer, and the
     `random_instance` (seeds 0-399) and `mirror_instance` (0-199) draws,
     with and without menus, over all five objective modes and chained
     mirror runs."""
@@ -1678,7 +1682,7 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
                 lhs = [a + b for a, b in zip(lhs, img[fi].row)]
             assert repr(sh.con_lhs) == repr(lhs)
             x = reference_canonical_assignment(m, [rec.cc for rec in img], img_chains)
-            obj = m.objective_of(x)
+            obj = objective_of(m, x)
             refs.append(obj)
             seen["on_objective"] += obj > sim.obj
             if obj <= sim.obj:
@@ -1690,7 +1694,8 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
                     sim.offer(obj, key, x, menu_sel)
             seen["chained"] += any(recs[src].chained for _fi, src in moves)
         walk = [(I, m.factors[fi]) for I, chain in chains.items() for fi in chain]
-        leaf_obj = m.objective_from(recs, walk)
+        leaf_obj = m.objective_close(reduce(add, [rec.static for rec in recs], 0.0),
+                                     m._walk_t_sums(walk)[1])
         closed.clear()
         offered.clear()
         accepted = real_decide(sh, recs, chains, menu_sel)
@@ -1924,7 +1929,7 @@ def test_images_reach_the_answer_the_cut_removes(simba, monkeypatch):
     kept = {**x, first: x[later], later: x[first]}
     assert rep(kept, later) <= rep(kept, first)
     assert not model.constraint_violations(kept)
-    assert sol.objective_value == model.objective_of(x) < model.objective_of(kept)
+    assert sol.objective_value == objective_of(model, x) < objective_of(model, kept)
     assert repr(sol.objective_value) == "-38.26466250649041"
 
 
