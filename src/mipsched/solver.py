@@ -3,12 +3,13 @@
 `solve` runs a branch-and-bound specialized to the model's structure: it
 branches over exactly-one factor groups (largest log-factor first),
 tracks permutation order at and above the NoC boundary only for
-temporal factors (where it matters), and collapses both interchangeable
-identical factors and fully equivalent (level, mapping) choices, so each
-distinct schedule class is searched once.  Pruning combines a per-factor
-best-case bound, a root Lagrangian relaxation of the capacity
-constraints, and per-constraint fractional knapsack relaxations; the
-partial traffic term is monotone under extension and included exactly.
+temporal factors (where it matters), and collapses interchangeable
+identical factors, fully equivalent (level, mapping) choices and
+exchangeable spatial/temporal deals, so each distinct schedule class is
+searched once.  Pruning combines a per-factor best-case bound, a root
+Lagrangian relaxation of the capacity constraints, and per-constraint
+fractional knapsack relaxations; the partial traffic term is monotone
+under extension and included exactly.
 These bounds also order the children; there is no other child order.
 
 The knapsack bounds are one family (Sinha & Zoltners 1979; Fisher 1981),
@@ -101,6 +102,55 @@ its static sum plus its weighted traffic, the most the search state
 tells of its objective.  L0 is reached and offers L*.  The argument
 reads nothing but admissible bounds and summation order, so it holds
 for every choice of objective weights.
+
+Mirror runs miss runs whose records differ and only pair sums agree: at
+`Register` a spatial 2 of C beside a temporal 2 of K adds exactly what
+the opposite deal adds, since the spatial row takes one log-factor
+either way, a buffer row takes what the factor adds at the level under
+either binding, and the two bindings' static objectives differ by the
+same compute term.  Runs A and B exchange at level I
+(`_Search._exchange_groups`) when each has a class record whose first
+(level, mapping) is (I, spatial) and one whose first is (I, temporal),
+none of the four chained and no record of either run ranking between
+its two; when A spatial plus B temporal equals A temporal plus B
+spatial, float for float, on every constraint, in the static objective
+and in the self-trigger traffic; and when every factor the branch order
+puts from A's first member to B's last has their log-factor.  An
+exchange group is a set of runs whose every pair exchanges.  A run's
+members at I hold consecutive depths, the temporal ones first, since
+their reps do not rise and no record ranks between.  `_children` cuts
+every deal of a group's spatial slots but one: a member of a later run,
+in branch order, may not take its temporal record at I while a member
+of an earlier run of its group holds its spatial one there, so spatial
+slots fill the latest runs first.  Runs are contiguous, so the rule
+reads only runs already assigned.  At a kept leaf, with k_r of run r's
+n_r members at I spatial, every other share, each run's count between 0
+and n_r and the total kept, is a deal: each switched member takes its
+own class's record for its new slot, and each run's block keeps its
+temporal records first, so the run stays sorted and the deal is a leaf
+of the search without the cut.  Refilling a leaf's shares latest run
+first maps each leaf of that search to exactly one kept leaf, of which
+it is the leaf itself or one deal.  So `_leaf` decides every deal
+(`_Search._deals`), each with its own images, as that search decides
+it:
+
+- Its buffer sums are the leaf's, bit for bit.  Every factor the branch
+  order puts between two partners adds their log-factor, or 0.0, to a
+  row, so the deal's fold adds as many of them as the leaf's, only at
+  other depths, from the same prefix.  Its capacity verdict and menus
+  are then the leaf's.  Level I is below the NoC, so no chain moves and
+  the traffic walk is the leaf's.
+- Its objective is its own factor-order fold, resumed from the leaf's
+  prefix sum at its first switched factor (`_Leaf.deal`) and closed with
+  the leaf's traffic total, and its key is its own canonical pass, run
+  only for an image at or below the incumbent's objective.
+
+Its static sum equals the leaf's in value only: the pair sums agree
+float for float, but the fold rounds other partial sums.  So the L0/L*
+argument carries over, L* now an image of a deal of L0: L0's objective
+differs from L*'s by rounding alone, far below `EPS_PRUNE`, and a bound
+that would cut L0 exceeds every deal's objective.  L0 is reached and
+offers L* through its deal.
 
 A partition model's byte budget is propagated into the capacity bounds,
 as activity-based bound propagation does with a linear row (Savelsbergh
@@ -207,7 +257,8 @@ timeout, and a leaf within ulps of a capacity: `_children` sums
 capacity use in branch order, so another branch order may decide it the
 other way.  An image is no exception: the branch order keeps every
 mirror run contiguous, so the leaf's sums it is decided on are its own
-branch-order fold.
+branch-order fold.  Nor is a deal: its partners' stretch of the branch
+order holds one log-factor.
 
 Reported assignments are canonicalized to the lexicographically smallest
 member of their class, so results are bit-stable across runs.  A leaf is
@@ -259,7 +310,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add, itemgetter
 
-from .formulation import TOLERANCE, ChoiceCoef, MipModel
+from .formulation import SPATIAL, TEMPORAL, TOLERANCE, ChoiceCoef, MipModel
 
 INF = math.inf
 EPS_PRUNE = 1e-9
@@ -540,22 +591,35 @@ class _Incumbent:
 
 
 class _Leaf:
-    """A leaf as `_Search._decide` decides it and its images: its class
-    records, chains and menus, the records' static objectives with their
-    prefix sums (`pres[i]` the left fold of the first i) and the traffic
-    walk's total; and, once one of its images is canonicalized, its slots,
-    per factor its choice class and chain place or None."""
+    """A leaf as `_Search._decide` decides it, its deals and their images:
+    its class records, chains and menus, the records' static objectives
+    with their prefix sums (`pres[i]` the left fold of the first i) and
+    the traffic walk's total; and, once one of its images is
+    canonicalized, its slots, per factor its choice class and chain place
+    or None.  Prefix sums `pres` given up to a factor are kept, and the
+    fold resumes from the last of them."""
 
     __slots__ = ("recs", "chains", "menu_sel", "statics", "pres", "traffic", "_slots")
 
-    def __init__(self, recs, chains, menu_sel, m: MipModel):
+    def __init__(self, recs, chains, menu_sel, traffic, pres=(0.0,)):
         self.recs = recs
         self.chains = chains
         self.menu_sel = menu_sel
         self.statics = [rec.static for rec in recs]
-        self.pres = list(itertools.accumulate(self.statics, add, initial=0.0))
-        self.traffic = m.chain_traffic(chains)
+        self.pres = [*pres[:-1], *itertools.accumulate(
+            self.statics[len(pres) - 1:], add, initial=pres[-1])]
+        self.traffic = traffic
         self._slots = None
+
+    def deal(self, switches: list[tuple[int, ChoiceCoef]]) -> "_Leaf":
+        """The leaf's deal that gives each factor of `switches` its record
+        there: the leaf's chains, menus and traffic total, and its prefix
+        sums up to the first switched factor."""
+        recs = self.recs[:]
+        for fi, rec in switches:
+            recs[fi] = rec
+        first = min(fi for fi, _rec in switches)
+        return _Leaf(recs, self.chains, self.menu_sel, self.traffic, self.pres[:first + 1])
 
     @property
     def slots(self) -> list[tuple]:
@@ -577,7 +641,7 @@ class _Search:
         "m", "inc", "deadline", "stopped", "nodes", "leaves",
         "canonicalized", "order", "lg", "trig", "members",
         "mirror_of", "heads", "prev_same", "mirrors", "run_pairs", "image_memo",
-        "run_rem", "run_need",
+        "run_rem", "run_need", "exchanges", "xcut",
         "ncons", "con_rhs", "cap", "menu_fit", "menu_hulls", "menu_items",
         "cls_of", "classes", "costs", "suffix_min", "kn_at",
         "lam", "lam_active", "lagr_suffix", "pen_at", "choice_rec",
@@ -700,6 +764,13 @@ class _Search:
                 self.run_rem[fi] = len(run) - 1 - i
                 self.run_need[fi] = need if self.run_rem[fi] else [()] * len(recs)
 
+        # the exchange groups (`_exchange_groups`): each group's runs, per
+        # member its (factor, spatial record, temporal record) at the
+        # group's level, and per factor the cut of `_children`, (its
+        # temporal record there, the (member, spatial record) pairs of the
+        # group's earlier runs)
+        self.exchanges, self.xcut = self._exchange_groups(list(runs.values()))
+
         # the search state at the root; `_apply` saves the node's on `saved`
         self.choice_rec: list[ChoiceCoef | None] = [None] * F
         self.chains: dict[int, list[int]] = {I: [] for I in range(m.noc, m.H)}
@@ -793,6 +864,77 @@ class _Search:
                 and all(trig[fa] == trig[fb] for trig in self.trig)
                 and list(map(fields, self.classes[fa]))
                 == list(map(fields, self.classes[fb])))
+
+    def _exchange_groups(self, runs: list[list[int]]) -> tuple[list, list]:
+        """The exchange groups of the mirror `runs`, given in branch order,
+        and the cut they make in `_children` (see the module docstring).
+
+        At level I a run takes part when its members' class records
+        include one whose first (level, mapping) is (I, spatial) and one
+        whose first is (I, temporal), neither chained, and no record ranks
+        between the two, so each run's members at I hold a block of
+        consecutive depths, its temporal records first.  Two such runs A
+        and B exchange (`_exchange`) when A spatial plus B temporal adds
+        what A temporal plus B spatial adds, and every factor from A's
+        first depth to B's last has their log-factor.  A group is a set of
+        runs whose every pair exchanges, each run joining the first group
+        of its level that takes it; a group holds two runs or more.
+
+        Returns the groups, each a list of its runs in branch order, each
+        run its members' (factor, spatial record, temporal record); and
+        per factor the cut, (its temporal record at the group's level, the
+        (member, spatial record) pairs of the group's earlier runs), one
+        per group of a later run."""
+        classes = self.classes
+        xcut: list[list[tuple]] = [[] for _ in range(self.m.F)]
+        groups = []
+        for I in range(self.m.H):
+            at_level: list[list[tuple[list[int], int, int]]] = []
+            for run in runs:
+                recs = classes[run[0]]
+                first = {rec.cc[0]: x for x, rec in enumerate(recs)}
+                si, ti = first.get((I, SPATIAL)), first.get((I, TEMPORAL))
+                if si is None or ti is None:
+                    continue
+                s, t = recs[si], recs[ti]
+                if s.chained or t.chained or any(s.rep < r.rep < t.rep for r in recs):
+                    continue
+                entry = (run, si, ti)
+                for group in at_level:
+                    if all(self._exchange(other, entry) for other in group):
+                        group.append(entry)
+                        break
+                else:
+                    at_level.append([entry])
+            for group in at_level:
+                if len(group) < 2:
+                    continue
+                groups.append([[(fi, classes[fi][si], classes[fi][ti]) for fi in run]
+                               for run, si, ti in group])
+                holders: list[tuple[int, ChoiceCoef]] = []
+                for run, si, ti in group:
+                    for fi in run:
+                        if holders:
+                            xcut[fi].append((classes[fi][ti], tuple(holders)))
+                    holders += [(fi, classes[fi][si]) for fi in run]
+        return groups, [tuple(cuts) for cuts in xcut]
+
+    def _exchange(self, a: tuple, b: tuple) -> bool:
+        """Whether runs a and b, each (run, spatial index, temporal index)
+        in `_exchange_groups`, a the earlier in branch order, exchange: a
+        spatial record and b temporal add, on every constraint and to the
+        static objective and the self-trigger traffic, what a temporal and
+        b spatial add, float for float, and every factor the branch order
+        puts from a's first member to b's last has their log-factor."""
+        (run_a, sa, ta), (run_b, sb, tb) = a, b
+        ra, rb = self.classes[run_a[0]], self.classes[run_b[0]]
+        a_s, a_t, b_s, b_t = ra[sa], ra[ta], rb[sb], rb[tb]
+        lo, hi = self.order.index(run_a[0]), self.order.index(run_b[-1])
+        return (len({self.lg[fi] for fi in self.order[lo:hi + 1]}) == 1
+                and a_s.static + b_t.static == a_t.static + b_s.static
+                and a_s.self_t + b_t.self_t == a_t.self_t + b_s.self_t
+                and all(x + y == z + w
+                        for x, y, z, w in zip(a_s.row, b_t.row, a_t.row, b_s.row)))
 
     def _suffix(self, values: list[float]) -> list[float]:
         """Per depth, the sum over the factors the branch order leaves
@@ -1382,7 +1524,12 @@ class _Search:
         child's subtree thus holds no leaf: leaves come in the same order,
         the incumbent evolves the same way, and every other prune decision
         and child order is unchanged.  Adding w one step at a time, not
-        `run_rem * w` at once, keeps this exact on non-integer weights."""
+        `run_rem * w` at once, keeps this exact on non-integer weights.
+
+        The exchange cut drops fi's temporal record at an exchange
+        group's level while a member of an earlier run of the group holds
+        its spatial record there (`xcut`); every leaf below such a child
+        is a deal of a kept leaf (see the module docstring)."""
         fi = self.order[pos]
         prev = self.prev_same[fi]
         prev_rec = None if prev is None else self.choice_rec[prev]
@@ -1392,9 +1539,18 @@ class _Search:
         cap = self.cap
         rem = self.run_rem[fi]
         menu_fit = self.menu_fit
+        # the exchange cut: the temporal records at the levels where an
+        # earlier run of fi's group holds a spatial one
+        cut = ()
+        if self.xcut[fi]:
+            choice_rec = self.choice_rec
+            cut = [t for t, holders in self.xcut[fi]
+                   if any(choice_rec[e] is s for e, s in holders)]
         out = []
         for rec, need in zip(self.classes[fi], self.run_need[fi]):
             if limit is not None and rec.rep > limit:
+                continue
+            if rec in cut:
                 continue
             ok = True
             for ci, add in rec.items:
@@ -1532,11 +1688,11 @@ class _Search:
         return tuple(sel)
 
     def _leaf(self) -> bool:
-        """Decide the leaf, and its images, the leaves its mirror runs cut,
-        all on the leaf's menus; True when one of them is accepted.  No
-        estimate gates it: the leaf's last child passed its bound, at
-        least the leaf's static sum plus its weighted traffic, against the
-        incumbent it is entered under."""
+        """Decide the leaf, and its deals and images, the leaves its
+        exchange groups and mirror runs cut, all on the leaf's menus; True
+        when one of them is accepted.  No estimate gates it: the leaf's
+        last child passed its bound, at least the leaf's static sum plus
+        its weighted traffic, against the incumbent it is entered under."""
         self.leaves += 1
         menu_sel = self._derive_menus()
         # fires only when F = 0 (an all-ones layer), where no child priced
@@ -1548,24 +1704,44 @@ class _Search:
     def _decide(self, recs: list[ChoiceCoef], chains: dict[int, list[int]],
                 menu_sel: tuple[int, ...] | None) -> bool:
         """Decide the leaf of class records `recs` and chains `chains`, with
-        its menus `menu_sel`, and its images (`_images`, the leaf itself
-        first), each as the search decides such a leaf, each member taking
-        its source's record and chain place; True when the incumbent takes
-        one of them.  An image deals each run's slots over the run's own
-        depths, which the branch order keeps contiguous, and a member's row
-        holds 0.0 or the run's one log-factor on every constraint; so its
-        branch-order fold of the buffer sums adds the same values as its
-        leaf's at every depth, and its sums, capacity verdict and menus are
-        the leaf's, bit for bit.  Its objective comes from the leaf's static
-        prefix sums and traffic walk (`_image_objectives`), and only an
-        image at or below the incumbent's objective is offered (`_offer`)."""
-        leaf = _Leaf(recs, chains, menu_sel, self.m)
-        images = self._images(recs)
+        its menus `menu_sel`, then its deals (`_deals`), each with its
+        images (`_images`, the deal itself first), each as the search
+        decides such a leaf, each member taking its source's record and
+        chain place; True when the incumbent takes one of them.  A deal
+        or an image re-deals records over runs whose depths hold factors
+        of one log-factor, and a member's row holds 0.0 or that log-factor
+        on every constraint; so its branch-order fold of the buffer sums
+        adds the same values as its leaf's at every depth, and its sums,
+        capacity verdict and menus are the leaf's, bit for bit.  Its
+        objective comes from the leaf's static prefix sums and traffic
+        walk (`_Leaf.deal`, `_image_objectives`), and only an image at or
+        below the incumbent's objective is offered (`_offer`)."""
+        leaf = _Leaf(recs, chains, menu_sel, self.m.chain_traffic(chains))
         accepted = False
-        for obj, image in zip(self._image_objectives(leaf, images), images):
-            if obj <= self.inc.obj:
-                accepted = self._offer(leaf, obj, image) or accepted
+        for deal in [leaf, *map(leaf.deal, self._deals(recs))]:
+            images = self._images(deal.recs)
+            for obj, image in zip(self._image_objectives(deal, images), images):
+                if obj <= self.inc.obj:
+                    accepted = self._offer(deal, obj, image) or accepted
         return accepted
+
+    def _deals(self, recs: list[ChoiceCoef]) -> list[list[tuple[int, ChoiceCoef]]]:
+        """The deals of the leaf of records `recs` but the leaf itself, in
+        the order of `itertools.product` over the exchange groups, each as
+        its switches, (member, record) pairs.  In a group, each run's
+        members at the group's level hold a block of consecutive depths,
+        its temporal records first; a deal gives each run another count of
+        spatial records there, from 0 to its block's length, the total
+        kept, and each run's block keeps its temporal records first."""
+        per_group = []
+        for group in self.exchanges:
+            blocks = []
+            for members in group:
+                at = [(fi, s, t) for fi, s, t in members if recs[fi] is s or recs[fi] is t]
+                blocks.append((at, sum(recs[fi] is s for fi, s, _t in at)))
+            per_group.append([[], *_shares(blocks)])
+        return [[switch for switches in combo for switch in switches]
+                for combo in itertools.islice(itertools.product(*per_group), 1, None)]
 
     def _slot_maps(self, run: list[int], pattern: tuple[bool, ...]) -> list[tuple]:
         """The images of a leaf whose mirror run `run` has slot `pattern`:
@@ -1776,6 +1952,34 @@ class _Search:
             depth, _parent, child = node
             self._apply(depth - 1, child)
             path.append(node)
+
+
+def _shares(blocks: list[tuple[list[tuple], int]]) -> list[list[tuple]]:
+    """The deals of one exchange group (`_Search._deals`) but the leaf's
+    own, from its runs' `blocks`, each the (member, spatial record,
+    temporal record) of the run's members at the level in branch order
+    and how many of them hold the spatial record, the last ones: per
+    share of the spatial records over the runs, the members that switch,
+    each with its new record."""
+    out = []
+    room = list(itertools.accumulate([len(at) for at, _k in reversed(blocks)], initial=0))
+
+    def deal(r: int, left: int, switches: list[tuple]):
+        if r == len(blocks):
+            if switches:
+                out.append(switches)
+            return
+        at, k = blocks[r]
+        n = len(at)
+        for k2 in range(max(0, left - room[len(blocks) - r - 1]), min(n, left) + 1):
+            if k2 > k:  # members n-k2 .. n-k-1 turn spatial
+                moved = [(fi, s) for fi, s, _t in at[n - k2:n - k]]
+            else:  # members n-k .. n-k2-1 turn temporal
+                moved = [(fi, t) for fi, _s, t in at[n - k:n - k2]]
+            deal(r + 1, left - k2, switches + moved)
+
+    deal(0, sum(k for _at, k in blocks), [])
+    return out
 
 
 def _gather(index: list[int]):

@@ -33,7 +33,14 @@ from mipsched.formulation import (
 )
 from mipsched.schedule import CostReport, Loop, Schedule
 from mipsched.search import SpaceTooLarge
-from mipsched.solver import LAGRANGIAN_ITERS, Solution, SolveStats, _upper_hull
+from mipsched.solver import (
+    LAGRANGIAN_ITERS,
+    Solution,
+    SolveStats,
+    _Incumbent,
+    _Search,
+    _upper_hull,
+)
 from mipsched.workload import DIM_INDEX, DIM_NAMES, LayerDims, PaddingPolicy, factorize
 from run_suite import SUITE as SUITE_LAYERS
 
@@ -92,20 +99,62 @@ def mirror_instance(seed: int, max_space: int = 60_000):
     return _random_target_model(rng, seed, layer, max_space)
 
 
-def _random_target_model(rng, seed, layer, max_space):
+def exchange_instance(seed: int, max_space: int = 100_000):
+    """A small layer whose 2s or 3s fall into two or three runs that
+    exchange at a level below the NoC (`_Search.exchanges`): two or three
+    of C, K, N and, at stride 2, P take the prime once or twice, at most
+    four factors in all.  On simba with three factors, the oracle's reach
+    there, and every weight kind; else on `random_instance`'s kind of
+    target, weights and budget, with three levels, the NoC in the middle
+    and a fanout of 2 or 4 below it.  Strides 1 and 2.  None when the
+    model cannot be built, exceeds `max_space`, or has no exchange group
+    (two dimensions whose records match are one run)."""
+    rng = random.Random(seed)
+    prime = rng.choice([2, 2, 3])
+    stride = rng.choice([1, 2])
+    on_simba = rng.random() < 0.4
+    dims = [1] * 7
+    names = rng.sample(["C", "K", "N", "P"] if stride == 2 else ["C", "K", "N"],
+                       k=rng.randint(2, 3))
+    counts = Counter(names)
+    for _ in range(rng.randint(len(names), 3 if on_simba else 4) - len(names)):
+        counts[rng.choice(names)] += 1
+    for name, n in counts.items():
+        dims[J[name]] = prime ** n
+    layer = LayerDims(*dims, stride=stride)
+    if on_simba:
+        term = rng.choice(["combined", "util", "comp", "traffic"])
+        drawn = [rng.choice([0.5, 1, 2]) for _ in OBJECTIVE_TERMS]
+        weights = ObjectiveWeights(*(
+            w if term in ("combined", name) else 0.0
+            for name, w in zip(OBJECTIVE_TERMS, drawn)))
+        model = build_model(factorize(layer, PaddingPolicy(max_prime=7)),
+                            default_simba_arch(), weights)
+        if assignment_space_size(model) > max_space:
+            return None
+    else:
+        model = _random_target_model(rng, seed, layer, max_space, exchange=True)
+    if model is None or not _Search(model, _Incumbent(), math.inf).exchanges:
+        return None
+    return model
+
+
+def _random_target_model(rng, seed, layer, max_space, exchange=False):
     """`layer` on a target, weights and optional budget drawn from `rng`,
-    or None when the model cannot be built or exceeds `max_space`."""
+    or None when the model cannot be built or exceeds `max_space`.  With
+    `exchange` the target has three levels, the NoC in the middle and a
+    spatial fanout below it."""
     pf = factorize(layer, PaddingPolicy(max_prime=7))
 
-    H = rng.randint(2, 3)
-    noc_at = rng.randrange(H - 1)
+    H = 3 if exchange else rng.randint(2, 3)
+    noc_at = 1 if exchange else rng.randrange(H - 1)
     levels = []
     for i in range(H):
         if i == H - 1:
             caps, fanout = (math.inf,) * 3, 1
         else:
             caps = tuple(float(rng.choice([4, 8, 16, 32, 64])) for _ in range(3))
-            fanout = rng.choice([1, 2, 4])
+            fanout = rng.choice([2, 4] if exchange and i == 0 else [1, 2, 4])
         levels.append(
             MemLevel(f"L{i}", caps, spatial_fanout=fanout, is_noc_boundary=(i == noc_at))
         )

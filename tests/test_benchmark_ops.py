@@ -36,17 +36,17 @@ EXPECTED = json.loads((ROOT / "perfbench" / "expected.json").read_text())
 COUNTS = {
     "suite/tiny": [(10, 2, 1)],
     "suite/tiny.T": [(10, 2, 1)],
-    "suite/conv28": [(484, 25, 1)],
-    "suite/deep512": [(1_456, 8, 1)],
-    "suite/wide256": [(2_524, 39, 1)],
-    "stride2/3x3-28-c64-k64": [(5_219, 134, 2)],
-    "stride2/3x3-14-c32-k64": [(746, 55, 2)],
-    "stride2/1x1-28-c64-k128": [(7_747, 921, 2)],
-    "partition/conv28": [(484, 25, 1), (103, 11, 1)],
-    "partition/deep512": [(1_456, 8, 1), (2_213, 36, 1)],
-    "partition/fc": [(526, 54, 1), (566, 21, 1)],
-    "sweep/conv28": [(338, 17, 1), (484, 25, 1), (217, 9, 1), (217, 9, 1)],
-    "sweep/fc": [(387, 14, 1), (526, 54, 1), (310, 10, 1), (339, 34, 1)],
+    "suite/conv28": [(340, 10, 1)],
+    "suite/deep512": [(1_414, 2, 1)],
+    "suite/wide256": [(1_469, 5, 1)],
+    "stride2/3x3-28-c64-k64": [(3_043, 21, 2)],
+    "stride2/3x3-14-c32-k64": [(476, 12, 2)],
+    "stride2/1x1-28-c64-k128": [(2_600, 73, 2)],
+    "partition/conv28": [(340, 10, 1), (67, 3, 1)],
+    "partition/deep512": [(1_414, 2, 1), (1_054, 6, 1)],
+    "partition/fc": [(421, 14, 1), (326, 5, 1)],
+    "sweep/conv28": [(242, 7, 1), (340, 10, 1), (158, 4, 1), (158, 4, 1)],
+    "sweep/fc": [(381, 5, 1), (421, 14, 1), (318, 4, 1), (362, 10, 1)],
     "enumerate/r3s1p2": [],
     "enumerate/r3s1p2-c2": [],
 }

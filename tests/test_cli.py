@@ -400,7 +400,7 @@ class TestSolveCommand:
 
     def test_stats_sum_the_halo_rounds(self, tmp_path, capsys):
         """The stderr statistics of a solve that needs a second halo round
-        are the totals of both rounds: 290 + 456 nodes, 30 + 25 leaves;
+        are the totals of both rounds: 139 + 337 nodes, 4 + 8 leaves;
         stdout is the benchmark's recorded output for this layer."""
         p = tmp_path / "s2.layer"
         p.write_text("[layer]\nR=3\nS=3\nP=14\nQ=14\nC=32\nK=64\nN=1\nStride=2\n")
@@ -408,7 +408,7 @@ class TestSolveCommand:
         out, err = capsys.readouterr()
         lines = err.splitlines()
         assert lines[0] == "status optimal"
-        assert re.fullmatch(r"nodes 746 leaves 55 wall \d+\.\d{3}s rounds 2",
+        assert re.fullmatch(r"nodes 476 leaves 12 wall \d+\.\d{3}s rounds 2",
                             lines[1]), lines[1]
         expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
         digest = hashlib.sha256(out.encode()).hexdigest()
@@ -687,10 +687,10 @@ class TestPartitionCommand:
         out, err = capsys.readouterr()
         lines = err.splitlines()
         assert lines[0] == "baseline status optimal"
-        assert re.fullmatch(r"baseline nodes 484 leaves 25 wall \d+\.\d{3}s rounds 1",
+        assert re.fullmatch(r"baseline nodes 340 leaves 10 wall \d+\.\d{3}s rounds 1",
                             lines[1]), lines[1]
         assert lines[2] == "partition status optimal"
-        assert re.fullmatch(r"partition nodes 103 leaves 11 wall \d+\.\d{3}s rounds 1",
+        assert re.fullmatch(r"partition nodes 67 leaves 3 wall \d+\.\d{3}s rounds 1",
                             lines[3]), lines[3]
         assert len(lines) == 4
         expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
@@ -804,15 +804,15 @@ class TestSweepCommand:
 DEEP512_LAYER = "[layer]\nR=3\nS=3\nP=7\nQ=7\nC=512\nK=512\nN=1\n"
 STRIDE2_LAYER = "[layer]\nR=3\nS=3\nP=14\nQ=14\nC=32\nK=64\nN=1\nStride=2\n"
 SINGLE_TERM_SOLVES = {
-    "tiny-util": (TINY_LAYER, "1,0,0", 32, 13, 1,
+    "tiny-util": (TINY_LAYER, "1,0,0", 26, 10, 1,
                   "3c41211cf26c4cc7db57e14046d23857c125c41cb8a05708e137b868bdc5ce6d"),
     "tiny-comp": (TINY_LAYER, "0,1,0", 29, 11, 1,
                   "a74961c639e9263d4e6ba1f6abcb082dffda9b91deb307fbf625bcf59d7d5910"),
-    "tiny-traffic": (TINY_LAYER, "0,0,1", 165, 48, 1,
+    "tiny-traffic": (TINY_LAYER, "0,0,1", 162, 47, 1,
                      "1a1ca2ca5f83e4301ed3be0eed423723f3662679e3f570427152089706c3d3d2"),
-    "deep512-util": (DEEP512_LAYER, "1,0,0", 6_359, 951, 1,
+    "deep512-util": (DEEP512_LAYER, "1,0,0", 3_809, 276, 1,
                      "fb1bf4c275ba6a05d863abf9c3dd26f7e008bfa71c06a0392b8020eed28924a8"),
-    "stride2-3x3-14-util": (STRIDE2_LAYER, "1,0,0", 1_362, 292, 2,
+    "stride2-3x3-14-util": (STRIDE2_LAYER, "1,0,0", 634, 69, 2,
                             "aedbcddbd2d6b50c825feb2e27529e5841b7d5038c90c8fe5ebdd19a52be36a8"),
 }
 

@@ -18,6 +18,7 @@ from helpers import (
     SUITE_LAYERS,
     assignment_space_size,
     binding_partition_instance,
+    exchange_instance,
     exhaustive_solve,
     highs_objective,
     mirror_instance,
@@ -42,7 +43,14 @@ from helpers import (
 )
 from mipsched.arch import ArchSpec, MemLevel, MemTensorMatrix
 from mipsched.cli import solve_layer
-from mipsched.formulation import MipModel, ObjectiveWeights, PartitionSpec, build_model
+from mipsched.formulation import (
+    SPATIAL,
+    TEMPORAL,
+    MipModel,
+    ObjectiveWeights,
+    PartitionSpec,
+    build_model,
+)
 from mipsched.schedule import render
 from mipsched.search import SpaceTooLarge
 from mipsched.solver import (
@@ -430,14 +438,14 @@ def test_search_counts_pinned(simba):
                         sol.stats.nodes, sol.stats.leaves)
     assert counts == {
         "tiny": (10, 2),
-        "conv28": (484, 25),
-        "deep512": (1_456, 8),
-        "wide256": (2_524, 39),
-        "conv28-partition": (103, 11),
-        "deep512-partition": (2_213, 36),
-        "fc-partition": (566, 21),
-        "stride2-3x3-14": (2, 456, 25),
-        "stride2-1x1-28": (2, 5_676, 778),
+        "conv28": (340, 10),
+        "deep512": (1_414, 2),
+        "wide256": (1_469, 5),
+        "conv28-partition": (67, 3),
+        "deep512-partition": (1_054, 6),
+        "fc-partition": (326, 5),
+        "stride2-3x3-14": (2, 337, 8),
+        "stride2-1x1-28": (2, 1_569, 65),
         82: ("combined", False, 38, 13),
         101: ("combined", True, 8, 3),
         22: ("traffic", True, 37, 25),
@@ -454,7 +462,7 @@ def test_batch_layer_pinned(simba):
     result = solve_layer(factorize(LayerDims(3, 3, 56, 56, 64, 64, 2),
                                    PaddingPolicy(max_prime=7)), simba)
     stats = result.stats
-    assert (result.rounds, stats.nodes, stats.leaves) == (2, 46_297, 4_211)
+    assert (result.rounds, stats.nodes, stats.leaves) == (2, 11_407, 173)
     assert result.solution.objective_value == 4.229419688230415
     digest = hashlib.sha256(render(result.schedule).encode()).hexdigest()
     assert digest == "9e1fca3ea08097754604a5786e652121c352ae87257d7616481218fc08a5e6ae"
@@ -1035,16 +1043,40 @@ def run_completion_fits(sh, pos, rec) -> bool:
     return fits(0, rec.rep, start)
 
 
+def exchange_cut(sh, fi, rec) -> bool:
+    """Whether the exchange cut drops `rec` at factor fi: rec is fi's
+    temporal record at the level of an exchange group, and a member of an
+    earlier run of the group holds its spatial record there.  Such a
+    child adds, on every row and to the static objective, what the deal
+    with the two records traded adds, a child the cut keeps."""
+    for group in sh.exchanges:
+        earlier = []
+        for run in group:
+            for g, s, t in run:
+                if g != fi or t is not rec:
+                    continue
+                for e, es, et in earlier:
+                    if sh.choice_rec[e] is es:
+                        assert all(a + b == c + d
+                                   for a, b, c, d in zip(es.row, t.row, et.row, s.row))
+                        assert es.static + t.static == et.static + s.static
+                        return True
+            earlier += run
+    return False
+
+
 def test_run_lookahead_cuts_only_leafless_children(simba, monkeypatch):
     """Every child the run lookahead drops has no completion of its
     mirror run that passes the capacity checks: the records of the
     remaining members are enumerated by brute force.  A dropped child is
     one that passes the rep limit and the capacity check but never
-    reaches the menu or the node bound."""
+    reaches the menu or the node bound, and that the exchange cut does
+    not drop as the deal of a child it keeps (`exchange_cut`)."""
     real_children = _Search._children
     real_floors = _Search._child_floors
     reached = []  # rows that got past the filters in this `_children` call
     cuts = []
+    exchanged = []
 
     def reaching(real_bound):
         def bound(sh, pos, rec, t_after):
@@ -1068,6 +1100,9 @@ def test_run_lookahead_cuts_only_leafless_children(simba, monkeypatch):
             if any(sh.con_lhs[ci] + add > sh.cap[ci] for ci, add in rec.items):
                 continue
             if any(row is rec.row for row in reached):
+                continue
+            if exchange_cut(sh, fi, rec):
+                exchanged.append(rec)
                 continue
             assert not run_completion_fits(sh, pos, rec)
             cuts.append(rec)
@@ -1096,7 +1131,7 @@ def test_run_lookahead_cuts_only_leafless_children(simba, monkeypatch):
                 fired.append(seed)
     steps = list(counts.values())
     assert all(b > a for a, b in zip([0] + steps, steps)), counts
-    assert fired
+    assert fired and exchanged
 
 
 def tightened_rhs_excess(model) -> tuple[int, int]:
@@ -1442,8 +1477,9 @@ def test_every_leaf_entered_passes_the_incumbent(simba, monkeypatch):
     enters has its static sum plus its weighted traffic, a lower bound on
     its objective, within `inc.obj + EPS_PRUNE`.  Its last child's bound
     was at least that against the same incumbent.  Checked on the benchmark's
-    solver models and the oracle draws, with the open list at its default
-    and capped at 3, where the proof searches depth-first."""
+    solver models and the `random_instance` and `exchange_instance` draws,
+    whose exchange cut leaves fewer leaves to enter, with the open list at
+    its default and capped at 3, where the proof searches depth-first."""
     real_leaf = _Search._leaf
     seen = {"held": 0}
 
@@ -1454,7 +1490,8 @@ def test_every_leaf_entered_passes_the_incumbent(simba, monkeypatch):
         return real_leaf(sh)
 
     models = benchmark_models(simba)
-    models += [model for model in map(random_instance, range(200)) if model is not None]
+    models += [model for draw in (random_instance, exchange_instance)
+               for model in map(draw, range(200)) if model is not None]
     monkeypatch.setattr(_Search, "_leaf", leaf)
     for cap in (mipsched.solver.MAX_OPEN, 3):
         monkeypatch.setattr(mipsched.solver, "MAX_OPEN", cap)
@@ -1605,26 +1642,29 @@ def test_canonical_assignment_matches_reference(simba, monkeypatch):
 
 
 def test_leaf_decision_matches_full_path(simba, monkeypatch):
-    """Every decision of a solve, of a leaf or of one of its images,
-    against the full path it replaces, each image's records and chains
-    built from its moves: its buffer sums are the left fold of its
-    records in branch order; its objective, from the leaf's folds and
-    traffic term, resumed from the leaf's prefix sums for an image, equals
+    """Every decision of a solve, of a leaf, of one of its deals or of one
+    of their images, against the full path it replaces, each deal's
+    records built from its switches and each image's records and chains
+    from its moves: a deal switches unchained records and keeps every run
+    sorted; its buffer sums are the left fold of its records in branch
+    order; its objective, from the leaf's folds and traffic term, resumed
+    from the leaf's prefix sums for a deal or an image, equals
     `objective_of` on its reference canonical assignment, float for
     float; every canonical pass given the incumbent's key keys it as an
     unbounded pass does, or stops where its key is the larger; and,
-    deciding the leaf and then its images in order against the incumbent
-    each meets, the same image is offered and accepted exactly when that
-    path would accept it, and leaves the same incumbent.  The leaf is its
-    own first image, with no move, offered first and at its own
-    objective, its records' left fold closed by `objective_close` with
-    its chains' traffic walk, bit for bit; it decides itself from the
-    search state, and that state, its buffer sums' list included, is as
-    it was once its images are done; some leaves have images and some
-    have none.  Checked on tiny, conv28 with and without menus, both rounds of the stride-2 3x3-14 layer, and the
-    `random_instance` (seeds 0-399) and `mirror_instance` (0-199) draws,
-    with and without menus, over all five objective modes and chained
-    mirror runs."""
+    deciding the leaf, then its images, then each deal and its images in
+    order against the incumbent each meets, the same image is offered and
+    accepted exactly when that path would accept it, and leaves the same
+    incumbent.  The leaf is its own first image, with no move, offered
+    first and at its own objective, its records' left fold closed by
+    `objective_close` with its chains' traffic walk, bit for bit; it
+    decides itself from the search state, and that state, its buffer
+    sums' list included, is as it was once its images are done; some
+    leaves have images and some have none.  Checked on tiny, conv28 with
+    and without menus, both rounds of the stride-2 3x3-14 layer, and the
+    `random_instance` (seeds 0-399), `mirror_instance` (0-199) and
+    `exchange_instance` (0-199) draws, with and without menus, over all
+    five objective modes and chained mirror runs."""
     real_leaf = _Search._leaf
     real_decide = _Search._decide
     real_offer = _Search._offer
@@ -1632,7 +1672,8 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
     real_canon = mipsched.solver.canonical_assignment
     closed = []  # every objective `objective_close` gives, in order
     offered = []  # (objective, accepted, image) of every offer, in order
-    seen = {"modes": set(), "images": 0, "chained": 0, "early": 0, "on_objective": 0}
+    seen = {"modes": set(), "images": 0, "chained": 0, "early": 0, "on_objective": 0,
+            "deals": 0}
     decided = []  # the states decided at the running leaf
     images = []  # per leaf, its images
 
@@ -1669,30 +1710,43 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
         assert menu_sel == sh._derive_menus()
         images = sh._images(recs)
         assert images[0][0] == m.F and image_moves(images[0], m.F) == []
-        # the full path of the leaf and of each image, in decision order,
-        # against a copy of the incumbent
+        # the leaf, then its deals: each switches unchained records, and
+        # keeps every run sorted, so it is a leaf of the uncut search
+        deals = [recs]
+        for switches in sh._deals(recs):
+            deal = recs[:]
+            for fi, rec in switches:
+                assert rec is not recs[fi] and not rec.chained and not recs[fi].chained
+                deal[fi] = rec
+            assert all(deal[fi].rep <= deal[sh.prev_same[fi]].rep
+                       for fi in sh.order if sh.prev_same[fi] is not None)
+            deals.append(deal)
+        seen["deals"] += len(deals) - 1
+        # the full path of the leaf and of each deal and image, in decision
+        # order, against a copy of the incumbent
         sim = _Incumbent()
         sim.offer(inc.obj, inc.key, inc.x, inc.menu)
         refs, expect = [], []
-        for image in images:
-            moves = image_moves(image, m.F)
-            img, img_chains = image_of(recs, chains, moves)
-            lhs = [0.0] * sh.ncons  # its own fold, in branch order
-            for fi in sh.order:
-                lhs = [a + b for a, b in zip(lhs, img[fi].row)]
-            assert repr(sh.con_lhs) == repr(lhs)
-            x = reference_canonical_assignment(m, [rec.cc for rec in img], img_chains)
-            obj = objective_of(m, x)
-            refs.append(obj)
-            seen["on_objective"] += obj > sim.obj
-            if obj <= sim.obj:
-                key = m.lex_key(x, menu_sel)
-                ok = (sim.beats(obj, key)
-                      and not m.constraint_violations(x, menu_sel))
-                expect.append((obj, ok, image))
-                if ok:
-                    sim.offer(obj, key, x, menu_sel)
-            seen["chained"] += any(recs[src].chained for _fi, src in moves)
+        for deal in deals:
+            for image in sh._images(deal):
+                moves = image_moves(image, m.F)
+                img, img_chains = image_of(deal, chains, moves)
+                lhs = [0.0] * sh.ncons  # its own fold, in branch order
+                for fi in sh.order:
+                    lhs = [a + b for a, b in zip(lhs, img[fi].row)]
+                assert repr(sh.con_lhs) == repr(lhs)
+                x = reference_canonical_assignment(m, [rec.cc for rec in img], img_chains)
+                obj = objective_of(m, x)
+                refs.append(obj)
+                seen["on_objective"] += obj > sim.obj
+                if obj <= sim.obj:
+                    key = m.lex_key(x, menu_sel)
+                    ok = (sim.beats(obj, key)
+                          and not m.constraint_violations(x, menu_sel))
+                    expect.append((obj, ok, image))
+                    if ok:
+                        sim.offer(obj, key, x, menu_sel)
+                seen["chained"] += any(deal[src].chained for _fi, src in moves)
         walk = [(I, m.factors[fi]) for I, chain in chains.items() for fi in chain]
         leaf_obj = m.objective_close(reduce(add, [rec.static for rec in recs], 0.0),
                                      m._walk_t_sums(walk)[1])
@@ -1738,7 +1792,8 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
     assert result.rounds == 2
     stats = result.solution.stats
     canonicalized["stride2-3x3-14"] = (stats.leaves, stats.canonicalized)
-    for draw, seeds in ((random_instance, range(400)), (mirror_instance, range(200))):
+    for draw, seeds in ((random_instance, range(400)), (mirror_instance, range(200)),
+                        (exchange_instance, range(200))):
         for seed in seeds:
             for model in (draw(seed, 60_000), binding_partition_instance(seed, draw=draw)):
                 if model is not None:
@@ -1746,6 +1801,7 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
     modes = ("combined", "util", "comp", "traffic")
     assert seen["modes"] == {(mode, menus) for mode in modes for menus in (False, True)}
     assert seen["images"] > 2000 and seen["chained"] > 1000, seen
+    assert seen["deals"] > 150, seen
     assert seen["early"] > 1000, seen
     assert seen["on_objective"] > 10, seen
     assert any(images) and not all(images)
@@ -1753,8 +1809,8 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
     # on their canonical key, early exits included (last round of the
     # stride-2 layer)
     assert canonicalized == {
-        "conv28": (25, 66),
-        "stride2-3x3-14": (25, 41),
+        "conv28": (10, 66),
+        "stride2-3x3-14": (8, 48),
     }
 
 
@@ -1931,6 +1987,164 @@ def test_images_reach_the_answer_the_cut_removes(simba, monkeypatch):
     assert not model.constraint_violations(kept)
     assert sol.objective_value == objective_of(model, x) < objective_of(model, kept)
     assert repr(sol.objective_value) == "-38.26466250649041"
+
+
+def exchange_groups(model) -> list[str]:
+    """The exchange groups of `_Search`, each as its level's name and its
+    runs, in branch order, each run its factors' dimensions and primes."""
+    sh = new_search(model)
+    name = lambda fi: DIM_NAMES[model.factors[fi].j] + str(model.factors[fi].prime)
+    return sorted(
+        f"{model.arch.levels[group[0][0][1].I].name}: "
+        + " | ".join(" ".join(name(fi) for fi, _s, _t in run) for run in group)
+        for group in sh.exchanges)
+
+
+def test_exchange_groups_on_simba(simba):
+    """The exchange groups simba's layers form: at `Register`, where a
+    spatial 2 of one dimension beside a temporal 2 of another adds what
+    the opposite deal adds, conv28 groups R's and S's 3s with N's, and
+    P's, C's and K's 2s; deep512 C with K; fc C, K and N; the stride-2
+    layers, in every halo round, P, C and K; deep512 at weights 0.1,1,1
+    none, its static pair sums an ulp apart.  None forms at `GlobalBuf`,
+    which allows both bindings (fanout 16) but is the NoC level, where
+    every temporal record is chained.  Each member of a group's later
+    runs carries the cut: its temporal record there, and every member of
+    the group's earlier runs with its spatial record."""
+    conv28 = build_model(factorize(SUITE_LAYERS["conv28"]), simba)
+    assert exchange_groups(conv28) == [
+        "Register: C2 C2 C2 | P2 P2 Q2 Q2 | K2 K2", "Register: R3 S3 | N3"]
+    deep512 = factorize(SUITE_LAYERS["deep512"])
+    assert exchange_groups(build_model(deep512, simba)) == [
+        "Register: C2 C2 C2 C2 C2 C2 C2 C2 C2 | K2 K2 K2 K2 K2 K2 K2 K2 K2"]
+    # at weights 0.1,1,1 the static pair sums differ in the last bit
+    # (C's 1.6 + K's 2.7 against C's 2.6 + K's 1.7): no group
+    assert exchange_groups(build_model(deep512, simba, ObjectiveWeights(0.1, 1, 1))) == []
+    assert exchange_groups(build_model(factorize(FC_LAYER), simba)) == [
+        "Register: C2 C2 C2 C2 C2 C2 C2 C2 C2 C2 | N2 N2 N2 N2 | K2 K2 K2"]
+    for dims, groups in (
+            ((3, 3, 28, 28, 64, 64, 1),
+             "Register: C2 C2 C2 C2 C2 C2 | K2 K2 K2 K2 K2 K2 | P2 P2 Q2 Q2"),
+            ((3, 3, 14, 14, 32, 64, 1),
+             "Register: K2 K2 K2 K2 K2 K2 | C2 C2 C2 C2 C2 | P2 Q2"),
+            ((1, 1, 28, 28, 64, 128, 1),
+             "Register: K2 K2 K2 K2 K2 K2 K2 | C2 C2 C2 C2 C2 C2 | P2 P2 Q2 Q2")):
+        pf = factorize(LayerDims(*dims, stride=2), PaddingPolicy(max_prime=7))
+        result = solve_layer(pf, simba)
+        assert result.rounds == 2 and result.pads
+        assert exchange_groups(build_model(pf, simba)) == [groups]
+        assert exchange_groups(result.model) == [groups]
+    noc = simba.noc_level
+    assert simba.levels[noc].spatial_fanout == 16
+    sh = new_search(conv28)
+    for recs in sh.classes:
+        first = {rec.cc[0]: rec for rec in recs}
+        assert not first[(noc, SPATIAL)].chained and first[(noc, TEMPORAL)].chained
+    for group in sh.exchanges:
+        for run in group:
+            assert all(s.I == t.I == 0 and not s.chained and not t.chained
+                       for _fi, s, t in run)
+        earlier = []
+        for run in group:
+            for fi, _s, t in run:
+                assert sh.xcut[fi] == ((t, tuple(earlier)),) if earlier else not sh.xcut[fi]
+            earlier += [(fi, s) for fi, s, _t in run]
+
+
+def test_exchange_skips_a_class_ranked_between():
+    """A run takes part in a group only where no class record of its ranks
+    between its spatial and temporal records, so its members at the level
+    hold a block, temporal first, that a deal re-deals in place.  On this
+    target L1 allows spatial mapping and stores nothing, so temporal L0
+    and L1 are one class, ranked (L1, temporal), and spatial L1 ranks
+    between it and spatial L0: C's and K's 2s form no group at L0."""
+    arch = ArchSpec(
+        levels=(MemLevel("L0", (16.0, 16.0, 16.0), spatial_fanout=4),
+                MemLevel("L1", (16.0, 16.0, 16.0), spatial_fanout=4),
+                MemLevel("L2", (64.0, 64.0, 64.0), spatial_fanout=2,
+                         is_noc_boundary=True),
+                MemLevel("L3", (math.inf,) * 3)),
+        B=MemTensorMatrix(rows=((0, 0, 1), (0, 0, 0), (1, 0, 0), (1, 1, 1))),
+        name="between")
+    model = build_model(factorize(LayerDims(1, 1, 1, 1, 2, 2, 1)), arch)
+    sh = new_search(model)
+    assert sh.mirror_of[0] != sh.mirror_of[1]
+    for recs in sh.classes:
+        assert [rec.cc for rec in recs][:3] == [((0, SPATIAL),), ((0, TEMPORAL), (1, TEMPORAL)),
+                                                ((1, SPATIAL),)]
+    assert exchange_groups(model) == []
+
+
+def test_exchange_instances_match_the_oracle(monkeypatch):
+    """Small layers whose 2s or 3s fall into two or three exchanging runs
+    (`helpers.exchange_instance`), on simba and on random targets, with
+    and without partition menus under a binding budget, at strides 1 and
+    2 and in every objective mode: the branch-and-bound with its exchange
+    cut and the deals it decides at each kept leaf gives the exhaustive
+    oracle's status, objective (by repr), assignment and menus.  Most
+    instances decide deals, and on some the answer is a deal."""
+    real_deals, real_offer = _Search._deals, _Search._offer
+    dealt = {"deals": 0, "last": False}
+
+    def deals(sh, recs):
+        out = real_deals(sh, recs)
+        dealt["deals"] += len(out)
+        return out
+
+    def offer(sh, leaf, obj, image):
+        accepted = real_offer(sh, leaf, obj, image)
+        if accepted:  # a deal is decided on its own copy of the records
+            dealt["last"] = leaf.recs is not sh.choice_rec
+        return accepted
+
+    def answer(sol):
+        return (sol.status, repr(sol.objective_value), sol.x_assignment,
+                sol.menu_selection)
+
+    monkeypatch.setattr(_Search, "_deals", deals)
+    monkeypatch.setattr(_Search, "_offer", offer)
+    kinds = set()
+    checked = dealing = answered = 0
+    for seed in range(150):
+        for menus in (False, True):
+            model = (binding_partition_instance(seed, 300_000, draw=exchange_instance)
+                     if menus else exchange_instance(seed))
+            if model is None:
+                continue
+            assert new_search(model).exchanges, seed
+            before = dealt["deals"]
+            assert answer(solve(model)) == answer(exhaustive_solve(model)), (seed, menus)
+            dealing += dealt["deals"] > before
+            answered += dealt["last"]
+            checked += 1
+            kinds.add((model.arch.name == "simba", bool(model.menus)))
+            kinds.add(("stride", model.pf.dims.stride))
+            kinds.add(objective_name(model.weights))
+    assert kinds == {(True, False), (False, False), (False, True), ("stride", 1),
+                     ("stride", 2), "combined", "util", "comp", "traffic"}, kinds
+    assert checked > 120 and dealing > 40 and answered > 3, (checked, dealing, answered)
+
+
+def test_exchange_cut_keeps_the_uncut_answer(simba, monkeypatch):
+    """Where the oracle cannot reach, the search with its exchange cut
+    gives the answer of the search without it, bit for bit, in fewer
+    nodes: on simba's exchange layers under a byte budget, whose eight
+    menus put them past the oracle, and on the benchmark's solver
+    models."""
+    models = [build_model(model.pf, simba, model.weights,
+                          partition=PartitionSpec(budget_bytes=budget, e_min=2))
+              for seed in range(60) for budget in (1200, 9000)
+              if (model := exchange_instance(seed)) is not None
+              and model.arch.name == "simba"]
+    assert len(models) > 20
+    models += benchmark_models(simba)
+    cut = [solve(model) for model in models]
+    monkeypatch.setattr(_Search, "_exchange_groups", lambda sh, runs: ([], [()] * sh.m.F))
+    uncut = [solve(model) for model in models]
+    for model, a, b in zip(models, cut, uncut):
+        assert _answer(a) == _answer(b), model.pf.dims
+    assert sum(sol.stats.nodes for sol in cut) < sum(sol.stats.nodes for sol in uncut)
+    assert sum(sol.status == "optimal" and bool(sol.menu_selection) for sol in cut) > 20
 
 
 @pytest.mark.slow
