@@ -270,9 +270,16 @@ def validate_arch(arch: ArchSpec) -> list[Violation]:
 
     for i, lvl in enumerate(arch.levels):
         for v, tensor in enumerate(TENSOR_NAMES):
-            if arch.B.stores(i, v) and not lvl.capacity_bytes[v] > 0:
+            if not arch.B.stores(i, v):
+                continue
+            cap, prec = lvl.capacity_bytes[v], arch.precision_bytes[v]
+            if not cap > 0:
                 out.append(Violation("capacity", f"{lvl.name}/{tensor}",
                                      "storable tensor needs positive capacity", (i, v)))
+            elif cap < prec:
+                out.append(Violation("capacity", f"{lvl.name}/{tensor}",
+                                     f"capacity {cap:g} B is below one {prec:g}-byte element",
+                                     (i, v)))
 
     for v, prec in enumerate(arch.precision_bytes):
         if prec < 1:

@@ -6,11 +6,14 @@ tracks permutation order at and above the NoC boundary only for
 temporal factors (where it matters), and collapses interchangeable
 identical factors, fully equivalent (level, mapping) choices and
 exchangeable spatial/temporal deals, so each distinct schedule class is
-searched once.  Pruning combines a per-factor best-case bound, a root
-Lagrangian relaxation of the capacity constraints, and per-constraint
-fractional knapsack relaxations; the partial traffic term is monotone
-under extension and included exactly.
-These bounds also order the children; there is no other child order.
+searched once.  A child's bound is the max of a per-factor best-case
+bound, summed over the unassigned tail (the suffix bound), and
+per-constraint fractional knapsack relaxations; the partial traffic term
+is monotone under extension and included exactly.  These bounds also
+order the children; there is no other child order.  The dive prunes
+nothing, so there the suffix and plain knapsack bounds only order it;
+the proof prunes on them and on the knapsacks penalized at the
+multipliers `tighten` builds against the dive's incumbent.
 
 The knapsack bounds are one family (Sinha & Zoltners 1979; Fisher 1981),
 built by `_Search._build_knapsack(lam)` and evaluated by
@@ -23,7 +26,7 @@ capacity is rounded down to whole units, in the spirit of Chvatal-Gomory
 rounding (Chvatal 1973): no integer completion can use the fraction.
 Such a row carries a table of its gain at every whole capacity, so the
 bound reads it by index instead of a bisect.  Every capacity bound, the
-Lagrangian one included, grants each slack `TOLERANCE`, as the capacity
+penalized one included, grants each slack `TOLERANCE`, as the capacity
 check does, so none cuts a completion that check admits; the rounding
 relies on it, since a float slack can fall an ulp short of the whole
 number it stands for.
@@ -163,9 +166,9 @@ menu's floor.  It is exact: weights are never negative and float
 addition is monotone, so at every leaf below the node each floor is at
 least the node's, an accepted leaf selects for menu i an entry within
 that allowance, and so its sum satisfies `lhs_i + pad <= e + tol` for
-that entry, the relation the loosest rhs encodes for the last entry.  The
-Lagrangian bound and both knapsack bounds read the node's rhs; on a
-model without menus it is `con_rhs` itself.  The loosest rhs stays in
+that entry, the relation the loosest rhs encodes for the last entry.
+Both knapsack bounds read the node's rhs; on a model without menus it
+is `con_rhs` itself.  The loosest rhs stays in
 the feasibility checks (the capacity check, the run lookahead,
 `_derive_menus` and `MipModel.constraint_violations`) and in the root
 build of the knapsack tables.  A child's floors (`_child_floors`) start
@@ -176,13 +179,14 @@ floors pass the budget, `_apply` gives the child them, and its rhs
 from them, once per distinct floors, and a leaf's `_derive_menus` reads
 them.
 
-The budget ties the menus together, and the bounds price it across
-them at once, as a multiple-choice knapsack inside the Lagrangian
-relaxation (Sinha & Zoltners 1979; Fisher 1981).  At multipliers
-lambda the Lagrangian bound subtracts lambda_i times menu i's rhs for
-each menu row, and at the node's rhs each menu takes the whole byte
+The budget ties the menus together, and the penalized bound prices it
+across them at once, as a multiple-choice knapsack inside the
+Lagrangian relaxation (Sinha & Zoltners 1979; Fisher 1981).  A
+penalized bound keeps row i explicit, and its refund prices every other
+row: at multipliers lambda it subtracts lambda_j times menu j's rhs for
+each menu row j, and at the node's rhs each menu takes the whole byte
 slack as if it were alone.  J(floors), the most the sum over the menus
-of lambda_i times the rhs of one entry each can be, every entry at or
+of lambda_j times the rhs of one entry each can be, every entry at or
 above its floor and their bytes within the budget, bounds what any leaf
 below the node subtracts, and so does the old sum; the bound reads the
 less, through its cut, what the old sum exceeds J by (`_menu_state`).
@@ -190,22 +194,22 @@ J is the knapsack's LP relaxation: each menu's (bytes, rhs) points are
 concave, rhs being the log of a size linear in bytes, and `_budget_fill`
 takes the increments of their hulls densest first, the last in part.
 An LP optimum is at least the integer one, so the bound stays
-admissible.  A penalized bound keeps row i explicit, and its refund
-prices every other row.  For a menu row i the refund's menu part is
-bounded by J-i(floors), the same LP over the other menus with i held at
-its floor: i's knapsack cost only falls as its rhs grows, so the node's
-rhs bounds it from below; the other menus' bytes are at most the budget
-less i's floor's, so their sum is at most J-i; and the two minima add up
-to a lower bound.  J over every menu is no bound there, since i's own
-share of it is already in i's knapsack.  A row that is no menu row
-takes the Lagrangian cut.  The cuts, like the rhs, are a function of
+admissible.  For a menu row i the refund's menu part is bounded by
+J-i(floors), the same LP over the other menus with i held at its floor:
+i's knapsack cost only falls as its rhs grows, so the node's rhs bounds
+it from below; the other menus' bytes are at most the budget less i's
+floor's, so their sum is at most J-i; and the two minima add up to a
+lower bound.  J over every menu is no bound there, since i's own share
+of it is already in i's knapsack.  A row that is no menu row takes the
+cut of J over every menu.  The cuts, like the rhs, are a function of
 the floors and the multipliers, kept once per distinct floors and
-carried in the path state; `tighten`, which moves the multipliers,
-derives them again.  The root's multipliers see the budget too: each
-step of `_build_lagrangian` prices a menu row at its menu's rhs in the
-LP selection at that step's multipliers, from the root's floors, with a
-menu at a zero multiplier at its floor.  Any multipliers give
-admissible bounds, so this changes only which ones are found.
+carried in the path state.  Until `tighten` the multipliers are 0, so
+no menu is priced and no row is cut; `tighten`, which moves the
+multipliers, derives the cuts again.  The multipliers see the budget
+too: each step of `_build_lagrangian` prices a menu row at its menu's
+rhs in the LP selection at that step's multipliers, from the root's
+floors, with a menu at a zero multiplier at its floor.  Any multipliers
+give admissible bounds, so this changes only which ones are found.
 
 A node's work is kept to what its own child changes: the traffic walk's
 chain profile is kept per depth and rebuilt only below a chained child,
@@ -229,8 +233,8 @@ order that stops at the first accepted leaf; one that ends without any,
 and not at the deadline, had nothing to prune against and has searched
 the whole tree, so the model is infeasible and the solve ends there, as
 it does when the deadline stops the dive, which then holds no incumbent
-and reports a bound of -inf.  Then `tighten` rebuilds the multipliers
-once by Polyak steps against that incumbent, and every child bound adds
+and reports a bound of -inf.  Then `tighten` builds the multipliers
+once, by Polyak steps against that incumbent, and every child bound adds
 the knapsack bound at them, the Lagrangian-penalized bound.  The proof
 is a best-bound search with plunging (Linderoth & Savelsbergh 1999;
 Achterberg 2007, as in SCIP): every child that survives its bound is an
@@ -286,7 +290,7 @@ branch order, and `_Search._suffix` is the one place it is summed into
 a per-depth table.  A solve's set-up is built once per class of alike
 factors and shared by its members: the model's records once per
 identical class (`MipModel._build_coefficients`), and the search's
-costs, knapsack hulls and Lagrangian minima once per mirror class, from
+costs and knapsack hulls once per mirror class, from
 its first member.  It is exact: the members' records are equal field
 for field (`_Search._mirrored`), and `_suffix` adds each factor's
 mirror-class value in branch order, the values and order it added when
@@ -644,9 +648,9 @@ class _Search:
         "run_rem", "run_need", "exchanges", "xcut",
         "ncons", "con_rhs", "cap", "menu_fit", "menu_hulls", "menu_items",
         "cls_of", "classes", "costs", "suffix_min", "kn_at",
-        "lam", "lam_active", "lagr_suffix", "pen_at", "choice_rec",
+        "lam", "lam_active", "pen_at", "choice_rec",
         "chains", "con_lhs", "static_sum", "t_cur",
-        "profile", "floors", "rhs", "lagr_cut", "pen_cut", "no_cut",
+        "profile", "floors", "rhs", "pen_cut", "no_cut",
         "saved", "menu_memo",
     )
 
@@ -786,28 +790,29 @@ class _Search:
         self.floors = self._floors() if self.menu_fit else None
         self.saved: list[tuple] = []
         self._build_bounds()
-        # what the bounds read of the floors (`_menu_state`): the rhs, and
-        # the budget's cut of the Lagrangian bound and of each penalized
-        # row; without menus `con_rhs` itself and no cut
+        # what the bounds read of the floors (`_menu_state`): the rhs and
+        # the budget's cut of each penalized row; without menus `con_rhs`
+        # itself, and at the root's zero multipliers no cut
         self.no_cut = [0.0] * self.ncons
-        self.rhs, self.lagr_cut, self.pen_cut = self.con_rhs, 0.0, self.no_cut
+        self.rhs, self.pen_cut = self.con_rhs, self.no_cut
         if self.floors is not None:
-            self.rhs, self.lagr_cut, self.pen_cut = self._menu_state(*self.floors)
+            self.rhs, self.pen_cut = self._menu_state(*self.floors)
 
     # -- tables --------------------------------------------------------
 
     def _build_bounds(self):
         """The tables of `_node_bound`: per mirror class, its first
         member's class costs (static plus guaranteed self-trigger traffic),
-        their per-depth least sum, the plain knapsack rows, the root
-        multipliers, and the penalized rows, empty until `tighten` builds
-        them."""
+        their per-depth least sum and the plain knapsack rows; the
+        multipliers are 0 and the penalized rows empty until `tighten`
+        builds them."""
         w_t = self.m.w_t
         self.costs = [[rec.static + w_t * rec.self_t for rec in self.classes[fi]]
                       for fi in self.heads]
         self.suffix_min = self._suffix([min(costs) for costs in self.costs])
-        self.kn_at = self._build_knapsack([0.0] * self.ncons)
-        self._build_lagrangian()
+        self.lam = [0.0] * self.ncons
+        self.lam_active: list[tuple[int, float]] = []
+        self.kn_at = self._build_knapsack(self.lam)
         self.pen_at: list[list[tuple]] = [[] for _ in range(self.m.F + 1)]
 
     def _branch_order(self) -> list[int]:
@@ -1076,10 +1081,11 @@ class _Search:
             kn_at[nxt] = [tables[ci][1][nxt] for ci in order]
         return kn_at
 
-    def _build_lagrangian(self, upper: float | None = None):
+    def _build_lagrangian(self, upper: float):
         """Projected subgradient ascent on the capacity-relaxed dual at the
-        root; the resulting fixed multipliers give a cheap per-node bound.
-        With a known incumbent value, Polyak steps are used.  Members of a
+        root, for the multipliers of the penalized knapsack rows: Polyak
+        steps toward `upper`, the dive's incumbent objective (Polyak 1969),
+        and diminishing steps once the dual value reaches it.  Members of a
         mirror class have equal records, so each step prices a mirror class
         once and adds its best cost and usage to each member in factor
         order: every float is the sum it was when each factor was priced.
@@ -1181,7 +1187,7 @@ class _Search:
                             break
                 if norm2 <= 1e-18:
                     break
-                if upper is not None and upper > val:
+                if upper > val:
                     step = beta * (upper - val) / norm2
                 else:
                     step = 0.4 * scale / ((1.0 + 0.15 * it) * math.sqrt(norm2))
@@ -1201,32 +1207,19 @@ class _Search:
         # and the positive ones as (ci, lambda) pairs
         lam = self.lam = [l if l > 1e-12 else 0.0 for l in best_lam]
         self.lam_active = [(ci, l) for ci, l in enumerate(lam) if l]
-        lagr_min = []  # per mirror class, from its first member
-        for fi, costs in zip(self.heads, self.costs):
-            best = INF
-            for rec, t in zip(self.classes[fi], costs):
-                for ci, w in rec.items:
-                    if lam[ci]:
-                        t += lam[ci] * w
-                if t < best:
-                    best = t
-            lagr_min.append(best)
-        self.lagr_suffix = self._suffix(lagr_min)
 
     def tighten(self):
-        """Between the dive and the proof: one Polyak rebuild of the
-        multipliers against the dive's incumbent, if it found one, the
-        penalized knapsack rows at those multipliers, which `_node_bound`
-        adds from then on, and the root's budget cuts at them, the
-        penalized rows' included."""
-        if self.inc.x is not None:
-            self._build_lagrangian(upper=self.inc.obj)
+        """Between the dive and the proof: the multipliers, built by Polyak
+        steps against the dive's incumbent, the penalized knapsack rows at
+        them, which `_node_bound` adds from then on, and the root's budget
+        cuts at them."""
+        self._build_lagrangian(self.inc.obj)
         self.pen_at = self._build_knapsack(self.lam)
         if self.floors is not None:
             # the search is at the root; each state below it is derived
             # again at the new multipliers
             self.menu_memo.clear()
-            self.rhs, self.lagr_cut, self.pen_cut = self._menu_state(*self.floors)
+            self.rhs, self.pen_cut = self._menu_state(*self.floors)
 
     # -- helpers -------------------------------------------------------
 
@@ -1381,22 +1374,21 @@ class _Search:
 
     def _menu_state(self, floors, total: int) -> tuple:
         """What the bounds read at a node with menu floors `floors` of
-        `total` bytes: the rhs (`_menu_rhs`), the Lagrangian bound's budget
-        cut, and per constraint the penalized bound's, at the multipliers
-        `lam`.  The cut of a bound is its sum over the menu rows of
-        lambda_i times the node's rhs less the budget's LP maximum of that
-        sum over entries at or above the floors, where that is the less
-        (`_budget_fill`); the penalized row of menu i takes the maximum
-        over the other menus, i at its floor, since its own rhs stays in
-        its knapsack.  The penalized cuts are None until `tighten` has
-        built the penalized rows."""
+        `total` bytes: the rhs (`_menu_rhs`) and per constraint the
+        penalized bound's budget cut at the multipliers `lam`.  A cut is
+        the sum over the menu rows of lambda_i times the node's rhs less
+        the budget's LP maximum of that sum over entries at or above the
+        floors, where that is the less (`_budget_fill`); the row of menu i
+        takes the maximum over the other menus, i at its floor, since its
+        own rhs stays in its knapsack, and every other row the maximum
+        over all of them."""
         rhs = self._menu_rhs(floors, total)
         if total > self.m.budget_bytes:
-            return rhs, 0.0, self.no_cut  # no child fits: nothing to bound
+            return rhs, self.no_cut  # no child fits: nothing to bound
         lam = self.lam
         items = self._hull_items(floors, lam, self.m.budget_bytes - total)
         if not items[1]:
-            return rhs, 0.0, self.no_cut  # no menu is priced
+            return rhs, self.no_cut  # no menu is priced
         lam_m = [lam[fit[0]] for fit in self.menu_fit]
         # per menu, lambda_i times what the node's rhs adds to its floor's
         extra = [lam_i * (rhs[ci] - rhs_of[ei])
@@ -1408,14 +1400,11 @@ class _Search:
             over = sum(e for mi, e in enumerate(extra) if mi != skip)
             return max(0.0, over - sum(l * u for l, u in zip(lam_m, up)))
 
-        lagr_cut = cut(None)
-        if not any(self.pen_at):
-            return rhs, lagr_cut, None  # no penalized rows until `tighten`
-        pen_cut = [lagr_cut] * self.ncons
+        pen_cut = [cut(None)] * self.ncons
         for mi, fit in enumerate(self.menu_fit):
             if lam_m[mi]:
                 pen_cut[fit[0]] = cut(mi)
-        return rhs, lagr_cut, pen_cut
+        return rhs, pen_cut
 
     def _child_floors(self, rec: ChoiceCoef) -> tuple:
         """The menu floors and their byte total with `rec` added to the
@@ -1437,20 +1426,6 @@ class _Search:
                 moved[mi] = ei
                 total += sizes[ei] - sizes[floors[mi]]
         return self.floors if moved is None else (tuple(moved), total)
-
-    def _lagr_bound(self, base: float, pos: int, row: list[float]) -> float:
-        """Root Lagrangian relaxation evaluated with the current slacks
-        against the node's rhs, each with the tolerance the capacity check
-        grants, plus the node's budget cut (`_menu_state`): the sum over
-        the menu rows of lambda_i times the rhs is at most J(floors), the
-        budget's LP maximum of it, where that is below the sum at the
-        node's rhs."""
-        b = base + self.lagr_suffix[pos + 1] + self.lagr_cut
-        rhs = self.rhs
-        con_lhs = self.con_lhs
-        for ci, lam in self.lam_active:
-            b -= lam * (rhs[ci] - con_lhs[ci] - row[ci] + TOLERANCE)
-        return b
 
     def _kn_bound(self, table: list[list[tuple]], base: float, pos: int,
                   row: list[float], best: float, thresh: float,
@@ -1599,8 +1574,8 @@ class _Search:
         return out
 
     def _node_bound(self, pos, rec, t_after) -> float | None:
-        """The child's bound, the max of the per-factor, Lagrangian and
-        plain knapsack bounds and, once `tighten` has built `pen_at`, the
+        """The child's bound, the max of the per-factor (suffix) and plain
+        knapsack bounds and, once `tighten` has built `pen_at`, the
         penalized one; None past the threshold `inc.obj + EPS_PRUNE`.
         Within it the max is exact, so comparing it with a later, lower
         threshold is the same test as evaluating it again there."""
@@ -1610,11 +1585,6 @@ class _Search:
         b = base + self.suffix_min[pos + 1]
         if b > thresh:
             return None
-        b2 = self._lagr_bound(base, pos, row)
-        if b2 > b:
-            b = b2
-            if b > thresh:
-                return None
         b = self._kn_bound(self.kn_at, base, pos, row, b, thresh, 0.0, self.no_cut)
         if b > thresh:
             return None
@@ -1638,7 +1608,7 @@ class _Search:
         _b, I, _k, q, rec, t_after = child
         fi = self.order[pos]
         self.saved.append((self.con_lhs, self.static_sum, self.t_cur, self.floors,
-                           self.rhs, self.lagr_cut, self.pen_cut, self.profile))
+                           self.rhs, self.pen_cut, self.profile))
         if self.floors is not None:
             floors = self._child_floors(rec)
             if floors is not self.floors:
@@ -1646,7 +1616,7 @@ class _Search:
                 state = self.menu_memo.get(floors)
                 if state is None:
                     state = self.menu_memo[floors] = self._menu_state(*floors)
-                self.rhs, self.lagr_cut, self.pen_cut = state
+                self.rhs, self.pen_cut = state
         con_lhs = self.con_lhs[:]
         for ci, add in rec.items:
             con_lhs[ci] += add
@@ -1662,7 +1632,7 @@ class _Search:
         """Return from `child` to the node `_apply` saved."""
         _b, I, _k, q, _rec, _t_after = child
         (self.con_lhs, self.static_sum, self.t_cur, self.floors, self.rhs,
-         self.lagr_cut, self.pen_cut, self.profile) = self.saved.pop()
+         self.pen_cut, self.profile) = self.saved.pop()
         self.choice_rec[self.order[pos]] = None
         if q >= 0:
             del self.chains[I][q]

@@ -1187,11 +1187,11 @@ def reference_whole_tails(model, order, ci):
             for idx in range(F + 1)]
 
 
-def reference_lagrangian(sh, upper=None):
+def reference_lagrangian(sh, upper):
     """`_Search._build_lagrangian` without its shortcuts: every record of
     every mirror class priced, the usage summed and the subgradient formed
     at every step, and every multiplier term added and updated.  Sets
-    `lam`, `lam_active` and `lagr_suffix` on `sh`."""
+    `lam` and `lam_active` on `sh`."""
     F = sh.m.F
     ncons = sh.ncons
     con_rhs = sh.con_rhs
@@ -1249,7 +1249,7 @@ def reference_lagrangian(sh, upper=None):
             norm2 = sum([x * x for x in g])
             if norm2 <= 1e-18:
                 break
-            if upper is not None and upper > val:
+            if upper > val:
                 step = beta * (upper - val) / norm2
             else:
                 step = 0.4 * scale / ((1.0 + 0.15 * it) * math.sqrt(norm2))
@@ -1260,17 +1260,30 @@ def reference_lagrangian(sh, upper=None):
     # and the positive ones as (ci, lambda) pairs
     lam = sh.lam = [l if l > 1e-12 else 0.0 for l in best_lam]
     sh.lam_active = [(ci, l) for ci, l in enumerate(lam) if l]
-    lagr_min = []  # per mirror class, from its first member
-    for fi, costs in zip(sh.heads, sh.costs):
+
+
+def reference_lagrangian_bound(sh, base, pos, row, cut, tol):
+    """The Lagrangian relaxation of the capacity constraints at the
+    multipliers `sh.lam`, at a child of depth `pos` whose own terms sum to
+    `base` and whose record adds `row`: base plus each unassigned factor's
+    least cost priced at the multipliers, from its own records, plus
+    `cut`, the budget's cut of J over every menu, less lambda_i times each
+    row's slack against the node's rhs plus `tol`.  The penalized
+    knapsack bound at the same multipliers and cut is at least this, by
+    LP duality."""
+    lagr_min = []
+    for recs, costs in zip(sh.classes, reference_factor_bounds(sh)[0]):
         best = math.inf
-        for rec, t in zip(sh.classes[fi], costs):
+        for rec, t in zip(recs, costs):
             for ci, w in rec.items:
-                if lam[ci]:
-                    t += lam[ci] * w
-            if t < best:
-                best = t
+                if sh.lam[ci]:
+                    t += sh.lam[ci] * w
+            best = min(best, t)
         lagr_min.append(best)
-    sh.lagr_suffix = sh._suffix(lagr_min)
+    b = base + _reference_suffix(sh, lagr_min)[pos + 1] + cut
+    for ci, lam in sh.lam_active:
+        b -= lam * (sh.rhs[ci] - sh.con_lhs[ci] - row[ci] + tol)
+    return b
 
 
 def reference_build_knapsack(sh, costs, lam):
@@ -1347,21 +1360,10 @@ def reference_build_knapsack(sh, costs, lam):
 
 
 def reference_factor_bounds(sh):
-    """The search's costs, `suffix_min` and `lagr_suffix` at its
-    multipliers `sh.lam`, built factor by factor from each factor's own
-    records."""
+    """The search's costs and `suffix_min`, built factor by factor from
+    each factor's own records."""
     costs = [[rec.static + sh.m.w_t * rec.self_t for rec in recs] for recs in sh.classes]
-    lagr_min = []
-    for recs, factor_costs in zip(sh.classes, costs):
-        best = math.inf
-        for rec, t in zip(recs, factor_costs):
-            for ci, w in rec.items:
-                if sh.lam[ci]:
-                    t += sh.lam[ci] * w
-            best = min(best, t)
-        lagr_min.append(best)
-    return (costs, _reference_suffix(sh, [min(c) for c in costs]),
-            _reference_suffix(sh, lagr_min))
+    return costs, _reference_suffix(sh, [min(c) for c in costs])
 
 
 def reference_factor_knapsack(sh, lam):

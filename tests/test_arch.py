@@ -140,6 +140,24 @@ def test_storable_without_capacity_flagged():
     assert any(v.kind == "capacity" and "OA" in v.where for v in problems)
 
 
+def test_capacity_below_one_element_flagged():
+    """A slice that holds less than one element of its tensor is flagged,
+    by name and indices, beside the positive-capacity check; one that
+    holds exactly one element is not."""
+    def arch(oa_bytes):
+        levels = (
+            MemLevel("Register", (64.0, 64.0, oa_bytes), spatial_fanout=4),
+            MemLevel("GlobalBuf", (64.0,) * 3, spatial_fanout=4, is_noc_boundary=True),
+            MemLevel("DRAM", (math.inf,) * 3),
+        )
+        return ArchSpec(levels=levels, B=MemTensorMatrix(rows=((1, 1, 1),) * 3),
+                        precision_bytes=(1, 1, 3))
+
+    assert [(v.kind, v.where, v.slice) for v in validate_arch(arch(2.0))] == [
+        ("capacity", "Register/OA", (0, 2))]
+    assert validate_arch(arch(3.0)) == []
+
+
 def test_repeated_level_name_flagged(simba):
     """Level names key the [matrix_b] rows and the schedule files, so a
     name that two levels share is ambiguous."""

@@ -37,16 +37,16 @@ COUNTS = {
     "suite/tiny": [(10, 2, 1)],
     "suite/tiny.T": [(10, 2, 1)],
     "suite/conv28": [(340, 10, 1)],
-    "suite/deep512": [(1_414, 2, 1)],
-    "suite/wide256": [(1_469, 5, 1)],
-    "stride2/3x3-28-c64-k64": [(3_043, 21, 2)],
-    "stride2/3x3-14-c32-k64": [(476, 12, 2)],
-    "stride2/1x1-28-c64-k128": [(2_600, 73, 2)],
+    "suite/deep512": [(1_440, 3, 1)],
+    "suite/wide256": [(1_396, 4, 1)],
+    "stride2/3x3-28-c64-k64": [(2_991, 20, 2)],
+    "stride2/3x3-14-c32-k64": [(472, 11, 2)],
+    "stride2/1x1-28-c64-k128": [(2_586, 72, 2)],
     "partition/conv28": [(340, 10, 1), (67, 3, 1)],
-    "partition/deep512": [(1_414, 2, 1), (1_054, 6, 1)],
-    "partition/fc": [(421, 14, 1), (326, 5, 1)],
+    "partition/deep512": [(1_440, 3, 1), (1_267, 6, 1)],
+    "partition/fc": [(418, 14, 1), (186, 6, 1)],
     "sweep/conv28": [(242, 7, 1), (340, 10, 1), (158, 4, 1), (158, 4, 1)],
-    "sweep/fc": [(381, 5, 1), (421, 14, 1), (318, 4, 1), (362, 10, 1)],
+    "sweep/fc": [(362, 4, 1), (418, 14, 1), (310, 3, 1), (343, 9, 1)],
     "enumerate/r3s1p2": [],
     "enumerate/r3s1p2-c2": [],
 }

@@ -336,6 +336,27 @@ class TestParsing:
         assert err == f"error: {p}{message}\n"
 
 
+# the Register's output slice holds 2 bytes, less than one 3-byte element
+SUB_ELEMENT_ARCH = TIGHT_IA_ARCH.replace(
+    "name=Register\ncapacity=64,64,64", "name=Register\ncapacity=64,64,2")
+
+
+@pytest.mark.parametrize("command", ["solve", "enumerate"])
+def test_capacity_below_one_element_exits_parse(command, tmp_path, capsys):
+    """An on-chip slice smaller than one element of its tensor is rejected
+    when the arch is loaded, by every command alike, before a model is
+    built or a schedule counted."""
+    arch = tmp_path / "sub.arch"
+    arch.write_text(SUB_ELEMENT_ARCH)
+    layer = tmp_path / "l.layer"
+    layer.write_text("[layer]\nR=1\nS=1\nP=2\nQ=1\nC=2\nK=1\nN=1\n")
+    assert main([command, "--arch", str(arch), "--layer", str(layer)]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: capacity at Register/OA: "
+                   "capacity 2 B is below one 3-byte element\n")
+
+
 def test_second_main_call_still_needs_its_layer(tiny_layer, capsys):
     """`main` builds its parser once per process, and one call's --layer
     does not carry over: a second call without it is still an error."""
@@ -400,7 +421,7 @@ class TestSolveCommand:
 
     def test_stats_sum_the_halo_rounds(self, tmp_path, capsys):
         """The stderr statistics of a solve that needs a second halo round
-        are the totals of both rounds: 139 + 337 nodes, 4 + 8 leaves;
+        are the totals of both rounds: 139 + 333 nodes, 4 + 7 leaves;
         stdout is the benchmark's recorded output for this layer."""
         p = tmp_path / "s2.layer"
         p.write_text("[layer]\nR=3\nS=3\nP=14\nQ=14\nC=32\nK=64\nN=1\nStride=2\n")
@@ -408,7 +429,7 @@ class TestSolveCommand:
         out, err = capsys.readouterr()
         lines = err.splitlines()
         assert lines[0] == "status optimal"
-        assert re.fullmatch(r"nodes 476 leaves 12 wall \d+\.\d{3}s rounds 2",
+        assert re.fullmatch(r"nodes 472 leaves 11 wall \d+\.\d{3}s rounds 2",
                             lines[1]), lines[1]
         expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
         digest = hashlib.sha256(out.encode()).hexdigest()

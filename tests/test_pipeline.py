@@ -112,5 +112,5 @@ def test_halo_loop_reads_slices_by_index(simba):
                for arch in (simba, twin)]
     for result in results:
         assert result.solution.status == "optimal"
-        assert (result.rounds, result.stats.nodes) == (2, 3_043)
+        assert (result.rounds, result.stats.nodes) == (2, 2_991)
     assert results[0].solution.x_assignment == results[1].solution.x_assignment

@@ -31,6 +31,7 @@ from helpers import (
     reference_factor_knapsack,
     reference_kn_gain,
     reference_lagrangian,
+    reference_lagrangian_bound,
     reference_listed_zmax,
     reference_penalized_bound,
     reference_penalized_knapsack,
@@ -264,19 +265,41 @@ def pen_models(simba):
         yield f"seed{seed}", random_instance(seed, max_space=60_000)
 
 
+def lagrangian_cut(sh) -> float:
+    """The budget's cut of J, over every menu, at the node `sh` stands at
+    and the multipliers `sh.lam`: the sum over the menu rows of lambda_i
+    times the node's rhs less the budget's LP maximum of it
+    (`_Search._budget_fill`), or 0.0 where that maximum is no less.  Every
+    row whose multiplier is 0 reads it (`_Search._menu_state`); this is
+    asserted."""
+    cut = 0.0
+    if sh.floors is not None and sh.floors[1] <= sh.m.budget_bytes:
+        floors, total = sh.floors
+        lam_m = [sh.lam[fit[0]] for fit in sh.menu_fit]
+        up = sh._budget_fill(sh._hull_items(floors, sh.lam, sh.m.budget_bytes - total))
+        over = sum(lam_i * (sh.rhs[ci] - rhs_of[ei]) for lam_i, (ci, *_rest, rhs_of), ei
+                   in zip(lam_m, sh.menu_fit, floors))
+        cut = max(0.0, over - sum(lam_i * u for lam_i, u in zip(lam_m, up)))
+    assert all(sh.pen_cut[ci] == cut for ci, lam in enumerate(sh.lam) if not lam)
+    return cut
+
+
 @pytest.mark.parametrize("tol", [0.0, 1e-6])
 def test_penalized_bound_dominates_lagrangian(simba, monkeypatch, tol):
-    """At every root child, the Lagrangian-penalized knapsack bound is a
+    """At every root child, at the multipliers `tighten` builds against
+    the dive's incumbent, the Lagrangian-penalized knapsack bound is a
     number and, by LP duality, at least the Lagrangian bound at the same
-    multipliers; both grant each slack the same tolerance.  The duality
-    holds row by row where both bounds read the same budget cut.  On a
-    model with menus they read different ones: the Lagrangian bound the
-    cut of J, over every menu, and the row of menu i that of J-i, over
-    the others, which need not be the smaller.  So the penalized bound
-    with the Lagrangian cut on every row dominates everywhere, and the
-    penalized bound itself wherever its rows read that cut or one of them
-    is not a menu row, which reads it.  The partition models at the
-    benchmark's budget have positive cuts at the root."""
+    multipliers (`helpers.reference_lagrangian_bound`); both grant each
+    slack the same tolerance.  The duality holds row by row where both
+    bounds read the same budget cut.  On a model with menus they read
+    different ones: the Lagrangian bound the cut of J, over every menu,
+    and the row of menu i that of J-i, over the others, which need not be
+    the smaller.  So the penalized bound with the Lagrangian cut on every
+    row dominates everywhere, and the penalized bound itself wherever its
+    rows read that cut or one of them is not a menu row, which reads it.
+    The incumbent is dropped after `tighten`, so every root child is
+    bounded.  The partition models at the benchmark's budget have positive
+    cuts at the root."""
     monkeypatch.setattr(mipsched.solver, "TOLERANCE", tol)
     models = list(pen_models(simba))
     for name, dims in (("deep512", SUITE_LAYERS["deep512"]), ("fc", FC_LAYER)):
@@ -286,10 +309,14 @@ def test_penalized_bound_dominates_lagrangian(simba, monkeypatch, tol):
     for name, model in models:
         assert model is not None, name
         search = new_search(model)
-        search.tighten()  # no incumbent: the penalized rows at the root's multipliers
+        search.dfs(0, dive=True)
+        assert search.inc.x is not None, name
+        search.tighten()
+        search.inc = _Incumbent()
         if not search.pen_at[1]:
             continue  # no finite constraint carries weight, or F = 1
-        same = [search.lagr_cut] * search.ncons
+        lagr_cut = lagrangian_cut(search)
+        same = [lagr_cut] * search.ncons
         menu_rows = {ci for ci, *_rest in search.menu_fit}
         dominates = (search.pen_cut == same
                      or any(row[0] not in menu_rows for row in search.pen_at[1]))
@@ -306,13 +333,13 @@ def test_penalized_bound_dominates_lagrangian(simba, monkeypatch, tol):
                                    math.inf, refund, search.pen_cut)
             pen_same = search._kn_bound(search.pen_at, base, 0, choice.row, -math.inf,
                                         math.inf, refund, same)
-            lagr = search._lagr_bound(base, 0, choice.row)
+            lagr = reference_lagrangian_bound(search, base, 0, choice.row, lagr_cut, tol)
             assert not math.isnan(pen), name
             assert pen_same >= lagr - 1e-9, (name, choice.cc, pen_same, lagr)
             if dominates:
                 assert pen >= lagr - 1e-9, (name, choice.cc, pen, lagr)
             checked += 1
-            cut += search.lagr_cut > 0.0
+            cut += lagr_cut > 0.0
     assert checked > 0 and cut > 0, (checked, cut)
 
 
@@ -439,13 +466,13 @@ def test_search_counts_pinned(simba):
     assert counts == {
         "tiny": (10, 2),
         "conv28": (340, 10),
-        "deep512": (1_414, 2),
-        "wide256": (1_469, 5),
+        "deep512": (1_440, 3),
+        "wide256": (1_396, 4),
         "conv28-partition": (67, 3),
-        "deep512-partition": (1_054, 6),
-        "fc-partition": (326, 5),
-        "stride2-3x3-14": (2, 337, 8),
-        "stride2-1x1-28": (2, 1_569, 65),
+        "deep512-partition": (1_267, 6),
+        "fc-partition": (186, 6),
+        "stride2-3x3-14": (2, 333, 7),
+        "stride2-1x1-28": (2, 1_548, 65),
         82: ("combined", False, 38, 13),
         101: ("combined", True, 8, 3),
         22: ("traffic", True, 37, 25),
@@ -462,7 +489,7 @@ def test_batch_layer_pinned(simba):
     result = solve_layer(factorize(LayerDims(3, 3, 56, 56, 64, 64, 2),
                                    PaddingPolicy(max_prime=7)), simba)
     stats = result.stats
-    assert (result.rounds, stats.nodes, stats.leaves) == (2, 11_407, 173)
+    assert (result.rounds, stats.nodes, stats.leaves) == (2, 10_989, 173)
     assert result.solution.objective_value == 4.229419688230415
     digest = hashlib.sha256(render(result.schedule).encode()).hexdigest()
     assert digest == "9e1fca3ea08097754604a5786e652121c352ae87257d7616481218fc08a5e6ae"
@@ -472,11 +499,11 @@ def test_bound_tables_pinned(simba):
     """sha256 of the repr of the bound tables on fixed models, so a change
     to how they are built cannot move a single float unnoticed, and of the
     budget's on the models with menus: each menu's `_menu_hull` at the
-    root's floor and the root's rhs and Lagrangian cut; of what `tighten`
-    builds after the dive: the incumbent's objective,
-    the Polyak rebuild's multipliers and `lagr_suffix`, the penalized rows
-    and the root's rhs and cuts at those multipliers; and the symmetry
-    breaking's `prev_same`, which no bound reads, as a list."""
+    root's floor and the root's rhs; of what `tighten` builds after the
+    dive: the incumbent's objective, the Polyak build's multipliers, the
+    penalized rows and the root's rhs and cuts at those multipliers; and
+    the symmetry breaking's `prev_same`, which no bound reads, as a
+    list."""
     models = {
         "conv28": build_model(factorize(SUITE_LAYERS["conv28"]), simba),
         "conv28-partition": build_model(factorize(SUITE_LAYERS["conv28"]), simba,
@@ -492,43 +519,40 @@ def test_bound_tables_pinned(simba):
         prev_same[name] = search.prev_same
         if search.menu_fit:
             hulls = [search._menu_hull(mi, k) for mi, k in enumerate(search.floors[0])]
-            budget = (hulls, search.rhs, search.lagr_cut)
+            budget = (hulls, search.rhs)
             budget_digests[name] = hashlib.sha256(repr(budget).encode()).hexdigest()
         assert not hasattr(search, "__dict__")  # __slots__ keeps attribute reads fast
-        search.pen_at = search._build_knapsack(search.lam)
-        tables = (search.order, search.suffix_min, search.lam_active,
-                  search.lagr_suffix, search.kn_at, search.pen_at)
-        # the Polyak rebuild against the dive's incumbent, and what
-        # `tighten` derives at its multipliers
-        search = new_search(model)
+        tables = (search.order, search.suffix_min, search.kn_at)
+        # the Polyak build against the dive's incumbent, and what `tighten`
+        # derives at its multipliers
         search.dfs(0, dive=True)
         assert search.inc.x is not None
         search.tighten()
-        rebuilt = (search.inc.obj, search.lam_active, search.lagr_suffix,
-                   search.pen_at, search.rhs, search.lagr_cut, search.pen_cut)
+        rebuilt = (search.inc.obj, search.lam_active, search.pen_at, search.rhs,
+                   search.pen_cut)
         polyak_digests[name] = hashlib.sha256(repr(rebuilt).encode()).hexdigest()
         digests[name] = hashlib.sha256(repr(tables).encode()).hexdigest()
     assert digests == {
         "conv28":
-            "2635fd4f47499df893594e6ee3cee5feb189008508af99eaafc27d929c965de6",
+            "4cbe292a7f3e4f2f5b69f7054bbacf16904c13b7561c130e8bda50d743fe1675",
         "conv28-partition":
-            "b91339450c5b0a61ea6e6dbdea7ed6ce206444f1af72697de32b1f0ea83a74e0",
+            "4cbe292a7f3e4f2f5b69f7054bbacf16904c13b7561c130e8bda50d743fe1675",
         22:
-            "e6d7202c8e46a4d6b3d153aaedf39b56131c7efa6068767aa2d3c3225c95e8e8",
+            "351a968f65a371d53b9c51214805a1bd8bd7f0903e29f20f2347277b9ecdab42",
     }
     assert budget_digests == {
         "conv28-partition":
-            "cdc50d252f0912742f96a79418c0c1116c62e9b11b20284ae7fbad3af2c73266",
+            "f3588903b803fd82a3ec4976d980e85f8ec7a37a4cf57c4c3e1fe54945d785ba",
         22:
-            "6af46961649ff5d94b78ba1b5bad33a05da660052385d4f95211b10bf114da98",
+            "d02072b972060f17cbcb335e97210914c6064fa0a970e46d4b0c48031165e0e5",
     }
     assert polyak_digests == {
         "conv28":
-            "7666a90adb39f2cb92362f9a185512ddf82db4f2d27afe2440a5414373425474",
+            "0dfc5ed2b4b223a5b243ed2dd85ada86202b7b12326f0ac4c1190cb7ad74fd47",
         "conv28-partition":
-            "68aae34a59a6ee5d836644feaa1cde26e6d15904c6e18614a95dd3b705fbc2a2",
+            "36fdb2edbd3de0e4bccc01b975ea413fe2ad03772bfa926887463930b8d6e9d2",
         22:
-            "b61a7deff9dba69e0be3ca183ccb1e7a148e2a7f776092b4f05ded19b67e6d1c",
+            "ea3c46cf24371951a8a4cd2c2b382857658b32ef1a53e7d994d8acf1170bc80d",
     }
     # conv28 is R3 S3, P 2 2 7, Q 2 2 7, C 2 2 2, K 2 2, N 3 in factor
     # order: Q's first 2 (factor 5) follows P's last (3), Q's 7 (7) P's 7
@@ -638,7 +662,8 @@ def test_knapsack_bounds_match_reference(simba, monkeypatch):
 
 def test_gain_tables_are_exact(simba, monkeypatch):
     """Every entry of every whole-tail row's gain table, in the plain and
-    the penalized tables, is the bisect path's gain at that whole
+    the penalized tables, the latter at the multipliers `tighten` builds
+    after the dive, is the bisect path's gain at that whole
     capacity, bit for bit; and `_kn_bound` on such a row is the bisect
     path at the rounded-down slack, just below, at and between whole
     slacks and past the table's end.  The tables do not read the
@@ -654,9 +679,12 @@ def test_gain_tables_are_exact(simba, monkeypatch):
             models[seed] = model
     tables = entries = 0
     searches = {name: new_search(model) for name, model in models.items()}
+    for search in searches.values():
+        search.dfs(0, dive=True)
+        if search.inc.x is not None:
+            search.tighten()
     monkeypatch.setattr(mipsched.solver, "TOLERANCE", 0.0)
     for name, search in searches.items():
-        search.pen_at = search._build_knapsack(search.lam)
         for table in (search.kn_at, search.pen_at):
             for rows in table:
                 for _ci, lam_i, gains, cost0, cw, cg, dens in rows:
@@ -896,7 +924,7 @@ def test_stored_bound_decides_as_a_fresh_one(simba, monkeypatch):
         walking[:] = [False, True]
 
     cases = [build_model(factorize(SUITE_LAYERS[name]), simba)
-             for name in ("conv28", "wide256")]
+             for name in ("conv28", "wide256", "deep512")]
     cases.append(build_model(factorize(SUITE_LAYERS["conv28"]), simba,
                              partition=PartitionSpec(budget_bytes=306367)))
     cases += [random_instance(seed, max_space=60_000) for seed in range(100)]
@@ -1200,7 +1228,7 @@ def test_tightened_rhs_is_sound(monkeypatch):
         return rhs
 
     models = moved = leaves = tighter_excess = 0
-    for seed in range(700):
+    for seed in range(1500):
         model = binding_partition_instance(seed)
         if model is None:
             continue
@@ -1243,40 +1271,42 @@ def assert_budget_cuts_admissible(sh, state, lam_m, memo) -> tuple[int, int]:
     against `budget_max`, kept in `memo` for the model `sh` solves;
     returns (1 if the Lagrangian cut is positive, the count of positive
     cuts of menu rows)."""
-    rhs, lagr_cut, pen_cut = state
+    rhs, pen_cut = state
     floors = sh.floors[0]
     menu_cis = [ci for ci, *_rest in sh.menu_fit]
     total = sum(lam_i * rhs[ci] for lam_i, ci in zip(lam_m, menu_cis))
+    # every row but the menu rows at a positive multiplier reads one cut,
+    # the Lagrangian one, of J over every menu
+    active = {ci for lam_i, ci in zip(lam_m, menu_cis) if lam_i}
+    lagr_cuts = {cut for ci, cut in enumerate(pen_cut) if ci not in active}
+    assert len(lagr_cuts) <= 1, lagr_cuts
     positive = 0
     for mi in (None, *range(len(floors))):
-        if mi is not None and (not lam_m[mi] or pen_cut is None):
+        if (mi is None and not lagr_cuts) or (mi is not None and not lam_m[mi]):
             continue
         key = (floors, lam_m, mi)
         if key not in memo:
             memo[key] = budget_max(sh, floors, lam_m, mi)
         if mi is None:
-            bound, cut = total - memo[key], lagr_cut
+            bound, cut = total - memo[key], min(lagr_cuts)
         else:
             ci = menu_cis[mi]
             bound, cut = total - lam_m[mi] * rhs[ci] - memo[key], pen_cut[ci]
             positive += cut > 0.0
         assert cut <= max(0.0, bound) + 1e-9, (mi, cut, bound)
-    if pen_cut is not None:
-        active = {ci for lam_i, ci in zip(lam_m, menu_cis) if lam_i}
-        assert all(cut == lagr_cut for ci, cut in enumerate(pen_cut)
-                   if ci not in active)
-    return int(lagr_cut > 0.0), positive
+    return int(any(cut > 0.0 for cut in lagr_cuts)), positive
 
 
 def test_budget_cuts_are_admissible(monkeypatch):
-    """At every node a solve expands, the budget's cut of the Lagrangian
-    bound is at most the node's sum over the menu rows of lambda_i times
-    its rhs less the integer maximum of that sum over the menu selections
-    at or above the node's floors within the budget (`budget_max`), or 0
-    where that maximum is no less; and the cut of the penalized row of
-    menu i at most the same with i held at its floor and left out of the
-    sum.  So the LP maxima J and J-i the cuts come from are at least the
-    integer ones, and every other row takes the Lagrangian cut.  Checked
+    """At every node a solve expands, the budget's Lagrangian cut, the one
+    the penalized bound's every row but the priced menu rows reads, is at
+    most the node's sum over the menu rows of lambda_i times its rhs less
+    the integer maximum of that sum over the menu selections at or above
+    the node's floors within the budget (`budget_max`), or 0 where that
+    maximum is no less; and the cut of the penalized row of menu i at most
+    the same with i held at its floor and left out of the sum.  So the LP
+    maxima J and J-i the cuts come from are at least the integer ones.
+    Checked
     on partition models whose budget binds, menus of 4 to 32 elements, at
     the solve's multipliers, where menu rows are rarely priced, and at
     drawn positive multipliers on every menu row, where the menus compete
@@ -1293,7 +1323,7 @@ def test_budget_cuts_are_admissible(monkeypatch):
             solving[0] = sh.m
         menu_cis = [ci for ci, *_rest in sh.menu_fit]
         lam_m = tuple(sh.lam[ci] for ci in menu_cis)
-        state = (sh.rhs, sh.lagr_cut, sh.pen_cut)
+        state = (sh.rhs, sh.pen_cut)
         assert_budget_cuts_admissible(sh, state, lam_m, memo)
         drawn = tuple(rng.choice([0.25, 0.5, 1.0, 2.0]) for _ in lam_m)
         held = sh.lam
@@ -1365,9 +1395,8 @@ def benchmark_models(simba):
 
 def test_mirror_class_tables_match_the_factor_build(simba):
     """The bound tables built once per mirror class equal the factor by
-    factor build, by repr: each factor's mirror class's costs, and
-    `suffix_min` and `lagr_suffix` (`helpers.reference_factor_bounds`)
-    at the root and after `tighten`; and the knapsack rows
+    factor build, by repr: each factor's mirror class's costs and
+    `suffix_min` (`helpers.reference_factor_bounds`); and the knapsack rows
     (`helpers.reference_factor_knapsack`, which re-sorts the pool and
     re-sums it from the start at every depth) at lam = 0 and at
     `tighten`'s multipliers.  On the benchmark's solver models, the
@@ -1379,13 +1408,11 @@ def test_mirror_class_tables_match_the_factor_build(simba):
     for model in models:
         sh = new_search(model)
         costs = [sh.costs[mc] for mc in sh.mirror_of]
-        assert repr((costs, sh.suffix_min, sh.lagr_suffix)) == repr(
-            reference_factor_bounds(sh))
+        assert repr((costs, sh.suffix_min)) == repr(reference_factor_bounds(sh))
         assert repr(sh.kn_at) == repr(reference_factor_knapsack(sh, [0.0] * sh.ncons))
         sh.dfs(0, dive=True)
         if sh.inc.x is not None:
             sh.tighten()
-            assert repr(sh.lagr_suffix) == repr(reference_factor_bounds(sh)[2])
             assert repr(sh.pen_at) == repr(reference_factor_knapsack(sh, sh.lam))
             priced += bool(sh.lam_active) and any(sh.pen_at)
     assert len(models) > 100 and priced > 40, (len(models), priced)
@@ -1402,23 +1429,22 @@ def test_lagrangian_matches_the_reference(simba):
     """The subgradient loop, which drops dominated records, keeps the
     subgradient per pick vector and skips the terms that add 0.0, moves no
     float against `helpers.reference_lagrangian`, which does every step in
-    full: by repr, `lam`, `lam_active` and `lagr_suffix` at the root, and
-    after the dive and `tighten` (the Polyak rebuild against the dive's
-    incumbent) the same and the rhs and the penalized cuts at those
-    multipliers.  On the benchmark's solver models and the seeded draws of
-    `random_instance` and `square_instance`."""
+    full: by repr, after the dive and `tighten` (the Polyak build against
+    the dive's incumbent), `lam` and `lam_active` and the rhs and the
+    penalized cuts at those multipliers.  On the benchmark's solver models
+    and the seeded draws of `random_instance` and `square_instance`."""
     models = benchmark_models(simba)
     models += [model for draw in (random_instance, square_instance)
                for model in map(draw, range(400)) if model is not None]
-    state = lambda sh: repr((sh.lam, sh.lam_active, sh.lagr_suffix))
+    state = lambda sh: repr((sh.lam, sh.lam_active, sh.rhs, sh.pen_cut))
     rebuilt = budgeted = 0
     for model in models:
         sh, ref = (cls(model, _Incumbent(), math.inf) for cls in (_Search, _ReferenceSearch))
-        assert state(sh) == state(ref)
         for search in (sh, ref):
             search.dfs(0, dive=True)
-            search.tighten()
-        assert state(sh) + repr((sh.rhs, sh.pen_cut)) == state(ref) + repr((ref.rhs, ref.pen_cut))
+            if search.inc.x is not None:
+                search.tighten()
+        assert state(sh) == state(ref)
         rebuilt += sh.inc.x is not None and bool(sh.lam_active)
         budgeted += sh.floors is not None and sh.floors[1] <= model.budget_bytes
     assert len(models) > 300 and rebuilt > 100 and budgeted > 25, (len(models), rebuilt, budgeted)
@@ -1810,7 +1836,7 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
     # stride-2 layer)
     assert canonicalized == {
         "conv28": (10, 66),
-        "stride2-3x3-14": (8, 48),
+        "stride2-3x3-14": (7, 41),
     }
 
 
