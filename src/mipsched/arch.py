@@ -109,15 +109,12 @@ class MemLevel:
     ``capacity_bytes[v]`` is the slice available to tensor v (``inf`` =
     unbounded, mandatory at the outermost level).  ``spatial_fanout`` > 1
     means loops may be bound to parallel resources at this level.
-    ``allowed_spatial_dims`` optionally restricts which dimensions may map
-    spatially here (None = all).
     """
 
     name: str
     capacity_bytes: tuple[float, float, float]
     spatial_fanout: int = 1
     is_noc_boundary: bool = False
-    allowed_spatial_dims: frozenset[int] | None = None
 
     def __post_init__(self):
         if self.spatial_fanout < 1:
@@ -126,9 +123,9 @@ class MemLevel:
             raise ValueError(f"{self.name}: need one capacity per tensor")
 
     def spatial_allowed(self, j: int) -> bool:
-        if self.spatial_fanout <= 1:
-            return False
-        return self.allowed_spatial_dims is None or j in self.allowed_spatial_dims
+        """Whether dimension j may map spatially here: every dimension may
+        at a level with fanout > 1, and none at one without."""
+        return self.spatial_fanout > 1
 
 
 @dataclass(frozen=True)

@@ -373,9 +373,11 @@ def solve_layer(
             old = pads.get((level, tensor), 0.0)
             observed = math.log2(halo_tile / plain_tile) if plain_tile else 0.0
             # at least one element of tightening per round, more when the
-            # observed window inflation is larger
+            # observed window inflation is larger; at most the whole slice,
+            # which leaves a one-element plain tile, whose window is one
+            # element too
             step = math.log2(cap / (cap - 1)) if cap > 1 else 0.5
-            pads[(level, tensor)] = max(old + step, observed)
+            pads[(level, tensor)] = min(max(old + step, observed), math.log2(cap))
 
 
 def arch_with_partition(arch: ArchSpec, model: MipModel, solution: Solution) -> ArchSpec:

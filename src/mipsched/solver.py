@@ -40,8 +40,8 @@ and chain places moves no row, objective term or chain trigger.
 Identical factors (one dimension, one prime) mirror each other, and so
 do, on an arch that treats the dimensions alike, R's 3 and S's 3 of a
 3x3 layer, P's 2s and Q's 2s whether or not P = Q, or N's 2s and P's.
-Unequal rows or spatial limits keep two dimensions apart; pads sit in
-the rhs and do not.  A mirror class is a union of identical classes, and
+Unequal rows keep two dimensions apart; pads sit in the rhs and do
+not.  A mirror class is a union of identical classes, and
 `_Search._branch_order` keeps each one contiguous: its members, a run,
 take consecutive depths.  In branch order each member of a run takes a
 class whose `rep` is at or below the previous member's, and a chained
@@ -81,11 +81,8 @@ compute it:
   is.  Mirrored factors share their log-factor and their triggers at
   every level, and the traffic walk reads nothing else of a factor, so
   the image's walk total is its leaf's, bit for bit, and is walked once
-  per leaf.  The objective's static sum is a left fold in factor order;
-  up to the image's first moved factor it adds the leaf's values, so it
-  equals the leaf's prefix sum there, and it resumes from that prefix
-  sum over the image's own values.  The leaf, which moves no factor,
-  takes its whole prefix sum.
+  per leaf.  The objective's static sum is the image's own left fold,
+  in factor order from 0.0, the fold the uncut search takes.
 - Its key is `lex_key` of its `canonical_assignment`, one pass from
   factor 0 over the image's slots.
 - An image above the incumbent's objective is rejected on it, with no
@@ -143,10 +140,9 @@ it:
   other depths, from the same prefix.  Its capacity verdict and menus
   are then the leaf's.  Level I is below the NoC, so no chain moves and
   the traffic walk is the leaf's.
-- Its objective is its own factor-order fold, resumed from the leaf's
-  prefix sum at its first switched factor (`_Leaf.deal`) and closed with
-  the leaf's traffic total, and its key is its own canonical pass, run
-  only for an image at or below the incumbent's objective.
+- Its objective is its own factor-order fold, closed with the leaf's
+  traffic total, and its key is its own canonical pass, run only for an
+  image at or below the incumbent's objective.
 
 Its static sum equals the leaf's in value only: the pair sums agree
 float for float, but the fold rounds other partial sums.  So the L0/L*
@@ -204,8 +200,8 @@ of it is already in i's knapsack.  A row that is no menu row takes the
 cut of J over every menu.  The cuts, like the rhs, are a function of
 the floors and the multipliers, kept once per distinct floors and
 carried in the path state.  Until `tighten` the multipliers are 0, so
-no menu is priced and no row is cut; `tighten`, which moves the
-multipliers, derives the cuts again.  The multipliers see the budget
+no menu is priced and no row is cut; `tighten`, once it moves a
+multiplier, derives the cuts again.  The multipliers see the budget
 too: each step of `_build_lagrangian` prices a menu row at its menu's
 rhs in the LP selection at that step's multipliers, from the root's
 floors, with a menu at a zero multiplier at its floor.  Any multipliers
@@ -294,12 +290,9 @@ costs and knapsack hulls once per mirror class, from
 its first member.  It is exact: the members' records are equal field
 for field (`_Search._mirrored`), and `_suffix` adds each factor's
 mirror-class value in branch order, the values and order it added when
-each factor had its own.  The knapsack rows' cumulative sums are kept
-from one depth to the next and extended only past the first sorted
-position that the new depth's segments take, so every entry is the same
-sum of the same values in the same order (`_Search._build_knapsack`).
-The leaf re-check reads each concrete choice's own record, never its
-class's, so a grouping error cannot hide from it.
+each factor had its own.  The leaf re-check reads each concrete
+choice's own record, never its class's, so a grouping error cannot hide
+from it.
 """
 
 from __future__ import annotations
@@ -597,33 +590,27 @@ class _Incumbent:
 class _Leaf:
     """A leaf as `_Search._decide` decides it, its deals and their images:
     its class records, chains and menus, the records' static objectives
-    with their prefix sums (`pres[i]` the left fold of the first i) and
-    the traffic walk's total; and, once one of its images is
+    and the traffic walk's total; and, once one of its images is
     canonicalized, its slots, per factor its choice class and chain place
-    or None.  Prefix sums `pres` given up to a factor are kept, and the
-    fold resumes from the last of them."""
+    or None."""
 
-    __slots__ = ("recs", "chains", "menu_sel", "statics", "pres", "traffic", "_slots")
+    __slots__ = ("recs", "chains", "menu_sel", "statics", "traffic", "_slots")
 
-    def __init__(self, recs, chains, menu_sel, traffic, pres=(0.0,)):
+    def __init__(self, recs, chains, menu_sel, traffic):
         self.recs = recs
         self.chains = chains
         self.menu_sel = menu_sel
         self.statics = [rec.static for rec in recs]
-        self.pres = [*pres[:-1], *itertools.accumulate(
-            self.statics[len(pres) - 1:], add, initial=pres[-1])]
         self.traffic = traffic
         self._slots = None
 
     def deal(self, switches: list[tuple[int, ChoiceCoef]]) -> "_Leaf":
         """The leaf's deal that gives each factor of `switches` its record
-        there: the leaf's chains, menus and traffic total, and its prefix
-        sums up to the first switched factor."""
+        there, with the leaf's chains, menus and traffic total."""
         recs = self.recs[:]
         for fi, rec in switches:
             recs[fi] = rec
-        first = min(fi for fi, _rec in switches)
-        return _Leaf(recs, self.chains, self.menu_sel, self.traffic, self.pres[:first + 1])
+        return _Leaf(recs, self.chains, self.menu_sel, self.traffic)
 
     @property
     def slots(self) -> list[tuple]:
@@ -980,12 +967,10 @@ class _Search:
         first member: its cheapest zero-weight cost, hull segments, their
         weight and wholeness read only its records and costs, which equal
         every member's field for field (`_mirrored`).  Each depth adds one
-        factor's segments to the pool, sorted by (-density, depth, weight);
-        its depth is the least in the pool, so the pool's entries before
-        the first position a new segment takes keep their order, and the
-        cumulative sums up to there are the previous depth's, the same
-        values added in the same order.  They are kept, copied, and
-        extended from that position only."""
+        factor's segments to the pool, sorted by (-density, depth, weight),
+        and sums the cumulative weights and gains over the whole sorted
+        pool; a depth that adds none keeps the previous depth's sums.  Each
+        whole depth builds its own gain table."""
         F = self.m.F
         mirror_of = self.mirror_of
         heads = self.heads
@@ -1045,24 +1030,20 @@ class _Search:
             pool: list[tuple[float, int, float]] = []
             cw, cg, dens = [0.0], [0.0], []
             whole = True
-            gains = None
             for idx in range(F - 1, 0, -1):
                 mc = mirror_of[self.order[idx]]
                 whole = whole and whole_of[mc]
-                new = [(-d, idx, w) for d, w in segs_of[mc]]
-                if new:
-                    at = bisect_left(pool, min(new))
-                    pool += new
+                if segs_of[mc]:
+                    pool += [(-d, idx, w) for d, w in segs_of[mc]]
                     pool.sort()
-                    cw, cg, dens = cw[:at + 1], cg[:at + 1], dens[:at]
-                    for neg, _i, dw in pool[at:]:
+                    cw, cg, dens = [0.0], [0.0], []
+                    for neg, _i, dw in pool:
                         density = -neg
                         cw.append(cw[-1] + dw)
                         cg.append(cg[-1] + density * dw)
                         dens.append(density)
-                if not whole:
-                    gains = None
-                elif new or gains is None:  # else cw and its table are kept
+                gains = None
+                if whole:
                     # capacity k's segment is bisect_left(cw, k, 1) - 1;
                     # k ascends, so it is walked forward instead
                     gains = []
@@ -1097,14 +1078,11 @@ class _Search:
         A step computes only what can change, every float as a full step
         does.  Rows and multipliers are non-negative and float + and * are
         monotone, so a price, the left fold of a record's cost and terms in
-        row order, is at least the cost, and at least the price of an
-        earlier record that dominates it (costs no more, and weighs no more
-        on each row it weighs on): that record, dropped once per build, is
-        never the first strict minimum, and a record costing no less than
-        the best price so far is not priced.  The usage, and without a
-        budget g and its norm, are kept per pick vector.  A zero multiplier
-        adds no rhs term and stays 0.0 unless its g entry is positive
-        (every step is positive).
+        row order, is at least the cost, and a record costing no less than
+        the best price so far is not priced.  The usage is kept per pick
+        vector; g and its norm are taken against that step's rhs.  A zero
+        multiplier adds no rhs term and stays 0.0 unless its g entry is
+        positive (every step is positive).
 
         The ascent stops at a fixed point, a step that leaves every
         multiplier bit-identical.  Every later step would price the same
@@ -1124,23 +1102,17 @@ class _Search:
         best_val = -INF
         if F and finite:
             # per mirror class, in number order, its first member's records
-            # as (cost, rows with a finite rhs, position), less each one that
-            # an earlier one dominates
+            # as (cost, rows with a finite rhs, position)
             mirror_of = self.mirror_of
-            per_class = []
-            for fi, costs in zip(self.heads, self.costs):
-                options = []
-                for rec, cost in zip(self.classes[fi], costs):
-                    ws = [(ci, w) for ci, w in rec.items if not math.isinf(con_rhs[ci])]
-                    weights = dict(ws)
-                    if not any(c <= cost and all(weights.get(ci, -INF) >= w for ci, w in kept)
-                               for c, kept, _k in options):
-                        options.append((cost, ws, len(options)))
-                per_class.append(options)
+            per_class = [
+                [(cost, [(ci, w) for ci, w in rec.items if not math.isinf(con_rhs[ci])], k)
+                 for k, (rec, cost) in enumerate(zip(self.classes[fi], costs))]
+                for fi, costs in zip(self.heads, self.costs)
+            ]
             scale = max(abs(x) for x in [min(costs) for costs in self.costs] + [1.0])
             beta = 1.2
             stall = 0
-            seen: dict[tuple, tuple] = {}  # pick vector -> (usage, g, norm2) at `con_rhs`
+            seen: dict[tuple, list[float]] = {}  # pick vector -> its usage
             for it in range(LAGRANGIAN_ITERS):
                 prices, picks = [], []
                 for options in per_class:
@@ -1158,19 +1130,15 @@ class _Search:
                 for mc in mirror_of:
                     val += prices[mc]
                 key = tuple(picks)
-                hit = seen.get(key)
-                if hit is None:
-                    usage = [0.0] * ncons
+                usage = seen.get(key)
+                if usage is None:
+                    usage = seen[key] = [0.0] * ncons
                     for mc in mirror_of:
                         for ci, w in per_class[mc][picks[mc]][1]:
                             usage[ci] += w
-                    g = [usage[ci] - con_rhs[ci] for ci in finite]
-                    hit = seen[key] = usage, g, sum([x * x for x in g])
-                usage, g, norm2 = hit
                 rhs = self._budget_rhs(lam) if budgeted else con_rhs
-                if budgeted:  # the rhs moves with the multipliers
-                    g = [usage[ci] - rhs[ci] for ci in finite]
-                    norm2 = sum([x * x for x in g])
+                g = [usage[ci] - rhs[ci] for ci in finite]
+                norm2 = sum([x * x for x in g])
                 for ci in finite:
                     if lam[ci]:
                         val -= lam[ci] * rhs[ci]
@@ -1212,8 +1180,12 @@ class _Search:
         """Between the dive and the proof: the multipliers, built by Polyak
         steps against the dive's incumbent, the penalized knapsack rows at
         them, which `_node_bound` adds from then on, and the root's budget
-        cuts at them."""
+        cuts at them.  When every multiplier is 0 the penalized bound is
+        the plain one, with no refund and no cut, so its rows stay empty
+        and the menu states derived so far stand."""
         self._build_lagrangian(self.inc.obj)
+        if not self.lam_active:
+            return
         self.pen_at = self._build_knapsack(self.lam)
         if self.floors is not None:
             # the search is at the root; each state below it is derived
@@ -1683,9 +1655,9 @@ class _Search:
         on every constraint; so its branch-order fold of the buffer sums
         adds the same values as its leaf's at every depth, and its sums,
         capacity verdict and menus are the leaf's, bit for bit.  Its
-        objective comes from the leaf's static prefix sums and traffic
-        walk (`_Leaf.deal`, `_image_objectives`), and only an image at or
-        below the incumbent's objective is offered (`_offer`)."""
+        objective is its own static fold closed with the leaf's traffic
+        walk (`_image_objectives`), and only an image at or below the
+        incumbent's objective is offered (`_offer`)."""
         leaf = _Leaf(recs, chains, menu_sel, self.m.chain_traffic(chains))
         accepted = False
         for deal in [leaf, *map(leaf.deal, self._deals(recs))]:
@@ -1750,14 +1722,13 @@ class _Search:
         deal([])
         return out
 
-    def _images(self, recs: list[ChoiceCoef]) -> list[tuple]:
+    def _images(self, recs: list[ChoiceCoef]) -> list:
         """The images of the leaf of records `recs`: the leaf itself, then
         one per combination of its mirror runs' `_slot_maps` but the leaf's
         own, in the order of `itertools.product` over the runs, kept in
-        `image_memo` per slot pattern.  Each is (first, gather): `first`,
-        its first moved factor, F for the leaf itself; and `gather`, which
-        reads the image's values from `first` on, each member's its
-        source's, off a list of the leaf's, one per factor."""
+        `image_memo` per slot pattern.  Each is a `_gather` that reads the
+        image's values, each member's its source's, off a list of the
+        leaf's, one per factor; the leaf's own reads each factor's."""
         pattern = tuple([not recs[a].chained and recs[a].rep == recs[b].rep
                          for a, b in self.run_pairs])
         images = self.image_memo.get(pattern)
@@ -1767,31 +1738,28 @@ class _Search:
         for run in self.mirrors:
             per_run.append([None, *self._slot_maps(run, pattern[at:at + len(run) - 1])])
             at += len(run) - 1
-        images = self.image_memo[pattern] = [(self.m.F, _gather([]))]
+        F = self.m.F
+        images = self.image_memo[pattern] = [_gather(list(range(F)))]
         for combo in itertools.islice(itertools.product(*per_run), 1, None):
-            moves = [move for maps in combo if maps for move in maps]
-            first = min(fi for fi, _src in moves)
-            index = list(range(first, self.m.F))
-            for fi, src in moves:
-                index[fi - first] = src
-            images.append((first, _gather(index)))
+            index = list(range(F))
+            for maps in combo:
+                for fi, src in maps or ():
+                    index[fi] = src
+            images.append(_gather(index))
         return images
 
-    def _image_objectives(self, leaf: "_Leaf", images: list[tuple]) -> list[float]:
-        """Each image's exact objective, closed by `MipModel.objective_close`.
+    def _image_objectives(self, leaf: "_Leaf", images: list) -> list[float]:
+        """Each image's exact objective: its static values folded left in
+        factor order from 0.0, closed by `MipModel.objective_close`.
         Mirrored factors share their log-factor and their triggers at every
         level, and the traffic walk reads nothing else of a factor, so an
-        image's walk total is the leaf's, bit for bit.  Its static sum adds
-        the leaf's values up to its first moved factor, in factor order, and
-        so equals the leaf's prefix sum there; it resumes from it over the
-        image's values from that factor on.  The leaf itself moves none: its
-        sum is the leaf's whole fold."""
+        image's walk total is the leaf's, bit for bit.  `reduce`, not
+        `sum`, which compensates its rounding on Python 3.12 and later."""
         close = self.m.objective_close
-        statics, pre, traffic = leaf.statics, leaf.pres, leaf.traffic
-        return [close(reduce(add, gather(statics), pre[first]), traffic)
-                for first, gather in images]
+        statics, traffic = leaf.statics, leaf.traffic
+        return [close(reduce(add, gather(statics), 0.0), traffic) for gather in images]
 
-    def _offer(self, leaf: "_Leaf", obj: float, image: tuple) -> bool:
+    def _offer(self, leaf: "_Leaf", obj: float, image) -> bool:
         """Offer the image `image` (`_images`) of `leaf` at objective `obj`,
         at most the incumbent's, to the incumbent: the key of its canonical
         assignment, from the image's slots, the leaf's with each member's
@@ -1801,10 +1769,7 @@ class _Search:
         inc = self.inc
         self.canonicalized += 1
         bound = inc.key if obj == inc.obj else None
-        first, gather = image
-        slots = leaf.slots
-        x = canonical_assignment(m, [*slots[:first], *gather(slots)], leaf.chains, self,
-                                 bound)
+        x = canonical_assignment(m, image(leaf.slots), leaf.chains, self, bound)
         if x is None:
             return False
         key = m.lex_key(x, leaf.menu_sel)
@@ -1964,8 +1929,9 @@ def _gather(index: list[int]):
 def _root_witness(m: MipModel) -> tuple[str, ...] | None:
     """Best-effort irreducible cause when no feasible leaf exists, each
     constraint named once.  It scans each class's dense row: a capacity
-    pad above the capacity makes rhs < 0, and then a zero contribution
-    already violates."""
+    pad above the capacity, which only `build_model` given such a pad
+    builds (the halo loop caps its pads at the capacity), makes rhs < 0,
+    and then a zero contribution already violates."""
     names: dict[str, None] = {}  # ordered set
     for recs in m.classes:
         blocking = set()

@@ -11,6 +11,7 @@ from mipsched.arch import (
     log2_capacity,
     validate_arch,
 )
+from mipsched.workload import NUM_DIMS
 
 # the canonical dimension/tensor relation, row by row
 EXPECTED_A = {
@@ -182,8 +183,9 @@ def test_bounded_backing_store_flagged():
     assert any(v.kind == "backing-store" for v in validate_arch(arch))
 
 
-def test_spatial_dim_restriction():
-    lvl = MemLevel("A", (64.0,) * 3, spatial_fanout=4, allowed_spatial_dims=frozenset({4, 5}))
-    assert lvl.spatial_allowed(4) and lvl.spatial_allowed(5)
-    assert not lvl.spatial_allowed(0)
-    assert not MemLevel("B", (64.0,) * 3).spatial_allowed(4)  # fanout 1
+def test_spatial_binding_needs_fanout():
+    """Every dimension may map spatially at a level with fanout > 1, and
+    none at a level without."""
+    assert all(MemLevel("A", (64.0,) * 3, spatial_fanout=4).spatial_allowed(j)
+               for j in range(NUM_DIMS))
+    assert not any(MemLevel("B", (64.0,) * 3).spatial_allowed(j) for j in range(NUM_DIMS))

@@ -435,6 +435,16 @@ class TestSolveCommand:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == expected["stride2/3x3-14-c32-k64"]["sha256"]
 
+    def test_pad_past_the_buffer_still_solves(self, tmp_path, capsys):
+        """A stride-100 layer whose input window outgrows InputBuf's IA
+        slice solves (exit 0), and its schedule evaluates."""
+        layer = tmp_path / "s100.layer"
+        layer.write_text("[layer]\nR=3\nS=3\nP=13\nQ=13\nC=4\nK=4\nN=1\nStride=100\n")
+        out = tmp_path / "s100.sched"
+        assert main(["solve", "--layer", str(layer), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err.splitlines()[0] == "status optimal"
+        assert main(["evaluate", "--schedule", str(out)]) == EXIT_OK
+
     def test_malformed_layer_exits_parse(self, tmp_path, capsys):
         p = tmp_path / "bad.layer"
         p.write_text("[layer]\nR=three\n")

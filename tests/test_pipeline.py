@@ -114,3 +114,17 @@ def test_halo_loop_reads_slices_by_index(simba):
         assert result.solution.status == "optimal"
         assert (result.rounds, result.stats.nodes) == (2, 2_991)
     assert results[0].solution.x_assignment == results[1].solution.x_assignment
+
+
+def test_pad_stops_at_its_slice(simba):
+    """At stride 100 the first round's input window at InputBuf spans
+    2^13.08 elements, more than the whole 8,192-element IA slice.  Its pad
+    stops at log2 of the slice, where a one-element plain tile, whose
+    window is one element, still fits: the layer solves in two rounds and
+    validates with halo, where the uncapped pad left no rhs to fit."""
+    pf = factorize(LayerDims(3, 3, 13, 13, 4, 4, 1, stride=100))
+    result = solve_layer(pf, simba, deadline=time.perf_counter() + 60)
+    assert result.solution.status == "optimal" and result.rounds == 2
+    ib = next(I for I, level in enumerate(simba.levels) if level.name == "InputBuf")
+    assert result.pads[(ib, 1)] == math.log2(simba.capacity_elements(ib, 1))
+    assert validate(result.schedule, simba, halo=True) == []

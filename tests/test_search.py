@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -428,14 +427,8 @@ def test_enumerate_best_without_a_valid_schedule():
 
 def _walk_instances():
     """Seeded random layers of at most five factors, at stride 1 and 2, on
-    the toy architectures, one of them with a level that maps only C and K
-    spatially; and the all-ones layer on each."""
-    toy3 = toy_three_level()
-    restricted = dataclasses.replace(toy3, levels=(
-        dataclasses.replace(toy3.levels[0], allowed_spatial_dims=frozenset({4, 5})),
-        *toy3.levels[1:],
-    ))
-    archs = [toy_two_level(fanout=4, cap=16.0), toy3, restricted, tight_ia_arch()]
+    the toy architectures; and the all-ones layer on each."""
+    archs = [toy_two_level(fanout=4, cap=16.0), toy_three_level(), tight_ia_arch()]
     out = [(arch, LayerDims(1, 1, 1, 1, 1, 1, 1)) for arch in archs]
     rng = random.Random(0)
     while len(out) < 40:

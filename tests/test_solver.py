@@ -42,7 +42,7 @@ from helpers import (
     square_instance,
     toy_two_level,
 )
-from mipsched.arch import ArchSpec, MemLevel, MemTensorMatrix
+from mipsched.arch import ArchSpec, MemLevel, MemTensorMatrix, TensorDimMatrix
 from mipsched.cli import solve_layer
 from mipsched.formulation import (
     SPATIAL,
@@ -1399,9 +1399,9 @@ def test_mirror_class_tables_match_the_factor_build(simba):
     `suffix_min` (`helpers.reference_factor_bounds`); and the knapsack rows
     (`helpers.reference_factor_knapsack`, which re-sorts the pool and
     re-sums it from the start at every depth) at lam = 0 and at
-    `tighten`'s multipliers.  On the benchmark's solver models, the
-    padded stride-2 ones of both rounds among them, and the seeded draws
-    of `random_instance`."""
+    `tighten`'s multipliers, none at all when every multiplier is 0.  On
+    the benchmark's solver models, the padded stride-2 ones of both rounds
+    among them, and the seeded draws of `random_instance`."""
     models = benchmark_models(simba)
     models += [model for model in map(random_instance, range(200)) if model is not None]
     priced = 0
@@ -1413,9 +1413,25 @@ def test_mirror_class_tables_match_the_factor_build(simba):
         sh.dfs(0, dive=True)
         if sh.inc.x is not None:
             sh.tighten()
-            assert repr(sh.pen_at) == repr(reference_factor_knapsack(sh, sh.lam))
+            if sh.lam_active:
+                assert repr(sh.pen_at) == repr(reference_factor_knapsack(sh, sh.lam))
+            else:  # at zero multipliers the penalized bound is the plain one
+                assert sh.pen_at == [[]] * (model.F + 1)
             priced += bool(sh.lam_active) and any(sh.pen_at)
     assert len(models) > 100 and priced > 40, (len(models), priced)
+
+
+def test_zero_multipliers_build_no_penalized_rows(simba):
+    """On the suite's tiny layer the Polyak build leaves every multiplier
+    at 0, where the penalized bound is the plain one; `tighten` builds no
+    penalized rows, and the solve takes its 10 nodes."""
+    model = build_model(factorize(SUITE_LAYERS["tiny"]), simba)
+    sh = new_search(model)
+    sh.dfs(0, dive=True)
+    sh.tighten()
+    assert sh.lam_active == []
+    assert sh.pen_at == [[]] * (model.F + 1)
+    assert solve(model).stats.nodes == 10
 
 
 class _ReferenceSearch(_Search):
@@ -1426,11 +1442,12 @@ class _ReferenceSearch(_Search):
 
 
 def test_lagrangian_matches_the_reference(simba):
-    """The subgradient loop, which drops dominated records, keeps the
-    subgradient per pick vector and skips the terms that add 0.0, moves no
-    float against `helpers.reference_lagrangian`, which does every step in
-    full: by repr, after the dive and `tighten` (the Polyak build against
-    the dive's incumbent), `lam` and `lam_active` and the rhs and the
+    """The subgradient loop, which keeps the usage per pick vector, skips
+    a record costing no less than the best price so far and skips the
+    terms that add 0.0, moves no float against
+    `helpers.reference_lagrangian`, which does every step in full: by
+    repr, after the dive and `tighten` (the Polyak build against the
+    dive's incumbent), `lam` and `lam_active` and the rhs and the
     penalized cuts at those multipliers.  On the benchmark's solver models
     and the seeded draws of `random_instance` and `square_instance`."""
     models = benchmark_models(simba)
@@ -1590,8 +1607,7 @@ def slot_leaf(sh, slots, chains):
 
 def image_moves(image, F):
     """The (member, source) moves of an image of `_Search._images`."""
-    first, gather = image
-    return [(fi, src) for fi, src in enumerate(gather(range(F)), first) if fi != src]
+    return [(fi, src) for fi, src in enumerate(image(range(F))) if fi != src]
 
 
 def image_of(recs, chains, moves):
@@ -1735,7 +1751,7 @@ def test_leaf_decision_matches_full_path(simba, monkeypatch):
         inc_obj = inc.obj
         assert menu_sel == sh._derive_menus()
         images = sh._images(recs)
-        assert images[0][0] == m.F and image_moves(images[0], m.F) == []
+        assert image_moves(images[0], m.F) == []  # the leaf's own image moves nothing
         # the leaf, then its deals: each switches unchained records, and
         # keeps every run sorted, so it is a leaf of the uncut search
         deals = [recs]
@@ -1870,8 +1886,8 @@ def test_mirror_classes_come_from_the_model(simba):
     alike, and so do dimensions whose factorizations differ.  A layer with
     R != S and P != Q and no shared prime has none.  A halo round's
     capacity pads sit in the rhs, not in the rows, so the padded model
-    keeps its classes; a spatial limit that lets P map spatially and not
-    Q makes their records differ, and keeps P and Q apart."""
+    keeps its classes; a [matrix_a] row for Q that differs from P's makes
+    their records differ, and keeps P and Q apart."""
     conv28 = factorize(SUITE_LAYERS["conv28"])
     assert mirror_runs(build_model(conv28, simba)) == ["P2 P2 Q2 Q2", "P7 Q7", "R3 S3"]
     five = factorize(LayerDims(1, 1, 4, 2, 2, 2, 4))
@@ -1886,11 +1902,10 @@ def test_mirror_classes_come_from_the_model(simba):
     assert result.rounds == 2 and result.pads
     assert mirror_runs(result.model) == ["P2 Q2", "P7 Q7", "R3 S3"]
 
-    at = next(I for I, level in enumerate(simba.levels) if level.spatial_fanout > 1)
-    levels = list(simba.levels)
-    levels[at] = dataclasses.replace(levels[at], allowed_spatial_dims=frozenset({0, 1, 2, 4, 5, 6}))
-    no_q = dataclasses.replace(simba, levels=tuple(levels))
-    assert mirror_runs(build_model(conv28, no_q)) == ["R3 S3"]
+    rows = list(simba.A.rows)
+    rows[DIM_NAMES.index("Q")] = (0, 1, 0)  # Q indexes the inputs, not the outputs
+    q_apart = dataclasses.replace(simba, A=TensorDimMatrix(rows=tuple(rows)))
+    assert mirror_runs(build_model(conv28, q_apart)) == ["R3 S3"]
 
 
 def test_branch_order_keeps_mirror_runs_contiguous(simba):
@@ -1995,7 +2010,7 @@ def test_images_reach_the_answer_the_cut_removes(simba, monkeypatch):
     def offer(sh, leaf, obj, image):
         ok = real_offer(sh, leaf, obj, image)
         if ok:
-            accepted.append(image[0] < sh.m.F)  # the leaf itself moves no factor
+            accepted.append(bool(image_moves(image, sh.m.F)))
         return ok
 
     monkeypatch.setattr(_Search, "_offer", offer)
