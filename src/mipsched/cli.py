@@ -360,11 +360,10 @@ def solve_layer(
         if not violations:
             report = evaluate(sched, check_arch)
             return PipelineResult(solution, sched, report, model, pads, rounds, stats)
+        message = "solver produced an invalid schedule: " + "; ".join(map(str, violations))
         if violations != capacity or rounds >= MAX_ROUNDS:
-            raise InvalidScheduleError(
-                "solver produced an invalid schedule: "
-                + "; ".join(str(v) for v in violations)
-            )
+            raise InvalidScheduleError(message)
+        old_pads = dict(pads)
         for v in capacity:
             level, tensor = v.slice
             halo_tile = costmodel.tile_elements(sched, check_arch, level, tensor, halo=True)
@@ -374,10 +373,18 @@ def solve_layer(
             observed = math.log2(halo_tile / plain_tile) if plain_tile else 0.0
             # at least one element of tightening per round, more when the
             # observed window inflation is larger; at most the whole slice,
-            # which leaves a one-element plain tile, whose window is one
-            # element too
+            # which leaves a one-element plain tile.  Its window can still
+            # overflow: the linear rows of an input tile do not count the
+            # kernel dimensions, which reach it only through the window
             step = math.log2(cap / (cap - 1)) if cap > 1 else 0.5
             pads[(level, tensor)] = min(max(old + step, observed), math.log2(cap))
+        if pads == old_pads:
+            # every overflowed slice is padded whole: the next round would
+            # solve this round's model again
+            raise InvalidScheduleError(
+                f"{message}; the capacity pad of {', '.join(v.where for v in capacity)}"
+                " is already the whole slice"
+            )
 
 
 def arch_with_partition(arch: ArchSpec, model: MipModel, solution: Solution) -> ArchSpec:
@@ -619,10 +626,14 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     of a strict-`<` scan over every order sits at class-first indices,
     and the scan over the representatives finds the same one.  An order
     scores no less than with no transfers (its compute cycles under
-    latency, 0 under traffic), so once a best exists, an assignment whose
-    score cannot fall below it is counted and not scored.  A `Schedule`
-    is built only for the winner, to render.  At the
-    --time-limit deadline it stops with nothing on stdout, as past --limit.
+    latency and compute, 0 under traffic), and placing a factor only keeps
+    or multiplies the cycles, so once a best exists, the walk extends no
+    partial assignment whose score cannot fall below it: it counts that
+    subtree's schedules, from a memo of the counts of residual subtrees
+    (keyed by what a completion's validity and order count read), and
+    scores none of them.  A `Schedule` is built only for the winner, to
+    render.  At the --time-limit deadline it stops with nothing on
+    stdout, as past --limit.
     """
     deadline = time.perf_counter() + cfg.solver.time_limit_s
     arch, pf = _load_factorized(cfg)

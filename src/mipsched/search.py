@@ -93,15 +93,36 @@ compute cycles:
 * Bound: an order part is never below 0 and `with_cycles` never falls
   as the part grows, so `with_cycles(0, cycles, metric)` (the cycles
   under latency, 0 under traffic) is at most the value of every order of
-  an assignment.  Once a best exists and an assignment's bound is at
-  least the best's value, no order of the assignment is below it, and
-  the strict-`<` scan would keep the best as it is: the assignment adds
-  its count and nothing else, so it is neither keyed nor scored.  The
-  best only falls, so every later assignment with that NoC key is cut
-  too, and a key or an upper code that no assignment reaches past the
-  bound gets no class orders, order part or `with_cycles` scan.  A key
-  that is scored is scored as without the bound, so the first minimum
-  is the same.
+  an assignment; under compute the value is the cycles.  Placing a
+  factor keeps the cycles (spatial) or multiplies them (temporal), so a
+  partial assignment's bound is at most every completion's.  Once a
+  best exists and a placement's bound reaches the best's value (cycles
+  at least the best under latency and compute; under traffic only a
+  best of 0), no order of any completion is below it, and the
+  strict-`<` scan would keep the best as it is.  So the walk extends no
+  such placement (`_Cut`): it adds the distinct orders of its valid
+  completions to the count, and they are neither yielded, keyed nor
+  scored.  The best only falls, so the walk reads the cut at each
+  placement, and a key or an upper code that no assignment reaches past
+  the cut gets no class orders, order part or `with_cycles` scan.  A key
+  that is scored is scored as without the cut, so the count and the
+  first minimum are the same.
+* Memo: a counted placement's completions are counted by the walk's
+  own placements, and every placement below it reaches the cut too (the
+  cut does not move while nothing is yielded), so its subtree is counted
+  whole.  A completion's validity reads only the kept rows and the
+  spatial products.  Its order count over the partial assignment's is,
+  per level of L loops that gains n, (L + n)! / L! times m! / m'! per
+  distinct loop the level gains, of multiplicity m before and m' after:
+  m is 0 but for the loop of the identical run in progress, at rank
+  `low`, where it is `run`.  So the factor index, `low` and `run` (-1
+  and 0 when the next factor starts a run), and per level the loop
+  count and spatial product, with the kept rows, fix the completions and
+  their quotients; codes, cycles and order counts do not enter the key.
+  The memo keeps per key the sum of the quotients times F!, a whole
+  number, as the m'! of a completion divide F! (its loops number F), and
+  a counted placement whose key is there adds its own count times the
+  entry over F!.
 """
 
 from __future__ import annotations
@@ -286,16 +307,35 @@ def _class_orders(loops: tuple[Loop, ...]) -> tuple[tuple[Loop, ...], ...]:
     return tuple(reps)
 
 
+class _Cut:
+    """The cut of one walk (the module docstring's "Bound" and "Memo"):
+    the walk does not extend a placement whose compute cycles reach
+    `cycles`, and adds the distinct orders of its valid completions to
+    `counted`, through `memo` (per key, a counted subtree's schedules
+    over its partial assignment's, times F!).  `cycles` starts above
+    every assignment's compute cycles, where nothing is cut."""
+
+    __slots__ = ("cycles", "counted", "memo")
+
+    def __init__(self, pf: PrimeFactorization):
+        self.cycles = math.prod(pf.padded) + 1
+        self.counted = 0
+        self.memo: dict[tuple, int] = {}
+
+
 def _walk(pf: PrimeFactorization, arch: ArchSpec, limit: int, halo: bool,
-          deadline: float = math.inf):
+          deadline: float = math.inf, cut: _Cut | None = None):
     """The enumeration walk (see the module docstring): an iterator over
     the valid (level, mapping) assignments in walk order, each as the
     walk's state `(loops, cycles, counts, codes, total)`: per level its
     loops in factor order, distinct-order count and loop-sequence code,
     the compute cycles, and the assignment's number of distinct orders,
     the product of the counts.  The lists change as the walk goes on:
-    read them before drawing the next assignment.  The space guard and
-    the root's checks run on the call.  Past `deadline`, a
+    read them before drawing the next assignment.  With a `cut`, which
+    the caller may lower between assignments, a subtree whose compute
+    cycles reach `cut.cycles` is counted into `cut.counted` instead of
+    walked; without one, every valid assignment is yielded.  The space
+    guard and the root's checks run on the call.  Past `deadline`, a
     `time.perf_counter()` value, it raises SearchTimeout: the clock is
     read once per partial assignment it extends, not per assignment."""
     flat = pf.flat()
@@ -354,6 +394,12 @@ def _walk(pf: PrimeFactorization, arch: ArchSpec, limit: int, halo: bool,
     same_next = [
         fi + 1 < F and flat[fi][0::2] == flat[fi + 1][0::2] for fi in range(F)
     ]
+    if cut is None:
+        cut = _Cut(pf)
+    memo = cut.memo
+    # the memo's key reads the kept rows; its entries are in units of 1/F!
+    kept_rows = [rows[K] for K in sorted(kept)]
+    unit = math.factorial(F)
 
     def walk(fi: int, low: int, run: int, cycles: int, total: int):
         if time.perf_counter() > deadline:
@@ -380,7 +426,21 @@ def _walk(pf: PrimeFactorization, arch: ArchSpec, limit: int, halo: bool,
             if passes():
                 # `count` divides `total`, so this is exact
                 t = total // count * new
-                if last:
+                if c >= cut.cycles:  # no completion can beat the best: count them
+                    if last:
+                        cut.counted += t
+                    else:
+                        low_next, run_next = (rank, mult) if same else (-1, 0)
+                        k = (fi, low_next, run_next, *map(len, loops), *spatial,
+                             *itertools.chain.from_iterable(kept_rows))
+                        entry = memo.get(k)
+                        if entry is None:  # count the subtree, which yields nothing
+                            counted = cut.counted
+                            yield from walk(fi + 1, low_next, run_next, c, t)
+                            memo[k] = (cut.counted - counted) * unit // t
+                        else:
+                            cut.counted += t * entry // unit
+                elif last:
                     yield loops, c, counts, codes, t
                 else:
                     yield from walk(fi + 1, rank if same else -1, mult, c, t)
@@ -471,9 +531,11 @@ def enumerate_best(
     is none).  The orders are counted by the walk, and only one order
     per class is scored, its order part once per code of the upper levels
     and its value once per NoC key (see the module docstring), from the
-    walk's own loops and compute cycles, and only for an assignment whose
-    bound is below the best so far; only the winner becomes a `Schedule`.
-    Past `deadline` the walk raises SearchTimeout.
+    walk's own loops and compute cycles.  The walk counts without
+    extending every placement whose compute cycles bound its completions
+    at or above the best so far, so it yields only assignments whose
+    bound is below it; only the winner becomes a `Schedule`.  Past
+    `deadline` the walk raises SearchTimeout.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -488,20 +550,19 @@ def enumerate_best(
     lows_of: dict[tuple, list[tuple[int, Levels]]] = {}
     # per NoC key, the least value and the first combination that reaches it
     least_of: dict[tuple, tuple[int, Levels]] = {}
-    # an assignment's bound, `with_cycles(0, cycles, metric)`, is its cycles
-    # under latency and 0 under traffic: read inline, as a `with_cycles`
-    # call per assignment made this about 20% slower on a small layer
-    bound_is_cycles = metric == "latency"
+    # the walk counts a subtree whose compute cycles reach `cut.cycles`
+    # without extending it: every order scores at least its cycles under
+    # latency and compute, and at least 0 under traffic, where only a best
+    # of 0 sets the cut
+    cut = _Cut(pf)
     count = 0
     best = None  # (value, levels)
-    for loops, cycles, _counts, codes, total in _walk(pf, arch, limit, halo, deadline):
+    for loops, cycles, _counts, codes, total in _walk(pf, arch, limit, halo, deadline, cut):
         count += total
-        if scored_from == H:  # compute: one order, the assignment's own
-            if best is None or cycles < best[0]:
-                best = (cycles, tuple(map(tuple, loops)))
+        if scored_from == H:  # compute: one order, the assignment's own, below the best
+            best = (cycles, tuple(map(tuple, loops)))
+            cut.cycles = cycles
             continue
-        if best is not None and (cycles if bound_is_cycles else 0) >= best[0]:
-            continue  # no order of this assignment beats `best`
         key = (*codes[scored_from:], cycles)
         least = least_of.get(key)
         if least is None:
@@ -526,6 +587,11 @@ def enumerate_best(
         value, combo = least
         if best is None or value < best[0]:
             best = (value, tuple(map(tuple, loops[:scored_from])) + combo)
+            if metric == "latency":
+                cut.cycles = value
+            elif value <= 0:
+                cut.cycles = 0
+    count += cut.counted
     if best is None:
         return count, None
     value, levels = best

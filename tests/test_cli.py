@@ -445,6 +445,28 @@ class TestSolveCommand:
         assert capsys.readouterr().err.splitlines()[0] == "status optimal"
         assert main(["evaluate", "--schedule", str(out)]) == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["solve", "partition"])
+    def test_window_past_a_whole_slice_pad_exits_at_once(self, command, tmp_path, capsys):
+        """R=16384: IA's linear rows do not count R, so no pad shrinks its
+        16,384-element window at InputBuf.  The round after the pad reaches
+        the whole 8,192-element slice solves the same model; the command
+        stops there (exit 3, nothing on stdout) and names the slice."""
+        layer = tmp_path / "r16k.layer"
+        layer.write_text("[layer]\nR=16384\nS=1\nP=1\nQ=1\nC=1\nK=1\nN=1\n")
+        argv = [command, "--layer", str(layer)]
+        if command == "partition":
+            from mipsched.arch import default_simba_arch
+
+            argv += ["--budget", str(baseline_total_bytes(default_simba_arch()))]
+        assert main(argv) == EXIT_INFEASIBLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: solver produced an invalid schedule: capacity at InputBuf/IA: "
+            "tile 16384 elements > capacity 8192; the capacity pad of InputBuf/IA "
+            "is already the whole slice\n"
+        )
+
     def test_malformed_layer_exits_parse(self, tmp_path, capsys):
         p = tmp_path / "bad.layer"
         p.write_text("[layer]\nR=three\n")
@@ -1041,6 +1063,20 @@ class TestEnumerateCommand:
         digest = hashlib.sha256(golden.encode()).hexdigest()
         assert digest == expected["enumerate/r3s1p2"]["sha256"]
 
+    @pytest.mark.parametrize("metric", ["latency", "compute", "traffic"])
+    def test_enumerate_cut_layer_stdout_unchanged(self, metric, tmp_path, capsys):
+        """A stride-2 layer (2,342,208 valid schedules) where the walk
+        counts most subtrees without extending them under latency and
+        compute, and none under traffic, byte for byte as recorded before
+        the cut."""
+        p = tmp_path / "cut.layer"
+        p.write_text("[layer]\nR=3\nS=3\nP=2\nQ=2\nC=2\nK=2\nN=1\nStride=2\n")
+        code = main(["enumerate", "--limit", str(10**12), "--metric", metric,
+                     "--layer", str(p)])
+        assert code == EXIT_OK
+        golden = (GOLDEN / f"enumerate_r3s3p2_{metric}.txt").read_text()
+        assert capsys.readouterr().out == golden
+
     def test_enumerate_limit_exits_limit_reached(self, tmp_path, capsys):
         """An assignment space above --limit is a limit reached, like a
         timeout: exit 4, the error on stderr, nothing on stdout."""
@@ -1055,13 +1091,13 @@ class TestEnumerateCommand:
     def test_time_limit_bounds_the_enumeration(self, tmp_path, capsys):
         """An enumeration still running at the --time-limit deadline stops
         there: exit 4, the error on stderr, nothing on stdout, as past
-        --limit.  This layer's full run counts 10,468,080 schedules in
-        several seconds."""
+        --limit.  This layer's full run counts 10,468,080 schedules; under
+        traffic, where no cut fires, that takes over a second."""
         p = tmp_path / "e.layer"
         p.write_text("[layer]\nR=3\nS=1\nP=2\nQ=2\nC=4\nK=4\nN=1\n")
         t0 = time.perf_counter()
         code = main(["enumerate", "--limit", str(10**13), "--time-limit", "0.5",
-                     "--layer", str(p)])
+                     "--metric", "traffic", "--layer", str(p)])
         elapsed = time.perf_counter() - t0
         assert code == EXIT_TIMEOUT
         out, err = capsys.readouterr()

@@ -4,8 +4,11 @@ import dataclasses
 import math
 import time
 
+import pytest
+
 from mipsched.arch import TENSOR_NAMES, ArchSpec, MemLevel, MemTensorMatrix
-from mipsched.cli import solve_layer
+import mipsched.cli
+from mipsched.cli import InvalidScheduleError, solve_layer
 from mipsched.formulation import ObjectiveWeights, build_model
 from mipsched.schedule import decode, encode, validate
 from mipsched.search import draw_schedule
@@ -128,3 +131,28 @@ def test_pad_stops_at_its_slice(simba):
     ib = next(I for I, level in enumerate(simba.levels) if level.name == "InputBuf")
     assert result.pads[(ib, 1)] == math.log2(simba.capacity_elements(ib, 1))
     assert validate(result.schedule, simba, halo=True) == []
+
+
+def test_pad_at_the_whole_slice_stops_the_loop(simba, monkeypatch):
+    """R=16384 reaches the IA tile only through its window (IA's linear
+    rows count P, Q, C and N), so a one-element plain tile still has a
+    16,384-element window at InputBuf.  Round 1 pads the slice whole;
+    round 2 solves that same model, and the loop stops there, naming the
+    slice, instead of solving it again until MAX_ROUNDS."""
+    built = []
+
+    def building(*args, **kwargs):
+        built.append(dict(kwargs["capacity_pads"]))
+        return build_model(*args, **kwargs)
+
+    monkeypatch.setattr(mipsched.cli, "build_model", building)
+    pf = factorize(LayerDims(16384, 1, 1, 1, 1, 1, 1))
+    with pytest.raises(InvalidScheduleError) as err:
+        solve_layer(pf, simba, deadline=time.perf_counter() + 60)
+    ib = next(I for I, level in enumerate(simba.levels) if level.name == "InputBuf")
+    assert built == [{}, {(ib, 1): math.log2(simba.capacity_elements(ib, 1))}]
+    assert str(err.value) == (
+        "solver produced an invalid schedule: capacity at InputBuf/IA: tile 16384 "
+        "elements > capacity 8192; the capacity pad of InputBuf/IA is already the "
+        "whole slice"
+    )

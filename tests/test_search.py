@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import types
 
 import pytest
 
@@ -343,13 +344,46 @@ def _brute_best(pf, arch, halo=True):
     return count, brute
 
 
+def _walk_checks(monkeypatch):
+    """Per call of the enumeration walk's compiled checks, in call order:
+    the placement it checks (dimension, level, binding), the walk's
+    spatial products and rows then, and its verdict; every `validate`
+    call from `search` is an error."""
+    calls = []
+
+    def compiling(arch, halo, stride, capacities, rows, spatial, *placement):
+        passes = placement_checks(arch, halo, stride, capacities, rows, spatial, *placement)
+
+        def recorded():
+            ok = passes()
+            calls.append((placement, tuple(spatial), tuple(map(tuple, rows)), ok))
+            return ok
+
+        return recorded
+
+    def no_validate(*args, **kwargs):
+        raise AssertionError("the enumeration walk called validate")
+
+    monkeypatch.setattr(search, "placement_checks", compiling)
+    monkeypatch.setattr(search, "validate", no_validate)
+    return calls
+
+
+def _is_subsequence(sub, seq):
+    rest = iter(seq)
+    return all(item in rest for item in sub)
+
+
 @BEST_CASES
 def test_enumerate_best_matches_brute_force(simba, monkeypatch, arch_name, dims, stride):
     """For every metric, `enumerate_best` counts what `enumerate_all`
     yields and finds what a strict-`<` scan of a full reference
     evaluation of every loop order finds, value and levels, on one walk
-    over the assignments: the same verdicts as `enumerate_all`'s walk,
-    and no `validate` call."""
+    over the assignments, with no `validate` call.  Under traffic, where
+    no cut fires, that walk makes the checks of `enumerate_all`'s walk;
+    under latency and compute an ordered part of them, for a counted
+    subtree whose memo entry exists is skipped whole and one without is
+    checked as the full walk checks it, in walk order."""
     arch = {
         "simba": simba,
         "toy2": toy_two_level(fanout=4, cap=16.0),
@@ -359,14 +393,17 @@ def test_enumerate_best_matches_brute_force(simba, monkeypatch, arch_name, dims,
     count, brute = _brute_best(pf, arch)
     firsts = {tuple(map(tuple, loops)) for loops, *_state in search._walk(pf, arch, 10**7, True)}
 
-    verdicts = _walk_verdicts(monkeypatch)
+    checks = _walk_checks(monkeypatch)
     assert count == sum(1 for _ in enumerate_all(pf, arch, limit=10**7))
-    per_scan = list(verdicts)
+    per_scan = list(checks)
     for metric in METRICS:
-        verdicts.clear()
+        checks.clear()
         got_count, (value, sched) = enumerate_best(pf, arch, metric, limit=10**7)
         assert (got_count, value, sched.levels) == (count, *brute[metric]), metric
-        assert verdicts == per_scan
+        if metric == "traffic":
+            assert checks == per_scan
+        else:
+            assert _is_subsequence(checks, per_scan), metric
         assert validate(sched, arch) == []
     if arch_name == "toy2-f1":
         assert brute["traffic"][1] not in firsts
@@ -502,18 +539,50 @@ def test_walk_carries_counts_codes_and_exact_checks(monkeypatch, halo):
     assert dropped > 0 and kept > 0
 
 
+class _CountingMemo(dict):
+    """A walk's memo that counts its lookups and hits."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = self.hits = 0
+
+    def get(self, key):
+        got = super().get(key)
+        self.lookups += 1
+        self.hits += got is not None
+        return got
+
+
+def _counting_cuts(monkeypatch):
+    """The cuts that the walks of `search` make from here on, each with a
+    `_CountingMemo`."""
+    cuts = []
+    make = search._Cut
+
+    def counting(pf):
+        cut = make(pf)
+        cut.memo = _CountingMemo()
+        cuts.append(cut)
+        return cut
+
+    monkeypatch.setattr(search, "_Cut", counting)
+    return cuts
+
+
 def test_enumerate_work_pinned(simba, monkeypatch):
     """The exact work of `enumerate_best` on the benchmark's enumerate
     layer (R3 S1 P2 Q1 C4 K2 N1 on simba, halo, latency): one compiled
-    check per placement, the walk's valid assignments, one order part per
-    code of the upper levels (which also fix the NoC row), its NoC keys
-    (upper codes and compute cycles) and the `with_cycles` values that
-    score each of them once, and the schedules counted.  The bound skips
-    every assignment whose compute cycles reach the best latency so far:
-    only the keys and upper codes that some assignment reaches below it
-    get their `with_cycles` scan and order part (630 order parts and
-    1,850 values without it).  A change that only makes this work cheaper
-    must leave it as it is."""
+    check per placement, the assignments the walk yields, one order part
+    per code of the upper levels (which also fix the NoC row), its NoC
+    keys (upper codes and compute cycles) and the `with_cycles` values
+    that score each of them once, the subtrees the walk counts without
+    yielding through its memo and the memo's hits, and the schedules
+    counted.  The walk extends no placement whose compute cycles reach
+    the best latency so far (21,312 checks, 18,410 assignments and 1,587
+    NoC keys without the cut), and only the keys and upper codes that
+    some assignment reaches below it get their `with_cycles` scan and
+    order part (630 order parts and 1,850 values without either).  A
+    change that only makes this work cheaper must leave it as it is."""
     work = dict.fromkeys(("checks", "assignments", "order parts", "values"), 0)
     keys = set()
     walk, part, value_of = search._walk, search.order_part, search.with_cycles
@@ -546,13 +615,63 @@ def test_enumerate_work_pinned(simba, monkeypatch):
     monkeypatch.setattr(search, "_walk", walking)
     monkeypatch.setattr(search, "order_part", parting)
     monkeypatch.setattr(search, "with_cycles", valuing)
+    cuts = _counting_cuts(monkeypatch)
     count, (value, _sched) = enumerate_best(
         factorize(LayerDims(3, 1, 2, 1, 4, 2, 1)), simba, "latency", limit=10**12)
     assert (count, value) == (75_492, 5)
-    assert len(keys) == 1_587
+    assert len(keys) == 349
     assert work == {
-        "checks": 21_312, "assignments": 18_410, "order parts": 230, "values": 357,
+        "checks": 8_420, "assignments": 1_278, "order parts": 230, "values": 357,
     }
+    [cut] = cuts
+    assert (cut.memo.lookups, cut.memo.hits, len(cut.memo)) == (1_674, 1_004, 670)
+
+
+@pytest.mark.parametrize("halo", [True, False])
+def test_cut_keeps_enumerate_best_exact(monkeypatch, halo):
+    """On the random small layers of `_walk_instances`, tight-IA (whose
+    kept rows enter the memo key) among their targets: for every metric,
+    `enumerate_best`, whose walk counts the subtrees that cannot beat the
+    best so far, counts the schedules `enumerate_all` yields and finds
+    the brute-force winner; and the memo of a walk that keeps rows is
+    hit, so these cases test that key."""
+    cuts = _counting_cuts(monkeypatch)
+    kept_hits = 0  # memo hits of walks that keep some row
+    for arch, layer in _walk_instances():
+        pf = factorize(layer)
+        count, brute = _brute_best(pf, arch, halo)
+        assert count == sum(1 for _ in enumerate_all(pf, arch, limit=10**12, halo=halo))
+        kept = search.live_capacities(arch, halo, layer.stride, pf.padded)
+        for metric in METRICS:
+            got_count, got = enumerate_best(pf, arch, metric, limit=10**12, halo=halo)
+            if kept:
+                kept_hits += cuts[-1].memo.hits
+            assert got_count == count, (arch.name, layer, metric)
+            if got is None:
+                assert brute[metric] is None
+                continue
+            assert (got[0], got[1].levels) == brute[metric], (arch.name, layer, metric)
+    assert kept_hits > 0
+
+
+def test_deadline_inside_a_counted_subtree(simba, monkeypatch):
+    """The walk reads the clock once per partial assignment it extends,
+    counted subtrees included: a deadline that passes once the walk has
+    started counting a subtree raises SearchTimeout inside it, before its
+    count enters the memo."""
+    cuts = _counting_cuts(monkeypatch)
+
+    def clock():
+        memo = cuts[0].memo
+        # past the deadline once a subtree without a memo entry is counted
+        return 10.0 if memo.lookups > memo.hits else 0.0
+
+    monkeypatch.setattr(search, "time", types.SimpleNamespace(perf_counter=clock))
+    with pytest.raises(search.SearchTimeout):
+        enumerate_best(factorize(LayerDims(3, 1, 2, 1, 4, 2, 1)), simba, "latency",
+                       limit=10**12, deadline=1.0)
+    [cut] = cuts
+    assert (cut.memo.lookups, cut.memo.hits, len(cut.memo)) == (1, 0, 0)
 
 
 def _small_layer(rng, max_factors):
@@ -568,9 +687,9 @@ def _small_layer(rng, max_factors):
     ("simba", 5), ("toy2", 6), ("tightia", 6),
 ])
 def test_bound_keeps_enumerate_best_exact(simba, monkeypatch, arch_name, max_factors):
-    """`enumerate_best`, which skips the assignments whose bound reaches
-    the best so far, finds the count, value and levels of the reference
-    that scores every NoC key (`helpers.reference_enumerate_best`), on
+    """`enumerate_best`, whose walk skips the placements whose bound
+    reaches the best so far, finds the count, value and levels of the
+    reference that scores every NoC key (`helpers.reference_enumerate_best`), on
     random small layers under strides 1 and 2, halo on and off, and every
     metric; and the bound skips some key, so these cases test it."""
     arch = {
@@ -611,9 +730,9 @@ def test_bound_premises_hold(simba, arch_name):
     """The two premises of `enumerate_best`'s bound, on random NoC-level
     loops, tile rows and iteration counts: an order part is never below
     0, and `with_cycles` never falls as the part grows, under every
-    metric.  So `with_cycles(0, cycles)`, which `enumerate_best` reads
-    inline as the cycles under latency and 0 otherwise, is at most the
-    value of every order of an assignment."""
+    metric.  So `with_cycles(0, cycles)`, the cycles under latency and 0
+    otherwise, from which `enumerate_best` sets its walk's cut, is at
+    most the value of every order of an assignment."""
     arch = {
         "simba": simba,
         "toy2": toy_two_level(fanout=4, cap=16.0),
